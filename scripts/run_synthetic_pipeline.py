@@ -40,7 +40,6 @@ def parse_args():
     ap.add_argument("--hops", type=int, default=1)
     ap.add_argument("--aggregation", choices=("sum", "concat"),
                     default="concat")
-    ap.add_argument("--stage1-epochs", type=int, default=200)
     ap.add_argument("--stage2-epochs", type=int, default=100)
     ap.add_argument("--patience", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
@@ -65,9 +64,8 @@ def main():
     graph_flags = (["--preset", args.preset] if args.preset
                    else ["--hops", str(args.hops),
                          "--aggregation", args.aggregation])
-    train_flags = ["--preset", args.preset] if args.preset else []
     # a small correction net that trains well at desk scale
-    stage2_flags = (train_flags if args.preset
+    stage2_flags = (["--preset", args.preset] if args.preset
                     else ["--pooling", "global_mean", "--hidden", "64",
                           "--post-mlp", "32", "--lr", "1e-3"])
     stages = [
@@ -76,10 +74,7 @@ def main():
         ["denoise", *base],
         ["select", *base, "--n-genes", str(args.select)],
         ["build-graphs", *base, *graph_flags],
-        ["train", *base, "--stage", "1",
-         "--epochs", str(args.stage1_epochs),
-         "--patience", str(args.patience), "--seed", str(args.seed),
-         *train_flags],
+        ["train", *base, "--stage", "1"],
         ["train", *base, "--stage", "2",
          "--epochs", str(args.stage2_epochs),
          "--patience", str(args.patience), "--seed", str(args.seed),

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -61,7 +60,13 @@ PRESETS = {
     },
 }
 
-THREADS_ENV = "SEPAL_THREADS"
+# fallbacks for the flags only `train --stage 2` reads; stage 1 rejects them
+STAGE2_DEFAULTS = {
+    "operator": "graphconv", "pooling": "sag_mean", "sag_ratio": 0.5,
+    "pre_mlp": (), "hidden": (256,), "post_mlp": (),
+    "lr": 1e-4, "batch": 256, "epochs": 500, "patience": 20,
+    "max_steps": None, "seed": 0,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,27 +93,12 @@ def _fmt_widths(widths) -> str:
     return ",".join(str(w) for w in widths)
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads
-    if raw is None:
-        raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"bad thread count {raw!r}") from None
-    if n < 1:
-        raise ValidationError("thread count must be positive")
-    return n
-
-
 def _from_preset(args, key, fallback):
     """Explicit flag wins, then the preset, then the fallback."""
-    value = getattr(args, key.replace("-", "_"))
+    value = getattr(args, key)
     if value is not None:
         return value
-    if args.preset is not None:
+    if args.preset is not None and key in PRESETS[args.preset]:
         return PRESETS[args.preset][key]
     return fallback
 
@@ -181,7 +171,6 @@ def cmd_synth(args) -> None:
         "slides": cfg.n_slides,
         "n_select": "" if cfg.n_select is None else cfg.n_select,
         "counts": cfg.counts, "seed": cfg.seed,
-        "threads": _resolve_threads(args),
     })
     print(manifest_path)
 
@@ -235,7 +224,6 @@ def cmd_preprocess(args) -> None:
         "count_max_spot": manifest.count_max_spot,
         "count_min_gene": manifest.count_min_gene,
         "count_max_gene": manifest.count_max_gene,
-        "threads": _resolve_threads(args),
     })
     print(f"preprocess: {len(out_matrices)} slides, "
           f"{out_matrices[0].values.shape[1]} genes kept")
@@ -276,7 +264,6 @@ def cmd_denoise(args) -> None:
     _write_lock(outdir, "denoise", {
         "manifest": str(args.manifest),
         "center_slides": args.center_slides,
-        "threads": _resolve_threads(args),
     })
     print(f"denoise: imputed fraction {pooled:.4f} over "
           f"{len(denoised)} slides")
@@ -318,7 +305,6 @@ def cmd_select(args) -> None:
         "manifest": str(args.manifest),
         "n_genes": n_genes,
         "geometry": manifest.geometry,
-        "threads": _resolve_threads(args),
     })
     print(f"select: kept {len(selected)} of {len(scores)} genes")
 
@@ -367,7 +353,6 @@ def cmd_build_graphs(args) -> None:
         "hops": hops,
         "aggregation": aggregation,
         "preset": args.preset or "",
-        "threads": _resolve_threads(args),
     })
     print(f"build-graphs: {len(rows)} graphs, hops={hops}, "
           f"aggregation={aggregation}")
@@ -391,13 +376,6 @@ def _load_split_data(manifest, out: Path):
     return data
 
 
-def _stack_split(manifest, data, split, field):
-    """Concatenate one per-slide field over a split, manifest order."""
-    out = [field(data[e.slide_id]) for e in manifest.slides
-           if e.split == split]
-    return out
-
-
 def _train_common(args):
     manifest = _manifest(args)
     out = Path(args.out)
@@ -405,14 +383,6 @@ def _train_common(args):
     gene_ids = next(iter(data.values()))[1].gene_ids
     splits = {e.slide_id: e.split for e in manifest.slides}
     return manifest, out, data, gene_ids, splits
-
-
-def _train_config(args, lr_fallback: float) -> TrainConfig:
-    lr = _from_preset(args, "lr", lr_fallback)
-    batch = _from_preset(args, "batch", 256)
-    return TrainConfig(learning_rate=lr, batch_size=batch,
-                       max_epochs=args.epochs, patience=args.patience,
-                       seed=args.seed, max_steps=args.max_steps)
 
 
 def _write_history(path, history) -> None:
@@ -423,6 +393,14 @@ def _write_history(path, history) -> None:
 
 
 def cmd_train(args) -> None:
+    if args.stage == 1:
+        given = [f"--{k.replace('_', '-')}"
+                 for k in ("preset", *STAGE2_DEFAULTS)
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValidationError(
+                f"`train --stage 1` takes no {', '.join(given)}; "
+                f"stage-2 settings go to `train --stage 2`")
     manifest, out, data, gene_ids, splits = _train_common(args)
     matrices = [data[e.slide_id][1] for e in manifest.slides]
     train_dir = out / "train"
@@ -448,26 +426,21 @@ def cmd_train(args) -> None:
         if x_train is None:
             raise EmptySplit("no train-split slides in the manifest")
         x_val, y_val = gather("val")
-        cfg = _train_config(args, 1e-3)
-        result = train_mod.stage1_train(x_train, y_train, x_val, y_val, cfg)
+        result = train_mod.stage1_train(x_train, y_train, x_val, y_val)
         train_mod.save_stage1_checkpoint(train_dir / "stage1.ckpt", result,
-                                         gene_ids, cfg.seed)
+                                         gene_ids)
         _write_history(train_dir / "stage1_history.tsv", result.history)
         ingest.write_table(train_dir / "train_mean.tsv", "train_mean",
                            ("gene_id", "mean"),
                            list(zip(mean.gene_ids, mean.means)))
         _write_lock(train_dir, "train", {
             "manifest": str(args.manifest), "stage": 1,
-            "lr": cfg.learning_rate, "batch": cfg.batch_size,
-            "epochs": cfg.max_epochs, "patience": cfg.patience,
-            "seed": cfg.seed,
-            "max_steps": "" if cfg.max_steps is None else cfg.max_steps,
-            "threads": _resolve_threads(args),
+            "alpha": result.alpha, "lambda": result.ridge_lambda,
         }, name="stage1_config.tsv")
         val_txt = ("none" if result.best_val_mse is None
                    else f"{result.best_val_mse:.6f}")
-        print(f"train stage 1: {result.n_steps} steps, "
-              f"best val MSE {val_txt}")
+        print(f"train stage 1: ridge alpha {result.alpha:g}, "
+              f"val MSE {val_txt}")
         return
 
     # stage 2
@@ -512,11 +485,14 @@ def cmd_train(args) -> None:
         raise EmptySplit("no train-split slides in the manifest")
     val_graphs, dh_val, y_val = gather("val")
 
+    def opt(key):
+        return _from_preset(args, key, STAGE2_DEFAULTS[key])
+
     in_width = train_graphs[0].features.shape[1]
     n_genes = len(gene_ids)
-    pre = _from_preset(args, "pre_mlp", ())
-    hidden = list(_from_preset(args, "hidden", (256,)))
-    post = list(_from_preset(args, "post_mlp", ()))
+    pre = opt("pre_mlp")
+    hidden = list(opt("hidden"))
+    post = list(opt("post_mlp"))
     # the network's last layer always maps onto the gene panel
     if post:
         post[-1] = n_genes
@@ -524,10 +500,12 @@ def cmd_train(args) -> None:
         hidden[-1] = n_genes
     spec = ModelSpec(
         in_width=in_width, n_genes=n_genes, pre_widths=tuple(pre),
-        operator=_from_preset(args, "operator", "graphconv"),
-        gnn_widths=tuple(hidden), pooling=args.pooling,
-        sag_ratio=args.sag_ratio, post_widths=tuple(post))
-    cfg = _train_config(args, 1e-4)
+        operator=opt("operator"), gnn_widths=tuple(hidden),
+        pooling=opt("pooling"), sag_ratio=opt("sag_ratio"),
+        post_widths=tuple(post))
+    cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
+                      max_epochs=opt("epochs"), patience=opt("patience"),
+                      seed=opt("seed"), max_steps=opt("max_steps"))
     result = train_mod.stage2_train(train_graphs, dh_train, y_train,
                                     val_graphs, dh_val, y_val, spec, cfg)
     train_mod.save_stage2_checkpoint(train_dir / "stage2.ckpt", head_w,
@@ -547,7 +525,6 @@ def cmd_train(args) -> None:
         "epochs": cfg.max_epochs, "patience": cfg.patience,
         "seed": cfg.seed,
         "max_steps": "" if cfg.max_steps is None else cfg.max_steps,
-        "threads": _resolve_threads(args),
     }, name="stage2_config.tsv")
     initial = result.initial_val_mse
     best = result.best_val_mse
@@ -568,12 +545,19 @@ def _read_train_mean(train_dir: Path, gene_ids) -> TrainMeanVector:
 
 
 def _load_model(train_dir: Path):
-    stage2 = train_dir / "stage2.ckpt"
-    if stage2.exists():
-        return train_mod.load_stage2_checkpoint(stage2)
     stage1 = _require(train_dir / "stage1.ckpt", "train --stage 1")
     w, b, genes = train_mod.load_stage1_checkpoint(stage1)
-    return train_mod.TrainedModel(genes, w, b, None, 1, "sum")
+    stage2 = train_dir / "stage2.ckpt"
+    if not stage2.exists():
+        return train_mod.TrainedModel(genes, w, b, None, 1, "sum")
+    model = train_mod.load_stage2_checkpoint(stage2)
+    # stage 2 embeds the head it was trained on; a newer stage 1 voids it
+    if not (np.array_equal(model.head_weight, w)
+            and np.array_equal(model.head_bias, b)):
+        raise StageOrderViolation(
+            f"{stage2} was trained on another head than {stage1}; "
+            f"run `sepal train --stage 2` again")
+    return model
 
 
 def _test_predictions(manifest, out: Path, data, model, mean):
@@ -647,7 +631,6 @@ def cmd_eval(args) -> None:
     _write_lock(eval_dir, "eval", {
         "manifest": str(args.manifest),
         "model": "stage2" if model.state is not None else "stage1",
-        "threads": _resolve_threads(args),
     })
     print(f"eval: MSE {pooled.mse:.6f}, MAE {pooled.mae:.6f}, "
           f"PCC-Gene {pooled.pcc_gene:.4f}")
@@ -698,7 +681,6 @@ def cmd_figures(args) -> None:
                                         spots, fig_dir / slide_id)
     _write_lock(fig_dir, "figures", {
         "manifest": str(args.manifest),
-        "threads": _resolve_threads(args),
     })
     print(f"figures: wrote {len(written)} files under {fig_dir}")
 
@@ -716,9 +698,6 @@ def build_parser() -> _Parser:
         p.add_argument("--manifest", required=True,
                        help="dataset manifest path")
         p.add_argument("--out", required=True, help="run directory")
-        p.add_argument("--threads", default=None,
-                       help=f"worker count (default ${THREADS_ENV} or 1); "
-                            "results are identical for any value")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
@@ -737,7 +716,6 @@ def build_parser() -> _Parser:
     p.add_argument("--counts", action="store_true",
                    help="emit raw counts instead of log-space values")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="filter, normalize, log-transform")
@@ -769,20 +747,21 @@ def build_parser() -> _Parser:
                                      "graph correction (stage 2)")
     common(p)
     p.add_argument("--stage", type=int, choices=(1, 2), required=True)
+    # stage-2 settings; None falls back to the preset, then STAGE2_DEFAULTS
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p.add_argument("--operator", choices=OPERATORS, default=None)
-    p.add_argument("--pooling", choices=POOLINGS, default="sag_mean")
-    p.add_argument("--sag-ratio", type=float, default=0.5)
+    p.add_argument("--pooling", choices=POOLINGS, default=None)
+    p.add_argument("--sag-ratio", type=float, default=None)
     p.add_argument("--pre-mlp", type=_widths, default=None,
                    help="comma-separated widths, empty for none")
     p.add_argument("--hidden", type=_widths, default=None)
     p.add_argument("--post-mlp", type=_widths, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=20)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--patience", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="masked metrics on the test split")
@@ -800,8 +779,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "threads"):
-            args.threads = _resolve_threads(args)
         args.func(args)
     except IoFailure as exc:
         print(f"io error: {exc}", file=sys.stderr)

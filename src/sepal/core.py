@@ -387,9 +387,6 @@ class DatasetManifest:
         if not any(s.split == "train" for s in self.slides):
             raise EmptyTrainSplit("manifest assigns no slide to the train split")
 
-    def slides_for(self, split: str) -> tuple[SlideEntry, ...]:
-        return tuple(s for s in self.slides if s.split == split)
-
 
 @dataclass
 class Slide:
@@ -431,8 +428,9 @@ def align_slide(spots: Sequence[SpotRecord],
         if sid not in have_coords:
             raise SpotSetMismatch(
                 f"spot {sid!r} has expression but no coordinates")
-    keep = [s for s in ordered if s.spot_id in set(expression.spot_ids)]
-    order = [sid for sid in (s.spot_id for s in keep)]
+    have_expr = set(expression.spot_ids)
+    keep = [s for s in ordered if s.spot_id in have_expr]
+    order = [s.spot_id for s in keep]
 
     expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
     expr = expression.subset_spots(
@@ -453,22 +451,11 @@ def align_slide(spots: Sequence[SpotRecord],
     return Slide(tuple(keep), expr, emb, mask)
 
 
-@dataclass(frozen=True)
-class DatasetReport:
-    """Summary emitted by validate_dataset when everything checks out."""
-
-    n_slides: int
-    n_genes: int
-    d_emb: int
-    spots_per_slide: tuple[tuple[str, int], ...]
-    splits: tuple[tuple[str, str], ...]
-
-
 def validate_dataset(
     manifest: DatasetManifest,
     parts: Mapping[str, tuple[Sequence[SpotRecord], ExpressionMatrix,
                               EmbeddingTable]],
-) -> DatasetReport:
+) -> None:
     """Cross-slide consistency checks before any processing starts.
 
     Verifies that every manifest slide was loaded, that all slides carry
@@ -482,7 +469,6 @@ def validate_dataset(
 
     gene_ref: tuple[str, ...] | None = None
     d_ref: int | None = None
-    spot_counts: list[tuple[str, int]] = []
     for entry in manifest.slides:
         spots, expr, emb = parts[entry.slide_id]
         if expr.n_spots == 0:
@@ -500,12 +486,3 @@ def validate_dataset(
                 f"slide {entry.slide_id!r} embedding width {emb.d_emb} "
                 f"differs from {d_ref}")
         align_slide(spots, expr, emb)
-        spot_counts.append((entry.slide_id, expr.n_spots))
-
-    return DatasetReport(
-        n_slides=len(manifest.slides),
-        n_genes=len(gene_ref or ()),
-        d_emb=int(d_ref or 0),
-        spots_per_slide=tuple(spot_counts),
-        splits=tuple((s.slide_id, s.split) for s in manifest.slides),
-    )

@@ -306,8 +306,8 @@ def _manifest_value(text: str, path, line_no: int):
     text = text.strip()
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return text[1:-1]
-    if text in ("inf", "+inf"):
-        return math.inf
+    if text in ("inf", "+inf", "-inf"):
+        return float(text)
     try:
         if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
             return float(text)
@@ -402,11 +402,7 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             return q.as_posix()
 
     def scalar(v) -> str:
-        if isinstance(v, str):
-            return f'"{v}"'
-        if isinstance(v, float):
-            return "inf" if math.isinf(v) else fmt_float(v)
-        return str(v)
+        return f'"{v}"' if isinstance(v, str) else fmt_value(v)
 
     with _open_write(path) as fh:
         fh.write(f"# dataset manifest, format_version={FORMAT_VERSION}\n")

@@ -93,13 +93,7 @@ def _mean_defined(values, error):
 
 
 def masked_mse_mae(pred, truth, mask) -> tuple[float, float]:
-    pred = _as_matrix("pred", pred)
-    truth = _as_matrix("truth", truth)
-    keep = ~np.asarray(mask, dtype=bool)
-    if pred.shape != truth.shape or keep.shape != truth.shape:
-        raise ShapeMismatch(
-            f"shape mismatch: pred {pred.shape}, truth {truth.shape}, "
-            f"mask {keep.shape}")
+    pred, truth, keep = _aligned(pred, truth, mask)
     diff = pred[keep] - truth[keep]
     if diff.size == 0:
         raise AllMasked("every cell is masked")
@@ -135,38 +129,6 @@ def _patch_lists(pred, truth, keep):
         pccs.append(p)
         r2s.append(r)
     return pccs, r2s
-
-
-def pcc_gene(pred, truth, mask) -> tuple[float, tuple]:
-    """Aggregate and per-gene correlation over unmasked cells."""
-    pred, truth, keep = _aligned(pred, truth, mask)
-    pccs, _ = _gene_lists(pred, truth, keep)
-    return (_mean_defined(pccs, AllGenesExcluded(
-        "no gene has a defined correlation")), tuple(pccs))
-
-
-def r2_gene(pred, truth, mask) -> tuple[float, tuple]:
-    """Aggregate and per-gene coefficient of determination."""
-    pred, truth, keep = _aligned(pred, truth, mask)
-    _, r2s = _gene_lists(pred, truth, keep)
-    return (_mean_defined(r2s, AllGenesExcluded(
-        "no gene has truth variance")), tuple(r2s))
-
-
-def pcc_patch(pred, truth, mask) -> tuple[float, tuple]:
-    """Aggregate and per-spot correlation across the gene dimension."""
-    pred, truth, keep = _aligned(pred, truth, mask)
-    pccs, _ = _patch_lists(pred, truth, keep)
-    return (_mean_defined(pccs, AllPatchesExcluded(
-        "no patch has a defined correlation")), tuple(pccs))
-
-
-def r2_patch(pred, truth, mask) -> tuple[float, tuple]:
-    """Aggregate and per-spot coefficient of determination."""
-    pred, truth, keep = _aligned(pred, truth, mask)
-    _, r2s = _patch_lists(pred, truth, keep)
-    return (_mean_defined(r2s, AllPatchesExcluded(
-        "no patch has truth variance")), tuple(r2s))
 
 
 def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,

@@ -2,10 +2,12 @@
 
 Tensors wrap float64 ndarrays and record the backward closure of the
 operation that produced them; backward() runs the closures in reverse
-topological order.  The op set is exactly what the model needs: dense
-matmul, broadcast add/mul, gather, ELU, tanh, mean, and multiplication by
-a constant sparse matrix (the graph propagation step, which never needs a
-gradient of its own).
+topological order.  A closure is passed its output tensor rather than
+capturing it, so a tape has no reference cycle and refcounting frees it.
+The op set is exactly what the model needs: dense matmul, broadcast
+add/mul, gather, ELU, tanh, mean, and multiplication by a constant sparse
+matrix (the graph propagation step, which never needs a gradient of its
+own).
 
 Model layers:
 
@@ -83,7 +85,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
-    def backward():
+    def backward(out):
         a.add_grad(_unbroadcast(out.grad, a.data.shape))
         b.add_grad(_unbroadcast(out.grad, b.data.shape))
     out._backward = backward
@@ -93,7 +95,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data, (a, b))
 
-    def backward():
+    def backward(out):
         a.add_grad(_unbroadcast(out.grad, a.data.shape))
         b.add_grad(_unbroadcast(-out.grad, b.data.shape))
     out._backward = backward
@@ -103,7 +105,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
-    def backward():
+    def backward(out):
         a.add_grad(_unbroadcast(out.grad * b.data, a.data.shape))
         b.add_grad(_unbroadcast(out.grad * a.data, b.data.shape))
     out._backward = backward
@@ -117,7 +119,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul {a.data.shape} @ {b.data.shape}")
     out = Tensor(a.data @ b.data, (a, b))
 
-    def backward():
+    def backward(out):
         a.add_grad(out.grad @ b.data.T)
         b.add_grad(a.data.T @ out.grad)
     out._backward = backward
@@ -127,7 +129,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, (a,))
 
-    def backward():
+    def backward(out):
         a.add_grad(out.grad.T)
     out._backward = backward
     return out
@@ -141,7 +143,7 @@ def propagate(matrix, h: Tensor) -> Tensor:
     out = Tensor(matrix @ h.data, (h,))
     matrix_t = matrix.T.tocsr() if sp.issparse(matrix) else matrix.T
 
-    def backward():
+    def backward(out):
         h.add_grad(matrix_t @ out.grad)
     out._backward = backward
     return out
@@ -151,7 +153,7 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     out = Tensor(a.data[rows], (a,))
 
-    def backward():
+    def backward(out):
         g = np.zeros_like(a.data)
         np.add.at(g, rows, out.grad)
         a.add_grad(g)
@@ -163,7 +165,7 @@ def elu(a: Tensor) -> Tensor:
     neg = np.expm1(np.minimum(a.data, 0.0))
     out = Tensor(np.where(a.data > 0.0, a.data, neg), (a,))
 
-    def backward():
+    def backward(out):
         local = np.where(a.data > 0.0, 1.0, neg + 1.0)
         a.add_grad(out.grad * local)
     out._backward = backward
@@ -174,7 +176,7 @@ def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
     out = Tensor(t, (a,))
 
-    def backward():
+    def backward(out):
         a.add_grad(out.grad * (1.0 - t * t))
     out._backward = backward
     return out
@@ -183,7 +185,7 @@ def tanh(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean(), (a,))
 
-    def backward():
+    def backward(out):
         a.add_grad(np.full_like(a.data, float(out.grad) / a.data.size))
     out._backward = backward
     return out
@@ -223,7 +225,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +389,6 @@ class ModelState:
     params: dict[str, Tensor]
     seed: int
 
-    def param_items(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
     def clone_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
 
@@ -509,7 +508,8 @@ def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
                                p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]))
 
     if spec.pooling == "sag_mean":
-        score_prop = gcn_matrix(batch.n_nodes, batch.edges)
+        score_prop = (prop if spec.operator == "gcn"
+                      else gcn_matrix(batch.n_nodes, batch.edges))
         r = sag_mean_readout(h, score_prop, p["pool.score.W"],
                              spec.sag_ratio, batch.slices)
     else:

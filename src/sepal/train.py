@@ -2,15 +2,17 @@
 graph correction.
 
 Stage 1 regresses delta targets (expression minus the train-split gene
-mean) directly from patch embeddings with a single linear layer.  Stage 2
-freezes that head and trains the graph network to predict what the head
-misses; its output is added to the head's prediction, and a zero-
-initialized final layer guarantees the combined model starts exactly at
-the stage-1 solution.
+mean) directly from frozen patch embeddings with a single linear layer,
+solved in closed form by ridge regression whose strength is picked on
+validation MSE.  Stage 2 freezes that head and trains the graph network
+to predict what the head misses; its output is added to the head's
+prediction, and a zero-initialized final layer guarantees the combined
+model starts exactly at the stage-1 solution.
 
-Both stages use bias-corrected Adam, seeded shuffling, and early stopping
-on validation MSE.  Validation is always evaluated with the same plain
-numpy expression, so stage transitions compare like with like.
+Stage 2 is the one training loop: bias-corrected Adam, seeded shuffling,
+and early stopping on validation MSE.  Validation is always evaluated
+with the same plain numpy expression, so stage transitions compare like
+with like.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
 )
 from . import nn
 from .ingest import read_checkpoint, write_checkpoint
-from .nn import GraphBatch, ModelSpec, ModelState, Tensor, glorot
+from .nn import GraphBatch, ModelSpec, ModelState, Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -107,19 +109,33 @@ def _val_mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
+# ridge strengths tried on the val split, in units of trace(Xc'Xc) / d
+RIDGE_ALPHAS = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
+
+
 @dataclass
 class Stage1Result:
     weight: np.ndarray
     bias: np.ndarray
     history: list[EpochRecord]
     best_val_mse: float | None
-    n_steps: int
+    alpha: float
+    ridge_lambda: float
 
 
 def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
-                 x_val: np.ndarray | None, y_val: np.ndarray | None,
-                 config: TrainConfig) -> Stage1Result:
-    """Fit the linear head on (embedding, delta-target) pairs."""
+                 x_val: np.ndarray | None, y_val: np.ndarray | None
+                 ) -> Stage1Result:
+    """Fit the linear head on (embedding, delta-target) pairs by ridge.
+
+    Inputs and targets are centred on their train means, so the bias is
+    never penalised.  One eigendecomposition of Xc'Xc serves every
+    strength lambda = alpha * trace(Xc'Xc) / d with alpha in RIDGE_ALPHAS;
+    the alpha with the lowest val MSE wins, the smallest on ties.  With no
+    val split alpha is 0: plain least squares.  Eigen-directions at
+    rounding level are dropped, so rank-deficient embeddings (n <= d,
+    collinear columns) get the minimum-norm solution, never a LinAlgError.
+    """
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     if x_train.ndim != 2 or y_train.ndim != 2 \
@@ -127,64 +143,43 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
         raise ShapeMismatch(
             f"stage 1 inputs {x_train.shape} vs targets {y_train.shape}")
     n, d = x_train.shape
-    n_genes = y_train.shape[1]
-    if n == 0 or n_genes == 0:
+    if n == 0 or y_train.shape[1] == 0:
         raise EmptySplit("stage 1 needs a non-empty train split")
+    # the normal equations square the inputs; they must stay representable
+    with np.errstate(over="ignore"):
+        squares = np.vdot(x_train, x_train) + np.vdot(y_train, y_train)
+    if not np.isfinite(squares):
+        raise DivergedLoss("stage 1 inputs are not finite when squared")
     has_val = x_val is not None and y_val is not None and len(x_val) > 0
 
-    rng = np.random.default_rng(config.seed)
-    weight = Tensor(glorot(rng, n_genes, d))
-    bias = Tensor(np.zeros(n_genes))
-    opt = Adam([weight, bias], config.learning_rate)
-
-    history: list[EpochRecord] = []
-    best_val: float | None = None
-    best_arrays = (weight.data.copy(), bias.data.copy())
-    bad_epochs = 0
-    steps = 0
     t0 = time.monotonic()
-    stop = False
+    x_mean = x_train.mean(axis=0)
+    y_mean = y_train.mean(axis=0)
+    xc = x_train - x_mean
+    gram = xc.T @ xc
+    scale = float(np.trace(gram)) / d
+    evals, evecs = np.linalg.eigh(gram)
+    # eigenvalues at rounding level span the null space of Xc: drop them
+    kept = evals > max(evals[-1], 0.0) * d * np.finfo(np.float64).eps
+    evals, evecs = evals[kept], evecs[:, kept]
+    proj = evecs.T @ (xc.T @ (y_train - y_mean))
 
-    for epoch in range(1, config.max_epochs + 1):
-        perm = rng.permutation(n)
-        sq_sum = 0.0
-        for k in range(0, n, config.batch_size):
-            idx = perm[k:k + config.batch_size]
-            pred = nn.linear(nn.constant(x_train[idx]), weight, bias)
-            loss = nn.mse(pred, nn.constant(y_train[idx]))
-            if not np.isfinite(loss.data):
-                raise DivergedLoss(f"stage 1 loss not finite at step {steps}")
-            opt.zero_grad()
-            nn.backward(loss)
-            opt.step()
-            steps += 1
-            sq_sum += float(loss.data) * len(idx)
-            if config.max_steps is not None and steps >= config.max_steps:
-                stop = True
-                break
-        train_mse = sq_sum / n
-        val = None
-        if has_val:
-            val = _val_mse(linear_prediction(x_val, weight.data, bias.data),
-                           y_val)
-        history.append(EpochRecord(epoch, train_mse, val,
-                                   time.monotonic() - t0))
-        if has_val:
-            if best_val is None or val < best_val:
-                best_val = val
-                best_arrays = (weight.data.copy(), bias.data.copy())
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= config.patience:
-                    break
-        else:
-            best_arrays = (weight.data.copy(), bias.data.copy())
-        if stop:
-            break
-    return Stage1Result(weight=best_arrays[0], bias=best_arrays[1],
-                        history=history, best_val_mse=best_val,
-                        n_steps=steps)
+    best = None
+    for alpha in RIDGE_ALPHAS if has_val else (0.0,):
+        lam = alpha * scale
+        weight = np.ascontiguousarray(((evecs / (evals + lam)) @ proj).T)
+        bias = y_mean - weight @ x_mean
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise DivergedLoss(f"stage 1 solution not finite at alpha {alpha}")
+        val = (_val_mse(linear_prediction(x_val, weight, bias), y_val)
+               if has_val else None)
+        if best is None or val < best[0]:
+            best = (val, alpha, lam, weight, bias)
+    val, alpha, lam, weight, bias = best
+    train_mse = _val_mse(linear_prediction(x_train, weight, bias), y_train)
+    history = [EpochRecord(1, train_mse, val, time.monotonic() - t0)]
+    return Stage1Result(weight=weight, bias=bias, history=history,
+                        best_val_mse=val, alpha=alpha, ridge_lambda=lam)
 
 
 def spatial_predict(state: ModelState, graphs: Sequence,
@@ -322,13 +317,12 @@ def _split_widths(text: str) -> tuple[int, ...]:
 
 
 def save_stage1_checkpoint(path, result: Stage1Result,
-                           gene_ids: Sequence[str], seed: int) -> None:
+                           gene_ids: Sequence[str]) -> None:
     meta = {
         "stage": "1",
         "genes": _join_genes(gene_ids),
         "d_emb": str(result.weight.shape[1]),
         "n_genes": str(result.weight.shape[0]),
-        "seed": str(seed),
     }
     write_checkpoint(path, meta, {"head.W": result.weight,
                                   "head.b": result.bias})

@@ -18,7 +18,7 @@ from sepal.denoise import (
     impute_gene_map,
 )
 from sepal.graphs import build_spot_graphs, khop_subgraph
-from sepal.metrics import evaluate, r2_gene
+from sepal.metrics import evaluate
 from sepal.nn import (
     GraphBatch,
     ModelSpec,
@@ -339,7 +339,7 @@ def test_criterion_05_metric_identities():
                        abs(rep.r2_gene - 1.0), abs(rep.r2_patch - 1.0))
 
     mean_pred = np.tile(truth.mean(axis=0), (truth.shape[0], 1))
-    mean_r2, _ = r2_gene(mean_pred, truth, none)
+    mean_r2 = evaluate(mean_pred, truth, none).r2_gene
 
     oracle_dev = 0.0
     for k in range(20):
@@ -382,9 +382,7 @@ def test_criterion_06_correction_starts_at_baseline():
     graphs = [_Graph(rng.standard_normal((3, 6)),
                      np.array([[0, 1], [0, 2]])) for _ in range(40)]
 
-    s1 = stage1_train(x[:30], y[:30], x[30:], y[30:],
-                      TrainConfig(learning_rate=0.01, batch_size=16,
-                                  max_epochs=40, patience=40, seed=3))
+    s1 = stage1_train(x[:30], y[:30], x[30:], y[30:])
     dh = linear_prediction(x, s1.weight, s1.bias)
     spec = ModelSpec(in_width=6, n_genes=5, pre_widths=(),
                      operator="graphconv", gnn_widths=(8,),
@@ -435,9 +433,7 @@ CORRECTION_SPEC = ModelSpec(in_width=32, n_genes=32, pre_widths=(),
 def test_criterion_07_neighborhood_signal(neighborhood_problem):
     start = time.perf_counter()
     tr, va = neighborhood_problem["train"], neighborhood_problem["val"]
-    s1 = stage1_train(tr["x"], tr["delta"], va["x"], va["delta"],
-                      TrainConfig(learning_rate=1e-3, batch_size=256,
-                                  max_epochs=400, patience=50, seed=0))
+    s1 = stage1_train(tr["x"], tr["delta"], va["x"], va["delta"])
     dh_tr = linear_prediction(tr["x"], s1.weight, s1.bias)
     dh_va = linear_prediction(va["x"], s1.weight, s1.bias)
     s2 = stage2_train(tr["graphs"], dh_tr, tr["delta"], va["graphs"],
@@ -458,9 +454,7 @@ def test_criterion_08_overfit_sanity(neighborhood_problem):
     start = time.perf_counter()
     tr = neighborhood_problem["train"]
     x, d, graphs = tr["x"][:32], tr["delta"][:32], tr["graphs"][:32]
-    s1 = stage1_train(x, d, None, None,
-                      TrainConfig(learning_rate=1e-2, batch_size=32,
-                                  max_epochs=200, patience=200, seed=0))
+    s1 = stage1_train(x, d, None, None)
     dh = linear_prediction(x, s1.weight, s1.bias)
     s2 = stage2_train(graphs, dh, d, None, None, None, CORRECTION_SPEC,
                       TrainConfig(learning_rate=1e-2, batch_size=32,
@@ -484,11 +478,10 @@ def run_full_pipeline(data, out):
                      "6", "--d-emb", "8", "--genes", "8", "--smooth", "3",
                      "--slides", "3", "--zero-fraction", "0.05",
                      "--seed", "7"]) == 0
-    base = ["--manifest", manifest, "--out", str(out), "--threads", "1"]
+    base = ["--manifest", manifest, "--out", str(out)]
     for cmd in (["preprocess"], ["denoise"], ["select", "--n-genes", "4"],
                 ["build-graphs", "--hops", "1", "--aggregation", "sum"],
-                ["train", "--stage", "1", "--epochs", "12",
-                 "--patience", "12", "--seed", "5"],
+                ["train", "--stage", "1"],
                 ["train", "--stage", "2", "--epochs", "3",
                  "--patience", "3", "--hidden", "8", "--seed", "5"],
                 ["eval"], ["figures"]):

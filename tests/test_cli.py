@@ -28,8 +28,7 @@ def pipeline(tmp_path_factory):
     assert run("select", *base, "--n-genes", "6") == 0
     assert run("build-graphs", *base, "--hops", "1",
                "--aggregation", "concat") == 0
-    assert run("train", *base, "--stage", "1", "--epochs", "25",
-               "--patience", "25", "--lr", "0.01") == 0
+    assert run("train", *base, "--stage", "1") == 0
     assert run("train", *base, "--stage", "2", "--epochs", "4",
                "--patience", "4", "--hidden", "16", "--lr", "0.01") == 0
     assert run("eval", *base) == 0
@@ -72,7 +71,7 @@ class TestPipelineOutputs:
             comments, header, rows = ingest.read_table(out / rel)
             assert comments["kind"] == "config"
             keys = {r[0] for r in rows}
-            assert {"command", "version", "threads"} <= keys
+            assert {"command", "version"} <= keys
 
     def test_selected_panel_size(self, pipeline):
         m = ingest.read_expression(
@@ -131,9 +130,33 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert run("frobnicate") == 1
 
-    def test_bad_thread_count(self, tmp_path, pipeline):
+    def test_threads_flag_rejected(self, tmp_path, pipeline):
         assert run("preprocess", "--manifest", pipeline["manifest"],
-                   "--out", str(tmp_path / "r"), "--threads", "0") == 1
+                   "--out", str(tmp_path / "r"), "--threads", "1") == 1
+
+    def test_stage1_rejects_stage2_flags(self, pipeline, tmp_path, capsys):
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(tmp_path / "r"), "--stage", "1",
+                 "--lr", "0.01")
+        assert rc == 1
+        assert "--lr" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_eval_rejects_stage2_on_another_head(self, pipeline, tmp_path,
+                                                 capsys):
+        out = tmp_path / "stale"
+        import shutil
+        for stage in ("select", "train"):
+            shutil.copytree(pipeline["out"] / stage, out / stage)
+        ckpt = out / "train" / "stage1.ckpt"
+        meta, tensors = ingest.read_checkpoint(ckpt)
+        tensors["head.W"] = tensors["head.W"] + 1.0
+        ingest.write_checkpoint(ckpt, meta, tensors)
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        assert "train --stage 2" in capsys.readouterr().err
+        assert not (out / "eval").exists()
 
     def test_select_before_denoise(self, pipeline, tmp_path, capsys):
         rc = run("select", "--manifest", pipeline["manifest"],
@@ -182,19 +205,18 @@ class TestExitCodes:
         assert run("preprocess", *base) == 0
         assert run("denoise", *base) == 0
         assert run("select", *base, "--n-genes", "2") == 0
-        assert run("train", *base, "--stage", "1", "--epochs", "2",
-                   "--patience", "2") == 0
+        assert run("train", *base, "--stage", "1") == 0
         assert run("eval", *base) == 1
 
 
 class TestFlags:
-    def test_threads_env_fallback(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEPAL_THREADS", "3")
-        out = tmp_path / "env_run"
-        assert run("preprocess", "--manifest", pipeline["manifest"],
-                   "--out", str(out)) == 0
-        _, _, rows = ingest.read_table(out / "preprocess" / "config.tsv")
-        assert ("threads", "3") in [tuple(r[:2]) for r in rows]
+    def test_stage1_lockfile_records_ridge_strength(self, pipeline):
+        _, _, rows = ingest.read_table(
+            pipeline["out"] / "train" / "stage1_config.tsv")
+        lock = {r[0]: r[1] for r in rows}
+        assert float(lock["alpha"]) >= 0.0
+        assert float(lock["lambda"]) >= 0.0
+        assert "lr" not in lock and "seed" not in lock
 
     def test_preset_resolves_graph_settings(self, pipeline, tmp_path):
         out = tmp_path / "preset_run"
@@ -265,8 +287,7 @@ class TestFlags:
         assert run("preprocess", *base) == 0
         assert run("denoise", *base) == 0
         assert run("select", *base, "--n-genes", "3") == 0
-        assert run("train", *base, "--stage", "1", "--epochs", "5",
-                   "--patience", "5") == 0
+        assert run("train", *base, "--stage", "1") == 0
         assert run("eval", *base) == 0
         _, _, rows = ingest.read_table(out / "eval" / "config.tsv")
         assert ("model", "stage1") in [tuple(r[:2]) for r in rows]
@@ -279,15 +300,13 @@ class TestDeterminism:
                    "6", "--d-emb", "8", "--genes", "8", "--smooth", "3",
                    "--slides", "3", "--zero-fraction", "0.05",
                    "--seed", "7") == 0
-        base = ("--manifest", manifest, "--out", str(out), "--threads",
-                "1")
+        base = ("--manifest", manifest, "--out", str(out))
         assert run("preprocess", *base) == 0
         assert run("denoise", *base) == 0
         assert run("select", *base, "--n-genes", "4") == 0
         assert run("build-graphs", *base, "--hops", "1",
                    "--aggregation", "sum") == 0
-        assert run("train", *base, "--stage", "1", "--epochs", "10",
-                   "--patience", "10", "--seed", "5") == 0
+        assert run("train", *base, "--stage", "1") == 0
         assert run("train", *base, "--stage", "2", "--epochs", "3",
                    "--patience", "3", "--hidden", "8", "--seed", "5") == 0
         assert run("eval", *base) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -236,6 +237,16 @@ class TestManifest:
         write_manifest(q, m)
         m2 = read_manifest(q)
         assert m2 == m
+
+    @pytest.mark.parametrize("value", [-math.inf, math.inf, 0.0, 1.5])
+    def test_count_threshold_round_trip(self, tmp_path, value):
+        p = tmp_path / "manifest.toml"
+        p.write_text(self._manifest_text())
+        m = dataclasses.replace(read_manifest(p), count_min_gene=value,
+                                count_max_gene=math.inf)
+        q = tmp_path / "again.toml"
+        write_manifest(q, m)
+        assert read_manifest(q).count_min_gene == value
 
     def test_missing_key(self, tmp_path):
         p = tmp_path / "manifest.toml"

@@ -12,11 +12,7 @@ from sepal.metrics import (
     emit_figures,
     evaluate,
     masked_mse_mae,
-    pcc_gene,
     pcc_histogram,
-    pcc_patch,
-    r2_gene,
-    r2_patch,
     write_metrics_table,
     write_per_gene_table,
     write_per_patch_table,
@@ -88,17 +84,6 @@ class TestEvaluate:
         assert rep.mse == 0.0 and rep.mae == 0.0
         for v in (rep.pcc_gene, rep.pcc_patch, rep.r2_gene, rep.r2_patch):
             assert abs(v - 1.0) <= 1e-12
-
-    def test_per_statistic_functions_agree_with_report(self):
-        pred, truth, mask = random_instance(9)
-        rep = evaluate(pred, truth, mask)
-        assert pcc_gene(pred, truth, mask) == (rep.pcc_gene,
-                                               rep.per_gene_pcc)
-        assert r2_gene(pred, truth, mask) == (rep.r2_gene, rep.per_gene_r2)
-        assert pcc_patch(pred, truth, mask) == (rep.pcc_patch,
-                                                rep.per_patch_pcc)
-        assert r2_patch(pred, truth, mask) == (rep.r2_patch,
-                                               rep.per_patch_r2)
 
     def test_mean_prediction_gives_zero_r2(self):
         _, truth, mask = random_instance(2)

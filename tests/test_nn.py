@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -321,6 +323,35 @@ class TestSpatialForward:
         a = spatial_forward(state, batch).data
         b = spatial_forward(state, batch).data
         np.testing.assert_array_equal(a, b)
+
+    def test_gcn_sag_builds_one_propagation_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(n_nodes, edges):
+            calls.append(n_nodes)
+            return gcn_matrix(n_nodes, edges)
+
+        monkeypatch.setattr(nn, "gcn_matrix", counting)
+        state = init_model_state(
+            tiny_spec(operator="gcn", pooling="sag_mean"), 3)
+        spatial_forward(state, tiny_batch(np.random.default_rng(9)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
+    def test_tape_is_freed_without_the_cycle_collector(self, operator):
+        state = init_model_state(
+            tiny_spec(operator=operator, pooling="sag_mean"), 3)
+        batch = tiny_batch(np.random.default_rng(4))
+        gc.collect()
+        gc.disable()
+        try:
+            loss = mse(spatial_forward(state, batch),
+                       constant(np.ones((batch.n_graphs, 3))))
+            backward(loss)
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_width_guard(self):
         state = init_model_state(tiny_spec(), 0)

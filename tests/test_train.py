@@ -4,6 +4,7 @@ import pytest
 from sepal.core import DivergedLoss, EmptySplit, ValidationError
 from sepal.nn import ModelSpec, Tensor, init_model_state
 from sepal.train import (
+    RIDGE_ALPHAS,
     Adam,
     TrainConfig,
     linear_prediction,
@@ -75,38 +76,24 @@ def realizable_problem(seed, n=48, d=4, genes=2, noise=0.0):
 class TestStage1:
     def test_fits_a_linear_problem(self):
         x, y = realizable_problem(0)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=400,
-                          patience=400, seed=1)
-        res = stage1_train(x, y, x, y, cfg)
+        res = stage1_train(x, y, x, y)
         assert res.best_val_mse < 1e-3
         assert res.history[-1].train_mse < 1e-3
 
     def test_deterministic_for_fixed_seed(self):
         x, y = realizable_problem(3, noise=0.1)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=20,
-                          patience=20, seed=5)
-        a = stage1_train(x, y, None, None, cfg)
-        b = stage1_train(x, y, None, None, cfg)
+        a = stage1_train(x, y, None, None)
+        b = stage1_train(x, y, None, None)
         np.testing.assert_array_equal(a.weight, b.weight)
         np.testing.assert_array_equal(a.bias, b.bias)
         assert [r.train_mse for r in a.history] == \
             [r.train_mse for r in b.history]
 
-    def test_zero_lr_early_stops_after_patience(self):
-        x, y = realizable_problem(4)
-        cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=100,
-                          patience=3, seed=0)
-        res = stage1_train(x, y, x, y, cfg)
-        # epoch 1 sets the best; 3 evaluations with no improvement follow
-        assert len(res.history) == 4
-
     def test_returns_best_epoch_not_last(self):
         x, y = realizable_problem(5)
         # validation on different data: eventually stops improving
         x_val, y_val = realizable_problem(6)
-        cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=300,
-                          patience=10, seed=0)
-        res = stage1_train(x, y, x_val, y_val, cfg)
+        res = stage1_train(x, y, x_val, y_val)
         got = float(np.mean(
             (linear_prediction(x_val, res.weight, res.bias) - y_val) ** 2))
         assert got == res.best_val_mse
@@ -114,23 +101,70 @@ class TestStage1:
 
     def test_empty_split(self):
         with pytest.raises(EmptySplit):
-            stage1_train(np.zeros((0, 3)), np.zeros((0, 2)), None, None,
-                         TrainConfig())
+            stage1_train(np.zeros((0, 3)), np.zeros((0, 2)), None, None)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_diverged_loss(self):
         x = np.full((4, 2), 1e160)
         y = np.zeros((4, 1))
         with pytest.raises(DivergedLoss):
-            stage1_train(x, y, None, None,
-                         TrainConfig(learning_rate=1.0, max_epochs=2))
+            stage1_train(x, y, None, None)
 
-    def test_max_steps_caps_updates(self):
+    def test_non_finite_input_raises(self):
         x, y = realizable_problem(7)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=50,
-                          patience=50, seed=0, max_steps=5)
-        res = stage1_train(x, y, None, None, cfg)
-        assert res.n_steps == 5
+        x[3, 1] = np.nan
+        with pytest.raises(DivergedLoss):
+            stage1_train(x, y, None, None)
+
+    def test_recovers_realizable_weights(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(40, 5))
+        w_true = rng.normal(size=(3, 5))
+        b_true = rng.normal(size=3)
+        y = x @ w_true.T + b_true
+        res = stage1_train(x, y, x[:10], y[:10])
+        assert res.alpha == 0.0
+        np.testing.assert_allclose(res.weight, w_true, atol=1e-10)
+        np.testing.assert_allclose(res.bias, b_true, atol=1e-10)
+        assert len(res.history) == 1
+
+    def test_val_mse_is_the_grid_minimum(self):
+        # few noisy samples: some shrinkage beats plain least squares
+        x, y = realizable_problem(8, n=14, d=10, genes=3, noise=2.0)
+        x_val, y_val = realizable_problem(8, n=200, d=10, genes=3,
+                                          noise=2.0)
+        res = stage1_train(x, y, x_val, y_val)
+        xc = x - x.mean(axis=0)
+        yc = y - y.mean(axis=0)
+        scale = np.trace(xc.T @ xc) / x.shape[1]
+        vals = []
+        for alpha in RIDGE_ALPHAS:
+            w = np.linalg.solve(xc.T @ xc + alpha * scale * np.eye(10),
+                                xc.T @ yc).T
+            b = y.mean(axis=0) - w @ x.mean(axis=0)
+            vals.append(float(np.mean(
+                (linear_prediction(x_val, w, b) - y_val) ** 2)))
+        best = int(np.argmin(vals))
+        assert RIDGE_ALPHAS[best] > 0.0
+        assert res.alpha == RIDGE_ALPHAS[best]
+        assert res.ridge_lambda == pytest.approx(res.alpha * scale)
+        assert res.best_val_mse == pytest.approx(vals[best], rel=1e-9)
+        assert res.history[0].val_mse == res.best_val_mse
+
+    def test_underdetermined_fit_is_minimum_norm(self):
+        x, y = realizable_problem(9, n=6, d=15, genes=2, noise=0.3)
+        res = stage1_train(x, y, None, None)
+        xc = x - x.mean(axis=0)
+        want = (np.linalg.pinv(xc) @ (y - y.mean(axis=0))).T
+        np.testing.assert_allclose(res.weight, want, atol=1e-10)
+        # interpolates the train split exactly
+        assert res.history[0].train_mse < 1e-20
+
+    def test_collinear_embeddings_do_not_raise(self):
+        x, y = realizable_problem(10, noise=0.1)
+        x = np.hstack([x, x[:, :2], np.ones((x.shape[0], 1))])
+        res = stage1_train(x, y, x[:8], y[:8])
+        assert np.isfinite(res.weight).all()
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -166,9 +200,7 @@ class TestStage2:
         x, y = realizable_problem(11, n=40, noise=0.5)
         x_val, y_val = x[30:], y[30:]
         x_tr, y_tr = x[:30], y[:30]
-        cfg = TrainConfig(learning_rate=0.02, batch_size=8, max_epochs=30,
-                          patience=30, seed=2)
-        s1 = stage1_train(x_tr, y_tr, x_val, y_val, cfg)
+        s1 = stage1_train(x_tr, y_tr, x_val, y_val)
         d_val = linear_prediction(x_val, s1.weight, s1.bias)
         d_tr = linear_prediction(x_tr, s1.weight, s1.bias)
 
@@ -226,9 +258,9 @@ class TestCheckpoints:
         rng = np.random.default_rng(0)
         res = Stage1Result(weight=rng.normal(size=(3, 5)),
                            bias=rng.normal(size=3), history=[],
-                           best_val_mse=0.5, n_steps=10)
+                           best_val_mse=0.5, alpha=0.1, ridge_lambda=0.2)
         p = tmp_path / "stage1.ckpt"
-        save_stage1_checkpoint(p, res, ("g1", "g2", "g3"), seed=7)
+        save_stage1_checkpoint(p, res, ("g1", "g2", "g3"))
         w, b, genes = load_stage1_checkpoint(p)
         np.testing.assert_array_equal(w, res.weight)
         np.testing.assert_array_equal(b, res.bias)
@@ -263,17 +295,19 @@ class TestCheckpoints:
 
     def test_wrong_stage_rejected(self, tmp_path):
         res = Stage1Result(weight=np.zeros((1, 1)), bias=np.zeros(1),
-                           history=[], best_val_mse=None, n_steps=0)
+                           history=[], best_val_mse=None, alpha=0.0,
+                           ridge_lambda=0.0)
         p = tmp_path / "stage1.ckpt"
-        save_stage1_checkpoint(p, res, ("g",), seed=0)
+        save_stage1_checkpoint(p, res, ("g",))
         with pytest.raises(ValidationError):
             load_stage2_checkpoint(p)
 
     def test_comma_in_gene_id_rejected(self, tmp_path):
         res = Stage1Result(weight=np.zeros((1, 1)), bias=np.zeros(1),
-                           history=[], best_val_mse=None, n_steps=0)
+                           history=[], best_val_mse=None, alpha=0.0,
+                           ridge_lambda=0.0)
         with pytest.raises(ValidationError):
-            save_stage1_checkpoint(tmp_path / "x.ckpt", res, ("a,b",), 0)
+            save_stage1_checkpoint(tmp_path / "x.ckpt", res, ("a,b",))
 
 
 class TestPredict:
