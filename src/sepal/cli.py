@@ -309,10 +309,13 @@ def cmd_select(args) -> None:
     print(f"select: kept {len(selected)} of {len(scores)} genes")
 
 
-def _slide_for_graphs(entry, matrix: ExpressionMatrix):
+def _read_slide(entry, matrix: ExpressionMatrix,
+                mask: ImputationMask | None = None):
+    """The slide's coordinates and embeddings, aligned to the matrix (and
+    mask): everything a stage needs from the slide, each file read once."""
     spots = ingest.read_coordinates(entry.coords_path)
     emb = ingest.read_embeddings(entry.emb_path)
-    return align_slide(spots, matrix, emb)
+    return align_slide(spots, matrix, emb, mask)
 
 
 def cmd_build_graphs(args) -> None:
@@ -330,14 +333,14 @@ def cmd_build_graphs(args) -> None:
     for entry in manifest.slides:
         m = _read_stage_matrix(sel / f"{entry.slide_id}_selected.tsv",
                                "denoised", "select")
-        slide = _slide_for_graphs(entry, m)
+        slide = _read_slide(entry, m)
+        width = graphs_mod.feature_width(slide.embeddings.d_emb, aggregation)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
-        built = graphs_mod.build_spot_graphs(slide, adjacency, hops,
-                                             aggregation)
-        width = built[0].features.shape[1]
-        for g in built:
-            rows.append((entry.slide_id, g.center_spot_id,
-                         len(g.nodes), g.edges.shape[0]))
+        lists = adjacency.neighbor_lists()
+        for i, spot in enumerate(slide.spots):
+            sub = graphs_mod.khop_subgraph(adjacency, i, hops, lists)
+            rows.append((entry.slide_id, spot.spot_id,
+                         len(sub.nodes), sub.edges.shape[0]))
 
     outdir = Path(args.out) / "graphs"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -458,15 +461,14 @@ def cmd_train(args) -> None:
     for entry in manifest.slides:
         if entry.split not in ("train", "val"):
             continue
-        m = data[entry.slide_id][1]
-        slide = _slide_for_graphs(entry, m)
+        slide = _read_slide(entry, data[entry.slide_id][1])
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
         graph_lists[entry.slide_id] = graphs_mod.build_spot_graphs(
             slide, adjacency, hops, aggregation)
-        x = _embedding_rows(entry, m.spot_ids)
         delta_hats[entry.slide_id] = train_mod.linear_prediction(
-            x, head_w, head_b)
-        targets[entry.slide_id] = preprocess.to_delta(m, mean).values
+            slide.embeddings.vectors, head_w, head_b)
+        targets[entry.slide_id] = preprocess.to_delta(slide.expression,
+                                                      mean).values
 
     def gather(split):
         gs, dh, tg = [], [], []
@@ -560,26 +562,24 @@ def _load_model(train_dir: Path):
     return model
 
 
-def _test_predictions(manifest, out: Path, data, model, mean):
-    """Per-test-slide (slide_id, pred, truth, mask_values, spots)."""
+def _test_predictions(manifest, data, model, mean):
+    """Per-test-slide (slide_id, pred, truth matrix, mask)."""
     results = []
     for entry in manifest.slides:
         if entry.split != "test":
             continue
-        m = data[entry.slide_id][1]
-        mask = data[entry.slide_id][2]
-        x = _embedding_rows(entry, m.spot_ids)
+        _, m, mask = data[entry.slide_id]
+        slide = _read_slide(entry, m, mask)
         if model.state is not None:
-            slide = _slide_for_graphs(entry, m)
             adjacency = spatial.build_adjacency(slide.spots,
                                                 manifest.geometry)
             gs = graphs_mod.build_spot_graphs(slide, adjacency, model.hops,
                                               model.aggregation)
         else:
             gs = None
-        pred = train_mod.predict_expression(model, x, gs, mean.means)
-        spots = _spots_for(entry, m.spot_ids)
-        results.append((entry.slide_id, pred, m, mask, spots))
+        pred = train_mod.predict_expression(model, slide.embeddings.vectors,
+                                            gs, mean.means)
+        results.append((entry.slide_id, pred, slide.expression, slide.mask))
     if not results:
         raise EmptySplit("no test-split slides in the manifest")
     return results
@@ -593,7 +593,7 @@ def cmd_eval(args) -> None:
         raise ValidationError(
             "checkpoint gene panel does not match select outputs")
     mean = _read_train_mean(train_dir, gene_ids)
-    results = _test_predictions(manifest, out, data, model, mean)
+    results = _test_predictions(manifest, data, model, mean)
 
     eval_dir = out / "eval"
     pred_dir = eval_dir / "predictions"
@@ -601,7 +601,7 @@ def cmd_eval(args) -> None:
 
     per_slide_rows = []
     preds, truths, masks, spot_ids = [], [], [], []
-    for slide_id, pred, m, mask, _ in results:
+    for slide_id, pred, m, mask in results:
         # truth in delta-free space: the denoised matrix itself
         ingest.write_expression(
             pred_dir / f"{slide_id}_pred.tsv",

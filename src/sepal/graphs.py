@@ -45,9 +45,14 @@ class Subgraph:
 
 
 def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
-                  neighbor_lists: Sequence[np.ndarray] | None = None
+                  neighbor_lists: Sequence[Sequence[int]] | None = None
                   ) -> Subgraph:
-    """Breadth-first expansion to the given hop count, with induced edges."""
+    """Breadth-first expansion to the given hop count, with induced edges.
+
+    The induced edges come from the neighbor lists of the nodes reached,
+    so the cost follows the subgraph's size, not the slide's.  Pass the
+    slide's neighbor lists when extracting many subgraphs.
+    """
     if not 0 <= center < adjacency.n_spots:
         raise ValidationError(f"center {center} out of range")
     if hops < 1:
@@ -55,35 +60,34 @@ def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
     if neighbor_lists is None:
         neighbor_lists = adjacency.neighbor_lists()
 
-    hop_of = {center: 0}
+    local = {center: 0}   # global spot index -> local node id
     order = [center]
+    ring_sizes = [1]
     frontier = [center]
-    for h in range(1, hops + 1):
-        nxt: set[int] = set()
+    for _ in range(hops):
+        reached: set[int] = set()
         for u in frontier:
-            for v in neighbor_lists[u]:
-                v = int(v)
-                if v not in hop_of:
-                    nxt.add(v)
-        frontier = sorted(nxt)
-        for v in frontier:
-            hop_of[v] = h
-        order.extend(frontier)
+            reached.update(neighbor_lists[u])
+        frontier = sorted(reached.difference(local))
         if not frontier:
             break
+        for v in frontier:
+            local[v] = len(order)
+            order.append(v)
+        ring_sizes.append(len(frontier))
 
-    local = {g: k for k, g in enumerate(order)}
     edges = []
-    for i, j in adjacency.edges:
-        i, j = int(i), int(j)
-        if i in local and j in local:
-            a, b = local[i], local[j]
-            edges.append((a, b) if a < b else (b, a))
+    for a, u in enumerate(order):
+        for v in neighbor_lists[u]:
+            b = local.get(v)
+            if b is not None and a < b:
+                edges.append((a, b))
     edges.sort()
     return Subgraph(
         center=center,
         nodes=np.array(order, dtype=np.int64),
-        hops=np.array([hop_of[g] for g in order], dtype=np.int64),
+        hops=np.repeat(np.arange(len(ring_sizes), dtype=np.int64),
+                       ring_sizes),
         edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
     )
 
@@ -122,31 +126,63 @@ class SpotGraph:
         return int(self.nodes.shape[0])
 
 
+def feature_width(d_emb: int, aggregation: str) -> int:
+    """Node feature width for an embedding width and aggregation mode:
+    d_emb for sum, 2 d_emb for concat.  d_emb must divide by 4."""
+    if aggregation not in AGGREGATIONS:
+        raise ValidationError(f"unknown aggregation {aggregation!r}")
+    if d_emb < 4 or d_emb % 4:
+        raise WidthNotDivisible(
+            f"{aggregation} aggregation needs d_emb divisible by 4, "
+            f"got {d_emb}")
+    return d_emb if aggregation == "sum" else 2 * d_emb
+
+
+def _offset_encodings(offsets: np.ndarray, d_emb: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Encode each distinct (rel_row, rel_col) row of offsets once: the
+    table of encodings and, per input row, its row in that table."""
+    distinct, index = np.unique(offsets, axis=0, return_inverse=True)
+    table = np.array([positional_encoding(int(r), int(c), d_emb)
+                      for r, c in distinct])
+    return table, index.reshape(-1)
+
+
+def _positions(spots: Sequence[SpotRecord]) -> np.ndarray:
+    return np.array([(s.array_row, s.array_col) for s in spots],
+                    dtype=np.int64).reshape(-1, 2)
+
+
 def assemble_graph(slide_spots: Sequence[SpotRecord],
                    embeddings: EmbeddingTable,
                    subgraph: Subgraph,
-                   aggregation: str) -> SpotGraph:
+                   aggregation: str,
+                   encodings: np.ndarray | None = None) -> SpotGraph:
     """Attach features to a subgraph: embedding plus positional encoding,
-    summed or concatenated per the aggregation mode."""
-    if aggregation not in AGGREGATIONS:
-        raise ValidationError(f"unknown aggregation {aggregation!r}")
+    summed or concatenated per the aggregation mode.
+
+    encodings holds one positional-encoding row per node, as
+    build_spot_graphs computes them for a whole slide; when omitted they
+    are computed here, once per distinct offset.
+    """
     d = embeddings.d_emb
-    if aggregation == "sum" and (d < 4 or d % 4):
-        raise WidthNotDivisible(
-            f"sum aggregation needs d_emb divisible by 4, got {d}")
+    feature_width(d, aggregation)
     if embeddings.vectors.shape[0] != len(slide_spots):
         raise ShapeMismatch("embeddings not aligned with spots")
 
     center = slide_spots[subgraph.center]
-    feats = np.empty((len(subgraph.nodes),
-                      d if aggregation == "sum" else 2 * d))
-    for k, g in enumerate(subgraph.nodes):
-        s = slide_spots[int(g)]
-        pe = positional_encoding(s.array_row - center.array_row,
-                                 s.array_col - center.array_col, d)
-        emb = embeddings.vectors[int(g)]
-        feats[k] = emb + pe if aggregation == "sum" else np.concatenate(
-            [emb, pe])
+    if encodings is None:
+        offsets = (_positions([slide_spots[g] for g in subgraph.nodes])
+                   - _positions([center]))
+        table, index = _offset_encodings(offsets, d)
+        encodings = table[index]
+    elif encodings.shape != (len(subgraph.nodes), d):
+        raise ShapeMismatch(
+            f"encodings {encodings.shape} for {len(subgraph.nodes)} nodes "
+            f"of width {d}")
+    emb = embeddings.vectors[subgraph.nodes]
+    feats = (emb + encodings if aggregation == "sum"
+             else np.concatenate([emb, encodings], axis=1))
     return SpotGraph(
         slide_id=center.slide_id,
         center_spot_id=center.spot_id,
@@ -159,15 +195,27 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,
                       aggregation: str) -> list[SpotGraph]:
-    """One SpotGraph per spot of the slide, in canonical spot order."""
+    """One SpotGraph per spot of the slide, in canonical spot order.
+
+    The positional encoding of every distinct offset is computed once for
+    the slide and shared by all of its graphs.
+    """
     if adjacency.n_spots != len(slide.spots):
         raise ShapeMismatch(
             f"adjacency covers {adjacency.n_spots} spots, slide has "
             f"{len(slide.spots)}")
+    feature_width(slide.embeddings.d_emb, aggregation)
     lists = adjacency.neighbor_lists()
-    out = []
-    for i in range(len(slide.spots)):
-        sub = khop_subgraph(adjacency, i, hops, lists)
-        out.append(assemble_graph(slide.spots, slide.embeddings, sub,
-                                  aggregation))
-    return out
+    subs = [khop_subgraph(adjacency, i, hops, lists)
+            for i in range(len(slide.spots))]
+
+    sizes = np.array([len(sub.nodes) for sub in subs], dtype=np.int64)
+    nodes = np.concatenate([sub.nodes for sub in subs])
+    centers = np.repeat(np.arange(len(subs), dtype=np.int64), sizes)
+    pos = _positions(slide.spots)
+    table, index = _offset_encodings(pos[nodes] - pos[centers],
+                                     slide.embeddings.d_emb)
+    ends = np.cumsum(sizes)
+    return [assemble_graph(slide.spots, slide.embeddings, sub, aggregation,
+                           table[index[end - size:end]])
+            for sub, size, end in zip(subs, sizes, ends)]

@@ -4,6 +4,10 @@ Tensors wrap float64 ndarrays and record the backward closure of the
 operation that produced them; backward() runs the closures in reverse
 topological order.  A closure is passed its output tensor rather than
 capturing it, so a tape has no reference cycle and refcounting frees it.
+Only tensors that need a gradient are recorded: a bare Tensor is a
+trainable leaf, a constant() is not, and an op's output keeps its
+parents and closure only when one of its inputs needs a gradient.  A
+forward over constants alone (prediction) therefore records no tape.
 The op set is exactly what the model needs: dense matmul, broadcast
 add/mul, gather, ELU, tanh, mean, and multiplication by a constant sparse
 matrix (the graph propagation step, which never needs a gradient of its
@@ -25,7 +29,7 @@ but not through the ranking itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -44,11 +48,13 @@ POOLINGS = ("sag_mean", "global_mean")
 class Tensor:
     """An ndarray plus the backward closure that fills its parents' grads."""
 
-    __slots__ = ("data", "grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, parents: tuple["Tensor", ...] = ()):
+    def __init__(self, data, parents: tuple["Tensor", ...] = (),
+                 requires_grad: bool = True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
         self._backward = None
         self._parents = parents
 
@@ -69,7 +75,18 @@ class Tensor:
 
 
 def constant(data) -> Tensor:
-    return Tensor(data)
+    """A tensor that never needs a gradient."""
+    return Tensor(data, requires_grad=False)
+
+
+def _op(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output; it records parents and closure only if one of the
+    parents needs a gradient, and is a constant otherwise."""
+    if not any(p.requires_grad for p in parents):
+        return constant(data)
+    out = Tensor(data, parents)
+    out._backward = backward
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -83,33 +100,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, (a, b))
-
     def backward(out):
-        a.add_grad(_unbroadcast(out.grad, a.data.shape))
-        b.add_grad(_unbroadcast(out.grad, b.data.shape))
-    out._backward = backward
-    return out
+        if a.requires_grad:
+            a.add_grad(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.add_grad(_unbroadcast(out.grad, b.data.shape))
+    return _op(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, (a, b))
-
     def backward(out):
-        a.add_grad(_unbroadcast(out.grad, a.data.shape))
-        b.add_grad(_unbroadcast(-out.grad, b.data.shape))
-    out._backward = backward
-    return out
+        if a.requires_grad:
+            a.add_grad(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.add_grad(_unbroadcast(-out.grad, b.data.shape))
+    return _op(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, (a, b))
-
     def backward(out):
-        a.add_grad(_unbroadcast(out.grad * b.data, a.data.shape))
-        b.add_grad(_unbroadcast(out.grad * a.data, b.data.shape))
-    out._backward = backward
-    return out
+        if a.requires_grad:
+            a.add_grad(_unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            b.add_grad(_unbroadcast(out.grad * a.data, b.data.shape))
+    return _op(a.data * b.data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -117,22 +131,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(
             f"matmul {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
 
     def backward(out):
-        a.add_grad(out.grad @ b.data.T)
-        b.add_grad(a.data.T @ out.grad)
-    out._backward = backward
-    return out
+        if a.requires_grad:
+            a.add_grad(out.grad @ b.data.T)
+        if b.requires_grad:
+            b.add_grad(a.data.T @ out.grad)
+    return _op(a.data @ b.data, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, (a,))
-
     def backward(out):
         a.add_grad(out.grad.T)
-    out._backward = backward
-    return out
+    return _op(a.data.T, (a,), backward)
 
 
 def propagate(matrix, h: Tensor) -> Tensor:
@@ -140,55 +151,44 @@ def propagate(matrix, h: Tensor) -> Tensor:
     if matrix.shape[1] != h.data.shape[0]:
         raise ShapeMismatch(
             f"propagation {matrix.shape} against features {h.data.shape}")
-    out = Tensor(matrix @ h.data, (h,))
-    matrix_t = matrix.T.tocsr() if sp.issparse(matrix) else matrix.T
 
     def backward(out):
+        matrix_t = matrix.T.tocsr() if sp.issparse(matrix) else matrix.T
         h.add_grad(matrix_t @ out.grad)
-    out._backward = backward
-    return out
+    return _op(matrix @ h.data, (h,), backward)
 
 
 def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
-    out = Tensor(a.data[rows], (a,))
 
     def backward(out):
         g = np.zeros_like(a.data)
         np.add.at(g, rows, out.grad)
         a.add_grad(g)
-    out._backward = backward
-    return out
+    return _op(a.data[rows], (a,), backward)
 
 
 def elu(a: Tensor) -> Tensor:
     neg = np.expm1(np.minimum(a.data, 0.0))
-    out = Tensor(np.where(a.data > 0.0, a.data, neg), (a,))
 
     def backward(out):
         local = np.where(a.data > 0.0, 1.0, neg + 1.0)
         a.add_grad(out.grad * local)
-    out._backward = backward
-    return out
+    return _op(np.where(a.data > 0.0, a.data, neg), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = Tensor(t, (a,))
 
     def backward(out):
         a.add_grad(out.grad * (1.0 - t * t))
-    out._backward = backward
-    return out
+    return _op(t, (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean(), (a,))
-
     def backward(out):
         a.add_grad(np.full_like(a.data, float(out.grad) / a.data.size))
-    out._backward = backward
-    return out
+    return _op(a.data.mean(), (a,), backward)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
@@ -282,19 +282,33 @@ def graph_conv(h: Tensor, adj: sp.csr_matrix, w_self: Tensor,
     return add(add(own, agg), bias)
 
 
+def _segments(slices: Sequence[tuple[int, int]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph row counts, and the batch row of every graph member in
+    graph order."""
+    bounds = np.array(slices, dtype=np.int64).reshape(-1, 2)
+    sizes = bounds[:, 1] - bounds[:, 0]
+    empty = np.flatnonzero(sizes <= 0)
+    if empty.size:
+        raise ValidationError(f"empty graph {empty[0]} in batch")
+    firsts = np.cumsum(sizes) - sizes
+    members = (np.arange(int(sizes.sum()), dtype=np.int64)
+               + np.repeat(bounds[:, 0] - firsts, sizes))
+    return sizes, members
+
+
+def _mean_pool(sizes: np.ndarray, members: np.ndarray, n_rows: int
+               ) -> sp.csr_matrix:
+    """Row g averages the member rows of graph g, taken in order."""
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    return sp.csr_matrix((np.repeat(1.0 / sizes, sizes), members, indptr),
+                         shape=(sizes.size, n_rows))
+
+
 def global_mean_readout(h: Tensor, slices: Sequence[tuple[int, int]]
                         ) -> Tensor:
-    rows, cols, vals = [], [], []
-    for g, (s, e) in enumerate(slices):
-        if e <= s:
-            raise ValidationError(f"empty graph {g} in batch")
-        for k in range(s, e):
-            rows.append(g)
-            cols.append(k)
-            vals.append(1.0 / (e - s))
-    pool = sp.coo_matrix((vals, (rows, cols)),
-                         shape=(len(slices), h.data.shape[0])).tocsr()
-    return propagate(pool, h)
+    sizes, members = _segments(slices)
+    return propagate(_mean_pool(sizes, members, h.data.shape[0]), h)
 
 
 def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
@@ -312,31 +326,18 @@ def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
             f"{h.data.shape}")
     score = gcn_conv(h, score_prop, score_w)  # [n, 1]
 
-    kept: list[int] = []
-    counts: list[int] = []
-    for s, e in slices:
-        n = e - s
-        if n <= 0:
-            raise ValidationError("empty graph in batch")
-        k = ceil(ratio * n)
-        order = np.argsort(-score.data[s:e, 0], kind="stable")
-        chosen = np.sort(order[:k]) + s
-        kept.extend(int(c) for c in chosen)
-        counts.append(k)
-
-    rows_idx = np.array(kept, dtype=np.int64)
+    sizes, members = _segments(slices)
+    graph = np.repeat(np.arange(sizes.size), sizes)
+    # rank every graph's members by descending score, lower row on ties
+    ranked = members[np.lexsort((members, -score.data[members, 0], graph))]
+    counts = np.ceil(ratio * sizes).astype(np.int64)
+    rank = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes,
+                                               sizes)
+    top = rank < np.repeat(counts, sizes)
+    kept = ranked[top]
+    rows_idx = kept[np.lexsort((kept, graph[top]))]
     gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-
-    rows, cols, vals = [], [], []
-    pos = 0
-    for g, k in enumerate(counts):
-        for _ in range(k):
-            rows.append(g)
-            cols.append(pos)
-            vals.append(1.0 / k)
-            pos += 1
-    pool = sp.coo_matrix((vals, (rows, cols)),
-                         shape=(len(counts), rows_idx.size)).tocsr()
+    pool = _mean_pool(counts, np.arange(rows_idx.size), rows_idx.size)
     return propagate(pool, gated)
 
 
@@ -395,6 +396,13 @@ class ModelState:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for k, t in self.params.items():
             t.data = np.array(arrays[k], dtype=np.float64, copy=True)
+
+    def frozen(self) -> "ModelState":
+        """The same parameter values as constants: a forward over the
+        result records no tape."""
+        return ModelState(self.spec, {k: constant(t.data)
+                                      for k, t in self.params.items()},
+                          self.seed)
 
 
 def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:

@@ -74,13 +74,15 @@ class Adjacency:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted neighbor array per node."""
+    def neighbor_lists(self) -> list[list[int]]:
+        """Sorted neighbor list per node."""
         lists: list[list[int]] = [[] for _ in range(self.n_spots)]
-        for i, j in self.edges:
-            lists[int(i)].append(int(j))
-            lists[int(j)].append(int(i))
-        return [np.array(sorted(l), dtype=np.int64) for l in lists]
+        for i, j in self.edges.tolist():
+            lists[i].append(j)
+            lists[j].append(i)
+        for nb in lists:
+            nb.sort()
+        return lists
 
 
 def _sorted_edges(pairs: set[tuple[int, int]]) -> np.ndarray:

@@ -184,13 +184,15 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
 
 def spatial_predict(state: ModelState, graphs: Sequence,
                     chunk: int = EVAL_CHUNK) -> np.ndarray:
-    """Forward every graph in fixed-size chunks; no gradients recorded."""
+    """Forward every graph in fixed-size chunks over constant parameters,
+    so no tape is recorded."""
     if not graphs:
         raise EmptySplit("no graphs to predict on")
+    frozen = state.frozen()
     outs = []
     for k in range(0, len(graphs), chunk):
         batch = GraphBatch.from_graphs(graphs[k:k + chunk])
-        outs.append(nn.spatial_forward(state, batch).data)
+        outs.append(nn.spatial_forward(frozen, batch).data)
     return np.concatenate(outs, axis=0)
 
 

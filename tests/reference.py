@@ -1,0 +1,117 @@
+"""Reference implementations that the fast paths in sepal are checked
+against: the straightforward versions they replaced.
+
+khop_subgraph scans the slide's whole edge list for the induced edges,
+assemble_graph encodes every node's offset on its own, and the two
+readouts build their pooling matrices and top-k choices graph by graph.
+"""
+
+from math import ceil
+
+import numpy as np
+import scipy.sparse as sp
+
+from sepal.core import ValidationError
+from sepal.graphs import SpotGraph, Subgraph, positional_encoding
+from sepal.nn import gather_rows, gcn_conv, mul, propagate, tanh
+
+
+def khop_subgraph(adjacency, center, hops):
+    neighbor_lists = adjacency.neighbor_lists()
+    hop_of = {center: 0}
+    order = [center]
+    frontier = [center]
+    for h in range(1, hops + 1):
+        nxt = set()
+        for u in frontier:
+            for v in neighbor_lists[u]:
+                v = int(v)
+                if v not in hop_of:
+                    nxt.add(v)
+        frontier = sorted(nxt)
+        for v in frontier:
+            hop_of[v] = h
+        order.extend(frontier)
+        if not frontier:
+            break
+
+    local = {g: k for k, g in enumerate(order)}
+    edges = []
+    for i, j in adjacency.edges:
+        i, j = int(i), int(j)
+        if i in local and j in local:
+            a, b = local[i], local[j]
+            edges.append((a, b) if a < b else (b, a))
+    edges.sort()
+    return Subgraph(
+        center=center,
+        nodes=np.array(order, dtype=np.int64),
+        hops=np.array([hop_of[g] for g in order], dtype=np.int64),
+        edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def assemble_graph(slide_spots, embeddings, subgraph, aggregation):
+    d = embeddings.d_emb
+    center = slide_spots[subgraph.center]
+    feats = np.empty((len(subgraph.nodes),
+                      d if aggregation == "sum" else 2 * d))
+    for k, g in enumerate(subgraph.nodes):
+        s = slide_spots[int(g)]
+        pe = positional_encoding(s.array_row - center.array_row,
+                                 s.array_col - center.array_col, d)
+        emb = embeddings.vectors[int(g)]
+        feats[k] = emb + pe if aggregation == "sum" else np.concatenate(
+            [emb, pe])
+    return SpotGraph(
+        slide_id=center.slide_id,
+        center_spot_id=center.spot_id,
+        nodes=subgraph.nodes,
+        hops=subgraph.hops,
+        edges=subgraph.edges,
+        features=feats,
+    )
+
+
+def global_mean_readout(h, slices):
+    rows, cols, vals = [], [], []
+    for g, (s, e) in enumerate(slices):
+        if e <= s:
+            raise ValidationError(f"empty graph {g} in batch")
+        for k in range(s, e):
+            rows.append(g)
+            cols.append(k)
+            vals.append(1.0 / (e - s))
+    pool = sp.coo_matrix((vals, (rows, cols)),
+                         shape=(len(slices), h.data.shape[0])).tocsr()
+    return propagate(pool, h)
+
+
+def sag_mean_readout(h, score_prop, score_w, ratio, slices):
+    score = gcn_conv(h, score_prop, score_w)
+    kept = []
+    counts = []
+    for s, e in slices:
+        n = e - s
+        if n <= 0:
+            raise ValidationError("empty graph in batch")
+        k = ceil(ratio * n)
+        order = np.argsort(-score.data[s:e, 0], kind="stable")
+        chosen = np.sort(order[:k]) + s
+        kept.extend(int(c) for c in chosen)
+        counts.append(k)
+
+    rows_idx = np.array(kept, dtype=np.int64)
+    gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
+
+    rows, cols, vals = [], [], []
+    pos = 0
+    for g, k in enumerate(counts):
+        for _ in range(k):
+            rows.append(g)
+            cols.append(pos)
+            vals.append(1.0 / k)
+            pos += 1
+    pool = sp.coo_matrix((vals, (rows, cols)),
+                         shape=(len(counts), rows_idx.size)).tocsr()
+    return propagate(pool, gated)

@@ -293,6 +293,53 @@ class TestFlags:
         assert ("model", "stage1") in [tuple(r[:2]) for r in rows]
 
 
+def copy_stages(pipeline, out, stages):
+    import shutil
+    for stage in stages:
+        shutil.copytree(pipeline["out"] / stage, out / stage)
+
+
+class TestStageWork:
+    def test_build_graphs_assembles_no_features(self, pipeline, tmp_path,
+                                                monkeypatch):
+        from sepal import graphs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build-graphs assembled node features")
+
+        monkeypatch.setattr(graphs, "assemble_graph", refuse)
+        monkeypatch.setattr(graphs, "build_spot_graphs", refuse)
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("preprocess", "denoise", "select"))
+        assert run("build-graphs", "--manifest", pipeline["manifest"],
+                   "--out", str(out), "--hops", "1",
+                   "--aggregation", "concat") == 0
+        for name in ("summary.tsv", "meta.tsv"):
+            assert (out / "graphs" / name).read_bytes() == \
+                (pipeline["out"] / "graphs" / name).read_bytes()
+
+    def test_stage2_and_eval_read_each_slide_once(self, pipeline, tmp_path,
+                                                  monkeypatch):
+        from collections import Counter
+        reads = Counter()
+        for name in ("read_coordinates", "read_embeddings"):
+            def counting(path, *args, _read=getattr(ingest, name), **kw):
+                reads[str(path)] += 1
+                return _read(path, *args, **kw)
+            monkeypatch.setattr(ingest, name, counting)
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("preprocess", "denoise", "select",
+                                    "graphs", "train"))
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        assert run("train", *base, "--stage", "2", "--epochs", "1",
+                   "--patience", "1", "--hidden", "16") == 0
+        # the train and val slides: coordinates and embeddings once each
+        assert len(reads) == 4 and set(reads.values()) == {1}
+        reads.clear()
+        assert run("eval", *base) == 0
+        assert len(reads) == 2 and set(reads.values()) == {1}
+
+
 class TestDeterminism:
     def _run_all(self, data, out):
         manifest = str(data / "manifest.toml")

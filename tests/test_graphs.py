@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from helpers import bfs_distances, grid_spots, hex_spots, random_adjacency
 from sepal.core import (
     EmbeddingTable,
     ExpressionMatrix,
     ShapeMismatch,
+    SpotRecord,
     ValidationError,
     WidthNotDivisible,
     align_slide,
@@ -15,6 +17,7 @@ from sepal.core import (
 from sepal.graphs import (
     assemble_graph,
     build_spot_graphs,
+    feature_width,
     khop_subgraph,
     positional_encoding,
 )
@@ -208,3 +211,114 @@ class TestBuildSpotGraphs:
         adj = build_adjacency(grid_spots(2, 2), "square_grid")
         with pytest.raises(ShapeMismatch):
             build_spot_graphs(slide, adj, 1, "sum")
+
+
+    def test_feature_width_follows_aggregation(self):
+        assert feature_width(8, "sum") == 8
+        assert feature_width(8, "concat") == 16
+        with pytest.raises(WidthNotDivisible):
+            feature_width(6, "concat")
+        with pytest.raises(ValidationError):
+            feature_width(8, "mean")
+
+
+def scattered_spots(rng, n):
+    """n spots at distinct random array positions, listed in canonical
+    order, so node i of an n-node adjacency is spot i of the slide."""
+    cells = rng.choice(12 * 12, size=n, replace=False)
+    return [SpotRecord(f"p{i:02d}", "rnd", 0.0, 0.0, int(c) // 12 - 6,
+                       int(c) % 12 - 6)
+            for i, c in enumerate(sorted(cells))]
+
+
+def assert_same_graphs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.slide_id, g.center_spot_id) == (w.slide_id,
+                                                  w.center_spot_id)
+        for field in ("nodes", "hops", "edges", "features"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), field
+
+
+def reference_graphs(slide, adj, hops, aggregation):
+    return [reference.assemble_graph(
+        slide.spots, slide.embeddings,
+        reference.khop_subgraph(adj, i, hops), aggregation)
+        for i in range(len(slide.spots))]
+
+
+class TestAgainstReference:
+    """The neighbor-list walk and the per-offset encodings build the same
+    bytes as the edge scan and per-node encodings they replaced."""
+
+    @given(st.integers(0, 10 ** 9), st.integers(1, 4),
+           st.sampled_from(["sum", "concat"]), st.sampled_from([4, 8, 12]))
+    def test_random_adjacency(self, seed, hops, aggregation, d_emb):
+        adj, rng = random_adjacency(seed, connected=False)
+        slide = make_slide(scattered_spots(rng, adj.n_spots), d_emb, seed)
+        assert_same_graphs(build_spot_graphs(slide, adj, hops, aggregation),
+                           reference_graphs(slide, adj, hops, aggregation))
+
+    @given(st.sampled_from(["hex_array", "square_grid"]),
+           st.integers(2, 7), st.integers(2, 7), st.integers(1, 4),
+           st.sampled_from(["sum", "concat"]))
+    def test_lattices(self, geometry, rows, cols, hops, aggregation):
+        spots = (hex_spots(rows, cols) if geometry == "hex_array"
+                 else grid_spots(rows, cols))
+        slide = make_slide(spots, 8, rows * cols)
+        adj = build_adjacency(slide.spots, geometry)
+        assert_same_graphs(build_spot_graphs(slide, adj, hops, aggregation),
+                           reference_graphs(slide, adj, hops, aggregation))
+
+    @given(st.integers(0, 10 ** 9), st.integers(1, 4),
+           st.sampled_from(["sum", "concat"]))
+    def test_assemble_without_precomputed_encodings(self, seed, hops,
+                                                    aggregation):
+        adj, rng = random_adjacency(seed)
+        slide = make_slide(scattered_spots(rng, adj.n_spots), 8, seed)
+        center = int(rng.integers(0, adj.n_spots))
+        sub = khop_subgraph(adj, center, hops)
+        got = assemble_graph(slide.spots, slide.embeddings, sub, aggregation)
+        want = reference.assemble_graph(slide.spots, slide.embeddings, sub,
+                                        aggregation)
+        assert_same_graphs([got], [want])
+
+
+class _Unscannable:
+    def __iter__(self):
+        raise AssertionError("the slide's edge list was scanned")
+
+
+class _CountingLists:
+    """Neighbor lists that record which nodes' lists were read."""
+
+    def __init__(self, lists):
+        self.lists = lists
+        self.read = set()
+
+    def __getitem__(self, node):
+        self.read.add(int(node))
+        return self.lists[node]
+
+    def __len__(self):
+        return len(self.lists)
+
+
+class TestLocalWork:
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_khop_reads_only_the_lists_it_visits(self, hops):
+        spots = hex_spots(9, 9)
+        adj = build_adjacency(spots, "hex_array")
+        lists = _CountingLists(adj.neighbor_lists())
+        by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
+        center = by_pos[(4, 8)]
+        blind = type("Blind", (), {"n_spots": adj.n_spots,
+                                   "edges": _Unscannable()})()
+        sub = khop_subgraph(blind, center, hops, lists)
+        assert lists.read == {int(v) for v in sub.nodes}
+        want = reference.khop_subgraph(adj, center, hops)
+        for field in ("nodes", "hops", "edges"):
+            assert getattr(sub, field).tobytes() == \
+                getattr(want, field).tobytes()

@@ -2,9 +2,11 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from sepal.core import NoRecordedForward, ShapeMismatch, ValidationError
 from sepal import nn
 from sepal.nn import (
@@ -203,6 +205,50 @@ class TestReadouts:
         fd_gradient_check([h_param, w], loss_fn)
 
 
+class TestReadoutsAgainstReference:
+    """The segment-op readouts build the same bytes, forward and backward,
+    as the graph-by-graph loops they replaced."""
+
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=6),
+           st.integers(0, 10 ** 9),
+           st.sampled_from([0.1, 0.3, 0.5, 0.6, 0.99, 1.0]),
+           st.sampled_from(["sag_mean", "global_mean"]))
+    def test_identical_bytes(self, sizes, seed, ratio, pooling):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        ends = np.cumsum(sizes)
+        slices = [(int(e - k), int(e)) for k, e in zip(sizes, ends)]
+        # few distinct values, so scores tie within and across graphs
+        h_arr = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        w_arr = np.array([[1.0, 0.0, 0.0]])
+        prop = sp.eye(n, format="csr")
+
+        def run(readout_module):
+            h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
+            if pooling == "sag_mean":
+                out = readout_module.sag_mean_readout(h, prop, w, ratio,
+                                                      slices)
+            else:
+                out = readout_module.global_mean_readout(h, slices)
+            backward(mean_all(mul(out, out)))
+            return out.data, h.grad, w.grad
+
+        got, want = run(nn), run(reference)
+        for a, b in zip(got, want):
+            if b is None:
+                assert a is None
+            else:
+                assert a.tobytes() == b.tobytes()
+
+    def test_empty_graph_rejected(self):
+        h = constant(np.ones((3, 1)))
+        with pytest.raises(ValidationError):
+            global_mean_readout(h, [(0, 2), (2, 2)])
+        with pytest.raises(ValidationError):
+            sag_mean_readout(h, gcn_matrix(3, np.zeros((0, 2), np.int64)),
+                             Tensor(np.ones((1, 1))), 0.5, [(0, 0), (0, 3)])
+
+
 def tiny_spec(**kw):
     base = dict(in_width=4, n_genes=3, pre_widths=(5,), operator="graphconv",
                 gnn_widths=(6,), pooling="global_mean", sag_ratio=0.5,
@@ -352,6 +398,17 @@ class TestSpatialForward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_forward_over_constants_records_nothing(self):
+        state = init_model_state(
+            tiny_spec(operator="gcn", pooling="sag_mean"), 3)
+        batch = tiny_batch(np.random.default_rng(4))
+        out = spatial_forward(state.frozen(), batch)
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        recorded = spatial_forward(state, batch)
+        assert recorded._parents
+        assert out.data.tobytes() == recorded.data.tobytes()
 
     def test_width_guard(self):
         state = init_model_state(tiny_spec(), 0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sepal import nn
 from sepal.core import DivergedLoss, EmptySplit, ValidationError
-from sepal.nn import ModelSpec, Tensor, init_model_state
+from sepal.nn import GraphBatch, ModelSpec, Tensor, init_model_state
 from sepal.train import (
     RIDGE_ALPHAS,
     Adam,
@@ -320,6 +321,35 @@ class TestPredict:
         got = predict_expression(model, emb, None, mean)
         np.testing.assert_array_equal(got, [[1.0 + 0.5 + 10.0,
                                              2.0 - 0.5 + 20.0]])
+
+    @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
+    def test_prediction_records_no_tape(self, operator, monkeypatch):
+        rng = np.random.default_rng(5)
+        spec = ModelSpec(in_width=4, n_genes=2, pre_widths=(3,),
+                         operator=operator, gnn_widths=(4,),
+                         pooling="sag_mean", sag_ratio=0.5,
+                         post_widths=(2,))
+        state = init_model_state(spec, 0)
+        for t in state.params.values():
+            t.data = rng.normal(size=t.data.shape)
+        graphs = star_graphs(rng, 6, 4)
+        recorded = nn.spatial_forward(state, GraphBatch.from_graphs(graphs))
+        assert recorded._parents
+
+        created = []
+        plain_init = Tensor.__init__
+
+        def spying_init(self, *args, **kwargs):
+            plain_init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", spying_init)
+        got = spatial_predict(state, graphs)
+        monkeypatch.undo()
+        assert created
+        assert all(t._parents == () and t._backward is None
+                   for t in created)
+        assert got.tobytes() == recorded.data.tobytes()
 
     def test_stage2_adds_correction(self):
         rng = np.random.default_rng(4)
