@@ -336,9 +336,8 @@ def cmd_build_graphs(args) -> None:
         slide = _read_slide(entry, m)
         width = graphs_mod.feature_width(slide.embeddings.d_emb, aggregation)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
-        lists = adjacency.neighbor_lists()
-        for i, spot in enumerate(slide.spots):
-            sub = graphs_mod.khop_subgraph(adjacency, i, hops, lists)
+        for spot, sub in zip(slide.spots,
+                             graphs_mod.slide_subgraphs(adjacency, hops)):
             rows.append((entry.slide_id, spot.spot_id,
                          len(sub.nodes), sub.edges.shape[0]))
 

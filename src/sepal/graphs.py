@@ -92,6 +92,13 @@ def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
     )
 
 
+def slide_subgraphs(adjacency: Adjacency, hops: int) -> list[Subgraph]:
+    """One k-hop subgraph per spot, in spot order."""
+    lists = adjacency.neighbor_lists()
+    return [khop_subgraph(adjacency, i, hops, lists)
+            for i in range(adjacency.n_spots)]
+
+
 def positional_encoding(rel_row: float, rel_col: float, d_emb: int
                         ) -> np.ndarray:
     """Sinusoidal encoding of an array offset; d_emb must divide by 4."""
@@ -205,9 +212,7 @@ def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,
             f"adjacency covers {adjacency.n_spots} spots, slide has "
             f"{len(slide.spots)}")
     feature_width(slide.embeddings.d_emb, aggregation)
-    lists = adjacency.neighbor_lists()
-    subs = [khop_subgraph(adjacency, i, hops, lists)
-            for i in range(len(slide.spots))]
+    subs = slide_subgraphs(adjacency, hops)
 
     sizes = np.array([len(sub.nodes) for sub in subs], dtype=np.int64)
     nodes = np.concatenate([sub.nodes for sub in subs])
