@@ -665,14 +665,7 @@ def cmd_figures(args) -> None:
 
     pooled = metrics.evaluate(np.vstack(preds), np.vstack(truths),
                               np.vstack(masks), gene_ids)
-    written = []
-    with open(fig_dir / "pcc_hist.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for left, right, count in metrics.pcc_histogram(pooled):
-            fh.write(f"{ingest.fmt_float(left)},"
-                     f"{ingest.fmt_float(right)},{count}\n")
-    written.append(fig_dir / "pcc_hist.csv")
+    written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv", pooled)]
     for slide_id, pred, m, mask, spots in per_slide:
         rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
                                m.spot_ids)

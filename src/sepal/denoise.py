@@ -22,16 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DegenerateCoordinates,
     ExpressionMatrix,
     ImputationMask,
     ShapeMismatch,
     SpotRecord,
     ValidationError,
 )
+from .spatial import DISTANCE_DECIMALS, min_pixel_spacing, pixel_distance_rows
 
 MAX_RINGS = 7
-DISTANCE_DECIMALS = 6
 
 
 @dataclass(frozen=True)
@@ -52,40 +51,21 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
                                ) -> RadialNeighborhood:
     """Group every spot's neighbors into rings of equal rounded distance."""
     spots = list(spots)
-    n = len(spots)
-    if n < 2:
-        raise DegenerateCoordinates(
-            f"radial rings need at least 2 spots, got {n}")
-    xs = np.array([s.pixel_x for s in spots], dtype=np.float64)
-    ys = np.array([s.pixel_y for s in spots], dtype=np.float64)
-    dist = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
-    dist = np.round(dist, DISTANCE_DECIMALS)
-    off_diag = dist + np.diag(np.full(n, np.inf))
-    if (off_diag == 0.0).any():
-        raise DegenerateCoordinates("two spots share a pixel position")
-
+    min_pixel_spacing(spots)  # raises on coincident spots
     members_all: list[tuple[np.ndarray, ...]] = []
     dists_all: list[tuple[float, ...]] = []
-    for i in range(n):
-        row = off_diag[i]
-        order = np.argsort(row, kind="stable")  # ties resolve by index
-        rings: list[list[int]] = []
-        ring_d: list[float] = []
-        current = None
-        for j in order:
-            d = row[j]
-            if not np.isfinite(d):
-                break
-            if current is None or d != current:
-                if len(rings) == max_rings:
-                    break
-                current = float(d)
-                rings.append([])
-                ring_d.append(current)
-            rings[-1].append(int(j))
-        members_all.append(tuple(np.array(r, dtype=np.int64) for r in rings))
-        dists_all.append(tuple(ring_d))
-    return RadialNeighborhood(n, tuple(members_all), tuple(dists_all))
+    for row in pixel_distance_rows(spots):
+        row = np.round(row, DISTANCE_DECIMALS)
+        # ties resolve by index; the spot itself is the row's only 0.0
+        # after the spacing check, so it sorts first and is dropped
+        order = np.argsort(row, kind="stable")[1:]
+        d = row[order]
+        _, starts = np.unique(d, return_index=True)
+        bounds = np.append(starts, d.size)[:max_rings + 1]
+        members_all.append(tuple(order[a:b].copy()
+                                 for a, b in zip(bounds[:-1], bounds[1:])))
+        dists_all.append(tuple(float(x) for x in d[bounds[:-1]]))
+    return RadialNeighborhood(len(spots), tuple(members_all), tuple(dists_all))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .core import (
     WidthMismatch,
     canonical_order,
 )
+from .spatial import min_pixel_spacing
 
 FORMAT_VERSION = "1"
 CHECKPOINT_MAGIC = "SEPALCKPT1"
@@ -573,11 +574,7 @@ def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
     xs = np.array([s.pixel_x for s in spots])
     ys = np.array([s.pixel_y for s in spots])
     if n > 1:
-        diff = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
-        np.fill_diagonal(diff, np.inf)
-        dmin = float(diff.min())
-        if dmin <= 0.0:
-            raise ValidationError("two spots share a pixel position")
+        dmin = min_pixel_spacing(spots)
         scale = 2.0 * _DISC_TARGET_PX / dmin
     else:
         scale = 1.0

@@ -236,6 +236,17 @@ def _ranked_genes(report: MetricsReport) -> list[str]:
     return [g for g, _ in scored]
 
 
+def write_pcc_histogram(path, report: MetricsReport) -> Path:
+    """Write the per-gene correlation histogram as a CSV; returns path."""
+    path = Path(path)
+    with ingest._open_write(path) as fh:
+        fh.write("bin_left,bin_right,count\n")
+        for left, right, count in pcc_histogram(report):
+            fh.write(f"{ingest.fmt_float(left)},"
+                     f"{ingest.fmt_float(right)},{count}\n")
+    return path
+
+
 def emit_figures(report: MetricsReport, pred, truth, mask,
                  spots: Sequence[SpotRecord], outdir) -> list[Path]:
     """Write the correlation histogram and truth/prediction heatmap pairs.
@@ -252,14 +263,7 @@ def emit_figures(report: MetricsReport, pred, truth, mask,
     if len(spots) != truth.shape[0]:
         raise ShapeMismatch("spots do not match matrix rows")
 
-    written = []
-    hist_path = outdir / "pcc_hist.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for left, right, count in pcc_histogram(report):
-            fh.write(f"{ingest.fmt_float(left)},"
-                     f"{ingest.fmt_float(right)},{count}\n")
-    written.append(hist_path)
+    written = [write_pcc_histogram(outdir / "pcc_hist.csv", report)]
 
     ranked = _ranked_genes(report)
     chosen = dict.fromkeys(ranked[:2] + ranked[-2:])

@@ -456,7 +456,6 @@ class GraphBatch:
     features: np.ndarray
     edges: np.ndarray
     slices: tuple[tuple[int, int], ...]
-    center_rows: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -473,7 +472,6 @@ class GraphBatch:
         feats = []
         edges = []
         slices = []
-        centers = []
         offset = 0
         for g in graphs:
             n = g.features.shape[0]
@@ -481,7 +479,6 @@ class GraphBatch:
             if g.edges.size:
                 edges.append(g.edges + offset)
             slices.append((offset, offset + n))
-            centers.append(offset)  # node 0 of every graph is its center
             offset += n
         all_edges = (np.concatenate(edges, axis=0) if edges
                      else np.zeros((0, 2), dtype=np.int64))
@@ -489,7 +486,6 @@ class GraphBatch:
             features=np.concatenate(feats, axis=0),
             edges=all_edges,
             slices=tuple(slices),
-            center_rows=np.array(centers, dtype=np.int64),
         )
 
 

@@ -1,4 +1,4 @@
-"""Spot adjacency and spatial autocorrelation.
+"""Spot pixel distances, adjacency and spatial autocorrelation.
 
 Adjacency is binary and symmetric, stored as a deduplicated (i, j) edge
 list with i < j.  Three geometries are supported:
@@ -9,6 +9,11 @@ list with i < j.  Three geometries are supported:
   square_grid   neighbors at offsets (0, +-1), (+-1, 0)
   auto_radius   neighbors within 1.3 times the minimum pairwise pixel
                 distance
+
+Pixel distances are computed here and nowhere else: pixel_distance_rows
+yields the exact distances from one spot to every spot, one row at a time,
+so memory stays linear in the spot count, and min_pixel_spacing rejects
+spots that share a pixel position (distance 0 at DISTANCE_DECIMALS).
 
 Autocorrelation per gene map x over N spots with weight sum W:
 
@@ -22,7 +27,7 @@ yields None rather than a number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .core import (
 )
 
 AUTO_RADIUS_FACTOR = 1.3
+DISTANCE_DECIMALS = 6
 
 _HEX_OFFSETS = ((0, 2), (1, 1), (1, -1))
 _SQUARE_OFFSETS = ((0, 1), (1, 0))
@@ -49,7 +55,7 @@ class Adjacency:
 
     slide_id: str
     n_spots: int
-    edges: np.ndarray  # [m, 2] int64, i < j, lexicographically sorted
+    edges: np.ndarray  # [m, 2] int64, i < j, deduplicated and sorted
     geometry: str
 
     def __post_init__(self) -> None:
@@ -59,20 +65,13 @@ class Adjacency:
                 raise ValidationError("edges must satisfy i < j")
             if e.min() < 0 or e.max() >= self.n_spots:
                 raise ValidationError("edge endpoint out of range")
-        e = np.array(e, copy=True)
+        e = np.unique(e, axis=0)
         e.flags.writeable = False
         object.__setattr__(self, "edges", e)
 
     @property
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_spots, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
 
     def neighbor_lists(self) -> list[list[int]]:
         """Sorted neighbor list per node."""
@@ -85,17 +84,35 @@ class Adjacency:
         return lists
 
 
-def _sorted_edges(pairs: set[tuple[int, int]]) -> np.ndarray:
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    return arr
-
-
-def pairwise_pixel_distances(spots: Sequence[SpotRecord]) -> np.ndarray:
+def pixel_distance_rows(spots: Sequence[SpotRecord]
+                        ) -> Iterator[np.ndarray]:
+    """Yield, for each spot in order, a fresh array of its exact pixel
+    distance to every spot (0.0 at its own index)."""
     xs = np.array([s.pixel_x for s in spots], dtype=np.float64)
     ys = np.array([s.pixel_y for s in spots], dtype=np.float64)
-    return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
+    for x, y in zip(xs, ys):
+        yield np.hypot(x - xs, y - ys)
+
+
+def min_pixel_spacing(spots: Sequence[SpotRecord]) -> float:
+    """Smallest pixel distance between two distinct spots.  Raises when
+    two spots share a pixel position to DISTANCE_DECIMALS places."""
+    spots = list(spots)
+    if len(spots) < 2:
+        raise DegenerateCoordinates(
+            f"pixel spacing needs at least 2 spots, got {len(spots)}")
+    dmin, pair = np.inf, None
+    for i, row in enumerate(pixel_distance_rows(spots)):
+        row[i] = np.inf
+        j = int(row.argmin())
+        if row[j] < dmin:
+            dmin, pair = float(row[j]), (i, j)
+    if np.round(dmin, DISTANCE_DECIMALS) == 0.0:
+        a, b = (spots[k].spot_id for k in pair)
+        raise DegenerateCoordinates(
+            f"{spots[0].slide_id!r}: spots {a!r} and {b!r} share a pixel "
+            f"position")
+    return dmin
 
 
 def build_adjacency(spots: Sequence[SpotRecord], geometry: str) -> Adjacency:
@@ -114,25 +131,22 @@ def build_adjacency(spots: Sequence[SpotRecord], geometry: str) -> Adjacency:
         if len(by_pos) != n:
             raise DegenerateCoordinates(
                 f"{slide_id!r}: duplicate array positions")
-        pairs: set[tuple[int, int]] = set()
+        pairs = []
         for i, s in enumerate(spots):
             for dr, dc in offsets:
                 j = by_pos.get((s.array_row + dr, s.array_col + dc))
                 if j is not None:
-                    pairs.add((i, j) if i < j else (j, i))
-        return Adjacency(slide_id, n, _sorted_edges(pairs), geometry)
+                    pairs.append((i, j) if i < j else (j, i))
+        return Adjacency(slide_id, n, pairs, geometry)
 
     if geometry == "auto_radius":
-        dist = pairwise_pixel_distances(spots)
-        np.fill_diagonal(dist, np.inf)
-        dmin = float(dist.min())
-        if dmin <= 0.0:
-            raise DegenerateCoordinates(
-                f"{slide_id!r}: two spots share a pixel position")
-        cutoff = AUTO_RADIUS_FACTOR * dmin
-        ii, jj = np.nonzero(dist <= cutoff)
-        pairs = {(int(a), int(b)) for a, b in zip(ii, jj) if a < b}
-        return Adjacency(slide_id, n, _sorted_edges(pairs), geometry)
+        cutoff = AUTO_RADIUS_FACTOR * min_pixel_spacing(spots)
+        later = [np.flatnonzero(row[i + 1:] <= cutoff) + i + 1
+                 for i, row in enumerate(pixel_distance_rows(spots))]
+        firsts = np.repeat(np.arange(n), [len(js) for js in later])
+        return Adjacency(slide_id, n,
+                         np.column_stack((firsts, np.concatenate(later))),
+                         geometry)
 
     raise ValidationError(f"unknown geometry {geometry!r}")
 

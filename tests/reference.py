@@ -4,6 +4,9 @@ against: the straightforward versions they replaced.
 khop_subgraph scans the slide's whole edge list for the induced edges,
 assemble_graph encodes every node's offset on its own, and the two
 readouts build their pooling matrices and top-k choices graph by graph.
+auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
+the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
+denoiser's rings and the heatmap writer did.
 """
 
 from math import ceil
@@ -11,7 +14,7 @@ from math import ceil
 import numpy as np
 import scipy.sparse as sp
 
-from sepal.core import ValidationError
+from sepal.core import DegenerateCoordinates, ValidationError
 from sepal.graphs import SpotGraph, Subgraph, positional_encoding
 from sepal.nn import gather_rows, gcn_conv, mul, propagate, tanh
 
@@ -115,3 +118,60 @@ def sag_mean_readout(h, score_prop, score_w, ratio, slices):
     pool = sp.coo_matrix((vals, (rows, cols)),
                          shape=(len(counts), rows_idx.size)).tocsr()
     return propagate(pool, gated)
+
+
+def pixel_distances(spots):
+    xs = np.array([s.pixel_x for s in spots], dtype=np.float64)
+    ys = np.array([s.pixel_y for s in spots], dtype=np.float64)
+    return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
+
+
+def auto_radius_edges(spots, factor=1.3):
+    dist = pixel_distances(spots)
+    np.fill_diagonal(dist, np.inf)
+    dmin = float(dist.min())
+    if dmin <= 0.0:
+        raise DegenerateCoordinates("two spots share a pixel position")
+    ii, jj = np.nonzero(dist <= factor * dmin)
+    pairs = {(int(a), int(b)) for a, b in zip(ii, jj) if a < b}
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def radial_neighborhoods(spots, max_rings=7, decimals=6):
+    """(ring members, ring distances) per spot."""
+    n = len(spots)
+    if n < 2:
+        raise DegenerateCoordinates("radial rings need at least 2 spots")
+    dist = np.round(pixel_distances(spots), decimals)
+    off_diag = dist + np.diag(np.full(n, np.inf))
+    if (off_diag == 0.0).any():
+        raise DegenerateCoordinates("two spots share a pixel position")
+    members_all, dists_all = [], []
+    for i in range(n):
+        row = off_diag[i]
+        order = np.argsort(row, kind="stable")
+        rings, ring_d = [], []
+        current = None
+        for j in order:
+            d = row[j]
+            if not np.isfinite(d):
+                break
+            if current is None or d != current:
+                if len(rings) == max_rings:
+                    break
+                current = float(d)
+                rings.append([])
+                ring_d.append(current)
+            rings[-1].append(int(j))
+        members_all.append(tuple(np.array(r, dtype=np.int64) for r in rings))
+        dists_all.append(tuple(ring_d))
+    return tuple(members_all), tuple(dists_all)
+
+
+def heatmap_spacing(spots):
+    diff = pixel_distances(spots)
+    np.fill_diagonal(diff, np.inf)
+    dmin = float(diff.min())
+    if dmin <= 0.0:
+        raise ValidationError("two spots share a pixel position")
+    return dmin

@@ -124,20 +124,18 @@ def layer_cases(rng):
 
 
 def random_batch(rng, width, n_graphs=2):
-    feats, edges, slices, centers = [], [], [], []
+    feats, edges, slices = [], [], []
     offset = 0
     for _ in range(n_graphs):
         n = int(rng.integers(3, 6))
         feats.append(rng.standard_normal((n, width)))
         edges.append(spanning_edges(rng, n) + offset)
         slices.append((offset, offset + n))
-        centers.append(offset)
         offset += n
     return GraphBatch(
         features=np.concatenate(feats, axis=0),
         edges=np.concatenate(edges, axis=0),
         slices=tuple(slices),
-        center_rows=np.array(centers, dtype=np.int64),
     )
 
 

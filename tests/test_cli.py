@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +341,21 @@ class TestStageWork:
         reads.clear()
         assert run("eval", *base) == 0
         assert len(reads) == 2 and set(reads.values()) == {1}
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_spatial_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sepal.cli; "
+             "print('scipy.spatial' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from sepal.core import (
     TooFewGenes,
     ValidationError,
 )
+from sepal.graphs import khop_subgraph
 from sepal.spatial import (
     Adjacency,
     build_adjacency,
@@ -77,7 +78,7 @@ def random_adjacency(seed, n_min=2, n_max=30):
 class TestBuildAdjacency:
     def test_square_grid_interior_degree_four(self):
         adj = build_adjacency(grid_spots(3, 3), "square_grid")
-        deg = adj.degrees()
+        deg = np.bincount(adj.edges.ravel(), minlength=adj.n_spots)
         assert deg[4] == 4          # center
         assert deg[0] == 2          # corner
         assert adj.n_edges == 12    # 2 * 3 * 2 rows of edges
@@ -87,7 +88,8 @@ class TestBuildAdjacency:
         adj = build_adjacency(spots, "hex_array")
         by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
         center = by_pos[(2, 4)]
-        assert adj.degrees()[center] == 6
+        deg = np.bincount(adj.edges.ravel(), minlength=adj.n_spots)
+        assert deg[center] == 6
         neigh = set(adj.neighbor_lists()[center])
         want = {by_pos[p] for p in
                 [(2, 2), (2, 6), (1, 3), (1, 5), (3, 3), (3, 5)]}
@@ -133,6 +135,21 @@ class TestBuildAdjacency:
         e = [tuple(x) for x in adj.edges]
         assert e == sorted(set(e))
         assert all(i < j for i, j in e)
+
+
+class TestAdjacency:
+    def test_duplicate_edges_are_merged(self):
+        adj = Adjacency("s", 3, [[0, 1], [0, 1], [1, 2]], "auto_radius")
+        assert adj.edges.tolist() == [[0, 1], [1, 2]]
+        sub = khop_subgraph(adj, 0, 2)
+        assert sub.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_unsorted_edges_are_sorted(self):
+        adj = Adjacency("s", 4, [[2, 3], [0, 2], [1, 3], [0, 1]],
+                        "auto_radius")
+        assert adj.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+        assert adj.edges.dtype == np.int64
+        assert not adj.edges.flags.writeable
 
 
 class TestMoransI:
