@@ -44,7 +44,7 @@ from .core import (
     validate_dataset,
 )
 from .graphs import AGGREGATIONS
-from .nn import ModelSpec, OPERATORS, POOLINGS
+from .nn import GraphBatch, ModelSpec, OPERATORS, POOLINGS
 from .train import TrainConfig
 
 PRESETS = {
@@ -177,10 +177,8 @@ def cmd_synth(args) -> None:
 
 def cmd_preprocess(args) -> None:
     manifest = _manifest(args)
-    parts = ingest.load_dataset(manifest)
-    validate_dataset(manifest, parts)
-    aligned = [align_slide(*parts[e.slide_id]) for e in manifest.slides]
-    matrices = [s.expression for s in aligned]
+    matrices = [s.expression for s in validate_dataset(
+        manifest, ingest.load_dataset(manifest))]
 
     stage = matrices[0].stage
     log_rows = []
@@ -387,6 +385,20 @@ def _train_common(args):
     return manifest, out, data, gene_ids, splits
 
 
+def _gather(manifest, split, read):
+    """read(entry) for every slide of the split, in manifest order, stacked
+    field by field: graph batches into one union, arrays with vstack.
+    None when the split has no slides; training needs a train split."""
+    parts = [read(e) for e in manifest.slides if e.split == split]
+    if not parts:
+        if split == "train":
+            raise EmptySplit("no train-split slides in the manifest")
+        return None
+    return tuple(GraphBatch.from_graphs(field)
+                 if isinstance(field[0], GraphBatch) else np.vstack(field)
+                 for field in zip(*parts))
+
+
 def _write_history(path, history) -> None:
     ingest.write_table(path, "history",
                        ("epoch", "train_mse", "val_mse", "wall_seconds"),
@@ -410,24 +422,14 @@ def cmd_train(args) -> None:
 
     if args.stage == 1:
         mean = preprocess.compute_train_mean(matrices, splits)
-        deltas = {m.slide_id: preprocess.to_delta(m, mean).values
-                  for m in matrices}
-        embs = {e.slide_id: _embedding_rows(e, data[e.slide_id][1].spot_ids)
-                for e in manifest.slides}
 
-        def gather(split):
-            xs = [embs[e.slide_id] for e in manifest.slides
-                  if e.split == split]
-            ys = [deltas[e.slide_id] for e in manifest.slides
-                  if e.split == split]
-            if not xs:
-                return None, None
-            return np.vstack(xs), np.vstack(ys)
+        def read(entry):
+            m = data[entry.slide_id][1]
+            return (_embedding_rows(entry, m.spot_ids),
+                    preprocess.to_delta(m, mean).values)
 
-        x_train, y_train = gather("train")
-        if x_train is None:
-            raise EmptySplit("no train-split slides in the manifest")
-        x_val, y_val = gather("val")
+        x_train, y_train = _gather(manifest, "train", read)
+        x_val, y_val = _gather(manifest, "val", read) or (None, None)
         result = train_mod.stage1_train(x_train, y_train, x_val, y_val)
         train_mod.save_stage1_checkpoint(train_dir / "stage1.ckpt", result,
                                          gene_ids)
@@ -456,40 +458,22 @@ def cmd_train(args) -> None:
     hops = int(meta["hops"])
     aggregation = meta["aggregation"]
 
-    graph_lists, delta_hats, targets = {}, {}, {}
-    for entry in manifest.slides:
-        if entry.split not in ("train", "val"):
-            continue
+    def read(entry):
         slide = _read_slide(entry, data[entry.slide_id][1])
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
-        graph_lists[entry.slide_id] = graphs_mod.build_spot_graphs(
-            slide, adjacency, hops, aggregation)
-        delta_hats[entry.slide_id] = train_mod.linear_prediction(
-            slide.embeddings.vectors, head_w, head_b)
-        targets[entry.slide_id] = preprocess.to_delta(slide.expression,
-                                                      mean).values
+        return (graphs_mod.build_spot_graphs(slide, adjacency, hops,
+                                             aggregation),
+                train_mod.linear_prediction(slide.embeddings.vectors,
+                                            head_w, head_b),
+                preprocess.to_delta(slide.expression, mean).values)
 
-    def gather(split):
-        gs, dh, tg = [], [], []
-        for e in manifest.slides:
-            if e.split != split or e.slide_id not in graph_lists:
-                continue
-            gs.extend(graph_lists[e.slide_id])
-            dh.append(delta_hats[e.slide_id])
-            tg.append(targets[e.slide_id])
-        if not gs:
-            return None, None, None
-        return gs, np.vstack(dh), np.vstack(tg)
-
-    train_graphs, dh_train, y_train = gather("train")
-    if train_graphs is None:
-        raise EmptySplit("no train-split slides in the manifest")
-    val_graphs, dh_val, y_val = gather("val")
+    train = _gather(manifest, "train", read)
+    val = _gather(manifest, "val", read) or (None, None, None)
 
     def opt(key):
         return _from_preset(args, key, STAGE2_DEFAULTS[key])
 
-    in_width = train_graphs[0].features.shape[1]
+    in_width = train[0].features.shape[1]
     n_genes = len(gene_ids)
     pre = opt("pre_mlp")
     hidden = list(opt("hidden"))
@@ -507,8 +491,7 @@ def cmd_train(args) -> None:
     cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
                       max_epochs=opt("epochs"), patience=opt("patience"),
                       seed=opt("seed"), max_steps=opt("max_steps"))
-    result = train_mod.stage2_train(train_graphs, dh_train, y_train,
-                                    val_graphs, dh_val, y_val, spec, cfg)
+    result = train_mod.stage2_train(*train, *val, spec, cfg)
     train_mod.save_stage2_checkpoint(train_dir / "stage2.ckpt", head_w,
                                      head_b, result.state, gene_ids, hops,
                                      aggregation)

@@ -455,13 +455,14 @@ def validate_dataset(
     manifest: DatasetManifest,
     parts: Mapping[str, tuple[Sequence[SpotRecord], ExpressionMatrix,
                               EmbeddingTable]],
-) -> None:
+) -> list[Slide]:
     """Cross-slide consistency checks before any processing starts.
 
     Verifies that every manifest slide was loaded, that all slides carry
     the identical gene panel in identical order, that embedding widths
     agree, and that every expression spot has coordinates and an
     embedding row (by aligning each slide, which raises otherwise).
+    Returns the aligned slides in manifest order.
     """
     missing = [s.slide_id for s in manifest.slides if s.slide_id not in parts]
     if missing:
@@ -469,6 +470,7 @@ def validate_dataset(
 
     gene_ref: tuple[str, ...] | None = None
     d_ref: int | None = None
+    slides = []
     for entry in manifest.slides:
         spots, expr, emb = parts[entry.slide_id]
         if expr.n_spots == 0:
@@ -485,4 +487,5 @@ def validate_dataset(
             raise WidthMismatch(
                 f"slide {entry.slide_id!r} embedding width {emb.d_emb} "
                 f"differs from {d_ref}")
-        align_slide(spots, expr, emb)
+        slides.append(align_slide(spots, expr, emb))
+    return slides

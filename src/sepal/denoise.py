@@ -60,7 +60,8 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
         # after the spacing check, so it sorts first and is dropped
         order = np.argsort(row, kind="stable")[1:]
         d = row[order]
-        _, starts = np.unique(d, return_index=True)
+        # d is sorted: a ring starts wherever its distance changes
+        starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
         bounds = np.append(starts, d.size)[:max_rings + 1]
         members_all.append(tuple(order[a:b].copy()
                                  for a, b in zip(bounds[:-1], bounds[1:])))

@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     WidthNotDivisible,
 )
+from .nn import GraphBatch
 from .spatial import Adjacency
 
 AGGREGATIONS = ("sum", "concat")
@@ -117,22 +118,6 @@ def positional_encoding(rel_row: float, rel_col: float, d_emb: int
     return out
 
 
-@dataclass(frozen=True)
-class SpotGraph:
-    """A ready-to-train example: features plus local graph structure."""
-
-    slide_id: str
-    center_spot_id: str
-    nodes: np.ndarray
-    hops: np.ndarray
-    edges: np.ndarray
-    features: np.ndarray  # [n_nodes, d_feat]
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.nodes.shape[0])
-
-
 def feature_width(d_emb: int, aggregation: str) -> int:
     """Node feature width for an embedding width and aggregation mode:
     d_emb for sum, 2 d_emb for concat.  d_emb must divide by 4."""
@@ -162,65 +147,38 @@ def _positions(spots: Sequence[SpotRecord]) -> np.ndarray:
 
 def assemble_graph(slide_spots: Sequence[SpotRecord],
                    embeddings: EmbeddingTable,
-                   subgraph: Subgraph,
-                   aggregation: str,
-                   encodings: np.ndarray | None = None) -> SpotGraph:
-    """Attach features to a subgraph: embedding plus positional encoding,
-    summed or concatenated per the aggregation mode.
-
-    encodings holds one positional-encoding row per node, as
-    build_spot_graphs computes them for a whole slide; when omitted they
-    are computed here, once per distinct offset.
+                   subgraphs: Sequence[Subgraph],
+                   aggregation: str) -> GraphBatch:
+    """Attach features to subgraphs of one slide and pack them, in order,
+    as one batch: each node's embedding plus the positional encoding of
+    its offset from its graph's center, summed or concatenated per the
+    aggregation mode.  Each distinct offset is encoded once.
     """
     d = embeddings.d_emb
     feature_width(d, aggregation)
     if embeddings.vectors.shape[0] != len(slide_spots):
         raise ShapeMismatch("embeddings not aligned with spots")
 
-    center = slide_spots[subgraph.center]
-    if encodings is None:
-        offsets = (_positions([slide_spots[g] for g in subgraph.nodes])
-                   - _positions([center]))
-        table, index = _offset_encodings(offsets, d)
-        encodings = table[index]
-    elif encodings.shape != (len(subgraph.nodes), d):
-        raise ShapeMismatch(
-            f"encodings {encodings.shape} for {len(subgraph.nodes)} nodes "
-            f"of width {d}")
-    emb = embeddings.vectors[subgraph.nodes]
-    feats = (emb + encodings if aggregation == "sum"
-             else np.concatenate([emb, encodings], axis=1))
-    return SpotGraph(
-        slide_id=center.slide_id,
-        center_spot_id=center.spot_id,
-        nodes=subgraph.nodes,
-        hops=subgraph.hops,
-        edges=subgraph.edges,
-        features=feats,
-    )
+    sizes = np.array([len(sub.nodes) for sub in subgraphs], dtype=np.int64)
+    nodes = np.concatenate([sub.nodes for sub in subgraphs])
+    centers = np.repeat([sub.center for sub in subgraphs], sizes)
+    pos = _positions(slide_spots)
+    table, index = _offset_encodings(pos[nodes] - pos[centers], d)
+    emb = embeddings.vectors[nodes]
+    feats = (emb + table[index] if aggregation == "sum"
+             else np.concatenate([emb, table[index]], axis=1))
+    shift = np.repeat(np.cumsum(sizes) - sizes,
+                      [len(sub.edges) for sub in subgraphs])
+    edges = np.concatenate([sub.edges for sub in subgraphs]) + shift[:, None]
+    return GraphBatch(feats, edges, sizes)
 
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,
-                      aggregation: str) -> list[SpotGraph]:
-    """One SpotGraph per spot of the slide, in canonical spot order.
-
-    The positional encoding of every distinct offset is computed once for
-    the slide and shared by all of its graphs.
-    """
+                      aggregation: str) -> GraphBatch:
+    """Every spot's local graph, in canonical spot order, as one batch."""
     if adjacency.n_spots != len(slide.spots):
         raise ShapeMismatch(
             f"adjacency covers {adjacency.n_spots} spots, slide has "
             f"{len(slide.spots)}")
-    feature_width(slide.embeddings.d_emb, aggregation)
-    subs = slide_subgraphs(adjacency, hops)
-
-    sizes = np.array([len(sub.nodes) for sub in subs], dtype=np.int64)
-    nodes = np.concatenate([sub.nodes for sub in subs])
-    centers = np.repeat(np.arange(len(subs), dtype=np.int64), sizes)
-    pos = _positions(slide.spots)
-    table, index = _offset_encodings(pos[nodes] - pos[centers],
-                                     slide.embeddings.d_emb)
-    ends = np.cumsum(sizes)
-    return [assemble_graph(slide.spots, slide.embeddings, sub, aggregation,
-                           table[index[end - size:end]])
-            for sub, size, end in zip(subs, sizes, ends)]
+    return assemble_graph(slide.spots, slide.embeddings,
+                          slide_subgraphs(adjacency, hops), aggregation)

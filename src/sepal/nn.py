@@ -29,6 +29,7 @@ but not through the ranking itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Sequence
 
@@ -282,38 +283,32 @@ def graph_conv(h: Tensor, adj: sp.csr_matrix, w_self: Tensor,
     return add(add(own, agg), bias)
 
 
-def _segments(slices: Sequence[tuple[int, int]]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph row counts, and the batch row of every graph member in
-    graph order."""
-    bounds = np.array(slices, dtype=np.int64).reshape(-1, 2)
-    sizes = bounds[:, 1] - bounds[:, 0]
+def _check_sizes(sizes, n_rows: int) -> np.ndarray:
+    """Per-graph row counts, each positive, that together cover n_rows."""
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
     empty = np.flatnonzero(sizes <= 0)
     if empty.size:
         raise ValidationError(f"empty graph {empty[0]} in batch")
-    firsts = np.cumsum(sizes) - sizes
-    members = (np.arange(int(sizes.sum()), dtype=np.int64)
-               + np.repeat(bounds[:, 0] - firsts, sizes))
-    return sizes, members
+    if sizes.sum() != n_rows:
+        raise ShapeMismatch(
+            f"graph sizes cover {sizes.sum()} rows, features have {n_rows}")
+    return sizes
 
 
-def _mean_pool(sizes: np.ndarray, members: np.ndarray, n_rows: int
-               ) -> sp.csr_matrix:
-    """Row g averages the member rows of graph g, taken in order."""
+def _mean_pool(sizes: np.ndarray) -> sp.csr_matrix:
+    """Row g averages the sizes[g] rows that follow graph g - 1's."""
     indptr = np.concatenate([[0], np.cumsum(sizes)])
-    return sp.csr_matrix((np.repeat(1.0 / sizes, sizes), members, indptr),
-                         shape=(sizes.size, n_rows))
+    return sp.csr_matrix((np.repeat(1.0 / sizes, sizes),
+                          np.arange(indptr[-1]), indptr),
+                         shape=(sizes.size, indptr[-1]))
 
 
-def global_mean_readout(h: Tensor, slices: Sequence[tuple[int, int]]
-                        ) -> Tensor:
-    sizes, members = _segments(slices)
-    return propagate(_mean_pool(sizes, members, h.data.shape[0]), h)
+def global_mean_readout(h: Tensor, sizes) -> Tensor:
+    return propagate(_mean_pool(_check_sizes(sizes, h.data.shape[0])), h)
 
 
 def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
-                     ratio: float, slices: Sequence[tuple[int, int]]
-                     ) -> Tensor:
+                     ratio: float, sizes) -> Tensor:
     """Gated top-k mean per graph.
 
     Scores come from a one-channel gcn over the same node features; the
@@ -324,21 +319,20 @@ def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
         raise ShapeMismatch(
             f"score weight {score_w.data.shape} for features "
             f"{h.data.shape}")
+    sizes = _check_sizes(sizes, h.data.shape[0])
     score = gcn_conv(h, score_prop, score_w)  # [n, 1]
 
-    sizes, members = _segments(slices)
+    rows = np.arange(sizes.sum())
     graph = np.repeat(np.arange(sizes.size), sizes)
-    # rank every graph's members by descending score, lower row on ties
-    ranked = members[np.lexsort((members, -score.data[members, 0], graph))]
+    # rank every graph's rows by descending score, lower row on ties
+    ranked = np.lexsort((rows, -score.data[:, 0], graph))
     counts = np.ceil(ratio * sizes).astype(np.int64)
-    rank = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes,
-                                               sizes)
+    rank = rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
     top = rank < np.repeat(counts, sizes)
     kept = ranked[top]
     rows_idx = kept[np.lexsort((kept, graph[top]))]
     gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-    pool = _mean_pool(counts, np.arange(rows_idx.size), rows_idx.size)
-    return propagate(pool, gated)
+    return propagate(_mean_pool(counts), gated)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +443,24 @@ def init_model_state(spec: ModelSpec, seed: int) -> ModelState:
     return ModelState(spec=spec, params=params, seed=seed)
 
 
-@dataclass
-class GraphBatch:
-    """Disjoint union of local graphs for one forward pass."""
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices start, ..., start + count - 1 of every run, in order."""
+    firsts = np.cumsum(counts) - counts
+    return (np.arange(counts.sum(), dtype=np.int64)
+            + np.repeat(starts - firsts, counts))
 
-    features: np.ndarray
-    edges: np.ndarray
-    slices: tuple[tuple[int, int], ...]
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """Disjoint union of local graphs for one forward pass.
+
+    Graph g owns sizes[g] consecutive feature rows.  Its edges come after
+    those of graph g - 1 and index batch rows.
+    """
+
+    features: np.ndarray  # [n_nodes, width]
+    edges: np.ndarray     # [n_edges, 2]
+    sizes: np.ndarray     # [n_graphs] node counts
 
     @property
     def n_nodes(self) -> int:
@@ -463,30 +468,41 @@ class GraphBatch:
 
     @property
     def n_graphs(self) -> int:
-        return len(self.slices)
+        return int(self.sizes.shape[0])
+
+    @cached_property
+    def _starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First row and first edge of every graph, and its edge count."""
+        ends = np.cumsum(self.sizes)
+        owner = np.searchsorted(ends, self.edges[:, 0], side="right")
+        n_edges = np.bincount(owner, minlength=self.n_graphs)
+        return ends - self.sizes, np.cumsum(n_edges) - n_edges, n_edges
+
+    def take(self, idx) -> "GraphBatch":
+        """The graphs at idx, in that order, as a new batch."""
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        rows, first_edges, n_edges = (a[idx] for a in self._starts)
+        sizes = self.sizes[idx]
+        shift = np.repeat(np.cumsum(sizes) - sizes - rows, n_edges)
+        return GraphBatch(self.features[_runs(rows, sizes)],
+                          self.edges[_runs(first_edges, n_edges)]
+                          + shift[:, None],
+                          sizes)
 
     @classmethod
-    def from_graphs(cls, graphs: Sequence) -> "GraphBatch":
-        if not graphs:
+    def from_graphs(cls, batches: Sequence["GraphBatch"]) -> "GraphBatch":
+        """Disjoint union of batches, their graphs in order; a single
+        batch is returned as it is."""
+        if not batches:
             raise ValidationError("empty graph batch")
-        feats = []
-        edges = []
-        slices = []
-        offset = 0
-        for g in graphs:
-            n = g.features.shape[0]
-            feats.append(g.features)
-            if g.edges.size:
-                edges.append(g.edges + offset)
-            slices.append((offset, offset + n))
-            offset += n
-        all_edges = (np.concatenate(edges, axis=0) if edges
-                     else np.zeros((0, 2), dtype=np.int64))
-        return cls(
-            features=np.concatenate(feats, axis=0),
-            edges=all_edges,
-            slices=tuple(slices),
-        )
+        if len(batches) == 1:
+            return batches[0]
+        n_nodes = np.array([b.n_nodes for b in batches], dtype=np.int64)
+        offsets = np.cumsum(n_nodes) - n_nodes
+        return cls(np.concatenate([b.features for b in batches]),
+                   np.concatenate([b.edges + off
+                                   for b, off in zip(batches, offsets)]),
+                   np.concatenate([b.sizes for b in batches]))
 
 
 def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
@@ -515,9 +531,9 @@ def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
         score_prop = (prop if spec.operator == "gcn"
                       else gcn_matrix(batch.n_nodes, batch.edges))
         r = sag_mean_readout(h, score_prop, p["pool.score.W"],
-                             spec.sag_ratio, batch.slices)
+                             spec.sag_ratio, batch.sizes)
     else:
-        r = global_mean_readout(h, batch.slices)
+        r = global_mean_readout(h, batch.sizes)
 
     n_post = len(spec.post_widths)
     for i in range(n_post):

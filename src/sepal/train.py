@@ -182,18 +182,18 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
                         best_val_mse=val, alpha=alpha, ridge_lambda=lam)
 
 
-def spatial_predict(state: ModelState, graphs: Sequence,
+def spatial_predict(state: ModelState, graphs: GraphBatch,
                     chunk: int = EVAL_CHUNK) -> np.ndarray:
     """Forward every graph in fixed-size chunks over constant parameters,
     so no tape is recorded."""
-    if not graphs:
+    n = graphs.n_graphs
+    if n == 0:
         raise EmptySplit("no graphs to predict on")
     frozen = state.frozen()
-    outs = []
-    for k in range(0, len(graphs), chunk):
-        batch = GraphBatch.from_graphs(graphs[k:k + chunk])
-        outs.append(nn.spatial_forward(frozen, batch).data)
-    return np.concatenate(outs, axis=0)
+    return np.concatenate([
+        nn.spatial_forward(frozen,
+                           graphs.take(np.arange(k, min(k + chunk, n)))).data
+        for k in range(0, n, chunk)], axis=0)
 
 
 @dataclass
@@ -205,9 +205,9 @@ class Stage2Result:
     n_steps: int
 
 
-def stage2_train(train_graphs: Sequence, delta_hat_train: np.ndarray,
+def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
                  target_train: np.ndarray,
-                 val_graphs: Sequence | None,
+                 val_graphs: GraphBatch | None,
                  delta_hat_val: np.ndarray | None,
                  target_val: np.ndarray | None,
                  spec: ModelSpec, config: TrainConfig) -> Stage2Result:
@@ -218,19 +218,19 @@ def stage2_train(train_graphs: Sequence, delta_hat_train: np.ndarray,
     the history records the untouched model, whose correction is exactly
     zero, so its validation MSE is the stage-1 value.
     """
-    if len(train_graphs) == 0:
+    n = train_graphs.n_graphs
+    if n == 0:
         raise EmptySplit("stage 2 needs a non-empty train split")
     delta_hat_train = np.asarray(delta_hat_train, dtype=np.float64)
     target_train = np.asarray(target_train, dtype=np.float64)
     if delta_hat_train.shape != target_train.shape \
-            or delta_hat_train.shape[0] != len(train_graphs):
+            or delta_hat_train.shape[0] != n:
         raise ShapeMismatch("stage 2 train arrays misaligned")
-    has_val = val_graphs is not None and len(val_graphs) > 0
+    has_val = val_graphs is not None and val_graphs.n_graphs > 0
 
     state = nn.init_model_state(spec, config.seed)
     opt = Adam(list(state.params.values()), config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    n = len(train_graphs)
 
     def evaluate_val() -> float:
         s_hat = spatial_predict(state, val_graphs)
@@ -249,10 +249,10 @@ def stage2_train(train_graphs: Sequence, delta_hat_train: np.ndarray,
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         sq_sum = 0.0
+        seen = 0
         for k in range(0, n, config.batch_size):
             idx = perm[k:k + config.batch_size]
-            batch = GraphBatch.from_graphs([train_graphs[i] for i in idx])
-            s_hat = nn.spatial_forward(state, batch)
+            s_hat = nn.spatial_forward(state, train_graphs.take(idx))
             pred = nn.add(s_hat, nn.constant(delta_hat_train[idx]))
             loss = nn.mse(pred, nn.constant(target_train[idx]))
             if not np.isfinite(loss.data):
@@ -262,10 +262,11 @@ def stage2_train(train_graphs: Sequence, delta_hat_train: np.ndarray,
             opt.step()
             steps += 1
             sq_sum += float(loss.data) * len(idx)
+            seen += len(idx)
             if config.max_steps is not None and steps >= config.max_steps:
                 stop = True
                 break
-        train_mse = sq_sum / n
+        train_mse = sq_sum / seen
         val = evaluate_val() if has_val else None
         history.append(EpochRecord(epoch, train_mse, val,
                                    time.monotonic() - t0))
@@ -398,14 +399,14 @@ def load_stage2_checkpoint(path) -> TrainedModel:
 
 
 def predict_expression(model: TrainedModel, embeddings: np.ndarray,
-                       graphs: Sequence | None,
+                       graphs: GraphBatch | None,
                        train_mean: np.ndarray) -> np.ndarray:
     """Combined prediction: correction + head delta + train mean."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     delta_hat = linear_prediction(embeddings, model.head_weight,
                                   model.head_bias)
     if model.state is not None:
-        if graphs is None or len(graphs) != embeddings.shape[0]:
+        if graphs is None or graphs.n_graphs != embeddings.shape[0]:
             raise ShapeMismatch("need one graph per spot for stage-2 models")
         s_hat = spatial_predict(model.state, graphs)
         delta_hat = s_hat + delta_hat

@@ -2,21 +2,37 @@
 against: the straightforward versions they replaced.
 
 khop_subgraph scans the slide's whole edge list for the induced edges,
-assemble_graph encodes every node's offset on its own, and the two
-readouts build their pooling matrices and top-k choices graph by graph.
+assemble_graph encodes every node's offset on its own and returns one
+SpotGraph per center, from_graphs packs a list of such graphs into a
+GraphBatch one graph at a time, and the two readouts take (start, end)
+row slices and build their pooling matrices and top-k choices graph by
+graph.
 auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
 the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
 """
 
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 import scipy.sparse as sp
 
 from sepal.core import DegenerateCoordinates, ValidationError
-from sepal.graphs import SpotGraph, Subgraph, positional_encoding
-from sepal.nn import gather_rows, gcn_conv, mul, propagate, tanh
+from sepal.graphs import Subgraph, positional_encoding
+from sepal.nn import GraphBatch, gather_rows, gcn_conv, mul, propagate, tanh
+
+
+@dataclass(frozen=True)
+class SpotGraph:
+    """One local graph with its node features."""
+
+    slide_id: str
+    center_spot_id: str
+    nodes: np.ndarray
+    hops: np.ndarray
+    edges: np.ndarray
+    features: np.ndarray
 
 
 def khop_subgraph(adjacency, center, hops):
@@ -74,6 +90,32 @@ def assemble_graph(slide_spots, embeddings, subgraph, aggregation):
         edges=subgraph.edges,
         features=feats,
     )
+
+
+def spot_graphs(slide, adjacency, hops, aggregation):
+    """One SpotGraph per spot of the slide, in spot order."""
+    return [assemble_graph(slide.spots, slide.embeddings,
+                           khop_subgraph(adjacency, i, hops), aggregation)
+            for i in range(len(slide.spots))]
+
+
+def from_graphs(graphs):
+    """Disjoint union of objects with features and local edges."""
+    if not graphs:
+        raise ValidationError("empty graph batch")
+    feats, edges, sizes = [], [], []
+    offset = 0
+    for g in graphs:
+        n = g.features.shape[0]
+        feats.append(g.features)
+        if g.edges.size:
+            edges.append(g.edges + offset)
+        sizes.append(n)
+        offset += n
+    all_edges = (np.concatenate(edges, axis=0) if edges
+                 else np.zeros((0, 2), dtype=np.int64))
+    return GraphBatch(np.concatenate(feats, axis=0), all_edges,
+                      np.array(sizes, dtype=np.int64))
 
 
 def global_mean_readout(h, slices):

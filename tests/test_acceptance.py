@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import bfs_distances, grid_spots, hex_spots, random_adjacency
+from reference import from_graphs
 from sepal.cli import main as cli_main
 from sepal.core import ExpressionMatrix, align_slide
 from sepal.denoise import (
@@ -109,7 +110,7 @@ def layer_cases(rng):
     t_pool = constant(rng.standard_normal((2, 4)))
     t_single = constant(rng.standard_normal((1, 4)))
     cut = n // 2
-    slices = ((0, cut), (cut, n))
+    sizes = (cut, n - cut)
     return [
         ([x, w, b], lambda: mse(linear(x, w, b), t_nodes)),
         ([x], lambda: mse(elu(x), t_feat)),
@@ -117,25 +118,25 @@ def layer_cases(rng):
         ([x, w], lambda: mse(gcn_conv(x, prop, w), t_nodes)),
         ([x, w, w2, b], lambda: mse(graph_conv(x, adjm, w, w2, b),
                                     t_nodes)),
-        ([x], lambda: mse(global_mean_readout(x, slices), t_pool)),
+        ([x], lambda: mse(global_mean_readout(x, sizes), t_pool)),
         ([x, score_w], lambda: mse(
-            sag_mean_readout(x, prop, score_w, 0.5, ((0, n),)), t_single)),
+            sag_mean_readout(x, prop, score_w, 0.5, (n,)), t_single)),
     ]
 
 
 def random_batch(rng, width, n_graphs=2):
-    feats, edges, slices = [], [], []
+    feats, edges, sizes = [], [], []
     offset = 0
     for _ in range(n_graphs):
         n = int(rng.integers(3, 6))
         feats.append(rng.standard_normal((n, width)))
         edges.append(spanning_edges(rng, n) + offset)
-        slices.append((offset, offset + n))
+        sizes.append(n)
         offset += n
     return GraphBatch(
         features=np.concatenate(feats, axis=0),
         edges=np.concatenate(edges, axis=0),
-        slices=tuple(slices),
+        sizes=np.array(sizes, dtype=np.int64),
     )
 
 
@@ -377,16 +378,17 @@ def test_criterion_06_correction_starts_at_baseline():
     x = rng.standard_normal((40, 6))
     w_true = rng.standard_normal((5, 6))
     y = x @ w_true.T + 0.05 * rng.standard_normal((40, 5))
-    graphs = [_Graph(rng.standard_normal((3, 6)),
-                     np.array([[0, 1], [0, 2]])) for _ in range(40)]
+    graphs = from_graphs([_Graph(rng.standard_normal((3, 6)),
+                                 np.array([[0, 1], [0, 2]]))
+                          for _ in range(40)])
 
     s1 = stage1_train(x[:30], y[:30], x[30:], y[30:])
     dh = linear_prediction(x, s1.weight, s1.bias)
     spec = ModelSpec(in_width=6, n_genes=5, pre_widths=(),
                      operator="graphconv", gnn_widths=(8,),
                      pooling="global_mean", post_widths=(5,))
-    s2 = stage2_train(graphs[:30], dh[:30], y[:30], graphs[30:], dh[30:],
-                      y[30:], spec,
+    s2 = stage2_train(graphs.take(np.arange(30)), dh[:30], y[:30],
+                      graphs.take(np.arange(30, 40)), dh[30:], y[30:], spec,
                       TrainConfig(learning_rate=0.01, batch_size=16,
                                   max_epochs=3, patience=3, seed=3))
     exact = (s2.initial_val_mse == s1.best_val_mse
@@ -451,7 +453,8 @@ def test_criterion_07_neighborhood_signal(neighborhood_problem):
 def test_criterion_08_overfit_sanity(neighborhood_problem):
     start = time.perf_counter()
     tr = neighborhood_problem["train"]
-    x, d, graphs = tr["x"][:32], tr["delta"][:32], tr["graphs"][:32]
+    x, d = tr["x"][:32], tr["delta"][:32]
+    graphs = tr["graphs"].take(np.arange(32))
     s1 = stage1_train(x, d, None, None)
     dh = linear_prediction(x, s1.weight, s1.bias)
     s2 = stage2_train(graphs, dh, d, None, None, None, CORRECTION_SPEC,

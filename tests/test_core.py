@@ -163,7 +163,9 @@ class TestValidateDataset:
     def test_ok_report(self):
         m = manifest_for([entry("s0"), entry("s1", "val")])
         parts = {"s0": self._slide_parts("s0"), "s1": self._slide_parts("s1")}
-        assert validate_dataset(m, parts) is None
+        slides = validate_dataset(m, parts)
+        assert [s.slide_id for s in slides] == ["s0", "s1"]
+        assert [s.expression.spot_ids for s in slides] == [("a", "b")] * 2
 
     def test_gene_panel_mismatch(self):
         m = manifest_for([entry("s0"), entry("s1", "val")])

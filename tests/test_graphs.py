@@ -20,7 +20,9 @@ from sepal.graphs import (
     feature_width,
     khop_subgraph,
     positional_encoding,
+    slide_subgraphs,
 )
+from sepal.nn import GraphBatch, ModelSpec, init_model_state, spatial_forward
 from sepal.spatial import build_adjacency
 
 
@@ -154,7 +156,7 @@ class TestAssembleGraph:
         slide = make_slide(spots, d_emb=8)
         adj = build_adjacency(spots, "square_grid")
         sub = khop_subgraph(adj, 4, 1)
-        g = assemble_graph(slide.spots, slide.embeddings, sub, "sum")
+        g = assemble_graph(slide.spots, slide.embeddings, [sub], "sum")
         assert g.features.shape == (5, 8)
         # center node: zero offset encoding
         pe0 = positional_encoding(0, 0, 8)
@@ -170,7 +172,7 @@ class TestAssembleGraph:
         slide = make_slide(spots, d_emb=8)
         adj = build_adjacency(spots, "square_grid")
         sub = khop_subgraph(adj, 4, 1)
-        g = assemble_graph(slide.spots, slide.embeddings, sub, "concat")
+        g = assemble_graph(slide.spots, slide.embeddings, [sub], "concat")
         assert g.features.shape == (5, 16)
         np.testing.assert_array_equal(
             g.features[2, :8], slide.embeddings.vectors[3])
@@ -183,7 +185,7 @@ class TestAssembleGraph:
         adj = build_adjacency(spots, "square_grid")
         sub = khop_subgraph(adj, 0, 1)
         with pytest.raises(WidthNotDivisible):
-            assemble_graph(slide.spots, slide.embeddings, sub, "sum")
+            assemble_graph(slide.spots, slide.embeddings, [sub], "sum")
 
     def test_unknown_aggregation(self):
         spots = grid_spots(2, 2)
@@ -191,7 +193,7 @@ class TestAssembleGraph:
         adj = build_adjacency(spots, "square_grid")
         sub = khop_subgraph(adj, 0, 1)
         with pytest.raises(ValidationError):
-            assemble_graph(slide.spots, slide.embeddings, sub, "mean")
+            assemble_graph(slide.spots, slide.embeddings, [sub], "mean")
 
 
 class TestBuildSpotGraphs:
@@ -200,10 +202,13 @@ class TestBuildSpotGraphs:
         slide = make_slide(spots)
         adj = build_adjacency(spots, "square_grid")
         graphs = build_spot_graphs(slide, adj, 1, "sum")
-        assert len(graphs) == 9
-        assert [g.center_spot_id for g in graphs] == \
-            [s.spot_id for s in slide.spots]
-        assert graphs[4].n_nodes == 5
+        assert graphs.n_graphs == 9
+        # graph g's first row is its center: spot g at offset (0, 0)
+        centers = np.cumsum(graphs.sizes) - graphs.sizes
+        np.testing.assert_array_equal(
+            graphs.features[centers],
+            slide.embeddings.vectors + positional_encoding(0, 0, 8))
+        assert graphs.sizes[4] == 5
 
     def test_adjacency_size_guard(self):
         spots = grid_spots(3, 3)
@@ -231,59 +236,148 @@ def scattered_spots(rng, n):
             for i, c in enumerate(sorted(cells))]
 
 
-def assert_same_graphs(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.slide_id, g.center_spot_id) == (w.slide_id,
-                                                  w.center_spot_id)
-        for field in ("nodes", "hops", "edges", "features"):
-            a, b = getattr(g, field), getattr(w, field)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
-            assert a.tobytes() == b.tobytes(), field
+def assert_same_batch(got, want):
+    for field in ("features", "edges", "sizes"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
 
 
-def reference_graphs(slide, adj, hops, aggregation):
-    return [reference.assemble_graph(
-        slide.spots, slide.embeddings,
-        reference.khop_subgraph(adj, i, hops), aggregation)
-        for i in range(len(slide.spots))]
+def assert_same_subgraphs(adj, hops):
+    for sub in slide_subgraphs(adj, hops):
+        want = reference.khop_subgraph(adj, sub.center, hops)
+        for field in ("nodes", "hops", "edges"):
+            assert getattr(sub, field).tobytes() == \
+                getattr(want, field).tobytes(), field
+
+
+def random_case(seed, hops, aggregation, d_emb=8):
+    """A slide on a random adjacency, its packed graphs and the reference
+    per-graph list."""
+    adj, rng = random_adjacency(seed, connected=False)
+    slide = make_slide(scattered_spots(rng, adj.n_spots), d_emb, seed)
+    return (adj, rng, build_spot_graphs(slide, adj, hops, aggregation),
+            reference.spot_graphs(slide, adj, hops, aggregation))
+
+
+def lattice_slide(geometry, rows, cols):
+    spots = (hex_spots(rows, cols) if geometry == "hex_array"
+             else grid_spots(rows, cols))
+    slide = make_slide(spots, 8, rows * cols)
+    return slide, build_adjacency(slide.spots, geometry)
+
+
+def subsets(rng, n):
+    """Random index lists into n graphs: subsets, permutations, repeats."""
+    return [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False),
+            rng.permutation(n),
+            rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))]
 
 
 class TestAgainstReference:
-    """The neighbor-list walk and the per-offset encodings build the same
-    bytes as the edge scan and per-node encodings they replaced."""
+    """The packed batch holds the same bytes as the per-graph assembly and
+    per-graph union it replaced."""
 
     @given(st.integers(0, 10 ** 9), st.integers(1, 4),
            st.sampled_from(["sum", "concat"]), st.sampled_from([4, 8, 12]))
     def test_random_adjacency(self, seed, hops, aggregation, d_emb):
-        adj, rng = random_adjacency(seed, connected=False)
-        slide = make_slide(scattered_spots(rng, adj.n_spots), d_emb, seed)
-        assert_same_graphs(build_spot_graphs(slide, adj, hops, aggregation),
-                           reference_graphs(slide, adj, hops, aggregation))
+        adj, _, got, want = random_case(seed, hops, aggregation, d_emb)
+        assert_same_batch(got, reference.from_graphs(want))
+        assert_same_subgraphs(adj, hops)
 
     @given(st.sampled_from(["hex_array", "square_grid"]),
            st.integers(2, 7), st.integers(2, 7), st.integers(1, 4),
            st.sampled_from(["sum", "concat"]))
     def test_lattices(self, geometry, rows, cols, hops, aggregation):
-        spots = (hex_spots(rows, cols) if geometry == "hex_array"
-                 else grid_spots(rows, cols))
-        slide = make_slide(spots, 8, rows * cols)
-        adj = build_adjacency(slide.spots, geometry)
-        assert_same_graphs(build_spot_graphs(slide, adj, hops, aggregation),
-                           reference_graphs(slide, adj, hops, aggregation))
+        slide, adj = lattice_slide(geometry, rows, cols)
+        assert_same_batch(build_spot_graphs(slide, adj, hops, aggregation),
+                          reference.from_graphs(reference.spot_graphs(
+                              slide, adj, hops, aggregation)))
+        assert_same_subgraphs(adj, hops)
 
     @given(st.integers(0, 10 ** 9), st.integers(1, 4),
            st.sampled_from(["sum", "concat"]))
-    def test_assemble_without_precomputed_encodings(self, seed, hops,
-                                                    aggregation):
+    def test_assemble_any_subgraphs(self, seed, hops, aggregation):
         adj, rng = random_adjacency(seed)
         slide = make_slide(scattered_spots(rng, adj.n_spots), 8, seed)
-        center = int(rng.integers(0, adj.n_spots))
-        sub = khop_subgraph(adj, center, hops)
-        got = assemble_graph(slide.spots, slide.embeddings, sub, aggregation)
-        want = reference.assemble_graph(slide.spots, slide.embeddings, sub,
-                                        aggregation)
-        assert_same_graphs([got], [want])
+        subs = [khop_subgraph(adj, int(c), hops)
+                for c in rng.integers(0, adj.n_spots, size=5)]
+        got = assemble_graph(slide.spots, slide.embeddings, subs, aggregation)
+        want = [reference.assemble_graph(slide.spots, slide.embeddings, sub,
+                                         aggregation) for sub in subs]
+        assert_same_batch(got, reference.from_graphs(want))
+
+
+class TestTake:
+    """Batches taken by index hold the same bytes as the reference union
+    of the same graphs."""
+
+    @given(st.integers(0, 10 ** 9), st.integers(1, 4),
+           st.sampled_from(["sum", "concat"]))
+    def test_random_adjacency(self, seed, hops, aggregation):
+        _, rng, packed, graphs = random_case(seed, hops, aggregation)
+        for idx in subsets(rng, len(graphs)):
+            assert_same_batch(packed.take(idx), reference.from_graphs(
+                [graphs[i] for i in idx]))
+
+    @given(st.sampled_from(["hex_array", "square_grid"]),
+           st.integers(2, 6), st.integers(2, 6), st.integers(1, 4),
+           st.sampled_from(["sum", "concat"]), st.integers(0, 10 ** 9))
+    def test_lattices(self, geometry, rows, cols, hops, aggregation, seed):
+        slide, adj = lattice_slide(geometry, rows, cols)
+        packed = build_spot_graphs(slide, adj, hops, aggregation)
+        graphs = reference.spot_graphs(slide, adj, hops, aggregation)
+        for idx in subsets(np.random.default_rng(seed), len(graphs)):
+            assert_same_batch(packed.take(idx), reference.from_graphs(
+                [graphs[i] for i in idx]))
+
+    @given(st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=3),
+           st.integers(1, 3), st.sampled_from(["sum", "concat"]))
+    def test_union_then_take(self, seeds, hops, aggregation):
+        parts = [random_case(seed, hops, aggregation)[2] for seed in seeds]
+        union = GraphBatch.from_graphs(parts)
+        counts = np.array([p.n_graphs for p in parts])
+        firsts = np.cumsum(counts) - counts
+        rng = np.random.default_rng(seeds[0])
+        for idx in subsets(rng, union.n_graphs):
+            part = np.searchsorted(firsts, idx, side="right") - 1
+            want = reference.from_graphs([
+                parts[p].take([i - firsts[p]]) for p, i in zip(part, idx)])
+            assert_same_batch(union.take(idx), want)
+
+    def test_take_nothing_and_empty_union(self):
+        slide, adj = lattice_slide("square_grid", 2, 2)
+        packed = build_spot_graphs(slide, adj, 1, "sum")
+        empty = packed.take([])
+        assert (empty.n_graphs, empty.n_nodes) == (0, 0)
+        assert empty.edges.shape == (0, 2)
+        with pytest.raises(ValidationError):
+            GraphBatch.from_graphs([])
+
+
+class TestBatchedForward:
+    @given(st.sampled_from(["hex_array", "square_grid"]),
+           st.integers(2, 5), st.integers(2, 5), st.integers(1, 3),
+           st.sampled_from(["sum", "concat"]),
+           st.sampled_from(["gcn", "graphconv"]),
+           st.sampled_from(["sag_mean", "global_mean"]))
+    def test_equals_per_graph_forwards(self, geometry, rows, cols, hops,
+                                       aggregation, operator, pooling):
+        slide, adj = lattice_slide(geometry, rows, cols)
+        packed = build_spot_graphs(slide, adj, hops, aggregation)
+        spec = ModelSpec(in_width=packed.features.shape[1], n_genes=3,
+                         pre_widths=(5,), operator=operator,
+                         gnn_widths=(4,), pooling=pooling, sag_ratio=0.5,
+                         post_widths=(3,))
+        state = init_model_state(spec, rows * cols)
+        rng = np.random.default_rng(hops)
+        for t in state.params.values():
+            t.data = rng.normal(size=t.data.shape)
+        batched = spatial_forward(state, packed).data
+        for g in range(packed.n_graphs):
+            single = spatial_forward(state, packed.take([g])).data
+            np.testing.assert_allclose(batched[g], single[0], rtol=0,
+                                       atol=1e-12)
 
 
 class _Unscannable:

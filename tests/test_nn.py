@@ -160,7 +160,7 @@ class TestPropagationMatrices:
 class TestReadouts:
     def test_global_mean_two_graphs(self):
         h = constant(np.array([[2.0], [4.0], [9.0]]))
-        out = global_mean_readout(h, [(0, 2), (2, 3)])
+        out = global_mean_readout(h, [2, 1])
         np.testing.assert_allclose(out.data, [[3.0], [9.0]])
 
     def test_sag_keeps_top_half_by_score(self):
@@ -168,7 +168,7 @@ class TestReadouts:
         h = constant(np.array([[3.0], [1.0], [2.0], [0.0]]))
         w = Tensor(np.array([[1.0]]))
         prop = gcn_matrix(4, np.zeros((0, 2), dtype=np.int64))
-        out = sag_mean_readout(h, prop, w, 0.5, [(0, 4)])
+        out = sag_mean_readout(h, prop, w, 0.5, [4])
         want = (3.0 * np.tanh(3.0) + 2.0 * np.tanh(2.0)) / 2.0
         np.testing.assert_allclose(out.data, [[want]])
 
@@ -176,7 +176,7 @@ class TestReadouts:
         h = constant(np.array([[5.0], [5.0], [5.0], [5.0]]))
         w = Tensor(np.array([[1.0]]))
         prop = gcn_matrix(4, np.zeros((0, 2), dtype=np.int64))
-        out = sag_mean_readout(h, prop, w, 0.5, [(0, 4)])
+        out = sag_mean_readout(h, prop, w, 0.5, [4])
         want = 5.0 * np.tanh(5.0)
         np.testing.assert_allclose(out.data, [[want]])
 
@@ -185,7 +185,7 @@ class TestReadouts:
         h = constant(rng.normal(size=(5, 3)))
         w = Tensor(rng.normal(size=(1, 3)))
         prop = gcn_matrix(5, np.zeros((0, 2), dtype=np.int64))
-        out = sag_mean_readout(h, prop, w, 1.0, [(0, 5)])
+        out = sag_mean_readout(h, prop, w, 1.0, [5])
         score = h.data @ w.data.T
         want = (h.data * np.tanh(score)).mean(axis=0)
         np.testing.assert_allclose(out.data[0], want)
@@ -199,8 +199,7 @@ class TestReadouts:
         h_param = Tensor(h_arr)
 
         def loss_fn():
-            pooled = sag_mean_readout(h_param, prop, w, 0.5,
-                                      [(0, 3), (3, 6)])
+            pooled = sag_mean_readout(h_param, prop, w, 0.5, [3, 3])
             return mse(pooled, target)
         fd_gradient_check([h_param, w], loss_fn)
 
@@ -218,6 +217,8 @@ class TestReadoutsAgainstReference:
         n = sum(sizes)
         ends = np.cumsum(sizes)
         slices = [(int(e - k), int(e)) for k, e in zip(sizes, ends)]
+        # the readouts take graph sizes, the reference loops row slices
+        segments = {nn: sizes, reference: slices}
         # few distinct values, so scores tie within and across graphs
         h_arr = rng.integers(-2, 3, size=(n, 3)).astype(float)
         w_arr = np.array([[1.0, 0.0, 0.0]])
@@ -226,10 +227,11 @@ class TestReadoutsAgainstReference:
         def run(readout_module):
             h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
             if pooling == "sag_mean":
-                out = readout_module.sag_mean_readout(h, prop, w, ratio,
-                                                      slices)
+                out = readout_module.sag_mean_readout(
+                    h, prop, w, ratio, segments[readout_module])
             else:
-                out = readout_module.global_mean_readout(h, slices)
+                out = readout_module.global_mean_readout(
+                    h, segments[readout_module])
             backward(mean_all(mul(out, out)))
             return out.data, h.grad, w.grad
 
@@ -243,10 +245,20 @@ class TestReadoutsAgainstReference:
     def test_empty_graph_rejected(self):
         h = constant(np.ones((3, 1)))
         with pytest.raises(ValidationError):
-            global_mean_readout(h, [(0, 2), (2, 2)])
+            global_mean_readout(h, [3, 0])
         with pytest.raises(ValidationError):
             sag_mean_readout(h, gcn_matrix(3, np.zeros((0, 2), np.int64)),
-                             Tensor(np.ones((1, 1))), 0.5, [(0, 0), (0, 3)])
+                             Tensor(np.ones((1, 1))), 0.5, [0, 3])
+
+    def test_sizes_must_cover_every_row(self):
+        h = constant(np.ones((5, 1)))
+        prop = gcn_matrix(5, np.zeros((0, 2), np.int64))
+        for sizes in ([2, 2], [3, 3], [5, 1]):
+            with pytest.raises(ShapeMismatch, match="cover"):
+                global_mean_readout(h, sizes)
+            with pytest.raises(ShapeMismatch, match="cover"):
+                sag_mean_readout(h, prop, Tensor(np.ones((1, 1))), 0.5,
+                                 sizes)
 
 
 def tiny_spec(**kw):
@@ -267,7 +279,7 @@ def tiny_batch(rng, n_graphs=3, nodes_per=4, width=4):
         g.features = rng.normal(size=(nodes_per, width))
         g.edges = np.array([[0, i] for i in range(1, nodes_per)])
         graphs.append(g)
-    return GraphBatch.from_graphs(graphs)
+    return reference.from_graphs(graphs)
 
 
 class TestModelSpec:
@@ -355,9 +367,9 @@ class TestSpatialForward:
             g.features = rng.normal(size=(5, 4))
             g.edges = np.array([[0, 1], [0, 2], [0, 3], [0, 4], [1, 2]])
             graphs.append(g)
-        batched = spatial_forward(state, GraphBatch.from_graphs(graphs))
+        batched = spatial_forward(state, reference.from_graphs(graphs))
         for i, g in enumerate(graphs):
-            single = spatial_forward(state, GraphBatch.from_graphs([g]))
+            single = spatial_forward(state, reference.from_graphs([g]))
             np.testing.assert_allclose(batched.data[i], single.data[0],
                                        rtol=0, atol=1e-12)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from sepal import nn
 from sepal.core import DivergedLoss, EmptySplit, ValidationError
 from sepal.nn import GraphBatch, ModelSpec, Tensor, init_model_state
@@ -23,7 +24,7 @@ from sepal.train import (
 
 
 class ToyGraph:
-    """Minimal structure with the fields GraphBatch consumes."""
+    """Minimal structure with the fields reference.from_graphs packs."""
 
     def __init__(self, features, edges=None):
         self.features = np.asarray(features, dtype=float)
@@ -37,7 +38,7 @@ def star_graphs(rng, n, width, nodes_per=4):
         feats = rng.normal(size=(nodes_per, width))
         edges = np.array([[0, i] for i in range(1, nodes_per)])
         out.append(ToyGraph(feats, edges))
-    return out
+    return reference.from_graphs(out)
 
 
 class TestAdam:
@@ -189,8 +190,9 @@ class TestStage2:
         val_graphs = star_graphs(rng, n_val, width)
         # target depends on the mean of the star's leaves: spatial signal
         def targets(graphs):
-            t = np.stack([g.features[1:].mean(axis=0)[:genes]
-                          for g in graphs])
+            t = np.stack([star[1:].mean(axis=0)[:genes] for star in
+                          graphs.features.reshape(graphs.n_graphs, -1,
+                                                  width)])
             return t
         d_train = rng.normal(size=(n_train, genes)) * 0.1
         d_val = rng.normal(size=(n_val, genes)) * 0.1
@@ -250,8 +252,23 @@ class TestStage2:
 
     def test_empty_train_split(self):
         with pytest.raises(EmptySplit):
-            stage2_train([], np.zeros((0, 2)), np.zeros((0, 2)), None, None,
+            stage2_train(GraphBatch(np.zeros((0, 4)),
+                                    np.zeros((0, 2), dtype=np.int64),
+                                    np.zeros(0, dtype=np.int64)),
+                         np.zeros((0, 2)), np.zeros((0, 2)), None, None,
                          None, correction_spec(4, 2), TrainConfig())
+
+
+    def test_partial_epoch_mse_averages_the_samples_seen(self):
+        # every sample misses by 0.5, so every batch's MSE is 0.25
+        rng = np.random.default_rng(0)
+        graphs = star_graphs(rng, 8, 4)
+        res = stage2_train(graphs, np.zeros((8, 2)), np.full((8, 2), 0.5),
+                           None, None, None, correction_spec(4, 2),
+                           TrainConfig(learning_rate=0.0, batch_size=2,
+                                       max_steps=1, seed=0))
+        assert res.n_steps == 1
+        assert res.history[1].train_mse == 0.25
 
 
 class TestCheckpoints:
@@ -333,7 +350,7 @@ class TestPredict:
         for t in state.params.values():
             t.data = rng.normal(size=t.data.shape)
         graphs = star_graphs(rng, 6, 4)
-        recorded = nn.spatial_forward(state, GraphBatch.from_graphs(graphs))
+        recorded = nn.spatial_forward(state, graphs)
         assert recorded._parents
 
         created = []
