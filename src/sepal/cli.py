@@ -8,8 +8,12 @@ outputs into a stage directory under the run directory given by --out:
     select/       autocorrelation ranking and the reduced gene panel
     graphs/       neighborhood summary and graph-construction settings
     train/        checkpoints, training histories, the train-mean vector
-    eval/         metric tables and per-slide predictions
+    eval/         metric tables (pooled and per test slide) and predictions
     figures/      correlation histogram and example heatmaps
+
+Each command reads only the slides it uses (train: the train and val
+matrices; eval, figures: the test matrices and masks), and eval is the
+only scorer: figures draws from the tables and predictions eval wrote.
 
 Every run writes the fully resolved configuration to a config.tsv next
 to its outputs, so a run can be reproduced from the lockfile alone.
@@ -41,6 +45,7 @@ from .core import (
     TrainMeanVector,
     ValidationError,
     align_slide,
+    assert_mask_matches,
     validate_dataset,
 )
 from .graphs import AGGREGATIONS
@@ -146,6 +151,29 @@ def _read_stage_matrix(path: Path, want_stage: str, producer: str
             f"{path} carries stage {m.stage!r}, expected {want_stage!r}; "
             f"run `sepal {producer}` first")
     return m
+
+
+def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
+    """The slide's select output, checked against a gene panel if given."""
+    m = _read_stage_matrix(
+        Path(out) / "select" / f"{entry.slide_id}_selected.tsv",
+        "denoised", "select")
+    if panel is not None and m.gene_ids != tuple(panel):
+        raise ValidationError(
+            "checkpoint gene panel does not match select outputs")
+    return m
+
+
+def _selected_mask(out: Path, entry) -> ImputationMask:
+    return ingest.read_mask(_require(
+        Path(out) / "select" / f"{entry.slide_id}_mask.tsv", "select"))
+
+
+def _test_entries(manifest) -> list:
+    entries = [e for e in manifest.slides if e.split == "test"]
+    if not entries:
+        raise EmptySplit("no test-split slides in the manifest")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +316,10 @@ def cmd_select(args) -> None:
     subset = preprocess.apply_gene_subset(matrices, selected)
     for m in subset:
         ingest.write_expression(outdir / f"{m.slide_id}_selected.tsv", m)
-    for entry, m in zip(manifest.slides, matrices):
+    for entry in manifest.slides:
         mask = ingest.read_mask(den / f"{entry.slide_id}_mask.tsv")
-        idx = [mask.gene_ids.index(g) for g in selected]
-        ingest.write_mask(
-            outdir / f"{entry.slide_id}_mask.tsv",
-            ImputationMask(mask.slide_id, tuple(selected), mask.spot_ids,
-                           mask.values[:, idx]))
+        ingest.write_mask(outdir / f"{entry.slide_id}_mask.tsv",
+                          mask.subset_genes(selected))
     ingest.write_table(outdir / "genes.tsv", "gene_scores",
                        ("gene_id", "mean_score", "selected"),
                        [(s.gene_id, s.mean_score, s.selected)
@@ -318,7 +343,6 @@ def _read_slide(entry, matrix: ExpressionMatrix,
 
 def cmd_build_graphs(args) -> None:
     manifest = _manifest(args)
-    sel = Path(args.out) / "select"
     hops = _from_preset(args, "hops", 1)
     aggregation = _from_preset(args, "aggregation", "sum")
     if hops < 1:
@@ -329,9 +353,7 @@ def cmd_build_graphs(args) -> None:
     rows = []
     width = None
     for entry in manifest.slides:
-        m = _read_stage_matrix(sel / f"{entry.slide_id}_selected.tsv",
-                               "denoised", "select")
-        slide = _read_slide(entry, m)
+        slide = _read_slide(entry, _selected(args.out, entry))
         width = graphs_mod.feature_width(slide.embeddings.d_emb, aggregation)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
         for spot, sub in zip(slide.spots,
@@ -364,27 +386,6 @@ def _graphs_meta(out: Path) -> dict:
     return {r[0]: r[1] for r in rows}
 
 
-def _load_split_data(manifest, out: Path):
-    """Selected matrices, masks, spots, and embeddings per slide."""
-    sel = Path(out) / "select"
-    data = {}
-    for entry in manifest.slides:
-        m = _read_stage_matrix(sel / f"{entry.slide_id}_selected.tsv",
-                               "denoised", "select")
-        mask = ingest.read_mask(sel / f"{entry.slide_id}_mask.tsv")
-        data[entry.slide_id] = (entry, m, mask)
-    return data
-
-
-def _train_common(args):
-    manifest = _manifest(args)
-    out = Path(args.out)
-    data = _load_split_data(manifest, out)
-    gene_ids = next(iter(data.values()))[1].gene_ids
-    splits = {e.slide_id: e.split for e in manifest.slides}
-    return manifest, out, data, gene_ids, splits
-
-
 def _gather(manifest, split, read):
     """read(entry) for every slide of the split, in manifest order, stacked
     field by field: graph batches into one union, arrays with vstack.
@@ -415,16 +416,26 @@ def cmd_train(args) -> None:
             raise ValidationError(
                 f"`train --stage 1` takes no {', '.join(given)}; "
                 f"stage-2 settings go to `train --stage 2`")
-    manifest, out, data, gene_ids, splits = _train_common(args)
-    matrices = [data[e.slide_id][1] for e in manifest.slides]
+    manifest = _manifest(args)
+    out = Path(args.out)
     train_dir = out / "train"
+    gene_ids = None
+    if args.stage == 2:
+        head_w, head_b, gene_ids = train_mod.load_stage1_checkpoint(
+            _require(train_dir / "stage1.ckpt", "train --stage 1"))
+    # both stages fit on the train and val slides and never read a mask
+    matrices = {e.slide_id: _selected(out, e, gene_ids)
+                for e in manifest.slides if e.split in ("train", "val")}
     train_dir.mkdir(parents=True, exist_ok=True)
 
     if args.stage == 1:
-        mean = preprocess.compute_train_mean(matrices, splits)
+        mean = preprocess.compute_train_mean(
+            list(matrices.values()),
+            {e.slide_id: e.split for e in manifest.slides})
+        gene_ids = mean.gene_ids
 
         def read(entry):
-            m = data[entry.slide_id][1]
+            m = matrices[entry.slide_id]
             return (_embedding_rows(entry, m.spot_ids),
                     preprocess.to_delta(m, mean).values)
 
@@ -448,18 +459,13 @@ def cmd_train(args) -> None:
         return
 
     # stage 2
-    head_w, head_b, ckpt_genes = train_mod.load_stage1_checkpoint(
-        _require(train_dir / "stage1.ckpt", "train --stage 1"))
-    if ckpt_genes != gene_ids:
-        raise ValidationError(
-            "stage-1 checkpoint gene panel does not match select outputs")
     mean = _read_train_mean(train_dir, gene_ids)
     meta = _graphs_meta(out)
     hops = int(meta["hops"])
     aggregation = meta["aggregation"]
 
     def read(entry):
-        slide = _read_slide(entry, data[entry.slide_id][1])
+        slide = _read_slide(entry, matrices[entry.slide_id])
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
         return (graphs_mod.build_spot_graphs(slide, adjacency, hops,
                                              aggregation),
@@ -544,14 +550,12 @@ def _load_model(train_dir: Path):
     return model
 
 
-def _test_predictions(manifest, data, model, mean):
+def _test_predictions(manifest, out: Path, model, mean):
     """Per-test-slide (slide_id, pred, truth matrix, mask)."""
     results = []
-    for entry in manifest.slides:
-        if entry.split != "test":
-            continue
-        _, m, mask = data[entry.slide_id]
-        slide = _read_slide(entry, m, mask)
+    for entry in _test_entries(manifest):
+        slide = _read_slide(entry, _selected(out, entry, model.gene_ids),
+                            _selected_mask(out, entry))
         if model.state is not None:
             adjacency = spatial.build_adjacency(slide.spots,
                                                 manifest.geometry)
@@ -562,20 +566,17 @@ def _test_predictions(manifest, data, model, mean):
         pred = train_mod.predict_expression(model, slide.embeddings.vectors,
                                             gs, mean.means)
         results.append((entry.slide_id, pred, slide.expression, slide.mask))
-    if not results:
-        raise EmptySplit("no test-split slides in the manifest")
     return results
 
 
 def cmd_eval(args) -> None:
-    manifest, out, data, gene_ids, _ = _train_common(args)
+    manifest = _manifest(args)
+    out = Path(args.out)
     train_dir = out / "train"
     model = _load_model(train_dir)
-    if model.gene_ids != gene_ids:
-        raise ValidationError(
-            "checkpoint gene panel does not match select outputs")
+    gene_ids = model.gene_ids
     mean = _read_train_mean(train_dir, gene_ids)
-    results = _test_predictions(manifest, data, model, mean)
+    results = _test_predictions(manifest, out, model, mean)
 
     eval_dir = out / "eval"
     pred_dir = eval_dir / "predictions"
@@ -591,10 +592,9 @@ def cmd_eval(args) -> None:
                              "denoised"))
         rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
                                m.spot_ids)
-        per_slide_rows.append(
-            (slide_id, rep.mse, rep.mae, rep.pcc_gene, rep.pcc_patch,
-             rep.r2_gene, rep.r2_patch, rep.n_excluded_genes,
-             rep.n_excluded_patches, rep.n_masked))
+        metrics.write_per_gene_table(eval_dir / f"{slide_id}_per_gene.tsv",
+                                     rep)
+        per_slide_rows.append((slide_id, *metrics.summary_row(rep)))
         preds.append(pred)
         truths.append(m.values)
         masks.append(mask.values)
@@ -606,10 +606,7 @@ def cmd_eval(args) -> None:
     metrics.write_per_gene_table(eval_dir / "per_gene.tsv", pooled)
     metrics.write_per_patch_table(eval_dir / "per_patch.tsv", pooled)
     ingest.write_table(eval_dir / "per_slide.tsv", "per_slide",
-                       ("slide_id", "mse", "mae", "pcc_gene", "pcc_patch",
-                        "r2_gene", "r2_patch", "n_excluded_genes",
-                        "n_excluded_patches", "n_masked"),
-                       per_slide_rows)
+                       ("slide_id", *metrics.SUMMARY_FIELDS), per_slide_rows)
     _write_lock(eval_dir, "eval", {
         "manifest": str(args.manifest),
         "model": "stage2" if model.state is not None else "stage1",
@@ -619,44 +616,32 @@ def cmd_eval(args) -> None:
 
 
 def cmd_figures(args) -> None:
-    manifest, out, data, gene_ids, _ = _train_common(args)
+    # draws from eval's per-gene tables and predictions; scores nothing
+    manifest = _manifest(args)
+    out = Path(args.out)
     eval_dir = out / "eval"
-    _require(eval_dir / "metrics.tsv", "eval")
+    gene_ids, pooled = metrics.read_per_gene_pccs(
+        _require(eval_dir / "per_gene.tsv", "eval"))
     fig_dir = out / "figures"
-    fig_dir.mkdir(parents=True, exist_ok=True)
-
-    preds, truths, masks = [], [], []
-    per_slide = []
-    for entry in manifest.slides:
-        if entry.split != "test":
-            continue
-        m = data[entry.slide_id][1]
-        mask = data[entry.slide_id][2]
+    written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv",
+                                           gene_ids, pooled)]
+    for entry in _test_entries(manifest):
+        sid = entry.slide_id
         pred = ingest.read_expression(
-            _require(eval_dir / "predictions" /
-                     f"{entry.slide_id}_pred.tsv", "eval"))
-        if pred.spot_ids != m.spot_ids or pred.gene_ids != gene_ids:
-            raise ValidationError(
-                f"predictions for {entry.slide_id!r} are not aligned")
-        spots = _spots_for(entry, m.spot_ids)
-        per_slide.append((entry.slide_id, pred.values, m, mask, spots))
-        preds.append(pred.values)
-        truths.append(m.values)
-        masks.append(mask.values)
-    if not per_slide:
-        raise EmptySplit("no test-split slides in the manifest")
-
-    pooled = metrics.evaluate(np.vstack(preds), np.vstack(truths),
-                              np.vstack(masks), gene_ids)
-    written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv", pooled)]
-    for slide_id, pred, m, mask, spots in per_slide:
-        rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
-                               m.spot_ids)
-        written += metrics.emit_figures(rep, pred, m.values, mask.values,
-                                        spots, fig_dir / slide_id)
-    _write_lock(fig_dir, "figures", {
-        "manifest": str(args.manifest),
-    })
+            _require(eval_dir / "predictions" / f"{sid}_pred.tsv", "eval"))
+        m = _selected(out, entry)
+        mask = _selected_mask(out, entry)
+        table = metrics.read_per_gene_pccs(
+            _require(eval_dir / f"{sid}_per_gene.tsv", "eval"))
+        # eval wrote the predictions and tables on the checkpoint's panel
+        if (pred.spot_ids != m.spot_ids
+                or not pred.gene_ids == table[0] == gene_ids == m.gene_ids):
+            raise ValidationError(f"predictions for {sid!r} are not aligned")
+        assert_mask_matches(m, mask)
+        written += metrics.emit_figures(
+            *table, pred.values, m.values, mask.values,
+            _spots_for(entry, m.spot_ids), fig_dir / sid)
+    _write_lock(fig_dir, "figures", {"manifest": str(args.manifest)})
     print(f"figures: wrote {len(written)} files under {fig_dir}")
 
 

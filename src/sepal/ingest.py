@@ -17,6 +17,8 @@ Formats:
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -73,14 +75,25 @@ def _open_read(path):
         raise IoFailure(f"cannot read {path}: {e}") from e
 
 
+@contextmanager
 def _open_write(path, binary: bool = False):
+    """Open a temp file beside path; it replaces path only on a clean exit,
+    so a failed write leaves the old file (or none) and no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        if binary:
-            return open(path, "wb")
-        return open(path, "w", encoding="utf-8", newline="\n")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline="\n"))
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_tsv(path) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:

@@ -6,6 +6,9 @@ statistics pool all evaluation spots; patch-wise statistics run across the
 gene dimension within each spot.  Items whose truth side has no variance
 (or fewer than two usable cells) carry no defined statistic: they are
 reported as missing and counted, never silently zeroed.
+
+Figure helpers take (gene_ids, pccs) as `evaluate` or a per-gene table
+gives them, so drawing figures never scores again.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .core import (
     AllGenesExcluded,
     AllMasked,
     AllPatchesExcluded,
+    MalformedRow,
     ShapeMismatch,
     SpotRecord,
     ValidationError,
@@ -111,24 +115,11 @@ def _aligned(pred, truth, mask):
     return pred, truth, keep
 
 
-def _gene_lists(pred, truth, keep):
-    pccs, r2s = [], []
-    for j in range(truth.shape[1]):
-        rows = keep[:, j]
-        p, r = _stat_pair(truth[rows, j], pred[rows, j])
-        pccs.append(p)
-        r2s.append(r)
-    return pccs, r2s
-
-
-def _patch_lists(pred, truth, keep):
-    pccs, r2s = [], []
-    for i in range(truth.shape[0]):
-        cols = keep[i, :]
-        p, r = _stat_pair(truth[i, cols], pred[i, cols])
-        pccs.append(p)
-        r2s.append(r)
-    return pccs, r2s
+def _column_stats(pred, truth, keep):
+    """(pccs, r2s) of each column over its unmasked cells."""
+    pairs = [_stat_pair(truth[keep[:, j], j], pred[keep[:, j], j])
+             for j in range(truth.shape[1])]
+    return [p for p, _ in pairs], [r for _, r in pairs]
 
 
 def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
@@ -148,8 +139,9 @@ def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
         raise ShapeMismatch("gene_ids/spot_ids do not match matrix shape")
 
     mse, mae = masked_mse_mae(pred, truth, ~keep)
-    gene_pcc, gene_r2 = _gene_lists(pred, truth, keep)
-    patch_pcc, patch_r2 = _patch_lists(pred, truth, keep)
+    gene_pcc, gene_r2 = _column_stats(pred, truth, keep)
+    # a patch is a spot: its statistics run across the genes
+    patch_pcc, patch_r2 = _column_stats(pred.T, truth.T, keep.T)
 
     return MetricsReport(
         mse=mse,
@@ -179,25 +171,41 @@ def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
 # report tables
 
 
+# the summary statistics, in the order metrics.tsv and per_slide.tsv use
+SUMMARY_FIELDS = ("mse", "mae", "pcc_gene", "pcc_patch", "r2_gene",
+                  "r2_patch", "n_excluded_genes", "n_excluded_patches",
+                  "n_masked")
+
+
+def summary_row(report: MetricsReport) -> tuple:
+    """The report's SUMMARY_FIELDS values, in that order."""
+    return tuple(getattr(report, f) for f in SUMMARY_FIELDS)
+
+
 def write_metrics_table(path, report: MetricsReport) -> None:
-    rows = [
-        ("mse", report.mse),
-        ("mae", report.mae),
-        ("pcc_gene", report.pcc_gene),
-        ("pcc_patch", report.pcc_patch),
-        ("r2_gene", report.r2_gene),
-        ("r2_patch", report.r2_patch),
-        ("n_excluded_genes", report.n_excluded_genes),
-        ("n_excluded_patches", report.n_excluded_patches),
-        ("n_masked", report.n_masked),
-    ]
-    ingest.write_table(path, "metrics", ("metric", "value"), rows)
+    ingest.write_table(path, "metrics", ("metric", "value"),
+                       zip(SUMMARY_FIELDS, summary_row(report)))
 
 
 def write_per_gene_table(path, report: MetricsReport) -> None:
     rows = [(g, report.per_gene_pcc[j], report.per_gene_r2[j])
             for j, g in enumerate(report.gene_ids)]
     ingest.write_table(path, "per_gene", ("gene_id", "pcc", "r2"), rows)
+
+
+def read_per_gene_pccs(path) -> tuple[tuple[str, ...], tuple]:
+    """(gene_ids, pccs) of a per-gene table, None for an empty cell; the
+    PCCs were written with repr, so they read back to the same floats."""
+    comments, header, rows = ingest.read_table(path)
+    if comments.get("kind") != "per_gene" or header[:2] != ["gene_id", "pcc"]:
+        raise MalformedRow(f"{path} is not a per-gene table")
+    try:
+        pccs = tuple(float(r[1]) if r[1] else None for r in rows)
+    except (IndexError, ValueError):
+        raise MalformedRow(f"{path}: a pcc cell is not a number") from None
+    if any(v is not None and not -1.0 <= v <= 1.0 for v in pccs):
+        raise MalformedRow(f"{path}: a pcc lies outside [-1, 1]")
+    return tuple(r[0] for r in rows), pccs
 
 
 def write_per_patch_table(path, report: MetricsReport) -> None:
@@ -210,16 +218,17 @@ def write_per_patch_table(path, report: MetricsReport) -> None:
 # figures
 
 
-def pcc_histogram(report: MetricsReport) -> list[tuple[float, float, int]]:
+def pcc_histogram(gene_ids: Sequence[str], pccs: Sequence
+                  ) -> list[tuple[float, float, int]]:
     """(bin_left, bin_right, count) rows with 0.05-wide bins over [-1, 1].
 
-    Counts cover genes with a defined correlation; the closing bin is
-    right-inclusive so PCC = 1 lands in [0.95, 1.0].
+    Counts cover genes with a defined correlation (not None); the closing
+    bin is right-inclusive so PCC = 1 lands in [0.95, 1.0].
     """
     n_bins = int(round(2.0 / HIST_BIN_WIDTH))
     edges = -1.0 + HIST_BIN_WIDTH * np.arange(n_bins + 1)
     counts = [0] * n_bins
-    for v in report.per_gene_pcc:
+    for _, v in zip(gene_ids, pccs, strict=True):
         if v is None:
             continue
         idx = min(int((v + 1.0) / HIST_BIN_WIDTH), n_bins - 1)
@@ -228,34 +237,33 @@ def pcc_histogram(report: MetricsReport) -> list[tuple[float, float, int]]:
             for i in range(n_bins)]
 
 
-def _ranked_genes(report: MetricsReport) -> list[str]:
+def _ranked_genes(gene_ids: Sequence[str], pccs: Sequence) -> list[str]:
     """Defined-PCC gene ids, best correlation first, ties by gene id."""
-    scored = [(g, v) for g, v in zip(report.gene_ids, report.per_gene_pcc)
+    scored = [(g, v) for g, v in zip(gene_ids, pccs, strict=True)
               if v is not None]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [g for g, _ in scored]
 
 
-def write_pcc_histogram(path, report: MetricsReport) -> Path:
+def write_pcc_histogram(path, gene_ids: Sequence[str], pccs: Sequence
+                        ) -> Path:
     """Write the per-gene correlation histogram as a CSV; returns path."""
     path = Path(path)
     with ingest._open_write(path) as fh:
         fh.write("bin_left,bin_right,count\n")
-        for left, right, count in pcc_histogram(report):
+        for left, right, count in pcc_histogram(gene_ids, pccs):
             fh.write(f"{ingest.fmt_float(left)},"
                      f"{ingest.fmt_float(right)},{count}\n")
     return path
 
 
-def emit_figures(report: MetricsReport, pred, truth, mask,
+def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
                  spots: Sequence[SpotRecord], outdir) -> list[Path]:
-    """Write the correlation histogram and truth/prediction heatmap pairs.
-
-    Heatmaps cover the two best and two worst genes by correlation; masked
-    truth cells are drawn as missing.  Returns the written file paths.
+    """Write the histogram of pccs (pred vs truth per gene, None where
+    undefined) and truth/prediction heatmaps of the two best and two worst
+    genes; masked truth cells are drawn as missing.  Returns the paths.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     pred = _as_matrix("pred", pred)
     truth = _as_matrix("truth", truth)
     masked = np.asarray(mask, dtype=bool)
@@ -263,11 +271,11 @@ def emit_figures(report: MetricsReport, pred, truth, mask,
     if len(spots) != truth.shape[0]:
         raise ShapeMismatch("spots do not match matrix rows")
 
-    written = [write_pcc_histogram(outdir / "pcc_hist.csv", report)]
+    written = [write_pcc_histogram(outdir / "pcc_hist.csv", gene_ids, pccs)]
 
-    ranked = _ranked_genes(report)
+    ranked = _ranked_genes(gene_ids, pccs)
     chosen = dict.fromkeys(ranked[:2] + ranked[-2:])
-    index = {g: j for j, g in enumerate(report.gene_ids)}
+    index = {g: j for j, g in enumerate(gene_ids)}
     for gene in chosen:
         j = index[gene]
         for role, values, missing in (

@@ -6,13 +6,13 @@ The preprocessing chain runs in a fixed order on raw count matrices:
                            outside configured [min, max] ranges
   2. filter_by_sparsity    drop genes expressed in too few spots, judged
                            both pooled over all slides and per slide
-  3. tpm_normalize         length-normalized rate scaled to one million
+  3. tpm_normalize         counts scaled to one million per spot
   4. log_transform         log2(x + 1)
   5. center_per_slide      optional per-slide gene mean removal
 
 Gene totals and sparsity are judged over the pooled spot population of all
 slides; spot totals are judged within each slide.  Downstream supervision
-works on deltas against the train-split gene means, see to_delta/from_delta.
+works on deltas against the train-split gene means, see to_delta.
 """
 
 from __future__ import annotations
@@ -176,33 +176,18 @@ def apply_gene_subset(matrices: Sequence[ExpressionMatrix],
     return [m.subset_genes(gene_ids) for m in matrices]
 
 
-def tpm_normalize(matrix: ExpressionMatrix,
-                  gene_lengths: Mapping[str, float] | None = None
-                  ) -> ExpressionMatrix:
-    """Scale each spot to transcripts-per-million.
+def tpm_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
+    """Scale each spot to counts-per-million.
 
-    Each count is divided by its gene length (default 1 for every gene,
-    which reduces to counts-per-million), and each spot row is scaled so
-    the length-normalized rates sum to 1e6.  Spots with zero total stay
-    all-zero rather than dividing by zero.
+    Each spot row is scaled so its counts sum to 1e6.  Spots with zero
+    total stay all-zero rather than dividing by zero.
     """
     if matrix.stage not in ("raw_counts", "filtered"):
         raise ValidationError(
             f"tpm expects count data, got stage {matrix.stage!r}")
-    if gene_lengths is None:
-        lengths = np.ones(matrix.n_genes, dtype=np.float64)
-    else:
-        missing = [g for g in matrix.gene_ids if g not in gene_lengths]
-        if missing:
-            raise GeneSetMismatch(
-                f"no length for genes {missing[:5]} in {matrix.slide_id}")
-        lengths = np.array([float(gene_lengths[g]) for g in matrix.gene_ids])
-        if np.any(lengths <= 0):
-            raise ValidationError("gene lengths must be positive")
-    rates = matrix.values / lengths[None, :]
-    totals = rates.sum(axis=1, keepdims=True)
+    totals = matrix.values.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
-    out = rates / safe * 1e6
+    out = matrix.values / safe * 1e6
     return matrix.with_values(out, "tpm")
 
 
@@ -249,12 +234,3 @@ def to_delta(matrix: ExpressionMatrix, mean: TrainMeanVector
         raise GeneSetMismatch("delta transform on a different gene panel")
     return ExpressionMatrix(matrix.slide_id, matrix.gene_ids, matrix.spot_ids,
                             matrix.values - mean.means[None, :], "denoised")
-
-
-def from_delta(matrix: ExpressionMatrix, mean: TrainMeanVector
-               ) -> ExpressionMatrix:
-    """Add the train mean back onto every spot row."""
-    if matrix.gene_ids != mean.gene_ids:
-        raise GeneSetMismatch("delta transform on a different gene panel")
-    return ExpressionMatrix(matrix.slide_id, matrix.gene_ids, matrix.spot_ids,
-                            matrix.values + mean.means[None, :], "denoised")

@@ -61,6 +61,7 @@ class TestPipelineOutputs:
                     "eval/per_gene.tsv",
                     "eval/per_patch.tsv",
                     "eval/per_slide.tsv",
+                    "eval/synth02_per_gene.tsv",
                     "eval/predictions/synth02_pred.tsv",
                     "figures/pcc_hist.csv"):
             assert (out / rel).exists(), rel
@@ -160,6 +161,17 @@ class TestExitCodes:
         assert rc == 1
         assert "train --stage 2" in capsys.readouterr().err
         assert not (out / "eval").exists()
+
+    def test_model_on_another_gene_panel(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "repanel"
+        copy_stages(pipeline, out, ("denoise", "select", "graphs", "train"))
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        assert run("select", *base, "--n-genes", "5") == 0
+        capsys.readouterr()
+        for argv in (("train", "--stage", "2", "--epochs", "1"), ("eval",)):
+            assert run(argv[0], *base, *argv[1:]) == 1
+            assert "checkpoint gene panel does not match select outputs" \
+                in capsys.readouterr().err
 
     def test_select_before_denoise(self, pipeline, tmp_path, capsys):
         rc = run("select", "--manifest", pipeline["manifest"],
@@ -341,6 +353,98 @@ class TestStageWork:
         reads.clear()
         assert run("eval", *base) == 0
         assert len(reads) == 2 and set(reads.values()) == {1}
+
+
+    def test_each_command_reads_only_the_slides_it_uses(
+            self, pipeline, tmp_path, monkeypatch):
+        from collections import Counter
+        reads = Counter()
+        for name in ("read_expression", "read_mask"):
+            def counting(path, *args, _read=getattr(ingest, name),
+                         _name=name, **kw):
+                reads[(_name, Path(path).name)] += 1
+                return _read(path, *args, **kw)
+            monkeypatch.setattr(ingest, name, counting)
+        manifest = ingest.read_manifest(pipeline["manifest"])
+        fit = [e.slide_id for e in manifest.slides
+               if e.split in ("train", "val")]
+        test = [e.slide_id for e in manifest.slides if e.split == "test"]
+        assert fit and test
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train", "eval"))
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+
+        # training: the train and val matrices once each, never a mask
+        fit_reads = {("read_expression", f"{s}_selected.tsv"): 1
+                     for s in fit}
+        assert run("train", *base, "--stage", "1") == 0
+        assert dict(reads) == fit_reads
+        reads.clear()
+        assert run("train", *base, "--stage", "2", "--epochs", "1",
+                   "--patience", "1", "--hidden", "16") == 0
+        assert dict(reads) == fit_reads
+        reads.clear()
+
+        # eval and figures: the test slides' matrices and masks only
+        test_reads = {}
+        for s in test:
+            test_reads[("read_expression", f"{s}_selected.tsv")] = 1
+            test_reads[("read_mask", f"{s}_mask.tsv")] = 1
+        assert run("eval", *base) == 0
+        assert dict(reads) == test_reads
+        reads.clear()
+        assert run("figures", *base) == 0
+        assert dict(reads) == {
+            **test_reads,
+            **{("read_expression", f"{s}_pred.tsv"): 1 for s in test}}
+
+    def test_figures_draws_what_eval_scored(self, pipeline, tmp_path,
+                                            monkeypatch):
+        from sepal import metrics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("figures scored the predictions again")
+
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "eval"))
+        manifest = ingest.read_manifest(pipeline["manifest"])
+        (entry,) = [e for e in manifest.slides if e.split == "test"]
+        sid = entry.slide_id
+        pred = ingest.read_expression(
+            out / "eval" / "predictions" / f"{sid}_pred.tsv")
+        truth = ingest.read_expression(out / "select" / f"{sid}_selected.tsv")
+        mask = ingest.read_mask(out / "select" / f"{sid}_mask.tsv")
+        by_id = {s.spot_id: s
+                 for s in ingest.read_coordinates(entry.coords_path)}
+        spots = [by_id[s] for s in truth.spot_ids]
+        rep = metrics.evaluate(pred.values, truth.values, mask.values,
+                               truth.gene_ids, truth.spot_ids)
+        ref = tmp_path / "ref"
+        want = metrics.emit_figures(rep.gene_ids, rep.per_gene_pcc,
+                                    pred.values, truth.values, mask.values,
+                                    spots, ref / sid)
+        # one test slide: its scores are the pooled scores
+        want.append(metrics.write_pcc_histogram(
+            ref / "pcc_hist.csv", rep.gene_ids, rep.per_gene_pcc))
+
+        monkeypatch.setattr(metrics, "evaluate", refuse)
+        assert run("figures", "--manifest", pipeline["manifest"],
+                   "--out", str(out)) == 0
+        got = sorted(p.relative_to(out / "figures")
+                     for p in (out / "figures").rglob("*")
+                     if p.is_file() and p.name != "config.tsv")
+        assert got == sorted(p.relative_to(ref) for p in want)
+        for rel in got:
+            assert (out / "figures" / rel).read_bytes() == \
+                (ref / rel).read_bytes(), rel
+
+    def test_figures_without_eval_tables(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "eval"))
+        (out / "eval" / "synth02_per_gene.tsv").unlink()
+        assert run("figures", "--manifest", pipeline["manifest"],
+                   "--out", str(out)) == 1
+        assert "sepal eval" in capsys.readouterr().err
 
 
 class TestStartup:

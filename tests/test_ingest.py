@@ -196,6 +196,31 @@ class TestMask:
             read_mask(p)
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        ingest.write_table(p, "demo", ("a",), [(1,), (2,)])
+        before = p.read_bytes()
+
+        def rows():
+            yield (3,)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            ingest.write_table(p, "demo", ("a",), rows())
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["t.tsv"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        def rows():
+            raise RuntimeError("row source failed")
+            yield
+
+        with pytest.raises(RuntimeError):
+            ingest.write_table(tmp_path / "t.tsv", "demo", ("a",), rows())
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestManifest:
     def _manifest_text(self):
         return (

@@ -6,6 +6,7 @@ from sepal.core import (
     AllGenesExcluded,
     AllMasked,
     AllPatchesExcluded,
+    MalformedRow,
     ShapeMismatch,
 )
 from sepal.metrics import (
@@ -13,6 +14,7 @@ from sepal.metrics import (
     evaluate,
     masked_mse_mae,
     pcc_histogram,
+    read_per_gene_pccs,
     write_metrics_table,
     write_per_gene_table,
     write_per_patch_table,
@@ -226,6 +228,22 @@ class TestReportTables:
         _, ph, prows = ingest.read_table(pp)
         assert len(prows) == 12
 
+    def test_per_gene_pccs_read_back_exactly(self, tmp_path):
+        pred, truth, mask = random_instance(7)
+        truth[:, 2] = 1.5  # no variance: the gene has no PCC
+        rep = evaluate(pred, truth, mask)
+        assert rep.per_gene_pcc[2] is None
+        p = tmp_path / "per_gene.tsv"
+        write_per_gene_table(p, rep)
+        assert read_per_gene_pccs(p) == (rep.gene_ids, rep.per_gene_pcc)
+
+    def test_per_gene_reader_rejects_other_tables(self, tmp_path):
+        pred, truth, mask = random_instance(7)
+        p = tmp_path / "per_patch.tsv"
+        write_per_patch_table(p, evaluate(pred, truth, mask))
+        with pytest.raises(MalformedRow):
+            read_per_gene_pccs(p)
+
     def test_byte_determinism(self, tmp_path):
         pred, truth, mask = random_instance(5)
         rep = evaluate(pred, truth, mask)
@@ -244,7 +262,7 @@ class TestFigures:
 
     def test_histogram_counts_defined_genes(self):
         rep, *_ = self._report()
-        rows = pcc_histogram(rep)
+        rows = pcc_histogram(rep.gene_ids, rep.per_gene_pcc)
         assert len(rows) == 40
         assert rows[0][0] == -1.0 and abs(rows[-1][1] - 1.0) <= 1e-12
         defined = sum(1 for v in rep.per_gene_pcc if v is not None)
@@ -253,7 +271,7 @@ class TestFigures:
     def test_perfect_correlations_land_in_top_bin(self):
         _, truth, mask = random_instance(8)
         rep = evaluate(truth, truth, mask)
-        rows = pcc_histogram(rep)
+        rows = pcc_histogram(rep.gene_ids, rep.per_gene_pcc)
         assert rows[-1][2] == sum(
             1 for v in rep.per_gene_pcc if v is not None)
         assert sum(c for _, _, c in rows[:-1]) == 0
@@ -261,7 +279,8 @@ class TestFigures:
     def test_emit_writes_expected_files(self, tmp_path):
         rep, pred, truth, mask = self._report()
         spots = grid_spots(4, 4)
-        files = emit_figures(rep, pred, truth, mask, spots, tmp_path)
+        files = emit_figures(rep.gene_ids, rep.per_gene_pcc, pred, truth,
+                             mask, spots, tmp_path)
         names = {f.name for f in files}
         assert "pcc_hist.csv" in names
         ranked = sorted(
@@ -278,7 +297,9 @@ class TestFigures:
     def test_emit_deterministic_bytes(self, tmp_path):
         rep, pred, truth, mask = self._report(seed=11)
         spots = grid_spots(4, 4)
-        a = emit_figures(rep, pred, truth, mask, spots, tmp_path / "a")
-        b = emit_figures(rep, pred, truth, mask, spots, tmp_path / "b")
+        a = emit_figures(rep.gene_ids, rep.per_gene_pcc, pred, truth, mask,
+                         spots, tmp_path / "a")
+        b = emit_figures(rep.gene_ids, rep.per_gene_pcc, pred, truth, mask,
+                         spots, tmp_path / "b")
         for fa, fb in zip(a, b):
             assert fa.read_bytes() == fb.read_bytes()
