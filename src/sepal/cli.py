@@ -7,7 +7,9 @@ outputs into a stage directory under the run directory given by --out:
     denoise/      imputed expression plus the imputation masks
     select/       autocorrelation ranking and the reduced gene panel
     graphs/       neighborhood summary and graph-construction settings
-    train/        checkpoints, training histories, the train-mean vector
+    train/        model checkpoints and training histories; a checkpoint is
+                  one numpy archive holding the gene panel, train mean,
+                  head and, for stage 2, the graph correction
     eval/         metric tables (pooled and per test slide) and predictions
     figures/      correlation histogram and example heatmaps
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -145,12 +148,11 @@ def _embedding_rows(entry, spot_ids) -> np.ndarray:
 def _read_stage_matrix(path: Path, want_stage: str, producer: str
                        ) -> ExpressionMatrix:
     _require(path, producer)
-    m = ingest.read_expression(path, default_stage=want_stage)
-    if m.stage != want_stage:
+    try:
+        return ingest.read_expression(path, want_stage)
+    except StageOrderViolation as e:
         raise StageOrderViolation(
-            f"{path} carries stage {m.stage!r}, expected {want_stage!r}; "
-            f"run `sepal {producer}` first")
-    return m
+            f"{e}; run `sepal {producer}` first") from None
 
 
 def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
@@ -421,8 +423,9 @@ def cmd_train(args) -> None:
     train_dir = out / "train"
     gene_ids = None
     if args.stage == 2:
-        head_w, head_b, gene_ids = train_mod.load_stage1_checkpoint(
+        stage1 = train_mod.load_model(
             _require(train_dir / "stage1.ckpt", "train --stage 1"))
+        gene_ids = stage1.gene_ids
     # both stages fit on the train and val slides and never read a mask
     matrices = {e.slide_id: _selected(out, e, gene_ids)
                 for e in manifest.slides if e.split in ("train", "val")}
@@ -432,7 +435,6 @@ def cmd_train(args) -> None:
         mean = preprocess.compute_train_mean(
             list(matrices.values()),
             {e.slide_id: e.split for e in manifest.slides})
-        gene_ids = mean.gene_ids
 
         def read(entry):
             m = matrices[entry.slide_id]
@@ -442,12 +444,11 @@ def cmd_train(args) -> None:
         x_train, y_train = _gather(manifest, "train", read)
         x_val, y_val = _gather(manifest, "val", read) or (None, None)
         result = train_mod.stage1_train(x_train, y_train, x_val, y_val)
-        train_mod.save_stage1_checkpoint(train_dir / "stage1.ckpt", result,
-                                         gene_ids)
+        train_mod.save_model(
+            train_dir / "stage1.ckpt",
+            train_mod.TrainedModel(mean.gene_ids, mean.means, result.weight,
+                                   result.bias))
         _write_history(train_dir / "stage1_history.tsv", result.history)
-        ingest.write_table(train_dir / "train_mean.tsv", "train_mean",
-                           ("gene_id", "mean"),
-                           list(zip(mean.gene_ids, mean.means)))
         _write_lock(train_dir, "train", {
             "manifest": str(args.manifest), "stage": 1,
             "alpha": result.alpha, "lambda": result.ridge_lambda,
@@ -459,7 +460,7 @@ def cmd_train(args) -> None:
         return
 
     # stage 2
-    mean = _read_train_mean(train_dir, gene_ids)
+    mean = TrainMeanVector(gene_ids, stage1.train_mean)
     meta = _graphs_meta(out)
     hops = int(meta["hops"])
     aggregation = meta["aggregation"]
@@ -470,7 +471,8 @@ def cmd_train(args) -> None:
         return (graphs_mod.build_spot_graphs(slide, adjacency, hops,
                                              aggregation),
                 train_mod.linear_prediction(slide.embeddings.vectors,
-                                            head_w, head_b),
+                                            stage1.head_weight,
+                                            stage1.head_bias),
                 preprocess.to_delta(slide.expression, mean).values)
 
     train = _gather(manifest, "train", read)
@@ -498,9 +500,8 @@ def cmd_train(args) -> None:
                       max_epochs=opt("epochs"), patience=opt("patience"),
                       seed=opt("seed"), max_steps=opt("max_steps"))
     result = train_mod.stage2_train(*train, *val, spec, cfg)
-    train_mod.save_stage2_checkpoint(train_dir / "stage2.ckpt", head_w,
-                                     head_b, result.state, gene_ids, hops,
-                                     aggregation)
+    train_mod.save_model(train_dir / "stage2.ckpt", replace(
+        stage1, state=result.state, hops=hops, aggregation=aggregation))
     _write_history(train_dir / "stage2_history.tsv", result.history)
     _write_lock(train_dir, "train", {
         "manifest": str(args.manifest), "stage": 2,
@@ -524,33 +525,24 @@ def cmd_train(args) -> None:
           f"{'none' if best is None else f'{best:.6f}'}")
 
 
-def _read_train_mean(train_dir: Path, gene_ids) -> TrainMeanVector:
-    path = _require(train_dir / "train_mean.tsv", "train --stage 1")
-    _, _, rows = ingest.read_table(path)
-    got = tuple(r[0] for r in rows)
-    if got != tuple(gene_ids):
-        raise ValidationError(
-            "train_mean.tsv gene panel does not match select outputs")
-    return TrainMeanVector(got, np.array([float(r[1]) for r in rows]))
-
-
 def _load_model(train_dir: Path):
-    stage1 = _require(train_dir / "stage1.ckpt", "train --stage 1")
-    w, b, genes = train_mod.load_stage1_checkpoint(stage1)
-    stage2 = train_dir / "stage2.ckpt"
-    if not stage2.exists():
-        return train_mod.TrainedModel(genes, w, b, None, 1, "sum")
-    model = train_mod.load_stage2_checkpoint(stage2)
-    # stage 2 embeds the head it was trained on; a newer stage 1 voids it
-    if not (np.array_equal(model.head_weight, w)
-            and np.array_equal(model.head_bias, b)):
+    stage1_path = _require(train_dir / "stage1.ckpt", "train --stage 1")
+    stage1 = train_mod.load_model(stage1_path)
+    stage2_path = train_dir / "stage2.ckpt"
+    if not stage2_path.exists():
+        return stage1
+    model = train_mod.load_model(stage2_path)
+    # stage 2 embeds the stage-1 model it was trained on; a newer one voids it
+    if not (model.gene_ids == stage1.gene_ids
+            and all(np.array_equal(getattr(model, k), getattr(stage1, k))
+                    for k in ("train_mean", "head_weight", "head_bias"))):
         raise StageOrderViolation(
-            f"{stage2} was trained on another head than {stage1}; "
-            f"run `sepal train --stage 2` again")
+            f"{stage2_path} was trained on another gene panel, train mean "
+            f"or head than {stage1_path}; run `sepal train --stage 2` again")
     return model
 
 
-def _test_predictions(manifest, out: Path, model, mean):
+def _test_predictions(manifest, out: Path, model):
     """Per-test-slide (slide_id, pred, truth matrix, mask)."""
     results = []
     for entry in _test_entries(manifest):
@@ -564,7 +556,7 @@ def _test_predictions(manifest, out: Path, model, mean):
         else:
             gs = None
         pred = train_mod.predict_expression(model, slide.embeddings.vectors,
-                                            gs, mean.means)
+                                            gs)
         results.append((entry.slide_id, pred, slide.expression, slide.mask))
     return results
 
@@ -572,11 +564,9 @@ def _test_predictions(manifest, out: Path, model, mean):
 def cmd_eval(args) -> None:
     manifest = _manifest(args)
     out = Path(args.out)
-    train_dir = out / "train"
-    model = _load_model(train_dir)
+    model = _load_model(out / "train")
     gene_ids = model.gene_ids
-    mean = _read_train_mean(train_dir, gene_ids)
-    results = _test_predictions(manifest, out, model, mean)
+    results = _test_predictions(manifest, out, model)
 
     eval_dir = out / "eval"
     pred_dir = eval_dir / "predictions"
@@ -627,8 +617,8 @@ def cmd_figures(args) -> None:
                                            gene_ids, pooled)]
     for entry in _test_entries(manifest):
         sid = entry.slide_id
-        pred = ingest.read_expression(
-            _require(eval_dir / "predictions" / f"{sid}_pred.tsv", "eval"))
+        pred = _read_stage_matrix(
+            eval_dir / "predictions" / f"{sid}_pred.tsv", "denoised", "eval")
         m = _selected(out, entry)
         mask = _selected_mask(out, entry)
         table = metrics.read_per_gene_pccs(
@@ -714,8 +704,12 @@ def build_parser() -> _Parser:
     p.add_argument("--sag-ratio", type=float, default=None)
     p.add_argument("--pre-mlp", type=_widths, default=None,
                    help="comma-separated widths, empty for none")
-    p.add_argument("--hidden", type=_widths, default=None)
-    p.add_argument("--post-mlp", type=_widths, default=None)
+    p.add_argument("--hidden", type=_widths, default=None,
+                   help="graph-layer widths; with no post-MLP the last "
+                        "is replaced by the gene count")
+    p.add_argument("--post-mlp", type=_widths, default=None,
+                   help="widths after pooling; the last is replaced by the "
+                        "gene count")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)

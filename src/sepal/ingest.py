@@ -1,16 +1,20 @@
 """File formats: TSV tables, dataset manifests, checkpoints, heatmaps.
 
 Every artifact the pipeline writes is deterministic down to the byte for a
-fixed input: floats are serialized with repr (shortest round-trip form),
-newlines are always "\\n", and row order is always the canonical spot order.
+fixed input: text floats are serialized with repr (shortest round-trip
+form), newlines are always "\\n", row order is always the canonical spot
+order, and checkpoint arrays keep their exact float64 bits.
 
 Formats:
   coordinates   TSV: spot_id slide_id pixel_x pixel_y array_row array_col
   expression    TSV: spot_id then one column per gene; #stage= comment
+                (required between stages; a dataset input without one
+                holds raw counts)
   embeddings    TSV: spot_id then e0..e{d-1}
   mask          TSV: spot_id then one 0/1 column per gene
   manifest      sectioned key = value text (toml-like subset)
-  checkpoint    SEPALCKPT1 magic, meta lines, text tensors with shape headers
+  checkpoint    uncompressed numpy archive (np.savez): named arrays plus a
+                (key, value) meta string array; read with allow_pickle=False
   heatmap       binary P6 PPM plus a CSV of the plotted values
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -38,6 +43,7 @@ from .core import (
     ShapeMismatch,
     SlideEntry,
     SpotRecord,
+    StageOrderViolation,
     ValidationError,
     WidthMismatch,
     canonical_order,
@@ -45,7 +51,7 @@ from .core import (
 from .spatial import min_pixel_spacing
 
 FORMAT_VERSION = "1"
-CHECKPOINT_MAGIC = "SEPALCKPT1"
+CHECKPOINT_META = "meta"
 
 COORD_COLUMNS = ("spot_id", "slide_id", "pixel_x", "pixel_y",
                  "array_row", "array_col")
@@ -68,9 +74,10 @@ def fmt_value(x) -> str:
     return str(x)
 
 
-def _open_read(path):
+def _open_read(path, binary: bool = False):
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        return (open(path, "rb") if binary
+                else open(path, "r", encoding="utf-8", newline=""))
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
 
@@ -220,12 +227,21 @@ def _read_value_table(path, kind: str):
     return comments, col_ids, spot_ids, values
 
 
-def read_expression(path, default_stage: str = "raw_counts") -> ExpressionMatrix:
-    """Read an expression TSV.  Stage comes from the #stage= comment."""
+def read_expression(path, stage: str | None = None) -> ExpressionMatrix:
+    """Read an expression TSV.  Stage comes from the #stage= comment.
+
+    A dataset input may lack the comment and then holds raw counts.  An
+    inter-stage matrix is read with the stage it must carry: any other
+    tag, or none, raises StageOrderViolation before a value is checked.
+    """
     comments, gene_ids, spot_ids, values = _read_value_table(path, "expression")
-    stage = comments.get("stage", default_stage)
+    tag = comments.get("stage")
+    if stage is not None and tag != stage:
+        raise StageOrderViolation(
+            f"{path} carries stage tag {tag!r}, expected {stage!r}")
     return ExpressionMatrix(_slide_id_for(path, comments), tuple(gene_ids),
-                            tuple(spot_ids), values, stage)
+                            tuple(spot_ids), values,
+                            "raw_counts" if tag is None else tag)
 
 
 def write_expression(path, matrix: ExpressionMatrix) -> None:
@@ -283,12 +299,10 @@ def write_mask(path, mask: ImputationMask) -> None:
 
 
 def write_table(path, kind: str, columns: Sequence[str],
-                rows: Iterable[Sequence], extra_comments: Sequence[str] = ()) -> None:
+                rows: Iterable[Sequence]) -> None:
     """Write a generic report table with the standard comment prologue."""
     with _open_write(path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind={kind}\n")
-        for c in extra_comments:
-            fh.write(f"#{c}\n")
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(fmt_value(v) for v in row) + "\n")
@@ -453,85 +467,29 @@ def load_dataset(manifest: DatasetManifest):
 # checkpoints
 
 def write_checkpoint(path, meta: Mapping[str, str],
-                     tensors: Mapping[str, np.ndarray]) -> None:
-    """Text checkpoint: magic line, meta lines, then shape-headed tensors."""
-    with _open_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(f"meta\tformat_version\t{FORMAT_VERSION}\n")
-        for k, v in meta.items():
-            if "\t" in k or "\n" in str(v):
-                raise ValidationError(f"checkpoint meta {k!r} not serializable")
-            fh.write(f"meta\t{k}\t{v}\n")
-        for name, arr in tensors.items():
-            a = np.asarray(arr, dtype=np.float64)
-            if a.ndim not in (1, 2):
-                raise ShapeMismatch(
-                    f"tensor {name!r} must be 1-d or 2-d, got {a.ndim}-d")
-            shape = ",".join(str(d) for d in a.shape)
-            fh.write(f"tensor\t{name}\t{shape}\n")
-            rows = a.reshape(1, -1) if a.ndim == 1 else a
-            for row in rows:
-                fh.write("\t".join(fmt_float(v) for v in row) + "\n")
+                     arrays: Mapping[str, np.ndarray]) -> None:
+    """One uncompressed numpy archive: the named arrays, and meta as a
+    (key, value) string array under CHECKPOINT_META."""
+    entries = {"format_version": FORMAT_VERSION, **meta}
+    with _open_write(path, binary=True) as fh:
+        np.savez(fh, **{CHECKPOINT_META: np.array(list(entries.items()),
+                                                  dtype=str)}, **arrays)
 
 
 def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
-    with _open_read(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != CHECKPOINT_MAGIC:
-            raise ValidationError(f"{path}: bad checkpoint magic {first!r}")
-        pending: tuple[str, tuple[int, ...]] | None = None
-        collected: list[list[float]] = []
-
-        def flush():
-            nonlocal pending, collected
-            if pending is None:
-                return
-            name, shape = pending
-            flat = np.array(collected, dtype=np.float64)
-            want_rows = 1 if len(shape) == 1 else shape[0]
-            if flat.shape[0] != want_rows:
-                raise MalformedRow(
-                    f"{path}: tensor {name!r} has {flat.shape[0]} rows, "
-                    f"expected {want_rows}")
-            tensors[name] = flat.reshape(shape)
-            pending, collected = None, []
-
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if fields[0] == "meta":
-                flush()
-                if len(fields) != 3:
-                    raise MalformedRow(f"{path}:{line_no}: bad meta line")
-                meta[fields[1]] = fields[2]
-            elif fields[0] == "tensor":
-                flush()
-                if len(fields) != 3:
-                    raise MalformedRow(f"{path}:{line_no}: bad tensor header")
-                try:
-                    shape = tuple(int(d) for d in fields[2].split(","))
-                except ValueError:
-                    raise MalformedRow(
-                        f"{path}:{line_no}: bad tensor shape "
-                        f"{fields[2]!r}") from None
-                pending = (fields[1], shape)
-            else:
-                if pending is None:
-                    raise MalformedRow(
-                        f"{path}:{line_no}: data outside any tensor")
-                width = pending[1][-1]
-                if len(fields) != width:
-                    raise MalformedRow(
-                        f"{path}:{line_no}: {len(fields)} values, "
-                        f"expected {width}")
-                collected.append(
-                    [_parse_float(t, path, line_no) for t in fields])
-        flush()
-    return meta, tensors
+    with _open_read(path, binary=True) as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            meta = dict(arrays.pop(CHECKPOINT_META).tolist())
+        # what np.load raises on text, a bare .npy, a truncated zip or an
+        # object array, and what a missing or malformed meta entry raises
+        except (AttributeError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile):
+            raise ValidationError(
+                f"{path} is not a checkpoint archive; run `sepal train` "
+                f"again") from None
+    return meta, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +519,14 @@ def color_ramp() -> np.ndarray:
 
 
 def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
-                  missing: np.ndarray | None = None) -> tuple[Path, Path]:
+                  missing: np.ndarray | None = None,
+                  spacing: float | None = None) -> tuple[Path, Path]:
     """Render one gene map as colored discs at the spots' pixel positions.
 
     Writes a binary PPM and a same-named CSV with the plotted values.
     Spots with missing=True are drawn gray and get an empty CSV cell.
+    spacing is min_pixel_spacing(spots), computed here when not given;
+    pass it to draw several maps of one slide with one O(n^2) pass.
     Returns (ppm_path, csv_path).
     """
     ppm_path = Path(ppm_path)
@@ -587,7 +548,7 @@ def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
     xs = np.array([s.pixel_x for s in spots])
     ys = np.array([s.pixel_y for s in spots])
     if n > 1:
-        dmin = min_pixel_spacing(spots)
+        dmin = min_pixel_spacing(spots) if spacing is None else spacing
         scale = 2.0 * _DISC_TARGET_PX / dmin
     else:
         scale = 1.0

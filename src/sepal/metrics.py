@@ -30,6 +30,7 @@ from .core import (
     ValidationError,
 )
 from . import ingest
+from .spatial import min_pixel_spacing
 
 HIST_BIN_WIDTH = 0.05
 
@@ -276,12 +277,15 @@ def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
     ranked = _ranked_genes(gene_ids, pccs)
     chosen = dict.fromkeys(ranked[:2] + ranked[-2:])
     index = {g: j for j, g in enumerate(gene_ids)}
+    # every heatmap of the slide shares one spacing pass
+    spacing = min_pixel_spacing(spots) if len(spots) > 1 else None
     for gene in chosen:
         j = index[gene]
         for role, values, missing in (
                 ("truth", truth[:, j], masked[:, j]),
                 ("pred", pred[:, j], None)):
             ppm, csv = ingest.write_heatmap(
-                outdir / f"{gene}_{role}.ppm", spots, values, missing)
+                outdir / f"{gene}_{role}.ppm", spots, values, missing,
+                spacing)
             written.extend([ppm, csv])
     return written

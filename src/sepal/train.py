@@ -18,7 +18,7 @@ with like.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -294,113 +294,73 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
 
 @dataclass
 class TrainedModel:
-    """Everything needed to predict: head, optional correction, geometry."""
+    """Everything needed to predict: gene panel, train mean, head, optional
+    correction, geometry."""
 
     gene_ids: tuple[str, ...]
+    train_mean: np.ndarray
     head_weight: np.ndarray
     head_bias: np.ndarray
-    state: ModelState | None
-    hops: int
-    aggregation: str
+    state: ModelState | None = None
+    hops: int = 1
+    aggregation: str = "sum"
 
 
-def _join_genes(gene_ids: Sequence[str]) -> str:
-    for g in gene_ids:
-        if "," in g or "\t" in g:
-            raise ValidationError(f"gene id {g!r} not serializable")
-    return ",".join(gene_ids)
+_WIDTHS = ("pre_widths", "gnn_widths", "post_widths")
 
 
-def _join_widths(widths: Sequence[int]) -> str:
-    return ",".join(str(w) for w in widths)
+def save_model(path, model: TrainedModel) -> None:
+    """One checkpoint archive: gene panel, train mean and head, plus the
+    correction's spec and parameters when the model has one."""
+    meta = {"stage": "1"}
+    arrays = {"genes": np.array(model.gene_ids, dtype=str),
+              "train_mean": model.train_mean,
+              "head.W": model.head_weight, "head.b": model.head_bias}
+    if model.state is not None:
+        spec = model.state.spec
+        meta = {
+            "stage": "2",
+            "in_width": str(spec.in_width),
+            "operator": spec.operator,
+            "pooling": spec.pooling,
+            "sag_ratio": repr(spec.sag_ratio),
+            "hops": str(model.hops),
+            "aggregation": model.aggregation,
+            "seed": str(model.state.seed),
+        }
+        for key in _WIDTHS:
+            arrays[key] = np.array(getattr(spec, key), dtype=np.int64)
+        for name, t in model.state.params.items():
+            arrays[name] = t.data
+    write_checkpoint(path, meta, arrays)
 
 
-def _split_widths(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",")) if text else ()
-
-
-def save_stage1_checkpoint(path, result: Stage1Result,
-                           gene_ids: Sequence[str]) -> None:
-    meta = {
-        "stage": "1",
-        "genes": _join_genes(gene_ids),
-        "d_emb": str(result.weight.shape[1]),
-        "n_genes": str(result.weight.shape[0]),
-    }
-    write_checkpoint(path, meta, {"head.W": result.weight,
-                                  "head.b": result.bias})
-
-
-def load_stage1_checkpoint(path) -> tuple[np.ndarray, np.ndarray,
-                                          tuple[str, ...]]:
-    meta, tensors = read_checkpoint(path)
-    if meta.get("stage") != "1":
-        raise ValidationError(f"{path}: not a stage-1 checkpoint")
-    return tensors["head.W"], tensors["head.b"], tuple(
-        meta["genes"].split(","))
-
-
-def save_stage2_checkpoint(path, head_weight: np.ndarray,
-                           head_bias: np.ndarray, state: ModelState,
-                           gene_ids: Sequence[str], hops: int,
-                           aggregation: str) -> None:
-    spec = state.spec
-    meta = {
-        "stage": "2",
-        "genes": _join_genes(gene_ids),
-        "d_emb": str(head_weight.shape[1]),
-        "n_genes": str(spec.n_genes),
-        "in_width": str(spec.in_width),
-        "pre_widths": _join_widths(spec.pre_widths),
-        "operator": spec.operator,
-        "gnn_widths": _join_widths(spec.gnn_widths),
-        "pooling": spec.pooling,
-        "sag_ratio": repr(spec.sag_ratio),
-        "post_widths": _join_widths(spec.post_widths),
-        "hops": str(hops),
-        "aggregation": aggregation,
-        "seed": str(state.seed),
-    }
-    tensors = {"head.W": head_weight, "head.b": head_bias}
-    for name, t in state.params.items():
-        tensors[name] = t.data
-    write_checkpoint(path, meta, tensors)
-
-
-def load_stage2_checkpoint(path) -> TrainedModel:
-    meta, tensors = read_checkpoint(path)
-    if meta.get("stage") != "2":
-        raise ValidationError(f"{path}: not a stage-2 checkpoint")
-    spec = ModelSpec(
-        in_width=int(meta["in_width"]),
-        n_genes=int(meta["n_genes"]),
-        pre_widths=_split_widths(meta["pre_widths"]),
-        operator=meta["operator"],
-        gnn_widths=_split_widths(meta["gnn_widths"]),
-        pooling=meta["pooling"],
-        sag_ratio=float(meta["sag_ratio"]),
-        post_widths=_split_widths(meta["post_widths"]),
-    )
-    state = nn.init_model_state(spec, int(meta["seed"]))
-    arrays = {}
-    for name in state.params:
-        if name not in tensors:
-            raise ValidationError(f"{path}: missing tensor {name!r}")
-        arrays[name] = tensors[name]
-    state.load_arrays(arrays)
-    return TrainedModel(
-        gene_ids=tuple(meta["genes"].split(",")),
-        head_weight=tensors["head.W"],
-        head_bias=tensors["head.b"],
-        state=state,
-        hops=int(meta["hops"]),
-        aggregation=meta["aggregation"],
-    )
+def load_model(path) -> TrainedModel:
+    """Read a save_model archive; a stage-1 model has state None."""
+    meta, arrays = read_checkpoint(path)
+    try:
+        model = TrainedModel(tuple(arrays["genes"].tolist()),
+                             arrays["train_mean"], arrays["head.W"],
+                             arrays["head.b"])
+        if meta["stage"] == "1":
+            return model
+        spec = ModelSpec(
+            in_width=int(meta["in_width"]), n_genes=len(model.gene_ids),
+            operator=meta["operator"], pooling=meta["pooling"],
+            sag_ratio=float(meta["sag_ratio"]),
+            **{key: tuple(arrays[key].tolist()) for key in _WIDTHS})
+        state = nn.init_model_state(spec, int(meta["seed"]))
+        state.load_arrays(arrays)
+        return replace(model, state=state, hops=int(meta["hops"]),
+                       aggregation=meta["aggregation"])
+    except KeyError as e:
+        raise ValidationError(
+            f"{path}: checkpoint has no {e.args[0]!r}; run `sepal train` "
+            f"again") from None
 
 
 def predict_expression(model: TrainedModel, embeddings: np.ndarray,
-                       graphs: GraphBatch | None,
-                       train_mean: np.ndarray) -> np.ndarray:
+                       graphs: GraphBatch | None) -> np.ndarray:
     """Combined prediction: correction + head delta + train mean."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     delta_hat = linear_prediction(embeddings, model.head_weight,
@@ -410,4 +370,4 @@ def predict_expression(model: TrainedModel, embeddings: np.ndarray,
             raise ShapeMismatch("need one graph per spot for stage-2 models")
         s_hat = spatial_predict(model.state, graphs)
         delta_hat = s_hat + delta_hat
-    return delta_hat + np.asarray(train_mean, dtype=np.float64)[None, :]
+    return delta_hat + np.asarray(model.train_mean, dtype=np.float64)[None, :]

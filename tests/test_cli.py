@@ -54,7 +54,6 @@ class TestPipelineOutputs:
                     "graphs/meta.tsv",
                     "train/stage1.ckpt",
                     "train/stage1_history.tsv",
-                    "train/train_mean.tsv",
                     "train/stage2.ckpt",
                     "train/stage2_history.tsv",
                     "eval/metrics.tsv",
@@ -161,6 +160,46 @@ class TestExitCodes:
         assert rc == 1
         assert "train --stage 2" in capsys.readouterr().err
         assert not (out / "eval").exists()
+
+    def test_eval_rejects_stage2_on_another_train_mean(self, pipeline,
+                                                       tmp_path, capsys):
+        out = tmp_path / "stale"
+        copy_stages(pipeline, out, ("select", "train"))
+        ckpt = out / "train" / "stage1.ckpt"
+        meta, tensors = ingest.read_checkpoint(ckpt)
+        tensors["train_mean"] = tensors["train_mean"] + 1.0
+        ingest.write_checkpoint(ckpt, meta, tensors)
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        assert "train --stage 2" in capsys.readouterr().err
+        assert not (out / "eval").exists()
+
+    def test_eval_rejects_text_checkpoint(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "old"
+        copy_stages(pipeline, out, ("select", "train"))
+        ckpt = out / "train" / "stage1.ckpt"
+        ckpt.write_text("SEPALCKPT1\nmeta\tformat_version\t1\n"
+                        "meta\tstage\t1\n")
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "sepal train" in err
+        assert not (out / "eval").exists()
+
+    def test_untagged_matrix_is_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "untagged"
+        copy_stages(pipeline, out, ("denoise",))
+        for path in (out / "denoise").glob("*_denoised.tsv"):
+            path.write_text("".join(
+                line for line in path.read_text().splitlines(keepends=True)
+                if not line.startswith("#stage=")))
+        rc = run("select", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        assert "sepal denoise" in capsys.readouterr().err
+        assert not (out / "select").exists()
 
     def test_model_on_another_gene_panel(self, pipeline, tmp_path, capsys):
         out = tmp_path / "repanel"
@@ -437,6 +476,25 @@ class TestStageWork:
         for rel in got:
             assert (out / "figures" / rel).read_bytes() == \
                 (ref / rel).read_bytes(), rel
+
+    def test_figures_computes_spot_spacing_once_per_slide(
+            self, pipeline, tmp_path, monkeypatch):
+        from sepal import metrics, spatial
+        calls = []
+
+        def counting(spots):
+            calls.append(len(spots))
+            return spatial.min_pixel_spacing(spots)
+
+        monkeypatch.setattr(metrics, "min_pixel_spacing", counting,
+                            raising=False)
+        monkeypatch.setattr(ingest, "min_pixel_spacing", counting)
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "eval"))
+        assert run("figures", "--manifest", pipeline["manifest"],
+                   "--out", str(out)) == 0
+        assert len(list((out / "figures").rglob("*.ppm"))) == 8
+        assert calls == [36]  # the one 6x6 test slide
 
     def test_figures_without_eval_tables(self, pipeline, tmp_path, capsys):
         out = tmp_path / "r"

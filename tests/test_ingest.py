@@ -311,11 +311,6 @@ class TestCheckpoint:
             np.testing.assert_array_equal(got_tensors[name], arr)
             assert got_tensors[name].shape == arr.shape
 
-    def test_magic_line(self, tmp_path):
-        p = tmp_path / "c.ckpt"
-        write_checkpoint(p, {}, {"w": np.zeros(2)})
-        assert p.read_text().startswith("SEPALCKPT1\n")
-
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "c.ckpt"
         p.write_text("NOTACKPT\n")

@@ -10,11 +10,9 @@ from sepal.train import (
     Adam,
     TrainConfig,
     linear_prediction,
-    load_stage1_checkpoint,
-    load_stage2_checkpoint,
+    load_model,
     predict_expression,
-    save_stage1_checkpoint,
-    save_stage2_checkpoint,
+    save_model,
     spatial_predict,
     stage1_train,
     stage2_train,
@@ -278,8 +276,10 @@ class TestCheckpoints:
                            bias=rng.normal(size=3), history=[],
                            best_val_mse=0.5, alpha=0.1, ridge_lambda=0.2)
         p = tmp_path / "stage1.ckpt"
-        save_stage1_checkpoint(p, res, ("g1", "g2", "g3"))
-        w, b, genes = load_stage1_checkpoint(p)
+        save_model(p, TrainedModel(("g1", "g2", "g3"), np.zeros(3),
+                                   res.weight, res.bias))
+        model = load_model(p)
+        w, b, genes = model.head_weight, model.head_bias, model.gene_ids
         np.testing.assert_array_equal(w, res.weight)
         np.testing.assert_array_equal(b, res.bias)
         assert genes == ("g1", "g2", "g3")
@@ -295,20 +295,21 @@ class TestCheckpoints:
             t.data = rng.normal(size=t.data.shape)
         head_w = rng.normal(size=(2, 4))
         head_b = rng.normal(size=2)
+        mean = np.array([1.0, -1.0])
         p = tmp_path / "stage2.ckpt"
-        save_stage2_checkpoint(p, head_w, head_b, state, ("a", "b"),
-                               hops=2, aggregation="concat")
-        model = load_stage2_checkpoint(p)
+        save_model(p, TrainedModel(("a", "b"), mean, head_w, head_b, state,
+                                   hops=2, aggregation="concat"))
+        model = load_model(p)
         assert model.hops == 2
         assert model.aggregation == "concat"
         assert model.state.spec == spec
         graphs = star_graphs(np.random.default_rng(2), 5, 4)
         emb = np.random.default_rng(3).normal(size=(5, 4))
-        mean = np.array([1.0, -1.0])
         want = predict_expression(
-            TrainedModel(("a", "b"), head_w, head_b, state, 2, "concat"),
-            emb, graphs, mean)
-        got = predict_expression(model, emb, graphs, mean)
+            TrainedModel(("a", "b"), mean, head_w, head_b, state, 2,
+                         "concat"),
+            emb, graphs)
+        got = predict_expression(model, emb, graphs)
         np.testing.assert_array_equal(got, want)
 
     def test_wrong_stage_rejected(self, tmp_path):
@@ -316,16 +317,18 @@ class TestCheckpoints:
                            history=[], best_val_mse=None, alpha=0.0,
                            ridge_lambda=0.0)
         p = tmp_path / "stage1.ckpt"
-        save_stage1_checkpoint(p, res, ("g",))
-        with pytest.raises(ValidationError):
-            load_stage2_checkpoint(p)
+        save_model(p, TrainedModel(("g",), np.zeros(1), res.weight,
+                                   res.bias))
+        assert load_model(p).state is None
 
-    def test_comma_in_gene_id_rejected(self, tmp_path):
-        res = Stage1Result(weight=np.zeros((1, 1)), bias=np.zeros(1),
-                           history=[], best_val_mse=None, alpha=0.0,
-                           ridge_lambda=0.0)
-        with pytest.raises(ValidationError):
-            save_stage1_checkpoint(tmp_path / "x.ckpt", res, ("a,b",))
+    def test_comma_in_gene_id_round_trips(self, tmp_path):
+        genes = ("a,b", "c\td", "é")
+        mean = np.array([0.5, -1.0, 2.0])
+        p = tmp_path / "x.ckpt"
+        save_model(p, TrainedModel(genes, mean, np.ones((3, 2)), np.zeros(3)))
+        model = load_model(p)
+        assert model.gene_ids == genes
+        assert model.train_mean.tobytes() == mean.tobytes()
 
 
 class TestPredict:
@@ -333,9 +336,9 @@ class TestPredict:
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([0.5, -0.5])
         mean = np.array([10.0, 20.0])
-        model = TrainedModel(("g1", "g2"), w, b, None, 1, "sum")
+        model = TrainedModel(("g1", "g2"), mean, w, b, None, 1, "sum")
         emb = np.array([[1.0, 1.0]])
-        got = predict_expression(model, emb, None, mean)
+        got = predict_expression(model, emb, None)
         np.testing.assert_array_equal(got, [[1.0 + 0.5 + 10.0,
                                              2.0 - 0.5 + 20.0]])
 
@@ -379,9 +382,9 @@ class TestPredict:
         mean = np.zeros(2)
         w = rng.normal(size=(2, 4))
         b = rng.normal(size=2)
-        base = TrainedModel(("a", "b"), w, b, None, 1, "sum")
-        full = TrainedModel(("a", "b"), w, b, state, 1, "sum")
-        head = predict_expression(base, emb, None, mean)
-        combined = predict_expression(full, emb, graphs, mean)
+        base = TrainedModel(("a", "b"), mean, w, b, None, 1, "sum")
+        full = TrainedModel(("a", "b"), mean, w, b, state, 1, "sum")
+        head = predict_expression(base, emb, None)
+        combined = predict_expression(full, emb, graphs)
         s_hat = spatial_predict(state, graphs)
         np.testing.assert_allclose(combined, head + s_hat, atol=1e-12)
