@@ -39,7 +39,6 @@ from .core import (
     DatasetManifest,
     EmptySplit,
     ExpressionMatrix,
-    GEOMETRIES,
     ImputationMask,
     IoFailure,
     PipelineError,
@@ -213,9 +212,9 @@ def cmd_preprocess(args) -> None:
     stage = matrices[0].stage
     log_rows = []
     if stage == "raw_counts":
-        thresholds = preprocess.FilterThresholds.from_manifest(manifest)
         filtered, count_log = preprocess.filter_by_counts(
-            matrices, thresholds)
+            matrices, (manifest.count_min_spot, manifest.count_max_spot),
+            (manifest.count_min_gene, manifest.count_max_gene))
         for kind, slide, item, total in count_log:
             log_rows.append((kind, slide, item, total, ""))
         kept, sparsity_log = preprocess.filter_by_sparsity(
@@ -300,15 +299,15 @@ def cmd_denoise(args) -> None:
 def cmd_select(args) -> None:
     manifest = _manifest(args)
     den = Path(args.out) / "denoise"
-    matrices, adjacencies, spot_lists = [], [], []
+    matrices, masks, adjacencies = [], [], []
     for entry in manifest.slides:
         m = _read_stage_matrix(den / f"{entry.slide_id}_denoised.tsv",
                                "denoised", "denoise")
-        spots = _spots_for(entry, m.spot_ids)
         matrices.append(m)
-        spot_lists.append(spots)
-        adjacencies.append(spatial.build_adjacency(spots,
-                                                   manifest.geometry))
+        masks.append(ingest.read_mask(
+            _require(den / f"{entry.slide_id}_mask.tsv", "denoise")))
+        adjacencies.append(spatial.build_adjacency(
+            _spots_for(entry, m.spot_ids), manifest.geometry))
     n_genes = args.n_genes if args.n_genes is not None \
         else manifest.n_genes_select
     selected, scores = spatial.select_genes(matrices, adjacencies, n_genes)
@@ -318,8 +317,7 @@ def cmd_select(args) -> None:
     subset = preprocess.apply_gene_subset(matrices, selected)
     for m in subset:
         ingest.write_expression(outdir / f"{m.slide_id}_selected.tsv", m)
-    for entry in manifest.slides:
-        mask = ingest.read_mask(den / f"{entry.slide_id}_mask.tsv")
+    for entry, mask in zip(manifest.slides, masks):
         ingest.write_mask(outdir / f"{entry.slide_id}_mask.tsv",
                           mask.subset_genes(selected))
     ingest.write_table(outdir / "genes.tsv", "gene_scores",
@@ -612,9 +610,8 @@ def cmd_figures(args) -> None:
     eval_dir = out / "eval"
     gene_ids, pooled = metrics.read_per_gene_pccs(
         _require(eval_dir / "per_gene.tsv", "eval"))
-    fig_dir = out / "figures"
-    written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv",
-                                           gene_ids, pooled)]
+    # every input is read and checked before the first figure is written
+    slides = []
     for entry in _test_entries(manifest):
         sid = entry.slide_id
         pred = _read_stage_matrix(
@@ -628,9 +625,13 @@ def cmd_figures(args) -> None:
                 or not pred.gene_ids == table[0] == gene_ids == m.gene_ids):
             raise ValidationError(f"predictions for {sid!r} are not aligned")
         assert_mask_matches(m, mask)
-        written += metrics.emit_figures(
-            *table, pred.values, m.values, mask.values,
-            _spots_for(entry, m.spot_ids), fig_dir / sid)
+        slides.append((sid, *table, pred.values, m.values, mask.values,
+                       _spots_for(entry, m.spot_ids)))
+    fig_dir = out / "figures"
+    written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv",
+                                           gene_ids, pooled)]
+    for sid, *inputs in slides:
+        written += metrics.emit_figures(*inputs, fig_dir / sid)
     _write_lock(fig_dir, "figures", {"manifest": str(args.manifest)})
     print(f"figures: wrote {len(written)} files under {fig_dir}")
 

@@ -375,9 +375,10 @@ class DatasetManifest:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
                 raise ValidationError(f"{name} must lie in [0, 100], got {v}")
-        if self.count_min_spot > self.count_max_spot:
+        # written negated so that a NaN bound is refused too
+        if not self.count_min_spot <= self.count_max_spot:
             raise ValidationError("count_min_spot exceeds count_max_spot")
-        if self.count_min_gene > self.count_max_gene:
+        if not self.count_min_gene <= self.count_max_gene:
             raise ValidationError("count_min_gene exceeds count_max_gene")
         object.__setattr__(self, "slides", tuple(self.slides))
         ids = [s.slide_id for s in self.slides]

@@ -12,7 +12,7 @@ Formats:
                 holds raw counts)
   embeddings    TSV: spot_id then e0..e{d-1}
   mask          TSV: spot_id then one 0/1 column per gene
-  manifest      sectioned key = value text (toml-like subset)
+  manifest      TOML: settings, then one [slide.<id>] table per slide
   checkpoint    uncompressed numpy archive (np.savez): named arrays plus a
                 (key, value) meta string array; read with allow_pickle=False
   heatmap       binary P6 PPM plus a CSV of the plotted values
@@ -20,8 +20,11 @@ Formats:
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
+import tomllib
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,7 +33,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    BadStageTag,
     DatasetManifest,
     DuplicateSpot,
     EmbeddingTable,
@@ -109,21 +111,24 @@ def _parse_tsv(path) -> tuple[dict[str, str], list[str], list[tuple[int, list[st
     header: list[str] | None = None
     rows: list[tuple[int, list[str]]] = []
     with _open_read(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:]
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    comments[k.strip()] = v.strip()
-                continue
-            fields = line.split("\t")
-            if header is None:
-                header = fields
-            else:
-                rows.append((line_no, fields))
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:]
+                    if "=" in body:
+                        k, _, v = body.partition("=")
+                        comments[k.strip()] = v.strip()
+                    continue
+                fields = line.split("\t")
+                if header is None:
+                    header = fields
+                else:
+                    rows.append((line_no, fields))
+        except UnicodeDecodeError as e:
+            raise MalformedRow(f"{path}: not UTF-8: {e}") from None
     if header is None:
         raise MalformedRow(f"{path}: no header row")
     return comments, header, rows
@@ -328,93 +333,52 @@ _MANIFEST_SCALARS = {
     "count_max_gene": float,
 }
 _SLIDE_KEYS = ("coords", "expr", "emb", "split")
+_BARE_KEY = re.compile(r"[A-Za-z0-9_-]+")
 
 
-def _manifest_value(text: str, path, line_no: int):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        return text[1:-1]
-    if text in ("inf", "+inf", "-inf"):
-        return float(text)
-    try:
-        if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
-            return float(text)
-        return int(text)
-    except ValueError:
-        raise MalformedRow(
-            f"{path}:{line_no}: cannot parse value {text!r}") from None
+def _toml_str(v: str) -> str:
+    # a JSON string is a TOML basic string, save for a raw DEL
+    return json.dumps(v, ensure_ascii=False).replace("\x7f", "\\u007f")
 
 
 def read_manifest(path) -> DatasetManifest:
-    """Parse a manifest file.  # 3.10 has no stdlib toml reader; the format
-    is a small fixed subset (scalars plus [slide.<id>] sections) so we
-    parse it directly."""
+    """Read a TOML manifest: the settings, then one [slide.<id>] table per
+    slide, in file order.  Slide paths are relative to the manifest."""
     path = Path(path)
-    base = path.parent
-    scalars: dict[str, object] = {}
-    slides: list[tuple[str, dict[str, object]]] = []
-    section: dict[str, object] | None = None
-    with _open_read(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("["):
-                if not line.endswith("]"):
-                    raise MalformedRow(f"{path}:{line_no}: unterminated section")
-                name = line[1:-1].strip()
-                if not name.startswith("slide."):
-                    raise ValidationError(
-                        f"{path}:{line_no}: unknown section [{name}]")
-                sid = name[len("slide."):]
-                if not sid:
-                    raise ValidationError(f"{path}:{line_no}: empty slide id")
-                section = {}
-                slides.append((sid, section))
-                continue
-            if "=" not in line:
-                raise MalformedRow(f"{path}:{line_no}: expected key = value")
-            key, _, rest = line.partition("=")
-            key = key.strip()
-            value = _manifest_value(rest, path, line_no)
-            if section is None:
-                if key not in _MANIFEST_SCALARS:
-                    raise ValidationError(
-                        f"{path}:{line_no}: unknown manifest key {key!r}")
-                scalars[key] = value
-            else:
-                if key not in _SLIDE_KEYS:
-                    raise ValidationError(
-                        f"{path}:{line_no}: unknown slide key {key!r}")
-                section[key] = value
-
-    missing = [k for k in _MANIFEST_SCALARS if k not in scalars]
-    if missing:
-        raise ValidationError(f"{path}: manifest missing keys {missing}")
+    with _open_read(path, binary=True) as fh:
+        try:
+            doc = tomllib.load(fh)
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as e:
+            raise MalformedRow(f"{path}: not a TOML manifest: {e}") from None
+    slides = doc.pop("slide", {})
+    unknown = [k for k in doc if k not in _MANIFEST_SCALARS]
+    missing = [k for k in _MANIFEST_SCALARS if k not in doc]
+    if unknown or missing:
+        raise ValidationError(f"{path}: unknown manifest keys {unknown}, "
+                              f"missing keys {missing}")
     for key, want in _MANIFEST_SCALARS.items():
-        v = scalars[key]
-        if want is float and isinstance(v, int):
-            scalars[key] = float(v)
-        elif not isinstance(v, want):
+        v = doc[key]
+        accepted = (int, float) if want is float else want
+        if isinstance(v, bool) or not isinstance(v, accepted):
             raise ValidationError(
                 f"{path}: manifest key {key!r} has wrong type")
-    if not slides:
+        doc[key] = want(v)
+    if not isinstance(slides, dict) or not slides:
         raise ValidationError(f"{path}: manifest lists no slides")
 
     entries = []
-    for sid, section in slides:
-        lost = [k for k in _SLIDE_KEYS if k not in section]
-        if lost:
+    for sid, table in slides.items():
+        if not sid:
+            raise ValidationError(f"{path}: empty slide id")
+        if (not isinstance(table, dict) or set(table) != set(_SLIDE_KEYS)
+                or not all(isinstance(v, str) for v in table.values())):
             raise ValidationError(
-                f"{path}: slide {sid!r} missing keys {lost}")
-        entries.append(SlideEntry(
-            slide_id=sid,
-            coords_path=str(base / str(section["coords"])),
-            expr_path=str(base / str(section["expr"])),
-            emb_path=str(base / str(section["emb"])),
-            split=str(section["split"]),
-        ))
-    return DatasetManifest(slides=tuple(entries), **scalars)  # type: ignore[arg-type]
+                f"{path}: slide {sid!r} must hold exactly the string keys "
+                f"{list(_SLIDE_KEYS)}")
+        coords, expr, emb = (str(path.parent / table[k])
+                             for k in ("coords", "expr", "emb"))
+        entries.append(SlideEntry(sid, coords, expr, emb, table["split"]))
+    return DatasetManifest(slides=tuple(entries), **doc)
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
@@ -430,18 +394,20 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             return q.as_posix()
 
     def scalar(v) -> str:
-        return f'"{v}"' if isinstance(v, str) else fmt_value(v)
+        return _toml_str(v) if isinstance(v, str) else fmt_value(v)
 
     with _open_write(path) as fh:
         fh.write(f"# dataset manifest, format_version={FORMAT_VERSION}\n")
         for key in _MANIFEST_SCALARS:
             fh.write(f"{key} = {scalar(getattr(manifest, key))}\n")
         for s in manifest.slides:
-            fh.write(f"\n[slide.{s.slide_id}]\n")
-            fh.write(f'coords = "{rel(s.coords_path)}"\n')
-            fh.write(f'expr = "{rel(s.expr_path)}"\n')
-            fh.write(f'emb = "{rel(s.emb_path)}"\n')
-            fh.write(f'split = "{s.split}"\n')
+            sid = (s.slide_id if _BARE_KEY.fullmatch(s.slide_id)
+                   else _toml_str(s.slide_id))
+            fh.write(f"\n[slide.{sid}]\n")
+            fh.write(f"coords = {_toml_str(rel(s.coords_path))}\n")
+            fh.write(f"expr = {_toml_str(rel(s.expr_path))}\n")
+            fh.write(f"emb = {_toml_str(rel(s.emb_path))}\n")
+            fh.write(f"split = {_toml_str(s.split)}\n")
 
 
 def load_dataset(manifest: DatasetManifest):

@@ -17,7 +17,6 @@ works on deltas against the train-split gene means, see to_delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,47 +24,12 @@ import numpy as np
 from .core import (
     AllGenesRemoved,
     AllSpotsRemoved,
-    DatasetManifest,
     EmptyTrainSplit,
     ExpressionMatrix,
     GeneSetMismatch,
-    ShapeMismatch,
     TrainMeanVector,
     ValidationError,
 )
-
-
-@dataclass(frozen=True)
-class FilterThresholds:
-    """Count-range and sparsity settings for the two filter passes."""
-
-    count_min_spot: float
-    count_max_spot: float
-    count_min_gene: float
-    count_max_gene: float
-    eps_total: float
-    eps_wsi: float
-
-    def __post_init__(self) -> None:
-        if self.count_min_spot > self.count_max_spot:
-            raise ValidationError("count_min_spot exceeds count_max_spot")
-        if self.count_min_gene > self.count_max_gene:
-            raise ValidationError("count_min_gene exceeds count_max_gene")
-        for name in ("eps_total", "eps_wsi"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 100.0:
-                raise ValidationError(f"{name} must lie in [0, 100], got {v}")
-
-    @classmethod
-    def from_manifest(cls, manifest: DatasetManifest) -> "FilterThresholds":
-        return cls(
-            count_min_spot=manifest.count_min_spot,
-            count_max_spot=manifest.count_max_spot,
-            count_min_gene=manifest.count_min_gene,
-            count_max_gene=manifest.count_max_gene,
-            eps_total=manifest.eps_total,
-            eps_wsi=manifest.eps_wsi,
-        )
 
 
 def _common_genes(matrices: Sequence[ExpressionMatrix]) -> tuple[str, ...]:
@@ -80,9 +44,11 @@ def _common_genes(matrices: Sequence[ExpressionMatrix]) -> tuple[str, ...]:
 
 def filter_by_counts(
     matrices: Sequence[ExpressionMatrix],
-    thresholds: FilterThresholds,
+    spot_range: tuple[float, float],
+    gene_range: tuple[float, float],
 ) -> tuple[list[ExpressionMatrix], list[tuple[str, str, str, float]]]:
-    """Drop out-of-range spots per slide, then out-of-range genes pooled.
+    """Drop spots per slide, then genes pooled, whose total counts fall
+    outside the inclusive (min, max) spot_range or gene_range.
 
     Returns the filtered matrices (stage "filtered") and a removal log of
     (kind, slide_id, item_id, total_counts) rows, spots first, in input
@@ -101,8 +67,7 @@ def filter_by_counts(
             raise ValidationError(
                 f"count filter expects raw_counts, got {m.stage!r}")
         totals = m.values.sum(axis=1)
-        keep = ((totals >= thresholds.count_min_spot)
-                & (totals <= thresholds.count_max_spot))
+        keep = (totals >= spot_range[0]) & (totals <= spot_range[1])
         for i in np.nonzero(~keep)[0]:
             removed.append(("spot", m.slide_id, m.spot_ids[i],
                             float(totals[i])))
@@ -114,8 +79,8 @@ def filter_by_counts(
     gene_totals = np.zeros(len(genes), dtype=np.float64)
     for m in kept_spots:
         gene_totals += m.values.sum(axis=0)
-    keep_genes = ((gene_totals >= thresholds.count_min_gene)
-                  & (gene_totals <= thresholds.count_max_gene))
+    keep_genes = ((gene_totals >= gene_range[0])
+                  & (gene_totals <= gene_range[1]))
     for j in np.nonzero(~keep_genes)[0]:
         removed.append(("gene", "*", genes[j], float(gene_totals[j])))
     if not keep_genes.any():

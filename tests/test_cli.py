@@ -201,6 +201,49 @@ class TestExitCodes:
         assert "sepal denoise" in capsys.readouterr().err
         assert not (out / "select").exists()
 
+    def test_broken_manifest_names_file(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.toml"
+        manifest.write_text('name = "unterminated\n')
+        rc = run("preprocess", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert f"error: {manifest}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_dataset_file(self, pipeline, tmp_path, capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = data / "manifest.toml"
+        emb = Path(ingest.read_manifest(manifest).slides[0].emb_path)
+        emb.write_bytes(b"#note=\xff\n" + emb.read_bytes())
+        rc = run("preprocess", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert f"error: {emb}: " in capsys.readouterr().err
+
+    def test_select_reads_every_mask_before_writing(self, pipeline,
+                                                    tmp_path, capsys):
+        out = tmp_path / "nomask"
+        copy_stages(pipeline, out, ("denoise",))
+        (out / "denoise" / "synth01_mask.tsv").unlink()
+        rc = run("select", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        assert "sepal denoise" in capsys.readouterr().err
+        assert not (out / "select").exists()
+
+    def test_figures_reads_every_slide_before_writing(self, pipeline,
+                                                      tmp_path, capsys):
+        out = tmp_path / "nopred"
+        copy_stages(pipeline, out, ("select", "eval"))
+        (out / "eval" / "predictions" / "synth02_pred.tsv").unlink()
+        rc = run("figures", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        assert "sepal eval" in capsys.readouterr().err
+        assert not (out / "figures").exists()
+
     def test_model_on_another_gene_panel(self, pipeline, tmp_path, capsys):
         out = tmp_path / "repanel"
         copy_stages(pipeline, out, ("denoise", "select", "graphs", "train"))

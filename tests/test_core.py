@@ -215,13 +215,26 @@ class TestManifest:
                 slides=(entry("s0"),))
 
     def test_rejects_eps_out_of_range(self):
+        for eps_total, eps_wsi in ((101.0, 1.0), (-1.0, 1.0), (1.0, 100.5)):
+            with pytest.raises(ValidationError):
+                DatasetManifest(
+                    name="t", geometry="square_grid", n_genes_select=1,
+                    eps_total=eps_total, eps_wsi=eps_wsi,
+                    count_min_spot=0.0, count_max_spot=1.0,
+                    count_min_gene=0.0, count_max_gene=1.0,
+                    slides=(entry("s0"),))
+
+    @pytest.mark.parametrize("kind", ["spot", "gene"])
+    @pytest.mark.parametrize("bound,value", [("min", 10.0), ("min", np.nan),
+                                             ("max", np.nan)])
+    def test_rejects_bad_count_range(self, kind, bound, value):
+        ranges = dict(count_min_spot=0.0, count_max_spot=1.0,
+                      count_min_gene=0.0, count_max_gene=1.0)
+        ranges[f"count_{bound}_{kind}"] = value
         with pytest.raises(ValidationError):
             DatasetManifest(
                 name="t", geometry="square_grid", n_genes_select=1,
-                eps_total=101.0, eps_wsi=1.0,
-                count_min_spot=0.0, count_max_spot=1.0,
-                count_min_gene=0.0, count_max_gene=1.0,
-                slides=(entry("s0"),))
+                eps_total=1.0, eps_wsi=1.0, slides=(entry("s0"),), **ranges)
 
     def test_rejects_unknown_split(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,71 @@ class TestManifest:
         p = tmp_path / "manifest.toml"
         p.write_text("[settings]\nx = 1\n" + self._manifest_text())
         with pytest.raises(ValidationError):
+            read_manifest(p)
+
+    def test_standard_toml(self, tmp_path):
+        # inline comments, literal strings and a quoted table name
+        text = self._manifest_text().replace(
+            'name = "demo"', "name = 'demo'  # literal string").replace(
+            "[slide.s0]", '[slide."s0"]  # quoted key').replace(
+            'split = "train"', "split = 'train' # held in")
+        p = tmp_path / "manifest.toml"
+        p.write_text("# leading comment\n" + text)
+        m = read_manifest(p)
+        assert m.name == "demo"
+        assert m.slides[0].slide_id == "s0"
+        assert m.slides[0].split == "train"
+
+    def test_quoted_ids_and_names_round_trip(self, tmp_path):
+        p = tmp_path / "manifest.toml"
+        p.write_text(self._manifest_text())
+        m = read_manifest(p)
+        s0 = m.slides[0]
+        slides = [dataclasses.replace(s0, slide_id=sid)
+                  for sid in ("a.b", 'q"x', "back\\slash", "\x7f", "sp ace",
+                              "é", "bare_id-1")]
+        m = dataclasses.replace(m, name='say "hi" \\ bye', slides=slides)
+        q = tmp_path / "again.toml"
+        write_manifest(q, m)
+        assert read_manifest(q) == m
+        assert "\n[slide.bare_id-1]\n" in q.read_text()
+        assert '\n[slide."a.b"]\n' in q.read_text()
+
+    @pytest.mark.parametrize("key", ["n_genes_select", "eps_total"])
+    def test_bool_refused_for_number(self, tmp_path, key):
+        p = tmp_path / "manifest.toml"
+        p.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = true",
+                            self._manifest_text()))
+        with pytest.raises(ValidationError, match=key):
+            read_manifest(p)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        p = tmp_path / "manifest.toml"
+        p.write_text(self._manifest_text().replace(
+            "count_min_spot = 100.0", "count_min_spot = 100"))
+        value = read_manifest(p).count_min_spot
+        assert value == 100.0 and isinstance(value, float)
+
+    @pytest.mark.parametrize("header", ["[slide.a.b]", '[slide.""]'])
+    def test_bad_slide_table_refused(self, tmp_path, header):
+        # a dotted id is a nested table; an id must not be empty
+        p = tmp_path / "manifest.toml"
+        p.write_text(self._manifest_text().replace("[slide.s0]", header))
+        with pytest.raises(ValidationError):
+            read_manifest(p)
+
+    def test_no_slides(self, tmp_path):
+        p = tmp_path / "manifest.toml"
+        p.write_text(self._manifest_text().split("[slide.s0]")[0])
+        with pytest.raises(ValidationError, match="no slides"):
+            read_manifest(p)
+
+    @pytest.mark.parametrize("data", [b'name = "unterminated\n',
+                                      b'name = "\xff"\n'])
+    def test_syntax_error_names_file(self, tmp_path, data):
+        p = tmp_path / "manifest.toml"
+        p.write_bytes(data)
+        with pytest.raises(MalformedRow, match="manifest.toml"):
             read_manifest(p)
 
 

@@ -13,7 +13,6 @@ from sepal.core import (
     ValidationError,
 )
 from sepal.preprocess import (
-    FilterThresholds,
     center_per_slide,
     compute_train_mean,
     filter_by_counts,
@@ -29,12 +28,7 @@ def counts(spot_ids, gene_ids, values, slide="s0"):
                             np.asarray(values, dtype=float), "raw_counts")
 
 
-def thresholds(**kw):
-    base = dict(count_min_spot=0.0, count_max_spot=np.inf,
-                count_min_gene=0.0, count_max_gene=np.inf,
-                eps_total=0.0, eps_wsi=0.0)
-    base.update(kw)
-    return FilterThresholds(**base)
+ANY = (0.0, np.inf)
 
 
 class TestFilterByCounts:
@@ -42,7 +36,7 @@ class TestFilterByCounts:
         m = counts(["a", "b", "c", "d"], ["g1"],
                    [[10.0], [5.0], [1000000.0], [10000001.0]])
         out, removed = filter_by_counts(
-            [m], thresholds(count_min_spot=10.0, count_max_spot=1e6))
+            [m], (10.0, 1e6), ANY)
         assert out[0].spot_ids == ("a", "c")
         assert out[0].stage == "filtered"
         assert [(k, i, t) for k, _, i, t in removed] == [
@@ -55,33 +49,32 @@ class TestFilterByCounts:
                    [[5.0, 5.0], [0.0, 1.0]], slide="A")
         b = counts(["x"], ["g1", "g2"], [[5.0, 5.0]], slide="B")
         out, removed = filter_by_counts(
-            [a, b], thresholds(count_min_spot=2.0, count_max_gene=10.0))
+            [a, b], (2.0, np.inf), (0.0, 10.0))
         assert out[0].gene_ids == ("g1", "g2")
         kinds = [(k, i) for k, _, i, _ in removed]
         assert kinds == [("spot", "drop")]
 
     def test_gene_below_min_removed(self):
         m = counts(["a", "b"], ["g1", "g2"], [[5.0, 0.0], [5.0, 1.0]])
-        out, removed = filter_by_counts(
-            [m], thresholds(count_min_gene=2.0))
+        out, removed = filter_by_counts([m], ANY, (2.0, np.inf))
         assert out[0].gene_ids == ("g1",)
         assert ("gene", "*", "g2", 1.0) in removed
 
     def test_all_spots_removed_raises(self):
         m = counts(["a"], ["g1"], [[1.0]])
         with pytest.raises(AllSpotsRemoved):
-            filter_by_counts([m], thresholds(count_min_spot=100.0))
+            filter_by_counts([m], (100.0, np.inf), ANY)
 
     def test_all_genes_removed_raises(self):
         m = counts(["a"], ["g1"], [[1.0]])
         with pytest.raises(AllGenesRemoved):
-            filter_by_counts([m], thresholds(count_min_gene=100.0))
+            filter_by_counts([m], ANY, (100.0, np.inf))
 
     def test_wrong_stage_rejected(self):
         m = counts(["a"], ["g1"], [[1.0]])
         tpm = tpm_normalize(m)
         with pytest.raises(ValidationError):
-            filter_by_counts([tpm], thresholds())
+            filter_by_counts([tpm], ANY, ANY)
 
 
 class TestFilterBySparsity:
@@ -225,15 +218,3 @@ class TestTrainMean:
         a = log1p_matrix(["a"], ["g1"], [[2.0]], slide="A")
         with pytest.raises(EmptyTrainSplit):
             compute_train_mean([a], {"A": "val"})
-
-
-class TestThresholdValidation:
-    def test_min_above_max(self):
-        with pytest.raises(ValidationError):
-            thresholds(count_min_spot=10.0, count_max_spot=1.0)
-
-    def test_eps_out_of_range(self):
-        with pytest.raises(ValidationError):
-            thresholds(eps_total=-1.0)
-        with pytest.raises(ValidationError):
-            thresholds(eps_wsi=100.5)
