@@ -104,9 +104,13 @@ def filter_by_sparsity(
 
     Detection means a strictly positive value.  Returns (kept gene ids in
     panel order, removal log of (gene_id, failed_scope, pct, threshold)).
+    Raises ValidationError when either percentage lies outside [0, 100].
     """
     if not matrices:
         raise ValidationError("no matrices to filter")
+    for name, v in (("eps_total", eps_total), ("eps_wsi", eps_wsi)):
+        if not 0.0 <= v <= 100.0:
+            raise ValidationError(f"{name} must lie in [0, 100], got {v}")
     genes = _common_genes(matrices)
 
     n_total = sum(m.n_spots for m in matrices)

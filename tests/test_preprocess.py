@@ -218,3 +218,12 @@ class TestTrainMean:
         a = log1p_matrix(["a"], ["g1"], [[2.0]], slide="A")
         with pytest.raises(EmptyTrainSplit):
             compute_train_mean([a], {"A": "val"})
+
+
+class TestThresholdValidation:
+    def test_eps_out_of_range(self):
+        m = counts(["a"], ["g1"], [[1.0]])
+        with pytest.raises(ValidationError):
+            filter_by_sparsity([m], eps_total=-1.0, eps_wsi=0.0)
+        with pytest.raises(ValidationError):
+            filter_by_sparsity([m], eps_total=0.0, eps_wsi=100.5)
