@@ -36,15 +36,14 @@ from . import denoise as denoise_mod
 from . import graphs as graphs_mod
 from . import train as train_mod
 from .core import (
-    DatasetManifest,
     EmptySplit,
     ExpressionMatrix,
+    GeneSetMismatch,
     ImputationMask,
     IoFailure,
     PipelineError,
     SpotSetMismatch,
     StageOrderViolation,
-    TrainMeanVector,
     ValidationError,
     align_slide,
     assert_mask_matches,
@@ -124,10 +123,6 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _manifest(args) -> DatasetManifest:
-    return ingest.read_manifest(args.manifest)
-
-
 def _spots_for(entry, spot_ids) -> list:
     """Coordinate records reordered to a matrix's row order."""
     by_id = {s.spot_id: s for s in ingest.read_coordinates(entry.coords_path)}
@@ -137,11 +132,6 @@ def _spots_for(entry, spot_ids) -> list:
             f"spot {missing[0]!r} of slide {entry.slide_id!r} has no "
             f"coordinates")
     return [by_id[sid] for sid in spot_ids]
-
-
-def _embedding_rows(entry, spot_ids) -> np.ndarray:
-    table = ingest.read_embeddings(entry.emb_path)
-    return table.vectors[table.rows_for(spot_ids)]
 
 
 def _read_stage_matrix(path: Path, want_stage: str, producer: str
@@ -205,39 +195,38 @@ def cmd_synth(args) -> None:
 
 
 def cmd_preprocess(args) -> None:
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     matrices = [s.expression for s in validate_dataset(
         manifest, ingest.load_dataset(manifest))]
 
     stage = matrices[0].stage
-    log_rows = []
-    if stage == "raw_counts":
-        filtered, count_log = preprocess.filter_by_counts(
-            matrices, (manifest.count_min_spot, manifest.count_max_spot),
-            (manifest.count_min_gene, manifest.count_max_gene))
-        for kind, slide, item, total in count_log:
-            log_rows.append((kind, slide, item, total, ""))
-        kept, sparsity_log = preprocess.filter_by_sparsity(
-            filtered, manifest.eps_total, manifest.eps_wsi)
-        for gene, scope, pct, threshold in sparsity_log:
-            log_rows.append(("gene_sparsity", scope, gene, pct, threshold))
-        filtered = preprocess.apply_gene_subset(filtered, kept)
-        out_matrices = [preprocess.log_transform(preprocess.tpm_normalize(m))
-                        for m in filtered]
-    elif stage == "log1p":
-        # already log-space: only the sparsity rule still applies
-        kept, sparsity_log = preprocess.filter_by_sparsity(
-            matrices, manifest.eps_total, manifest.eps_wsi)
-        for gene, scope, pct, threshold in sparsity_log:
-            log_rows.append(("gene_sparsity", scope, gene, pct, threshold))
-        out_matrices = preprocess.apply_gene_subset(matrices, kept)
-    else:
+    if stage not in ("raw_counts", "log1p"):
         raise StageOrderViolation(
             f"preprocess expects raw_counts or log1p input, got {stage!r}")
+    for m in matrices[1:]:
+        if m.stage != stage:
+            raise StageOrderViolation(
+                f"slide {m.slide_id!r} holds {m.stage} values, slide "
+                f"{matrices[0].slide_id!r} {stage}; every slide must be at "
+                f"one stage")
+    log_rows = []
+    if stage == "raw_counts":
+        matrices, count_log = preprocess.filter_by_counts(
+            matrices, (manifest.count_min_spot, manifest.count_max_spot),
+            (manifest.count_min_gene, manifest.count_max_gene))
+        log_rows += [(kind, slide, item, total, "")
+                     for kind, slide, item, total in count_log]
+    kept, sparsity_log = preprocess.filter_by_sparsity(
+        matrices, manifest.eps_total, manifest.eps_wsi)
+    log_rows += [("gene_sparsity", scope, gene, pct, threshold)
+                 for gene, scope, pct, threshold in sparsity_log]
+    matrices = [m.subset_genes(kept) for m in matrices]
+    if stage == "raw_counts":
+        matrices = [preprocess.log_transform(preprocess.tpm_normalize(m))
+                    for m in matrices]
 
     outdir = Path(args.out) / "preprocess"
-    outdir.mkdir(parents=True, exist_ok=True)
-    for m in out_matrices:
+    for m in matrices:
         ingest.write_expression(outdir / f"{m.slide_id}_log1p.tsv", m)
     ingest.write_table(outdir / "filter_log.tsv", "filter_log",
                        ("kind", "scope", "item_id", "value", "threshold"),
@@ -252,36 +241,35 @@ def cmd_preprocess(args) -> None:
         "count_min_gene": manifest.count_min_gene,
         "count_max_gene": manifest.count_max_gene,
     })
-    print(f"preprocess: {len(out_matrices)} slides, "
-          f"{out_matrices[0].values.shape[1]} genes kept")
+    print(f"preprocess: {len(matrices)} slides, {len(kept)} genes kept")
 
 
 def cmd_denoise(args) -> None:
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     pre = Path(args.out) / "preprocess"
-    matrices, spot_lists = [], []
+    denoised, masks, reports = [], [], []
     for entry in manifest.slides:
         m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.tsv",
                                "log1p", "preprocess")
-        matrices.append(m)
-        spot_lists.append(_spots_for(entry, m.spot_ids))
-
-    denoised, masks, reports, pooled = denoise_mod.denoise_dataset(
-        matrices, spot_lists)
+        d, mask, report = denoise_mod.denoise_slide(
+            m, _spots_for(entry, m.spot_ids))
+        denoised.append(d)
+        masks.append(mask)
+        reports.append(report)
     if args.center_slides:
         denoised = preprocess.center_per_slide(denoised)
 
     outdir = Path(args.out) / "denoise"
-    outdir.mkdir(parents=True, exist_ok=True)
     for m, mask in zip(denoised, masks):
         ingest.write_expression(outdir / f"{m.slide_id}_denoised.tsv", m)
         ingest.write_mask(outdir / f"{m.slide_id}_mask.tsv", mask)
     rows = [(r.slide_id, r.n_cells, r.n_zero, r.n_imputed, r.n_fallback,
              r.imputed_fraction, len(r.genes_nothing_to_impute))
             for r in reports]
-    rows.append(("*", sum(r.n_cells for r in reports),
-                 sum(r.n_zero for r in reports),
-                 sum(r.n_imputed for r in reports),
+    cells = sum(r.n_cells for r in reports)
+    imputed = sum(r.n_imputed for r in reports)
+    pooled = imputed / cells if cells else 0.0
+    rows.append(("*", cells, sum(r.n_zero for r in reports), imputed,
                  sum(r.n_fallback for r in reports), pooled,
                  sum(len(r.genes_nothing_to_impute) for r in reports)))
     ingest.write_table(outdir / "report.tsv", "denoise_report",
@@ -297,7 +285,7 @@ def cmd_denoise(args) -> None:
 
 
 def cmd_select(args) -> None:
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     den = Path(args.out) / "denoise"
     matrices, masks, adjacencies = [], [], []
     for entry in manifest.slides:
@@ -313,10 +301,9 @@ def cmd_select(args) -> None:
     selected, scores = spatial.select_genes(matrices, adjacencies, n_genes)
 
     outdir = Path(args.out) / "select"
-    outdir.mkdir(parents=True, exist_ok=True)
-    subset = preprocess.apply_gene_subset(matrices, selected)
-    for m in subset:
-        ingest.write_expression(outdir / f"{m.slide_id}_selected.tsv", m)
+    for m in matrices:
+        ingest.write_expression(outdir / f"{m.slide_id}_selected.tsv",
+                                m.subset_genes(selected))
     for entry, mask in zip(manifest.slides, masks):
         ingest.write_mask(outdir / f"{entry.slide_id}_mask.tsv",
                           mask.subset_genes(selected))
@@ -342,13 +329,11 @@ def _read_slide(entry, matrix: ExpressionMatrix,
 
 
 def cmd_build_graphs(args) -> None:
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     hops = _from_preset(args, "hops", 1)
     aggregation = _from_preset(args, "aggregation", "sum")
     if hops < 1:
         raise ValidationError("hops must be positive")
-    if aggregation not in AGGREGATIONS:
-        raise ValidationError(f"unknown aggregation {aggregation!r}")
 
     rows = []
     width = None
@@ -362,7 +347,6 @@ def cmd_build_graphs(args) -> None:
                          len(sub.nodes), sub.edges.shape[0]))
 
     outdir = Path(args.out) / "graphs"
-    outdir.mkdir(parents=True, exist_ok=True)
     ingest.write_table(outdir / "summary.tsv", "graph_summary",
                        ("slide_id", "spot_id", "n_nodes", "n_edges"), rows)
     ingest.write_table(outdir / "meta.tsv", "graphs_meta",
@@ -416,7 +400,7 @@ def cmd_train(args) -> None:
             raise ValidationError(
                 f"`train --stage 1` takes no {', '.join(given)}; "
                 f"stage-2 settings go to `train --stage 2`")
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     out = Path(args.out)
     train_dir = out / "train"
     gene_ids = None
@@ -427,24 +411,30 @@ def cmd_train(args) -> None:
     # both stages fit on the train and val slides and never read a mask
     matrices = {e.slide_id: _selected(out, e, gene_ids)
                 for e in manifest.slides if e.split in ("train", "val")}
-    train_dir.mkdir(parents=True, exist_ok=True)
 
     if args.stage == 1:
-        mean = preprocess.compute_train_mean(
-            list(matrices.values()),
-            {e.slide_id: e.split for e in manifest.slides})
+        train = [matrices[e.slide_id] for e in manifest.slides
+                 if e.split == "train"]
+        mean = preprocess.compute_train_mean(train)
+        gene_ids = train[0].gene_ids
+        for m in matrices.values():
+            if m.gene_ids != gene_ids:
+                raise GeneSetMismatch(
+                    f"slide {m.slide_id!r} gene panel differs from "
+                    f"{train[0].slide_id!r}; run `sepal select` again")
 
         def read(entry):
             m = matrices[entry.slide_id]
-            return (_embedding_rows(entry, m.spot_ids),
-                    preprocess.to_delta(m, mean).values)
+            table = ingest.read_embeddings(entry.emb_path)
+            return (table.vectors[table.rows_for(m.spot_ids)],
+                    m.values - mean[None, :])
 
         x_train, y_train = _gather(manifest, "train", read)
         x_val, y_val = _gather(manifest, "val", read) or (None, None)
         result = train_mod.stage1_train(x_train, y_train, x_val, y_val)
         train_mod.save_model(
             train_dir / "stage1.ckpt",
-            train_mod.TrainedModel(mean.gene_ids, mean.means, result.weight,
+            train_mod.TrainedModel(gene_ids, mean, result.weight,
                                    result.bias))
         _write_history(train_dir / "stage1_history.tsv", result.history)
         _write_lock(train_dir, "train", {
@@ -458,7 +448,6 @@ def cmd_train(args) -> None:
         return
 
     # stage 2
-    mean = TrainMeanVector(gene_ids, stage1.train_mean)
     meta = _graphs_meta(out)
     hops = int(meta["hops"])
     aggregation = meta["aggregation"]
@@ -471,7 +460,7 @@ def cmd_train(args) -> None:
                 train_mod.linear_prediction(slide.embeddings.vectors,
                                             stage1.head_weight,
                                             stage1.head_bias),
-                preprocess.to_delta(slide.expression, mean).values)
+                slide.expression.values - stage1.train_mean[None, :])
 
     train = _gather(manifest, "train", read)
     val = _gather(manifest, "val", read) or (None, None, None)
@@ -560,7 +549,7 @@ def _test_predictions(manifest, out: Path, model):
 
 
 def cmd_eval(args) -> None:
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     out = Path(args.out)
     model = _load_model(out / "train")
     gene_ids = model.gene_ids
@@ -568,7 +557,6 @@ def cmd_eval(args) -> None:
 
     eval_dir = out / "eval"
     pred_dir = eval_dir / "predictions"
-    pred_dir.mkdir(parents=True, exist_ok=True)
 
     per_slide_rows = []
     preds, truths, masks, spot_ids = [], [], [], []
@@ -605,7 +593,7 @@ def cmd_eval(args) -> None:
 
 def cmd_figures(args) -> None:
     # draws from eval's per-gene tables and predictions; scores nothing
-    manifest = _manifest(args)
+    manifest = ingest.read_manifest(args.manifest)
     out = Path(args.out)
     eval_dir = out / "eval"
     gene_ids, pooled = metrics.read_per_gene_pccs(

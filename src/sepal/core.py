@@ -319,23 +319,6 @@ class EmbeddingTable:
 
 
 @dataclass(frozen=True)
-class TrainMeanVector:
-    """Per-gene mean over all training spots, used for delta supervision."""
-
-    gene_ids: tuple[str, ...]
-    means: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
-        m = np.asarray(self.means, dtype=np.float64)
-        if m.ndim != 1 or m.shape[0] != len(self.gene_ids):
-            raise ShapeMismatch("one mean per gene required")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteValue("non-finite train mean")
-        object.__setattr__(self, "means", _readonly(m))
-
-
-@dataclass(frozen=True)
 class SlideEntry:
     """One slide's file paths and split assignment inside a manifest."""
 
@@ -414,7 +397,8 @@ def align_slide(spots: Sequence[SpotRecord],
     """Reorder everything to canonical spot order and check coverage.
 
     The expression matrix defines which spots exist; coordinates and
-    embeddings may cover a superset and are subset to match.
+    embeddings may cover a superset and are subset to match.  A mask must
+    list the matrix's spots and genes in the matrix's order.
     """
     ordered = canonical_order(spots)
     dup = _find_duplicate([s.spot_id for s in ordered])
@@ -434,21 +418,15 @@ def align_slide(spots: Sequence[SpotRecord],
     order = [s.spot_id for s in keep]
 
     expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
-    expr = expression.subset_spots(
-        np.array([expr_index[s] for s in order], dtype=np.int64))
+    rows = np.array([expr_index[s] for s in order], dtype=np.int64)
+    expr = expression.subset_spots(rows)
     emb_rows = embeddings.rows_for(order)
     emb = EmbeddingTable(embeddings.slide_id, tuple(order),
                          embeddings.vectors[emb_rows, :])
     if mask is not None:
-        mask_index = {s: i for i, s in enumerate(mask.spot_ids)}
-        missing = [s for s in order if s not in mask_index]
-        if missing:
-            raise SpotSetMismatch(
-                f"spot {missing[0]!r} missing from imputation mask")
-        rows = np.array([mask_index[s] for s in order], dtype=np.int64)
-        mask = ImputationMask(mask.slide_id, mask.gene_ids, tuple(order),
+        assert_mask_matches(expression, mask)
+        mask = ImputationMask(mask.slide_id, mask.gene_ids, expr.spot_ids,
                               mask.values[rows, :])
-        assert_mask_matches(expr, mask)
     return Slide(tuple(keep), expr, emb, mask)
 
 

@@ -22,13 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DegenerateCoordinates,
     ExpressionMatrix,
     ImputationMask,
     ShapeMismatch,
     SpotRecord,
     ValidationError,
 )
-from .spatial import DISTANCE_DECIMALS, min_pixel_spacing, pixel_distance_rows
+from .spatial import DISTANCE_DECIMALS, pixel_distance_rows
 
 MAX_RINGS = 7
 
@@ -51,14 +52,22 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
                                ) -> RadialNeighborhood:
     """Group every spot's neighbors into rings of equal rounded distance."""
     spots = list(spots)
-    min_pixel_spacing(spots)  # raises on coincident spots
+    if len(spots) < 2:
+        raise DegenerateCoordinates(
+            f"rings need at least 2 spots, got {len(spots)}")
     members_all: list[tuple[np.ndarray, ...]] = []
     dists_all: list[tuple[float, ...]] = []
     for row in pixel_distance_rows(spots):
         row = np.round(row, DISTANCE_DECIMALS)
-        # ties resolve by index; the spot itself is the row's only 0.0
-        # after the spacing check, so it sorts first and is dropped
-        order = np.argsort(row, kind="stable")[1:]
+        # ties resolve by index; the spot itself is at 0.0, so it sorts
+        # first and is dropped, and a second 0.0 is a coincident spot
+        order = np.argsort(row, kind="stable")
+        if row[order[1]] == 0.0:
+            a, b = (spots[k].spot_id for k in order[:2])
+            raise DegenerateCoordinates(
+                f"{spots[0].slide_id!r}: spots {a!r} and {b!r} share a "
+                f"pixel position")
+        order = order[1:]
         d = row[order]
         # d is sorted: a ring starts wherever its distance changes
         starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
@@ -173,24 +182,3 @@ def denoise_slide(matrix: ExpressionMatrix, spots: Sequence[SpotRecord]
     )
     return denoised, mask, report
 
-
-def denoise_dataset(matrices: Sequence[ExpressionMatrix],
-                    spots_per_slide: Sequence[Sequence[SpotRecord]]
-                    ) -> tuple[list[ExpressionMatrix], list[ImputationMask],
-                               list[SlideImputationReport], float]:
-    """Denoise every slide; returns matrices, masks, reports, and the
-    pooled fraction of cells imputed across the dataset."""
-    if len(matrices) != len(spots_per_slide):
-        raise ValidationError("need one spot list per matrix")
-    out_m: list[ExpressionMatrix] = []
-    out_k: list[ImputationMask] = []
-    reports: list[SlideImputationReport] = []
-    for m, spots in zip(matrices, spots_per_slide):
-        d, mask, rep = denoise_slide(m, spots)
-        out_m.append(d)
-        out_k.append(mask)
-        reports.append(rep)
-    cells = sum(r.n_cells for r in reports)
-    imputed = sum(r.n_imputed for r in reports)
-    pooled = imputed / cells if cells else 0.0
-    return out_m, out_k, reports, pooled

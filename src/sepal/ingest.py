@@ -9,13 +9,18 @@ Formats:
   coordinates   TSV: spot_id slide_id pixel_x pixel_y array_row array_col
   expression    TSV: spot_id then one column per gene; #stage= comment
                 (required between stages; a dataset input without one
-                holds raw counts)
+                holds raw counts, and preprocess wants every slide of a
+                dataset at one stage)
   embeddings    TSV: spot_id then e0..e{d-1}
-  mask          TSV: spot_id then one 0/1 column per gene
+  mask          TSV: spot_id then one 0/1 column per gene, rows in its
+                matrix's order
   manifest      TOML: settings, then one [slide.<id>] table per slide
   checkpoint    uncompressed numpy archive (np.savez): named arrays plus a
                 (key, value) meta string array; read with allow_pickle=False
   heatmap       binary P6 PPM plus a CSV of the plotted values
+
+A value table without a #slide= comment takes its slide id from its file
+name up to the first dot.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Count filtering, normalization, and the delta-supervision transforms.
+"""Count filtering, normalization, and the train-split gene mean.
 
 The preprocessing chain runs in a fixed order on raw count matrices:
 
@@ -10,14 +10,15 @@ The preprocessing chain runs in a fixed order on raw count matrices:
   4. log_transform         log2(x + 1)
   5. center_per_slide      optional per-slide gene mean removal
 
-Gene totals and sparsity are judged over the pooled spot population of all
-slides; spot totals are judged within each slide.  Downstream supervision
-works on deltas against the train-split gene means, see to_delta.
+Log-space input skips steps 1, 3 and 4.  Gene totals and sparsity are
+judged over the pooled spot population of all slides; spot totals are
+judged within each slide.  Training supervises each gene's difference from
+its train-split mean, see compute_train_mean.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .core import (
     EmptyTrainSplit,
     ExpressionMatrix,
     GeneSetMismatch,
-    TrainMeanVector,
     ValidationError,
 )
 
@@ -140,11 +140,6 @@ def filter_by_sparsity(
     return kept, removed
 
 
-def apply_gene_subset(matrices: Sequence[ExpressionMatrix],
-                      gene_ids: Sequence[str]) -> list[ExpressionMatrix]:
-    return [m.subset_genes(gene_ids) for m in matrices]
-
-
 def tpm_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     """Scale each spot to counts-per-million.
 
@@ -181,10 +176,8 @@ def center_per_slide(matrices: Sequence[ExpressionMatrix]
     return out
 
 
-def compute_train_mean(matrices: Sequence[ExpressionMatrix],
-                       splits: Mapping[str, str]) -> TrainMeanVector:
-    """Per-gene mean over every spot of every train-split slide, pooled."""
-    train = [m for m in matrices if splits.get(m.slide_id) == "train"]
+def compute_train_mean(train: Sequence[ExpressionMatrix]) -> np.ndarray:
+    """Per-gene mean over every spot of the train-split matrices, pooled."""
     if not train:
         raise EmptyTrainSplit("no train-split matrices")
     genes = _common_genes(train)
@@ -193,13 +186,4 @@ def compute_train_mean(matrices: Sequence[ExpressionMatrix],
     for m in train:
         total += m.values.sum(axis=0)
         n += m.n_spots
-    return TrainMeanVector(genes, total / n)
-
-
-def to_delta(matrix: ExpressionMatrix, mean: TrainMeanVector
-             ) -> ExpressionMatrix:
-    """Subtract the train mean from every spot row."""
-    if matrix.gene_ids != mean.gene_ids:
-        raise GeneSetMismatch("delta transform on a different gene panel")
-    return ExpressionMatrix(matrix.slide_id, matrix.gene_ids, matrix.spot_ids,
-                            matrix.values - mean.means[None, :], "denoised")
+    return total / n

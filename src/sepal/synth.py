@@ -198,7 +198,6 @@ def generate_dataset(cfg: SynthConfig) -> SynthDataset:
 def write_dataset(dataset: SynthDataset, outdir) -> Path:
     """Write per-slide TSVs plus the manifest.  Returns the manifest path."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     cfg = dataset.config
     entries = []
     for slide_id, split in zip(dataset.slide_ids, dataset.splits):

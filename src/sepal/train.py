@@ -41,7 +41,7 @@ EVAL_CHUNK = 256
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
+    learning_rate: float = 1e-4
     batch_size: int = 256
     max_epochs: int = 500
     patience: int = 20
@@ -336,12 +336,22 @@ def save_model(path, model: TrainedModel) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    """Read a save_model archive; a stage-1 model has state None."""
+    """Read a save_model archive; a stage-1 model has state None.  The
+    train mean, head bias and head weight rows must each match the gene
+    panel."""
     meta, arrays = read_checkpoint(path)
     try:
         model = TrainedModel(tuple(arrays["genes"].tolist()),
                              arrays["train_mean"], arrays["head.W"],
                              arrays["head.b"])
+        for key, ndim in (("train_mean", 1), ("head.b", 1), ("head.W", 2)):
+            if (arrays[key].ndim != ndim
+                    or arrays[key].shape[0] != len(model.gene_ids)):
+                raise ValidationError(
+                    f"{path}: checkpoint {key!r} has shape "
+                    f"{arrays[key].shape}, not one "
+                    f"{'row' if ndim == 2 else 'value'} per gene; run "
+                    f"`sepal train` again")
         if meta["stage"] == "1":
             return model
         spec = ModelSpec(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 from sepal import ingest
-from sepal.cli import main
+from sepal.cli import STAGE2_DEFAULTS, main
+from sepal.core import ImputationMask
+from sepal.nn import ModelSpec
+from sepal.train import TrainConfig
 
 
 def run(*argv):
@@ -105,6 +109,16 @@ class TestPipelineOutputs:
         assert {"mse", "mae", "pcc_gene", "pcc_patch", "r2_gene",
                 "r2_patch", "n_excluded_genes", "n_excluded_patches",
                 "n_masked"} <= metrics
+
+    def test_denoise_report_pools_the_slides(self, pipeline):
+        _, _, rows = ingest.read_table(
+            pipeline["out"] / "denoise" / "report.tsv")
+        *slides, pooled = rows
+        assert [r[0] for r in slides] == ["synth00", "synth01", "synth02"]
+        assert pooled[0] == "*"
+        for c in (1, 2, 3, 4, 6):
+            assert int(pooled[c]) == sum(int(r[c]) for r in slides)
+        assert float(pooled[5]) == int(pooled[3]) / int(pooled[1])
 
     def test_mask_cells_imputed_by_denoiser(self, pipeline):
         mask = ingest.read_mask(
@@ -255,6 +269,70 @@ class TestExitCodes:
             assert "checkpoint gene panel does not match select outputs" \
                 in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["train_mean", "head.b"])
+    def test_short_model_array_names_checkpoint(self, pipeline, tmp_path,
+                                                capsys, key):
+        out = tmp_path / "short"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        # without stage2.ckpt, eval predicts from the stage-1 model alone
+        (out / "train" / "stage2.ckpt").unlink()
+        ckpt = out / "train" / "stage1.ckpt"
+        meta, tensors = ingest.read_checkpoint(ckpt)
+        tensors[key] = tensors[key][:-1]
+        ingest.write_checkpoint(ckpt, meta, tensors)
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        for argv in (("eval",), ("train", "--stage", "2", "--epochs", "1")):
+            assert run(argv[0], *base, *argv[1:]) == 1
+            err = capsys.readouterr().err
+            assert f"error: {ckpt}: " in err and "sepal train" in err
+        assert not (out / "eval").exists()
+
+    def test_stage1_refuses_val_slide_on_another_panel(self, pipeline,
+                                                       tmp_path, capsys):
+        out = tmp_path / "repanel"
+        copy_stages(pipeline, out, ("select",))
+        path = out / "select" / "synth01_selected.tsv"  # the val slide
+        m = ingest.read_expression(path)
+        ingest.write_expression(path, m.subset_genes(m.gene_ids[::-1]))
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "1")
+        assert rc == 1
+        assert "'synth01'" in capsys.readouterr().err
+        assert not (out / "train").exists()
+
+    def test_preprocess_refuses_mixed_input_stages(self, pipeline, tmp_path,
+                                                   capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = data / "manifest.toml"
+        # a log1p dataset whose second slide holds raw counts
+        path = Path(ingest.read_manifest(manifest).slides[1].expr_path)
+        m = ingest.read_expression(path)
+        assert m.stage == "log1p"
+        ingest.write_expression(
+            path, m.with_values(np.rint(10 * m.values), "raw_counts"))
+        rc = run("preprocess", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert "'synth01'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_refuses_reordered_mask(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "reordered"
+        copy_stages(pipeline, out, ("select", "train"))
+        path = out / "select" / "synth02_mask.tsv"
+        mask = ingest.read_mask(path)
+        ingest.write_mask(path, ImputationMask(
+            mask.slide_id, mask.gene_ids, mask.spot_ids[::-1],
+            mask.values[::-1]))
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "synth02" in err
+        assert not (out / "eval").exists()
+
     def test_select_before_denoise(self, pipeline, tmp_path, capsys):
         rc = run("select", "--manifest", pipeline["manifest"],
                  "--out", str(tmp_path / "fresh"))
@@ -359,6 +437,15 @@ class TestFlags:
         assert lock["post_mlp"] == ""
         assert lock["lr"] == "0.0001"
 
+    def test_stage2_defaults_are_the_field_defaults(self):
+        defaults = {f.name: f.default for cls in (ModelSpec, TrainConfig)
+                    for f in dataclasses.fields(cls)}
+        field = {"pre_mlp": "pre_widths", "hidden": "gnn_widths",
+                 "post_mlp": "post_widths", "lr": "learning_rate",
+                 "batch": "batch_size", "epochs": "max_epochs"}
+        for key, value in STAGE2_DEFAULTS.items():
+            assert value == defaults[field.get(key, key)], key
+
     def test_center_slides(self, tmp_path):
         data = tmp_path / "d"
         out = tmp_path / "r"
@@ -414,6 +501,27 @@ class TestStageWork:
         for name in ("summary.tsv", "meta.tsv"):
             assert (out / "graphs" / name).read_bytes() == \
                 (pipeline["out"] / "graphs" / name).read_bytes()
+
+    def test_train_mean_pools_the_train_slide_only(self, pipeline,
+                                                   tmp_path):
+        out = tmp_path / "mean"
+        copy_stages(pipeline, out, ("select",))
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        ckpt = out / "train" / "stage1.ckpt"
+        m = ingest.read_expression(out / "select" / "synth00_selected.tsv")
+        want = (m.values.sum(axis=0) / m.n_spots).tobytes()
+        assert run("train", *base, "--stage", "1") == 0
+        assert ingest.read_checkpoint(ckpt)[1]["train_mean"].tobytes() \
+            == want
+        # moving the val and test slides leaves the mean where it was
+        for sid in ("synth01", "synth02"):
+            path = out / "select" / f"{sid}_selected.tsv"
+            m = ingest.read_expression(path)
+            ingest.write_expression(path, m.with_values(m.values + 5.0,
+                                                        m.stage))
+        assert run("train", *base, "--stage", "1") == 0
+        assert ingest.read_checkpoint(ckpt)[1]["train_mean"].tobytes() \
+            == want
 
     def test_stage2_and_eval_read_each_slide_once(self, pipeline, tmp_path,
                                                   monkeypatch):

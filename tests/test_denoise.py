@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sepal import denoise, spatial
 from sepal.core import (
     DegenerateCoordinates,
     ExpressionMatrix,
@@ -13,7 +14,6 @@ from sepal.core import (
 from sepal.denoise import (
     MAX_RINGS,
     build_radial_neighborhoods,
-    denoise_dataset,
     denoise_slide,
     impute_gene_map,
 )
@@ -98,6 +98,21 @@ class TestRadialNeighborhoods:
                  SpotRecord("b", "s", 1e-8, 0.0, 0, 1)]
         with pytest.raises(DegenerateCoordinates):
             build_radial_neighborhoods(spots)
+
+    def test_one_distance_pass(self, monkeypatch):
+        # every distance row the build computes, through any helper
+        rows = []
+        real = spatial.pixel_distance_rows
+
+        def counting(spots):
+            for row in real(spots):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(spatial, "pixel_distance_rows", counting)
+        monkeypatch.setattr(denoise, "pixel_distance_rows", counting)
+        build_radial_neighborhoods(grid_spots(4, 5))
+        assert len(rows) == 20
 
 
 class TestImputeGeneMap:
@@ -253,6 +268,8 @@ class TestDenoiseSlide:
         ma = self._matrix(a, spots)
         mb = ExpressionMatrix("s1", ("g0", "g1"),
                               tuple(s.spot_id for s in spots), b, "log1p")
-        _, _, reports, pooled = denoise_dataset([ma, mb], [spots, spots])
+        reports = [denoise_slide(m, spots)[2] for m in (ma, mb)]
+        pooled = (sum(r.n_imputed for r in reports)
+                  / sum(r.n_cells for r in reports))
         assert pooled == 3 / 16
         assert [r.slide_id for r in reports] == ["s0", "s1"]

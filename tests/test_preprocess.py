@@ -8,8 +8,6 @@ from sepal.core import (
     AllSpotsRemoved,
     EmptyTrainSplit,
     ExpressionMatrix,
-    GeneSetMismatch,
-    TrainMeanVector,
     ValidationError,
 )
 from sepal.preprocess import (
@@ -18,7 +16,6 @@ from sepal.preprocess import (
     filter_by_counts,
     filter_by_sparsity,
     log_transform,
-    to_delta,
     tpm_normalize,
 )
 
@@ -186,38 +183,17 @@ class TestCentering:
         np.testing.assert_array_equal(c.values, [[-1.0, 2.0], [1.0, -2.0]])
 
 
-class TestDelta:
-    def test_known_values(self):
-        m = log1p_matrix(["a", "b"], ["g1", "g2"], [[1.0, 4.0], [3.0, 0.0]])
-        mean = TrainMeanVector(("g1", "g2"), np.array([2.0, 1.0]))
-        d = to_delta(m, mean)
-        np.testing.assert_array_equal(d.values, [[-1.0, 3.0], [1.0, -1.0]])
-
-    def test_panel_mismatch(self):
-        m = log1p_matrix(["a"], ["g1"], [[1.0]])
-        mean = TrainMeanVector(("gX",), np.array([0.0]))
-        with pytest.raises(GeneSetMismatch):
-            to_delta(m, mean)
-
-
 class TestTrainMean:
     def test_pooled_not_mean_of_means(self):
         a = log1p_matrix(["a"], ["g1"], [[0.0]], slide="A")
         b = log1p_matrix(["b", "c", "d"], ["g1"],
                          [[4.0], [4.0], [4.0]], slide="B")
-        mean = compute_train_mean([a, b], {"A": "train", "B": "train"})
-        assert mean.means[0] == 3.0  # 12 counts over 4 spots
-
-    def test_only_train_split_contributes(self):
-        a = log1p_matrix(["a"], ["g1"], [[2.0]], slide="A")
-        b = log1p_matrix(["b"], ["g1"], [[100.0]], slide="B")
-        mean = compute_train_mean([a, b], {"A": "train", "B": "test"})
-        assert mean.means[0] == 2.0
+        mean = compute_train_mean([a, b])
+        assert mean[0] == 3.0  # 12 counts over 4 spots
 
     def test_no_train_slides(self):
-        a = log1p_matrix(["a"], ["g1"], [[2.0]], slide="A")
         with pytest.raises(EmptyTrainSplit):
-            compute_train_mean([a], {"A": "val"})
+            compute_train_mean([])
 
 
 class TestThresholdValidation:
