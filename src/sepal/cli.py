@@ -45,6 +45,7 @@ from .core import (
     SpotSetMismatch,
     StageOrderViolation,
     ValidationError,
+    WidthMismatch,
     align_slide,
     assert_mask_matches,
     validate_dataset,
@@ -328,6 +329,16 @@ def _read_slide(entry, matrix: ExpressionMatrix,
     return align_slide(spots, matrix, emb, mask)
 
 
+def _check_head_width(ckpt: Path, model, slide) -> None:
+    """The head takes embeddings of the width it was fitted on."""
+    width = model.head_weight.shape[1]
+    if slide.embeddings.d_emb != width:
+        raise WidthMismatch(
+            f"{ckpt}: the head takes {width} embedding columns, slide "
+            f"{slide.slide_id!r} has {slide.embeddings.d_emb}; run "
+            f"`sepal train` again")
+
+
 def cmd_build_graphs(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     hops = _from_preset(args, "hops", 1)
@@ -403,10 +414,10 @@ def cmd_train(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     out = Path(args.out)
     train_dir = out / "train"
+    stage1_path = train_dir / "stage1.ckpt"
     gene_ids = None
     if args.stage == 2:
-        stage1 = train_mod.load_model(
-            _require(train_dir / "stage1.ckpt", "train --stage 1"))
+        stage1 = train_mod.load_model(_require(stage1_path, "train --stage 1"))
         gene_ids = stage1.gene_ids
     # both stages fit on the train and val slides and never read a mask
     matrices = {e.slide_id: _selected(out, e, gene_ids)
@@ -433,7 +444,7 @@ def cmd_train(args) -> None:
         x_val, y_val = _gather(manifest, "val", read) or (None, None)
         result = train_mod.stage1_train(x_train, y_train, x_val, y_val)
         train_mod.save_model(
-            train_dir / "stage1.ckpt",
+            stage1_path,
             train_mod.TrainedModel(gene_ids, mean, result.weight,
                                    result.bias))
         _write_history(train_dir / "stage1_history.tsv", result.history)
@@ -454,6 +465,7 @@ def cmd_train(args) -> None:
 
     def read(entry):
         slide = _read_slide(entry, matrices[entry.slide_id])
+        _check_head_width(stage1_path, stage1, slide)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
         return (graphs_mod.build_spot_graphs(slide, adjacency, hops,
                                              aggregation),
@@ -535,6 +547,8 @@ def _test_predictions(manifest, out: Path, model):
     for entry in _test_entries(manifest):
         slide = _read_slide(entry, _selected(out, entry, model.gene_ids),
                             _selected_mask(out, entry))
+        # a stage-2 model carries the stage-1 head, checked in _load_model
+        _check_head_width(out / "train" / "stage1.ckpt", model, slide)
         if model.state is not None:
             adjacency = spatial.build_adjacency(slide.spots,
                                                 manifest.geometry)

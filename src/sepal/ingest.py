@@ -232,8 +232,15 @@ def _read_value_table(path, kind: str):
                 f"{path}:{line_no}: expected {n_cols + 1} columns, "
                 f"got {len(fields)}")
         spot_ids.append(fields[0])
-        for c, text in enumerate(fields[1:]):
-            values[r, c] = _parse_float(text, path, line_no)
+        try:
+            values[r] = list(map(float, fields[1:]))
+            finite = np.isfinite(values[r]).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            # the per-cell parse names the row's first bad cell
+            for text in fields[1:]:
+                _parse_float(text, path, line_no)
     return comments, col_ids, spot_ids, values
 
 
@@ -260,12 +267,10 @@ def write_expression(path, matrix: ExpressionMatrix) -> None:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=expression\n")
         fh.write(f"#stage={matrix.stage}\n#slide={matrix.slide_id}\n")
         fh.write("spot_id\t" + "\t".join(matrix.gene_ids) + "\n")
-        for i, sid in enumerate(matrix.spot_ids):
-            row = matrix.values[i]
-            if integral:
-                cells = [str(int(v)) for v in row]
-            else:
-                cells = [fmt_float(v) for v in row]
+        for sid, row in zip(matrix.spot_ids, matrix.values):
+            # repr of a python float is fmt_float of the same value
+            cells = (map(str, map(int, row.tolist())) if integral
+                     else map(repr, row.tolist()))
             fh.write(sid + "\t" + "\t".join(cells) + "\n")
 
 
@@ -285,9 +290,8 @@ def write_embeddings(path, table: EmbeddingTable) -> None:
         fh.write(f"#slide={table.slide_id}\n")
         fh.write("spot_id\t" + "\t".join(
             f"e{i}" for i in range(table.d_emb)) + "\n")
-        for i, sid in enumerate(table.spot_ids):
-            fh.write(sid + "\t" + "\t".join(
-                fmt_float(v) for v in table.vectors[i]) + "\n")
+        for sid, row in zip(table.spot_ids, table.vectors):
+            fh.write(sid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def read_mask(path) -> ImputationMask:
@@ -303,9 +307,10 @@ def write_mask(path, mask: ImputationMask) -> None:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=mask\n")
         fh.write(f"#slide={mask.slide_id}\n")
         fh.write("spot_id\t" + "\t".join(mask.gene_ids) + "\n")
-        for i, sid in enumerate(mask.spot_ids):
-            fh.write(sid + "\t" + "\t".join(
-                "1" if v else "0" for v in mask.values[i]) + "\n")
+        for sid, row in zip(mask.spot_ids, mask.values):
+            # the row's cells as one string of "0"/"1" digits, tab-joined
+            digits = (row.astype(np.uint8) + ord("0")).tobytes().decode()
+            fh.write(sid + "\t" + "\t".join(digits) + "\n")
 
 
 def write_table(path, kind: str, columns: Sequence[str],

@@ -13,6 +13,11 @@ add/mul, gather, ELU, tanh, mean, and multiplication by a constant sparse
 matrix (the graph propagation step, which never needs a gradient of its
 own).
 
+Only the functions that build or transpose those sparse matrices import
+scipy.sparse, when they run, so importing this module costs numpy alone:
+stage-2 training and the evaluation of a stage-2 model load scipy, and
+every other command never does.
+
 Model layers:
 
   gcn_conv     H' = A_hat H W^T with A_hat = D~^{-1/2} (A + I) D~^{-1/2}
@@ -31,16 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     NoRecordedForward,
     ShapeMismatch,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPERATORS = ("gcn", "graphconv")
 POOLINGS = ("sag_mean", "global_mean")
@@ -154,6 +161,8 @@ def propagate(matrix, h: Tensor) -> Tensor:
             f"propagation {matrix.shape} against features {h.data.shape}")
 
     def backward(out):
+        import scipy.sparse as sp
+
         matrix_t = matrix.T.tocsr() if sp.issparse(matrix) else matrix.T
         h.add_grad(matrix_t @ out.grad)
     return _op(matrix @ h.data, (h,), backward)
@@ -234,6 +243,8 @@ def backward(loss: Tensor) -> None:
 
 def adj_matrix(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     """Symmetric binary adjacency (no self loops)."""
+    import scipy.sparse as sp
+
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -248,6 +259,8 @@ def adj_matrix(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
 
 def gcn_matrix(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
     """Symmetrically normalized adjacency with self loops."""
+    import scipy.sparse as sp
+
     a = adj_matrix(n_nodes, edges) + sp.eye(n_nodes, format="csr")
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
@@ -297,6 +310,8 @@ def _check_sizes(sizes, n_rows: int) -> np.ndarray:
 
 def _mean_pool(sizes: np.ndarray) -> sp.csr_matrix:
     """Row g averages the sizes[g] rows that follow graph g - 1's."""
+    import scipy.sparse as sp
+
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     return sp.csr_matrix((np.repeat(1.0 / sizes, sizes),
                           np.arange(indptr[-1]), indptr),

@@ -10,6 +10,8 @@ graph.
 auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
 the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
+read_value_table parses and checks every cell of a value table on its
+own, as ingest did before it parsed a row at a time.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,13 @@ from math import ceil
 import numpy as np
 import scipy.sparse as sp
 
-from sepal.core import DegenerateCoordinates, ValidationError
+from sepal.core import (
+    DegenerateCoordinates,
+    MalformedRow,
+    ValidationError,
+    WidthMismatch,
+)
+from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
 from sepal.nn import GraphBatch, gather_rows, gcn_conv, mul, propagate, tanh
 
@@ -217,3 +225,26 @@ def heatmap_spacing(spots):
     if dmin <= 0.0:
         raise ValidationError("two spots share a pixel position")
     return dmin
+
+
+def read_value_table(path, kind):
+    comments, header, rows = _parse_tsv(path)
+    if not header or header[0] != "spot_id":
+        raise MalformedRow(f"{path}: first column must be spot_id")
+    col_ids = header[1:]
+    n_cols = len(col_ids)
+    spot_ids = []
+    values = np.empty((len(rows), n_cols), dtype=np.float64)
+    for r, (line_no, fields) in enumerate(rows):
+        if len(fields) != n_cols + 1:
+            if kind == "embeddings":
+                raise WidthMismatch(
+                    f"{path}:{line_no}: {len(fields) - 1} values under a "
+                    f"{n_cols}-wide header")
+            raise MalformedRow(
+                f"{path}:{line_no}: expected {n_cols + 1} columns, "
+                f"got {len(fields)}")
+        spot_ids.append(fields[0])
+        for c, text in enumerate(fields[1:]):
+            values[r, c] = _parse_float(text, path, line_no)
+    return comments, col_ids, spot_ids, values

@@ -287,6 +287,24 @@ class TestExitCodes:
             assert f"error: {ckpt}: " in err and "sepal train" in err
         assert not (out / "eval").exists()
 
+    def test_head_on_other_embedding_width_names_checkpoint(
+            self, pipeline, tmp_path, capsys):
+        out = tmp_path / "narrow"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        (out / "train" / "stage2.ckpt").unlink()
+        ckpt = out / "train" / "stage1.ckpt"
+        meta, tensors = ingest.read_checkpoint(ckpt)
+        tensors["head.W"] = tensors["head.W"][:, :-1]
+        ingest.write_checkpoint(ckpt, meta, tensors)
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        for argv in (("eval",), ("train", "--stage", "2", "--epochs", "1")):
+            assert run(argv[0], *base, *argv[1:]) == 1
+            err = capsys.readouterr().err
+            assert f"error: {ckpt}: " in err and "sepal train" in err
+            assert "7 embedding columns" in err
+        assert not (out / "eval").exists()
+        assert not (out / "train" / "stage2.ckpt").exists()
+
     def test_stage1_refuses_val_slide_on_another_panel(self, pipeline,
                                                        tmp_path, capsys):
         out = tmp_path / "repanel"
@@ -656,19 +674,57 @@ class TestStageWork:
         assert "sepal eval" in capsys.readouterr().err
 
 
+_COMMANDS_PROBE = """
+import sys
+from sepal.cli import main
+
+data, out = sys.argv[1], sys.argv[2]
+base = ["--manifest", data + "/manifest.toml", "--out", out]
+for argv in (["synth", "--out", data, "--rows", "6", "--cols", "6",
+              "--d-emb", "4", "--genes", "6", "--smooth", "3"],
+             ["preprocess", *base], ["denoise", *base],
+             ["select", *base, "--n-genes", "3"], ["build-graphs", *base],
+             ["train", *base, "--stage", "1"], ["eval", *base],
+             ["figures", *base],
+             ["train", *base, "--stage", "2", "--epochs", "1",
+              "--hidden", "4"]):
+    assert main(argv) == 0, argv
+    print("probe:", argv[0], "scipy" in sys.modules,
+          "scipy.sparse" in sys.modules, file=sys.stderr)
+"""
+
+
 class TestStartup:
-    def test_cli_import_leaves_scipy_spatial_unloaded(self):
+    """Only the graph network loads scipy.sparse; every other command
+    starts at numpy's cost."""
+
+    def _python(self, *argv):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, sepal.cli; "
-             "print('scipy.spatial' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self._python(
+            "-c", "import sys, sepal.cli; "
+                  "print(sorted(m for m in sys.modules "
+                  "if m.partition('.')[0] == 'scipy'))")
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_without_the_network_load_no_scipy(self, tmp_path):
+        proc = self._python("-c", _COMMANDS_PROBE, str(tmp_path / "data"),
+                            str(tmp_path / "run"))
+        lines = [line for line in proc.stderr.splitlines()
+                 if line.startswith("probe: ")]
+        assert lines[:-1] == [f"probe: {c} False False" for c in (
+            "synth", "preprocess", "denoise", "select", "build-graphs",
+            "train", "eval", "figures")]
+        # the probe does see scipy once the network has run
+        assert lines[-1] == "probe: train True True"
 
 
 class TestDeterminism:

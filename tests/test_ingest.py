@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
+
 from sepal.core import (
     DuplicateSpot,
     EmbeddingTable,
@@ -195,6 +197,93 @@ class TestMask:
         p.write_text("spot_id\tg1\na\t3\n")
         with pytest.raises(MalformedRow):
             read_mask(p)
+
+
+# cells float() refuses, cells that parse to a non-finite value, and cells
+# that parse although they look odd
+ODD_CELLS = ("x", "", "1.0.0", "0x10", "nan", "NaN", "-inf", "Infinity",
+             "1e309", "-1e309", " 1.5", "2.5  ", " nan ", "1_0", "1__0",
+             "_1", "1e-400")
+
+
+@st.composite
+def tables_with_one_odd_cell(draw):
+    """(kind, table text): repr-formatted cells, one replaced by an odd
+    cell at any row and column."""
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 5))
+    cells = [[fmt_float(draw(finite_floats)) for _ in range(n_cols)]
+             for _ in range(n_rows)]
+    row = draw(st.integers(0, n_rows - 1))
+    cells[row][draw(st.integers(0, n_cols - 1))] = \
+        draw(st.sampled_from(ODD_CELLS))
+    lines = ["#stage=denoised",
+             "spot_id\t" + "\t".join(f"e{c}" for c in range(n_cols))]
+    lines += [f"s{r}\t" + "\t".join(cells[r]) for r in range(n_rows)]
+    kind = draw(st.sampled_from(("expression", "embeddings", "mask")))
+    return kind, "\n".join(lines) + "\n"
+
+
+def _outcome(read, path, kind):
+    """What a reader returns, values as raw bytes, or the error it raises."""
+    try:
+        comments, col_ids, spot_ids, values = read(path, kind)
+    except ValidationError as e:
+        return type(e), str(e)
+    return comments, col_ids, spot_ids, values.shape, values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def scratch_tsv(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec") / "s0.tsv"
+
+
+class TestRowCodec:
+    """The row-at-a-time reader and writers against the per-cell ones."""
+
+    @given(tables_with_one_odd_cell())
+    def test_reader_matches_per_cell_reader(self, scratch_tsv, table):
+        kind, text = table
+        scratch_tsv.write_text(text)
+        assert (_outcome(ingest._read_value_table, scratch_tsv, kind)
+                == _outcome(reference.read_value_table, scratch_tsv, kind))
+
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
+        # float() fails on the second cell; the first is what gets named
+        p = tmp_path / "s0.tsv"
+        p.write_text("spot_id\ta\tb\nx\tinf\ty\n")
+        with pytest.raises(NonFiniteValue, match="'inf'"):
+            read_expression(p)
+
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_writers_format_each_cell_like_fmt_float(self, scratch_tsv,
+                                                     n_rows, n_cols, data):
+        spot_ids = tuple(f"s{r}" for r in range(n_rows))
+        gene_ids = tuple(f"g{c}" for c in range(n_cols))
+
+        def cells(elements):
+            return np.array(data.draw(st.lists(
+                st.lists(elements, min_size=n_cols, max_size=n_cols),
+                min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+
+        floats = cells(finite_floats)
+        counts = cells(st.integers(0, 2 ** 60).map(float))
+        flags = cells(st.booleans()).astype(np.bool_)
+        for write, obj, values, fmt in (
+                (write_expression, ExpressionMatrix(
+                    "s0", gene_ids, spot_ids, floats, "denoised"),
+                 floats, fmt_float),
+                (write_expression, ExpressionMatrix(
+                    "s0", gene_ids, spot_ids, counts, "raw_counts"),
+                 counts, lambda v: str(int(v))),
+                (write_embeddings, EmbeddingTable("s0", spot_ids, floats),
+                 floats, fmt_float),
+                (write_mask, ImputationMask("s0", gene_ids, spot_ids, flags),
+                 flags, lambda v: "1" if v else "0")):
+            write(scratch_tsv, obj)
+            rows = scratch_tsv.read_bytes().decode().split("\n")[-n_rows - 1:]
+            assert rows == [sid + "\t" + "\t".join(fmt(v) for v in row)
+                            for sid, row in zip(spot_ids, values)] + [""]
 
 
 class TestAtomicWrite:
