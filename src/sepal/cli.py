@@ -459,6 +459,17 @@ def cmd_train(args) -> None:
         return
 
     # stage 2
+    def opt(key):
+        return _from_preset(args, key, STAGE2_DEFAULTS[key])
+
+    pooling = opt("pooling")
+    if args.sag_ratio is not None and pooling != "sag_mean":
+        raise ValidationError(
+            f"--sag-ratio does nothing with --pooling {pooling}")
+    hidden = list(opt("hidden"))
+    post = list(opt("post_mlp"))
+    if not hidden:
+        raise ValidationError("--hidden needs at least one graph-layer width")
     meta = _graphs_meta(out)
     hops = int(meta["hops"])
     aggregation = meta["aggregation"]
@@ -477,23 +488,17 @@ def cmd_train(args) -> None:
     train = _gather(manifest, "train", read)
     val = _gather(manifest, "val", read) or (None, None, None)
 
-    def opt(key):
-        return _from_preset(args, key, STAGE2_DEFAULTS[key])
-
     in_width = train[0].features.shape[1]
     n_genes = len(gene_ids)
-    pre = opt("pre_mlp")
-    hidden = list(opt("hidden"))
-    post = list(opt("post_mlp"))
     # the network's last layer always maps onto the gene panel
     if post:
         post[-1] = n_genes
     else:
         hidden[-1] = n_genes
     spec = ModelSpec(
-        in_width=in_width, n_genes=n_genes, pre_widths=tuple(pre),
+        in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
         operator=opt("operator"), gnn_widths=tuple(hidden),
-        pooling=opt("pooling"), sag_ratio=opt("sag_ratio"),
+        pooling=pooling, sag_ratio=opt("sag_ratio"),
         post_widths=tuple(post))
     cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
                       max_epochs=opt("epochs"), patience=opt("patience"),

@@ -1,14 +1,16 @@
 """Median-based imputation of dropout zeros in log-space expression maps.
 
 Spatial transcriptomics counts suffer pepper noise: zeros recorded where
-transcripts were present but not captured.  The filler works per slide and
-per gene.  Around every spot, the other spots are grouped into rings by
-their rounded pairwise pixel distance, nearest first, keeping at most the
-seven closest distinct distances.  A zero cell is replaced by the median of
-the nonzero original values found in the smallest set of cumulative rings
-that contains at least one nonzero; if all seven rings are blank the
-replacement is the median of the gene map's nonzero entries.  A gene map
-with no nonzero entries anywhere is left untouched and reported.
+transcripts were present but not captured.  The filler takes one slide's
+whole [spots, genes] block in one pass over its spots.  Around every spot,
+the other spots are grouped into rings by their rounded pairwise pixel
+distance, nearest first, keeping at most the seven closest distinct
+distances.  At a spot, each zero cell is replaced by the median of its
+gene's nonzero original values in the smallest set of cumulative rings
+that holds at least one; the rings grow only for the genes still unfilled.
+If all seven rings are blank the replacement is the median of the gene
+map's nonzero entries.  A gene map with no nonzero entries anywhere is
+left untouched and reported.
 
 All medians read the original map, so earlier replacements never feed
 later ones, and the result does not depend on spot visit order.
@@ -78,53 +80,51 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
     return RadialNeighborhood(len(spots), tuple(members_all), tuple(dists_all))
 
 
-@dataclass(frozen=True)
-class GeneImputation:
-    """Outcome of filling one gene map."""
-
-    values: np.ndarray
-    flags: np.ndarray
-    n_zero: int
-    n_imputed: int
-    n_fallback: int
-    nothing_to_impute: bool
+def _column_medians(block: np.ndarray) -> np.ndarray:
+    """np.median of each column's non-NaN entries (every column holds one),
+    bit for bit: an odd count's (x + x) / 2 is x for x below 8.9e307."""
+    block = np.sort(block, axis=0)  # NaNs sort last
+    n = block.shape[0] - np.isnan(block).sum(axis=0)
+    cols = np.arange(block.shape[1])
+    return (block[(n - 1) // 2, cols] + block[n // 2, cols]) / 2
 
 
 def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
-                    ) -> GeneImputation:
-    """Fill the zeros of one gene map from its nonzero neighborhood."""
+                    ) -> tuple[np.ndarray, int]:
+    """Fill the zeros of a slide's [n_spots, n_genes] block, spot by spot.
+
+    Returns the filled block and the number of cells that took their
+    gene's slide-wide median.  Genes with no nonzero cell stay zero.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (rings.n_spots,):
-        raise ShapeMismatch(
-            f"gene map has {values.shape}, rings cover {rings.n_spots} spots")
-    zero_idx = np.nonzero(values == 0.0)[0]
-    nonzero = values[values != 0.0]
-    out = values.copy()
-    flags = np.zeros(rings.n_spots, dtype=np.bool_)
-
-    if nonzero.size == 0:
-        return GeneImputation(out, flags, int(zero_idx.size), 0, 0,
-                              nothing_to_impute=zero_idx.size > 0)
-
-    fallback = float(np.median(nonzero))
+    if values.ndim != 2 or values.shape[0] != rings.n_spots:
+        raise ShapeMismatch(f"gene maps have {values.shape}, rings cover "
+                            f"{rings.n_spots} spots")
+    zero = values == 0.0
+    # the nonzero originals, NaN in zero cells: every median reads these
+    known = np.where(zero, np.nan, values)
+    has_value = ~zero.all(axis=0)
+    fallback = np.zeros(values.shape[1])
+    fallback[has_value] = _column_medians(known[:, has_value])
+    unfilled = zero & has_value
+    filled = values.copy()
     n_fallback = 0
-    for i in zero_idx:
-        collected: list[float] = []
-        filled = False
-        for members in rings.ring_members[i]:
-            ring_vals = values[members]
-            collected.extend(ring_vals[ring_vals != 0.0])
-            if collected:
-                out[i] = float(np.median(collected))
-                filled = True
-                break
-        if not filled:
-            out[i] = fallback
-            n_fallback += 1
-        flags[i] = True
-    return GeneImputation(out, flags, int(zero_idx.size),
-                          int(zero_idx.size), n_fallback,
-                          nothing_to_impute=False)
+    for i in np.flatnonzero(unfilled.any(axis=1)):
+        todo = np.flatnonzero(unfilled[i])
+        members = rings.ring_members[i]
+        near = known[np.concatenate(members)[:, None], todo]
+        end = 0
+        for ring in members:
+            end += ring.size
+            seen = ~np.isnan(near[:end]).all(axis=0)
+            if seen.any():
+                filled[i, todo[seen]] = _column_medians(near[:end, seen])
+                todo, near = todo[~seen], near[:, ~seen]
+                if not todo.size:
+                    break
+        filled[i, todo] = fallback[todo]
+        n_fallback += todo.size
+    return filled, n_fallback
 
 
 @dataclass(frozen=True)
@@ -153,32 +153,23 @@ def denoise_slide(matrix: ExpressionMatrix, spots: Sequence[SpotRecord]
         raise ShapeMismatch(
             f"coordinates not aligned with matrix for {matrix.slide_id!r}")
     rings = build_radial_neighborhoods(spots)
-
-    out = np.empty_like(matrix.values)
-    flags = np.zeros(matrix.values.shape, dtype=np.bool_)
-    n_zero = n_imputed = n_fallback = 0
-    empty_genes: list[str] = []
-    for j, gene in enumerate(matrix.gene_ids):
-        r = impute_gene_map(matrix.values[:, j], rings)
-        out[:, j] = r.values
-        flags[:, j] = r.flags
-        n_zero += r.n_zero
-        n_imputed += r.n_imputed
-        n_fallback += r.n_fallback
-        if r.nothing_to_impute:
-            empty_genes.append(gene)
+    filled, n_fallback = impute_gene_map(matrix.values, rings)
+    zero = matrix.values == 0.0
+    empty = zero.all(axis=0)
+    flags = zero & ~empty
 
     denoised = ExpressionMatrix(matrix.slide_id, matrix.gene_ids,
-                                matrix.spot_ids, out, "denoised")
+                                matrix.spot_ids, filled, "denoised")
     mask = ImputationMask(matrix.slide_id, matrix.gene_ids, matrix.spot_ids,
                           flags)
     report = SlideImputationReport(
         slide_id=matrix.slide_id,
         n_cells=int(matrix.values.size),
-        n_zero=n_zero,
-        n_imputed=n_imputed,
+        n_zero=int(zero.sum()),
+        n_imputed=int(flags.sum()),
         n_fallback=n_fallback,
-        genes_nothing_to_impute=tuple(empty_genes),
+        genes_nothing_to_impute=tuple(
+            g for g, e in zip(matrix.gene_ids, empty) if e),
     )
     return denoised, mask, report
 

@@ -20,7 +20,8 @@ Formats:
   heatmap       binary P6 PPM plus a CSV of the plotted values
 
 A value table without a #slide= comment takes its slide id from its file
-name up to the first dot.
+name up to the first dot.  Slide and gene ids name output files, so an
+id that is empty, "." or "..", or holds "/" or "\\", is refused.
 """
 
 from __future__ import annotations
@@ -139,11 +140,22 @@ def _parse_tsv(path) -> tuple[dict[str, str], list[str], list[tuple[int, list[st
     return comments, header, rows
 
 
+def _path_part(ident: str, what: str, path) -> str:
+    """Slide and gene ids name output files: refuse one that would put a
+    file outside its directory."""
+    if ident in ("", ".", "..") or "/" in ident or "\\" in ident:
+        raise ValidationError(
+            f"{path}: {what} {ident!r} cannot be part of a file name")
+    return ident
+
+
 def _slide_id_for(path, comments: Mapping[str, str]) -> str:
-    if "slide" in comments:
-        return comments["slide"]
-    name = Path(path).name
-    return name.split(".", 1)[0]
+    sid = comments.get("slide", Path(path).name.split(".", 1)[0])
+    return _path_part(sid, "slide id", path)
+
+
+def _gene_ids(path, gene_ids: Sequence[str]) -> tuple[str, ...]:
+    return tuple(_path_part(g, "gene id", path) for g in gene_ids)
 
 
 def _parse_float(text: str, path, line_no: int) -> float:
@@ -256,9 +268,9 @@ def read_expression(path, stage: str | None = None) -> ExpressionMatrix:
     if stage is not None and tag != stage:
         raise StageOrderViolation(
             f"{path} carries stage tag {tag!r}, expected {stage!r}")
-    return ExpressionMatrix(_slide_id_for(path, comments), tuple(gene_ids),
-                            tuple(spot_ids), values,
-                            "raw_counts" if tag is None else tag)
+    return ExpressionMatrix(_slide_id_for(path, comments),
+                            _gene_ids(path, gene_ids), tuple(spot_ids),
+                            values, "raw_counts" if tag is None else tag)
 
 
 def write_expression(path, matrix: ExpressionMatrix) -> None:
@@ -298,8 +310,9 @@ def read_mask(path) -> ImputationMask:
     comments, gene_ids, spot_ids, values = _read_value_table(path, "mask")
     if values.size and not np.all(np.isin(values, (0.0, 1.0))):
         raise MalformedRow(f"{path}: mask cells must be 0 or 1")
-    return ImputationMask(_slide_id_for(path, comments), tuple(gene_ids),
-                          tuple(spot_ids), values.astype(np.bool_))
+    return ImputationMask(_slide_id_for(path, comments),
+                          _gene_ids(path, gene_ids), tuple(spot_ids),
+                          values.astype(np.bool_))
 
 
 def write_mask(path, mask: ImputationMask) -> None:
@@ -378,8 +391,7 @@ def read_manifest(path) -> DatasetManifest:
 
     entries = []
     for sid, table in slides.items():
-        if not sid:
-            raise ValidationError(f"{path}: empty slide id")
+        _path_part(sid, "slide id", path)
         if (not isinstance(table, dict) or set(table) != set(_SLIDE_KEYS)
                 or not all(isinstance(v, str) for v in table.values())):
             raise ValidationError(

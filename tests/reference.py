@@ -12,19 +12,32 @@ the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
 read_value_table parses and checks every cell of a value table on its
 own, as ingest did before it parsed a row at a time.
+impute_gene_map fills one gene map one zero cell at a time, and
+denoise_slide runs it gene by gene, as the denoiser did before it took a
+slide's whole block in one pass over its spots.
 """
 
 from dataclasses import dataclass
 from math import ceil
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from sepal.core import (
     DegenerateCoordinates,
+    ExpressionMatrix,
+    ImputationMask,
     MalformedRow,
+    ShapeMismatch,
+    SpotRecord,
     ValidationError,
     WidthMismatch,
+)
+from sepal.denoise import (
+    RadialNeighborhood,
+    SlideImputationReport,
+    build_radial_neighborhoods,
 )
 from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
@@ -248,3 +261,95 @@ def read_value_table(path, kind):
         for c, text in enumerate(fields[1:]):
             values[r, c] = _parse_float(text, path, line_no)
     return comments, col_ids, spot_ids, values
+
+
+@dataclass(frozen=True)
+class GeneImputation:
+    """Outcome of filling one gene map."""
+
+    values: np.ndarray
+    flags: np.ndarray
+    n_zero: int
+    n_imputed: int
+    n_fallback: int
+    nothing_to_impute: bool
+
+
+def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
+                    ) -> GeneImputation:
+    """Fill the zeros of one gene map from its nonzero neighborhood."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (rings.n_spots,):
+        raise ShapeMismatch(
+            f"gene map has {values.shape}, rings cover {rings.n_spots} spots")
+    zero_idx = np.nonzero(values == 0.0)[0]
+    nonzero = values[values != 0.0]
+    out = values.copy()
+    flags = np.zeros(rings.n_spots, dtype=np.bool_)
+
+    if nonzero.size == 0:
+        return GeneImputation(out, flags, int(zero_idx.size), 0, 0,
+                              nothing_to_impute=zero_idx.size > 0)
+
+    fallback = float(np.median(nonzero))
+    n_fallback = 0
+    for i in zero_idx:
+        collected: list[float] = []
+        filled = False
+        for members in rings.ring_members[i]:
+            ring_vals = values[members]
+            collected.extend(ring_vals[ring_vals != 0.0])
+            if collected:
+                out[i] = float(np.median(collected))
+                filled = True
+                break
+        if not filled:
+            out[i] = fallback
+            n_fallback += 1
+        flags[i] = True
+    return GeneImputation(out, flags, int(zero_idx.size),
+                          int(zero_idx.size), n_fallback,
+                          nothing_to_impute=False)
+
+
+def denoise_slide(matrix: ExpressionMatrix, spots: Sequence[SpotRecord]
+                  ) -> tuple[ExpressionMatrix, ImputationMask,
+                             SlideImputationReport]:
+    """Fill every gene map of one slide.  Expects log-space input."""
+    if matrix.stage != "log1p":
+        raise ValidationError(
+            f"denoiser expects log1p input, got stage {matrix.stage!r}")
+    spots = list(spots)
+    if tuple(s.spot_id for s in spots) != matrix.spot_ids:
+        raise ShapeMismatch(
+            f"coordinates not aligned with matrix for {matrix.slide_id!r}")
+    rings = build_radial_neighborhoods(spots)
+
+    out = np.empty_like(matrix.values)
+    flags = np.zeros(matrix.values.shape, dtype=np.bool_)
+    n_zero = n_imputed = n_fallback = 0
+    empty_genes: list[str] = []
+    for j, gene in enumerate(matrix.gene_ids):
+        r = impute_gene_map(matrix.values[:, j], rings)
+        out[:, j] = r.values
+        flags[:, j] = r.flags
+        n_zero += r.n_zero
+        n_imputed += r.n_imputed
+        n_fallback += r.n_fallback
+        if r.nothing_to_impute:
+            empty_genes.append(gene)
+
+    denoised = ExpressionMatrix(matrix.slide_id, matrix.gene_ids,
+                                matrix.spot_ids, out, "denoised")
+    mask = ImputationMask(matrix.slide_id, matrix.gene_ids, matrix.spot_ids,
+                          flags)
+    report = SlideImputationReport(
+        slide_id=matrix.slide_id,
+        n_cells=int(matrix.values.size),
+        n_zero=n_zero,
+        n_imputed=n_imputed,
+        n_fallback=n_fallback,
+        genes_nothing_to_impute=tuple(empty_genes),
+    )
+    return denoised, mask, report
+

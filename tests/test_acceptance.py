@@ -286,15 +286,16 @@ def test_criterion_04_denoiser_contract():
                   and np.array_equal(den3.values[:, 1], np.full(25, 7.0))
                   and int(mask3.values[:, 0].sum()) == 6
                   and int(mask3.values[:, 1].sum()) == 24)
-    rb = impute_gene_map(b, build_radial_neighborhoods(spots5))
-    fallback_ok = rb.n_fallback == 12 and rep3.n_fallback == 12
+    _, rb_fallback = impute_gene_map(b[:, None],
+                                     build_radial_neighborhoods(spots5))
+    fallback_ok = rb_fallback == 12 and rep3.n_fallback == 12
 
     ok = (nonzero_kept and mask_matches and fixed_point and hand_exact
           and fallback_ok)
     verdict(4, "denoiser contract", ok,
             f"nonzeros kept {nonzero_kept}, mask exact {mask_matches}, "
             f"fixed point {fixed_point}, hand fixture {hand_exact}, "
-            f"fallback spots {rb.n_fallback}")
+            f"fallback spots {rb_fallback}")
 
 
 # ---------------------------------------------------------------------------

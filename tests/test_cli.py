@@ -387,6 +387,70 @@ class TestExitCodes:
         assert rc == 1
         assert "train --stage 1" in capsys.readouterr().err
 
+    def test_slide_id_that_leaves_its_directory(self, pipeline, tmp_path,
+                                                capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = data / "manifest.toml"
+        manifest.write_text(manifest.read_text().replace(
+            "[slide.synth00]", '[slide."../../up"]'))
+        # every file of the slide agrees with its manifest key
+        for name in ("coords", "expr", "emb"):
+            path = data / f"synth00_{name}.tsv"
+            path.write_text(path.read_text().replace(
+                "#slide=synth00\n", "#slide=../../up\n").replace(
+                "\tsynth00\t", "\t../../up\t"))
+        out = tmp_path / "a" / "run"
+        rc = run("preprocess", "--manifest", str(manifest), "--out", str(out))
+        assert rc == 1
+        assert f"error: {manifest}: slide id '../../up'" in (
+            capsys.readouterr().err)
+        assert not list(tmp_path.rglob("up_log1p.tsv"))
+
+    def test_gene_id_that_leaves_its_directory(self, pipeline, tmp_path,
+                                               capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        path = data / "synth02_expr.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(k for k, ln in enumerate(lines)
+                      if ln.startswith("spot_id\t"))
+        cells = lines[header].split("\t")
+        cells[1] = "../../../escaped"
+        lines[header] = "\t".join(cells)
+        path.write_text("".join(lines))
+        rc = run("preprocess", "--manifest", str(data / "manifest.toml"),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        assert f"error: {path}: gene id '../../../escaped'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_stage2_without_graph_layers(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        (out / "train" / "stage2.ckpt").unlink()
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "2", "--hidden", "none")
+        assert rc == 1
+        assert "--hidden" in capsys.readouterr().err
+        assert not (out / "train" / "stage2.ckpt").exists()
+
+    def test_sag_ratio_refused_with_global_mean(self, pipeline, tmp_path,
+                                                capsys):
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        (out / "train" / "stage2.ckpt").unlink()
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "2", "--epochs", "1",
+                 "--pooling", "global_mean", "--sag-ratio", "0.3")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--sag-ratio" in err and "--pooling global_mean" in err
+        assert not (out / "train" / "stage2.ckpt").exists()
+
     def test_eval_without_test_split(self, tmp_path):
         data = tmp_path / "d"
         out = tmp_path / "r"

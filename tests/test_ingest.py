@@ -400,8 +400,8 @@ class TestManifest:
         m = read_manifest(p)
         s0 = m.slides[0]
         slides = [dataclasses.replace(s0, slide_id=sid)
-                  for sid in ("a.b", 'q"x', "back\\slash", "\x7f", "sp ace",
-                              "é", "bare_id-1")]
+                  for sid in ("a.b", 'q"x', "\x7f", "sp ace", "é",
+                              "bare_id-1")]
         m = dataclasses.replace(m, name='say "hi" \\ bye', slides=slides)
         q = tmp_path / "again.toml"
         write_manifest(q, m)
@@ -445,6 +445,51 @@ class TestManifest:
         p.write_bytes(data)
         with pytest.raises(MalformedRow, match="manifest.toml"):
             read_manifest(p)
+
+
+# ids that would lead an output file out of its directory
+ESCAPING_IDS = ["..", ".", "", "../../up", "a/b", "back\\slash"]
+
+
+class TestIdsThatNameFiles:
+    """Slide and gene ids become file names: an id that would leave its
+    directory is refused with the id and the file named."""
+
+    def _refused(self, path, ident):
+        return pytest.raises(ValidationError,
+                             match=re.escape(f"{path}: ") + ".*"
+                             + re.escape(repr(ident)))
+
+    @pytest.mark.parametrize("sid", ESCAPING_IDS)
+    def test_manifest_slide_key(self, tmp_path, sid):
+        p = tmp_path / "manifest.toml"
+        p.write_text(TestManifest()._manifest_text().replace(
+            "[slide.s0]", f"[slide.{ingest._toml_str(sid)}]"))
+        with self._refused(p, sid):
+            read_manifest(p)
+
+    @pytest.mark.parametrize("sid", ESCAPING_IDS)
+    @pytest.mark.parametrize("read", [read_expression, read_mask,
+                                      read_embeddings])
+    def test_slide_comment(self, tmp_path, sid, read):
+        p = tmp_path / "t.tsv"
+        p.write_text(f"#stage=log1p\n#slide={sid}\nspot_id\te0\na\t1\n")
+        with self._refused(p, sid):
+            read(p)
+
+    def test_file_name_fallback(self, tmp_path):
+        p = tmp_path / "back\\slash.expr.tsv"
+        p.write_text("#stage=log1p\nspot_id\tg1\na\t1.0\n")
+        with self._refused(p, "back\\slash"):
+            read_expression(p)
+
+    @pytest.mark.parametrize("gene", ESCAPING_IDS + ["../../../escaped"])
+    @pytest.mark.parametrize("read", [read_expression, read_mask])
+    def test_gene_header(self, tmp_path, gene, read):
+        p = tmp_path / "s0.tsv"
+        p.write_text(f"#stage=log1p\nspot_id\tg0\t{gene}\na\t1\t0\n")
+        with self._refused(p, gene):
+            read(p)
 
 
 class TestCheckpoint:
