@@ -13,6 +13,9 @@ outputs into a stage directory under the run directory given by --out:
     eval/         metric tables (pooled and per test slide) and predictions
     figures/      correlation histogram and example heatmaps
 
+Every matrix, mask and prediction passed between stages is one numpy
+archive (.npz; see ingest); reports and lockfiles are TSV tables.
+
 Each command reads only the slides it uses (train: the train and val
 matrices; eval, figures: the test matrices and masks), and eval is the
 only scorer: figures draws from the tables and predictions eval wrote.
@@ -137,18 +140,13 @@ def _spots_for(entry, spot_ids) -> list:
 
 def _read_stage_matrix(path: Path, want_stage: str, producer: str
                        ) -> ExpressionMatrix:
-    _require(path, producer)
-    try:
-        return ingest.read_expression(path, want_stage)
-    except StageOrderViolation as e:
-        raise StageOrderViolation(
-            f"{e}; run `sepal {producer}` first") from None
+    return ingest.read_matrix(_require(path, producer), want_stage, producer)
 
 
 def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
     """The slide's select output, checked against a gene panel if given."""
     m = _read_stage_matrix(
-        Path(out) / "select" / f"{entry.slide_id}_selected.tsv",
+        Path(out) / "select" / f"{entry.slide_id}_selected.npz",
         "denoised", "select")
     if panel is not None and m.gene_ids != tuple(panel):
         raise ValidationError(
@@ -158,7 +156,8 @@ def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
 
 def _selected_mask(out: Path, entry) -> ImputationMask:
     return ingest.read_mask(_require(
-        Path(out) / "select" / f"{entry.slide_id}_mask.tsv", "select"))
+        Path(out) / "select" / f"{entry.slide_id}_mask.npz", "select"),
+        "select")
 
 
 def _test_entries(manifest) -> list:
@@ -228,7 +227,7 @@ def cmd_preprocess(args) -> None:
 
     outdir = Path(args.out) / "preprocess"
     for m in matrices:
-        ingest.write_expression(outdir / f"{m.slide_id}_log1p.tsv", m)
+        ingest.write_matrix(outdir / f"{m.slide_id}_log1p.npz", m)
     ingest.write_table(outdir / "filter_log.tsv", "filter_log",
                        ("kind", "scope", "item_id", "value", "threshold"),
                        log_rows)
@@ -250,7 +249,7 @@ def cmd_denoise(args) -> None:
     pre = Path(args.out) / "preprocess"
     denoised, masks, reports = [], [], []
     for entry in manifest.slides:
-        m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.tsv",
+        m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.npz",
                                "log1p", "preprocess")
         d, mask, report = denoise_mod.denoise_slide(
             m, _spots_for(entry, m.spot_ids))
@@ -262,8 +261,8 @@ def cmd_denoise(args) -> None:
 
     outdir = Path(args.out) / "denoise"
     for m, mask in zip(denoised, masks):
-        ingest.write_expression(outdir / f"{m.slide_id}_denoised.tsv", m)
-        ingest.write_mask(outdir / f"{m.slide_id}_mask.tsv", mask)
+        ingest.write_matrix(outdir / f"{m.slide_id}_denoised.npz", m)
+        ingest.write_mask(outdir / f"{m.slide_id}_mask.npz", mask)
     rows = [(r.slide_id, r.n_cells, r.n_zero, r.n_imputed, r.n_fallback,
              r.imputed_fraction, len(r.genes_nothing_to_impute))
             for r in reports]
@@ -290,11 +289,12 @@ def cmd_select(args) -> None:
     den = Path(args.out) / "denoise"
     matrices, masks, adjacencies = [], [], []
     for entry in manifest.slides:
-        m = _read_stage_matrix(den / f"{entry.slide_id}_denoised.tsv",
+        m = _read_stage_matrix(den / f"{entry.slide_id}_denoised.npz",
                                "denoised", "denoise")
         matrices.append(m)
         masks.append(ingest.read_mask(
-            _require(den / f"{entry.slide_id}_mask.tsv", "denoise")))
+            _require(den / f"{entry.slide_id}_mask.npz", "denoise"),
+            "denoise"))
         adjacencies.append(spatial.build_adjacency(
             _spots_for(entry, m.spot_ids), manifest.geometry))
     n_genes = args.n_genes if args.n_genes is not None \
@@ -303,10 +303,10 @@ def cmd_select(args) -> None:
 
     outdir = Path(args.out) / "select"
     for m in matrices:
-        ingest.write_expression(outdir / f"{m.slide_id}_selected.tsv",
-                                m.subset_genes(selected))
+        ingest.write_matrix(outdir / f"{m.slide_id}_selected.npz",
+                            m.subset_genes(selected))
     for entry, mask in zip(manifest.slides, masks):
-        ingest.write_mask(outdir / f"{entry.slide_id}_mask.tsv",
+        ingest.write_mask(outdir / f"{entry.slide_id}_mask.npz",
                           mask.subset_genes(selected))
     ingest.write_table(outdir / "genes.tsv", "gene_scores",
                        ("gene_id", "mean_score", "selected"),
@@ -495,11 +495,12 @@ def cmd_train(args) -> None:
         post[-1] = n_genes
     else:
         hidden[-1] = n_genes
+    # the ratio is a sag_mean setting; other poolings keep the field default
+    sag = {"sag_ratio": opt("sag_ratio")} if pooling == "sag_mean" else {}
     spec = ModelSpec(
         in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
         operator=opt("operator"), gnn_widths=tuple(hidden),
-        pooling=pooling, sag_ratio=opt("sag_ratio"),
-        post_widths=tuple(post))
+        pooling=pooling, post_widths=tuple(post), **sag)
     cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
                       max_epochs=opt("epochs"), patience=opt("patience"),
                       seed=opt("seed"), max_steps=opt("max_steps"))
@@ -514,7 +515,7 @@ def cmd_train(args) -> None:
         "pre_mlp": _fmt_widths(spec.pre_widths),
         "hidden": _fmt_widths(spec.gnn_widths),
         "post_mlp": _fmt_widths(spec.post_widths),
-        "pooling": spec.pooling, "sag_ratio": spec.sag_ratio,
+        "pooling": spec.pooling, **sag,
         "preset": args.preset or "",
         "lr": cfg.learning_rate, "batch": cfg.batch_size,
         "epochs": cfg.max_epochs, "patience": cfg.patience,
@@ -581,8 +582,8 @@ def cmd_eval(args) -> None:
     preds, truths, masks, spot_ids = [], [], [], []
     for slide_id, pred, m, mask in results:
         # truth in delta-free space: the denoised matrix itself
-        ingest.write_expression(
-            pred_dir / f"{slide_id}_pred.tsv",
+        ingest.write_matrix(
+            pred_dir / f"{slide_id}_pred.npz",
             ExpressionMatrix(slide_id, gene_ids, m.spot_ids, pred,
                              "denoised"))
         rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
@@ -622,7 +623,7 @@ def cmd_figures(args) -> None:
     for entry in _test_entries(manifest):
         sid = entry.slide_id
         pred = _read_stage_matrix(
-            eval_dir / "predictions" / f"{sid}_pred.tsv", "denoised", "eval")
+            eval_dir / "predictions" / f"{sid}_pred.npz", "denoised", "eval")
         m = _selected(out, entry)
         mask = _selected_mask(out, entry)
         table = metrics.read_per_gene_pccs(

@@ -1,27 +1,30 @@
-"""File formats: TSV tables, dataset manifests, checkpoints, heatmaps.
+"""File formats: TSV tables, dataset manifests, numpy archives, heatmaps.
 
 Every artifact the pipeline writes is deterministic down to the byte for a
 fixed input: text floats are serialized with repr (shortest round-trip
 form), newlines are always "\\n", row order is always the canonical spot
-order, and checkpoint arrays keep their exact float64 bits.
+order, and archive arrays keep their exact bits.
 
 Formats:
   coordinates   TSV: spot_id slide_id pixel_x pixel_y array_row array_col
-  expression    TSV: spot_id then one column per gene; #stage= comment
-                (required between stages; a dataset input without one
-                holds raw counts, and preprocess wants every slide of a
+  expression    TSV, for dataset inputs only: spot_id then one column per
+                gene; an optional #stage= comment (without one the file
+                holds raw counts; preprocess wants every slide of a
                 dataset at one stage)
   embeddings    TSV: spot_id then e0..e{d-1}
-  mask          TSV: spot_id then one 0/1 column per gene, rows in its
-                matrix's order
   manifest      TOML: settings, then one [slide.<id>] table per slide
-  checkpoint    uncompressed numpy archive (np.savez): named arrays plus a
+  archive       uncompressed numpy archive (np.savez): named arrays plus a
                 (key, value) meta string array; read with allow_pickle=False
+                and written atomically.  Model checkpoints are archives,
+                and so is every matrix and mask passed between stages
+                (.npz): "values" (float64, or bool for a mask), "spot_ids"
+                and "gene_ids" as string arrays, and meta kind, slide and,
+                for a matrix, stage
   heatmap       binary P6 PPM plus a CSV of the plotted values
 
 A value table without a #slide= comment takes its slide id from its file
 name up to the first dot.  Slide and gene ids name output files, so an
-id that is empty, "." or "..", or holds "/" or "\\", is refused.
+id that is empty, "." or "..", or holds "/", "\\" or NUL, is refused.
 """
 
 from __future__ import annotations
@@ -111,39 +114,41 @@ def _open_write(path, binary: bool = False):
         raise
 
 
-def _parse_tsv(path) -> tuple[dict[str, str], list[str], list[tuple[int, list[str]]]]:
-    """Split a TSV file into (comments, header, [(line_no, fields), ...])."""
+def _parse_tsv(path):
+    """(comments, header, rows) of a TSV file.  rows yields (line_no,
+    fields) one line at a time, so a reader holds one line's strings, not
+    the whole file's; comments fills in as rows are read."""
     comments: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    with _open_read(path) as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:]
-                    if "=" in body:
-                        k, _, v = body.partition("=")
-                        comments[k.strip()] = v.strip()
-                    continue
-                fields = line.split("\t")
-                if header is None:
-                    header = fields
-                else:
-                    rows.append((line_no, fields))
-        except UnicodeDecodeError as e:
-            raise MalformedRow(f"{path}: not UTF-8: {e}") from None
-    if header is None:
+
+    def lines():
+        with _open_read(path) as fh:
+            try:
+                for line_no, raw in enumerate(fh, start=1):
+                    line = raw.rstrip("\r\n")
+                    if not line:
+                        continue
+                    if line.startswith("#"):
+                        body = line[1:]
+                        if "=" in body:
+                            k, _, v = body.partition("=")
+                            comments[k.strip()] = v.strip()
+                        continue
+                    yield line_no, line.split("\t")
+            except UnicodeDecodeError as e:
+                raise MalformedRow(f"{path}: not UTF-8: {e}") from None
+
+    rows = lines()
+    first = next(rows, None)
+    if first is None:
         raise MalformedRow(f"{path}: no header row")
-    return comments, header, rows
+    return comments, first[1], rows
 
 
 def _path_part(ident: str, what: str, path) -> str:
     """Slide and gene ids name output files: refuse one that would put a
-    file outside its directory."""
-    if ident in ("", ".", "..") or "/" in ident or "\\" in ident:
+    file outside its directory, or that no file name can hold."""
+    if (ident in ("", ".", "..") or "/" in ident or "\\" in ident
+            or "\x00" in ident):
         raise ValidationError(
             f"{path}: {what} {ident!r} cannot be part of a file name")
     return ident
@@ -233,8 +238,8 @@ def _read_value_table(path, kind: str):
     col_ids = header[1:]
     n_cols = len(col_ids)
     spot_ids: list[str] = []
-    values = np.empty((len(rows), n_cols), dtype=np.float64)
-    for r, (line_no, fields) in enumerate(rows):
+    parsed: list[np.ndarray] = []
+    for line_no, fields in rows:
         if len(fields) != n_cols + 1:
             if kind == "embeddings":
                 raise WidthMismatch(
@@ -245,32 +250,25 @@ def _read_value_table(path, kind: str):
                 f"got {len(fields)}")
         spot_ids.append(fields[0])
         try:
-            values[r] = list(map(float, fields[1:]))
-            finite = np.isfinite(values[r]).all()
+            parsed.append(np.array(list(map(float, fields[1:]))))
+            finite = np.isfinite(parsed[-1]).all()
         except ValueError:
             finite = False
         if not finite:
             # the per-cell parse names the row's first bad cell
             for text in fields[1:]:
                 _parse_float(text, path, line_no)
+    values = np.array(parsed, dtype=np.float64).reshape(len(parsed), n_cols)
     return comments, col_ids, spot_ids, values
 
 
-def read_expression(path, stage: str | None = None) -> ExpressionMatrix:
-    """Read an expression TSV.  Stage comes from the #stage= comment.
-
-    A dataset input may lack the comment and then holds raw counts.  An
-    inter-stage matrix is read with the stage it must carry: any other
-    tag, or none, raises StageOrderViolation before a value is checked.
-    """
+def read_expression(path) -> ExpressionMatrix:
+    """Read a dataset's expression TSV.  Stage comes from the #stage=
+    comment; a file without one holds raw counts."""
     comments, gene_ids, spot_ids, values = _read_value_table(path, "expression")
-    tag = comments.get("stage")
-    if stage is not None and tag != stage:
-        raise StageOrderViolation(
-            f"{path} carries stage tag {tag!r}, expected {stage!r}")
     return ExpressionMatrix(_slide_id_for(path, comments),
                             _gene_ids(path, gene_ids), tuple(spot_ids),
-                            values, "raw_counts" if tag is None else tag)
+                            values, comments.get("stage", "raw_counts"))
 
 
 def write_expression(path, matrix: ExpressionMatrix) -> None:
@@ -304,26 +302,6 @@ def write_embeddings(path, table: EmbeddingTable) -> None:
             f"e{i}" for i in range(table.d_emb)) + "\n")
         for sid, row in zip(table.spot_ids, table.vectors):
             fh.write(sid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
-
-
-def read_mask(path) -> ImputationMask:
-    comments, gene_ids, spot_ids, values = _read_value_table(path, "mask")
-    if values.size and not np.all(np.isin(values, (0.0, 1.0))):
-        raise MalformedRow(f"{path}: mask cells must be 0 or 1")
-    return ImputationMask(_slide_id_for(path, comments),
-                          _gene_ids(path, gene_ids), tuple(spot_ids),
-                          values.astype(np.bool_))
-
-
-def write_mask(path, mask: ImputationMask) -> None:
-    with _open_write(path) as fh:
-        fh.write(f"#format_version={FORMAT_VERSION}\n#kind=mask\n")
-        fh.write(f"#slide={mask.slide_id}\n")
-        fh.write("spot_id\t" + "\t".join(mask.gene_ids) + "\n")
-        for sid, row in zip(mask.spot_ids, mask.values):
-            # the row's cells as one string of "0"/"1" digits, tab-joined
-            digits = (row.astype(np.uint8) + ord("0")).tobytes().decode()
-            fh.write(sid + "\t" + "\t".join(digits) + "\n")
 
 
 def write_table(path, kind: str, columns: Sequence[str],
@@ -452,7 +430,7 @@ def load_dataset(manifest: DatasetManifest):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# archives: model checkpoints and the matrices and masks between stages
 
 def write_checkpoint(path, meta: Mapping[str, str],
                      arrays: Mapping[str, np.ndarray]) -> None:
@@ -464,7 +442,10 @@ def write_checkpoint(path, meta: Mapping[str, str],
                                                   dtype=str)}, **arrays)
 
 
-def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def read_checkpoint(path, producer: str = "train"
+                    ) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read a write_checkpoint archive; producer is the command that
+    writes path, named in the error when path is not such an archive."""
     with _open_read(path, binary=True) as fh:
         try:
             with np.load(fh, allow_pickle=False) as archive:
@@ -475,9 +456,77 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         except (AttributeError, EOFError, KeyError, TypeError, ValueError,
                 zipfile.BadZipFile):
             raise ValidationError(
-                f"{path} is not a checkpoint archive; run `sepal train` "
+                f"{path} is not a numpy archive; run `sepal {producer}` "
                 f"again") from None
     return meta, arrays
+
+
+# the values dtype of each kind of inter-stage archive
+_BLOCK_DTYPES = {"matrix": np.dtype(np.float64),
+                 "mask": np.dtype(np.bool_)}
+_BLOCK_ARRAYS = {"values", "spot_ids", "gene_ids"}
+
+
+def _write_block(path, kind: str, block, meta: Mapping[str, str]) -> None:
+    """An ExpressionMatrix or ImputationMask as one archive."""
+    ids = {}
+    for name in ("spot_ids", "gene_ids"):
+        ids[name] = np.array(getattr(block, name), dtype=str)
+        # numpy strings drop trailing NULs; refuse what would not come back
+        if ids[name].tolist() != list(getattr(block, name)):
+            raise ValidationError(
+                f"{path}: an id of slide {block.slide_id!r} ends in NUL")
+    # row-major whatever the layout in memory (a column subset is not):
+    # equal blocks write equal bytes, and sums over what a reader gets back
+    # do not depend on how the writer sliced it
+    write_checkpoint(path, {"kind": kind, "slide": block.slide_id, **meta},
+                     {"values": np.ascontiguousarray(block.values), **ids})
+
+
+def _read_block(path, producer: str, stage: str | None):
+    """A _write_block archive rebuilt into an ExpressionMatrix at this
+    stage, or with stage None into an ImputationMask.  Whatever refuses it
+    names path and the command to run again."""
+    kind = "mask" if stage is None else "matrix"
+    meta, arrays = read_checkpoint(path, producer)
+    if (meta.get("kind") != kind or set(arrays) != _BLOCK_ARRAYS
+            or arrays["values"].dtype != _BLOCK_DTYPES[kind]
+            or any(arrays[k].ndim != 1 or arrays[k].dtype.kind != "U"
+                   for k in ("spot_ids", "gene_ids"))):
+        raise ValidationError(
+            f"{path} is not a {kind} archive; run `sepal {producer}` again")
+    tag = meta.get("stage")
+    if tag != stage:
+        raise StageOrderViolation(
+            f"{path} carries stage tag {tag!r}, expected {stage!r}; run "
+            f"`sepal {producer}` first")
+    fields = (_path_part(meta.get("slide", ""), "slide id", path),
+              _gene_ids(path, arrays["gene_ids"].tolist()),
+              tuple(arrays["spot_ids"].tolist()), arrays["values"])
+    try:
+        return (ImputationMask(*fields) if stage is None
+                else ExpressionMatrix(*fields, stage))
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}; run `sepal {producer}` again") from None
+
+
+def write_matrix(path, matrix: ExpressionMatrix) -> None:
+    """An inter-stage matrix: its values, ids, slide and stage tag."""
+    _write_block(path, "matrix", matrix, {"stage": matrix.stage})
+
+
+def read_matrix(path, stage: str, producer: str) -> ExpressionMatrix:
+    """Read a write_matrix archive that must carry this stage tag; any
+    other tag, or none, raises StageOrderViolation naming producer."""
+    return _read_block(path, producer, stage)
+
+
+def write_mask(path, mask: ImputationMask) -> None:
+    _write_block(path, "mask", mask, {})
+
+
+def read_mask(path, producer: str) -> ImputationMask:
+    return _read_block(path, producer, None)
 
 
 # ---------------------------------------------------------------------------

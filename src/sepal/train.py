@@ -327,7 +327,9 @@ def save_model(path, model: TrainedModel) -> None:
             "in_width": str(spec.in_width),
             "operator": spec.operator,
             "pooling": spec.pooling,
-            "sag_ratio": repr(spec.sag_ratio),
+            # only sag_mean has a ratio; other poolings load the default
+            **({"sag_ratio": repr(spec.sag_ratio)}
+               if spec.pooling == "sag_mean" else {}),
             "hops": str(model.hops),
             "aggregation": model.aggregation,
             "seed": str(model.state.seed),
@@ -358,10 +360,11 @@ def load_model(path) -> TrainedModel:
                     f"`sepal train` again")
         if meta["stage"] == "1":
             return model
+        sag = ({"sag_ratio": float(meta["sag_ratio"])}
+               if meta["pooling"] == "sag_mean" else {})
         spec = ModelSpec(
             in_width=int(meta["in_width"]), n_genes=len(model.gene_ids),
-            operator=meta["operator"], pooling=meta["pooling"],
-            sag_ratio=float(meta["sag_ratio"]),
+            operator=meta["operator"], pooling=meta["pooling"], **sag,
             **{key: tuple(arrays[key].tolist()) for key in _WIDTHS})
         state = nn.init_model_state(spec, int(meta["seed"]))
         state.load_arrays(arrays)

@@ -242,6 +242,7 @@ def heatmap_spacing(spots):
 
 def read_value_table(path, kind):
     comments, header, rows = _parse_tsv(path)
+    rows = list(rows)
     if not header or header[0] != "spot_id":
         raise MalformedRow(f"{path}: first column must be spot_id")
     col_ids = header[1:]

@@ -46,14 +46,14 @@ def pipeline(tmp_path_factory):
 class TestPipelineOutputs:
     def test_layout(self, pipeline):
         out = pipeline["out"]
-        for rel in ("preprocess/synth00_log1p.tsv",
+        for rel in ("preprocess/synth00_log1p.npz",
                     "preprocess/filter_log.tsv",
-                    "denoise/synth00_denoised.tsv",
-                    "denoise/synth00_mask.tsv",
+                    "denoise/synth00_denoised.npz",
+                    "denoise/synth00_mask.npz",
                     "denoise/report.tsv",
                     "select/genes.tsv",
-                    "select/synth02_selected.tsv",
-                    "select/synth02_mask.tsv",
+                    "select/synth02_selected.npz",
+                    "select/synth02_mask.npz",
                     "graphs/summary.tsv",
                     "graphs/meta.tsv",
                     "train/stage1.ckpt",
@@ -65,9 +65,22 @@ class TestPipelineOutputs:
                     "eval/per_patch.tsv",
                     "eval/per_slide.tsv",
                     "eval/synth02_per_gene.tsv",
-                    "eval/predictions/synth02_pred.tsv",
+                    "eval/predictions/synth02_pred.npz",
                     "figures/pcc_hist.csv"):
             assert (out / rel).exists(), rel
+
+    def test_no_text_matrices_between_stages(self, pipeline):
+        # matrices, masks and predictions are archives; only the reports
+        # and lockfiles of these directories are TSV tables
+        out = pipeline["out"]
+        tables = {"preprocess": {"filter_log.tsv", "config.tsv"},
+                  "denoise": {"report.tsv", "config.tsv"},
+                  "select": {"genes.tsv", "config.tsv"},
+                  "eval/predictions": set()}
+        for stage, want in tables.items():
+            files = [p for p in (out / stage).iterdir() if p.is_file()]
+            assert {p.name for p in files if p.suffix == ".tsv"} == want
+            assert {p.suffix for p in files} <= {".tsv", ".npz"}
 
     def test_every_stage_writes_a_lockfile(self, pipeline):
         out = pipeline["out"]
@@ -81,8 +94,9 @@ class TestPipelineOutputs:
             assert {"command", "version"} <= keys
 
     def test_selected_panel_size(self, pipeline):
-        m = ingest.read_expression(
-            pipeline["out"] / "select" / "synth00_selected.tsv")
+        m = ingest.read_matrix(
+            pipeline["out"] / "select" / "synth00_selected.npz", "denoised",
+            "select")
         assert len(m.gene_ids) == 6
         assert m.stage == "denoised"
 
@@ -122,7 +136,7 @@ class TestPipelineOutputs:
 
     def test_mask_cells_imputed_by_denoiser(self, pipeline):
         mask = ingest.read_mask(
-            pipeline["out"] / "denoise" / "synth00_mask.tsv")
+            pipeline["out"] / "denoise" / "synth00_mask.npz", "denoise")
         assert mask.values.any()
 
     def test_rerun_is_idempotent(self, pipeline):
@@ -205,10 +219,10 @@ class TestExitCodes:
     def test_untagged_matrix_is_refused(self, pipeline, tmp_path, capsys):
         out = tmp_path / "untagged"
         copy_stages(pipeline, out, ("denoise",))
-        for path in (out / "denoise").glob("*_denoised.tsv"):
-            path.write_text("".join(
-                line for line in path.read_text().splitlines(keepends=True)
-                if not line.startswith("#stage=")))
+        for path in (out / "denoise").glob("*_denoised.npz"):
+            meta, arrays = ingest.read_checkpoint(path)
+            del meta["stage"]
+            ingest.write_checkpoint(path, meta, arrays)
         rc = run("select", "--manifest", pipeline["manifest"],
                  "--out", str(out))
         assert rc == 1
@@ -236,11 +250,55 @@ class TestExitCodes:
         assert rc == 1
         assert f"error: {emb}: " in capsys.readouterr().err
 
+    def test_text_era_run_directory_names_select(self, pipeline, tmp_path,
+                                                 capsys):
+        # select once wrote its matrices as TSV tables, never as archives
+        out = tmp_path / "old"
+        for path in (pipeline["out"] / "select").glob("*_selected.npz"):
+            m = ingest.read_matrix(path, "denoised", "select")
+            ingest.write_expression(
+                out / "select" / f"{m.slide_id}_selected.tsv", m)
+        assert len(list((out / "select").glob("*_selected.tsv"))) == 3
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "1")
+        assert rc == 1
+        assert "sepal select" in capsys.readouterr().err
+        assert not (out / "train").exists()
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.99])
+    def test_truncated_archive_names_file_and_producer(self, pipeline,
+                                                       tmp_path, capsys,
+                                                       keep):
+        out = tmp_path / "cut"
+        copy_stages(pipeline, out, ("denoise",))
+        path = out / "denoise" / "synth01_denoised.npz"
+        data = path.read_bytes()
+        path.write_bytes(data[:int(len(data) * keep)])
+        rc = run("select", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} ") and "sepal denoise" in err
+        assert not (out / "select").exists()
+
+    def test_mask_where_a_matrix_belongs(self, pipeline, tmp_path, capsys):
+        import shutil
+        out = tmp_path / "swapped"
+        copy_stages(pipeline, out, ("select", "train"))
+        path = out / "select" / "synth02_selected.npz"
+        shutil.copyfile(out / "select" / "synth02_mask.npz", path)
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        assert f"error: {path} is not a matrix archive" in (
+            capsys.readouterr().err)
+        assert not (out / "eval").exists()
+
     def test_select_reads_every_mask_before_writing(self, pipeline,
                                                     tmp_path, capsys):
         out = tmp_path / "nomask"
         copy_stages(pipeline, out, ("denoise",))
-        (out / "denoise" / "synth01_mask.tsv").unlink()
+        (out / "denoise" / "synth01_mask.npz").unlink()
         rc = run("select", "--manifest", pipeline["manifest"],
                  "--out", str(out))
         assert rc == 1
@@ -251,7 +309,7 @@ class TestExitCodes:
                                                       tmp_path, capsys):
         out = tmp_path / "nopred"
         copy_stages(pipeline, out, ("select", "eval"))
-        (out / "eval" / "predictions" / "synth02_pred.tsv").unlink()
+        (out / "eval" / "predictions" / "synth02_pred.npz").unlink()
         rc = run("figures", "--manifest", pipeline["manifest"],
                  "--out", str(out))
         assert rc == 1
@@ -309,9 +367,9 @@ class TestExitCodes:
                                                        tmp_path, capsys):
         out = tmp_path / "repanel"
         copy_stages(pipeline, out, ("select",))
-        path = out / "select" / "synth01_selected.tsv"  # the val slide
-        m = ingest.read_expression(path)
-        ingest.write_expression(path, m.subset_genes(m.gene_ids[::-1]))
+        path = out / "select" / "synth01_selected.npz"  # the val slide
+        m = ingest.read_matrix(path, "denoised", "select")
+        ingest.write_matrix(path, m.subset_genes(m.gene_ids[::-1]))
         rc = run("train", "--manifest", pipeline["manifest"],
                  "--out", str(out), "--stage", "1")
         assert rc == 1
@@ -339,8 +397,8 @@ class TestExitCodes:
     def test_eval_refuses_reordered_mask(self, pipeline, tmp_path, capsys):
         out = tmp_path / "reordered"
         copy_stages(pipeline, out, ("select", "train"))
-        path = out / "select" / "synth02_mask.tsv"
-        mask = ingest.read_mask(path)
+        path = out / "select" / "synth02_mask.npz"
+        mask = ingest.read_mask(path, "select")
         ingest.write_mask(path, ImputationMask(
             mask.slide_id, mask.gene_ids, mask.spot_ids[::-1],
             mask.values[::-1]))
@@ -371,7 +429,7 @@ class TestExitCodes:
                       for c in range(6)),
                 rng.integers(0, 5, size=(36, 1)).astype(float),
                 "raw_counts")
-            ingest.write_expression(den / f"{entry_id}_denoised.tsv", m)
+            ingest.write_matrix(den / f"{entry_id}_denoised.npz", m)
         assert run("select", "--manifest", pipeline["manifest"],
                    "--out", str(out)) == 1
 
@@ -406,7 +464,7 @@ class TestExitCodes:
         assert rc == 1
         assert f"error: {manifest}: slide id '../../up'" in (
             capsys.readouterr().err)
-        assert not list(tmp_path.rglob("up_log1p.tsv"))
+        assert not list(tmp_path.rglob("up_log1p*"))
 
     def test_gene_id_that_leaves_its_directory(self, pipeline, tmp_path,
                                                capsys):
@@ -519,6 +577,30 @@ class TestFlags:
         assert lock["post_mlp"] == ""
         assert lock["lr"] == "0.0001"
 
+    @pytest.mark.parametrize("pooling, flags, ratio", [
+        ("sag_mean", ("--sag-ratio", "0.25"), "0.25"),
+        ("global_mean", (), None)], ids=["sag_mean", "global_mean"])
+    def test_sag_ratio_recorded_only_for_sag_mean(self, pipeline, tmp_path,
+                                                  pooling, flags, ratio):
+        from sepal import train
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        assert run("train", *base, "--stage", "2", "--epochs", "1",
+                   "--patience", "1", "--hidden", "16",
+                   "--pooling", pooling, *flags) == 0
+        _, _, rows = ingest.read_table(out / "train" / "stage2_config.tsv")
+        lock = {r[0]: r[1] for r in rows}
+        ckpt = out / "train" / "stage2.ckpt"
+        meta, _ = ingest.read_checkpoint(ckpt)
+        assert lock.get("sag_ratio") == meta.get("sag_ratio") == ratio
+        default = {f.name: f.default
+                   for f in dataclasses.fields(ModelSpec)}["sag_ratio"]
+        spec = train.load_model(ckpt).state.spec
+        assert spec.pooling == pooling
+        assert spec.sag_ratio == (default if ratio is None else float(ratio))
+        assert run("eval", *base) == 0
+
     def test_stage2_defaults_are_the_field_defaults(self):
         defaults = {f.name: f.default for cls in (ModelSpec, TrainConfig)
                     for f in dataclasses.fields(cls)}
@@ -538,8 +620,8 @@ class TestFlags:
                 "--out", str(out))
         assert run("preprocess", *base) == 0
         assert run("denoise", *base, "--center-slides") == 0
-        m = ingest.read_expression(out / "denoise" /
-                                   "synth00_denoised.tsv")
+        m = ingest.read_matrix(out / "denoise" / "synth00_denoised.npz",
+                               "denoised", "denoise")
         np.testing.assert_allclose(m.values.mean(axis=0), 0.0, atol=1e-12)
 
     def test_eval_falls_back_to_stage1_model(self, tmp_path):
@@ -590,17 +672,17 @@ class TestStageWork:
         copy_stages(pipeline, out, ("select",))
         base = ("--manifest", pipeline["manifest"], "--out", str(out))
         ckpt = out / "train" / "stage1.ckpt"
-        m = ingest.read_expression(out / "select" / "synth00_selected.tsv")
+        m = ingest.read_matrix(out / "select" / "synth00_selected.npz",
+                               "denoised", "select")
         want = (m.values.sum(axis=0) / m.n_spots).tobytes()
         assert run("train", *base, "--stage", "1") == 0
         assert ingest.read_checkpoint(ckpt)[1]["train_mean"].tobytes() \
             == want
         # moving the val and test slides leaves the mean where it was
         for sid in ("synth01", "synth02"):
-            path = out / "select" / f"{sid}_selected.tsv"
-            m = ingest.read_expression(path)
-            ingest.write_expression(path, m.with_values(m.values + 5.0,
-                                                        m.stage))
+            path = out / "select" / f"{sid}_selected.npz"
+            m = ingest.read_matrix(path, "denoised", "select")
+            ingest.write_matrix(path, m.with_values(m.values + 5.0, m.stage))
         assert run("train", *base, "--stage", "1") == 0
         assert ingest.read_checkpoint(ckpt)[1]["train_mean"].tobytes() \
             == want
@@ -631,7 +713,7 @@ class TestStageWork:
             self, pipeline, tmp_path, monkeypatch):
         from collections import Counter
         reads = Counter()
-        for name in ("read_expression", "read_mask"):
+        for name in ("read_matrix", "read_mask"):
             def counting(path, *args, _read=getattr(ingest, name),
                          _name=name, **kw):
                 reads[(_name, Path(path).name)] += 1
@@ -647,7 +729,7 @@ class TestStageWork:
         base = ("--manifest", pipeline["manifest"], "--out", str(out))
 
         # training: the train and val matrices once each, never a mask
-        fit_reads = {("read_expression", f"{s}_selected.tsv"): 1
+        fit_reads = {("read_matrix", f"{s}_selected.npz"): 1
                      for s in fit}
         assert run("train", *base, "--stage", "1") == 0
         assert dict(reads) == fit_reads
@@ -660,15 +742,15 @@ class TestStageWork:
         # eval and figures: the test slides' matrices and masks only
         test_reads = {}
         for s in test:
-            test_reads[("read_expression", f"{s}_selected.tsv")] = 1
-            test_reads[("read_mask", f"{s}_mask.tsv")] = 1
+            test_reads[("read_matrix", f"{s}_selected.npz")] = 1
+            test_reads[("read_mask", f"{s}_mask.npz")] = 1
         assert run("eval", *base) == 0
         assert dict(reads) == test_reads
         reads.clear()
         assert run("figures", *base) == 0
         assert dict(reads) == {
             **test_reads,
-            **{("read_expression", f"{s}_pred.tsv"): 1 for s in test}}
+            **{("read_matrix", f"{s}_pred.npz"): 1 for s in test}}
 
     def test_figures_draws_what_eval_scored(self, pipeline, tmp_path,
                                             monkeypatch):
@@ -682,10 +764,12 @@ class TestStageWork:
         manifest = ingest.read_manifest(pipeline["manifest"])
         (entry,) = [e for e in manifest.slides if e.split == "test"]
         sid = entry.slide_id
-        pred = ingest.read_expression(
-            out / "eval" / "predictions" / f"{sid}_pred.tsv")
-        truth = ingest.read_expression(out / "select" / f"{sid}_selected.tsv")
-        mask = ingest.read_mask(out / "select" / f"{sid}_mask.tsv")
+        pred = ingest.read_matrix(
+            out / "eval" / "predictions" / f"{sid}_pred.npz", "denoised",
+            "eval")
+        truth = ingest.read_matrix(out / "select" / f"{sid}_selected.npz",
+                                   "denoised", "select")
+        mask = ingest.read_mask(out / "select" / f"{sid}_mask.npz", "select")
         by_id = {s.spot_id: s
                  for s in ingest.read_coordinates(entry.coords_path)}
         spots = [by_id[s] for s in truth.spot_ids]

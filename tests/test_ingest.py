@@ -18,6 +18,7 @@ from sepal.core import (
     MalformedRow,
     NonFiniteValue,
     SpotRecord,
+    StageOrderViolation,
     ValidationError,
     WidthMismatch,
 )
@@ -30,6 +31,7 @@ from sepal.ingest import (
     read_expression,
     read_manifest,
     read_mask,
+    read_matrix,
     write_checkpoint,
     write_coordinates,
     write_embeddings,
@@ -37,6 +39,7 @@ from sepal.ingest import (
     write_heatmap,
     write_manifest,
     write_mask,
+    write_matrix,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -187,16 +190,18 @@ class TestMask:
     def test_round_trip(self, tmp_path):
         m = ImputationMask("s0", ("g1", "g2"), ("a", "b"),
                            np.array([[True, False], [False, True]]))
-        p = tmp_path / "m.tsv"
+        p = tmp_path / "m.npz"
         write_mask(p, m)
-        got = read_mask(p)
+        got = read_mask(p, "denoise")
         np.testing.assert_array_equal(got.values, m.values)
 
     def test_rejects_other_values(self, tmp_path):
-        p = tmp_path / "m.tsv"
-        p.write_text("spot_id\tg1\na\t3\n")
-        with pytest.raises(MalformedRow):
-            read_mask(p)
+        p = tmp_path / "m.npz"
+        write_checkpoint(p, {"kind": "mask", "slide": "s0"}, {
+            "values": np.array([[3]]), "spot_ids": np.array(["a"]),
+            "gene_ids": np.array(["g1"])})
+        with pytest.raises(ValidationError, match="sepal select"):
+            read_mask(p, "select")
 
 
 # cells float() refuses, cells that parse to a non-finite value, and cells
@@ -268,7 +273,6 @@ class TestRowCodec:
 
         floats = cells(finite_floats)
         counts = cells(st.integers(0, 2 ** 60).map(float))
-        flags = cells(st.booleans()).astype(np.bool_)
         for write, obj, values, fmt in (
                 (write_expression, ExpressionMatrix(
                     "s0", gene_ids, spot_ids, floats, "denoised"),
@@ -277,9 +281,7 @@ class TestRowCodec:
                     "s0", gene_ids, spot_ids, counts, "raw_counts"),
                  counts, lambda v: str(int(v))),
                 (write_embeddings, EmbeddingTable("s0", spot_ids, floats),
-                 floats, fmt_float),
-                (write_mask, ImputationMask("s0", gene_ids, spot_ids, flags),
-                 flags, lambda v: "1" if v else "0")):
+                 floats, fmt_float)):
             write(scratch_tsv, obj)
             rows = scratch_tsv.read_bytes().decode().split("\n")[-n_rows - 1:]
             assert rows == [sid + "\t" + "\t".join(fmt(v) for v in row)
@@ -447,8 +449,10 @@ class TestManifest:
             read_manifest(p)
 
 
-# ids that would lead an output file out of its directory
-ESCAPING_IDS = ["..", ".", "", "../../up", "a/b", "back\\slash"]
+# ids that would lead an output file out of its directory, or that no
+# file name can hold
+ESCAPING_IDS = ["..", ".", "", "../../up", "a/b", "back\\slash",
+                "nul\x00byte"]
 
 
 class TestIdsThatNameFiles:
@@ -468,14 +472,27 @@ class TestIdsThatNameFiles:
         with self._refused(p, sid):
             read_manifest(p)
 
+    def _table(self, path, read, slide_id, gene_ids):
+        """A one-spot file for read, as a TSV or, for read_mask, an
+        archive; returns the call that reads it."""
+        if read is read_mask:
+            write_mask(path, ImputationMask(
+                slide_id, gene_ids, ("a",),
+                np.zeros((1, len(gene_ids)), dtype=bool)))
+            return lambda: read_mask(path, "denoise")
+        path.write_text(f"#stage=log1p\n#slide={slide_id}\nspot_id\t"
+                        + "\t".join(gene_ids) + "\na"
+                        + "\t1" * len(gene_ids) + "\n")
+        return lambda: read(path)
+
     @pytest.mark.parametrize("sid", ESCAPING_IDS)
     @pytest.mark.parametrize("read", [read_expression, read_mask,
                                       read_embeddings])
     def test_slide_comment(self, tmp_path, sid, read):
         p = tmp_path / "t.tsv"
-        p.write_text(f"#stage=log1p\n#slide={sid}\nspot_id\te0\na\t1\n")
+        call = self._table(p, read, sid, ("e0",))
         with self._refused(p, sid):
-            read(p)
+            call()
 
     def test_file_name_fallback(self, tmp_path):
         p = tmp_path / "back\\slash.expr.tsv"
@@ -487,9 +504,9 @@ class TestIdsThatNameFiles:
     @pytest.mark.parametrize("read", [read_expression, read_mask])
     def test_gene_header(self, tmp_path, gene, read):
         p = tmp_path / "s0.tsv"
-        p.write_text(f"#stage=log1p\nspot_id\tg0\t{gene}\na\t1\t0\n")
+        call = self._table(p, read, "s0", ("g0", gene))
         with self._refused(p, gene):
-            read(p)
+            call()
 
 
 class TestCheckpoint:
@@ -523,6 +540,117 @@ class TestCheckpoint:
         write_checkpoint(p1, {"k": "v"}, t)
         write_checkpoint(p2, {"k": "v"}, t)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# float64 edge values: signed zero, subnormals, the largest magnitudes
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308)
+# ids a TSV cannot hold safely: separators, newlines, non-ASCII
+archive_ids = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="/\\\x00"),
+                      min_size=1, max_size=6).filter(
+    lambda t: t not in (".", ".."))
+
+
+@st.composite
+def archive_blocks(draw):
+    """(slide id, gene ids, spot ids, float values, bool flags)."""
+    gene_ids = draw(st.lists(archive_ids, min_size=1, max_size=4,
+                             unique=True))
+    spot_ids = draw(st.lists(archive_ids | st.sampled_from(
+        ["a\tb", "c,d", "é", "中文", "x\ny"]), min_size=1, max_size=4,
+        unique=True))
+    shape = (len(spot_ids), len(gene_ids))
+    cells = st.lists(finite_floats | st.sampled_from(EDGE_FLOATS),
+                     min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1])
+    values = np.array(draw(cells), dtype=np.float64).reshape(shape)
+    flags = np.array(draw(st.lists(st.booleans(), min_size=values.size,
+                                   max_size=values.size)),
+                     dtype=bool).reshape(shape)
+    return (draw(archive_ids), tuple(gene_ids), tuple(spot_ids), values,
+            flags)
+
+
+@pytest.fixture(scope="module")
+def scratch_npz(tmp_path_factory):
+    return tmp_path_factory.mktemp("archive") / "block.npz"
+
+
+class TestArchive:
+    """The inter-stage matrix and mask archives."""
+
+    @given(archive_blocks())
+    def test_matrix_round_trips_bitwise(self, scratch_npz, block):
+        slide_id, gene_ids, spot_ids, values, _ = block
+        write_matrix(scratch_npz, ExpressionMatrix(
+            slide_id, gene_ids, spot_ids, values, "denoised"))
+        got = read_matrix(scratch_npz, "denoised", "denoise")
+        assert (got.slide_id, got.gene_ids, got.spot_ids, got.stage) == (
+            slide_id, gene_ids, spot_ids, "denoised")
+        assert got.values.dtype == np.float64
+        assert got.values.tobytes() == values.tobytes()
+
+    @given(archive_blocks())
+    def test_mask_round_trips(self, scratch_npz, block):
+        slide_id, gene_ids, spot_ids, _, flags = block
+        write_mask(scratch_npz, ImputationMask(slide_id, gene_ids, spot_ids,
+                                               flags))
+        got = read_mask(scratch_npz, "denoise")
+        assert (got.slide_id, got.gene_ids, got.spot_ids) == (
+            slide_id, gene_ids, spot_ids)
+        assert got.values.dtype == np.bool_
+        np.testing.assert_array_equal(got.values, flags)
+
+    @given(archive_blocks())
+    def test_two_writes_are_byte_identical(self, scratch_npz, block):
+        slide_id, gene_ids, spot_ids, values, flags = block
+        d = scratch_npz.parent
+        m = ExpressionMatrix(slide_id, gene_ids, spot_ids, values, "denoised")
+        mask = ImputationMask(slide_id, gene_ids, spot_ids, flags)
+        for write, obj in ((write_matrix, m), (write_mask, mask)):
+            write(d / "a.npz", obj)
+            write(d / "b.npz", obj)
+            assert (d / "a.npz").read_bytes() == (d / "b.npz").read_bytes()
+            # a column-major copy, as a column subset is, writes row-major
+            write(d / "b.npz", dataclasses.replace(
+                obj, values=np.asfortranarray(obj.values)))
+            assert (d / "a.npz").read_bytes() == (d / "b.npz").read_bytes()
+
+    def test_id_ending_in_nul_is_refused(self, tmp_path):
+        # numpy strings drop trailing NULs: refused, never shortened
+        p = tmp_path / "s0_denoised.npz"
+        with pytest.raises(ValidationError, match="NUL"):
+            write_matrix(p, ExpressionMatrix("s0", ("g",), ("a\x00",),
+                                             [[1.0]], "denoised"))
+        assert not p.exists()
+
+    def test_object_array_is_refused(self, tmp_path):
+        p = tmp_path / "s0_denoised.npz"
+        meta = np.array([["format_version", "1"], ["kind", "matrix"],
+                         ["slide", "s0"], ["stage", "denoised"]])
+        with open(p, "wb") as fh:
+            np.savez(fh, meta=meta, values=np.array([[1.0]], dtype=object),
+                     spot_ids=np.array(["a"]), gene_ids=np.array(["g"]))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{p} is not a numpy archive; run `sepal denoise` again")):
+            read_matrix(p, "denoised", "denoise")
+
+    def test_stage_tag_names_the_producer(self, tmp_path):
+        p = tmp_path / "s0_log1p.npz"
+        write_matrix(p, ExpressionMatrix("s0", ("g",), ("a",), [[1.0]],
+                                         "log1p"))
+        with pytest.raises(StageOrderViolation, match="sepal denoise"):
+            read_matrix(p, "denoised", "denoise")
+
+    def test_invariants_name_the_file(self, tmp_path):
+        p = tmp_path / "s0_denoised.npz"
+        write_checkpoint(p, {"kind": "matrix", "slide": "s0",
+                             "stage": "denoised"}, {
+            "values": np.array([[np.nan]]), "spot_ids": np.array(["a"]),
+            "gene_ids": np.array(["g"])})
+        with pytest.raises(NonFiniteValue, match=re.escape(f"{p}: ")):
+            read_matrix(p, "denoised", "denoise")
 
 
 def _parse_ppm(data: bytes):
