@@ -152,10 +152,12 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
     """Attach features to subgraphs of one slide and pack them, in order,
     as one batch: each node's embedding plus the positional encoding of
     its offset from its graph's center, summed or concatenated per the
-    aggregation mode.  Each distinct offset is encoded once.
+    aggregation mode.  Each distinct offset is encoded once.  Features are
+    computed in float64 and stored rounded to float32, the dtype the
+    graph network then computes in.
     """
     d = embeddings.d_emb
-    feature_width(d, aggregation)
+    width = feature_width(d, aggregation)
     if embeddings.vectors.shape[0] != len(slide_spots):
         raise ShapeMismatch("embeddings not aligned with spots")
 
@@ -165,8 +167,14 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
     pos = _positions(slide_spots)
     table, index = _offset_encodings(pos[nodes] - pos[centers], d)
     emb = embeddings.vectors[nodes]
-    feats = (emb + table[index] if aggregation == "sum"
-             else np.concatenate([emb, table[index]], axis=1))
+    # float64 values written into float32 rows, with no float64 copy of
+    # the whole feature matrix
+    feats = np.empty((nodes.size, width), dtype=np.float32)
+    if aggregation == "sum":
+        np.add(emb, table[index], out=feats, casting="same_kind")
+    else:
+        feats[:, :d] = emb
+        feats[:, d:] = table[index]
     shift = np.repeat(np.cumsum(sizes) - sizes,
                       [len(sub.edges) for sub in subgraphs])
     edges = np.concatenate([sub.edges for sub in subgraphs]) + shift[:, None]

@@ -1,7 +1,7 @@
 """A small reverse-mode autodiff engine and the graph network built on it.
 
-Tensors wrap float64 ndarrays and record the backward closure of the
-operation that produced them; backward() runs the closures in reverse
+Tensors wrap float32 or float64 ndarrays and record the backward closure
+of the operation that produced them; backward() runs the closures in reverse
 topological order.  A closure is passed its output tensor rather than
 capturing it, so a tape has no reference cycle and refcounting frees it.
 Only tensors that need a gradient are recorded: a bare Tensor is a
@@ -9,9 +9,17 @@ trainable leaf, a constant() is not, and an op's output keeps its
 parents and closure only when one of its inputs needs a gradient.  A
 forward over constants alone (prediction) therefore records no tape.
 The op set is exactly what the model needs: dense matmul, broadcast
-add/mul, gather, ELU, tanh, mean, and multiplication by a constant sparse
-matrix (the graph propagation step, which never needs a gradient of its
-own).
+add/mul, gather, ELU, tanh, mean, a dtype cast, and multiplication by a
+constant sparse matrix (the graph propagation step, which never needs a
+gradient of its own).
+
+Every op computes in the dtype of its inputs, and a gradient always has
+the dtype of the tensor it belongs to.  spatial_forward runs in the dtype
+of its batch's features: graphs assembled from a slide hold float32
+features, so stage 2 computes in float32, while the parameters (and the
+optimizer state) stay float64 and enter the forward through cast(), whose
+backward hands them a float64 gradient.  The same code run on a float64
+batch computes in float64, as the gradient checks do.
 
 Only the functions that build or transpose those sparse matrices import
 scipy.sparse, when they run, so importing this module costs numpy alone:
@@ -60,7 +68,10 @@ class Tensor:
 
     def __init__(self, data, parents: tuple["Tensor", ...] = (),
                  requires_grad: bool = True):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        # float32 and float64 are kept as given; anything else is float64
+        self.data = (data if data.dtype in (np.float32, np.float64)
+                     else data.astype(np.float64))
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -71,9 +82,11 @@ class Tensor:
         return self.data.shape
 
     def add_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Accumulate g, cast to this tensor's dtype.  The first gradient
+        is stored as it is and later ones make a new array, so an array
+        that is also another tensor's grad is never written to."""
+        g = np.asarray(g).astype(self.data.dtype, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -148,6 +161,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data @ b.data, (a, b), backward)
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    """a in another float dtype; its gradient comes back in a's dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def backward(out):
+        a.add_grad(out.grad)
+    return _op(a.data.astype(dtype), (a,), backward)
+
+
 def transpose(a: Tensor) -> Tensor:
     def backward(out):
         a.add_grad(out.grad.T)
@@ -179,12 +202,14 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
+    # neg is 0 where x > 0 and expm1(x) >= x elsewhere, so the ELU is
+    # max(x, neg) and its slope exp(min(x, 0)) is neg + 1: no mask needed
+    # (and np.where costs several times np.maximum)
     neg = np.expm1(np.minimum(a.data, 0.0))
 
     def backward(out):
-        local = np.where(a.data > 0.0, 1.0, neg + 1.0)
-        a.add_grad(out.grad * local)
-    return _op(np.where(a.data > 0.0, a.data, neg), (a,), backward)
+        a.add_grad(out.grad * (neg + 1.0))
+    return _op(np.maximum(a.data, neg), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -241,31 +266,29 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # propagation matrices
 
-def adj_matrix(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
+def adj_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
+               ) -> sp.csr_matrix:
     """Symmetric binary adjacency (no self loops)."""
     import scipy.sparse as sp
 
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(rows.size, dtype=np.float64)
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0, dtype=np.float64)
-    return sp.coo_matrix((data, (rows, cols)),
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return sp.coo_matrix((np.ones(rows.size, dtype=dtype), (rows, cols)),
                          shape=(n_nodes, n_nodes)).tocsr()
 
 
-def gcn_matrix(n_nodes: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Symmetrically normalized adjacency with self loops."""
+def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
+               ) -> sp.csr_matrix:
+    """Symmetrically normalized adjacency with self loops.  It is
+    normalized in float64 and then rounded to dtype."""
     import scipy.sparse as sp
 
     a = adj_matrix(n_nodes, edges) + sp.eye(n_nodes, format="csr")
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
     d = sp.diags(inv_sqrt)
-    return (d @ a @ d).tocsr()
+    return (d @ a @ d).tocsr().astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +309,17 @@ def linear(h: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def gcn_conv(h: Tensor, prop: sp.csr_matrix, weight: Tensor) -> Tensor:
+    """prop h weight^T, with the sparse product taken on the narrower of
+    h and h weight^T."""
+    if weight.data.shape[0] < weight.data.shape[1]:
+        return propagate(prop, matmul(h, transpose(weight)))
     return matmul(propagate(prop, h), transpose(weight))
 
 
 def graph_conv(h: Tensor, adj: sp.csr_matrix, w_self: Tensor,
                w_neigh: Tensor, bias: Tensor) -> Tensor:
     own = matmul(h, transpose(w_self))
-    agg = matmul(propagate(adj, h), transpose(w_neigh))
-    return add(add(own, agg), bias)
+    return add(add(own, gcn_conv(h, adj, w_neigh)), bias)
 
 
 def _check_sizes(sizes, n_rows: int) -> np.ndarray:
@@ -308,18 +334,19 @@ def _check_sizes(sizes, n_rows: int) -> np.ndarray:
     return sizes
 
 
-def _mean_pool(sizes: np.ndarray) -> sp.csr_matrix:
+def _mean_pool(sizes: np.ndarray, dtype) -> sp.csr_matrix:
     """Row g averages the sizes[g] rows that follow graph g - 1's."""
     import scipy.sparse as sp
 
     indptr = np.concatenate([[0], np.cumsum(sizes)])
-    return sp.csr_matrix((np.repeat(1.0 / sizes, sizes),
+    return sp.csr_matrix((np.repeat(1.0 / sizes, sizes).astype(dtype),
                           np.arange(indptr[-1]), indptr),
                          shape=(sizes.size, indptr[-1]))
 
 
 def global_mean_readout(h: Tensor, sizes) -> Tensor:
-    return propagate(_mean_pool(_check_sizes(sizes, h.data.shape[0])), h)
+    return propagate(_mean_pool(_check_sizes(sizes, h.data.shape[0]),
+                                h.data.dtype), h)
 
 
 def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
@@ -347,7 +374,7 @@ def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
     kept = ranked[top]
     rows_idx = kept[np.lexsort((kept, graph[top]))]
     gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-    return propagate(_mean_pool(counts), gated)
+    return propagate(_mean_pool(counts, gated.data.dtype), gated)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +497,8 @@ class GraphBatch:
     """Disjoint union of local graphs for one forward pass.
 
     Graph g owns sizes[g] consecutive feature rows.  Its edges come after
-    those of graph g - 1 and index batch rows.
+    those of graph g - 1 and index batch rows.  The features' dtype is the
+    dtype spatial_forward computes in.
     """
 
     features: np.ndarray  # [n_nodes, width]
@@ -484,6 +512,17 @@ class GraphBatch:
     @property
     def n_graphs(self) -> int:
         return int(self.sizes.shape[0])
+
+    @cached_property
+    def adj(self) -> sp.csr_matrix:
+        """The batch's adjacency in its features' dtype, built once."""
+        return adj_matrix(self.n_nodes, self.edges, self.features.dtype)
+
+    @cached_property
+    def gcn(self) -> sp.csr_matrix:
+        """The batch's gcn-normalized adjacency in its features' dtype,
+        built once."""
+        return gcn_matrix(self.n_nodes, self.edges, self.features.dtype)
 
     @cached_property
     def _starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -521,31 +560,28 @@ class GraphBatch:
 
 
 def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
-    """Run the correction network over a batch; returns [n_graphs, n_genes]."""
+    """Run the correction network over a batch; returns [n_graphs, n_genes]
+    in the dtype of the batch's features."""
     spec = state.spec
     if batch.features.shape[1] != spec.in_width:
         raise ShapeMismatch(
             f"batch features {batch.features.shape} for in_width "
             f"{spec.in_width}")
-    p = state.params
     h = constant(batch.features)
+    p = {k: cast(t, h.data.dtype) for k, t in state.params.items()}
     for i in range(len(spec.pre_widths)):
         h = elu(linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]))
 
     if spec.operator == "gcn":
-        prop = gcn_matrix(batch.n_nodes, batch.edges)
         for i in range(len(spec.gnn_widths)):
-            h = elu(gcn_conv(h, prop, p[f"gnn.{i}.W"]))
+            h = elu(gcn_conv(h, batch.gcn, p[f"gnn.{i}.W"]))
     else:
-        prop = adj_matrix(batch.n_nodes, batch.edges)
         for i in range(len(spec.gnn_widths)):
-            h = elu(graph_conv(h, prop, p[f"gnn.{i}.W1"],
+            h = elu(graph_conv(h, batch.adj, p[f"gnn.{i}.W1"],
                                p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]))
 
     if spec.pooling == "sag_mean":
-        score_prop = (prop if spec.operator == "gcn"
-                      else gcn_matrix(batch.n_nodes, batch.edges))
-        r = sag_mean_readout(h, score_prop, p["pool.score.W"],
+        r = sag_mean_readout(h, batch.gcn, p["pool.score.W"],
                              spec.sag_ratio, batch.sizes)
     else:
         r = global_mean_readout(h, batch.sizes)

@@ -182,18 +182,23 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
                         best_val_mse=val, alpha=alpha, ridge_lambda=lam)
 
 
-def spatial_predict(state: ModelState, graphs: GraphBatch,
-                    chunk: int = EVAL_CHUNK) -> np.ndarray:
-    """Forward every graph in fixed-size chunks over constant parameters,
-    so no tape is recorded."""
+def chunked(graphs: GraphBatch, chunk: int = EVAL_CHUNK
+            ) -> list[GraphBatch]:
+    """The graphs in consecutive batches of at most chunk graphs each."""
     n = graphs.n_graphs
-    if n == 0:
+    return [graphs.take(np.arange(k, min(k + chunk, n)))
+            for k in range(0, n, chunk)]
+
+
+def spatial_predict(state: ModelState, chunks: Sequence[GraphBatch]
+                    ) -> np.ndarray:
+    """Forward every chunk over constant parameters, so no tape is
+    recorded; the rows come out in the chunks' dtype."""
+    if not chunks:
         raise EmptySplit("no graphs to predict on")
     frozen = state.frozen()
-    return np.concatenate([
-        nn.spatial_forward(frozen,
-                           graphs.take(np.arange(k, min(k + chunk, n)))).data
-        for k in range(0, n, chunk)], axis=0)
+    return np.concatenate([nn.spatial_forward(frozen, c).data
+                           for c in chunks], axis=0)
 
 
 @dataclass
@@ -232,8 +237,11 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
     opt = Adam(list(state.params.values()), config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
+    # cut once, so each validation chunk builds its matrices once
+    val_chunks = chunked(val_graphs) if has_val else []
+
     def evaluate_val() -> float:
-        s_hat = spatial_predict(state, val_graphs)
+        s_hat = spatial_predict(state, val_chunks)
         return _val_mse(s_hat + delta_hat_val, target_val)
 
     # the network's sparse matrices need scipy; load it before the clock
@@ -385,6 +393,6 @@ def predict_expression(model: TrainedModel, embeddings: np.ndarray,
     if model.state is not None:
         if graphs is None or graphs.n_graphs != embeddings.shape[0]:
             raise ShapeMismatch("need one graph per spot for stage-2 models")
-        s_hat = spatial_predict(model.state, graphs)
+        s_hat = spatial_predict(model.state, chunked(graphs))
         delta_hat = s_hat + delta_hat
     return delta_hat + np.asarray(model.train_mean, dtype=np.float64)[None, :]

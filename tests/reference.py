@@ -103,13 +103,14 @@ def assemble_graph(slide_spots, embeddings, subgraph, aggregation):
         emb = embeddings.vectors[int(g)]
         feats[k] = emb + pe if aggregation == "sum" else np.concatenate(
             [emb, pe])
+    # computed in float64, stored as float32, like the batched assembly
     return SpotGraph(
         slide_id=center.slide_id,
         center_spot_id=center.spot_id,
         nodes=subgraph.nodes,
         hops=subgraph.hops,
         edges=subgraph.edges,
-        features=feats,
+        features=feats.astype(np.float32),
     )
 
 

@@ -415,23 +415,30 @@ class TestExitCodes:
         assert rc == 1
         assert "sepal denoise" in capsys.readouterr().err
 
-    def test_select_on_raw_counts_input(self, pipeline, tmp_path):
-        # a counts-stage file sitting where the denoiser output belongs
+    def test_select_on_raw_counts_input(self, pipeline, tmp_path, capsys):
+        # a counts-stage file sitting where the denoiser output belongs;
+        # masks and a wide enough panel are there too, so only the stage
+        # tag can fail
         out = tmp_path / "bad"
         den = out / "denoise"
         den.mkdir(parents=True)
         rng = np.random.default_rng(0)
-        from sepal.core import ExpressionMatrix
+        from sepal.core import ExpressionMatrix, ImputationMask
+        genes = tuple(f"g{i}" for i in range(12))
+        spot_ids = tuple(f"spot_r{r}_c{c}" for r in range(6)
+                         for c in range(6))
         for entry_id in ("synth00", "synth01", "synth02"):
             m = ExpressionMatrix(
-                entry_id, ("g0",),
-                tuple(f"spot_r{r}_c{c}" for r in range(6)
-                      for c in range(6)),
-                rng.integers(0, 5, size=(36, 1)).astype(float),
+                entry_id, genes, spot_ids,
+                rng.integers(0, 5, size=(36, 12)).astype(float),
                 "raw_counts")
             ingest.write_matrix(den / f"{entry_id}_denoised.npz", m)
+            ingest.write_mask(den / f"{entry_id}_mask.npz", ImputationMask(
+                entry_id, genes, spot_ids, np.zeros((36, 12), dtype=bool)))
         assert run("select", "--manifest", pipeline["manifest"],
                    "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "stage tag 'raw_counts'" in err and "sepal denoise" in err
 
     def test_stage2_without_stage1(self, pipeline, tmp_path, capsys):
         out = pipeline["out"]

@@ -22,6 +22,7 @@ from sepal.graphs import (
     positional_encoding,
     slide_subgraphs,
 )
+from sepal import nn
 from sepal.nn import GraphBatch, ModelSpec, init_model_state, spatial_forward
 from sepal.spatial import build_adjacency
 
@@ -161,11 +162,13 @@ class TestAssembleGraph:
         # center node: zero offset encoding
         pe0 = positional_encoding(0, 0, 8)
         np.testing.assert_array_equal(
-            g.features[0], slide.embeddings.vectors[4] + pe0)
+            g.features[0],
+            (slide.embeddings.vectors[4] + pe0).astype(np.float32))
         # node 1 is global spot 1 = (r0, c1): offset (-1, 0) from center
         pe1 = positional_encoding(-1, 0, 8)
         np.testing.assert_array_equal(
-            g.features[1], slide.embeddings.vectors[1] + pe1)
+            g.features[1],
+            (slide.embeddings.vectors[1] + pe1).astype(np.float32))
 
     def test_concat_aggregation_doubles_width(self):
         spots = grid_spots(3, 3)
@@ -175,9 +178,10 @@ class TestAssembleGraph:
         g = assemble_graph(slide.spots, slide.embeddings, [sub], "concat")
         assert g.features.shape == (5, 16)
         np.testing.assert_array_equal(
-            g.features[2, :8], slide.embeddings.vectors[3])
+            g.features[2, :8], slide.embeddings.vectors[3].astype(np.float32))
         np.testing.assert_array_equal(
-            g.features[2, 8:], positional_encoding(1 - 1, 0 - 1, 8))
+            g.features[2, 8:],
+            positional_encoding(1 - 1, 0 - 1, 8).astype(np.float32))
 
     def test_sum_needs_width_divisible_by_four(self):
         spots = grid_spots(2, 2)
@@ -207,7 +211,8 @@ class TestBuildSpotGraphs:
         centers = np.cumsum(graphs.sizes) - graphs.sizes
         np.testing.assert_array_equal(
             graphs.features[centers],
-            slide.embeddings.vectors + positional_encoding(0, 0, 8))
+            (slide.embeddings.vectors
+             + positional_encoding(0, 0, 8)).astype(np.float32))
         assert graphs.sizes[4] == 5
 
     def test_adjacency_size_guard(self):
@@ -241,6 +246,10 @@ def assert_same_batch(got, want):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
+
+
+def with_dtype(batch, dtype):
+    return GraphBatch(batch.features.astype(dtype), batch.edges, batch.sizes)
 
 
 def assert_same_subgraphs(adj, hops):
@@ -364,7 +373,9 @@ class TestBatchedForward:
     def test_equals_per_graph_forwards(self, geometry, rows, cols, hops,
                                        aggregation, operator, pooling):
         slide, adj = lattice_slide(geometry, rows, cols)
-        packed = build_spot_graphs(slide, adj, hops, aggregation)
+        # an exact comparison: the engine computes in float64 on float64
+        packed = with_dtype(build_spot_graphs(slide, adj, hops, aggregation),
+                            np.float64)
         spec = ModelSpec(in_width=packed.features.shape[1], n_genes=3,
                          pre_widths=(5,), operator=operator,
                          gnn_widths=(4,), pooling=pooling, sag_ratio=0.5,
@@ -416,3 +427,98 @@ class TestLocalWork:
         for field in ("nodes", "hops", "edges"):
             assert getattr(sub, field).tobytes() == \
                 getattr(want, field).tobytes()
+
+
+def random_state(spec, seed):
+    """Every parameter drawn at random at the glorot scale of the
+    initializer, so no layer is zero and activations stay O(1)."""
+    state = init_model_state(spec, seed)
+    rng = np.random.default_rng(seed)
+    for t in state.params.values():
+        lim = np.sqrt(6.0 / sum(t.data.shape)) if t.data.ndim == 2 else 0.1
+        t.data = rng.uniform(-lim, lim, size=t.data.shape)
+    return state
+
+
+def forward_and_grads(state, batch, target):
+    for t in state.params.values():
+        t.zero_grad()
+    out = spatial_forward(state, batch)
+    nn.backward(nn.mse(out, nn.constant(target)))
+    return out.data, {k: t.grad for k, t in state.params.items()}
+
+
+def assert_close_at_float32(got, want):
+    """Agreement to about a thousand float32 rounding steps of the
+    largest magnitude."""
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-4 * scale)
+
+
+class TestFloat32Engine:
+    """Graphs hold float32 features and the network computes in their
+    dtype: float32 forwards and gradients agree with float64 ones run on
+    the same values, and nothing on the float32 path is widened."""
+
+    @given(st.integers(0, 10 ** 9), st.booleans(), st.integers(1, 3),
+           st.sampled_from(["sum", "concat"]),
+           st.sampled_from(["gcn", "graphconv"]),
+           st.sampled_from(["sag_mean", "global_mean"]))
+    def test_float32_agrees_with_float64(self, seed, lattice, hops,
+                                         aggregation, operator, pooling):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            slide, adj = lattice_slide(
+                ("hex_array", "square_grid")[seed % 2],
+                int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+            stored = build_spot_graphs(slide, adj, hops, aggregation)
+        else:
+            stored = random_case(seed, hops, aggregation)[2]
+        spec = ModelSpec(in_width=stored.features.shape[1], n_genes=3,
+                         pre_widths=(6,), operator=operator,
+                         gnn_widths=(5, 4), pooling=pooling,
+                         sag_ratio=0.5, post_widths=(3,))
+        state = random_state(spec, seed)
+        target = rng.normal(size=(stored.n_graphs, 3))
+        out32, grads32 = forward_and_grads(state, stored, target)
+        out64, grads64 = forward_and_grads(
+            state, with_dtype(stored, np.float64), target)
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
+        assert_close_at_float32(out32, out64)
+        for k, g in grads64.items():
+            assert grads32[k].dtype == np.float64, k
+            assert_close_at_float32(grads32[k], g)
+
+    @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
+    @pytest.mark.parametrize("pooling", ["sag_mean", "global_mean"])
+    def test_forward_stays_float32(self, operator, pooling):
+        slide, adj = lattice_slide("hex_array", 4, 4)
+        batch = build_spot_graphs(slide, adj, 2, "concat")
+        assert batch.features.dtype == np.float32
+        spec = ModelSpec(in_width=batch.features.shape[1], n_genes=3,
+                         pre_widths=(6,), operator=operator,
+                         gnn_widths=(5, 4), pooling=pooling,
+                         post_widths=(3,))
+        state = random_state(spec, 1)
+        out = spatial_forward(state, batch)
+        assert batch.adj.dtype == batch.gcn.dtype == np.float32
+        nn.backward(nn.mse(out, nn.constant(
+            np.zeros((batch.n_graphs, 3)))))
+
+        # every tensor the forward made is float32, its gradient too; only
+        # the parameters it cast from are float64
+        params = {id(t) for t in state.params.values()}
+        seen, stack, n_ops = set(), [out], 0
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            stack.extend(t._parents)
+            want = np.float64 if id(t) in params else np.float32
+            assert t.data.dtype == want
+            assert t.grad is None or t.grad.dtype == want
+            n_ops += t._backward is not None
+        assert params <= seen and n_ops > 10
+        assert spatial_forward(state.frozen(), batch).data.dtype \
+            == np.float32

@@ -82,6 +82,15 @@ class TestEngineOps:
         backward(loss)
         np.testing.assert_allclose(x.grad, [[4.0]])
 
+    def test_stored_gradient_is_never_written_through(self):
+        # x's first gradient is y's own grad array; the second add must
+        # not change y.grad in place
+        x = Tensor(np.ones((2, 2)))
+        y = nn.add(x, x)
+        backward(mean_all(y))
+        np.testing.assert_array_equal(y.grad, np.full((2, 2), 0.25))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 0.5))
+
     def test_gather_repeated_rows_accumulate(self):
         x = Tensor([[1.0], [2.0]])
         g = gather_rows(x, np.array([0, 0, 1]))
@@ -146,6 +155,26 @@ class TestPropagationMatrices:
         a_hat = gcn_matrix(4, edges).toarray()
         got = gcn_conv(constant(h), gcn_matrix(4, edges), Tensor(w))
         np.testing.assert_allclose(got.data, a_hat @ h @ w.T)
+
+    @pytest.mark.parametrize("n_in, n_out", [(8, 2), (2, 8), (4, 4)])
+    def test_convs_propagate_the_narrower_side(self, monkeypatch, n_in,
+                                               n_out):
+        widths = []
+
+        def spy(matrix, h):
+            widths.append(h.data.shape[1])
+            return propagate(matrix, h)
+
+        monkeypatch.setattr(nn, "propagate", spy)
+        rng = np.random.default_rng(4)
+        edges = np.array([[0, 1], [1, 2], [0, 3]])
+        h = constant(rng.normal(size=(4, n_in)))
+        w = Tensor(rng.normal(size=(n_out, n_in)))
+        want = gcn_matrix(4, edges).toarray() @ h.data @ w.data.T
+        got = gcn_conv(h, gcn_matrix(4, edges), w)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12)
+        graph_conv(h, adj_matrix(4, edges), w, w, Tensor(np.zeros(n_out)))
+        assert widths == [min(n_in, n_out)] * 2
 
     def test_graph_conv_star_hand_value(self):
         edges = np.array([[0, 1], [0, 2]])
@@ -385,9 +414,9 @@ class TestSpatialForward:
     def test_gcn_sag_builds_one_propagation_matrix(self, monkeypatch):
         calls = []
 
-        def counting(n_nodes, edges):
+        def counting(n_nodes, edges, *dtype):
             calls.append(n_nodes)
-            return gcn_matrix(n_nodes, edges)
+            return gcn_matrix(n_nodes, edges, *dtype)
 
         monkeypatch.setattr(nn, "gcn_matrix", counting)
         state = init_model_state(

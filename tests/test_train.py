@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import reference
-from sepal import nn
+from sepal import nn, train
+from sepal.ingest import read_checkpoint
 from sepal.core import DivergedLoss, EmptySplit, ValidationError
 from sepal.nn import GraphBatch, ModelSpec, Tensor, init_model_state
 from sepal.train import (
@@ -13,6 +14,7 @@ from sepal.train import (
     load_model,
     predict_expression,
     save_model,
+    chunked,
     spatial_predict,
     stage1_train,
     stage2_train,
@@ -230,7 +232,7 @@ class TestStage2:
                            correction_spec(4, 2), cfg)
         assert res.best_val_mse <= res.initial_val_mse
         # the returned parameters are the best ones, here the initial zeros
-        s_hat = spatial_predict(res.state, vg)
+        s_hat = spatial_predict(res.state, chunked(vg))
         if res.best_val_mse == res.initial_val_mse:
             assert (s_hat == 0.0).all()
 
@@ -256,6 +258,25 @@ class TestStage2:
                          np.zeros((0, 2)), np.zeros((0, 2)), None, None,
                          None, correction_spec(4, 2), TrainConfig())
 
+
+    def test_validation_builds_its_matrices_once(self, monkeypatch):
+        built = []
+
+        def counting(n_nodes, edges, *dtype):
+            built.append(n_nodes)
+            return plain(n_nodes, edges, *dtype)
+
+        plain = nn.adj_matrix
+        monkeypatch.setattr(nn, "adj_matrix", counting)
+        (tg, d_tr, y_tr, vg, d_val, y_val) = self._setup(seed=3)
+        res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val,
+                           correction_spec(4, 2),
+                           TrainConfig(learning_rate=0.01, batch_size=8,
+                                       max_epochs=5, patience=5, seed=0))
+        # one adjacency per training batch, one for the single val chunk
+        # (shared by the six validations)
+        assert len(res.history) == 6 and res.n_steps == 15
+        assert len(built) == res.n_steps + 1
 
     def test_partial_epoch_mse_averages_the_samples_seen(self):
         # every sample misses by 0.5, so every batch's MSE is 0.25
@@ -312,6 +333,46 @@ class TestCheckpoints:
         got = predict_expression(model, emb, graphs)
         np.testing.assert_array_equal(got, want)
 
+    def test_float32_graphs_keep_float64_master_state(self, tmp_path,
+                                                      monkeypatch):
+        # graphs hold float32 features, so stage 2 computes in float32;
+        # the parameters, their gradients, Adam's moments and the
+        # checkpoint stay float64
+        rng = np.random.default_rng(7)
+        graphs = star_graphs(rng, 12, 4)
+        graphs = GraphBatch(graphs.features.astype(np.float32),
+                            graphs.edges, graphs.sizes)
+        optimizers = []
+
+        class Recorded(train.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(train, "Adam", Recorded)
+        spec = ModelSpec(in_width=4, n_genes=2, pre_widths=(3,),
+                         operator="gcn", gnn_widths=(4,),
+                         pooling="sag_mean", post_widths=(2,))
+        res = stage2_train(graphs, rng.normal(size=(12, 2)),
+                           rng.normal(size=(12, 2)), graphs.take([0, 1]),
+                           np.zeros((2, 2)), np.ones((2, 2)), spec,
+                           TrainConfig(learning_rate=0.01, batch_size=4,
+                                       max_epochs=2, seed=0))
+        (opt,) = optimizers
+        assert opt.t == res.n_steps == 6
+        for arrays in ([p.data for p in opt.params],
+                       [p.grad for p in opt.params], opt.m, opt.v):
+            assert all(a.dtype == np.float64 for a in arrays)
+        path = tmp_path / "stage2.ckpt"
+        save_model(path, TrainedModel(("a", "b"), np.zeros(2),
+                                      np.zeros((2, 4)), np.zeros(2),
+                                      res.state))
+        _, arrays = read_checkpoint(path)
+        assert {a.dtype for k, a in arrays.items()
+                if k in res.state.params} == {np.dtype(np.float64)}
+        assert load_model(path).state.params["gnn.0.W"].data.dtype \
+            == np.float64
+
     def test_wrong_stage_rejected(self, tmp_path):
         res = Stage1Result(weight=np.zeros((1, 1)), bias=np.zeros(1),
                            history=[], best_val_mse=None, alpha=0.0,
@@ -364,7 +425,7 @@ class TestPredict:
             created.append(self)
 
         monkeypatch.setattr(Tensor, "__init__", spying_init)
-        got = spatial_predict(state, graphs)
+        got = spatial_predict(state, [graphs])
         monkeypatch.undo()
         assert created
         assert all(t._parents == () and t._backward is None
@@ -386,5 +447,5 @@ class TestPredict:
         full = TrainedModel(("a", "b"), mean, w, b, state, 1, "sum")
         head = predict_expression(base, emb, None)
         combined = predict_expression(full, emb, graphs)
-        s_hat = spatial_predict(state, graphs)
+        s_hat = spatial_predict(state, chunked(graphs))
         np.testing.assert_allclose(combined, head + s_hat, atol=1e-12)
