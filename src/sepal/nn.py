@@ -9,9 +9,9 @@ trainable leaf, a constant() is not, and an op's output keeps its
 parents and closure only when one of its inputs needs a gradient.  A
 forward over constants alone (prediction) therefore records no tape.
 The op set is exactly what the model needs: dense matmul, broadcast
-add/mul, gather, ELU, tanh, mean, a dtype cast, and multiplication by a
-constant sparse matrix (the graph propagation step, which never needs a
-gradient of its own).
+add/mul, gather, ELU, tanh, mean, a dtype cast, a per-graph segment mean
+(the readouts) and multiplication by a constant block-diagonal matrix (the
+graph propagation step, which never needs a gradient of its own).
 
 Every op computes in the dtype of its inputs, and a gradient always has
 the dtype of the tensor it belongs to.  spatial_forward runs in the dtype
@@ -21,10 +21,13 @@ optimizer state) stay float64 and enter the forward through cast(), whose
 backward hands them a float64 gradient.  The same code run on a float64
 batch computes in float64, as the gradient checks do.
 
-Only the functions that build or transpose those sparse matrices import
-scipy.sparse, when they run, so importing this module costs numpy alone:
-stage-2 training and the evaluation of a stage-2 model load scipy, and
-every other command never does.
+A batch is a disjoint union of small local graphs, so its propagation
+matrix is block-diagonal: BlockDiagonal holds one dense [m, m] block per
+graph, m the batch's largest graph (3h^2 + 3h + 1 nodes at h hops on a hex
+lattice: 7, 19, 37, 61, 91).  A product pads each graph's rows with zeros
+to m rows, runs one batched matmul and drops the padding again.  Its cost
+grows with m^2 per graph, not with the graph's edge count: the price of
+needing numpy alone.
 
 Model layers:
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +56,6 @@ from .core import (
     ShapeMismatch,
     ValidationError,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 OPERATORS = ("gcn", "graphconv")
 POOLINGS = ("sag_mean", "global_mean")
@@ -177,17 +177,15 @@ def transpose(a: Tensor) -> Tensor:
     return _op(a.data.T, (a,), backward)
 
 
-def propagate(matrix, h: Tensor) -> Tensor:
-    """Multiply by a constant (sparse) matrix: out = S h, grad = S^T g."""
+def propagate(matrix: BlockDiagonal, h: Tensor) -> Tensor:
+    """Multiply by a constant block-diagonal matrix: out = S h,
+    grad = S^T g."""
     if matrix.shape[1] != h.data.shape[0]:
         raise ShapeMismatch(
             f"propagation {matrix.shape} against features {h.data.shape}")
 
     def backward(out):
-        import scipy.sparse as sp
-
-        matrix_t = matrix.T.tocsr() if sp.issparse(matrix) else matrix.T
-        h.add_grad(matrix_t @ out.grad)
+        h.add_grad(matrix.T @ out.grad)
     return _op(matrix @ h.data, (h,), backward)
 
 
@@ -213,11 +211,12 @@ def elu(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
     def backward(out):
-        a.add_grad(out.grad * (1.0 - t * t))
-    return _op(t, (a,), backward)
+        # sech(x)^2 = 4e / (1 + e)^2 with e = exp(-2|x|), from the input:
+        # 1 - tanh(x)^2 is 0 once tanh rounds to 1 (|x| > ~9 in float32)
+        e = np.exp(-2.0 * np.abs(a.data))
+        a.add_grad(out.grad * (4.0 * e / ((1.0 + e) * (1.0 + e))))
+    return _op(np.tanh(a.data), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -266,29 +265,107 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # propagation matrices
 
-def adj_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
-               ) -> sp.csr_matrix:
-    """Symmetric binary adjacency (no self loops)."""
-    import scipy.sparse as sp
+# graphs per pass of BlockDiagonal's product: bounds its zero-padded copy
+# of the rows to 32 * m rows, whatever the batch size
+PRODUCT_GROUP = 32
 
+
+@dataclass(frozen=True)
+class BlockDiagonal:
+    """A constant [n, n] matrix over a batch of graphs, one dense [m, m]
+    block per graph, m the largest graph's node count.
+
+    Graph g owns sizes[g] consecutive rows, and its local node k is row k
+    of blocks[g]; the rows and columns of a block past sizes[g] are zero.
+    """
+
+    blocks: np.ndarray  # [n_graphs, m, m]
+    sizes: np.ndarray   # [n_graphs] node counts
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = int(self.sizes.sum())
+        return n, n
+
+    @property
+    def T(self) -> "BlockDiagonal":
+        return BlockDiagonal(self.blocks.transpose(0, 2, 1), self.sizes)
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        """self @ h for h [n, d]: each group of graphs' rows is scattered
+        into a zero-padded [graphs, m, d] array, multiplied by its blocks
+        in one batched matmul, and gathered back."""
+        n_graphs, m, _ = self.blocks.shape
+        firsts = np.concatenate([[0], np.cumsum(self.sizes)])
+        # row r of graph g sits at g * m + (r - firsts[g]) once padded
+        slots = (np.arange(firsts[-1])
+                 + np.repeat(np.arange(n_graphs) * m - firsts[:-1],
+                             self.sizes))
+        out = np.empty(h.shape, np.result_type(self.blocks, h))
+        for g0 in range(0, n_graphs, PRODUCT_GROUP):
+            g1 = min(g0 + PRODUCT_GROUP, n_graphs)
+            rows = slice(firsts[g0], firsts[g1])
+            local = slots[rows] - g0 * m
+            padded = np.zeros(((g1 - g0) * m, h.shape[1]), out.dtype)
+            padded[local] = h[rows]
+            product = np.matmul(self.blocks[g0:g1],
+                                padded.reshape(g1 - g0, m, -1))
+            out[rows] = product.reshape(-1, h.shape[1])[local]
+        return out
+
+
+def _entries(n_nodes: int, edges: np.ndarray, sizes, self_loops: bool
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The entries of a symmetric adjacency, one per edge and direction,
+    plus one per node if self_loops: their rows, their columns and their
+    cells in the flattened [n_graphs, m, m] blocks; then the graph sizes
+    (None is one graph of n_nodes) and m."""
+    sizes = (_check_sizes(sizes, n_nodes) if sizes is not None
+             else np.array([n_nodes] if n_nodes else [], dtype=np.int64))
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    return sp.coo_matrix((np.ones(rows.size, dtype=dtype), (rows, cols)),
-                         shape=(n_nodes, n_nodes)).tocsr()
+    if edges.size and not 0 <= edges.min() <= edges.max() < n_nodes:
+        raise ValidationError(f"edge endpoint outside {n_nodes} nodes")
+    rows = [edges[:, 0], edges[:, 1]]
+    cols = [edges[:, 1], edges[:, 0]]
+    if self_loops:
+        rows.append(np.arange(n_nodes))
+        cols.append(np.arange(n_nodes))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = np.repeat(np.arange(sizes.size), sizes)
+    if (graph[rows] != graph[cols]).any():
+        raise ValidationError("an edge joins two graphs of the batch")
+    local = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    m = int(sizes.max(initial=0))
+    cells = (graph[rows] * m + local[rows]) * m + local[cols]
+    return rows, cols, cells, sizes, m
 
 
-def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
-               ) -> sp.csr_matrix:
-    """Symmetrically normalized adjacency with self loops.  It is
-    normalized in float64 and then rounded to dtype."""
-    import scipy.sparse as sp
+def adj_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
+               sizes=None) -> BlockDiagonal:
+    """Symmetric adjacency without self loops; an edge listed twice counts
+    twice.  sizes splits the nodes into graphs, and edges stay inside
+    one; without it the nodes are one graph."""
+    _, _, cells, sizes, m = _entries(n_nodes, edges, sizes,
+                                     self_loops=False)
+    counts = np.bincount(cells, minlength=sizes.size * m * m)
+    return BlockDiagonal(counts.reshape(sizes.size, m, m).astype(dtype),
+                         sizes)
 
-    a = adj_matrix(n_nodes, edges) + sp.eye(n_nodes, format="csr")
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(inv_sqrt)
-    return (d @ a @ d).tocsr().astype(dtype, copy=False)
+
+def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
+               sizes=None) -> BlockDiagonal:
+    """Symmetrically normalized adjacency with self loops, per graph as in
+    adj_matrix.  Entry (i, j) is (d_i a_ij) d_j with d = deg^{-1/2},
+    taken in float64 and then rounded to dtype."""
+    rows, cols, cells, sizes, m = _entries(n_nodes, edges, sizes,
+                                            self_loops=True)
+    a = np.bincount(cells, minlength=sizes.size * m * m)[cells]
+    inv_sqrt = 1.0 / np.sqrt(
+        np.bincount(rows, minlength=n_nodes).astype(np.float64))
+    blocks = np.zeros(sizes.size * m * m, dtype)
+    # a cell listed more than once gets the same value each time
+    blocks[cells] = (inv_sqrt[rows] * a) * inv_sqrt[cols]
+    return BlockDiagonal(blocks.reshape(sizes.size, m, m), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +385,15 @@ def linear(h: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def gcn_conv(h: Tensor, prop: sp.csr_matrix, weight: Tensor) -> Tensor:
-    """prop h weight^T, with the sparse product taken on the narrower of
-    h and h weight^T."""
+def gcn_conv(h: Tensor, prop: BlockDiagonal, weight: Tensor) -> Tensor:
+    """prop h weight^T, with the propagation taken on the narrower of h
+    and h weight^T."""
     if weight.data.shape[0] < weight.data.shape[1]:
         return propagate(prop, matmul(h, transpose(weight)))
     return matmul(propagate(prop, h), transpose(weight))
 
 
-def graph_conv(h: Tensor, adj: sp.csr_matrix, w_self: Tensor,
+def graph_conv(h: Tensor, adj: BlockDiagonal, w_self: Tensor,
                w_neigh: Tensor, bias: Tensor) -> Tensor:
     own = matmul(h, transpose(w_self))
     return add(add(own, gcn_conv(h, adj, w_neigh)), bias)
@@ -334,22 +411,29 @@ def _check_sizes(sizes, n_rows: int) -> np.ndarray:
     return sizes
 
 
-def _mean_pool(sizes: np.ndarray, dtype) -> sp.csr_matrix:
-    """Row g averages the sizes[g] rows that follow graph g - 1's."""
-    import scipy.sparse as sp
+def _segment_mean(h: Tensor, sizes: np.ndarray) -> Tensor:
+    """Row g averages the sizes[g] rows that follow graph g - 1's.  It adds
+    w * h_r, w = 1 / sizes[g] in h's dtype, one in-graph position at a
+    time for all graphs at once: the order, and so the bits, of a
+    pooling matrix's sparse product."""
+    w = (1.0 / sizes).astype(h.data.dtype)
+    firsts = np.cumsum(sizes) - sizes
+    out = np.zeros((sizes.size, h.data.shape[1]), h.data.dtype)
+    for k in range(int(sizes.max(initial=0))):
+        g = np.flatnonzero(sizes > k)
+        out[g] += w[g, None] * h.data[firsts[g] + k]
+    graph = np.repeat(np.arange(sizes.size), sizes)
 
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    return sp.csr_matrix((np.repeat(1.0 / sizes, sizes).astype(dtype),
-                          np.arange(indptr[-1]), indptr),
-                         shape=(sizes.size, indptr[-1]))
+    def backward(out_t):
+        h.add_grad(w[graph, None] * out_t.grad[graph])
+    return _op(out, (h,), backward)
 
 
 def global_mean_readout(h: Tensor, sizes) -> Tensor:
-    return propagate(_mean_pool(_check_sizes(sizes, h.data.shape[0]),
-                                h.data.dtype), h)
+    return _segment_mean(h, _check_sizes(sizes, h.data.shape[0]))
 
 
-def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
+def sag_mean_readout(h: Tensor, score_prop: BlockDiagonal, score_w: Tensor,
                      ratio: float, sizes) -> Tensor:
     """Gated top-k mean per graph.
 
@@ -374,7 +458,7 @@ def sag_mean_readout(h: Tensor, score_prop: sp.csr_matrix, score_w: Tensor,
     kept = ranked[top]
     rows_idx = kept[np.lexsort((kept, graph[top]))]
     gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-    return propagate(_mean_pool(counts, gated.data.dtype), gated)
+    return _segment_mean(gated, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +598,17 @@ class GraphBatch:
         return int(self.sizes.shape[0])
 
     @cached_property
-    def adj(self) -> sp.csr_matrix:
+    def adj(self) -> BlockDiagonal:
         """The batch's adjacency in its features' dtype, built once."""
-        return adj_matrix(self.n_nodes, self.edges, self.features.dtype)
+        return adj_matrix(self.n_nodes, self.edges, self.features.dtype,
+                          self.sizes)
 
     @cached_property
-    def gcn(self) -> sp.csr_matrix:
+    def gcn(self) -> BlockDiagonal:
         """The batch's gcn-normalized adjacency in its features' dtype,
         built once."""
-        return gcn_matrix(self.n_nodes, self.edges, self.features.dtype)
+        return gcn_matrix(self.n_nodes, self.edges, self.features.dtype,
+                          self.sizes)
 
     @cached_property
     def _starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

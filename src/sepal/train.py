@@ -244,10 +244,6 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
         s_hat = spatial_predict(state, val_chunks)
         return _val_mse(s_hat + delta_hat_val, target_val)
 
-    # the network's sparse matrices need scipy; load it before the clock
-    # starts, so that epoch 0's wall time is not the import's
-    import scipy.sparse  # noqa: F401
-
     history: list[EpochRecord] = []
     t0 = time.monotonic()
     initial_val = evaluate_val() if has_val else None

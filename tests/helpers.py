@@ -55,3 +55,12 @@ def bfs_distances(n, edges, source):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def dense(op):
+    """The [n, n] matrix a sepal.nn.BlockDiagonal stands for."""
+    out = np.zeros(op.shape, op.blocks.dtype)
+    firsts = np.cumsum(op.sizes) - op.sizes
+    for block, first, k in zip(op.blocks, firsts, op.sizes):
+        out[first:first + k, first:first + k] = block[:k, :k]
+    return out

@@ -7,6 +7,9 @@ SpotGraph per center, from_graphs packs a list of such graphs into a
 GraphBatch one graph at a time, and the two readouts take (start, end)
 row slices and build their pooling matrices and top-k choices graph by
 graph.
+adj_matrix and gcn_matrix build a batch's propagation matrices as scipy
+CSR matrices, and propagate multiplies by one, as the network did before
+it held one dense block per graph.
 auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
 the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
@@ -41,7 +44,7 @@ from sepal.denoise import (
 )
 from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
-from sepal.nn import GraphBatch, gather_rows, gcn_conv, mul, propagate, tanh
+from sepal.nn import GraphBatch, _op, gather_rows, gcn_conv, mul, tanh
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,35 @@ def from_graphs(graphs):
                  else np.zeros((0, 2), dtype=np.int64))
     return GraphBatch(np.concatenate(feats, axis=0), all_edges,
                       np.array(sizes, dtype=np.int64))
+
+
+def adj_matrix(n_nodes, edges, dtype=np.float64):
+    """Symmetric binary adjacency (no self loops)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return sp.coo_matrix((np.ones(rows.size, dtype=dtype), (rows, cols)),
+                         shape=(n_nodes, n_nodes)).tocsr()
+
+
+def gcn_matrix(n_nodes, edges, dtype=np.float64):
+    """Symmetrically normalized adjacency with self loops, normalized in
+    float64 and then rounded to dtype."""
+    a = adj_matrix(n_nodes, edges) + sp.eye(n_nodes, format="csr")
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    d = sp.diags(1.0 / np.sqrt(deg))
+    return (d @ a @ d).tocsr().astype(dtype, copy=False)
+
+
+def propagate(matrix, h):
+    """Multiply by a constant sparse matrix: out = S h, grad = S^T g."""
+    if matrix.shape[1] != h.data.shape[0]:
+        raise ShapeMismatch(
+            f"propagation {matrix.shape} against features {h.data.shape}")
+
+    def backward(out):
+        h.add_grad(matrix.T.tocsr() @ out.grad)
+    return _op(matrix @ h.data, (h,), backward)
 
 
 def global_mean_readout(h, slices):

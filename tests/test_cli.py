@@ -842,7 +842,8 @@ for argv in (["synth", "--out", data, "--rows", "6", "--cols", "6",
              ["train", *base, "--stage", "1"], ["eval", *base],
              ["figures", *base],
              ["train", *base, "--stage", "2", "--epochs", "1",
-              "--hidden", "4"]):
+              "--hidden", "4"],
+             ["eval", *base]):
     assert main(argv) == 0, argv
     print("probe:", argv[0], "scipy" in sys.modules,
           "scipy.sparse" in sys.modules, file=sys.stderr)
@@ -850,8 +851,8 @@ for argv in (["synth", "--out", data, "--rows", "6", "--cols", "6",
 
 
 class TestStartup:
-    """Only the graph network loads scipy.sparse; every other command
-    starts at numpy's cost."""
+    """No command loads scipy: each starts at numpy's cost, the graph
+    network included."""
 
     def _python(self, *argv):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -870,16 +871,15 @@ class TestStartup:
                   "if m.partition('.')[0] == 'scipy'))")
         assert proc.stdout.strip() == "[]"
 
-    def test_commands_without_the_network_load_no_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         proc = self._python("-c", _COMMANDS_PROBE, str(tmp_path / "data"),
                             str(tmp_path / "run"))
         lines = [line for line in proc.stderr.splitlines()
                  if line.startswith("probe: ")]
-        assert lines[:-1] == [f"probe: {c} False False" for c in (
+        # the last two are stage-2 training and the eval of its model
+        assert lines == [f"probe: {c} False False" for c in (
             "synth", "preprocess", "denoise", "select", "build-graphs",
-            "train", "eval", "figures")]
-        # the probe does see scipy once the network has run
-        assert lines[-1] == "probe: train True True"
+            "train", "eval", "figures", "train", "eval")]
 
 
 class TestDeterminism:

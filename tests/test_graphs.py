@@ -4,7 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import bfs_distances, grid_spots, hex_spots, random_adjacency
+from helpers import (
+    bfs_distances,
+    dense,
+    grid_spots,
+    hex_spots,
+    random_adjacency,
+)
 from sepal.core import (
     EmbeddingTable,
     ExpressionMatrix,
@@ -501,7 +507,7 @@ class TestFloat32Engine:
                          post_widths=(3,))
         state = random_state(spec, 1)
         out = spatial_forward(state, batch)
-        assert batch.adj.dtype == batch.gcn.dtype == np.float32
+        assert batch.adj.blocks.dtype == batch.gcn.blocks.dtype == np.float32
         nn.backward(nn.mse(out, nn.constant(
             np.zeros((batch.n_graphs, 3)))))
 
@@ -522,3 +528,89 @@ class TestFloat32Engine:
         assert params <= seen and n_ops > 10
         assert spatial_forward(state.frozen(), batch).data.dtype \
             == np.float32
+
+    def test_saturated_sag_scores_keep_their_gradient(self):
+        # scores of 9 to 17 round a float32 tanh to 1; the gate's slope,
+        # and with it the score weight's gradient, must not round to 0
+        rng = np.random.default_rng(0)
+        h = rng.normal(size=(12, 3))
+        h[:, 0] = np.linspace(9.0, 17.0, 12)
+        target = rng.normal(size=(2, 3))
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            # no edges: the score gcn is the identity, so score = h[:, 0]
+            prop = nn.gcn_matrix(12, np.zeros((0, 2), np.int64), dtype,
+                                 [5, 7])
+            w = nn.Tensor(np.array([[1.0, 0.0, 0.0]]))
+            out = nn.sag_mean_readout(nn.constant(h.astype(dtype)), prop,
+                                      nn.cast(w, dtype), 1.0, [5, 7])
+            nn.backward(nn.mse(out, nn.constant(target.astype(dtype))))
+            grads[dtype] = w.grad
+        scale = float(np.abs(grads[np.float64]).max())
+        assert scale > 0.0
+        np.testing.assert_allclose(grads[np.float32], grads[np.float64],
+                                   rtol=0, atol=1e-4 * scale)
+
+
+def assert_same_operator(n, edges, sizes, rng):
+    """adj_matrix and gcn_matrix hold the bits of the scipy CSR matrices,
+    and propagating by them, forward and backward, differs from the CSR
+    product by at most two sums' rounding: each of at most m terms per
+    row is off by m * eps / 2 of its size at worst."""
+    m = n if sizes is None else max(sizes)
+    for dtype in (np.float32, np.float64):
+        for name in ("adj_matrix", "gcn_matrix"):
+            got = getattr(nn, name)(n, edges, dtype, sizes)
+            want = getattr(reference, name)(n, edges, dtype)
+            assert got.blocks.dtype == want.dtype == dtype
+            assert dense(got).tobytes() == want.toarray().tobytes(), name
+            x = rng.normal(size=(n, 3)).astype(dtype)
+            c = rng.normal(size=(n, 3)).astype(dtype)
+            runs = []
+            for module, matrix in ((nn, got), (reference, want)):
+                h = nn.Tensor(x.copy())
+                out = module.propagate(matrix, h)
+                nn.backward(nn.mean_all(nn.mul(out, nn.constant(c))))
+                assert out.data.dtype == h.grad.dtype == dtype
+                runs.append((out.data, h.grad))
+            a = np.abs(dense(got).astype(np.float64))
+            sums = (a @ np.abs(x), a.T @ np.abs(c / c.size))
+            for mine, theirs, size in zip(*runs, sums):
+                gap = np.abs(mine.astype(np.float64) - theirs)
+                assert (gap <= m * np.finfo(dtype).eps * size).all(), name
+
+
+class TestOperatorAgainstReference:
+    """The block-diagonal propagation matrices against the scipy CSR
+    matrices they replaced."""
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=8),
+           st.integers(0, 10 ** 9), st.booleans())
+    def test_random_adjacency(self, sizes, seed, whole):
+        # random pairs inside each graph: duplicates, self loops and
+        # isolated nodes all occur; whole=True omits sizes, one graph
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        if whole:
+            sizes = None
+        firsts = np.cumsum(sizes or [n]) - (sizes or [n])
+        edges = np.concatenate([
+            rng.integers(0, k, size=(int(rng.integers(0, 3 * k)), 2)) + f
+            for f, k in zip(firsts, sizes or [n])])
+        assert_same_operator(n, rng.permutation(edges), sizes, rng)
+
+    @given(st.sampled_from(["hex_array", "square_grid"]),
+           st.integers(2, 7), st.integers(2, 7), st.integers(1, 3))
+    def test_lattices(self, geometry, rows, cols, hops):
+        # up to 49 graphs: products run over more than one group
+        slide, adj = lattice_slide(geometry, rows, cols)
+        batch = build_spot_graphs(slide, adj, hops, "sum")
+        assert_same_operator(batch.n_nodes, batch.edges,
+                             [int(k) for k in batch.sizes],
+                             np.random.default_rng(rows * cols + hops))
+
+    def test_edges_stay_inside_their_graph(self):
+        with pytest.raises(ValidationError, match="two graphs"):
+            nn.adj_matrix(4, np.array([[1, 2]]), np.float64, [2, 2])
+        with pytest.raises(ValidationError, match="outside"):
+            nn.gcn_matrix(4, np.array([[0, 4]]))

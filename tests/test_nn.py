@@ -2,11 +2,11 @@ import gc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from helpers import dense
 from sepal.core import NoRecordedForward, ShapeMismatch, ValidationError
 from sepal import nn
 from sepal.nn import (
@@ -104,14 +104,21 @@ class TestEngineOps:
         np.testing.assert_allclose(y.data, [[np.expm1(-1.0), 0.0, 2.0]])
 
     def test_propagate_sparse_matches_dense(self):
-        import scipy.sparse as sp
+        # graphs of 2, 3 and 1 nodes in blocks padded to 3, across more
+        # than one group of the product
         rng = np.random.default_rng(0)
-        dense = rng.normal(size=(4, 5))
-        h = Tensor(rng.normal(size=(5, 3)))
-        out = propagate(sp.csr_matrix(dense), h)
-        np.testing.assert_allclose(out.data, dense @ h.data)
+        sizes = np.tile([2, 3, 1], nn.PRODUCT_GROUP)
+        blocks = rng.normal(size=(sizes.size, 3, 3))
+        for block, k in zip(blocks, sizes):
+            block[k:] = block[:, k:] = 0.0
+        op = nn.BlockDiagonal(blocks, sizes)
+        n = int(sizes.sum())
+        h = Tensor(rng.normal(size=(n, 3)))
+        out = propagate(op, h)
+        np.testing.assert_allclose(out.data, dense(op) @ h.data, rtol=1e-12)
         backward(mean_all(out))
-        np.testing.assert_allclose(h.grad, dense.T @ np.full((4, 3), 1 / 12))
+        np.testing.assert_allclose(
+            h.grad, dense(op).T @ np.full((n, 3), 1 / (3 * n)), rtol=1e-12)
 
     def test_backward_needs_scalar(self):
         x = Tensor([[1.0, 2.0]])
@@ -136,14 +143,14 @@ class TestEngineOps:
 class TestPropagationMatrices:
     def test_gcn_matrix_two_node_path(self):
         m = gcn_matrix(2, np.array([[0, 1]]))
-        np.testing.assert_allclose(m.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(dense(m), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_gcn_matrix_isolated_node(self):
         m = gcn_matrix(2, np.zeros((0, 2), dtype=np.int64))
-        np.testing.assert_allclose(m.toarray(), np.eye(2))
+        np.testing.assert_allclose(dense(m), np.eye(2))
 
     def test_adj_matrix_symmetric_no_self_loops(self):
-        m = adj_matrix(3, np.array([[0, 1], [1, 2]])).toarray()
+        m = dense(adj_matrix(3, np.array([[0, 1], [1, 2]])))
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_array_equal(np.diag(m), np.zeros(3))
 
@@ -152,7 +159,7 @@ class TestPropagationMatrices:
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         h = rng.normal(size=(4, 3))
         w = rng.normal(size=(2, 3))
-        a_hat = gcn_matrix(4, edges).toarray()
+        a_hat = dense(gcn_matrix(4, edges))
         got = gcn_conv(constant(h), gcn_matrix(4, edges), Tensor(w))
         np.testing.assert_allclose(got.data, a_hat @ h @ w.T)
 
@@ -170,7 +177,7 @@ class TestPropagationMatrices:
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         h = constant(rng.normal(size=(4, n_in)))
         w = Tensor(rng.normal(size=(n_out, n_in)))
-        want = gcn_matrix(4, edges).toarray() @ h.data @ w.data.T
+        want = dense(gcn_matrix(4, edges)) @ h.data @ w.data.T
         got = gcn_conv(h, gcn_matrix(4, edges), w)
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
         graph_conv(h, adj_matrix(4, edges), w, w, Tensor(np.zeros(n_out)))
@@ -251,7 +258,7 @@ class TestReadoutsAgainstReference:
         # few distinct values, so scores tie within and across graphs
         h_arr = rng.integers(-2, 3, size=(n, 3)).astype(float)
         w_arr = np.array([[1.0, 0.0, 0.0]])
-        prop = sp.eye(n, format="csr")
+        prop = gcn_matrix(n, np.zeros((0, 2), np.int64), np.float64, sizes)
 
         def run(readout_module):
             h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
