@@ -4,6 +4,12 @@ Tensors wrap float32 or float64 ndarrays and record the backward closure
 of the operation that produced them; backward() runs the closures in reverse
 topological order.  A closure is passed its output tensor rather than
 capturing it, so a tape has no reference cycle and refcounting frees it.
+backward() consumes the tape: once a node's closure has run, the node
+drops its closure and parents, so each activation is freed during the
+sweep as soon as no gradient still needs it, and only the tensors the
+caller holds outlive it, with their grads.  A second backward() from the
+same loss raises NoRecordedForward.  linear (with a bias) and elu each
+allocate one output array, and elu takes its slope from that output.
 Only tensors that need a gradient are recorded: a bare Tensor is a
 trainable leaf, a constant() is not, and an op's output keeps its
 parents and closure only when one of its inputs needs a gradient.  A
@@ -200,14 +206,17 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    # neg is 0 where x > 0 and expm1(x) >= x elsewhere, so the ELU is
-    # max(x, neg) and its slope exp(min(x, 0)) is neg + 1: no mask needed
-    # (and np.where costs several times np.maximum)
-    neg = np.expm1(np.minimum(a.data, 0.0))
+    # expm1(min(x, 0)) is 0 where x > 0 and >= x elsewhere, so the ELU is
+    # max(x, it), built in one buffer (np.where costs several times
+    # np.maximum); where x < 0 the output is that expm1 itself, so the
+    # slope exp(min(x, 0)) is min(output, 0) + 1 and nothing else is kept
+    out = np.minimum(a.data, 0.0)
+    np.expm1(out, out=out)
+    np.maximum(a.data, out, out=out)
 
-    def backward(out):
-        a.add_grad(out.grad * (neg + 1.0))
-    return _op(np.maximum(a.data, neg), (a,), backward)
+    def backward(out_t):
+        a.add_grad(out_t.grad * (np.minimum(out_t.data, 0.0) + 1.0))
+    return _op(out, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -234,12 +243,29 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss."""
+    """Reverse-mode sweep from a scalar loss.  It consumes the tape: each
+    node drops its closure and parents once its closure has run, so an
+    activation is freed as soon as no gradient still needs it, and a
+    second backward from the same loss raises NoRecordedForward."""
     if loss.data.size != 1:
         raise ShapeMismatch("backward starts from a scalar")
     if loss._backward is None and not loss._parents:
-        raise NoRecordedForward("tensor has no recorded forward pass")
+        raise NoRecordedForward(
+            "tensor has no recorded forward pass, or backward has already "
+            "consumed its tape")
 
+    topo = _topological_order(loss)
+    loss.grad = np.ones_like(loss.data)
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            node._backward(node)
+        node._backward = None
+        node._parents = ()
+
+
+def _topological_order(loss: Tensor) -> list[Tensor]:
+    """Every tensor the loss depends on, each after all of its parents."""
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -255,11 +281,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node)
+    return topo
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +394,29 @@ def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
 # layers
 
 def linear(h: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """h [n, in] times weight [out, in] transposed, plus bias [out]."""
+    """h [n, in] times weight [out, in] transposed, plus bias [out]; with
+    a bias, one op that adds it in place to the product."""
     if weight.data.ndim != 2 or h.data.shape[1] != weight.data.shape[1]:
         raise ShapeMismatch(
             f"linear {h.data.shape} with weight {weight.data.shape}")
-    out = matmul(h, transpose(weight))
-    if bias is not None:
-        if bias.data.shape != (weight.data.shape[0],):
-            raise ShapeMismatch(
-                f"bias {bias.data.shape} for weight {weight.data.shape}")
-        out = add(out, bias)
-    return out
+    if bias is None:
+        return matmul(h, transpose(weight))
+    if bias.data.shape != (weight.data.shape[0],):
+        raise ShapeMismatch(
+            f"bias {bias.data.shape} for weight {weight.data.shape}")
+    data = h.data @ weight.data.T
+    data += bias.data
+
+    def backward(out):
+        # the expressions, and so the bits, of matmul, transpose and add
+        g = out.grad
+        if bias.requires_grad:
+            bias.add_grad(_unbroadcast(g, bias.data.shape))
+        if h.requires_grad:
+            h.add_grad(g @ weight.data)
+        if weight.requires_grad:
+            weight.add_grad((h.data.T @ g).T)
+    return _op(data, (h, weight, bias), backward)
 
 
 def gcn_conv(h: Tensor, prop: BlockDiagonal, weight: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,22 +183,24 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
 
 
 def chunked(graphs: GraphBatch, chunk: int = EVAL_CHUNK
-            ) -> list[GraphBatch]:
-    """The graphs in consecutive batches of at most chunk graphs each."""
+            ) -> Iterator[GraphBatch]:
+    """The graphs in consecutive batches of at most chunk graphs each, cut
+    one at a time as they are iterated, so a batch's propagation matrices
+    are freed along with it."""
     n = graphs.n_graphs
-    return [graphs.take(np.arange(k, min(k + chunk, n)))
-            for k in range(0, n, chunk)]
+    for k in range(0, n, chunk):
+        yield graphs.take(np.arange(k, min(k + chunk, n)))
 
 
-def spatial_predict(state: ModelState, chunks: Sequence[GraphBatch]
+def spatial_predict(state: ModelState, chunks: Iterable[GraphBatch]
                     ) -> np.ndarray:
     """Forward every chunk over constant parameters, so no tape is
     recorded; the rows come out in the chunks' dtype."""
-    if not chunks:
-        raise EmptySplit("no graphs to predict on")
     frozen = state.frozen()
-    return np.concatenate([nn.spatial_forward(frozen, c).data
-                           for c in chunks], axis=0)
+    rows = [nn.spatial_forward(frozen, c).data for c in chunks]
+    if not rows:
+        raise EmptySplit("no graphs to predict on")
+    return np.concatenate(rows, axis=0)
 
 
 @dataclass
@@ -237,11 +239,8 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
     opt = Adam(list(state.params.values()), config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
-    # cut once, so each validation chunk builds its matrices once
-    val_chunks = chunked(val_graphs) if has_val else []
-
     def evaluate_val() -> float:
-        s_hat = spatial_predict(state, val_chunks)
+        s_hat = spatial_predict(state, chunked(val_graphs))
         return _val_mse(s_hat + delta_hat_val, target_val)
 
     history: list[EpochRecord] = []

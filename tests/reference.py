@@ -10,6 +10,9 @@ graph.
 adj_matrix and gcn_matrix build a batch's propagation matrices as scipy
 CSR matrices, and propagate multiplies by one, as the network did before
 it held one dense block per graph.
+linear chains matmul, transpose and add, and elu keeps expm1(min(x, 0))
+on the tape for its slope, as the engine did before each became one op
+over one output array.
 auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
 the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
@@ -44,7 +47,17 @@ from sepal.denoise import (
 )
 from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
-from sepal.nn import GraphBatch, _op, gather_rows, gcn_conv, mul, tanh
+from sepal.nn import (
+    GraphBatch,
+    _op,
+    add,
+    gather_rows,
+    gcn_conv,
+    matmul,
+    mul,
+    tanh,
+    transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -170,6 +183,20 @@ def propagate(matrix, h):
     def backward(out):
         h.add_grad(matrix.T.tocsr() @ out.grad)
     return _op(matrix @ h.data, (h,), backward)
+
+
+def linear(h, weight, bias=None):
+    """h [n, in] times weight [out, in] transposed, plus bias [out]."""
+    out = matmul(h, transpose(weight))
+    return out if bias is None else add(out, bias)
+
+
+def elu(a):
+    neg = np.expm1(np.minimum(a.data, 0.0))
+
+    def backward(out):
+        a.add_grad(out.grad * (neg + 1.0))
+    return _op(np.maximum(a.data, neg), (a,), backward)
 
 
 def global_mean_readout(h, slices):

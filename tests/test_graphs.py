@@ -508,24 +508,29 @@ class TestFloat32Engine:
         state = random_state(spec, 1)
         out = spatial_forward(state, batch)
         assert batch.adj.blocks.dtype == batch.gcn.blocks.dtype == np.float32
-        nn.backward(nn.mse(out, nn.constant(
-            np.zeros((batch.n_graphs, 3)))))
 
         # every tensor the forward made is float32, its gradient too; only
-        # the parameters it cast from are float64
+        # the parameters it cast from are float64.  backward consumes the
+        # tape, so the tensors are collected before it runs
         params = {id(t) for t in state.params.values()}
-        seen, stack, n_ops = set(), [out], 0
+        tensors, seen, stack = [], set(), [out]
         while stack:
             t = stack.pop()
             if id(t) in seen:
                 continue
             seen.add(id(t))
+            tensors.append(t)
             stack.extend(t._parents)
+        assert params <= seen
+        assert sum(t._backward is not None for t in tensors) > 10
+        nn.backward(nn.mse(out, nn.constant(
+            np.zeros((batch.n_graphs, 3)))))
+        for t in tensors:
             want = np.float64 if id(t) in params else np.float32
             assert t.data.dtype == want
             assert t.grad is None or t.grad.dtype == want
-            n_ops += t._backward is not None
-        assert params <= seen and n_ops > 10
+        assert all(t.grad is not None for t in tensors
+                   if id(t) in params)
         assert spatial_forward(state.frozen(), batch).data.dtype \
             == np.float32
 

@@ -1,9 +1,11 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from helpers import dense
@@ -138,6 +140,102 @@ class TestEngineOps:
         def loss_fn():
             return mean_all(mul(tanh(linear(x, w)), elu(linear(x, w))))
         fd_gradient_check([x, w], loss_fn)
+
+
+class TestTapeRelease:
+    """backward consumes the tape: each node lets go of its closure and
+    parents once its closure has run."""
+
+    def _network(self, rng):
+        x = constant(rng.normal(size=(7, 3)))
+        w1, b1 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))
+        w2 = Tensor(rng.normal(size=(5, 4)))
+        prop = gcn_matrix(7, np.array([[0, 1], [1, 2], [3, 4], [4, 5]]),
+                          sizes=[3, 4])
+        h = elu(linear(x, w1, b1))
+        out = global_mean_readout(elu(gcn_conv(h, prop, w2)), [3, 4])
+        return h, mse(out, constant(np.ones((2, 5)))), (w1, b1, w2)
+
+    def test_loss_keeps_no_parents(self):
+        _, loss, params = self._network(np.random.default_rng(0))
+        backward(loss)
+        assert loss._parents == () and loss._backward is None
+        assert all(p.grad is not None for p in params)
+
+    def test_activation_dies_with_the_callers_reference(self):
+        gc.collect()
+        gc.disable()
+        try:
+            h, loss, _ = self._network(np.random.default_rng(1))
+            ref = weakref.ref(h.data)
+            del h
+            assert ref() is not None
+            # the loss is still held, but nothing reaches h any more
+            backward(loss)
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        _, loss, _ = self._network(np.random.default_rng(2))
+        backward(loss)
+        with pytest.raises(NoRecordedForward, match="already consumed"):
+            backward(loss)
+
+
+def _awkward(data, shape, dtype, scale=None, rate=None):
+    """Normal values of a drawn scale; a drawn share of them is replaced
+    by 0.0, -0.0, -1e4 (where expm1 rounds to -1) or NaN."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if scale is None:
+        scale = data.draw(st.sampled_from([1.0, 30.0, 1e4]))
+    if rate is None:
+        rate = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
+    values = (rng.normal(size=shape) * scale).astype(dtype)
+    specials = np.array([0.0, -0.0, -1e4, np.nan], dtype)
+    pick = np.where(rng.random(shape) < rate,
+                    rng.integers(0, specials.size, shape), -1)
+    return np.where(pick >= 0, specials[pick], values)
+
+
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestOneArrayOpsAgainstReference:
+    """linear and elu each make one output array; their values and every
+    gradient are the bits of the ops they replaced (tests/reference.py)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @given(data=st.data())
+    def test_linear(self, data, dtype, with_bias):
+        n, d_in, d_out = (data.draw(st.integers(1, 24)) for _ in range(3))
+        arrays = [_awkward(data, shape, dtype)
+                  for shape in ((n, d_in), (d_out, d_in), (d_out,))]
+        upstream = _awkward(data, (n, d_out), dtype, 1.0, 0.0)
+        got = []
+        for op in (linear, reference.linear):
+            h, w, b = (Tensor(a.copy()) for a in arrays)
+            out = op(h, w, b if with_bias else None)
+            backward(mean_all(mul(out, constant(upstream))))
+            got.append(_bits(out.data, h.grad, w.grad,
+                             *([b.grad] if with_bias else [])))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    def test_elu(self, data, dtype):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2))
+        x = _awkward(data, shape, dtype)
+        upstream = _awkward(data, shape, dtype, 1.0, 0.0)
+        got = []
+        for op in (elu, reference.elu):
+            t = Tensor(x.copy())
+            out = op(t)
+            backward(mean_all(mul(out, constant(upstream))))
+            got.append(_bits(out.data, t.grad))
+        assert got[0] == got[1]
 
 
 class TestPropagationMatrices:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -259,7 +261,7 @@ class TestStage2:
                          None, correction_spec(4, 2), TrainConfig())
 
 
-    def test_validation_builds_its_matrices_once(self, monkeypatch):
+    def test_validation_cuts_its_chunks_each_pass(self, monkeypatch):
         built = []
 
         def counting(n_nodes, edges, *dtype):
@@ -273,10 +275,34 @@ class TestStage2:
                            correction_spec(4, 2),
                            TrainConfig(learning_rate=0.01, batch_size=8,
                                        max_epochs=5, patience=5, seed=0))
-        # one adjacency per training batch, one for the single val chunk
-        # (shared by the six validations)
+        # one adjacency per training batch, and one per validation for its
+        # single chunk, which is cut again on every pass
         assert len(res.history) == 6 and res.n_steps == 15
-        assert len(built) == res.n_steps + 1
+        assert len(built) == res.n_steps + len(res.history)
+
+    def test_validation_starts_with_no_tape_alive(self, monkeypatch):
+        # the last step's backward consumed its tape, and the previous
+        # validation's chunks went with their matrices, so neither is
+        # still reachable when the next validation runs
+        plain = train.spatial_predict
+        checked = []
+
+        def checking(state, chunks):
+            gc.collect()
+            live = gc.get_objects()
+            assert not any(isinstance(o, Tensor) and o._backward is not None
+                           for o in live)
+            assert not any(isinstance(o, nn.BlockDiagonal) for o in live)
+            checked.append(True)
+            return plain(state, chunks)
+
+        monkeypatch.setattr(train, "spatial_predict", checking)
+        (tg, d_tr, y_tr, vg, d_val, y_val) = self._setup(seed=3)
+        res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val,
+                           correction_spec(4, 2),
+                           TrainConfig(learning_rate=0.01, batch_size=8,
+                                       max_epochs=3, patience=3, seed=0))
+        assert len(checked) == len(res.history) == 4
 
     def test_partial_epoch_mse_averages_the_samples_seen(self):
         # every sample misses by 0.5, so every batch's MSE is 0.25
