@@ -375,10 +375,19 @@ def cmd_build_graphs(args) -> None:
           f"aggregation={aggregation}")
 
 
-def _graphs_meta(out: Path) -> dict:
+def _graphs_meta(out: Path) -> tuple[int, str]:
+    """The hops (>= 1) and aggregation that build-graphs recorded; a
+    missing or bad value exits 1 naming the command to re-run."""
     path = _require(Path(out) / "graphs" / "meta.tsv", "build-graphs")
     _, _, rows = ingest.read_table(path)
-    return {r[0]: r[1] for r in rows}
+    meta = {r[0]: r[1] for r in rows if len(r) > 1}
+    hops, aggregation = meta.get("hops", ""), meta.get("aggregation")
+    if not hops.isdecimal() or int(hops) < 1 \
+            or aggregation not in AGGREGATIONS:
+        raise ValidationError(
+            f"{path} records hops {hops!r} and aggregation "
+            f"{aggregation!r}; run `sepal build-graphs` again")
+    return int(hops), aggregation
 
 
 def _gather(manifest, split, read):
@@ -470,9 +479,7 @@ def cmd_train(args) -> None:
     post = list(opt("post_mlp"))
     if not hidden:
         raise ValidationError("--hidden needs at least one graph-layer width")
-    meta = _graphs_meta(out)
-    hops = int(meta["hops"])
-    aggregation = meta["aggregation"]
+    hops, aggregation = _graphs_meta(out)
 
     def read(entry):
         slide = _read_slide(entry, matrices[entry.slide_id])

@@ -154,7 +154,8 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
     its offset from its graph's center, summed or concatenated per the
     aggregation mode.  Each distinct offset is encoded once.  Features are
     computed in float64 and stored rounded to float32, the dtype the
-    graph network then computes in.
+    graph network then computes in.  Subgraphs of the same size and local
+    edges share one shape, whose propagation blocks are built once.
     """
     d = embeddings.d_emb
     width = feature_width(d, aggregation)
@@ -177,8 +178,9 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
         feats[:, d:] = table[index]
     shift = np.repeat(np.cumsum(sizes) - sizes,
                       [len(sub.edges) for sub in subgraphs])
-    edges = np.concatenate([sub.edges for sub in subgraphs]) + shift[:, None]
-    return GraphBatch(feats, edges, sizes)
+    edges = np.concatenate([sub.edges for sub in subgraphs])
+    edges += shift[:, None]
+    return GraphBatch.pack(feats, edges, sizes)
 
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,

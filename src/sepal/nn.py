@@ -28,12 +28,14 @@ backward hands them a float64 gradient.  The same code run on a float64
 batch computes in float64, as the gradient checks do.
 
 A batch is a disjoint union of small local graphs, so its propagation
-matrix is block-diagonal: BlockDiagonal holds one dense [m, m] block per
-graph, m the batch's largest graph (3h^2 + 3h + 1 nodes at h hops on a hex
-lattice: 7, 19, 37, 61, 91).  A product pads each graph's rows with zeros
-to m rows, runs one batched matmul and drops the padding again.  Its cost
-grows with m^2 per graph, not with the graph's edge count: the price of
-needing numpy alone.
+matrix is block-diagonal.  Local graphs on a spot lattice mostly share a
+few shapes (a node count and its local edges), so a batch holds a shape
+id per graph and the distinct shapes, each with dense adj and gcn blocks
+built once when the graphs are packed.  A product multiplies each shape's
+graphs, gathered into a [graphs, k, d] array at the shape's exact size k,
+by its one [k, k] block in a broadcast matmul; nothing is padded.  Its
+cost grows with k^2 per graph, not with the graph's edge count: the price
+of needing numpy alone.
 
 Model layers:
 
@@ -183,16 +185,30 @@ def transpose(a: Tensor) -> Tensor:
     return _op(a.data.T, (a,), backward)
 
 
-def propagate(matrix: BlockDiagonal, h: Tensor) -> Tensor:
+# a batch's block-diagonal propagation matrix: per shape in the batch, its
+# [k, k] block and the [graphs, k] batch rows of its graphs
+Propagation = Sequence[tuple[np.ndarray, np.ndarray]]
+
+
+def propagate(prop: Propagation, h: Tensor) -> Tensor:
     """Multiply by a constant block-diagonal matrix: out = S h,
-    grad = S^T g."""
-    if matrix.shape[1] != h.data.shape[0]:
+    grad = S^T g.  Each shape's rows are gathered into a [graphs, k, d]
+    array and multiplied by its block in one broadcast matmul."""
+    n_rows = sum(rows.size for _, rows in prop)
+    if n_rows != h.data.shape[0]:
         raise ShapeMismatch(
-            f"propagation {matrix.shape} against features {h.data.shape}")
+            f"propagation over {n_rows} rows against features "
+            f"{h.data.shape}")
+
+    def product(x: np.ndarray, transposed: bool) -> np.ndarray:
+        out = np.empty_like(x)
+        for block, rows in prop:
+            out[rows] = np.matmul(block.T if transposed else block, x[rows])
+        return out
 
     def backward(out):
-        h.add_grad(matrix.T @ out.grad)
-    return _op(matrix @ h.data, (h,), backward)
+        h.add_grad(product(out.grad, transposed=True))
+    return _op(product(h.data, transposed=False), (h,), backward)
 
 
 def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
@@ -287,107 +303,32 @@ def _topological_order(loss: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 # propagation matrices
 
-# graphs per pass of BlockDiagonal's product: bounds its zero-padded copy
-# of the rows to 32 * m rows, whatever the batch size
-PRODUCT_GROUP = 32
-
-
-@dataclass(frozen=True)
-class BlockDiagonal:
-    """A constant [n, n] matrix over a batch of graphs, one dense [m, m]
-    block per graph, m the largest graph's node count.
-
-    Graph g owns sizes[g] consecutive rows, and its local node k is row k
-    of blocks[g]; the rows and columns of a block past sizes[g] are zero.
-    """
-
-    blocks: np.ndarray  # [n_graphs, m, m]
-    sizes: np.ndarray   # [n_graphs] node counts
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = int(self.sizes.sum())
-        return n, n
-
-    @property
-    def T(self) -> "BlockDiagonal":
-        return BlockDiagonal(self.blocks.transpose(0, 2, 1), self.sizes)
-
-    def __matmul__(self, h: np.ndarray) -> np.ndarray:
-        """self @ h for h [n, d]: each group of graphs' rows is scattered
-        into a zero-padded [graphs, m, d] array, multiplied by its blocks
-        in one batched matmul, and gathered back."""
-        n_graphs, m, _ = self.blocks.shape
-        firsts = np.concatenate([[0], np.cumsum(self.sizes)])
-        # row r of graph g sits at g * m + (r - firsts[g]) once padded
-        slots = (np.arange(firsts[-1])
-                 + np.repeat(np.arange(n_graphs) * m - firsts[:-1],
-                             self.sizes))
-        out = np.empty(h.shape, np.result_type(self.blocks, h))
-        for g0 in range(0, n_graphs, PRODUCT_GROUP):
-            g1 = min(g0 + PRODUCT_GROUP, n_graphs)
-            rows = slice(firsts[g0], firsts[g1])
-            local = slots[rows] - g0 * m
-            padded = np.zeros(((g1 - g0) * m, h.shape[1]), out.dtype)
-            padded[local] = h[rows]
-            product = np.matmul(self.blocks[g0:g1],
-                                padded.reshape(g1 - g0, m, -1))
-            out[rows] = product.reshape(-1, h.shape[1])[local]
-        return out
-
-
-def _entries(n_nodes: int, edges: np.ndarray, sizes, self_loops: bool
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """The entries of a symmetric adjacency, one per edge and direction,
-    plus one per node if self_loops: their rows, their columns and their
-    cells in the flattened [n_graphs, m, m] blocks; then the graph sizes
-    (None is one graph of n_nodes) and m."""
-    sizes = (_check_sizes(sizes, n_nodes) if sizes is not None
-             else np.array([n_nodes] if n_nodes else [], dtype=np.int64))
+def _edge_counts(n_nodes: int, edges: np.ndarray) -> np.ndarray:
+    """One graph's symmetric [n_nodes, n_nodes] edge counts in float64,
+    without self loops unless listed; an edge listed twice counts twice."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and not 0 <= edges.min() <= edges.max() < n_nodes:
         raise ValidationError(f"edge endpoint outside {n_nodes} nodes")
-    rows = [edges[:, 0], edges[:, 1]]
-    cols = [edges[:, 1], edges[:, 0]]
-    if self_loops:
-        rows.append(np.arange(n_nodes))
-        cols.append(np.arange(n_nodes))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = np.repeat(np.arange(sizes.size), sizes)
-    if (graph[rows] != graph[cols]).any():
-        raise ValidationError("an edge joins two graphs of the batch")
-    local = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    m = int(sizes.max(initial=0))
-    cells = (graph[rows] * m + local[rows]) * m + local[cols]
-    return rows, cols, cells, sizes, m
+    counts = np.bincount(edges[:, 0] * n_nodes + edges[:, 1],
+                         minlength=n_nodes * n_nodes)
+    counts = counts.reshape(n_nodes, n_nodes)
+    return (counts + counts.T).astype(np.float64)
 
 
-def adj_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
-               sizes=None) -> BlockDiagonal:
-    """Symmetric adjacency without self loops; an edge listed twice counts
-    twice.  sizes splits the nodes into graphs, and edges stay inside
-    one; without it the nodes are one graph."""
-    _, _, cells, sizes, m = _entries(n_nodes, edges, sizes,
-                                     self_loops=False)
-    counts = np.bincount(cells, minlength=sizes.size * m * m)
-    return BlockDiagonal(counts.reshape(sizes.size, m, m).astype(dtype),
-                         sizes)
+def adj_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
+               ) -> np.ndarray:
+    """One graph's symmetric adjacency without self loops."""
+    return _edge_counts(n_nodes, edges).astype(dtype)
 
 
-def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
-               sizes=None) -> BlockDiagonal:
-    """Symmetrically normalized adjacency with self loops, per graph as in
-    adj_matrix.  Entry (i, j) is (d_i a_ij) d_j with d = deg^{-1/2},
-    taken in float64 and then rounded to dtype."""
-    rows, cols, cells, sizes, m = _entries(n_nodes, edges, sizes,
-                                            self_loops=True)
-    a = np.bincount(cells, minlength=sizes.size * m * m)[cells]
-    inv_sqrt = 1.0 / np.sqrt(
-        np.bincount(rows, minlength=n_nodes).astype(np.float64))
-    blocks = np.zeros(sizes.size * m * m, dtype)
-    # a cell listed more than once gets the same value each time
-    blocks[cells] = (inv_sqrt[rows] * a) * inv_sqrt[cols]
-    return BlockDiagonal(blocks.reshape(sizes.size, m, m), sizes)
+def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
+               ) -> np.ndarray:
+    """One graph's symmetrically normalized adjacency with self loops.
+    Entry (i, j) is (d_i a_ij) d_j with d = deg^{-1/2}, taken in float64
+    and then rounded to dtype."""
+    a = _edge_counts(n_nodes, edges) + np.eye(n_nodes)
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return (inv_sqrt[:, None] * a * inv_sqrt).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +360,7 @@ def linear(h: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _op(data, (h, weight, bias), backward)
 
 
-def gcn_conv(h: Tensor, prop: BlockDiagonal, weight: Tensor) -> Tensor:
+def gcn_conv(h: Tensor, prop: Propagation, weight: Tensor) -> Tensor:
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T."""
     if weight.data.shape[0] < weight.data.shape[1]:
@@ -427,7 +368,7 @@ def gcn_conv(h: Tensor, prop: BlockDiagonal, weight: Tensor) -> Tensor:
     return matmul(propagate(prop, h), transpose(weight))
 
 
-def graph_conv(h: Tensor, adj: BlockDiagonal, w_self: Tensor,
+def graph_conv(h: Tensor, adj: Propagation, w_self: Tensor,
                w_neigh: Tensor, bias: Tensor) -> Tensor:
     own = matmul(h, transpose(w_self))
     return add(add(own, gcn_conv(h, adj, w_neigh)), bias)
@@ -467,7 +408,7 @@ def global_mean_readout(h: Tensor, sizes) -> Tensor:
     return _segment_mean(h, _check_sizes(sizes, h.data.shape[0]))
 
 
-def sag_mean_readout(h: Tensor, score_prop: BlockDiagonal, score_w: Tensor,
+def sag_mean_readout(h: Tensor, score_prop: Propagation, score_w: Tensor,
                      ratio: float, sizes) -> Tensor:
     """Gated top-k mean per graph.
 
@@ -611,17 +552,69 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Shape:
+    """One local-graph topology: a node count and the local edges between
+    those nodes, with the adj and gcn blocks built from them once."""
+
+    size: int
+    edges: np.ndarray  # [n_edges, 2] local node ids
+    adj: np.ndarray    # [size, size]
+    gcn: np.ndarray    # [size, size]
+
+    @property
+    def key(self) -> tuple[int, bytes]:
+        return self.size, self.edges.tobytes()
+
+
+@dataclass(frozen=True)
 class GraphBatch:
     """Disjoint union of local graphs for one forward pass.
 
-    Graph g owns sizes[g] consecutive feature rows.  Its edges come after
-    those of graph g - 1 and index batch rows.  The features' dtype is the
-    dtype spatial_forward computes in.
+    Graph g owns sizes[g] consecutive feature rows and has the topology
+    shapes[topology[g]].  The features' dtype is the dtype spatial_forward
+    computes in, and the shapes' blocks have it too.  take and from_graphs
+    reuse the shapes they are given, so only pack builds blocks.
     """
 
-    features: np.ndarray  # [n_nodes, width]
-    edges: np.ndarray     # [n_edges, 2]
-    sizes: np.ndarray     # [n_graphs] node counts
+    features: np.ndarray   # [n_nodes, width]
+    sizes: np.ndarray      # [n_graphs] node counts
+    topology: np.ndarray   # [n_graphs] rows of shapes
+    shapes: tuple[Shape, ...]
+
+    @classmethod
+    def pack(cls, features: np.ndarray, edges: np.ndarray, sizes
+             ) -> "GraphBatch":
+        """The batch of packed graphs: graph g owns sizes[g] consecutive
+        feature rows, and each edge joins two rows of one graph.  Graphs
+        of one size whose local edges are listed alike share one shape,
+        whose blocks are built once, in the features' dtype."""
+        features = np.asarray(features)
+        n = features.shape[0]
+        sizes = _check_sizes(sizes, n)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and not 0 <= edges.min() <= edges.max() < n:
+            raise ValidationError(f"edge endpoint outside {n} nodes")
+        ends = np.cumsum(sizes)
+        firsts = ends - sizes
+        owner = np.searchsorted(ends, edges[:, 0], side="right")
+        if ((edges[:, 1] < firsts[owner]).any()
+                or (edges[:, 1] >= ends[owner]).any()):
+            raise ValidationError("an edge joins two graphs of the batch")
+        # graph g's edges are edges[order[bounds[g]:bounds[g + 1]]]
+        order = np.argsort(owner, kind="stable")
+        bounds = [0, *np.cumsum(np.bincount(owner, minlength=sizes.size))]
+        # a shape is keyed on its size and its local edges' bytes
+        index: dict[tuple[int, bytes], int] = {}
+        topology = np.empty(sizes.size, dtype=np.int64)
+        for g, (k, first) in enumerate(zip(sizes.tolist(), firsts.tolist())):
+            local = edges[order[bounds[g]:bounds[g + 1]]] - first
+            topology[g] = index.setdefault((k, local.tobytes()), len(index))
+        shapes = []
+        for k, data in index:
+            e = np.frombuffer(data, np.int64).reshape(-1, 2)
+            shapes.append(Shape(k, e, adj_matrix(k, e, features.dtype),
+                                gcn_matrix(k, e, features.dtype)))
+        return cls(features, sizes, topology, tuple(shapes))
 
     @property
     def n_nodes(self) -> int:
@@ -632,51 +625,48 @@ class GraphBatch:
         return int(self.sizes.shape[0])
 
     @cached_property
-    def adj(self) -> BlockDiagonal:
-        """The batch's adjacency in its features' dtype, built once."""
-        return adj_matrix(self.n_nodes, self.edges, self.features.dtype,
-                          self.sizes)
+    def _groups(self) -> list[tuple[Shape, np.ndarray]]:
+        """Each shape that graphs of the batch have, with the [graphs,
+        size] batch rows of those graphs, in batch order."""
+        firsts = np.cumsum(self.sizes) - self.sizes
+        groups = []
+        for t in np.unique(self.topology).tolist():
+            shape = self.shapes[t]
+            rows = firsts[self.topology == t, None] + np.arange(shape.size)
+            groups.append((shape, rows))
+        return groups
 
-    @cached_property
-    def gcn(self) -> BlockDiagonal:
-        """The batch's gcn-normalized adjacency in its features' dtype,
-        built once."""
-        return gcn_matrix(self.n_nodes, self.edges, self.features.dtype,
-                          self.sizes)
-
-    @cached_property
-    def _starts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First row and first edge of every graph, and its edge count."""
-        ends = np.cumsum(self.sizes)
-        owner = np.searchsorted(ends, self.edges[:, 0], side="right")
-        n_edges = np.bincount(owner, minlength=self.n_graphs)
-        return ends - self.sizes, np.cumsum(n_edges) - n_edges, n_edges
+    def propagation(self, kind: str) -> Propagation:
+        """The batch's "adj" or "gcn" matrix, one block per shape."""
+        return [(getattr(shape, kind), rows) for shape, rows in self._groups]
 
     def take(self, idx) -> "GraphBatch":
-        """The graphs at idx, in that order, as a new batch."""
+        """The graphs at idx, in that order, as a new batch over the same
+        shapes."""
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-        rows, first_edges, n_edges = (a[idx] for a in self._starts)
+        firsts = np.cumsum(self.sizes) - self.sizes
         sizes = self.sizes[idx]
-        shift = np.repeat(np.cumsum(sizes) - sizes - rows, n_edges)
-        return GraphBatch(self.features[_runs(rows, sizes)],
-                          self.edges[_runs(first_edges, n_edges)]
-                          + shift[:, None],
-                          sizes)
+        return GraphBatch(self.features[_runs(firsts[idx], sizes)], sizes,
+                          self.topology[idx], self.shapes)
 
     @classmethod
     def from_graphs(cls, batches: Sequence["GraphBatch"]) -> "GraphBatch":
-        """Disjoint union of batches, their graphs in order; a single
-        batch is returned as it is."""
+        """Disjoint union of batches, their graphs in order, over one table
+        of their distinct shapes; a single batch is returned as it is."""
         if not batches:
             raise ValidationError("empty graph batch")
         if len(batches) == 1:
             return batches[0]
-        n_nodes = np.array([b.n_nodes for b in batches], dtype=np.int64)
-        offsets = np.cumsum(n_nodes) - n_nodes
+        index: dict = {}  # shape key -> (row of the union's table, shape)
+        for b in batches:
+            for s in b.shapes:
+                index.setdefault(s.key, (len(index), s))
+        topology = [np.array([index[s.key][0] for s in b.shapes],
+                             dtype=np.int64)[b.topology] for b in batches]
         return cls(np.concatenate([b.features for b in batches]),
-                   np.concatenate([b.edges + off
-                                   for b, off in zip(batches, offsets)]),
-                   np.concatenate([b.sizes for b in batches]))
+                   np.concatenate([b.sizes for b in batches]),
+                   np.concatenate(topology),
+                   tuple(s for _, s in index.values()))
 
 
 def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
@@ -694,14 +684,14 @@ def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
 
     if spec.operator == "gcn":
         for i in range(len(spec.gnn_widths)):
-            h = elu(gcn_conv(h, batch.gcn, p[f"gnn.{i}.W"]))
+            h = elu(gcn_conv(h, batch.propagation("gcn"), p[f"gnn.{i}.W"]))
     else:
         for i in range(len(spec.gnn_widths)):
-            h = elu(graph_conv(h, batch.adj, p[f"gnn.{i}.W1"],
+            h = elu(graph_conv(h, batch.propagation("adj"), p[f"gnn.{i}.W1"],
                                p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]))
 
     if spec.pooling == "sag_mean":
-        r = sag_mean_readout(h, batch.gcn, p["pool.score.W"],
+        r = sag_mean_readout(h, batch.propagation("gcn"), p["pool.score.W"],
                              spec.sag_ratio, batch.sizes)
     else:
         r = global_mean_readout(h, batch.sizes)

@@ -185,8 +185,8 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
 def chunked(graphs: GraphBatch, chunk: int = EVAL_CHUNK
             ) -> Iterator[GraphBatch]:
     """The graphs in consecutive batches of at most chunk graphs each, cut
-    one at a time as they are iterated, so a batch's propagation matrices
-    are freed along with it."""
+    one at a time as they are iterated, so one chunk's rows are copied at
+    a time; the chunks share the graphs' shapes and build no block."""
     n = graphs.n_graphs
     for k in range(0, n, chunk):
         yield graphs.take(np.arange(k, min(k + chunk, n)))

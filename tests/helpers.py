@@ -3,6 +3,7 @@
 import numpy as np
 
 from sepal.core import SpotRecord
+from sepal.nn import GraphBatch
 from sepal.spatial import Adjacency
 
 
@@ -57,10 +58,27 @@ def bfs_distances(n, edges, source):
     return dist
 
 
-def dense(op):
-    """The [n, n] matrix a sepal.nn.BlockDiagonal stands for."""
-    out = np.zeros(op.shape, op.blocks.dtype)
-    firsts = np.cumsum(op.sizes) - op.sizes
-    for block, first, k in zip(op.blocks, firsts, op.sizes):
-        out[first:first + k, first:first + k] = block[:k, :k]
+def dense(prop):
+    """The [n, n] matrix a sepal.nn propagation stands for."""
+    n = sum(rows.size for _, rows in prop)
+    out = np.zeros((n, n), prop[0][0].dtype if prop else np.float64)
+    for block, rows in prop:
+        for r in rows:
+            out[np.ix_(r, r)] = block
     return out
+
+
+def packed_edges(batch):
+    """A GraphBatch's edges as batch rows, graph by graph: the packed
+    form GraphBatch.pack takes."""
+    firsts = np.cumsum(batch.sizes) - batch.sizes
+    return np.concatenate(
+        [np.zeros((0, 2), np.int64)]
+        + [batch.shapes[t].edges + f for t, f in zip(batch.topology, firsts)])
+
+
+def propagation(kind, edges, sizes, dtype=np.float64):
+    """The adj or gcn propagation of graphs of the given sizes whose
+    edges index batch rows, in dtype."""
+    features = np.zeros((int(np.sum(sizes)), 1), dtype)
+    return GraphBatch.pack(features, edges, sizes).propagation(kind)

@@ -9,7 +9,10 @@ row slices and build their pooling matrices and top-k choices graph by
 graph.
 adj_matrix and gcn_matrix build a batch's propagation matrices as scipy
 CSR matrices, and propagate multiplies by one, as the network did before
-it held one dense block per graph.
+it held one dense block per graph.  BlockDiagonal holds one dense [m, m]
+block per graph of a batch, m its largest graph, built by
+block_adj_matrix and block_gcn_matrix, and its product pads every graph
+to m rows, as the network did before graphs of one shape shared a block.
 linear chains matmul, transpose and add, and elu keeps expm1(min(x, 0))
 on the tape for its slope, as the engine did before each became one op
 over one output array.
@@ -49,6 +52,7 @@ from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
 from sepal.nn import (
     GraphBatch,
+    _check_sizes,
     _op,
     add,
     gather_rows,
@@ -152,8 +156,8 @@ def from_graphs(graphs):
         offset += n
     all_edges = (np.concatenate(edges, axis=0) if edges
                  else np.zeros((0, 2), dtype=np.int64))
-    return GraphBatch(np.concatenate(feats, axis=0), all_edges,
-                      np.array(sizes, dtype=np.int64))
+    return GraphBatch.pack(np.concatenate(feats, axis=0), all_edges,
+                           np.array(sizes, dtype=np.int64))
 
 
 def adj_matrix(n_nodes, edges, dtype=np.float64):
@@ -183,6 +187,109 @@ def propagate(matrix, h):
     def backward(out):
         h.add_grad(matrix.T.tocsr() @ out.grad)
     return _op(matrix @ h.data, (h,), backward)
+
+
+# graphs per pass of BlockDiagonal's product: bounds its zero-padded copy
+# of the rows to 32 * m rows, whatever the batch size
+PRODUCT_GROUP = 32
+
+
+@dataclass(frozen=True)
+class BlockDiagonal:
+    """A constant [n, n] matrix over a batch of graphs, one dense [m, m]
+    block per graph, m the largest graph's node count.
+
+    Graph g owns sizes[g] consecutive rows, and its local node k is row k
+    of blocks[g]; the rows and columns of a block past sizes[g] are zero.
+    """
+
+    blocks: np.ndarray  # [n_graphs, m, m]
+    sizes: np.ndarray   # [n_graphs] node counts
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = int(self.sizes.sum())
+        return n, n
+
+    @property
+    def T(self) -> "BlockDiagonal":
+        return BlockDiagonal(self.blocks.transpose(0, 2, 1), self.sizes)
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        """self @ h for h [n, d]: each group of graphs' rows is scattered
+        into a zero-padded [graphs, m, d] array, multiplied by its blocks
+        in one batched matmul, and gathered back."""
+        n_graphs, m, _ = self.blocks.shape
+        firsts = np.concatenate([[0], np.cumsum(self.sizes)])
+        # row r of graph g sits at g * m + (r - firsts[g]) once padded
+        slots = (np.arange(firsts[-1])
+                 + np.repeat(np.arange(n_graphs) * m - firsts[:-1],
+                             self.sizes))
+        out = np.empty(h.shape, np.result_type(self.blocks, h))
+        for g0 in range(0, n_graphs, PRODUCT_GROUP):
+            g1 = min(g0 + PRODUCT_GROUP, n_graphs)
+            rows = slice(firsts[g0], firsts[g1])
+            local = slots[rows] - g0 * m
+            padded = np.zeros(((g1 - g0) * m, h.shape[1]), out.dtype)
+            padded[local] = h[rows]
+            product = np.matmul(self.blocks[g0:g1],
+                                padded.reshape(g1 - g0, m, -1))
+            out[rows] = product.reshape(-1, h.shape[1])[local]
+        return out
+
+
+def _entries(n_nodes: int, edges: np.ndarray, sizes, self_loops: bool
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The entries of a symmetric adjacency, one per edge and direction,
+    plus one per node if self_loops: their rows, their columns and their
+    cells in the flattened [n_graphs, m, m] blocks; then the graph sizes
+    (None is one graph of n_nodes) and m."""
+    sizes = (_check_sizes(sizes, n_nodes) if sizes is not None
+             else np.array([n_nodes] if n_nodes else [], dtype=np.int64))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and not 0 <= edges.min() <= edges.max() < n_nodes:
+        raise ValidationError(f"edge endpoint outside {n_nodes} nodes")
+    rows = [edges[:, 0], edges[:, 1]]
+    cols = [edges[:, 1], edges[:, 0]]
+    if self_loops:
+        rows.append(np.arange(n_nodes))
+        cols.append(np.arange(n_nodes))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = np.repeat(np.arange(sizes.size), sizes)
+    if (graph[rows] != graph[cols]).any():
+        raise ValidationError("an edge joins two graphs of the batch")
+    local = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    m = int(sizes.max(initial=0))
+    cells = (graph[rows] * m + local[rows]) * m + local[cols]
+    return rows, cols, cells, sizes, m
+
+
+def block_adj_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
+                     sizes=None) -> BlockDiagonal:
+    """Symmetric adjacency without self loops; an edge listed twice counts
+    twice.  sizes splits the nodes into graphs, and edges stay inside
+    one; without it the nodes are one graph."""
+    _, _, cells, sizes, m = _entries(n_nodes, edges, sizes,
+                                     self_loops=False)
+    counts = np.bincount(cells, minlength=sizes.size * m * m)
+    return BlockDiagonal(counts.reshape(sizes.size, m, m).astype(dtype),
+                         sizes)
+
+
+def block_gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
+                     sizes=None) -> BlockDiagonal:
+    """Symmetrically normalized adjacency with self loops, per graph as in
+    block_adj_matrix.  Entry (i, j) is (d_i a_ij) d_j with d = deg^{-1/2},
+    taken in float64 and then rounded to dtype."""
+    rows, cols, cells, sizes, m = _entries(n_nodes, edges, sizes,
+                                            self_loops=True)
+    a = np.bincount(cells, minlength=sizes.size * m * m)[cells]
+    inv_sqrt = 1.0 / np.sqrt(
+        np.bincount(rows, minlength=n_nodes).astype(np.float64))
+    blocks = np.zeros(sizes.size * m * m, dtype)
+    # a cell listed more than once gets the same value each time
+    blocks[cells] = (inv_sqrt[rows] * a) * inv_sqrt[cols]
+    return BlockDiagonal(blocks.reshape(sizes.size, m, m), sizes)
 
 
 def linear(h, weight, bias=None):

@@ -9,7 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import bfs_distances, grid_spots, hex_spots, random_adjacency
+from helpers import (
+    bfs_distances,
+    grid_spots,
+    hex_spots,
+    propagation,
+    random_adjacency,
+)
 from reference import from_graphs
 from sepal.cli import main as cli_main
 from sepal.core import ExpressionMatrix, align_slide
@@ -24,12 +30,10 @@ from sepal.nn import (
     GraphBatch,
     ModelSpec,
     Tensor,
-    adj_matrix,
     backward,
     constant,
     elu,
     gcn_conv,
-    gcn_matrix,
     global_mean_readout,
     graph_conv,
     init_model_state,
@@ -98,8 +102,8 @@ def spanning_edges(rng, n):
 def layer_cases(rng):
     n = int(rng.integers(4, 9))
     edges = spanning_edges(rng, n)
-    prop = gcn_matrix(n, edges)
-    adjm = adj_matrix(n, edges)
+    prop = propagation("gcn", edges, [n])
+    adjm = propagation("adj", edges, [n])
     x = Tensor(rng.standard_normal((n, 4)))
     w = Tensor(0.7 * rng.standard_normal((3, 4)))
     w2 = Tensor(0.7 * rng.standard_normal((3, 4)))
@@ -133,7 +137,7 @@ def random_batch(rng, width, n_graphs=2):
         edges.append(spanning_edges(rng, n) + offset)
         sizes.append(n)
         offset += n
-    return GraphBatch(
+    return GraphBatch.pack(
         features=np.concatenate(feats, axis=0),
         edges=np.concatenate(edges, axis=0),
         sizes=np.array(sizes, dtype=np.int64),

@@ -327,6 +327,25 @@ class TestExitCodes:
             assert "checkpoint gene panel does not match select outputs" \
                 in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        [("aggregation", "concat"), ("feature_width", "16")],
+        [("aggregation", "concat"), ("hops", "zero")],
+        [("aggregation", "mean"), ("hops", "1")],
+        [("aggregation", "concat"), ("hops", "0")],
+    ], ids=["no-hops", "hops-zero", "aggregation-mean", "hops-0"])
+    def test_bad_graphs_meta_names_build_graphs(self, pipeline, tmp_path,
+                                                capsys, rows):
+        out = tmp_path / "meta"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        path = out / "graphs" / "meta.tsv"
+        ingest.write_table(path, "graphs_meta", ("key", "value"), rows)
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "2", "--epochs", "1")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} ")
+        assert "sepal build-graphs" in err
+
     @pytest.mark.parametrize("key", ["train_mean", "head.b"])
     def test_short_model_array_names_checkpoint(self, pipeline, tmp_path,
                                                 capsys, key):

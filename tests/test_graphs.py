@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,8 @@ from helpers import (
     dense,
     grid_spots,
     hex_spots,
+    packed_edges,
+    propagation,
     random_adjacency,
 )
 from sepal.core import (
@@ -248,14 +252,17 @@ def scattered_spots(rng, n):
 
 
 def assert_same_batch(got, want):
-    for field in ("features", "edges", "sizes"):
-        a, b = getattr(got, field), getattr(want, field)
+    for field, read in (("features", lambda b: b.features),
+                        ("edges", packed_edges),
+                        ("sizes", lambda b: b.sizes)):
+        a, b = read(got), read(want)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
 
 
 def with_dtype(batch, dtype):
-    return GraphBatch(batch.features.astype(dtype), batch.edges, batch.sizes)
+    return GraphBatch.pack(batch.features.astype(dtype), packed_edges(batch),
+                           batch.sizes)
 
 
 def assert_same_subgraphs(adj, hops):
@@ -356,8 +363,11 @@ class TestTake:
         rng = np.random.default_rng(seeds[0])
         for idx in subsets(rng, union.n_graphs):
             part = np.searchsorted(firsts, idx, side="right") - 1
+            singles = [parts[p].take([i - firsts[p]])
+                       for p, i in zip(part, idx)]
             want = reference.from_graphs([
-                parts[p].take([i - firsts[p]]) for p, i in zip(part, idx)])
+                SimpleNamespace(features=g.features, edges=packed_edges(g))
+                for g in singles])
             assert_same_batch(union.take(idx), want)
 
     def test_take_nothing_and_empty_union(self):
@@ -365,7 +375,7 @@ class TestTake:
         packed = build_spot_graphs(slide, adj, 1, "sum")
         empty = packed.take([])
         assert (empty.n_graphs, empty.n_nodes) == (0, 0)
-        assert empty.edges.shape == (0, 2)
+        assert packed_edges(empty).shape == (0, 2)
         with pytest.raises(ValidationError):
             GraphBatch.from_graphs([])
 
@@ -507,7 +517,8 @@ class TestFloat32Engine:
                          post_widths=(3,))
         state = random_state(spec, 1)
         out = spatial_forward(state, batch)
-        assert batch.adj.blocks.dtype == batch.gcn.blocks.dtype == np.float32
+        assert {block.dtype for s in batch.shapes
+                for block in (s.adj, s.gcn)} == {np.dtype(np.float32)}
 
         # every tensor the forward made is float32, its gradient too; only
         # the parameters it cast from are float64.  backward consumes the
@@ -544,8 +555,8 @@ class TestFloat32Engine:
         grads = {}
         for dtype in (np.float32, np.float64):
             # no edges: the score gcn is the identity, so score = h[:, 0]
-            prop = nn.gcn_matrix(12, np.zeros((0, 2), np.int64), dtype,
-                                 [5, 7])
+            prop = propagation("gcn", np.zeros((0, 2), np.int64), [5, 7],
+                               dtype)
             w = nn.Tensor(np.array([[1.0, 0.0, 0.0]]))
             out = nn.sag_mean_readout(nn.constant(h.astype(dtype)), prop,
                                       nn.cast(w, dtype), 1.0, [5, 7])
@@ -558,16 +569,19 @@ class TestFloat32Engine:
 
 
 def assert_same_operator(n, edges, sizes, rng):
-    """adj_matrix and gcn_matrix hold the bits of the scipy CSR matrices,
-    and propagating by them, forward and backward, differs from the CSR
-    product by at most two sums' rounding: each of at most m terms per
-    row is off by m * eps / 2 of its size at worst."""
-    m = n if sizes is None else max(sizes)
+    """A packed batch's adj and gcn blocks hold the bits of the scipy CSR
+    matrices, and propagating by them, forward and backward, differs from
+    the CSR product by at most two sums' rounding: each of at most m terms
+    per row is off by m * eps / 2 of its size at worst."""
+    sizes = [n] if sizes is None else sizes
+    m = max(sizes)
     for dtype in (np.float32, np.float64):
-        for name in ("adj_matrix", "gcn_matrix"):
-            got = getattr(nn, name)(n, edges, dtype, sizes)
+        for kind in ("adj", "gcn"):
+            name = f"{kind}_matrix"
+            got = propagation(kind, edges, sizes, dtype)
             want = getattr(reference, name)(n, edges, dtype)
-            assert got.blocks.dtype == want.dtype == dtype
+            assert {block.dtype for block, _ in got} == {want.dtype} \
+                == {np.dtype(dtype)}
             assert dense(got).tobytes() == want.toarray().tobytes(), name
             x = rng.normal(size=(n, 3)).astype(dtype)
             c = rng.normal(size=(n, 3)).astype(dtype)
@@ -610,12 +624,96 @@ class TestOperatorAgainstReference:
         # up to 49 graphs: products run over more than one group
         slide, adj = lattice_slide(geometry, rows, cols)
         batch = build_spot_graphs(slide, adj, hops, "sum")
-        assert_same_operator(batch.n_nodes, batch.edges,
+        assert_same_operator(batch.n_nodes, packed_edges(batch),
                              [int(k) for k in batch.sizes],
                              np.random.default_rng(rows * cols + hops))
 
     def test_edges_stay_inside_their_graph(self):
+        features = np.zeros((4, 1))
         with pytest.raises(ValidationError, match="two graphs"):
-            nn.adj_matrix(4, np.array([[1, 2]]), np.float64, [2, 2])
+            GraphBatch.pack(features, np.array([[1, 2]]), [2, 2])
+        with pytest.raises(ValidationError, match="outside"):
+            GraphBatch.pack(features, np.array([[0, 4]]), [4])
         with pytest.raises(ValidationError, match="outside"):
             nn.gcn_matrix(4, np.array([[0, 4]]))
+
+
+def masked_lattice_graphs(geometry, rows, cols, hops, seed):
+    """Every spot's graph on a lattice under a random tissue mask, so the
+    graphs at the mask's edges take shapes of their own."""
+    rng = np.random.default_rng(seed)
+    spots = (hex_spots(rows, cols) if geometry == "hex_array"
+             else grid_spots(rows, cols))
+    keep = rng.random(len(spots)) < rng.uniform(0.4, 1.0)
+    keep[rng.integers(len(spots))] = True
+    slide = make_slide([s for s, k in zip(spots, keep) if k], 4, seed)
+    return build_spot_graphs(slide, build_adjacency(slide.spots, geometry),
+                             hops, "sum")
+
+
+def assert_matches_padded(batch, rng, widths):
+    """propagate over the batch's shapes, forward and transposed, against
+    the padded BlockDiagonal product of tests/reference.py.
+
+    The rows of graphs as large as the batch's largest graph, m, went
+    through the same per-graph matmul there, so they keep their bits.
+    Every other graph was padded with zero rows to m, and a sum over
+    another length may round differently (a width-1 product is a
+    matrix-vector product whose blocking follows the length): those rows
+    agree to m * eps of |S| |x| per entry, the rounding of two sums."""
+    m = int(batch.sizes.max())
+    full = np.repeat(batch.sizes == m, batch.sizes)
+    for dtype in (np.float32, np.float64):
+        packed = with_dtype(batch, dtype)
+        edges = packed_edges(packed)
+        for kind, width in ((k, w) for k in ("adj", "gcn") for w in widths):
+            prop = packed.propagation(kind)
+            oracle = getattr(reference, f"block_{kind}_matrix")(
+                packed.n_nodes, edges, dtype, packed.sizes)
+            x = rng.normal(size=(packed.n_nodes, width)).astype(dtype)
+            c = rng.normal(size=x.shape).astype(dtype)
+            h = nn.Tensor(x.copy())
+            out = nn.propagate(prop, h)
+            nn.backward(nn.mean_all(nn.mul(out, nn.constant(c))))
+            # the gradient that mul hands to propagate
+            g = np.full_like(c, 1.0 / c.size) * c
+            magnitude = [(np.abs(block).astype(np.float64), rows)
+                         for block, rows in prop]
+            bounds = (nn.propagate(magnitude, nn.constant(np.abs(x))).data,
+                      nn.propagate([(b.T, r) for b, r in magnitude],
+                                   nn.constant(np.abs(g))).data)
+            for got, want, bound in zip((out.data, h.grad),
+                                        (oracle @ x, oracle.T @ g), bounds):
+                assert got.dtype == want.dtype == dtype
+                assert got[full].tobytes() == want[full].tobytes(), kind
+                gap = np.abs(got.astype(np.float64) - want)
+                assert (gap <= m * np.finfo(dtype).eps * bound).all(), kind
+
+
+class TestGroupedProductAgainstPadded:
+    """One broadcast matmul per shape against the padded product it
+    replaced, on whole slides, on batches cut by take and on unions."""
+
+    @given(st.sampled_from(["hex_array", "square_grid"]),
+           st.integers(2, 6), st.integers(2, 6), st.integers(1, 3),
+           st.integers(0, 10 ** 9), st.integers(2, 64))
+    def test_masked_lattices(self, geometry, rows, cols, hops, seed, width):
+        # two tissue masks on one lattice: their shape tables share the
+        # interior shapes and differ at the edges
+        parts = [masked_lattice_graphs(geometry, rows, cols, hops, seed + i)
+                 for i in range(2)]
+        union = GraphBatch.from_graphs(parts)
+        assert len(union.shapes) <= sum(len(p.shapes) for p in parts)
+        assert len({s.key for s in union.shapes}) == len(union.shapes)
+        rng = np.random.default_rng(seed)
+        for batch in (parts[0], union, *(union.take(idx) for idx in
+                                         subsets(rng, union.n_graphs))):
+            assert_matches_padded(batch, rng, (1, width))
+
+    @given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(2, 64))
+    def test_random_adjacency(self, seed, hops, width):
+        # most shapes hold a single graph
+        _, rng, packed, _ = random_case(seed, hops, "sum")
+        for batch in (packed, *(packed.take(idx)
+                                for idx in subsets(rng, packed.n_graphs))):
+            assert_matches_padded(batch, rng, (1, width))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from helpers import dense
+from helpers import dense, propagation
 from sepal.core import NoRecordedForward, ShapeMismatch, ValidationError
 from sepal import nn
 from sepal.nn import (
@@ -106,14 +106,13 @@ class TestEngineOps:
         np.testing.assert_allclose(y.data, [[np.expm1(-1.0), 0.0, 2.0]])
 
     def test_propagate_sparse_matches_dense(self):
-        # graphs of 2, 3 and 1 nodes in blocks padded to 3, across more
-        # than one group of the product
+        # interleaved graphs of 2, 3 and 1 nodes, one random block per
+        # size
         rng = np.random.default_rng(0)
-        sizes = np.tile([2, 3, 1], nn.PRODUCT_GROUP)
-        blocks = rng.normal(size=(sizes.size, 3, 3))
-        for block, k in zip(blocks, sizes):
-            block[k:] = block[:, k:] = 0.0
-        op = nn.BlockDiagonal(blocks, sizes)
+        sizes = np.tile([2, 3, 1], 12)
+        firsts = np.cumsum(sizes) - sizes
+        op = [(rng.normal(size=(k, k)), firsts[sizes == k, None]
+               + np.arange(k)) for k in (2, 3, 1)]
         n = int(sizes.sum())
         h = Tensor(rng.normal(size=(n, 3)))
         out = propagate(op, h)
@@ -150,8 +149,8 @@ class TestTapeRelease:
         x = constant(rng.normal(size=(7, 3)))
         w1, b1 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))
         w2 = Tensor(rng.normal(size=(5, 4)))
-        prop = gcn_matrix(7, np.array([[0, 1], [1, 2], [3, 4], [4, 5]]),
-                          sizes=[3, 4])
+        prop = propagation("gcn", np.array([[0, 1], [1, 2], [3, 4], [4, 5]]),
+                           [3, 4])
         h = elu(linear(x, w1, b1))
         out = global_mean_readout(elu(gcn_conv(h, prop, w2)), [3, 4])
         return h, mse(out, constant(np.ones((2, 5)))), (w1, b1, w2)
@@ -241,14 +240,14 @@ class TestOneArrayOpsAgainstReference:
 class TestPropagationMatrices:
     def test_gcn_matrix_two_node_path(self):
         m = gcn_matrix(2, np.array([[0, 1]]))
-        np.testing.assert_allclose(dense(m), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(m, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_gcn_matrix_isolated_node(self):
         m = gcn_matrix(2, np.zeros((0, 2), dtype=np.int64))
-        np.testing.assert_allclose(dense(m), np.eye(2))
+        np.testing.assert_allclose(m, np.eye(2))
 
     def test_adj_matrix_symmetric_no_self_loops(self):
-        m = dense(adj_matrix(3, np.array([[0, 1], [1, 2]])))
+        m = adj_matrix(3, np.array([[0, 1], [1, 2]]))
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_array_equal(np.diag(m), np.zeros(3))
 
@@ -257,8 +256,9 @@ class TestPropagationMatrices:
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         h = rng.normal(size=(4, 3))
         w = rng.normal(size=(2, 3))
-        a_hat = dense(gcn_matrix(4, edges))
-        got = gcn_conv(constant(h), gcn_matrix(4, edges), Tensor(w))
+        a_hat = gcn_matrix(4, edges)
+        got = gcn_conv(constant(h), propagation("gcn", edges, [4]),
+                       Tensor(w))
         np.testing.assert_allclose(got.data, a_hat @ h @ w.T)
 
     @pytest.mark.parametrize("n_in, n_out", [(8, 2), (2, 8), (4, 4)])
@@ -275,10 +275,11 @@ class TestPropagationMatrices:
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         h = constant(rng.normal(size=(4, n_in)))
         w = Tensor(rng.normal(size=(n_out, n_in)))
-        want = dense(gcn_matrix(4, edges)) @ h.data @ w.data.T
-        got = gcn_conv(h, gcn_matrix(4, edges), w)
+        want = gcn_matrix(4, edges) @ h.data @ w.data.T
+        got = gcn_conv(h, propagation("gcn", edges, [4]), w)
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
-        graph_conv(h, adj_matrix(4, edges), w, w, Tensor(np.zeros(n_out)))
+        graph_conv(h, propagation("adj", edges, [4]), w, w,
+                   Tensor(np.zeros(n_out)))
         assert widths == [min(n_in, n_out)] * 2
 
     def test_graph_conv_star_hand_value(self):
@@ -286,7 +287,8 @@ class TestPropagationMatrices:
         h = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         eye = Tensor(np.eye(2))
         b = Tensor(np.zeros(2))
-        out = graph_conv(constant(h), adj_matrix(3, edges), eye, eye, b)
+        out = graph_conv(constant(h), propagation("adj", edges, [3]), eye,
+                         eye, b)
         np.testing.assert_allclose(out.data[0], h[0] + h[1] + h[2])
         np.testing.assert_allclose(out.data[1], h[1] + h[0])
 
@@ -301,7 +303,7 @@ class TestReadouts:
         # no edges: the score gcn reduces to h * w
         h = constant(np.array([[3.0], [1.0], [2.0], [0.0]]))
         w = Tensor(np.array([[1.0]]))
-        prop = gcn_matrix(4, np.zeros((0, 2), dtype=np.int64))
+        prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [4])
         out = sag_mean_readout(h, prop, w, 0.5, [4])
         want = (3.0 * np.tanh(3.0) + 2.0 * np.tanh(2.0)) / 2.0
         np.testing.assert_allclose(out.data, [[want]])
@@ -309,7 +311,7 @@ class TestReadouts:
     def test_sag_tie_keeps_lower_index(self):
         h = constant(np.array([[5.0], [5.0], [5.0], [5.0]]))
         w = Tensor(np.array([[1.0]]))
-        prop = gcn_matrix(4, np.zeros((0, 2), dtype=np.int64))
+        prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [4])
         out = sag_mean_readout(h, prop, w, 0.5, [4])
         want = 5.0 * np.tanh(5.0)
         np.testing.assert_allclose(out.data, [[want]])
@@ -318,7 +320,7 @@ class TestReadouts:
         rng = np.random.default_rng(2)
         h = constant(rng.normal(size=(5, 3)))
         w = Tensor(rng.normal(size=(1, 3)))
-        prop = gcn_matrix(5, np.zeros((0, 2), dtype=np.int64))
+        prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [5])
         out = sag_mean_readout(h, prop, w, 1.0, [5])
         score = h.data @ w.data.T
         want = (h.data * np.tanh(score)).mean(axis=0)
@@ -328,7 +330,7 @@ class TestReadouts:
         rng = np.random.default_rng(3)
         h_arr = rng.normal(size=(6, 4))
         w = Tensor(rng.normal(size=(1, 4)))
-        prop = gcn_matrix(6, np.array([[0, 1], [2, 3], [4, 5]]))
+        prop = propagation("gcn", np.array([[0, 1], [2, 3], [4, 5]]), [6])
         target = constant(rng.normal(size=(2, 4)))
         h_param = Tensor(h_arr)
 
@@ -356,7 +358,7 @@ class TestReadoutsAgainstReference:
         # few distinct values, so scores tie within and across graphs
         h_arr = rng.integers(-2, 3, size=(n, 3)).astype(float)
         w_arr = np.array([[1.0, 0.0, 0.0]])
-        prop = gcn_matrix(n, np.zeros((0, 2), np.int64), np.float64, sizes)
+        prop = propagation("gcn", np.zeros((0, 2), np.int64), sizes)
 
         def run(readout_module):
             h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
@@ -381,12 +383,13 @@ class TestReadoutsAgainstReference:
         with pytest.raises(ValidationError):
             global_mean_readout(h, [3, 0])
         with pytest.raises(ValidationError):
-            sag_mean_readout(h, gcn_matrix(3, np.zeros((0, 2), np.int64)),
+            sag_mean_readout(h, propagation("gcn", np.zeros((0, 2), np.int64),
+                                            [3]),
                              Tensor(np.ones((1, 1))), 0.5, [0, 3])
 
     def test_sizes_must_cover_every_row(self):
         h = constant(np.ones((5, 1)))
-        prop = gcn_matrix(5, np.zeros((0, 2), np.int64))
+        prop = propagation("gcn", np.zeros((0, 2), np.int64), [5])
         for sizes in ([2, 2], [3, 3], [5, 1]):
             with pytest.raises(ShapeMismatch, match="cover"):
                 global_mean_readout(h, sizes)
@@ -516,18 +519,28 @@ class TestSpatialForward:
         b = spatial_forward(state, batch).data
         np.testing.assert_array_equal(a, b)
 
-    def test_gcn_sag_builds_one_propagation_matrix(self, monkeypatch):
+    def test_blocks_are_built_once_per_shape(self, monkeypatch):
+        # three graphs of one shape: packing builds its two blocks, and
+        # the forward, with gcn layers and a gcn score, builds none
         calls = []
 
-        def counting(n_nodes, edges, *dtype):
-            calls.append(n_nodes)
-            return gcn_matrix(n_nodes, edges, *dtype)
+        def counting(name):
+            plain = getattr(nn, name)
 
-        monkeypatch.setattr(nn, "gcn_matrix", counting)
+            def build(n_nodes, edges, *dtype):
+                calls.append(name)
+                return plain(n_nodes, edges, *dtype)
+            return build
+
+        for name in ("adj_matrix", "gcn_matrix"):
+            monkeypatch.setattr(nn, name, counting(name))
+        batch = tiny_batch(np.random.default_rng(9))
+        assert len(batch.shapes) == 1
+        assert sorted(calls) == ["adj_matrix", "gcn_matrix"]
         state = init_model_state(
             tiny_spec(operator="gcn", pooling="sag_mean"), 3)
-        spatial_forward(state, tiny_batch(np.random.default_rng(9)))
-        assert len(calls) == 1
+        spatial_forward(state, batch)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
     def test_tape_is_freed_without_the_cycle_collector(self, operator):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from helpers import packed_edges
 from sepal import nn, train
 from sepal.ingest import read_checkpoint
 from sepal.core import DivergedLoss, EmptySplit, ValidationError
@@ -254,35 +255,52 @@ class TestStage2:
 
     def test_empty_train_split(self):
         with pytest.raises(EmptySplit):
-            stage2_train(GraphBatch(np.zeros((0, 4)),
-                                    np.zeros((0, 2), dtype=np.int64),
-                                    np.zeros(0, dtype=np.int64)),
+            stage2_train(GraphBatch.pack(np.zeros((0, 4)),
+                                         np.zeros((0, 2), dtype=np.int64),
+                                         np.zeros(0, dtype=np.int64)),
                          np.zeros((0, 2)), np.zeros((0, 2)), None, None,
                          None, correction_spec(4, 2), TrainConfig())
 
 
-    def test_validation_cuts_its_chunks_each_pass(self, monkeypatch):
+    def test_only_packing_builds_blocks(self, monkeypatch):
+        # packing builds the two blocks of each shape once; training
+        # batches, every validation pass and prediction take rows of the
+        # packed graphs and build none
         built = []
 
-        def counting(n_nodes, edges, *dtype):
-            built.append(n_nodes)
-            return plain(n_nodes, edges, *dtype)
+        def counting(plain):
+            def build(n_nodes, edges, *dtype):
+                built.append(n_nodes)
+                return plain(n_nodes, edges, *dtype)
+            return build
 
-        plain = nn.adj_matrix
-        monkeypatch.setattr(nn, "adj_matrix", counting)
-        (tg, d_tr, y_tr, vg, d_val, y_val) = self._setup(seed=3)
-        res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val,
-                           correction_spec(4, 2),
+        for name in ("adj_matrix", "gcn_matrix"):
+            monkeypatch.setattr(nn, name, counting(getattr(nn, name)))
+        rng = np.random.default_rng(3)
+        graphs = GraphBatch.from_graphs([
+            star_graphs(rng, 20, 4, nodes_per=k) for k in (4, 3, 5)])
+        assert len(graphs.shapes) == 3
+        assert sorted(built) == [3, 3, 4, 4, 5, 5]
+        built.clear()
+        tg, vg = graphs.take(np.arange(0, 60, 2)), graphs.take(
+            np.arange(1, 60, 2))
+        y = rng.normal(size=(60, 2))
+        spec = ModelSpec(in_width=4, n_genes=2, operator="graphconv",
+                         gnn_widths=(8,), pooling="sag_mean",
+                         post_widths=(2,))
+        res = stage2_train(tg, np.zeros((30, 2)), y[::2], vg,
+                           np.zeros((30, 2)), y[1::2], spec,
                            TrainConfig(learning_rate=0.01, batch_size=8,
-                                       max_epochs=5, patience=5, seed=0))
-        # one adjacency per training batch, and one per validation for its
-        # single chunk, which is cut again on every pass
-        assert len(res.history) == 6 and res.n_steps == 15
-        assert len(built) == res.n_steps + len(res.history)
+                                       max_epochs=3, patience=3, seed=0))
+        assert len(res.history) == 4 and res.n_steps == 12
+        predict_expression(TrainedModel(("a", "b"), np.zeros(2),
+                                        np.zeros((2, 4)), np.zeros(2),
+                                        res.state),
+                           rng.normal(size=(30, 4)), vg)
+        assert built == []
 
     def test_validation_starts_with_no_tape_alive(self, monkeypatch):
-        # the last step's backward consumed its tape, and the previous
-        # validation's chunks went with their matrices, so neither is
+        # the last step's backward consumed its tape, so none of it is
         # still reachable when the next validation runs
         plain = train.spatial_predict
         checked = []
@@ -292,7 +310,6 @@ class TestStage2:
             live = gc.get_objects()
             assert not any(isinstance(o, Tensor) and o._backward is not None
                            for o in live)
-            assert not any(isinstance(o, nn.BlockDiagonal) for o in live)
             checked.append(True)
             return plain(state, chunks)
 
@@ -366,8 +383,8 @@ class TestCheckpoints:
         # checkpoint stay float64
         rng = np.random.default_rng(7)
         graphs = star_graphs(rng, 12, 4)
-        graphs = GraphBatch(graphs.features.astype(np.float32),
-                            graphs.edges, graphs.sizes)
+        graphs = GraphBatch.pack(graphs.features.astype(np.float32),
+                                 packed_edges(graphs), graphs.sizes)
         optimizers = []
 
         class Recorded(train.Adam):
