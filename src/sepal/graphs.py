@@ -167,20 +167,16 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
     centers = np.repeat([sub.center for sub in subgraphs], sizes)
     pos = _positions(slide_spots)
     table, index = _offset_encodings(pos[nodes] - pos[centers], d)
-    emb = embeddings.vectors[nodes]
     # float64 values written into float32 rows, with no float64 copy of
-    # the whole feature matrix
+    # the whole feature matrix and no float64 gather kept past its use
     feats = np.empty((nodes.size, width), dtype=np.float32)
     if aggregation == "sum":
-        np.add(emb, table[index], out=feats, casting="same_kind")
+        np.add(embeddings.vectors[nodes], table[index], out=feats,
+               casting="same_kind")
     else:
-        feats[:, :d] = emb
+        feats[:, :d] = embeddings.vectors[nodes]
         feats[:, d:] = table[index]
-    shift = np.repeat(np.cumsum(sizes) - sizes,
-                      [len(sub.edges) for sub in subgraphs])
-    edges = np.concatenate([sub.edges for sub in subgraphs])
-    edges += shift[:, None]
-    return GraphBatch.pack(feats, edges, sizes)
+    return GraphBatch.pack(feats, sizes, [sub.edges for sub in subgraphs])
 
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,

@@ -8,13 +8,14 @@ backward() consumes the tape: once a node's closure has run, the node
 drops its closure and parents, so each activation is freed during the
 sweep as soon as no gradient still needs it, and only the tensors the
 caller holds outlive it, with their grads.  A second backward() from the
-same loss raises NoRecordedForward.  linear (with a bias) and elu each
-allocate one output array, and elu takes its slope from that output.
+same loss raises NoRecordedForward.  linear and elu each allocate one
+output array, and elu takes its slope from that output.
 Only tensors that need a gradient are recorded: a bare Tensor is a
 trainable leaf, a constant() is not, and an op's output keeps its
 parents and closure only when one of its inputs needs a gradient.  A
 forward over constants alone (prediction) therefore records no tape.
-The op set is exactly what the model needs: dense matmul, broadcast
+The op set is exactly what the model needs: one dense op (linear, the
+product by a transposed weight, with or without a bias), broadcast
 add/mul, gather, ELU, tanh, mean, a dtype cast, a per-graph segment mean
 (the readouts) and multiplication by a constant block-diagonal matrix (the
 graph propagation step, which never needs a gradient of its own).
@@ -155,20 +156,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data * b.data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 \
-            or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(
-            f"matmul {a.data.shape} @ {b.data.shape}")
-
-    def backward(out):
-        if a.requires_grad:
-            a.add_grad(out.grad @ b.data.T)
-        if b.requires_grad:
-            b.add_grad(a.data.T @ out.grad)
-    return _op(a.data @ b.data, (a, b), backward)
-
-
 def cast(a: Tensor, dtype) -> Tensor:
     """a in another float dtype; its gradient comes back in a's dtype."""
     if a.data.dtype == dtype:
@@ -177,12 +164,6 @@ def cast(a: Tensor, dtype) -> Tensor:
     def backward(out):
         a.add_grad(out.grad)
     return _op(a.data.astype(dtype), (a,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def backward(out):
-        a.add_grad(out.grad.T)
-    return _op(a.data.T, (a,), backward)
 
 
 # a batch's block-diagonal propagation matrix: per shape in the batch, its
@@ -335,43 +316,46 @@ def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
 # layers
 
 def linear(h: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """h [n, in] times weight [out, in] transposed, plus bias [out]; with
-    a bias, one op that adds it in place to the product."""
-    if weight.data.ndim != 2 or h.data.shape[1] != weight.data.shape[1]:
+    """h [n, in] times weight [out, in] transposed, plus bias [out] if
+    one is given: one op, which adds the bias in place to the product."""
+    if h.data.ndim != 2 or weight.data.ndim != 2 \
+            or h.data.shape[1] != weight.data.shape[1]:
         raise ShapeMismatch(
             f"linear {h.data.shape} with weight {weight.data.shape}")
-    if bias is None:
-        return matmul(h, transpose(weight))
-    if bias.data.shape != (weight.data.shape[0],):
-        raise ShapeMismatch(
-            f"bias {bias.data.shape} for weight {weight.data.shape}")
+    parents = (h, weight)
     data = h.data @ weight.data.T
-    data += bias.data
+    if bias is not None:
+        if bias.data.shape != (weight.data.shape[0],):
+            raise ShapeMismatch(
+                f"bias {bias.data.shape} for weight {weight.data.shape}")
+        parents += (bias,)
+        data += bias.data
 
     def backward(out):
-        # the expressions, and so the bits, of matmul, transpose and add
+        # the expressions, and so the bits, of h @ weight^T as a matmul of
+        # h by a transposed weight, plus a broadcast add of the bias
         g = out.grad
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             bias.add_grad(_unbroadcast(g, bias.data.shape))
         if h.requires_grad:
             h.add_grad(g @ weight.data)
         if weight.requires_grad:
             weight.add_grad((h.data.T @ g).T)
-    return _op(data, (h, weight, bias), backward)
+    return _op(data, parents, backward)
 
 
 def gcn_conv(h: Tensor, prop: Propagation, weight: Tensor) -> Tensor:
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T."""
     if weight.data.shape[0] < weight.data.shape[1]:
-        return propagate(prop, matmul(h, transpose(weight)))
-    return matmul(propagate(prop, h), transpose(weight))
+        return propagate(prop, linear(h, weight))
+    return linear(propagate(prop, h), weight)
 
 
 def graph_conv(h: Tensor, adj: Propagation, w_self: Tensor,
                w_neigh: Tensor, bias: Tensor) -> Tensor:
-    own = matmul(h, transpose(w_self))
-    return add(add(own, gcn_conv(h, adj, w_neigh)), bias)
+    """(h w_self^T + adj h w_neigh^T) + bias, summed in that order."""
+    return add(add(linear(h, w_self), gcn_conv(h, adj, w_neigh)), bias)
 
 
 def _check_sizes(sizes, n_rows: int) -> np.ndarray:
@@ -582,32 +566,23 @@ class GraphBatch:
     shapes: tuple[Shape, ...]
 
     @classmethod
-    def pack(cls, features: np.ndarray, edges: np.ndarray, sizes
+    def pack(cls, features: np.ndarray, sizes, edges: Sequence[np.ndarray]
              ) -> "GraphBatch":
-        """The batch of packed graphs: graph g owns sizes[g] consecutive
-        feature rows, and each edge joins two rows of one graph.  Graphs
-        of one size whose local edges are listed alike share one shape,
-        whose blocks are built once, in the features' dtype."""
+        """The batch of graphs where graph g owns sizes[g] consecutive
+        feature rows and edges[g] lists its edges by local node id.
+        Graphs of one size whose local edges are listed alike share one
+        shape, whose blocks are built once, in the features' dtype; the
+        build rejects an endpoint outside its graph."""
         features = np.asarray(features)
-        n = features.shape[0]
-        sizes = _check_sizes(sizes, n)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size and not 0 <= edges.min() <= edges.max() < n:
-            raise ValidationError(f"edge endpoint outside {n} nodes")
-        ends = np.cumsum(sizes)
-        firsts = ends - sizes
-        owner = np.searchsorted(ends, edges[:, 0], side="right")
-        if ((edges[:, 1] < firsts[owner]).any()
-                or (edges[:, 1] >= ends[owner]).any()):
-            raise ValidationError("an edge joins two graphs of the batch")
-        # graph g's edges are edges[order[bounds[g]:bounds[g + 1]]]
-        order = np.argsort(owner, kind="stable")
-        bounds = [0, *np.cumsum(np.bincount(owner, minlength=sizes.size))]
+        sizes = _check_sizes(sizes, features.shape[0])
+        if len(edges) != sizes.size:
+            raise ShapeMismatch(
+                f"{len(edges)} edge lists for {sizes.size} graphs")
         # a shape is keyed on its size and its local edges' bytes
         index: dict[tuple[int, bytes], int] = {}
         topology = np.empty(sizes.size, dtype=np.int64)
-        for g, (k, first) in enumerate(zip(sizes.tolist(), firsts.tolist())):
-            local = edges[order[bounds[g]:bounds[g + 1]]] - first
+        for g, (k, local) in enumerate(zip(sizes.tolist(), edges)):
+            local = np.asarray(local, dtype=np.int64).reshape(-1, 2)
             topology[g] = index.setdefault((k, local.tobytes()), len(index))
         shapes = []
         for k, data in index:

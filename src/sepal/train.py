@@ -49,8 +49,10 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValidationError("learning rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning rate must be finite and >= 0, got "
+                f"{self.learning_rate}")
         if self.batch_size < 1:
             raise ValidationError("batch size must be >= 1")
         if self.max_epochs < 1:
@@ -64,14 +66,9 @@ class TrainConfig:
 class Adam:
     """Bias-corrected Adam over a list of parameter tensors."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -82,14 +79,14 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass

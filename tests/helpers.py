@@ -68,17 +68,30 @@ def dense(prop):
     return out
 
 
-def packed_edges(batch):
-    """A GraphBatch's edges as batch rows, graph by graph: the packed
+def local_edges(batch):
+    """A GraphBatch's edges in local node ids, one array per graph: the
     form GraphBatch.pack takes."""
+    return [batch.shapes[t].edges for t in batch.topology]
+
+
+def packed_edges(batch):
+    """A GraphBatch's edges as batch rows, graph by graph: the form the
+    padded reference operators take."""
     firsts = np.cumsum(batch.sizes) - batch.sizes
     return np.concatenate(
         [np.zeros((0, 2), np.int64)]
-        + [batch.shapes[t].edges + f for t, f in zip(batch.topology, firsts)])
+        + [e + f for e, f in zip(local_edges(batch), firsts)])
 
 
 def propagation(kind, edges, sizes, dtype=np.float64):
     """The adj or gcn propagation of graphs of the given sizes whose
-    edges index batch rows, in dtype."""
-    features = np.zeros((int(np.sum(sizes)), 1), dtype)
-    return GraphBatch.pack(features, edges, sizes).propagation(kind)
+    edges index batch rows, in dtype.  Each edge goes to the graph that
+    owns its first endpoint, in the order listed."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ends = np.cumsum(sizes)
+    owner = np.searchsorted(ends, edges[:, 0], side="right")
+    local = [edges[owner == g] - (end - k)
+             for g, (end, k) in enumerate(zip(ends, sizes))]
+    features = np.zeros((int(sizes.sum()), 1), dtype)
+    return GraphBatch.pack(features, sizes, local).propagation(kind)

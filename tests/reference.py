@@ -13,9 +13,11 @@ it held one dense block per graph.  BlockDiagonal holds one dense [m, m]
 block per graph of a batch, m its largest graph, built by
 block_adj_matrix and block_gcn_matrix, and its product pads every graph
 to m rows, as the network did before graphs of one shape shared a block.
-linear chains matmul, transpose and add, and elu keeps expm1(min(x, 0))
-on the tape for its slope, as the engine did before each became one op
-over one output array.
+matmul and transpose are the engine's composite dense ops: linear chains
+them and add, and gcn_conv and graph_conv build on them, as the network
+did before every dense product became one linear op.  elu keeps
+expm1(min(x, 0)) on the tape for its slope, as the engine did before it
+became one op over one output array.
 auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
 the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
@@ -50,17 +52,16 @@ from sepal.denoise import (
 )
 from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
+from sepal import nn
 from sepal.nn import (
     GraphBatch,
+    Tensor,
     _check_sizes,
     _op,
     add,
     gather_rows,
-    gcn_conv,
-    matmul,
     mul,
     tanh,
-    transpose,
 )
 
 
@@ -145,19 +146,9 @@ def from_graphs(graphs):
     """Disjoint union of objects with features and local edges."""
     if not graphs:
         raise ValidationError("empty graph batch")
-    feats, edges, sizes = [], [], []
-    offset = 0
-    for g in graphs:
-        n = g.features.shape[0]
-        feats.append(g.features)
-        if g.edges.size:
-            edges.append(g.edges + offset)
-        sizes.append(n)
-        offset += n
-    all_edges = (np.concatenate(edges, axis=0) if edges
-                 else np.zeros((0, 2), dtype=np.int64))
-    return GraphBatch.pack(np.concatenate(feats, axis=0), all_edges,
-                           np.array(sizes, dtype=np.int64))
+    return GraphBatch.pack(np.concatenate([g.features for g in graphs]),
+                           [g.features.shape[0] for g in graphs],
+                           [g.edges for g in graphs])
 
 
 def adj_matrix(n_nodes, edges, dtype=np.float64):
@@ -292,10 +283,43 @@ def block_gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64,
     return BlockDiagonal(blocks.reshape(sizes.size, m, m), sizes)
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 \
+            or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeMismatch(
+            f"matmul {a.data.shape} @ {b.data.shape}")
+
+    def backward(out):
+        if a.requires_grad:
+            a.add_grad(out.grad @ b.data.T)
+        if b.requires_grad:
+            b.add_grad(a.data.T @ out.grad)
+    return _op(a.data @ b.data, (a, b), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    def backward(out):
+        a.add_grad(out.grad.T)
+    return _op(a.data.T, (a,), backward)
+
+
 def linear(h, weight, bias=None):
     """h [n, in] times weight [out, in] transposed, plus bias [out]."""
     out = matmul(h, transpose(weight))
     return out if bias is None else add(out, bias)
+
+
+def gcn_conv(h, prop, weight):
+    """prop h weight^T, with the propagation taken on the narrower of h
+    and h weight^T."""
+    if weight.data.shape[0] < weight.data.shape[1]:
+        return nn.propagate(prop, matmul(h, transpose(weight)))
+    return matmul(nn.propagate(prop, h), transpose(weight))
+
+
+def graph_conv(h, adj, w_self, w_neigh, bias):
+    own = matmul(h, transpose(w_self))
+    return add(add(own, gcn_conv(h, adj, w_neigh)), bias)
 
 
 def elu(a):

@@ -130,17 +130,15 @@ def layer_cases(rng):
 
 def random_batch(rng, width, n_graphs=2):
     feats, edges, sizes = [], [], []
-    offset = 0
     for _ in range(n_graphs):
         n = int(rng.integers(3, 6))
         feats.append(rng.standard_normal((n, width)))
-        edges.append(spanning_edges(rng, n) + offset)
+        edges.append(spanning_edges(rng, n))
         sizes.append(n)
-        offset += n
     return GraphBatch.pack(
         features=np.concatenate(feats, axis=0),
-        edges=np.concatenate(edges, axis=0),
         sizes=np.array(sizes, dtype=np.int64),
+        edges=edges,
     )
 
 

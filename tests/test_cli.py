@@ -522,6 +522,19 @@ class TestExitCodes:
         assert "--hidden" in capsys.readouterr().err
         assert not (out / "train" / "stage2.ckpt").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_stage2_refuses_non_finite_lr(self, pipeline, tmp_path, capsys,
+                                          lr):
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        (out / "train" / "stage2.ckpt").unlink()
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "2", "--lr", lr,
+                 "--max-steps", "1")
+        assert rc == 1
+        assert "learning rate" in capsys.readouterr().err
+        assert not (out / "train" / "stage2.ckpt").exists()
+
     def test_sag_ratio_refused_with_global_mean(self, pipeline, tmp_path,
                                                 capsys):
         out = tmp_path / "r"

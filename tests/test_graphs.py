@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     dense,
     grid_spots,
     hex_spots,
+    local_edges,
     packed_edges,
     propagation,
     random_adjacency,
@@ -209,6 +211,33 @@ class TestAssembleGraph:
         with pytest.raises(ValidationError):
             assemble_graph(slide.spots, slide.embeddings, [sub], "mean")
 
+    @pytest.mark.parametrize("aggregation", ["sum", "concat"])
+    def test_embedding_gather_is_freed_before_packing(self, monkeypatch,
+                                                      aggregation):
+        # the float64 gather of every node's embedding dies once it is
+        # written into the float32 features: when pack is called, what is
+        # live besides the features is smaller than that gather
+        d_emb = 32
+        spots = hex_spots(16, 16)
+        slide = make_slide(spots, d_emb=d_emb)
+        subgraphs = slide_subgraphs(build_adjacency(spots, "hex_array"), 3)
+        pack = GraphBatch.pack.__func__
+        live = []
+
+        def traced_pack(cls, features, sizes, edges):
+            live.append(tracemalloc.get_traced_memory()[0] - features.nbytes)
+            return pack(cls, features, sizes, edges)
+
+        monkeypatch.setattr(GraphBatch, "pack", classmethod(traced_pack))
+        tracemalloc.start()
+        try:
+            batch = assemble_graph(slide.spots, slide.embeddings, subgraphs,
+                                   aggregation)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] < batch.n_nodes * d_emb * 8
+
 
 class TestBuildSpotGraphs:
     def test_one_graph_per_spot_in_order(self):
@@ -261,8 +290,8 @@ def assert_same_batch(got, want):
 
 
 def with_dtype(batch, dtype):
-    return GraphBatch.pack(batch.features.astype(dtype), packed_edges(batch),
-                           batch.sizes)
+    return GraphBatch.pack(batch.features.astype(dtype), batch.sizes,
+                           local_edges(batch))
 
 
 def assert_same_subgraphs(adj, hops):
@@ -629,11 +658,17 @@ class TestOperatorAgainstReference:
                              np.random.default_rng(rows * cols + hops))
 
     def test_edges_stay_inside_their_graph(self):
+        # pack takes one list of local edges per graph; an endpoint must
+        # name a node of its own graph
         features = np.zeros((4, 1))
-        with pytest.raises(ValidationError, match="two graphs"):
-            GraphBatch.pack(features, np.array([[1, 2]]), [2, 2])
-        with pytest.raises(ValidationError, match="outside"):
-            GraphBatch.pack(features, np.array([[0, 4]]), [4])
+        inside = np.array([[0, 1]])
+        with pytest.raises(ShapeMismatch, match="1 edge lists for 2"):
+            GraphBatch.pack(features, [2, 2], [inside])
+        with pytest.raises(ShapeMismatch, match="3 edge lists for 2"):
+            GraphBatch.pack(features, [2, 2], [inside] * 3)
+        for bad in ([[-1, 1]], [[0, 2]], [[2, 3]]):
+            with pytest.raises(ValidationError, match="outside 2 nodes"):
+                GraphBatch.pack(features, [2, 2], [inside, np.array(bad)])
         with pytest.raises(ValidationError, match="outside"):
             nn.gcn_matrix(4, np.array([[0, 4]]))
 

@@ -26,7 +26,6 @@ from sepal.nn import (
     graph_conv,
     init_model_state,
     linear,
-    matmul,
     mean_all,
     mse,
     mul,
@@ -65,7 +64,7 @@ class TestEngineOps:
     def test_matmul_gradients_hand_checked(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[1.0], [1.0]])
-        loss = mean_all(matmul(a, b))
+        loss = mean_all(reference.matmul(a, b))
         backward(loss)
         # out = [[3], [7]], mean grad 1/2 on each row
         np.testing.assert_allclose(a.grad, [[0.5, 0.5], [0.5, 0.5]])
@@ -235,6 +234,48 @@ class TestOneArrayOpsAgainstReference:
             backward(mean_all(mul(out, constant(upstream))))
             got.append(_bits(out.data, t.grad))
         assert got[0] == got[1]
+
+
+class TestConvsAgainstReference:
+    """gcn_conv and graph_conv, whose products go through linear, against
+    the composite matmul/transpose forms of tests/reference.py: the same
+    bits in the forward and in every gradient, on both sides of
+    gcn_conv's narrower-side branch."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("out_narrower", [True, False])
+    @given(data=st.data())
+    def test_same_bits(self, data, dtype, out_narrower):
+        sizes = data.draw(st.lists(st.integers(1, 9), min_size=1,
+                                   max_size=6))
+        narrow, gap = data.draw(st.integers(1, 12)), data.draw(
+            st.integers(0, 6))
+        d_in, d_out = ((narrow + gap + 1, narrow) if out_narrower
+                       else (narrow, narrow + gap))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        edges = [rng.integers(0, k, size=(int(rng.integers(0, 2 * k)), 2))
+                 for k in sizes]
+        n = sum(sizes)
+        batch = GraphBatch.pack(np.zeros((n, 1), dtype), sizes, edges)
+        x = _awkward(data, (n, d_in), dtype)
+        weights = [_awkward(data, shape, np.float64)
+                   for shape in ((d_out, d_in), (d_out, d_in), (d_out,))]
+        upstream = _awkward(data, (n, d_out), dtype, 1.0, 0.0)
+        for conv in ("gcn_conv", "graph_conv"):
+            got = []
+            for module in (nn, reference):
+                h = Tensor(x.copy())
+                params = [Tensor(w.copy()) for w in weights]
+                p = [nn.cast(t, dtype) for t in params]
+                if conv == "gcn_conv":
+                    params = params[:1]
+                    out = module.gcn_conv(h, batch.propagation("gcn"), p[0])
+                else:
+                    out = module.graph_conv(h, batch.propagation("adj"), *p)
+                backward(mean_all(mul(out, constant(upstream))))
+                got.append(_bits(out.data, h.grad,
+                                 *(t.grad for t in params)))
+            assert got[0] == got[1], conv
 
 
 class TestPropagationMatrices:

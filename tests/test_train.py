@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from helpers import packed_edges
+from helpers import local_edges
 from sepal import nn, train
 from sepal.ingest import read_checkpoint
 from sepal.core import DivergedLoss, EmptySplit, ValidationError
@@ -256,8 +256,7 @@ class TestStage2:
     def test_empty_train_split(self):
         with pytest.raises(EmptySplit):
             stage2_train(GraphBatch.pack(np.zeros((0, 4)),
-                                         np.zeros((0, 2), dtype=np.int64),
-                                         np.zeros(0, dtype=np.int64)),
+                                         np.zeros(0, dtype=np.int64), []),
                          np.zeros((0, 2)), np.zeros((0, 2)), None, None,
                          None, correction_spec(4, 2), TrainConfig())
 
@@ -384,7 +383,7 @@ class TestCheckpoints:
         rng = np.random.default_rng(7)
         graphs = star_graphs(rng, 12, 4)
         graphs = GraphBatch.pack(graphs.features.astype(np.float32),
-                                 packed_edges(graphs), graphs.sizes)
+                                 graphs.sizes, local_edges(graphs))
         optimizers = []
 
         class Recorded(train.Adam):
