@@ -480,6 +480,23 @@ def cmd_train(args) -> None:
     if not hidden:
         raise ValidationError("--hidden needs at least one graph-layer width")
     hops, aggregation = _graphs_meta(out)
+    n_genes = len(gene_ids)
+    # the network's last layer always maps onto the gene panel
+    if post:
+        post[-1] = n_genes
+    else:
+        hidden[-1] = n_genes
+    # the ratio is a sag_mean setting; other poolings keep the field default
+    sag = {"sag_ratio": opt("sag_ratio")} if pooling == "sag_mean" else {}
+    # the spec and config are checked before any graph is built; the input
+    # width is the graphs' feature width, set once they are built
+    spec = ModelSpec(
+        in_width=1, n_genes=n_genes, pre_widths=opt("pre_mlp"),
+        operator=opt("operator"), gnn_widths=tuple(hidden),
+        pooling=pooling, post_widths=tuple(post), **sag)
+    cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
+                      max_epochs=opt("epochs"), patience=opt("patience"),
+                      seed=opt("seed"), max_steps=opt("max_steps"))
 
     def read(entry):
         slide = _read_slide(entry, matrices[entry.slide_id])
@@ -494,23 +511,7 @@ def cmd_train(args) -> None:
 
     train = _gather(manifest, "train", read)
     val = _gather(manifest, "val", read) or (None, None, None)
-
-    in_width = train[0].features.shape[1]
-    n_genes = len(gene_ids)
-    # the network's last layer always maps onto the gene panel
-    if post:
-        post[-1] = n_genes
-    else:
-        hidden[-1] = n_genes
-    # the ratio is a sag_mean setting; other poolings keep the field default
-    sag = {"sag_ratio": opt("sag_ratio")} if pooling == "sag_mean" else {}
-    spec = ModelSpec(
-        in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
-        operator=opt("operator"), gnn_widths=tuple(hidden),
-        pooling=pooling, post_widths=tuple(post), **sag)
-    cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
-                      max_epochs=opt("epochs"), patience=opt("patience"),
-                      seed=opt("seed"), max_steps=opt("max_steps"))
+    spec = replace(spec, in_width=train[0].features.shape[1])
     result = train_mod.stage2_train(*train, *val, spec, cfg)
     train_mod.save_model(train_dir / "stage2.ckpt", replace(
         stage1, state=result.state, hops=hops, aggregation=aggregation))

@@ -8,8 +8,19 @@ backward() consumes the tape: once a node's closure has run, the node
 drops its closure and parents, so each activation is freed during the
 sweep as soon as no gradient still needs it, and only the tensors the
 caller holds outlive it, with their grads.  A second backward() from the
-same loss raises NoRecordedForward.  linear and elu each allocate one
-output array, and elu takes its slope from that output.
+same loss raises NoRecordedForward.
+The tape keeps only values that some backward reads.  linear keeps its
+input and weight, mul both operands, tanh its input and elu its output
+(its slope comes from the output); add, propagate and the segment mean
+read only shapes.  A caller marks an input spent when no other op reads
+it: elu and propagate then write their output over its buffer, add
+writes its sum over a spent first operand's buffer, and every spent
+input lets go of its values and keeps only its shape and dtype.  So the
+network's pre-activations, its products and sums inside graph_conv, a
+propagated gcn product and SAG's gated rows cost no memory past their
+consumer.  A layer that narrows holds one array of its rows, its ELU
+output; one that propagates its input also keeps the propagated input,
+which the product after it reads.
 Only tensors that need a gradient are recorded: a bare Tensor is a
 trainable leaf, a constant() is not, and an op's output keeps its
 parents and closure only when one of its inputs needs a gradient.  A
@@ -109,9 +120,16 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _op(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+def _op(data, parents: tuple[Tensor, ...], backward,
+        spent: Sequence[Tensor] = ()) -> Tensor:
     """An op's output; it records parents and closure only if one of the
-    parents needs a gradient, and is a constant otherwise."""
+    parents needs a gradient, and is a constant otherwise.  Each input in
+    spent, whose values no other op and not this op's backward reads,
+    lets go of them (its buffer may now hold the output) and keeps only
+    its shape and dtype, as a read-only zero-stride view of one NaN."""
+    for t in spent:
+        t.data = np.broadcast_to(np.array(np.nan, t.data.dtype),
+                                 t.data.shape)
     if not any(p.requires_grad for p in parents):
         return constant(data)
     out = Tensor(data, parents)
@@ -129,13 +147,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, spent: Sequence[Tensor] = ()) -> Tensor:
+    """a + b, broadcast.  The backward reads only shapes, so the operands
+    in spent, which no other op reads, let go of their values; the sum is
+    written over a's buffer when a is spent and the sum has its shape and
+    dtype."""
+    reuse = (a in spent
+             and np.broadcast_shapes(a.data.shape, b.data.shape)
+             == a.data.shape
+             and np.result_type(a.data, b.data) == a.data.dtype)
+
     def backward(out):
         if a.requires_grad:
             a.add_grad(_unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
             b.add_grad(_unbroadcast(out.grad, b.data.shape))
-    return _op(a.data + b.data, (a, b), backward)
+    return _op(np.add(a.data, b.data, out=a.data if reuse else None),
+               (a, b), backward, spent)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -171,25 +199,31 @@ def cast(a: Tensor, dtype) -> Tensor:
 Propagation = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
-def propagate(prop: Propagation, h: Tensor) -> Tensor:
+def propagate(prop: Propagation, h: Tensor, spent: bool = False
+              ) -> Tensor:
     """Multiply by a constant block-diagonal matrix: out = S h,
     grad = S^T g.  Each shape's rows are gathered into a [graphs, k, d]
-    array and multiplied by its block in one broadcast matmul."""
+    array and multiplied by its block in one broadcast matmul.  The
+    backward reads no values, so a spent h, which no other op reads, has
+    the product written over its buffer: every shape's rows are gathered
+    before its product is written back, and no two shapes share a row."""
     n_rows = sum(rows.size for _, rows in prop)
     if n_rows != h.data.shape[0]:
         raise ShapeMismatch(
             f"propagation over {n_rows} rows against features "
             f"{h.data.shape}")
 
-    def product(x: np.ndarray, transposed: bool) -> np.ndarray:
-        out = np.empty_like(x)
+    def product(x: np.ndarray, transposed: bool, out: np.ndarray
+                ) -> np.ndarray:
         for block, rows in prop:
             out[rows] = np.matmul(block.T if transposed else block, x[rows])
         return out
 
     def backward(out):
-        h.add_grad(product(out.grad, transposed=True))
-    return _op(product(h.data, transposed=False), (h,), backward)
+        h.add_grad(product(out.grad, True, np.empty_like(out.grad)))
+    x = h.data
+    return _op(product(x, False, x if spent else np.empty_like(x)), (h,),
+               backward, (h,) if spent else ())
 
 
 def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
@@ -202,18 +236,34 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     return _op(a.data[rows], (a,), backward)
 
 
-def elu(a: Tensor) -> Tensor:
+# elements per pass of elu's scratch array; a scratch as large as a
+# prediction chunk's activation, allocated and freed on every call, makes
+# the allocator hand its pages back and fault them in again each time
+ELU_BLOCK = 1 << 16
+
+
+def elu(a: Tensor, spent: bool = False) -> Tensor:
+    """ELU, whose backward reads only its output: a spent a, which no
+    other op reads, has the output written over its buffer."""
     # expm1(min(x, 0)) is 0 where x > 0 and >= x elsewhere, so the ELU is
-    # max(x, it), built in one buffer (np.where costs several times
-    # np.maximum); where x < 0 the output is that expm1 itself, so the
-    # slope exp(min(x, 0)) is min(output, 0) + 1 and nothing else is kept
-    out = np.minimum(a.data, 0.0)
-    np.expm1(out, out=out)
-    np.maximum(a.data, out, out=out)
+    # max(x, it) (np.where costs several times np.maximum), taken a block
+    # of rows at a time; where x < 0 the output is that expm1 itself, so
+    # the slope exp(min(x, 0)) is min(output, 0) + 1 and nothing else is
+    # kept
+    out = a.data if spent else np.empty_like(a.data)
+    x, y = np.atleast_1d(a.data), np.atleast_1d(out)
+    step = max(1, ELU_BLOCK // max(1, int(np.prod(x.shape[1:]))))
+    for i in range(0, len(x), step):
+        neg = np.minimum(x[i:i + step], 0.0)
+        np.expm1(neg, out=neg)
+        np.maximum(x[i:i + step], neg, out=y[i:i + step])
 
     def backward(out_t):
-        a.add_grad(out_t.grad * (np.minimum(out_t.data, 0.0) + 1.0))
-    return _op(out, (a,), backward)
+        slope = np.minimum(out_t.data, 0.0)
+        slope += 1.0
+        slope *= out_t.grad
+        a.add_grad(slope)
+    return _op(out, (a,), backward, (a,) if spent else ())
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -348,14 +398,19 @@ def gcn_conv(h: Tensor, prop: Propagation, weight: Tensor) -> Tensor:
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T."""
     if weight.data.shape[0] < weight.data.shape[1]:
-        return propagate(prop, linear(h, weight))
+        return propagate(prop, linear(h, weight), spent=True)
+    # linear reads the propagated h, so it is kept
     return linear(propagate(prop, h), weight)
 
 
 def graph_conv(h: Tensor, adj: Propagation, w_self: Tensor,
                w_neigh: Tensor, bias: Tensor) -> Tensor:
-    """(h w_self^T + adj h w_neigh^T) + bias, summed in that order."""
-    return add(add(linear(h, w_self), gcn_conv(h, adj, w_neigh)), bias)
+    """(h w_self^T + adj h w_neigh^T) + bias, summed in that order.  No
+    other op reads the two products or their sum, so each sum is written
+    over the buffer of its first term and the second product is let go."""
+    own, neigh = linear(h, w_self), gcn_conv(h, adj, w_neigh)
+    total = add(own, neigh, spent=(own, neigh))
+    return add(total, bias, spent=(total,))
 
 
 def _check_sizes(sizes, n_rows: int) -> np.ndarray:
@@ -370,11 +425,13 @@ def _check_sizes(sizes, n_rows: int) -> np.ndarray:
     return sizes
 
 
-def _segment_mean(h: Tensor, sizes: np.ndarray) -> Tensor:
+def _segment_mean(h: Tensor, sizes: np.ndarray, spent: bool = False
+                  ) -> Tensor:
     """Row g averages the sizes[g] rows that follow graph g - 1's.  It adds
     w * h_r, w = 1 / sizes[g] in h's dtype, one in-graph position at a
     time for all graphs at once: the order, and so the bits, of a
-    pooling matrix's sparse product."""
+    pooling matrix's sparse product.  The backward reads no values, so a
+    spent h, which no other op reads, lets go of them."""
     w = (1.0 / sizes).astype(h.data.dtype)
     firsts = np.cumsum(sizes) - sizes
     out = np.zeros((sizes.size, h.data.shape[1]), h.data.dtype)
@@ -385,7 +442,7 @@ def _segment_mean(h: Tensor, sizes: np.ndarray) -> Tensor:
 
     def backward(out_t):
         h.add_grad(w[graph, None] * out_t.grad[graph])
-    return _op(out, (h,), backward)
+    return _op(out, (h,), backward, (h,) if spent else ())
 
 
 def global_mean_readout(h: Tensor, sizes) -> Tensor:
@@ -417,7 +474,7 @@ def sag_mean_readout(h: Tensor, score_prop: Propagation, score_w: Tensor,
     kept = ranked[top]
     rows_idx = kept[np.lexsort((kept, graph[top]))]
     gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-    return _segment_mean(gated, counts)
+    return _segment_mean(gated, counts, spent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +712,17 @@ def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
     h = constant(batch.features)
     p = {k: cast(t, h.data.dtype) for k, t in state.params.items()}
     for i in range(len(spec.pre_widths)):
-        h = elu(linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]))
+        h = elu(linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]), spent=True)
 
     if spec.operator == "gcn":
         for i in range(len(spec.gnn_widths)):
-            h = elu(gcn_conv(h, batch.propagation("gcn"), p[f"gnn.{i}.W"]))
+            h = elu(gcn_conv(h, batch.propagation("gcn"), p[f"gnn.{i}.W"]),
+                    spent=True)
     else:
         for i in range(len(spec.gnn_widths)):
             h = elu(graph_conv(h, batch.propagation("adj"), p[f"gnn.{i}.W1"],
-                               p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]))
+                               p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]),
+                    spent=True)
 
     if spec.pooling == "sag_mean":
         r = sag_mean_readout(h, batch.propagation("gcn"), p["pool.score.W"],
@@ -675,5 +734,5 @@ def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
     for i in range(n_post):
         r = linear(r, p[f"post.{i}.W"], p[f"post.{i}.b"])
         if i < n_post - 1:
-            r = elu(r)
+            r = elu(r, spent=True)
     return r

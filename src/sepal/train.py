@@ -36,7 +36,10 @@ from .nn import GraphBatch, ModelSpec, ModelState, Tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-EVAL_CHUNK = 256
+# node rows per prediction chunk: 4 MB per 512-wide float32 activation,
+# about one training batch of 64 hops-3 graphs, so no validation or eval
+# forward outgrows a training step at any hop count
+PREDICT_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -179,14 +182,21 @@ def stage1_train(x_train: np.ndarray, y_train: np.ndarray,
                         best_val_mse=val, alpha=alpha, ridge_lambda=lam)
 
 
-def chunked(graphs: GraphBatch, chunk: int = EVAL_CHUNK
+def chunked(graphs: GraphBatch, rows: int = PREDICT_ROWS
             ) -> Iterator[GraphBatch]:
-    """The graphs in consecutive batches of at most chunk graphs each, cut
-    one at a time as they are iterated, so one chunk's rows are copied at
-    a time; the chunks share the graphs' shapes and build no block."""
-    n = graphs.n_graphs
-    for k in range(0, n, chunk):
-        yield graphs.take(np.arange(k, min(k + chunk, n)))
+    """The graphs in order, in consecutive batches of whole graphs of at
+    most rows node rows each; a graph of more rows than that is a batch
+    of its own.  They are cut one at a time as they are iterated, so one
+    chunk's rows are copied at a time; the chunks share the graphs'
+    shapes and build no block."""
+    ends = np.cumsum(graphs.sizes)
+    start = 0
+    while start < graphs.n_graphs:
+        first_row = ends[start] - graphs.sizes[start]
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, first_row + rows, "right")))
+        yield graphs.take(np.arange(start, stop))
+        start = stop
 
 
 def spatial_predict(state: ModelState, chunks: Iterable[GraphBatch]

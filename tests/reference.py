@@ -18,6 +18,11 @@ them and add, and gcn_conv and graph_conv build on them, as the network
 did before every dense product became one linear op.  elu keeps
 expm1(min(x, 0)) on the tape for its slope, as the engine did before it
 became one op over one output array.
+spatial_forward runs the network on allocating_elu, allocating_propagate,
+allocating_gcn_conv, allocating_graph_conv and
+allocating_sag_mean_readout: every op writes a new output array and the
+tape keeps every value, as the engine did before an op wrote over an
+input that no other op reads and let go of values no backward reads.
 auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
 the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
 denoiser's rings and the heatmap writer did.
@@ -328,6 +333,120 @@ def elu(a):
     def backward(out):
         a.add_grad(out.grad * (neg + 1.0))
     return _op(np.maximum(a.data, neg), (a,), backward)
+
+
+def allocating_propagate(prop, h):
+    """Multiply by a constant block-diagonal matrix: out = S h,
+    grad = S^T g.  Each shape's rows are gathered into a [graphs, k, d]
+    array and multiplied by its block in one broadcast matmul."""
+    n_rows = sum(rows.size for _, rows in prop)
+    if n_rows != h.data.shape[0]:
+        raise ShapeMismatch(
+            f"propagation over {n_rows} rows against features "
+            f"{h.data.shape}")
+
+    def product(x: np.ndarray, transposed: bool) -> np.ndarray:
+        out = np.empty_like(x)
+        for block, rows in prop:
+            out[rows] = np.matmul(block.T if transposed else block, x[rows])
+        return out
+
+    def backward(out):
+        h.add_grad(product(out.grad, transposed=True))
+    return _op(product(h.data, transposed=False), (h,), backward)
+
+
+def allocating_elu(a):
+    # expm1(min(x, 0)) is 0 where x > 0 and >= x elsewhere, so the ELU is
+    # max(x, it), built in one buffer (np.where costs several times
+    # np.maximum); where x < 0 the output is that expm1 itself, so the
+    # slope exp(min(x, 0)) is min(output, 0) + 1 and nothing else is kept
+    out = np.minimum(a.data, 0.0)
+    np.expm1(out, out=out)
+    np.maximum(a.data, out, out=out)
+
+    def backward(out_t):
+        a.add_grad(out_t.grad * (np.minimum(out_t.data, 0.0) + 1.0))
+    return _op(out, (a,), backward)
+
+
+def allocating_gcn_conv(h, prop, weight):
+    """prop h weight^T, with the propagation taken on the narrower of h
+    and h weight^T."""
+    if weight.data.shape[0] < weight.data.shape[1]:
+        return allocating_propagate(prop, nn.linear(h, weight))
+    return nn.linear(allocating_propagate(prop, h), weight)
+
+
+def allocating_graph_conv(h, adj, w_self, w_neigh, bias):
+    """(h w_self^T + adj h w_neigh^T) + bias, summed in that order."""
+    own = nn.linear(h, w_self)
+    return add(add(own, allocating_gcn_conv(h, adj, w_neigh)), bias)
+
+
+def allocating_sag_mean_readout(h, score_prop, score_w, ratio, sizes):
+    """Gated top-k mean per graph.
+
+    Scores come from a one-channel gcn over the same node features; the
+    top ceil(ratio * n) rows per graph (stable order, ties keep the lower
+    index) are gated by tanh(score) and averaged.
+    """
+    if score_w.data.shape != (1, h.data.shape[1]):
+        raise ShapeMismatch(
+            f"score weight {score_w.data.shape} for features "
+            f"{h.data.shape}")
+    sizes = _check_sizes(sizes, h.data.shape[0])
+    score = allocating_gcn_conv(h, score_prop, score_w)  # [n, 1]
+
+    rows = np.arange(sizes.sum())
+    graph = np.repeat(np.arange(sizes.size), sizes)
+    # rank every graph's rows by descending score, lower row on ties
+    ranked = np.lexsort((rows, -score.data[:, 0], graph))
+    counts = np.ceil(ratio * sizes).astype(np.int64)
+    rank = rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    top = rank < np.repeat(counts, sizes)
+    kept = ranked[top]
+    rows_idx = kept[np.lexsort((kept, graph[top]))]
+    gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
+    return nn._segment_mean(gated, counts)
+
+
+def spatial_forward(state, batch):
+    """Run the correction network over a batch; returns [n_graphs, n_genes]
+    in the dtype of the batch's features."""
+    spec = state.spec
+    if batch.features.shape[1] != spec.in_width:
+        raise ShapeMismatch(
+            f"batch features {batch.features.shape} for in_width "
+            f"{spec.in_width}")
+    h = nn.constant(batch.features)
+    p = {k: nn.cast(t, h.data.dtype) for k, t in state.params.items()}
+    for i in range(len(spec.pre_widths)):
+        h = allocating_elu(nn.linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]))
+
+    if spec.operator == "gcn":
+        for i in range(len(spec.gnn_widths)):
+            h = allocating_elu(allocating_gcn_conv(
+                h, batch.propagation("gcn"), p[f"gnn.{i}.W"]))
+    else:
+        for i in range(len(spec.gnn_widths)):
+            h = allocating_elu(allocating_graph_conv(
+                h, batch.propagation("adj"), p[f"gnn.{i}.W1"],
+                p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]))
+
+    if spec.pooling == "sag_mean":
+        r = allocating_sag_mean_readout(
+            h, batch.propagation("gcn"), p["pool.score.W"], spec.sag_ratio,
+            batch.sizes)
+    else:
+        r = nn.global_mean_readout(h, batch.sizes)
+
+    n_post = len(spec.post_widths)
+    for i in range(n_post):
+        r = nn.linear(r, p[f"post.{i}.W"], p[f"post.{i}.b"])
+        if i < n_post - 1:
+            r = allocating_elu(r)
+    return r
 
 
 def global_mean_readout(h, slices):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepal import ingest
+from sepal import graphs, ingest
 from sepal.cli import STAGE2_DEFAULTS, main
 from sepal.core import ImputationMask
 from sepal.nn import ModelSpec
@@ -533,6 +533,32 @@ class TestExitCodes:
                  "--max-steps", "1")
         assert rc == 1
         assert "learning rate" in capsys.readouterr().err
+        assert not (out / "train" / "stage2.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning rate"),
+        ("--batch", "0", "batch size"),
+        ("--sag-ratio", "1.5", "sag_ratio"),
+    ])
+    def test_stage2_flags_checked_before_any_graph_is_built(
+            self, pipeline, tmp_path, capsys, monkeypatch, flag, value,
+            message):
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        (out / "train" / "stage2.ckpt").unlink()
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        build = graphs.build_spot_graphs
+        monkeypatch.setattr(graphs, "build_spot_graphs", counting)
+        rc = run("train", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--stage", "2", flag, value)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert builds == []
         assert not (out / "train" / "stage2.ckpt").exists()
 
     def test_sag_ratio_refused_with_global_mean(self, pipeline, tmp_path,

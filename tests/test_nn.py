@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -278,6 +279,59 @@ class TestConvsAgainstReference:
             assert got[0] == got[1], conv
 
 
+class TestNetworkAgainstReference:
+    """spatial_forward, whose ops write over the intermediates no other op
+    reads and let go of values no backward reads, against the allocating
+    network of tests/reference.py: the same output bits and the same bits
+    in every parameter gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
+    @pytest.mark.parametrize("out_narrower", [True, False])
+    @given(data=st.data())
+    def test_same_bits(self, data, dtype, operator, out_narrower):
+        sizes = data.draw(st.lists(st.integers(1, 9), min_size=1,
+                                   max_size=6))
+        width = st.integers(1, 8)
+        in_width = data.draw(width)
+        pre = data.draw(st.lists(width, max_size=2))
+        # each graph layer narrows (gcn_conv propagates its output) or
+        # keeps or widens (it propagates its input)
+        gnn, w = [], pre[-1] if pre else in_width
+        for _ in range(data.draw(st.integers(1, 3))):
+            w = (data.draw(st.integers(1, w - 1)) if out_narrower and w > 1
+                 else w + data.draw(st.integers(0, 3)))
+            gnn.append(w)
+        post = data.draw(st.lists(width, max_size=2))
+        spec = ModelSpec(
+            in_width=in_width, n_genes=post[-1] if post else gnn[-1],
+            pre_widths=pre, operator=operator, gnn_widths=gnn,
+            pooling=data.draw(st.sampled_from(["sag_mean", "global_mean"])),
+            sag_ratio=data.draw(st.sampled_from([0.3, 0.5, 1.0])),
+            post_widths=post)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        edges = [rng.integers(0, k, size=(int(rng.integers(0, 2 * k)), 2))
+                 for k in sizes]
+        scale = data.draw(st.sampled_from([0.3, 1.0, 30.0]))
+        features = (rng.normal(size=(sum(sizes), in_width))
+                    * scale).astype(dtype)
+        batch = GraphBatch.pack(features, sizes, edges)
+        arrays = {k: rng.normal(size=t.data.shape)
+                  for k, t in init_model_state(spec, 0).params.items()}
+        upstream = constant(rng.normal(size=(len(sizes), spec.n_genes))
+                            .astype(dtype))
+        got = []
+        for forward in (spatial_forward, reference.spatial_forward):
+            state = init_model_state(spec, 0)
+            state.load_arrays(arrays)
+            out = forward(state, batch)
+            backward(mean_all(mul(out, upstream)))
+            got.append(_bits(out.data, *(t.grad for t in
+                                         state.params.values())))
+        assert got[0] == got[1]
+        assert batch.features.tobytes() == features.tobytes()
+
+
 class TestPropagationMatrices:
     def test_gcn_matrix_two_node_path(self):
         m = gcn_matrix(2, np.array([[0, 1]]))
@@ -307,9 +361,9 @@ class TestPropagationMatrices:
                                                n_out):
         widths = []
 
-        def spy(matrix, h):
+        def spy(matrix, h, **kw):
             widths.append(h.data.shape[1])
-            return propagate(matrix, h)
+            return propagate(matrix, h, **kw)
 
         monkeypatch.setattr(nn, "propagate", spy)
         rng = np.random.default_rng(4)
@@ -598,6 +652,38 @@ class TestSpatialForward:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
+    def test_tape_holds_one_activation_per_layer(self, operator):
+        # the visium-like shape, scaled down: one pre layer, two narrowing
+        # graph layers, sag_mean; at backward's entry each layer's rows
+        # are held once, by its ELU output, which the next layer's backward
+        # reads (a pre-activation or a product is read by no backward)
+        sizes = [7, 7, 7, 7, 7, 8]
+        rows, widths = sum(sizes), (64, 32, 16)
+        spec = ModelSpec(in_width=24, n_genes=8, pre_widths=widths[:1],
+                         operator=operator, gnn_widths=widths[1:],
+                         pooling="sag_mean", post_widths=(8,))
+        state = init_model_state(spec, 3)
+        rng = np.random.default_rng(3)
+        edges = [np.stack([np.zeros(k - 1, np.int64), np.arange(1, k)], 1)
+                 for k in sizes]
+        batch = GraphBatch.pack(
+            rng.normal(size=(rows, 24)).astype(np.float32), sizes, edges)
+        target = constant(np.ones((len(sizes), 8)))
+        tracemalloc.start()
+        try:
+            loss = mse(spatial_forward(state, batch), target)
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            ).traces
+        finally:
+            tracemalloc.stop()
+        held = {w: sum(t.size == rows * w * 4 for t in traces)
+                for w in widths}
+        assert held == {w: 1 for w in widths}
+        backward(loss)
+        assert all(t.grad is not None for t in state.params.values())
 
     def test_forward_over_constants_records_nothing(self):
         state = init_model_state(

@@ -1,7 +1,10 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference
 from helpers import local_edges
@@ -432,6 +435,92 @@ class TestCheckpoints:
         model = load_model(p)
         assert model.gene_ids == genes
         assert model.train_mean.tobytes() == mean.tobytes()
+
+
+def visium_like_spec(in_width, n_genes):
+    """The visium-like network, scaled down: one pre layer, two narrowing
+    gcn layers, sag_mean and a post layer."""
+    return ModelSpec(in_width=in_width, n_genes=n_genes, pre_widths=(64,),
+                     operator="gcn", gnn_widths=(32, 16), pooling="sag_mean",
+                     post_widths=(n_genes,))
+
+
+def random_graphs(rng, sizes, width, dtype):
+    edges = [rng.integers(0, k, size=(int(rng.integers(0, 2 * k)), 2))
+             for k in sizes]
+    features = rng.normal(size=(int(np.sum(sizes)), width)).astype(dtype)
+    return GraphBatch.pack(features, np.asarray(sizes, np.int64), edges)
+
+
+class TestChunked:
+    @given(sizes=st.lists(st.integers(1, 40), max_size=30),
+           rows=st.integers(1, 100))
+    def test_whole_graphs_in_order_within_the_budget(self, sizes, rows):
+        graphs = random_graphs(np.random.default_rng(0), sizes, 2,
+                               np.float64)
+        chunks = list(chunked(graphs, rows))
+        assert [k for c in chunks for k in c.sizes.tolist()] == sizes
+        if chunks:
+            assert np.concatenate([c.features for c in chunks]).tobytes() \
+                == graphs.features.tobytes()
+        for c, after in zip(chunks, chunks[1:] + [None]):
+            # within the budget unless one oversize graph, and cut only
+            # where the next graph would not fit
+            assert c.n_nodes <= rows or c.n_graphs == 1
+            if after is not None:
+                assert c.n_nodes + after.sizes[0] > rows
+
+    def test_empty_batch_has_nothing_to_predict(self):
+        state = init_model_state(visium_like_spec(4, 2), 0)
+        empty = GraphBatch.pack(np.zeros((0, 4), np.float32),
+                                np.zeros(0, np.int64), [])
+        assert list(chunked(empty)) == []
+        with pytest.raises(EmptySplit):
+            spatial_predict(state, chunked(empty))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=24),
+           rows=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_chunks_predict_what_one_forward_does(self, dtype, sizes, rows,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        state = init_model_state(visium_like_spec(6, 3), 0)
+        for t in state.params.values():
+            t.data = rng.normal(size=t.data.shape) * 0.5
+        graphs = random_graphs(rng, sizes, 6, dtype)
+        got = spatial_predict(state, chunked(graphs, rows))
+        want = nn.spatial_forward(state.frozen(), graphs).data
+        assert got.dtype == want.dtype == dtype
+        # BLAS may sum a product's terms in another order for another row
+        # count (a one-row product, say), so a chunk's rows may differ
+        # from the whole batch's in their last bits, in float64 too
+        tol = 1e3 * np.finfo(dtype).eps
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    def test_prediction_peaks_at_one_chunk(self):
+        # four budgets of rows predict at the peak of one budget's chunk,
+        # plus the predicted rows, held once as chunks and once joined
+        rng = np.random.default_rng(2)
+        state = init_model_state(visium_like_spec(24, 8), 0)
+        for t in state.params.values():
+            t.data = rng.normal(size=t.data.shape) * 0.1
+        sizes = np.full(4 * train.PREDICT_ROWS // 19, 19)
+        graphs = random_graphs(rng, sizes, 24, np.float32)
+        one = graphs.take(np.arange(train.PREDICT_ROWS // 19))
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = spatial_predict(state, chunked(batch))
+                return tracemalloc.get_traced_memory()[1] - base, out
+            finally:
+                tracemalloc.stop()
+
+        one_peak, _ = peak(one)
+        all_peak, out = peak(graphs)
+        assert out.shape == (sizes.size, 8)
+        assert all_peak <= one_peak + 2 * out.nbytes
 
 
 class TestPredict:
