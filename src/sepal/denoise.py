@@ -46,7 +46,6 @@ class RadialNeighborhood:
 
     n_spots: int
     ring_members: tuple[tuple[np.ndarray, ...], ...]
-    ring_distances: tuple[tuple[float, ...], ...]
 
 
 def build_radial_neighborhoods(spots: Sequence[SpotRecord],
@@ -58,7 +57,6 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
         raise DegenerateCoordinates(
             f"rings need at least 2 spots, got {len(spots)}")
     members_all: list[tuple[np.ndarray, ...]] = []
-    dists_all: list[tuple[float, ...]] = []
     for row in pixel_distance_rows(spots):
         row = np.round(row, DISTANCE_DECIMALS)
         # ties resolve by index; the spot itself is at 0.0, so it sorts
@@ -76,8 +74,7 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
         bounds = np.append(starts, d.size)[:max_rings + 1]
         members_all.append(tuple(order[a:b].copy()
                                  for a, b in zip(bounds[:-1], bounds[1:])))
-        dists_all.append(tuple(float(x) for x in d[bounds[:-1]]))
-    return RadialNeighborhood(len(spots), tuple(members_all), tuple(dists_all))
+    return RadialNeighborhood(len(spots), tuple(members_all))
 
 
 def _column_medians(block: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ parents and closure only when one of its inputs needs a gradient.  A
 forward over constants alone (prediction) therefore records no tape.
 The op set is exactly what the model needs: one dense op (linear, the
 product by a transposed weight, with or without a bias), broadcast
-add/mul, gather, ELU, tanh, mean, a dtype cast, a per-graph segment mean
-(the readouts) and multiplication by a constant block-diagonal matrix (the
-graph propagation step, which never needs a gradient of its own).
+add/mul, gather, ELU, tanh, the MSE loss, a dtype cast, a per-graph
+segment mean (the readouts) and multiplication by a constant
+block-diagonal matrix (the graph propagation step, which never needs a
+gradient of its own).
 
 Every op computes in the dtype of its inputs, and a gradient always has
 the dtype of the tensor it belongs to.  spatial_forward runs in the dtype
@@ -166,15 +167,6 @@ def add(a: Tensor, b: Tensor, spent: Sequence[Tensor] = ()) -> Tensor:
                (a, b), backward, spent)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def backward(out):
-        if a.requires_grad:
-            a.add_grad(_unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            b.add_grad(_unbroadcast(-out.grad, b.data.shape))
-    return _op(a.data - b.data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(out):
         if a.requires_grad:
@@ -275,18 +267,24 @@ def tanh(a: Tensor) -> Tensor:
     return _op(np.tanh(a.data), (a,), backward)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    def backward(out):
-        a.add_grad(np.full_like(a.data, float(out.grad) / a.data.size))
-    return _op(a.data.mean(), (a,), backward)
-
-
 def mse(pred: Tensor, target: Tensor) -> Tensor:
+    """mean((pred - target)^2), keeping only the difference d on the
+    tape.  pred's gradient is formed as c d + c d, c = 1 / size, which has
+    the bits of the composite subtraction, mul(d, d) and mean that the
+    tests compare it with."""
     if pred.data.shape != target.data.shape:
         raise ShapeMismatch(
             f"mse over {pred.data.shape} vs {target.data.shape}")
-    d = sub(pred, target)
-    return mean_all(mul(d, d))
+    d = pred.data - target.data
+
+    def backward(out):
+        g = (float(out.grad) / d.size) * d
+        g += g
+        if pred.requires_grad:
+            pred.add_grad(g)
+        if target.requires_grad:
+            target.add_grad(-g)
+    return _op((d * d).mean(), (pred, target), backward)
 
 
 def backward(loss: Tensor) -> None:

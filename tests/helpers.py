@@ -4,7 +4,7 @@ import numpy as np
 
 from sepal.core import SpotRecord
 from sepal.nn import GraphBatch
-from sepal.spatial import Adjacency
+from sepal.spatial import DISTANCE_DECIMALS, Adjacency
 
 
 def grid_spots(rows, cols, slide="s0", spacing=1.0):
@@ -22,6 +22,22 @@ def hex_spots(rows, cols_per_row, slide="s0", s=1.0):
             spots.append(SpotRecord(
                 f"r{r}c{c}", slide, c * s, r * s * np.sqrt(3.0), r, c))
     return spots
+
+
+def ring_distances(spots, rings):
+    """Each spot's ring distances, read off the ring members' pixel
+    positions: the one rounded distance every member of a ring shares."""
+    xy = np.array([(s.pixel_x, s.pixel_y) for s in spots], dtype=np.float64)
+    out = []
+    for i, members in enumerate(rings.ring_members):
+        per_ring = []
+        for ring in members:
+            d = np.unique(np.round(np.hypot(*(xy[ring] - xy[i]).T),
+                                   DISTANCE_DECIMALS))
+            assert d.size == 1, f"ring of spot {i} spans distances {d}"
+            per_ring.append(float(d[0]))
+        out.append(tuple(per_ring))
+    return tuple(out)
 
 
 def random_adjacency(seed, n_min=2, n_max=30, connected=True):

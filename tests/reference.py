@@ -17,7 +17,10 @@ matmul and transpose are the engine's composite dense ops: linear chains
 them and add, and gcn_conv and graph_conv build on them, as the network
 did before every dense product became one linear op.  elu keeps
 expm1(min(x, 0)) on the tape for its slope, as the engine did before it
-became one op over one output array.
+became one op over one output array.  sub and mean_all are the
+engine's subtraction and whole-array mean, and mse chains them with mul,
+as the loss was before it became one op; the tests use mean_all to reduce
+an output against a fixed upstream gradient.
 spatial_forward runs the network on allocating_elu, allocating_propagate,
 allocating_gcn_conv, allocating_graph_conv and
 allocating_sag_mean_readout: every op writes a new output array and the
@@ -63,6 +66,7 @@ from sepal.nn import (
     Tensor,
     _check_sizes,
     _op,
+    _unbroadcast,
     add,
     gather_rows,
     mul,
@@ -306,6 +310,26 @@ def transpose(a: Tensor) -> Tensor:
     def backward(out):
         a.add_grad(out.grad.T)
     return _op(a.data.T, (a,), backward)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def backward(out):
+        if a.requires_grad:
+            a.add_grad(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.add_grad(_unbroadcast(-out.grad, b.data.shape))
+    return _op(a.data - b.data, (a, b), backward)
+
+
+def mean_all(a: Tensor) -> Tensor:
+    def backward(out):
+        a.add_grad(np.full_like(a.data, float(out.grad) / a.data.size))
+    return _op(a.data.mean(), (a,), backward)
+
+
+def mse(pred, target):
+    d = sub(pred, target)
+    return mean_all(mul(d, d))
 
 
 def linear(h, weight, bias=None):

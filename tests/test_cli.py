@@ -731,6 +731,30 @@ class TestStageWork:
             assert (out / "graphs" / name).read_bytes() == \
                 (pipeline["out"] / "graphs" / name).read_bytes()
 
+    def test_train_and_eval_build_each_graph_once(self, pipeline, tmp_path,
+                                                  monkeypatch):
+        from collections import Counter
+        built = Counter()
+
+        def counting(adjacency, center, *args, **kwargs):
+            built[(adjacency.slide_id, center)] += 1
+            return khop(adjacency, center, *args, **kwargs)
+
+        khop = graphs.khop_subgraph
+        monkeypatch.setattr(graphs, "khop_subgraph", counting)
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ("select", "graphs", "train"))
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        assert run("train", *base, "--stage", "2", "--epochs", "1",
+                   "--patience", "1", "--hidden", "16") == 0
+        assert run("eval", *base) == 0
+        # stage 2 builds the train and val slides' graphs and eval the
+        # test slide's: every spot of every slide, once
+        slides = ingest.read_manifest(pipeline["manifest"]).slides
+        assert built == Counter(
+            (e.slide_id, i) for e in slides
+            for i in range(len(ingest.read_coordinates(e.coords_path))))
+
     def test_train_mean_pools_the_train_slide_only(self, pipeline,
                                                    tmp_path):
         out = tmp_path / "mean"

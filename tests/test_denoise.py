@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import hex_spots
+from helpers import hex_spots, ring_distances
 from sepal import denoise, spatial
 from sepal.core import (
     DegenerateCoordinates,
@@ -67,7 +67,7 @@ class TestRadialNeighborhoods:
     def test_corner_of_grid_has_seven_rings(self):
         spots = grid_spots(5, 5)
         rings = build_radial_neighborhoods(spots)
-        d = rings.ring_distances[0]
+        d = ring_distances(spots, rings)[0]
         np.testing.assert_allclose(
             d, [1.0, round(np.sqrt(2), 6), 2.0, round(np.sqrt(5), 6),
                 round(np.sqrt(8), 6), 3.0, round(np.sqrt(10), 6)],

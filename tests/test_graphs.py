@@ -618,7 +618,7 @@ def assert_same_operator(n, edges, sizes, rng):
             for module, matrix in ((nn, got), (reference, want)):
                 h = nn.Tensor(x.copy())
                 out = module.propagate(matrix, h)
-                nn.backward(nn.mean_all(nn.mul(out, nn.constant(c))))
+                nn.backward(reference.mean_all(nn.mul(out, nn.constant(c))))
                 assert out.data.dtype == h.grad.dtype == dtype
                 runs.append((out.data, h.grad))
             a = np.abs(dense(got).astype(np.float64))
@@ -709,7 +709,7 @@ def assert_matches_padded(batch, rng, widths):
             c = rng.normal(size=x.shape).astype(dtype)
             h = nn.Tensor(x.copy())
             out = nn.propagate(prop, h)
-            nn.backward(nn.mean_all(nn.mul(out, nn.constant(c))))
+            nn.backward(reference.mean_all(nn.mul(out, nn.constant(c))))
             # the gradient that mul hands to propagate
             g = np.full_like(c, 1.0 / c.size) * c
             magnitude = [(np.abs(block).astype(np.float64), rows)

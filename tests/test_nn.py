@@ -27,15 +27,14 @@ from sepal.nn import (
     graph_conv,
     init_model_state,
     linear,
-    mean_all,
     mse,
     mul,
     propagate,
     sag_mean_readout,
     spatial_forward,
-    sub,
     tanh,
 )
+from reference import mean_all
 
 
 def fd_gradient_check(params, loss_fn, eps=1e-5, tol=1e-4, max_entries=None):
@@ -129,6 +128,30 @@ class TestEngineOps:
     def test_backward_on_leaf_raises(self):
         with pytest.raises(NoRecordedForward):
             backward(Tensor(1.0))
+
+    @given(st.sampled_from([np.float32, np.float64]),
+           hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+           st.integers(0, 10 ** 6), st.booleans())
+    def test_mse_is_the_composite_bit_for_bit(self, dtype, shape, seed,
+                                              target_grad):
+        rng = np.random.default_rng(seed)
+        p, t = (rng.normal(scale=10.0, size=shape).astype(dtype)
+                for _ in range(2))
+        losses, grads = [], []
+        for loss_fn in (mse, reference.mse):
+            pred = Tensor(p.copy())
+            target = Tensor(t.copy()) if target_grad else constant(t)
+            loss = loss_fn(pred, target)
+            backward(loss)
+            losses.append(loss.data)
+            grads.append((pred.grad, target.grad))
+        assert losses[0].dtype == losses[1].dtype == dtype
+        assert losses[0].tobytes() == losses[1].tobytes()
+        for fused, composite in zip(*grads):
+            assert (fused is None) == (composite is None)
+            if fused is not None:
+                assert fused.dtype == composite.dtype == dtype
+                assert fused.tobytes() == composite.tobytes()
 
     @given(st.integers(0, 10 ** 6))
     def test_elementwise_ops_pass_fd(self, seed):
