@@ -45,10 +45,11 @@ from .core import (
     ImputationMask,
     IoFailure,
     PipelineError,
-    SpotSetMismatch,
+    SpotTable,
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
+    WidthNotDivisible,
     align_slide,
     assert_mask_matches,
     validate_dataset,
@@ -127,15 +128,15 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _spots_for(entry, spot_ids) -> list:
-    """Coordinate records reordered to a matrix's row order."""
-    by_id = {s.spot_id: s for s in ingest.read_coordinates(entry.coords_path)}
-    missing = [sid for sid in spot_ids if sid not in by_id]
-    if missing:
-        raise SpotSetMismatch(
-            f"spot {missing[0]!r} of slide {entry.slide_id!r} has no "
-            f"coordinates")
-    return [by_id[sid] for sid in spot_ids]
+def _spots_for(entry, matrix: ExpressionMatrix) -> SpotTable:
+    """The coordinates of a matrix's spots, whose rows must be in
+    canonical order: preprocess writes them so."""
+    spots = ingest.read_coordinates(entry.coords_path).subset(matrix.spot_ids)
+    if spots.spot_ids != matrix.spot_ids:
+        raise ValidationError(
+            f"the rows of slide {entry.slide_id!r} are not in canonical spot "
+            f"order; run `sepal preprocess` again")
+    return spots
 
 
 def _read_stage_matrix(path: Path, want_stage: str, producer: str
@@ -251,8 +252,7 @@ def cmd_denoise(args) -> None:
     for entry in manifest.slides:
         m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.npz",
                                "log1p", "preprocess")
-        d, mask, report = denoise_mod.denoise_slide(
-            m, _spots_for(entry, m.spot_ids))
+        d, mask, report = denoise_mod.denoise_slide(m, _spots_for(entry, m))
         denoised.append(d)
         masks.append(mask)
         reports.append(report)
@@ -295,8 +295,8 @@ def cmd_select(args) -> None:
         masks.append(ingest.read_mask(
             _require(den / f"{entry.slide_id}_mask.npz", "denoise"),
             "denoise"))
-        adjacencies.append(spatial.build_adjacency(
-            _spots_for(entry, m.spot_ids), manifest.geometry))
+        adjacencies.append(spatial.build_adjacency(_spots_for(entry, m),
+                                                   manifest.geometry))
     n_genes = args.n_genes if args.n_genes is not None \
         else manifest.n_genes_select
     selected, scores = spatial.select_genes(matrices, adjacencies, n_genes)
@@ -352,9 +352,9 @@ def cmd_build_graphs(args) -> None:
         slide = _read_slide(entry, _selected(args.out, entry))
         width = graphs_mod.feature_width(slide.embeddings.d_emb, aggregation)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
-        for spot, sub in zip(slide.spots,
-                             graphs_mod.slide_subgraphs(adjacency, hops)):
-            rows.append((entry.slide_id, spot.spot_id,
+        for spot_id, sub in zip(slide.spots.spot_ids,
+                                graphs_mod.slide_subgraphs(adjacency, hops)):
+            rows.append((entry.slide_id, spot_id,
                          len(sub.nodes), sub.edges.shape[0]))
 
     outdir = Path(args.out) / "graphs"
@@ -488,10 +488,18 @@ def cmd_train(args) -> None:
         hidden[-1] = n_genes
     # the ratio is a sag_mean setting; other poolings keep the field default
     sag = {"sag_ratio": opt("sag_ratio")} if pooling == "sag_mean" else {}
-    # the spec and config are checked before any graph is built; the input
-    # width is the graphs' feature width, set once they are built
+    # the spec and config are checked before any graph is built; every
+    # slide's embeddings are as wide as the head's input (_check_head_width)
+    width = stage1.head_weight.shape[1]
+    try:
+        in_width = graphs_mod.feature_width(width, aggregation)
+    except WidthNotDivisible:
+        raise WidthNotDivisible(
+            f"{stage1_path}: the head takes {width} embedding columns, and "
+            f"{aggregation} aggregation needs a multiple of 4; run `sepal "
+            f"train` again on embeddings of such a width") from None
     spec = ModelSpec(
-        in_width=1, n_genes=n_genes, pre_widths=opt("pre_mlp"),
+        in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
         operator=opt("operator"), gnn_widths=tuple(hidden),
         pooling=pooling, post_widths=tuple(post), **sag)
     cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
@@ -511,7 +519,6 @@ def cmd_train(args) -> None:
 
     train = _gather(manifest, "train", read)
     val = _gather(manifest, "val", read) or (None, None, None)
-    spec = replace(spec, in_width=train[0].features.shape[1])
     result = train_mod.stage2_train(*train, *val, spec, cfg)
     train_mod.save_model(train_dir / "stage2.ckpt", replace(
         stage1, state=result.state, hops=hops, aggregation=aggregation))
@@ -642,7 +649,7 @@ def cmd_figures(args) -> None:
             raise ValidationError(f"predictions for {sid!r} are not aligned")
         assert_mask_matches(m, mask)
         slides.append((sid, *table, pred.values, m.values, mask.values,
-                       _spots_for(entry, m.spot_ids)))
+                       _spots_for(entry, m)))
     fig_dir = out / "figures"
     written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv",
                                            gene_ids, pooled)]

@@ -2,15 +2,20 @@
 
 Everything downstream (filtering, denoising, graph construction, training,
 evaluation) speaks in terms of the containers defined here.  The containers
-are frozen dataclasses over float64 numpy arrays and validate their own
+are frozen dataclasses over read-only numpy arrays and validate their own
 invariants on construction, so a matrix that exists is a matrix that is
 well-formed for its processing stage.
+
+A slide's spots are one SpotTable: distinct ids, distinct array positions,
+rows sorted by (array_row, array_col).  That sort is the canonical spot
+order: every matrix and mask passed between stages, and every view of an
+aligned Slide, lists its rows in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -137,24 +142,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpotRecord:
-    """One measured spot: identity, pixel position, and array position."""
-
-    spot_id: str
-    slide_id: str
-    pixel_x: float
-    pixel_y: float
-    array_row: int
-    array_col: int
-
-
-def canonical_order(spots: Iterable[SpotRecord]) -> list[SpotRecord]:
-    """Sort spots by (array_row, array_col, spot_id), the order used
-    everywhere a slide's spots are enumerated."""
-    return sorted(spots, key=lambda s: (s.array_row, s.array_col, s.spot_id))
-
-
 def _find_duplicate(ids: Sequence[str]) -> str | None:
     seen: set[str] = set()
     for x in ids:
@@ -162,6 +149,61 @@ def _find_duplicate(ids: Sequence[str]) -> str | None:
             return x
         seen.add(x)
     return None
+
+
+@dataclass(frozen=True)
+class SpotTable:
+    """One slide's spots: ids, pixel positions and array positions.
+
+    pixel is [n, 2] float64 (x, y) and array is [n, 2] int64 (row, col).
+    Spot ids and array positions must be distinct; rows are stored sorted
+    by (array_row, array_col), the canonical spot order, whatever order
+    they were given in.
+    """
+
+    slide_id: str
+    spot_ids: tuple[str, ...]
+    pixel: np.ndarray
+    array: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.spot_ids)
+        pixel = np.asarray(self.pixel, dtype=np.float64)
+        array = np.asarray(self.array, dtype=np.int64)
+        if pixel.shape != (len(ids), 2) or array.shape != (len(ids), 2):
+            raise ShapeMismatch(
+                f"{len(ids)} spot ids in {self.slide_id} with "
+                f"{pixel.shape} pixel and {array.shape} array positions")
+        dup = _find_duplicate(ids)
+        if dup is not None:
+            raise DuplicateSpot(f"duplicate spot id {dup!r} in {self.slide_id}")
+        order = np.lexsort((array[:, 1], array[:, 0]))
+        array = array[order]
+        same = np.flatnonzero((array[1:] == array[:-1]).all(axis=1))
+        if same.size:
+            raise DuplicateSpot(
+                f"two spots at array position {tuple(array[same[0]].tolist())}"
+                f" in {self.slide_id}")
+        object.__setattr__(self, "spot_ids",
+                           tuple(ids[i] for i in order.tolist()))
+        object.__setattr__(self, "pixel", _readonly(pixel[order]))
+        object.__setattr__(self, "array", _readonly(array))
+
+    def __len__(self) -> int:
+        return len(self.spot_ids)
+
+    def subset(self, spot_ids: Sequence[str]) -> "SpotTable":
+        """The named spots, in canonical order."""
+        index = {s: i for i, s in enumerate(self.spot_ids)}
+        for sid in spot_ids:
+            if sid not in index:
+                raise SpotSetMismatch(
+                    f"spot {sid!r} of slide {self.slide_id!r} has no "
+                    f"coordinates")
+        rows = np.sort(np.array([index[s] for s in spot_ids], dtype=np.int64))
+        return SpotTable(self.slide_id,
+                         [self.spot_ids[i] for i in rows.tolist()],
+                         self.pixel[rows], self.array[rows])
 
 
 @dataclass(frozen=True)
@@ -380,7 +422,7 @@ class Slide:
     never by hand.
     """
 
-    spots: tuple[SpotRecord, ...]
+    spots: SpotTable
     expression: ExpressionMatrix
     embeddings: EmbeddingTable
     mask: ImputationMask | None = None
@@ -390,7 +432,7 @@ class Slide:
         return self.expression.slide_id
 
 
-def align_slide(spots: Sequence[SpotRecord],
+def align_slide(spots: SpotTable,
                 expression: ExpressionMatrix,
                 embeddings: EmbeddingTable,
                 mask: ImputationMask | None = None) -> Slide:
@@ -400,40 +442,23 @@ def align_slide(spots: Sequence[SpotRecord],
     embeddings may cover a superset and are subset to match.  A mask must
     list the matrix's spots and genes in the matrix's order.
     """
-    ordered = canonical_order(spots)
-    dup = _find_duplicate([s.spot_id for s in ordered])
-    if dup is not None:
-        raise DuplicateSpot(f"duplicate spot id {dup!r} in coordinates")
-    pos = _find_duplicate([f"{s.array_row},{s.array_col}" for s in ordered])
-    if pos is not None:
-        raise DuplicateSpot(f"two spots share array position ({pos})")
-
-    have_coords = {s.spot_id for s in ordered}
-    for sid in expression.spot_ids:
-        if sid not in have_coords:
-            raise SpotSetMismatch(
-                f"spot {sid!r} has expression but no coordinates")
-    have_expr = set(expression.spot_ids)
-    keep = [s for s in ordered if s.spot_id in have_expr]
-    order = [s.spot_id for s in keep]
-
+    spots = spots.subset(expression.spot_ids)
     expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
-    rows = np.array([expr_index[s] for s in order], dtype=np.int64)
+    rows = np.array([expr_index[s] for s in spots.spot_ids], dtype=np.int64)
     expr = expression.subset_spots(rows)
-    emb_rows = embeddings.rows_for(order)
-    emb = EmbeddingTable(embeddings.slide_id, tuple(order),
-                         embeddings.vectors[emb_rows, :])
+    emb = EmbeddingTable(embeddings.slide_id, spots.spot_ids,
+                         embeddings.vectors[embeddings.rows_for(
+                             spots.spot_ids), :])
     if mask is not None:
         assert_mask_matches(expression, mask)
         mask = ImputationMask(mask.slide_id, mask.gene_ids, expr.spot_ids,
                               mask.values[rows, :])
-    return Slide(tuple(keep), expr, emb, mask)
+    return Slide(spots, expr, emb, mask)
 
 
 def validate_dataset(
     manifest: DatasetManifest,
-    parts: Mapping[str, tuple[Sequence[SpotRecord], ExpressionMatrix,
-                              EmbeddingTable]],
+    parts: Mapping[str, tuple[SpotTable, ExpressionMatrix, EmbeddingTable]],
 ) -> list[Slide]:
     """Cross-slide consistency checks before any processing starts.
 

@@ -19,7 +19,6 @@ later ones, and the result does not depend on spot visit order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .core import (
     ExpressionMatrix,
     ImputationMask,
     ShapeMismatch,
-    SpotRecord,
+    SpotTable,
     ValidationError,
 )
 from .spatial import DISTANCE_DECIMALS, pixel_distance_rows
@@ -48,11 +47,10 @@ class RadialNeighborhood:
     ring_members: tuple[tuple[np.ndarray, ...], ...]
 
 
-def build_radial_neighborhoods(spots: Sequence[SpotRecord],
+def build_radial_neighborhoods(spots: SpotTable,
                                max_rings: int = MAX_RINGS
                                ) -> RadialNeighborhood:
     """Group every spot's neighbors into rings of equal rounded distance."""
-    spots = list(spots)
     if len(spots) < 2:
         raise DegenerateCoordinates(
             f"rings need at least 2 spots, got {len(spots)}")
@@ -63,9 +61,9 @@ def build_radial_neighborhoods(spots: Sequence[SpotRecord],
         # first and is dropped, and a second 0.0 is a coincident spot
         order = np.argsort(row, kind="stable")
         if row[order[1]] == 0.0:
-            a, b = (spots[k].spot_id for k in order[:2])
+            a, b = (spots.spot_ids[k] for k in order[:2])
             raise DegenerateCoordinates(
-                f"{spots[0].slide_id!r}: spots {a!r} and {b!r} share a "
+                f"{spots.slide_id!r}: spots {a!r} and {b!r} share a "
                 f"pixel position")
         order = order[1:]
         d = row[order]
@@ -138,15 +136,14 @@ class SlideImputationReport:
         return self.n_imputed / self.n_cells if self.n_cells else 0.0
 
 
-def denoise_slide(matrix: ExpressionMatrix, spots: Sequence[SpotRecord]
+def denoise_slide(matrix: ExpressionMatrix, spots: SpotTable
                   ) -> tuple[ExpressionMatrix, ImputationMask,
                              SlideImputationReport]:
     """Fill every gene map of one slide.  Expects log-space input."""
     if matrix.stage != "log1p":
         raise ValidationError(
             f"denoiser expects log1p input, got stage {matrix.stage!r}")
-    spots = list(spots)
-    if tuple(s.spot_id for s in spots) != matrix.spot_ids:
+    if spots.spot_ids != matrix.spot_ids:
         raise ShapeMismatch(
             f"coordinates not aligned with matrix for {matrix.slide_id!r}")
     rings = build_radial_neighborhoods(spots)

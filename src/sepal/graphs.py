@@ -3,8 +3,9 @@
 Each training example is the subgraph induced by the spots within m hops
 of a center spot.  Nodes are ordered center first, then hop 1 ascending by
 spot index, then hop 2, and so on, which fixes node ids for batching and
-serialization.  Node features combine the spot's patch embedding with a
-sinusoidal encoding of its array offset from the center:
+serialization; a spot index is the spot's row in the slide's SpotTable.
+Node features combine the spot's patch embedding with a sinusoidal
+encoding of its array offset from the center, read from the table:
 
     pe[2i]     = sin(p / 10000^(4i / d))      i in [0, d/4)
     pe[2i + 1] = cos(p / 10000^(4i / d))
@@ -25,7 +26,7 @@ from .core import (
     EmbeddingTable,
     ShapeMismatch,
     Slide,
-    SpotRecord,
+    SpotTable,
     ValidationError,
     WidthNotDivisible,
 )
@@ -39,9 +40,7 @@ AGGREGATIONS = ("sum", "concat")
 class Subgraph:
     """Node set and induced edges of one k-hop neighborhood."""
 
-    center: int
     nodes: np.ndarray   # global spot indices, center first
-    hops: np.ndarray    # hop distance per node
     edges: np.ndarray   # [m, 2] local indices, i < j, sorted
 
 
@@ -63,7 +62,6 @@ def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
 
     local = {center: 0}   # global spot index -> local node id
     order = [center]
-    ring_sizes = [1]
     frontier = [center]
     for _ in range(hops):
         reached: set[int] = set()
@@ -75,7 +73,6 @@ def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
         for v in frontier:
             local[v] = len(order)
             order.append(v)
-        ring_sizes.append(len(frontier))
 
     edges = []
     for a, u in enumerate(order):
@@ -85,10 +82,7 @@ def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
                 edges.append((a, b))
     edges.sort()
     return Subgraph(
-        center=center,
         nodes=np.array(order, dtype=np.int64),
-        hops=np.repeat(np.arange(len(ring_sizes), dtype=np.int64),
-                       ring_sizes),
         edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
     )
 
@@ -140,12 +134,7 @@ def _offset_encodings(offsets: np.ndarray, d_emb: int
     return table, index.reshape(-1)
 
 
-def _positions(spots: Sequence[SpotRecord]) -> np.ndarray:
-    return np.array([(s.array_row, s.array_col) for s in spots],
-                    dtype=np.int64).reshape(-1, 2)
-
-
-def assemble_graph(slide_spots: Sequence[SpotRecord],
+def assemble_graph(slide_spots: SpotTable,
                    embeddings: EmbeddingTable,
                    subgraphs: Sequence[Subgraph],
                    aggregation: str) -> GraphBatch:
@@ -164,8 +153,8 @@ def assemble_graph(slide_spots: Sequence[SpotRecord],
 
     sizes = np.array([len(sub.nodes) for sub in subgraphs], dtype=np.int64)
     nodes = np.concatenate([sub.nodes for sub in subgraphs])
-    centers = np.repeat([sub.center for sub in subgraphs], sizes)
-    pos = _positions(slide_spots)
+    centers = np.repeat([sub.nodes[0] for sub in subgraphs], sizes)
+    pos = slide_spots.array
     table, index = _offset_encodings(pos[nodes] - pos[centers], d)
     # float64 values written into float32 rows, with no float64 copy of
     # the whole feature matrix and no float64 gather kept past its use

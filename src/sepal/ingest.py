@@ -6,7 +6,9 @@ form), newlines are always "\\n", row order is always the canonical spot
 order, and archive arrays keep their exact bits.
 
 Formats:
-  coordinates   TSV: spot_id slide_id pixel_x pixel_y array_row array_col
+  coordinates   TSV: spot_id slide_id pixel_x pixel_y array_row array_col,
+                rows in any order; read into one SpotTable, which sorts
+                them and refuses a duplicate spot id or array position
   expression    TSV, for dataset inputs only: spot_id then one column per
                 gene; an optional #stage= comment (without one the file
                 holds raw counts; preprocess wants every slide of a
@@ -43,7 +45,6 @@ import numpy as np
 
 from .core import (
     DatasetManifest,
-    DuplicateSpot,
     EmbeddingTable,
     EmptySlide,
     ExpressionMatrix,
@@ -53,11 +54,10 @@ from .core import (
     NonFiniteValue,
     ShapeMismatch,
     SlideEntry,
-    SpotRecord,
+    SpotTable,
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
-    canonical_order,
 )
 from .spatial import min_pixel_spacing
 
@@ -182,53 +182,46 @@ def _parse_int(text: str, path, line_no: int) -> int:
             f"{path}:{line_no}: {text!r} is not an integer") from None
 
 
-def read_coordinates(path) -> list[SpotRecord]:
-    """Read a coordinates TSV; returns spots in canonical order."""
+def read_coordinates(path) -> SpotTable:
+    """Read a coordinates TSV into one SpotTable, in canonical order.
+    Every error names path, a duplicate spot id or array position too."""
     _, header, rows = _parse_tsv(path)
     if tuple(header) != COORD_COLUMNS:
         raise MalformedRow(
             f"{path}: header must be {' '.join(COORD_COLUMNS)}")
-    spots: list[SpotRecord] = []
+    spot_ids: list[str] = []
+    slide_ids: set[str] = set()
+    pixel: list[float] = []
+    array: list[int] = []
     for line_no, fields in rows:
         if len(fields) != 6:
             raise MalformedRow(
                 f"{path}:{line_no}: expected 6 columns, got {len(fields)}")
-        spots.append(SpotRecord(
-            spot_id=fields[0],
-            slide_id=fields[1],
-            pixel_x=_parse_float(fields[2], path, line_no),
-            pixel_y=_parse_float(fields[3], path, line_no),
-            array_row=_parse_int(fields[4], path, line_no),
-            array_col=_parse_int(fields[5], path, line_no),
-        ))
-    if not spots:
+        spot_ids.append(fields[0])
+        slide_ids.add(fields[1])
+        pixel += (_parse_float(t, path, line_no) for t in fields[2:4])
+        array += (_parse_int(t, path, line_no) for t in fields[4:6])
+    if not spot_ids:
         raise EmptySlide(f"{path}: no spots")
-    slide_ids = {s.slide_id for s in spots}
     if len(slide_ids) > 1:
         raise MalformedRow(
             f"{path}: mixed slide ids {sorted(slide_ids)[:3]}")
-    seen_ids: set[str] = set()
-    seen_pos: set[tuple[int, int]] = set()
-    for s in spots:
-        if s.spot_id in seen_ids:
-            raise DuplicateSpot(f"{path}: duplicate spot id {s.spot_id!r}")
-        seen_ids.add(s.spot_id)
-        pos = (s.array_row, s.array_col)
-        if pos in seen_pos:
-            raise DuplicateSpot(f"{path}: two spots at array position {pos}")
-        seen_pos.add(pos)
-    return canonical_order(spots)
+    try:
+        return SpotTable(slide_ids.pop(), spot_ids,
+                         np.array(pixel).reshape(-1, 2),
+                         np.array(array, dtype=np.int64).reshape(-1, 2))
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
-def write_coordinates(path, spots: Sequence[SpotRecord]) -> None:
+def write_coordinates(path, spots: SpotTable) -> None:
     with _open_write(path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=coordinates\n")
         fh.write("\t".join(COORD_COLUMNS) + "\n")
-        for s in canonical_order(spots):
-            fh.write("\t".join((
-                s.spot_id, s.slide_id, fmt_float(s.pixel_x),
-                fmt_float(s.pixel_y), str(s.array_row), str(s.array_col),
-            )) + "\n")
+        for sid, (x, y), (r, c) in zip(spots.spot_ids, spots.pixel.tolist(),
+                                       spots.array.tolist()):
+            fh.write("\t".join((sid, spots.slide_id, fmt_float(x),
+                                fmt_float(y), str(r), str(c))) + "\n")
 
 
 def _read_value_table(path, kind: str):
@@ -418,7 +411,7 @@ def load_dataset(manifest: DatasetManifest):
         expr = read_expression(entry.expr_path)
         emb = read_embeddings(entry.emb_path)
         # file-level slide ids must agree with the manifest section name
-        for got, where in ((spots[0].slide_id, "coordinates"),
+        for got, where in ((spots.slide_id, "coordinates"),
                            (expr.slide_id, "expression"),
                            (emb.slide_id, "embeddings")):
             if got != entry.slide_id:
@@ -555,7 +548,7 @@ def color_ramp() -> np.ndarray:
     return out
 
 
-def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
+def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
                   missing: np.ndarray | None = None,
                   spacing: float | None = None) -> tuple[Path, Path]:
     """Render one gene map as colored discs at the spots' pixel positions.
@@ -568,7 +561,6 @@ def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
     """
     ppm_path = Path(ppm_path)
     csv_path = ppm_path.with_suffix(".csv")
-    spots = list(spots)
     n = len(spots)
     if n == 0:
         raise EmptySlide("heatmap over zero spots")
@@ -582,8 +574,7 @@ def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
         if missing.shape != (n,):
             raise ShapeMismatch("missing flags must match spot count")
 
-    xs = np.array([s.pixel_x for s in spots])
-    ys = np.array([s.pixel_y for s in spots])
+    xs, ys = np.ascontiguousarray(spots.pixel.T)
     if n > 1:
         dmin = min_pixel_spacing(spots) if spacing is None else spacing
         scale = 2.0 * _DISC_TARGET_PX / dmin
@@ -636,8 +627,8 @@ def write_heatmap(ppm_path, spots: Sequence[SpotRecord], values: np.ndarray,
     with _open_write(csv_path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=heatmap_grid\n")
         fh.write("spot_id,array_row,array_col,pixel_x,pixel_y,value\n")
-        for i, s in enumerate(spots):
+        for i, (sid, (r, c), (x, y)) in enumerate(zip(
+                spots.spot_ids, spots.array.tolist(), spots.pixel.tolist())):
             val = "" if missing[i] else fmt_float(values[i])
-            fh.write(f"{s.spot_id},{s.array_row},{s.array_col},"
-                     f"{fmt_float(s.pixel_x)},{fmt_float(s.pixel_y)},{val}\n")
+            fh.write(f"{sid},{r},{c},{fmt_float(x)},{fmt_float(y)},{val}\n")
     return ppm_path, csv_path

@@ -26,7 +26,7 @@ from .core import (
     AllPatchesExcluded,
     MalformedRow,
     ShapeMismatch,
-    SpotRecord,
+    SpotTable,
     ValidationError,
 )
 from . import ingest
@@ -259,7 +259,7 @@ def write_pcc_histogram(path, gene_ids: Sequence[str], pccs: Sequence
 
 
 def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
-                 spots: Sequence[SpotRecord], outdir) -> list[Path]:
+                 spots: SpotTable, outdir) -> list[Path]:
     """Write the histogram of pccs (pred vs truth per gene, None where
     undefined) and truth/prediction heatmaps of the two best and two worst
     genes; masked truth cells are drawn as missing.  Returns the paths.
@@ -268,7 +268,6 @@ def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
     pred = _as_matrix("pred", pred)
     truth = _as_matrix("truth", truth)
     masked = np.asarray(mask, dtype=bool)
-    spots = list(spots)
     if len(spots) != truth.shape[0]:
         raise ShapeMismatch("spots do not match matrix rows")
 

@@ -1,7 +1,9 @@
 """Spot pixel distances, adjacency and spatial autocorrelation.
 
-Adjacency is binary and symmetric, stored as a deduplicated (i, j) edge
-list with i < j.  Three geometries are supported:
+Each function here takes one slide's SpotTable, whose array positions are
+distinct and whose rows are in canonical order; a spot's row in the table
+is its node id.  Adjacency is binary and symmetric, stored as a
+deduplicated (i, j) edge list with i < j.  Three geometries are supported:
 
   hex_array     neighbors at array offsets (0, +-2), (+-1, +-1); the
                 column axis advances in steps of two so interior spots
@@ -37,7 +39,7 @@ from .core import (
     ExpressionMatrix,
     GeneSetMismatch,
     ShapeMismatch,
-    SpotRecord,
+    SpotTable,
     TooFewGenes,
     ValidationError,
 )
@@ -56,7 +58,6 @@ class Adjacency:
     slide_id: str
     n_spots: int
     edges: np.ndarray  # [m, 2] int64, i < j, deduplicated and sorted
-    geometry: str
 
     def __post_init__(self) -> None:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -84,20 +85,17 @@ class Adjacency:
         return lists
 
 
-def pixel_distance_rows(spots: Sequence[SpotRecord]
-                        ) -> Iterator[np.ndarray]:
+def pixel_distance_rows(spots: SpotTable) -> Iterator[np.ndarray]:
     """Yield, for each spot in order, a fresh array of its exact pixel
     distance to every spot (0.0 at its own index)."""
-    xs = np.array([s.pixel_x for s in spots], dtype=np.float64)
-    ys = np.array([s.pixel_y for s in spots], dtype=np.float64)
+    xs, ys = np.ascontiguousarray(spots.pixel.T)
     for x, y in zip(xs, ys):
         yield np.hypot(x - xs, y - ys)
 
 
-def min_pixel_spacing(spots: Sequence[SpotRecord]) -> float:
+def min_pixel_spacing(spots: SpotTable) -> float:
     """Smallest pixel distance between two distinct spots.  Raises when
     two spots share a pixel position to DISTANCE_DECIMALS places."""
-    spots = list(spots)
     if len(spots) < 2:
         raise DegenerateCoordinates(
             f"pixel spacing needs at least 2 spots, got {len(spots)}")
@@ -108,45 +106,40 @@ def min_pixel_spacing(spots: Sequence[SpotRecord]) -> float:
         if row[j] < dmin:
             dmin, pair = float(row[j]), (i, j)
     if np.round(dmin, DISTANCE_DECIMALS) == 0.0:
-        a, b = (spots[k].spot_id for k in pair)
+        a, b = (spots.spot_ids[k] for k in pair)
         raise DegenerateCoordinates(
-            f"{spots[0].slide_id!r}: spots {a!r} and {b!r} share a pixel "
+            f"{spots.slide_id!r}: spots {a!r} and {b!r} share a pixel "
             f"position")
     return dmin
 
 
-def build_adjacency(spots: Sequence[SpotRecord], geometry: str) -> Adjacency:
-    """Connect spots under the named geometry.  Spots must already be in
-    canonical order (their list index is the node id)."""
-    spots = list(spots)
+def build_adjacency(spots: SpotTable, geometry: str) -> Adjacency:
+    """Connect spots under the named geometry; a spot's row in the table
+    is its node id."""
     n = len(spots)
     if n < 2:
         raise DegenerateCoordinates(
             f"adjacency needs at least 2 spots, got {n}")
-    slide_id = spots[0].slide_id
 
     if geometry in ("hex_array", "square_grid"):
         offsets = _HEX_OFFSETS if geometry == "hex_array" else _SQUARE_OFFSETS
-        by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
-        if len(by_pos) != n:
-            raise DegenerateCoordinates(
-                f"{slide_id!r}: duplicate array positions")
+        positions = spots.array.tolist()
+        by_pos = {(r, c): i for i, (r, c) in enumerate(positions)}
         pairs = []
-        for i, s in enumerate(spots):
+        for i, (r, c) in enumerate(positions):
             for dr, dc in offsets:
-                j = by_pos.get((s.array_row + dr, s.array_col + dc))
+                j = by_pos.get((r + dr, c + dc))
                 if j is not None:
                     pairs.append((i, j) if i < j else (j, i))
-        return Adjacency(slide_id, n, pairs, geometry)
+        return Adjacency(spots.slide_id, n, pairs)
 
     if geometry == "auto_radius":
         cutoff = AUTO_RADIUS_FACTOR * min_pixel_spacing(spots)
         later = [np.flatnonzero(row[i + 1:] <= cutoff) + i + 1
                  for i, row in enumerate(pixel_distance_rows(spots))]
         firsts = np.repeat(np.arange(n), [len(js) for js in later])
-        return Adjacency(slide_id, n,
-                         np.column_stack((firsts, np.concatenate(later))),
-                         geometry)
+        return Adjacency(spots.slide_id, n,
+                         np.column_stack((firsts, np.concatenate(later))))
 
     raise ValidationError(f"unknown geometry {geometry!r}")
 

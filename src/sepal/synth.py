@@ -24,7 +24,7 @@ from .core import (
     ExpressionMatrix,
     GEOMETRIES,
     SlideEntry,
-    SpotRecord,
+    SpotTable,
     ValidationError,
 )
 from . import ingest, spatial
@@ -86,22 +86,21 @@ def _split_for(i: int) -> str:
     return ("train", "val")[i] if i < 2 else "test"
 
 
-def _lattice(slide_id: str, cfg: SynthConfig):
-    """Spot records plus their integer (row, col) lattice positions."""
-    spots = []
+def _lattice(slide_id: str, cfg: SynthConfig) -> SpotTable:
+    """The slide's spots on a square lattice, or on a hex lattice whose
+    row r holds array columns r % 2, r % 2 + 2, ..."""
+    rows, k = np.divmod(np.arange(cfg.grid_rows * cfg.grid_cols),
+                        cfg.grid_cols)
     if cfg.geometry == "square_grid":
-        for r in range(cfg.grid_rows):
-            for c in range(cfg.grid_cols):
-                spots.append(SpotRecord(f"spot_r{r}_c{c}", slide_id,
-                                        c * 100.0, r * 100.0, r, c))
+        cols, pixel = k, np.column_stack((k * 100.0, rows * 100.0))
     else:
-        dy = 50.0 * math.sqrt(3.0)
-        for r in range(cfg.grid_rows):
-            for k in range(cfg.grid_cols):
-                c = (r % 2) + 2 * k
-                spots.append(SpotRecord(f"spot_r{r}_c{c}", slide_id,
-                                        c * 50.0, r * dy, r, c))
-    return spots
+        cols = rows % 2 + 2 * k
+        pixel = np.column_stack((cols * 50.0,
+                                 rows * (50.0 * math.sqrt(3.0))))
+    return SpotTable(slide_id,
+                     [f"spot_r{r}_c{c}" for r, c in zip(rows.tolist(),
+                                                        cols.tolist())],
+                     pixel, np.column_stack((rows, cols)))
 
 
 def _neighbor_mean(emb: np.ndarray, adjacency) -> np.ndarray:
@@ -147,8 +146,7 @@ def generate_dataset(cfg: SynthConfig) -> SynthDataset:
         if cfg.n_smooth:
             adjacency = spatial.build_adjacency(spots, cfg.geometry)
             local = _neighbor_mean(emb, adjacency)
-            rr = np.array([s.array_row for s in spots], dtype=float)
-            cc = np.array([s.array_col for s in spots], dtype=float)
+            rr, cc = spots.array.T.astype(float)
             rows_span = max(cfg.grid_rows, 1)
             cols_span = max(2 * cfg.grid_cols, 1) \
                 if cfg.geometry == "hex_array" else max(cfg.grid_cols, 1)
@@ -174,15 +172,12 @@ def generate_dataset(cfg: SynthConfig) -> SynthDataset:
         if cfg.counts:
             counts = np.rint(
                 np.exp2(np.clip(values, 0.0, COUNT_LOG_CAP))) - 1.0
-            expr = ExpressionMatrix(slide_id, gene_ids,
-                                    tuple(s.spot_id for s in spots),
+            expr = ExpressionMatrix(slide_id, gene_ids, spots.spot_ids,
                                     np.maximum(counts, 0.0), "raw_counts")
         else:
-            expr = ExpressionMatrix(slide_id, gene_ids,
-                                    tuple(s.spot_id for s in spots),
+            expr = ExpressionMatrix(slide_id, gene_ids, spots.spot_ids,
                                     values, "log1p")
-        table = EmbeddingTable(slide_id, tuple(s.spot_id for s in spots),
-                               emb)
+        table = EmbeddingTable(slide_id, spots.spot_ids, emb)
         parts[slide_id] = (spots, expr, table)
 
     return SynthDataset(

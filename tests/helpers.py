@@ -2,32 +2,42 @@
 
 import numpy as np
 
-from sepal.core import SpotRecord
+from sepal.core import SpotTable
 from sepal.nn import GraphBatch
 from sepal.spatial import DISTANCE_DECIMALS, Adjacency
 
 
+def spot_table(records, slide="s0"):
+    """A SpotTable from (spot_id, pixel_x, pixel_y, array_row, array_col)
+    tuples, in any order."""
+    ids, xs, ys, rows, cols = zip(*records)
+    return SpotTable(slide, ids, np.column_stack((xs, ys)),
+                     np.column_stack((rows, cols)))
+
+
 def grid_spots(rows, cols, slide="s0", spacing=1.0):
-    return [SpotRecord(f"r{r}c{c}", slide, c * spacing, r * spacing, r, c)
-            for r in range(rows) for c in range(cols)]
+    return spot_table([(f"r{r}c{c}", c * spacing, r * spacing, r, c)
+                       for r in range(rows) for c in range(cols)], slide)
 
 
 def hex_spots(rows, cols_per_row, slide="s0", s=1.0):
     """Staggered lattice: row r holds array columns r%2, r%2+2, ...
     Pixel spacing puts all six lattice neighbors at distance 2s."""
-    spots = []
-    for r in range(rows):
-        for k in range(cols_per_row):
-            c = (r % 2) + 2 * k
-            spots.append(SpotRecord(
-                f"r{r}c{c}", slide, c * s, r * s * np.sqrt(3.0), r, c))
-    return spots
+    return spot_table([(f"r{r}c{c}", c * s, r * s * np.sqrt(3.0), r, c)
+                       for r in range(rows)
+                       for c in range(r % 2, r % 2 + 2 * cols_per_row, 2)],
+                      slide)
+
+
+def index_by_position(spots):
+    """{(array_row, array_col): row} over a SpotTable."""
+    return {(r, c): i for i, (r, c) in enumerate(spots.array.tolist())}
 
 
 def ring_distances(spots, rings):
     """Each spot's ring distances, read off the ring members' pixel
     positions: the one rounded distance every member of a ring shares."""
-    xy = np.array([(s.pixel_x, s.pixel_y) for s in spots], dtype=np.float64)
+    xy = spots.pixel
     out = []
     for i, members in enumerate(rings.ring_members):
         per_ring = []
@@ -53,7 +63,7 @@ def random_adjacency(seed, n_min=2, n_max=30, connected=True):
         if i != j:
             pairs.add((min(i, j), max(i, j)))
     edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return Adjacency("rnd", n, edges, "auto_radius"), rng
+    return Adjacency("rnd", n, edges), rng
 
 
 def bfs_distances(n, edges, source):
@@ -72,6 +82,13 @@ def bfs_distances(n, edges, source):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def node_hops(adjacency, subgraph):
+    """Each node's hop distance from its subgraph's center, nodes[0]."""
+    dist = bfs_distances(adjacency.n_spots, adjacency.edges,
+                         int(subgraph.nodes[0]))
+    return [dist[int(v)] for v in subgraph.nodes]
 
 
 def dense(prop):

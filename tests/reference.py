@@ -34,11 +34,13 @@ own, as ingest did before it parsed a row at a time.
 impute_gene_map fills one gene map one zero cell at a time, and
 denoise_slide runs it gene by gene, as the denoiser did before it took a
 slide's whole block in one pass over its spots.
+canonical_order sorts a list of SpotRecord, one per spot, as every reader
+of a slide's spots did before they became one SpotTable.
 """
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +51,7 @@ from sepal.core import (
     ImputationMask,
     MalformedRow,
     ShapeMismatch,
-    SpotRecord,
+    SpotTable,
     ValidationError,
     WidthMismatch,
 )
@@ -81,9 +83,26 @@ class SpotGraph:
     slide_id: str
     center_spot_id: str
     nodes: np.ndarray
-    hops: np.ndarray
     edges: np.ndarray
     features: np.ndarray
+
+
+@dataclass(frozen=True)
+class SpotRecord:
+    """One measured spot: identity, pixel position, and array position."""
+
+    spot_id: str
+    slide_id: str
+    pixel_x: float
+    pixel_y: float
+    array_row: int
+    array_col: int
+
+
+def canonical_order(spots: Iterable[SpotRecord]) -> list[SpotRecord]:
+    """Sort spots by (array_row, array_col, spot_id), the order used
+    everywhere a slide's spots are enumerated."""
+    return sorted(spots, key=lambda s: (s.array_row, s.array_col, s.spot_id))
 
 
 def khop_subgraph(adjacency, center, hops):
@@ -114,31 +133,28 @@ def khop_subgraph(adjacency, center, hops):
             edges.append((a, b) if a < b else (b, a))
     edges.sort()
     return Subgraph(
-        center=center,
         nodes=np.array(order, dtype=np.int64),
-        hops=np.array([hop_of[g] for g in order], dtype=np.int64),
         edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
     )
 
 
 def assemble_graph(slide_spots, embeddings, subgraph, aggregation):
     d = embeddings.d_emb
-    center = slide_spots[subgraph.center]
+    center = int(subgraph.nodes[0])
+    center_row, center_col = slide_spots.array[center].tolist()
     feats = np.empty((len(subgraph.nodes),
                       d if aggregation == "sum" else 2 * d))
     for k, g in enumerate(subgraph.nodes):
-        s = slide_spots[int(g)]
-        pe = positional_encoding(s.array_row - center.array_row,
-                                 s.array_col - center.array_col, d)
+        row, col = slide_spots.array[int(g)].tolist()
+        pe = positional_encoding(row - center_row, col - center_col, d)
         emb = embeddings.vectors[int(g)]
         feats[k] = emb + pe if aggregation == "sum" else np.concatenate(
             [emb, pe])
     # computed in float64, stored as float32, like the batched assembly
     return SpotGraph(
-        slide_id=center.slide_id,
-        center_spot_id=center.spot_id,
+        slide_id=slide_spots.slide_id,
+        center_spot_id=slide_spots.spot_ids[center],
         nodes=subgraph.nodes,
-        hops=subgraph.hops,
         edges=subgraph.edges,
         features=feats.astype(np.float32),
     )
@@ -518,8 +534,7 @@ def sag_mean_readout(h, score_prop, score_w, ratio, slices):
 
 
 def pixel_distances(spots):
-    xs = np.array([s.pixel_x for s in spots], dtype=np.float64)
-    ys = np.array([s.pixel_y for s in spots], dtype=np.float64)
+    xs, ys = spots.pixel.T
     return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
 
 
@@ -647,15 +662,14 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
                           nothing_to_impute=False)
 
 
-def denoise_slide(matrix: ExpressionMatrix, spots: Sequence[SpotRecord]
+def denoise_slide(matrix: ExpressionMatrix, spots: SpotTable
                   ) -> tuple[ExpressionMatrix, ImputationMask,
                              SlideImputationReport]:
     """Fill every gene map of one slide.  Expects log-space input."""
     if matrix.stage != "log1p":
         raise ValidationError(
             f"denoiser expects log1p input, got stage {matrix.stage!r}")
-    spots = list(spots)
-    if tuple(s.spot_id for s in spots) != matrix.spot_ids:
+    if spots.spot_ids != matrix.spot_ids:
         raise ShapeMismatch(
             f"coordinates not aligned with matrix for {matrix.slide_id!r}")
     rings = build_radial_neighborhoods(spots)

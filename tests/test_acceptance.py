@@ -200,7 +200,7 @@ def test_criterion_02_autocorrelation_oracle():
         worst = max(worst,
                     abs(morans_i(values, adj) - dense_double_sum(values,
                                                                  adj)))
-    pair = Adjacency("pair", 2, np.array([[0, 1]]), "auto_radius")
+    pair = Adjacency("pair", 2, np.array([[0, 1]]))
     anti = morans_i(np.array([1.75, -1.75]), pair)
     const_adj, _ = random_adjacency(99, n_min=6, n_max=6)
     const = morans_i(np.full(6, 2.5), const_adj)
@@ -251,7 +251,7 @@ def test_criterion_04_denoiser_contract():
     zeros = rng.random(vals.shape) < 0.2
     vals[zeros] = 0.0
     mat = ExpressionMatrix("s0", tuple(f"g{j}" for j in range(5)),
-                           tuple(s.spot_id for s in spots), vals, "log1p")
+                           spots.spot_ids, vals, "log1p")
     den, mask, _ = denoise_slide(mat, spots)
     nonzero_kept = np.array_equal(den.values[~zeros], vals[~zeros])
     mask_matches = np.array_equal(mask.values, zeros)
@@ -281,7 +281,7 @@ def test_criterion_04_denoiser_contract():
     b = np.zeros(25)
     b[24] = 7.0
     fix = ExpressionMatrix("s0", ("ga", "gb"),
-                           tuple(s.spot_id for s in spots5),
+                           spots5.spot_ids,
                            np.column_stack([a, b]), "log1p")
     den3, mask3, rep3 = denoise_slide(fix, spots5)
     hand_exact = (np.array_equal(den3.values[:, 0], want_a)
@@ -515,8 +515,7 @@ def test_criterion_09_byte_determinism(tmp_path):
 def test_criterion_10_geometry():
     spots = hex_spots(9, 9)
     adj = build_adjacency(spots, "hex_array")
-    xs = np.array([s.pixel_x for s in spots])
-    ys = np.array([s.pixel_y for s in spots])
+    xs, ys = spots.pixel.T
     center = int(np.argmin((xs - xs.mean()) ** 2 + (ys - ys.mean()) ** 2))
     n1 = khop_subgraph(adj, center, 1).nodes.size
     n2 = khop_subgraph(adj, center, 2).nodes.size
@@ -530,8 +529,9 @@ def test_criterion_10_geometry():
         dist = bfs_distances(radj.n_spots, radj.edges, c)
         want = sorted(i for i, d in enumerate(dist) if 0 <= d <= hops)
         bfs_agrees &= sorted(int(v) for v in sub.nodes) == want
-        bfs_agrees &= all(dist[int(v)] == int(h)
-                          for v, h in zip(sub.nodes, sub.hops))
+        # center first, then hop by hop
+        hops_in_order = [dist[int(v)] for v in sub.nodes]
+        bfs_agrees &= hops_in_order == sorted(hops_in_order)
 
     ok = n1 == 7 and n2 == 19 and bfs_agrees
     verdict(10, "neighborhood geometry", ok,

@@ -9,7 +9,7 @@ import pytest
 
 from sepal import graphs, ingest
 from sepal.cli import STAGE2_DEFAULTS, main
-from sepal.core import ImputationMask
+from sepal.core import ExpressionMatrix, ImputationMask
 from sepal.nn import ModelSpec
 from sepal.train import TrainConfig
 
@@ -427,6 +427,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "synth02" in err
         assert not (out / "eval").exists()
+
+    @pytest.mark.parametrize("command,inputs,names", [
+        ("select", ("denoise",),
+         ("denoise/synth01_denoised.npz", "denoise/synth01_mask.npz")),
+        ("figures", ("select", "eval"),
+         ("select/synth02_selected.npz", "select/synth02_mask.npz",
+          "eval/predictions/synth02_pred.npz")),
+    ])
+    def test_rows_out_of_canonical_order_name_preprocess(
+            self, pipeline, tmp_path, capsys, command, inputs, names):
+        # matrix, mask and predictions agree with each other, in reverse
+        # spot order: only the coordinates can tell
+        out = tmp_path / "reversed"
+        copy_stages(pipeline, out, inputs)
+        for name in names:
+            path, producer = out / name, name.split("/")[0]
+            if name.endswith("_mask.npz"):
+                mask = ingest.read_mask(path, producer)
+                ingest.write_mask(path, ImputationMask(
+                    mask.slide_id, mask.gene_ids, mask.spot_ids[::-1],
+                    mask.values[::-1]))
+            else:
+                m = ingest.read_matrix(path, "denoised", producer)
+                ingest.write_matrix(path, ExpressionMatrix(
+                    m.slide_id, m.gene_ids, m.spot_ids[::-1],
+                    m.values[::-1], m.stage))
+        rc = run(command, "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "canonical spot order" in err and "sepal preprocess" in err
+        assert not (out / command).exists()
 
     def test_select_before_denoise(self, pipeline, tmp_path, capsys):
         rc = run("select", "--manifest", pipeline["manifest"],
@@ -859,9 +891,8 @@ class TestStageWork:
         truth = ingest.read_matrix(out / "select" / f"{sid}_selected.npz",
                                    "denoised", "select")
         mask = ingest.read_mask(out / "select" / f"{sid}_mask.npz", "select")
-        by_id = {s.spot_id: s
-                 for s in ingest.read_coordinates(entry.coords_path)}
-        spots = [by_id[s] for s in truth.spot_ids]
+        spots = ingest.read_coordinates(entry.coords_path).subset(
+            truth.spot_ids)
         rep = metrics.evaluate(pred.values, truth.values, mask.values,
                                truth.gene_ids, truth.spot_ids)
         ref = tmp_path / "ref"

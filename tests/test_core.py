@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
+from helpers import spot_table
 from sepal.core import (
     DatasetManifest,
     DuplicateSpot,
@@ -16,19 +18,18 @@ from sepal.core import (
     NonFiniteValue,
     ShapeMismatch,
     SlideEntry,
-    SpotRecord,
     SpotSetMismatch,
+    SpotTable,
     ValidationError,
     WidthMismatch,
     align_slide,
-    canonical_order,
     validate_dataset,
 )
 
 
-def spot(sid, row, col, slide="s0", px=None, py=None):
-    return SpotRecord(sid, slide, float(col if px is None else px),
-                      float(row if py is None else py), row, col)
+def spot(sid, row, col):
+    """A (spot_id, pixel_x, pixel_y, array_row, array_col) record."""
+    return (sid, float(col), float(row), row, col)
 
 
 def small_matrix(spot_ids, gene_ids, values, stage="log1p", slide="s0"):
@@ -37,17 +38,73 @@ def small_matrix(spot_ids, gene_ids, values, stage="log1p", slide="s0"):
 
 
 class TestCanonicalOrder:
-    def test_sorts_by_row_then_col_then_id(self):
-        spots = [spot("b", 1, 0), spot("a", 0, 1), spot("c", 0, 0),
-                 spot("d", 0, 1)]
-        got = [s.spot_id for s in canonical_order(spots)]
-        assert got == ["c", "a", "d", "b"]
+    def test_sorts_by_row_then_col(self):
+        spots = spot_table([spot("b", 1, 0), spot("a", 0, 1),
+                            spot("c", 0, 0), spot("d", 0, 2)])
+        assert spots.spot_ids == ("c", "a", "d", "b")
+        assert spots.array.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0]]
+        assert spots.pixel.tolist() == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                                        [0.0, 1.0]]
 
     @given(st.permutations(list(range(8))))
     def test_order_independent_of_input_permutation(self, perm):
         base = [spot(f"s{i}", i // 3, i % 3) for i in range(8)]
-        shuffled = [base[i] for i in perm]
-        assert canonical_order(shuffled) == canonical_order(base)
+        a = spot_table([base[i] for i in perm])
+        b = spot_table(base)
+        assert a.spot_ids == b.spot_ids
+        assert a.pixel.tobytes() == b.pixel.tobytes()
+        assert a.array.tobytes() == b.array.tobytes()
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                    min_size=1, max_size=40, unique=True),
+           st.randoms(use_true_random=False))
+    def test_matches_the_sorted_records(self, positions, rnd):
+        # spot ids run against the position order, so a sort on ids alone
+        # gives another order
+        records = [reference.SpotRecord(f"p{len(positions) - k:03d}", "s0",
+                                        0.5 * c, 0.25 * r - 3.0, r, c)
+                   for k, (r, c) in enumerate(sorted(positions))]
+        rnd.shuffle(records)
+        spots = SpotTable("s0", [s.spot_id for s in records],
+                          [(s.pixel_x, s.pixel_y) for s in records],
+                          [(s.array_row, s.array_col) for s in records])
+        want = reference.canonical_order(records)
+        assert spots.spot_ids == tuple(s.spot_id for s in want)
+        assert spots.pixel.tolist() == [[s.pixel_x, s.pixel_y] for s in want]
+        assert spots.array.tolist() == [[s.array_row, s.array_col]
+                                        for s in want]
+        assert spots.pixel.dtype == np.float64
+        assert spots.array.dtype == np.int64
+
+
+class TestSpotTable:
+    def test_duplicate_spot_id(self):
+        with pytest.raises(DuplicateSpot, match="duplicate spot id 'a'"):
+            spot_table([spot("a", 0, 0), spot("b", 0, 1), spot("a", 1, 0)])
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ShapeMismatch):
+            SpotTable("s0", ("a", "b"), np.zeros((2, 2)), np.zeros((3, 2)))
+        with pytest.raises(ShapeMismatch):
+            SpotTable("s0", ("a",), np.zeros((1, 3)), np.zeros((1, 2)))
+
+    def test_arrays_are_readonly(self):
+        spots = spot_table([spot("a", 0, 0), spot("b", 0, 1)])
+        for a in (spots.pixel, spots.array):
+            with pytest.raises(ValueError):
+                a[0, 0] = 5
+
+    def test_subset_is_in_canonical_order(self):
+        spots = spot_table([spot(f"s{i}", i // 3, i % 3) for i in range(9)])
+        sub = spots.subset(["s7", "s0", "s4"])
+        assert sub.spot_ids == ("s0", "s4", "s7")
+        assert sub.array.tolist() == [[0, 0], [1, 1], [2, 1]]
+        assert sub.slide_id == "s0"
+
+    def test_subset_names_the_missing_spot(self):
+        spots = spot_table([spot("a", 0, 0), spot("b", 0, 1)])
+        with pytest.raises(SpotSetMismatch, match="'zz'"):
+            spots.subset(["a", "zz", "yy"])
 
 
 class TestExpressionMatrix:
@@ -103,7 +160,8 @@ class TestExpressionMatrix:
 
 class TestAlignSlide:
     def _pieces(self):
-        spots = [spot("a", 0, 0), spot("b", 0, 1), spot("c", 1, 0)]
+        spots = spot_table([spot("a", 0, 0), spot("b", 0, 1),
+                            spot("c", 1, 0)])
         expr = small_matrix(["c", "a"], ["g1"], [[3.0], [1.0]])
         emb = EmbeddingTable("s0", ("b", "a", "c"),
                              np.array([[2.0], [1.0], [3.0]]))
@@ -112,7 +170,7 @@ class TestAlignSlide:
     def test_subsets_and_reorders_to_canonical(self):
         spots, expr, emb = self._pieces()
         slide = align_slide(spots, expr, emb)
-        assert [s.spot_id for s in slide.spots] == ["a", "c"]
+        assert slide.spots.spot_ids == ("a", "c")
         assert slide.expression.spot_ids == ("a", "c")
         np.testing.assert_array_equal(slide.expression.values, [[1.0], [3.0]])
         assert slide.embeddings.spot_ids == ("a", "c")
@@ -132,11 +190,11 @@ class TestAlignSlide:
             align_slide(spots, expr, emb)
 
     def test_duplicate_array_position(self):
-        spots = [spot("a", 0, 0), spot("b", 0, 0)]
-        expr = small_matrix(["a"], ["g1"], [[1.0]])
-        emb = EmbeddingTable("s0", ("a",), np.array([[1.0]]))
-        with pytest.raises(DuplicateSpot):
-            align_slide(spots, expr, emb)
+        # the coordinates that align_slide takes cannot hold two spots at
+        # one array position: the table refuses them
+        with pytest.raises(DuplicateSpot, match=r"array position \(1, 2\)"):
+            spot_table([spot("a", 1, 2), spot("b", 0, 0),
+                        ("c", 9.0, 9.0, 1, 2)])
 
 
 def manifest_for(slides):
@@ -154,7 +212,7 @@ def entry(sid, split="train"):
 
 class TestValidateDataset:
     def _slide_parts(self, sid, genes=("g1", "g2"), d_emb=3):
-        spots = [spot("a", 0, 0, slide=sid), spot("b", 0, 1, slide=sid)]
+        spots = spot_table([spot("a", 0, 0), spot("b", 0, 1)], sid)
         expr = small_matrix(["a", "b"], genes,
                             np.ones((2, len(genes))), slide=sid)
         emb = EmbeddingTable(sid, ("a", "b"), np.zeros((2, d_emb)))

@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import hex_spots, ring_distances
+from helpers import grid_spots, hex_spots, ring_distances, spot_table
 from sepal import denoise, spatial
 from sepal.core import (
     DegenerateCoordinates,
     ExpressionMatrix,
     ShapeMismatch,
-    SpotRecord,
     ValidationError,
 )
 from sepal.denoise import (
@@ -23,16 +22,11 @@ from sepal.denoise import (
 )
 
 
-def grid_spots(rows, cols, slide="s0"):
-    return [SpotRecord(f"r{r}c{c}", slide, float(c), float(r), r, c)
-            for r in range(rows) for c in range(cols)]
-
-
 def oracle_impute(values, spots, max_rings=MAX_RINGS):
     """Independent reimplementation: explicit sorted-unique-distance scan."""
     values = np.asarray(values, dtype=float)
     n = len(spots)
-    pts = [(s.pixel_x, s.pixel_y) for s in spots]
+    pts = spots.pixel.tolist()
     out = values.copy()
     flags = np.zeros(n, dtype=bool)
     nonzero = [v for v in values if v != 0.0]
@@ -85,10 +79,9 @@ class TestRadialNeighborhoods:
 
     def test_near_ties_merge_after_rounding(self):
         # c and d sit at 2.0 and 2.0000004 from a; both round to 2.0
-        spots = [SpotRecord("a", "s", 0.0, 0.0, 0, 0),
-                 SpotRecord("b", "s", 1.0, 0.0, 0, 1),
-                 SpotRecord("c", "s", 2.0, 0.0, 0, 2),
-                 SpotRecord("d", "s", -2.0000004, 0.0, 0, 3)]
+        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1.0, 0.0, 0, 1),
+                            ("c", 2.0, 0.0, 0, 2),
+                            ("d", -2.0000004, 0.0, 0, 3)], "s")
         rings = build_radial_neighborhoods(spots)
         assert len(rings.ring_members[0]) == 2
         assert list(rings.ring_members[0][1]) == [2, 3]
@@ -98,8 +91,8 @@ class TestRadialNeighborhoods:
             build_radial_neighborhoods(grid_spots(1, 1))
 
     def test_coincident_spots_rejected(self):
-        spots = [SpotRecord("a", "s", 0.0, 0.0, 0, 0),
-                 SpotRecord("b", "s", 1e-8, 0.0, 0, 1)]
+        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1e-8, 0.0, 0, 1)],
+                           "s")
         with pytest.raises(DegenerateCoordinates):
             build_radial_neighborhoods(spots)
 
@@ -123,7 +116,7 @@ def impute_one(values, spots):
     """One gene map through denoise_slide, hence one impute_gene_map call,
     with the per-gene outcome read off the slide's matrix, mask and
     report."""
-    m = ExpressionMatrix("s0", ("g0",), tuple(s.spot_id for s in spots),
+    m = ExpressionMatrix("s0", ("g0",), spots.spot_ids,
                          np.asarray(values, dtype=float)[:, None], "log1p")
     den, mask, rep = denoise_slide(m, spots)
     return SimpleNamespace(values=den.values[:, 0], flags=mask.values[:, 0],
@@ -187,8 +180,8 @@ class TestImputeGeneMap:
     def test_medians_read_original_map_only(self):
         # (0,1) and (0,3) are both zero; (0,1) fills from (0,0) and (0,2),
         # and (0,3) must not see that filled value, only originals
-        spots = [SpotRecord(f"c{c}", "s", float(c), 0.0, 0, c)
-                 for c in range(5)]
+        spots = spot_table([(f"c{c}", float(c), 0.0, 0, c)
+                            for c in range(5)], "s")
         vals = np.array([10.0, 0.0, 2.0, 0.0, 2.0])
         r = impute_one(vals, spots)
         assert r.values[1] == 6.0  # median of [10, 2]
@@ -230,7 +223,10 @@ class TestImputeGeneMap:
         vals = rng.random(12) + 0.1
         vals[[1, 5, 7]] = 0.0
         base = impute_one(vals, spots).values
-        shuffled = [spots[i] for i in perm]
+        # the same spots in another order: a table lists its spots by
+        # array position, so spot perm[k] is placed at row k
+        shuffled = spot_table([(spots.spot_ids[i], *spots.pixel[i], k, 0)
+                               for k, i in enumerate(perm)])
         vals_p = vals[perm]
         got = impute_one(vals_p, shuffled).values
         for k, i in enumerate(perm):
@@ -241,7 +237,7 @@ class TestDenoiseSlide:
     def _matrix(self, vals, spots):
         return ExpressionMatrix("s0", tuple(f"g{j}" for j in
                                             range(vals.shape[1])),
-                                tuple(s.spot_id for s in spots), vals,
+                                spots.spot_ids, vals,
                                 "log1p")
 
     def test_report_counts_and_mask(self):
@@ -264,16 +260,17 @@ class TestDenoiseSlide:
     def test_requires_log_stage(self):
         spots = grid_spots(2, 2)
         m = ExpressionMatrix("s0", ("g0",),
-                             tuple(s.spot_id for s in spots),
+                             spots.spot_ids,
                              np.ones((4, 1)), "raw_counts")
         with pytest.raises(ValidationError):
             denoise_slide(m, spots)
 
     def test_requires_alignment(self):
         spots = grid_spots(2, 2)
-        m = self._matrix(np.ones((4, 1)), spots)
+        m = ExpressionMatrix("s0", ("g0",), spots.spot_ids[::-1],
+                             np.ones((4, 1)), "log1p")
         with pytest.raises(ShapeMismatch):
-            denoise_slide(m, list(reversed(spots)))
+            denoise_slide(m, spots)
 
     def test_pooled_fraction(self):
         spots = grid_spots(2, 2)
@@ -281,7 +278,7 @@ class TestDenoiseSlide:
         b = np.ones((4, 2)); b[1, 0] = 0.0; b[2, 1] = 0.0
         ma = self._matrix(a, spots)
         mb = ExpressionMatrix("s1", ("g0", "g1"),
-                              tuple(s.spot_id for s in spots), b, "log1p")
+                              spots.spot_ids, b, "log1p")
         reports = [denoise_slide(m, spots)[2] for m in (ma, mb)]
         pooled = (sum(r.n_imputed for r in reports)
                   / sum(r.n_cells for r in reports))
@@ -290,8 +287,8 @@ class TestDenoiseSlide:
 
 
 def scattered_spots(points):
-    return [SpotRecord(f"p{k}", "s0", x + nudge, float(y), k, 0)
-            for k, (x, y, nudge) in enumerate(points)]
+    return spot_table([(f"p{k}", x + nudge, float(y), k, 0)
+                       for k, (x, y, nudge) in enumerate(points)])
 
 
 # integer points tie many distances exactly; a 3e-7 nudge makes near ties
@@ -327,7 +324,7 @@ def gene_block(n, shares, seed):
 
 def assert_matches_reference(vals, spots):
     m = ExpressionMatrix("s0", tuple(f"g{j}" for j in range(vals.shape[1])),
-                         tuple(s.spot_id for s in spots), vals, "log1p")
+                         spots.spot_ids, vals, "log1p")
     den, mask, rep = denoise_slide(m, spots)
     want_den, want_mask, want_rep = reference.denoise_slide(m, spots)
     assert den.values.tobytes() == want_den.values.tobytes()

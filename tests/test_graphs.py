@@ -12,16 +12,18 @@ from helpers import (
     dense,
     grid_spots,
     hex_spots,
+    index_by_position,
     local_edges,
+    node_hops,
     packed_edges,
     propagation,
     random_adjacency,
+    spot_table,
 )
 from sepal.core import (
     EmbeddingTable,
     ExpressionMatrix,
     ShapeMismatch,
-    SpotRecord,
     ValidationError,
     WidthNotDivisible,
     align_slide,
@@ -41,10 +43,10 @@ from sepal.spatial import build_adjacency
 
 def make_slide(spots, d_emb=8, seed=0):
     rng = np.random.default_rng(seed)
-    ids = [s.spot_id for s in spots]
-    expr = ExpressionMatrix(spots[0].slide_id, ("g0",), tuple(ids),
+    ids = spots.spot_ids
+    expr = ExpressionMatrix(spots.slide_id, ("g0",), ids,
                             np.ones((len(ids), 1)), "log1p")
-    emb = EmbeddingTable(spots[0].slide_id, tuple(ids),
+    emb = EmbeddingTable(spots.slide_id, ids,
                          rng.normal(size=(len(ids), d_emb)))
     return align_slide(spots, expr, emb)
 
@@ -53,22 +55,20 @@ class TestKhopSubgraph:
     def test_hex_one_hop_is_seven_nodes(self):
         spots = hex_spots(7, 7)
         adj = build_adjacency(spots, "hex_array")
-        by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
-        center = by_pos[(3, 5)]
+        center = index_by_position(spots)[(3, 5)]
         sub = khop_subgraph(adj, center, 1)
         assert len(sub.nodes) == 7
         assert sub.nodes[0] == center
-        assert list(sub.hops) == [0] + [1] * 6
+        assert node_hops(adj, sub) == [0] + [1] * 6
         # the six ring neighbors touch each other: 6 spokes + 6 rim edges
         assert sub.edges.shape[0] == 12
 
     def test_hex_two_hops_is_nineteen_nodes(self):
         spots = hex_spots(9, 9)
         adj = build_adjacency(spots, "hex_array")
-        by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
-        sub = khop_subgraph(adj, by_pos[(4, 8)], 2)
+        sub = khop_subgraph(adj, index_by_position(spots)[(4, 8)], 2)
         assert len(sub.nodes) == 19
-        assert (sub.hops == 2).sum() == 12
+        assert node_hops(adj, sub).count(2) == 12
 
     def test_square_grid_one_hop_edges(self):
         adj = build_adjacency(grid_spots(3, 3), "square_grid")
@@ -81,11 +81,11 @@ class TestKhopSubgraph:
         adj = build_adjacency(grid_spots(3, 3), "square_grid")
         sub = khop_subgraph(adj, 8, 2)
         assert list(sub.nodes) == [8, 5, 7, 2, 4, 6]
-        assert list(sub.hops) == [0, 1, 1, 2, 2, 2]
+        assert node_hops(adj, sub) == [0, 1, 1, 2, 2, 2]
 
     def test_expansion_stops_at_component_boundary(self):
         from sepal.spatial import Adjacency
-        adj = Adjacency("s", 4, np.array([[0, 1], [2, 3]]), "auto_radius")
+        adj = Adjacency("s", 4, np.array([[0, 1], [2, 3]]))
         sub = khop_subgraph(adj, 0, 5)
         assert list(sub.nodes) == [0, 1]
 
@@ -107,8 +107,9 @@ class TestKhopSubgraph:
         dist = bfs_distances(adj.n_spots, adj.edges, center)
         want = {i for i, d in enumerate(dist) if 0 <= d <= hops}
         assert set(int(v) for v in sub.nodes) == want
-        for node, h in zip(sub.nodes, sub.hops):
-            assert dist[int(node)] == h
+        # hop by hop: a node never comes before one nearer the center
+        hops_in_order = [dist[int(v)] for v in sub.nodes]
+        assert hops_in_order == sorted(hops_in_order)
 
     @given(st.integers(0, 10 ** 9))
     def test_induced_edges_complete_and_local(self, seed):
@@ -275,9 +276,9 @@ def scattered_spots(rng, n):
     """n spots at distinct random array positions, listed in canonical
     order, so node i of an n-node adjacency is spot i of the slide."""
     cells = rng.choice(12 * 12, size=n, replace=False)
-    return [SpotRecord(f"p{i:02d}", "rnd", 0.0, 0.0, int(c) // 12 - 6,
-                       int(c) % 12 - 6)
-            for i, c in enumerate(sorted(cells))]
+    return spot_table([(f"p{i:02d}", 0.0, 0.0, int(c) // 12 - 6,
+                        int(c) % 12 - 6)
+                       for i, c in enumerate(sorted(cells))], "rnd")
 
 
 def assert_same_batch(got, want):
@@ -296,8 +297,8 @@ def with_dtype(batch, dtype):
 
 def assert_same_subgraphs(adj, hops):
     for sub in slide_subgraphs(adj, hops):
-        want = reference.khop_subgraph(adj, sub.center, hops)
-        for field in ("nodes", "hops", "edges"):
+        want = reference.khop_subgraph(adj, int(sub.nodes[0]), hops)
+        for field in ("nodes", "edges"):
             assert getattr(sub, field).tobytes() == \
                 getattr(want, field).tobytes(), field
 
@@ -462,14 +463,13 @@ class TestLocalWork:
         spots = hex_spots(9, 9)
         adj = build_adjacency(spots, "hex_array")
         lists = _CountingLists(adj.neighbor_lists())
-        by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
-        center = by_pos[(4, 8)]
+        center = index_by_position(spots)[(4, 8)]
         blind = type("Blind", (), {"n_spots": adj.n_spots,
                                    "edges": _Unscannable()})()
         sub = khop_subgraph(blind, center, hops, lists)
         assert lists.read == {int(v) for v in sub.nodes}
         want = reference.khop_subgraph(adj, center, hops)
-        for field in ("nodes", "hops", "edges"):
+        for field in ("nodes", "edges"):
             assert getattr(sub, field).tobytes() == \
                 getattr(want, field).tobytes()
 
@@ -681,7 +681,8 @@ def masked_lattice_graphs(geometry, rows, cols, hops, seed):
              else grid_spots(rows, cols))
     keep = rng.random(len(spots)) < rng.uniform(0.4, 1.0)
     keep[rng.integers(len(spots))] = True
-    slide = make_slide([s for s, k in zip(spots, keep) if k], 4, seed)
+    slide = make_slide(spots.subset(
+        [s for s, k in zip(spots.spot_ids, keep) if k]), 4, seed)
     return build_spot_graphs(slide, build_adjacency(slide.spots, geometry),
                              hops, "sum")
 

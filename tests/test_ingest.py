@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from helpers import spot_table
 
 from sepal.core import (
     DuplicateSpot,
@@ -17,7 +20,7 @@ from sepal.core import (
     ImputationMask,
     MalformedRow,
     NonFiniteValue,
-    SpotRecord,
+    SpotTable,
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
@@ -45,9 +48,15 @@ from sepal.ingest import (
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
-def spot(sid, row, col, slide="s0"):
-    return SpotRecord(sid, slide, float(col) * 10.0, float(row) * 10.0,
-                      row, col)
+def spot(sid, row, col):
+    return (sid, float(col) * 10.0, float(row) * 10.0, row, col)
+
+
+def write_coords_text(path, rows):
+    """A coordinates TSV of (spot_id, slide_id, pixel_x, pixel_y,
+    array_row, array_col) rows, written as given."""
+    path.write_text("\t".join(ingest.COORD_COLUMNS) + "\n" + "".join(
+        "\t".join(map(str, row)) + "\n" for row in rows))
 
 
 class TestFloatFormat:
@@ -63,12 +72,28 @@ class TestFloatFormat:
 
 class TestCoordinates:
     def test_round_trip(self, tmp_path):
-        spots = [spot("b", 1, 0), spot("a", 0, 0)]
+        spots = spot_table([spot("b", 1, 0), spot("a", 0, 0)])
         p = tmp_path / "s0.coords.tsv"
         write_coordinates(p, spots)
         got = read_coordinates(p)
-        assert [s.spot_id for s in got] == ["a", "b"]
-        assert got[0] == spot("a", 0, 0)
+        assert got.slide_id == "s0"
+        assert got.spot_ids == ("a", "b")
+        assert got.pixel.tolist() == [[0.0, 0.0], [0.0, 10.0]]
+        assert got.array.tolist() == [[0, 0], [1, 0]]
+
+    @given(st.permutations(list(range(12))))
+    def test_row_order_of_the_file_does_not_matter(self, perm):
+        rows = [(f"s{i}", "s0", 0.1 * i, 2.0 - i, i // 4, i % 4 * 2 - 3)
+                for i in range(12)]
+        with tempfile.TemporaryDirectory() as d:
+            write_coords_text(Path(d) / "sorted.tsv", rows)
+            write_coords_text(Path(d) / "shuffled.tsv",
+                              [rows[i] for i in perm])
+            a = read_coordinates(Path(d) / "sorted.tsv")
+            b = read_coordinates(Path(d) / "shuffled.tsv")
+        assert a.spot_ids == b.spot_ids
+        assert a.pixel.tobytes() == b.pixel.tobytes()
+        assert a.array.tobytes() == b.array.tobytes()
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -85,8 +110,19 @@ class TestCoordinates:
 
     def test_duplicate_spot_id(self, tmp_path):
         p = tmp_path / "c.tsv"
-        write_coordinates(p, [spot("a", 0, 0), spot("a", 1, 1)])
-        with pytest.raises(DuplicateSpot):
+        write_coords_text(p, [("a", "s0", 0.0, 0.0, 0, 0),
+                              ("a", "s0", 1.0, 1.0, 1, 1)])
+        with pytest.raises(DuplicateSpot,
+                           match=re.escape(f"{p}: duplicate spot id 'a'")):
+            read_coordinates(p)
+
+    def test_duplicate_array_position(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        write_coords_text(p, [("a", "s0", 0.0, 0.0, 3, 1),
+                              ("b", "s0", 1.0, 1.0, 3, 1)])
+        with pytest.raises(DuplicateSpot,
+                           match=re.escape(f"{p}: two spots at array "
+                                           f"position (3, 1)")):
             read_coordinates(p)
 
     def test_empty_file(self, tmp_path):
@@ -98,7 +134,8 @@ class TestCoordinates:
 
     def test_mixed_slide_ids(self, tmp_path):
         p = tmp_path / "c.tsv"
-        write_coordinates(p, [spot("a", 0, 0, "s0"), spot("b", 1, 0, "s1")])
+        write_coords_text(p, [("a", "s0", 0.0, 0.0, 0, 0),
+                              ("b", "s1", 0.0, 10.0, 1, 0)])
         with pytest.raises(MalformedRow):
             read_coordinates(p)
 
@@ -666,8 +703,8 @@ def _parse_ppm(data: bytes):
 
 class TestHeatmap:
     def _spots(self):
-        return [SpotRecord(f"s{r}{c}", "sl", c * 4.0, r * 4.0, r, c)
-                for r in range(3) for c in range(3)]
+        return spot_table([(f"s{r}{c}", c * 4.0, r * 4.0, r, c)
+                           for r in range(3) for c in range(3)], "sl")
 
     def test_writes_valid_ppm_and_csv(self, tmp_path):
         spots = self._spots()
@@ -711,12 +748,15 @@ class TestHeatmap:
 
     def test_zero_spots_rejected(self, tmp_path):
         with pytest.raises(EmptySlide):
-            write_heatmap(tmp_path / "h.ppm", [], np.zeros(0))
+            write_heatmap(tmp_path / "h.ppm",
+                          SpotTable("sl", (), np.zeros((0, 2)),
+                                    np.zeros((0, 2))), np.zeros(0))
 
 
 class TestLoadDataset:
     def test_slide_id_cross_check(self, tmp_path):
-        write_coordinates(tmp_path / "s0.coords.tsv", [spot("a", 0, 0, "WRONG")])
+        write_coordinates(tmp_path / "s0.coords.tsv",
+                          spot_table([spot("a", 0, 0)], "WRONG"))
         m = ExpressionMatrix("s0", ("g1",), ("a",), [[1.0]], "raw_counts")
         write_expression(tmp_path / "s0.expr.tsv", m)
         write_embeddings(tmp_path / "s0.emb.tsv",

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import hex_spots, ring_distances
+from helpers import hex_spots, ring_distances, spot_table
 from sepal import ingest
-from sepal.core import DegenerateCoordinates, SpotRecord, ValidationError
+from sepal.core import DegenerateCoordinates, ValidationError
 from sepal.denoise import build_radial_neighborhoods
 from sepal.spatial import (
     AUTO_RADIUS_FACTOR,
@@ -33,8 +33,8 @@ point_lists = st.lists(st.tuples(coord, coord), min_size=2, max_size=24)
 
 
 def as_spots(points):
-    return [SpotRecord(f"p{k}", "s", float(x), float(y), k, 0)
-            for k, (x, y) in enumerate(points)]
+    return spot_table([(f"p{k}", float(x), float(y), k, 0)
+                       for k, (x, y) in enumerate(points)], "s")
 
 
 def dense_spacing(spots):
@@ -154,9 +154,8 @@ def test_coincident_spots_raise_one_error_class(points, k):
 
 
 def test_spots_closer_than_the_rounding_are_coincident(tmp_path):
-    spots = [SpotRecord("a", "s", 0.0, 0.0, 0, 0),
-             SpotRecord("b", "s", 1e-8, 0.0, 0, 1),
-             SpotRecord("c", "s", 3.0, 0.0, 0, 2)]
+    spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1e-8, 0.0, 0, 1),
+                        ("c", 3.0, 0.0, 0, 2)], "s")
     with pytest.raises(DegenerateCoordinates, match="'a' and 'b'"):
         min_pixel_spacing(spots)
     with pytest.raises(DegenerateCoordinates):

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import (
+    grid_spots,
+    hex_spots,
+    index_by_position,
+    random_adjacency,
+    spot_table,
+)
 from sepal.core import (
     DegenerateCoordinates,
+    DuplicateSpot,
     EmptyAdjacency,
     ExpressionMatrix,
     ShapeMismatch,
-    SpotRecord,
     TooFewGenes,
     ValidationError,
 )
@@ -20,22 +27,6 @@ from sepal.spatial import (
     morans_i_many,
     select_genes,
 )
-
-
-def grid_spots(rows, cols, slide="s0", spacing=1.0):
-    return [SpotRecord(f"r{r}c{c}", slide, c * spacing, r * spacing, r, c)
-            for r in range(rows) for c in range(cols)]
-
-
-def hex_spots(rows, cols_per_row, slide="s0", s=1.0):
-    """Visium-style lattice: row r holds columns r%2, r%2+2, ..."""
-    spots = []
-    for r in range(rows):
-        for k in range(cols_per_row):
-            c = (r % 2) + 2 * k
-            spots.append(SpotRecord(
-                f"r{r}c{c}", slide, c * s, r * s * np.sqrt(3.0), r, c))
-    return spots
 
 
 def dense_morans_oracle(values, weight):
@@ -59,22 +50,6 @@ def dense_weights(adj):
     return w
 
 
-def random_adjacency(seed, n_min=2, n_max=30):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_min, n_max + 1))
-    pairs = set()
-    # a spanning path keeps every node connected to something
-    for i in range(n - 1):
-        pairs.add((i, i + 1))
-    extra = int(rng.integers(0, max(1, n * 2)))
-    for _ in range(extra):
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            pairs.add((min(i, j), max(i, j)))
-    edges = np.array(sorted(pairs), dtype=np.int64)
-    return Adjacency("rnd", n, edges, "auto_radius"), rng
-
-
 class TestBuildAdjacency:
     def test_square_grid_interior_degree_four(self):
         adj = build_adjacency(grid_spots(3, 3), "square_grid")
@@ -86,7 +61,7 @@ class TestBuildAdjacency:
     def test_hex_interior_degree_six(self):
         spots = hex_spots(5, 5)
         adj = build_adjacency(spots, "hex_array")
-        by_pos = {(s.array_row, s.array_col): i for i, s in enumerate(spots)}
+        by_pos = index_by_position(spots)
         center = by_pos[(2, 4)]
         deg = np.bincount(adj.edges.ravel(), minlength=adj.n_spots)
         assert deg[center] == 6
@@ -97,22 +72,19 @@ class TestBuildAdjacency:
 
     def test_hex_ignores_offset_one_column(self):
         # spots one column apart in the same row are not neighbors
-        spots = [SpotRecord("a", "s0", 0.0, 0.0, 0, 0),
-                 SpotRecord("b", "s0", 1.0, 0.0, 0, 1)]
+        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1.0, 0.0, 0, 1)])
         adj = build_adjacency(spots, "hex_array")
         assert adj.n_edges == 0
 
     def test_auto_radius_cutoff(self):
-        spots = [SpotRecord("a", "s0", 0.0, 0.0, 0, 0),
-                 SpotRecord("b", "s0", 1.0, 0.0, 0, 1),
-                 SpotRecord("c", "s0", 2.3, 0.0, 0, 2)]
+        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1.0, 0.0, 0, 1),
+                            ("c", 2.3, 0.0, 0, 2)])
         adj = build_adjacency(spots, "auto_radius")
         # min distance 1.0; cutoff 1.3 admits b-c (1.3) but not a-c (2.3)
         assert [tuple(e) for e in adj.edges] == [(0, 1), (1, 2)]
 
     def test_auto_radius_rejects_coincident_spots(self):
-        spots = [SpotRecord("a", "s0", 0.0, 0.0, 0, 0),
-                 SpotRecord("b", "s0", 0.0, 0.0, 0, 1)]
+        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 0.0, 0.0, 0, 1)])
         with pytest.raises(DegenerateCoordinates):
             build_adjacency(spots, "auto_radius")
 
@@ -121,10 +93,11 @@ class TestBuildAdjacency:
             build_adjacency(grid_spots(1, 1), "square_grid")
 
     def test_duplicate_array_position_rejected(self):
-        spots = [SpotRecord("a", "s0", 0.0, 0.0, 0, 0),
-                 SpotRecord("b", "s0", 1.0, 0.0, 0, 0)]
-        with pytest.raises(DegenerateCoordinates):
-            build_adjacency(spots, "hex_array")
+        # build_adjacency takes a SpotTable, which cannot hold two spots
+        # at one array position
+        with pytest.raises(DuplicateSpot):
+            build_adjacency(spot_table([("a", 0.0, 0.0, 0, 0),
+                                        ("b", 1.0, 0.0, 0, 0)]), "hex_array")
 
     def test_unknown_geometry(self):
         with pytest.raises(ValidationError):
@@ -139,14 +112,13 @@ class TestBuildAdjacency:
 
 class TestAdjacency:
     def test_duplicate_edges_are_merged(self):
-        adj = Adjacency("s", 3, [[0, 1], [0, 1], [1, 2]], "auto_radius")
+        adj = Adjacency("s", 3, [[0, 1], [0, 1], [1, 2]])
         assert adj.edges.tolist() == [[0, 1], [1, 2]]
         sub = khop_subgraph(adj, 0, 2)
         assert sub.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_unsorted_edges_are_sorted(self):
-        adj = Adjacency("s", 4, [[2, 3], [0, 2], [1, 3], [0, 1]],
-                        "auto_radius")
+        adj = Adjacency("s", 4, [[2, 3], [0, 2], [1, 3], [0, 1]])
         assert adj.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
         assert adj.edges.dtype == np.int64
         assert not adj.edges.flags.writeable
@@ -154,12 +126,12 @@ class TestAdjacency:
 
 class TestMoransI:
     def test_two_node_antisymmetric_is_minus_one_exactly(self):
-        adj = Adjacency("s", 2, np.array([[0, 1]]), "square_grid")
+        adj = Adjacency("s", 2, np.array([[0, 1]]))
         for a in (1.0, 0.3, 7.5e-3, 1e8):
             assert morans_i(np.array([a, -a]), adj) == -1.0
 
     def test_constant_map_is_undefined(self):
-        adj = Adjacency("s", 3, np.array([[0, 1], [1, 2]]), "square_grid")
+        adj = Adjacency("s", 3, np.array([[0, 1], [1, 2]]))
         assert morans_i(np.full(3, 2.5), adj) is None
 
     def test_checkerboard_is_minus_one(self):
@@ -167,7 +139,7 @@ class TestMoransI:
         assert morans_i(np.array([0.0, 1.0, 1.0, 0.0]), adj) == -1.0
 
     def test_no_edges_raises(self):
-        adj = Adjacency("s", 3, np.zeros((0, 2)), "auto_radius")
+        adj = Adjacency("s", 3, np.zeros((0, 2)))
         with pytest.raises(EmptyAdjacency):
             morans_i(np.array([1.0, 2.0, 3.0]), adj)
 
@@ -203,7 +175,7 @@ class TestMoransI:
         assert -1.5 <= rough < -0.5
 
     def test_shape_guard(self):
-        adj = Adjacency("s", 2, np.array([[0, 1]]), "square_grid")
+        adj = Adjacency("s", 2, np.array([[0, 1]]))
         with pytest.raises(ShapeMismatch):
             morans_i_many(np.zeros((3, 1)), adj)
 
@@ -265,6 +237,6 @@ class TestSelectGenes:
 
     def test_spot_count_mismatch(self):
         matrices, adjs = self._fixture()
-        bad = Adjacency("s0", 5, np.array([[0, 1]]), "square_grid")
+        bad = Adjacency("s0", 5, np.array([[0, 1]]))
         with pytest.raises(ShapeMismatch):
             select_genes(matrices, [bad], 1)
