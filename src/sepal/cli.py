@@ -252,7 +252,8 @@ def cmd_denoise(args) -> None:
     for entry in manifest.slides:
         m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.npz",
                                "log1p", "preprocess")
-        d, mask, report = denoise_mod.denoise_slide(m, _spots_for(entry, m))
+        d, mask, report = denoise_mod.denoise_slide(
+            m, _spots_for(entry, m), manifest.geometry)
         denoised.append(d)
         masks.append(mask)
         reports.append(report)
@@ -649,7 +650,7 @@ def cmd_figures(args) -> None:
             raise ValidationError(f"predictions for {sid!r} are not aligned")
         assert_mask_matches(m, mask)
         slides.append((sid, *table, pred.values, m.values, mask.values,
-                       _spots_for(entry, m)))
+                       _spots_for(entry, m), manifest.geometry))
     fig_dir = out / "figures"
     written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv",
                                            gene_ids, pooled)]

@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 STAGES = ("raw_counts", "filtered", "tpm", "log1p", "denoised")
-GEOMETRIES = ("hex_array", "square_grid", "auto_radius")
+# the spot lattices: every neighbourhood comes from array positions
+GEOMETRIES = ("hex_array", "square_grid")
 SPLITS = ("train", "val", "test")
 
 
@@ -393,7 +394,9 @@ class DatasetManifest:
 
     def __post_init__(self) -> None:
         if self.geometry not in GEOMETRIES:
-            raise ValidationError(f"unknown geometry {self.geometry!r}")
+            raise ValidationError(
+                f"unknown geometry {self.geometry!r}; use "
+                f"{' or '.join(GEOMETRIES)}")
         if self.n_genes_select < 1:
             raise ValidationError("n_genes_select must be positive")
         for name in ("eps_total", "eps_wsi"):

@@ -36,8 +36,10 @@ import math
 import os
 import re
 import tomllib
+import warnings
 import zipfile
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -59,13 +61,14 @@ from .core import (
     ValidationError,
     WidthMismatch,
 )
-from .spatial import min_pixel_spacing
 
 FORMAT_VERSION = "1"
 CHECKPOINT_META = "meta"
 
 COORD_COLUMNS = ("spot_id", "slide_id", "pixel_x", "pixel_y",
                  "array_row", "array_col")
+# data lines a value table parses at once
+VALUE_BLOCK_LINES = 1024
 
 
 def fmt_float(x: float) -> str:
@@ -114,10 +117,11 @@ def _open_write(path, binary: bool = False):
         raise
 
 
-def _parse_tsv(path):
+def _parse_tsv(path, split: bool = True):
     """(comments, header, rows) of a TSV file.  rows yields (line_no,
-    fields) one line at a time, so a reader holds one line's strings, not
-    the whole file's; comments fills in as rows are read."""
+    fields) one line at a time, or (line_no, line) with split False, so a
+    reader holds one line's strings, not the whole file's; comments fills
+    in as rows are read."""
     comments: dict[str, str] = {}
 
     def lines():
@@ -133,7 +137,7 @@ def _parse_tsv(path):
                             k, _, v = body.partition("=")
                             comments[k.strip()] = v.strip()
                         continue
-                    yield line_no, line.split("\t")
+                    yield line_no, line
             except UnicodeDecodeError as e:
                 raise MalformedRow(f"{path}: not UTF-8: {e}") from None
 
@@ -141,7 +145,9 @@ def _parse_tsv(path):
     first = next(rows, None)
     if first is None:
         raise MalformedRow(f"{path}: no header row")
-    return comments, first[1], rows
+    if split:
+        rows = ((line_no, line.split("\t")) for line_no, line in rows)
+    return comments, first[1].split("\t"), rows
 
 
 def _path_part(ident: str, what: str, path) -> str:
@@ -224,15 +230,13 @@ def write_coordinates(path, spots: SpotTable) -> None:
                                 fmt_float(y), str(r), str(c))) + "\n")
 
 
-def _read_value_table(path, kind: str):
-    comments, header, rows = _parse_tsv(path)
-    if not header or header[0] != "spot_id":
-        raise MalformedRow(f"{path}: first column must be spot_id")
-    col_ids = header[1:]
-    n_cols = len(col_ids)
-    spot_ids: list[str] = []
-    parsed: list[np.ndarray] = []
-    for line_no, fields in rows:
+def _parse_rows(lines, n_cols: int, path, kind: str) -> np.ndarray:
+    """The [len(lines), n_cols] values of (line_no, line) data lines,
+    checked row by row; the first bad row, and its first bad cell, is the
+    one named."""
+    out = np.empty((len(lines), n_cols))
+    for r, (line_no, line) in enumerate(lines):
+        fields = line.split("\t")
         if len(fields) != n_cols + 1:
             if kind == "embeddings":
                 raise WidthMismatch(
@@ -241,18 +245,62 @@ def _read_value_table(path, kind: str):
             raise MalformedRow(
                 f"{path}:{line_no}: expected {n_cols + 1} columns, "
                 f"got {len(fields)}")
-        spot_ids.append(fields[0])
         try:
-            parsed.append(np.array(list(map(float, fields[1:]))))
-            finite = np.isfinite(parsed[-1]).all()
+            out[r] = list(map(float, fields[1:]))
+            finite = np.isfinite(out[r]).all()
         except ValueError:
             finite = False
         if not finite:
             # the per-cell parse names the row's first bad cell
             for text in fields[1:]:
                 _parse_float(text, path, line_no)
-    values = np.array(parsed, dtype=np.float64).reshape(len(parsed), n_cols)
-    return comments, col_ids, spot_ids, values
+    return out
+
+
+def _parse_block(lines, n_cols: int, path, kind: str) -> np.ndarray:
+    """_parse_rows' values, parsed by one np.loadtxt call when every line
+    has n_cols tabs and every value parses finite; any other block goes
+    through _parse_rows, which raises what a row-by-row read would."""
+    rests = [line.partition("\t")[2] for _, line in lines]
+    if n_cols and all(line.count("\t") == n_cols for _, line in lines):
+        try:
+            with warnings.catch_warnings():
+                # a blank value line is dropped with a warning; the shape
+                # check below sends such a block to the row parser
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(rests, dtype=np.float64, delimiter="\t",
+                                    comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if (values.shape == (len(lines), n_cols)
+                    and np.isfinite(values).all()):
+                return values
+    return _parse_rows(lines, n_cols, path, kind)
+
+
+def _read_value_table(path, kind: str):
+    comments, header, rows = _parse_tsv(path, split=False)
+    if not header or header[0] != "spot_id":
+        raise MalformedRow(f"{path}: first column must be spot_id")
+    col_ids = header[1:]
+    n_cols = len(col_ids)
+    spot_ids: list[str] = []
+    blocks = [np.empty((0, n_cols))]
+    while True:
+        lines: list = []
+        try:
+            lines.extend(islice(rows, VALUE_BLOCK_LINES))
+        except MalformedRow:
+            # a row read before an unreadable line is checked first, as
+            # a row-by-row read would
+            _parse_rows(lines, n_cols, path, kind)
+            raise
+        if not lines:
+            break
+        spot_ids += (line.partition("\t")[0] for _, line in lines)
+        blocks.append(_parse_block(lines, n_cols, path, kind))
+    return comments, col_ids, spot_ids, np.concatenate(blocks)
 
 
 def read_expression(path) -> ExpressionMatrix:
@@ -549,14 +597,14 @@ def color_ramp() -> np.ndarray:
 
 
 def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
-                  missing: np.ndarray | None = None,
-                  spacing: float | None = None) -> tuple[Path, Path]:
+                  spacing: float | None,
+                  missing: np.ndarray | None = None) -> tuple[Path, Path]:
     """Render one gene map as colored discs at the spots' pixel positions.
 
     Writes a binary PPM and a same-named CSV with the plotted values.
     Spots with missing=True are drawn gray and get an empty CSV cell.
-    spacing is min_pixel_spacing(spots), computed here when not given;
-    pass it to draw several maps of one slide with one O(n^2) pass.
+    spacing is the slide's spatial.min_pixel_spacing, which sets the disc
+    size; a single spot has none and takes None.
     Returns (ppm_path, csv_path).
     """
     ppm_path = Path(ppm_path)
@@ -576,15 +624,14 @@ def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
 
     xs, ys = np.ascontiguousarray(spots.pixel.T)
     if n > 1:
-        dmin = min_pixel_spacing(spots) if spacing is None else spacing
-        scale = 2.0 * _DISC_TARGET_PX / dmin
+        scale = 2.0 * _DISC_TARGET_PX / spacing
     else:
         scale = 1.0
     extent = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1.0)
     if extent * scale > _MAX_IMAGE_DIM:
         scale = _MAX_IMAGE_DIM / extent
     if n > 1:
-        radius = max(1, int(round(dmin * scale / 2.0)))
+        radius = max(1, int(round(spacing * scale / 2.0)))
     else:
         radius = _DISC_TARGET_PX
     margin = radius + 2

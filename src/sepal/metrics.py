@@ -259,10 +259,11 @@ def write_pcc_histogram(path, gene_ids: Sequence[str], pccs: Sequence
 
 
 def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
-                 spots: SpotTable, outdir) -> list[Path]:
+                 spots: SpotTable, geometry: str, outdir) -> list[Path]:
     """Write the histogram of pccs (pred vs truth per gene, None where
     undefined) and truth/prediction heatmaps of the two best and two worst
-    genes; masked truth cells are drawn as missing.  Returns the paths.
+    genes; masked truth cells are drawn as missing.  The spots lie on the
+    geometry's lattice.  Returns the paths.
     """
     outdir = Path(outdir)
     pred = _as_matrix("pred", pred)
@@ -276,15 +277,15 @@ def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
     ranked = _ranked_genes(gene_ids, pccs)
     chosen = dict.fromkeys(ranked[:2] + ranked[-2:])
     index = {g: j for j, g in enumerate(gene_ids)}
-    # every heatmap of the slide shares one spacing pass
-    spacing = min_pixel_spacing(spots) if len(spots) > 1 else None
+    # every heatmap of the slide shares one spacing
+    spacing = min_pixel_spacing(spots, geometry) if len(spots) > 1 else None
     for gene in chosen:
         j = index[gene]
         for role, values, missing in (
                 ("truth", truth[:, j], masked[:, j]),
                 ("pred", pred[:, j], None)):
             ppm, csv = ingest.write_heatmap(
-                outdir / f"{gene}_{role}.ppm", spots, values, missing,
-                spacing)
+                outdir / f"{gene}_{role}.ppm", spots, values, spacing,
+                missing)
             written.extend([ppm, csv])
     return written

@@ -1,21 +1,24 @@
-"""Spot pixel distances, adjacency and spatial autocorrelation.
+"""Spot lattices, adjacency and spatial autocorrelation.
 
 Each function here takes one slide's SpotTable, whose array positions are
 distinct and whose rows are in canonical order; a spot's row in the table
-is its node id.  Adjacency is binary and symmetric, stored as a
-deduplicated (i, j) edge list with i < j.  Three geometries are supported:
+is its node id.  Every neighbourhood comes from the array lattice:
+lattice_lookup turns a list of (drow, dcol) offsets into each spot's
+neighbour at each offset through one dense grid index of the array
+positions, so T offsets cost O(n T) and no stage compares every pair of
+spots.  Two geometries are supported:
 
   hex_array     neighbors at array offsets (0, +-2), (+-1, +-1); the
                 column axis advances in steps of two so interior spots
                 have six neighbors
   square_grid   neighbors at offsets (0, +-1), (+-1, 0)
-  auto_radius   neighbors within 1.3 times the minimum pairwise pixel
-                distance
 
-Pixel distances are computed here and nowhere else: pixel_distance_rows
-yields the exact distances from one spot to every spot, one row at a time,
-so memory stays linear in the spot count, and min_pixel_spacing rejects
-spots that share a pixel position (distance 0 at DISTANCE_DECIMALS).
+Adjacency is binary and symmetric, stored as a deduplicated (i, j) edge
+list with i < j.  Pixel positions enter in two places only:
+check_distinct_pixels refuses two spots that share a pixel position to
+DISTANCE_DECIMALS places, by sorting the rounded positions, and
+min_pixel_spacing, the spacing heatmaps draw their discs at, is the
+shortest pixel length over the slide's adjacency edges.
 
 Autocorrelation per gene map x over N spots with weight sum W:
 
@@ -29,7 +32,7 @@ yields None rather than a number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,11 +47,17 @@ from .core import (
     ValidationError,
 )
 
-AUTO_RADIUS_FACTOR = 1.3
 DISTANCE_DECIMALS = 6
+# the grid index holds one cell per array position in the slide's window;
+# a window past this many cells (and 64 per spot) is not a spot lattice
+MAX_GRID_CELLS = 1 << 22
 
-_HEX_OFFSETS = ((0, 2), (1, 1), (1, -1))
-_SQUARE_OFFSETS = ((0, 1), (1, 0))
+# the forward half of each geometry's neighbour offsets: a neighbour at
+# one of them comes later in canonical order
+_NEIGHBOR_OFFSETS = {
+    "hex_array": ((0, 2), (1, -1), (1, 1)),
+    "square_grid": ((0, 1), (1, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,9 @@ class Adjacency:
                 raise ValidationError("edges must satisfy i < j")
             if e.min() < 0 or e.max() >= self.n_spots:
                 raise ValidationError("edge endpoint out of range")
-        e = np.unique(e, axis=0)
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        if len(e) > 1:
+            e = e[np.r_[True, (e[1:] != e[:-1]).any(axis=1)]]
         e.flags.writeable = False
         object.__setattr__(self, "edges", e)
 
@@ -85,32 +96,69 @@ class Adjacency:
         return lists
 
 
-def pixel_distance_rows(spots: SpotTable) -> Iterator[np.ndarray]:
-    """Yield, for each spot in order, a fresh array of its exact pixel
-    distance to every spot (0.0 at its own index)."""
-    xs, ys = np.ascontiguousarray(spots.pixel.T)
-    for x, y in zip(xs, ys):
-        yield np.hypot(x - xs, y - ys)
-
-
-def min_pixel_spacing(spots: SpotTable) -> float:
-    """Smallest pixel distance between two distinct spots.  Raises when
-    two spots share a pixel position to DISTANCE_DECIMALS places."""
-    if len(spots) < 2:
+def lattice_lookup(spots: SpotTable, offsets, centres=None) -> np.ndarray:
+    """[len(centres), T] index of the spot at each centre's array position
+    plus each of the T (drow, dcol) offsets, -1 where no spot sits; the
+    centres are spot indices, every spot by default."""
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
+    n = len(spots)
+    centres = np.arange(n) if centres is None else np.asarray(centres)
+    pad = np.abs(offsets).max(axis=0).tolist() if offsets.size else [0, 0]
+    (r0, c0), (r1, c1) = (spots.array.min(axis=0).tolist(),
+                          spots.array.max(axis=0).tolist())
+    shape = (r1 - r0 + 1 + 2 * pad[0], c1 - c0 + 1 + 2 * pad[1])
+    if shape[0] * shape[1] > max(MAX_GRID_CELLS, 64 * n):
         raise DegenerateCoordinates(
-            f"pixel spacing needs at least 2 spots, got {len(spots)}")
-    dmin, pair = np.inf, None
-    for i, row in enumerate(pixel_distance_rows(spots)):
-        row[i] = np.inf
-        j = int(row.argmin())
-        if row[j] < dmin:
-            dmin, pair = float(row[j]), (i, j)
-    if np.round(dmin, DISTANCE_DECIMALS) == 0.0:
-        a, b = (spots.spot_ids[k] for k in pair)
+            f"{spots.slide_id!r}: array positions span {shape[0]} x "
+            f"{shape[1]} cells, too sparse for a spot lattice")
+    grid = np.full(shape, -1, dtype=np.int64)
+    rows = spots.array[:, 0] - (r0 - pad[0])
+    cols = spots.array[:, 1] - (c0 - pad[1])
+    grid[rows, cols] = np.arange(n)
+    return grid[rows[centres, None] + offsets[:, 0],
+                cols[centres, None] + offsets[:, 1]]
+
+
+def check_distinct_pixels(spots: SpotTable) -> None:
+    """Raise naming two spots whose pixel positions agree to
+    DISTANCE_DECIMALS places."""
+    px = np.round(spots.pixel, DISTANCE_DECIMALS)
+    order = np.lexsort((px[:, 1], px[:, 0]))
+    px = px[order]
+    same = np.flatnonzero((px[1:] == px[:-1]).all(axis=1))
+    if same.size:
+        a, b = (spots.spot_ids[k]
+                for k in sorted(order[same[0]:same[0] + 2].tolist()))
         raise DegenerateCoordinates(
             f"{spots.slide_id!r}: spots {a!r} and {b!r} share a pixel "
             f"position")
-    return dmin
+
+
+def _neighbor_pairs(spots: SpotTable, geometry: str
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) with i < j for every pair of neighbours under geometry."""
+    if geometry not in _NEIGHBOR_OFFSETS:
+        raise ValidationError(f"unknown geometry {geometry!r}")
+    nb = lattice_lookup(spots, _NEIGHBOR_OFFSETS[geometry])
+    i, k = np.nonzero(nb >= 0)
+    return i, nb[i, k]
+
+
+def min_pixel_spacing(spots: SpotTable, geometry: str) -> float:
+    """Shortest pixel length over the slide's adjacency edges, which on a
+    lattice is the distance between nearest spots.  Raises when two spots
+    share a pixel position, or when no two spots are neighbours."""
+    if len(spots) < 2:
+        raise DegenerateCoordinates(
+            f"pixel spacing needs at least 2 spots, got {len(spots)}")
+    check_distinct_pixels(spots)
+    i, j = _neighbor_pairs(spots, geometry)
+    if not i.size:
+        raise EmptyAdjacency(
+            f"{spots.slide_id!r}: no two spots are {geometry} neighbours, "
+            f"so the slide has no spot spacing")
+    d = spots.pixel[i] - spots.pixel[j]
+    return float(np.hypot(d[:, 0], d[:, 1]).min())
 
 
 def build_adjacency(spots: SpotTable, geometry: str) -> Adjacency:
@@ -120,28 +168,8 @@ def build_adjacency(spots: SpotTable, geometry: str) -> Adjacency:
     if n < 2:
         raise DegenerateCoordinates(
             f"adjacency needs at least 2 spots, got {n}")
-
-    if geometry in ("hex_array", "square_grid"):
-        offsets = _HEX_OFFSETS if geometry == "hex_array" else _SQUARE_OFFSETS
-        positions = spots.array.tolist()
-        by_pos = {(r, c): i for i, (r, c) in enumerate(positions)}
-        pairs = []
-        for i, (r, c) in enumerate(positions):
-            for dr, dc in offsets:
-                j = by_pos.get((r + dr, c + dc))
-                if j is not None:
-                    pairs.append((i, j) if i < j else (j, i))
-        return Adjacency(spots.slide_id, n, pairs)
-
-    if geometry == "auto_radius":
-        cutoff = AUTO_RADIUS_FACTOR * min_pixel_spacing(spots)
-        later = [np.flatnonzero(row[i + 1:] <= cutoff) + i + 1
-                 for i, row in enumerate(pixel_distance_rows(spots))]
-        firsts = np.repeat(np.arange(n), [len(js) for js in later])
-        return Adjacency(spots.slide_id, n,
-                         np.column_stack((firsts, np.concatenate(later))))
-
-    raise ValidationError(f"unknown geometry {geometry!r}")
+    return Adjacency(spots.slide_id, n,
+                     np.column_stack(_neighbor_pairs(spots, geometry)))
 
 
 def morans_i(values: np.ndarray, adjacency: Adjacency) -> float | None:

@@ -65,9 +65,6 @@ class SynthConfig:
             raise ValidationError("field_amplitude must be non-negative")
         if self.geometry not in GEOMETRIES:
             raise ValidationError(f"unknown geometry {self.geometry!r}")
-        if self.geometry == "auto_radius":
-            raise ValidationError(
-                "synthetic data uses a lattice geometry, not auto_radius")
         if self.n_select is not None and self.n_select < 1:
             raise ValidationError("n_select must be positive")
 

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite: small lattices and random graphs."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sepal.core import SpotTable
 from sepal.nn import GraphBatch
@@ -29,9 +30,35 @@ def hex_spots(rows, cols_per_row, slide="s0", s=1.0):
                       slide)
 
 
+@st.composite
+def lattices_with_holes(draw, max_side=7):
+    """(spots, geometry): a hex_array or square_grid lattice with exact
+    pixels, as hex_spots and grid_spots place them, less a random set of
+    its spots; at least two spots stay."""
+    geometry = draw(st.sampled_from(("hex_array", "square_grid")))
+    lattice = hex_spots if geometry == "hex_array" else grid_spots
+    full = lattice(draw(st.integers(1, max_side)),
+                   draw(st.integers(2, max_side)))
+    holes = draw(st.sets(st.integers(0, len(full) - 1),
+                         max_size=len(full) - 2))
+    return full.subset([s for k, s in enumerate(full.spot_ids)
+                        if k not in holes]), geometry
+
+
 def index_by_position(spots):
     """{(array_row, array_col): row} over a SpotTable."""
     return {(r, c): i for i, (r, c) in enumerate(spots.array.tolist())}
+
+
+def ring_lists(rings):
+    """A RadialNeighborhood as one tuple of ring member arrays per spot,
+    the form reference.build_radial_neighborhoods returns."""
+    out = []
+    for members, ends in zip(rings.members, rings.ring_ends):
+        bounds = np.unique(np.r_[0, ends])
+        out.append(tuple(members[a:b] for a, b in zip(bounds[:-1],
+                                                      bounds[1:])))
+    return tuple(out)
 
 
 def ring_distances(spots, rings):
@@ -39,7 +66,7 @@ def ring_distances(spots, rings):
     positions: the one rounded distance every member of a ring shares."""
     xy = spots.pixel
     out = []
-    for i, members in enumerate(rings.ring_members):
+    for i, members in enumerate(ring_lists(rings)):
         per_ring = []
         for ring in members:
             d = np.unique(np.round(np.hypot(*(xy[ring] - xy[i]).T),

@@ -26,14 +26,22 @@ allocating_gcn_conv, allocating_graph_conv and
 allocating_sag_mean_readout: every op writes a new output array and the
 tape keeps every value, as the engine did before an op wrote over an
 input that no other op reads and let go of values no backward reads.
-auto_radius_edges, radial_neighborhoods and heatmap_spacing each build
-the dense n x n pixel-distance matrix, as the auto_radius adjacency, the
-denoiser's rings and the heatmap writer did.
+build_radial_neighborhoods groups every spot's neighbours into rings of
+equal pixel distance, rounded to six decimals, read off the dense n x n
+pixel-distance matrix, as the denoiser did before its rings came from
+lattice norms; on a lattice with exact pixels the two agree member for
+member.  heatmap_spacing is the smallest off-diagonal entry of that
+matrix, as the heatmap writer took it before its spacing came from the
+adjacency edges.  lattice_edges finds each spot's neighbours through a
+dict of array positions, as build_adjacency did before one lattice
+lookup served every spot.
 read_value_table parses and checks every cell of a value table on its
 own, as ingest did before it parsed a row at a time.
-impute_gene_map fills one gene map one zero cell at a time, and
-denoise_slide runs it gene by gene, as the denoiser did before it took a
-slide's whole block in one pass over its spots.
+impute_by_spot fills a slide's block one spot at a time, growing each
+spot's rings for the genes still unfilled, as the denoiser did before it
+took the zero cells one ring at a time.  impute_gene_map fills one gene
+map one zero cell at a time, and denoise_slide runs it gene by gene, as
+the denoiser did before it took a slide's whole block at once.
 canonical_order sorts a list of SpotRecord, one per spot, as every reader
 of a slide's spots did before they became one SpotTable.
 """
@@ -55,11 +63,7 @@ from sepal.core import (
     ValidationError,
     WidthMismatch,
 )
-from sepal.denoise import (
-    RadialNeighborhood,
-    SlideImputationReport,
-    build_radial_neighborhoods,
-)
+from sepal.denoise import SlideImputationReport, _column_medians
 from sepal.ingest import _parse_float, _parse_tsv
 from sepal.graphs import Subgraph, positional_encoding
 from sepal import nn
@@ -538,46 +542,41 @@ def pixel_distances(spots):
     return np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
 
 
-def auto_radius_edges(spots, factor=1.3):
-    dist = pixel_distances(spots)
-    np.fill_diagonal(dist, np.inf)
-    dmin = float(dist.min())
-    if dmin <= 0.0:
-        raise DegenerateCoordinates("two spots share a pixel position")
-    ii, jj = np.nonzero(dist <= factor * dmin)
-    pairs = {(int(a), int(b)) for a, b in zip(ii, jj) if a < b}
-    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-
-
-def radial_neighborhoods(spots, max_rings=7, decimals=6):
-    """(ring members, ring distances) per spot."""
-    n = len(spots)
-    if n < 2:
+def build_radial_neighborhoods(spots, max_rings=7, decimals=6):
+    """Per spot, its rings nearest first: a tuple of index arrays, each
+    the spots at one rounded pixel distance, in index order."""
+    if len(spots) < 2:
         raise DegenerateCoordinates("radial rings need at least 2 spots")
-    dist = np.round(pixel_distances(spots), decimals)
-    off_diag = dist + np.diag(np.full(n, np.inf))
-    if (off_diag == 0.0).any():
-        raise DegenerateCoordinates("two spots share a pixel position")
-    members_all, dists_all = [], []
-    for i in range(n):
-        row = off_diag[i]
+    members_all = []
+    for row in np.round(pixel_distances(spots), decimals):
+        # the spot itself is at 0.0 and sorts first; a second 0.0 is a
+        # coincident spot
         order = np.argsort(row, kind="stable")
-        rings, ring_d = [], []
-        current = None
-        for j in order:
-            d = row[j]
-            if not np.isfinite(d):
-                break
-            if current is None or d != current:
-                if len(rings) == max_rings:
-                    break
-                current = float(d)
-                rings.append([])
-                ring_d.append(current)
-            rings[-1].append(int(j))
-        members_all.append(tuple(np.array(r, dtype=np.int64) for r in rings))
-        dists_all.append(tuple(ring_d))
-    return tuple(members_all), tuple(dists_all)
+        if row[order[1]] == 0.0:
+            raise DegenerateCoordinates("two spots share a pixel position")
+        order = order[1:]
+        d = row[order]
+        starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+        bounds = np.append(starts, d.size)[:max_rings + 1]
+        members_all.append(tuple(order[a:b].copy()
+                                 for a, b in zip(bounds[:-1], bounds[1:])))
+    return tuple(members_all)
+
+
+def lattice_edges(spots, geometry):
+    """Every neighbour pair (i, j), i < j, found spot by spot through a
+    dict from array position to spot index."""
+    offsets = {"hex_array": ((0, 2), (1, 1), (1, -1)),
+               "square_grid": ((0, 1), (1, 0))}[geometry]
+    positions = spots.array.tolist()
+    by_pos = {(r, c): i for i, (r, c) in enumerate(positions)}
+    pairs = []
+    for i, (r, c) in enumerate(positions):
+        for dr, dc in offsets:
+            j = by_pos.get((r + dr, c + dc))
+            if j is not None:
+                pairs.append((i, j) if i < j else (j, i))
+    return np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
 
 
 def heatmap_spacing(spots):
@@ -625,17 +624,50 @@ class GeneImputation:
     nothing_to_impute: bool
 
 
-def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
-                    ) -> GeneImputation:
+def impute_by_spot(values: np.ndarray, ring_members
+                   ) -> tuple[np.ndarray, int]:
+    """Fill the zeros of a slide's [n_spots, n_genes] block spot by spot,
+    growing a spot's rings only for its genes still unfilled.  Returns the
+    filled block and the number of cells that took the slide-wide
+    median."""
+    values = np.asarray(values, dtype=np.float64)
+    zero = values == 0.0
+    known = np.where(zero, np.nan, values)
+    has_value = ~zero.all(axis=0)
+    fallback = np.zeros(values.shape[1])
+    fallback[has_value] = _column_medians(known[:, has_value])
+    unfilled = zero & has_value
+    filled = values.copy()
+    n_fallback = 0
+    for i in np.flatnonzero(unfilled.any(axis=1)):
+        todo = np.flatnonzero(unfilled[i])
+        members = ring_members[i]
+        near = known[np.concatenate(members)[:, None], todo]
+        end = 0
+        for ring in members:
+            end += ring.size
+            seen = ~np.isnan(near[:end]).all(axis=0)
+            if seen.any():
+                filled[i, todo[seen]] = _column_medians(near[:end, seen])
+                todo, near = todo[~seen], near[:, ~seen]
+                if not todo.size:
+                    break
+        filled[i, todo] = fallback[todo]
+        n_fallback += todo.size
+    return filled, n_fallback
+
+
+def impute_gene_map(values: np.ndarray, ring_members) -> GeneImputation:
     """Fill the zeros of one gene map from its nonzero neighborhood."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (rings.n_spots,):
+    n = len(ring_members)
+    if values.shape != (n,):
         raise ShapeMismatch(
-            f"gene map has {values.shape}, rings cover {rings.n_spots} spots")
+            f"gene map has {values.shape}, rings cover {n} spots")
     zero_idx = np.nonzero(values == 0.0)[0]
     nonzero = values[values != 0.0]
     out = values.copy()
-    flags = np.zeros(rings.n_spots, dtype=np.bool_)
+    flags = np.zeros(n, dtype=np.bool_)
 
     if nonzero.size == 0:
         return GeneImputation(out, flags, int(zero_idx.size), 0, 0,
@@ -646,7 +678,7 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
     for i in zero_idx:
         collected: list[float] = []
         filled = False
-        for members in rings.ring_members[i]:
+        for members in ring_members[i]:
             ring_vals = values[members]
             collected.extend(ring_vals[ring_vals != 0.0])
             if collected:

@@ -252,13 +252,13 @@ def test_criterion_04_denoiser_contract():
     vals[zeros] = 0.0
     mat = ExpressionMatrix("s0", tuple(f"g{j}" for j in range(5)),
                            spots.spot_ids, vals, "log1p")
-    den, mask, _ = denoise_slide(mat, spots)
+    den, mask, _ = denoise_slide(mat, spots, "square_grid")
     nonzero_kept = np.array_equal(den.values[~zeros], vals[~zeros])
     mask_matches = np.array_equal(mask.values, zeros)
 
     clean = ExpressionMatrix("s0", mat.gene_ids, mat.spot_ids,
                              rng.uniform(0.5, 4.0, size=(36, 5)), "log1p")
-    den2, mask2, _ = denoise_slide(clean, spots)
+    den2, mask2, _ = denoise_slide(clean, spots, "square_grid")
     fixed_point = (np.array_equal(den2.values, clean.values)
                    and int(mask2.values.sum()) == 0)
 
@@ -283,13 +283,14 @@ def test_criterion_04_denoiser_contract():
     fix = ExpressionMatrix("s0", ("ga", "gb"),
                            spots5.spot_ids,
                            np.column_stack([a, b]), "log1p")
-    den3, mask3, rep3 = denoise_slide(fix, spots5)
+    den3, mask3, rep3 = denoise_slide(fix, spots5, "square_grid")
     hand_exact = (np.array_equal(den3.values[:, 0], want_a)
                   and np.array_equal(den3.values[:, 1], np.full(25, 7.0))
                   and int(mask3.values[:, 0].sum()) == 6
                   and int(mask3.values[:, 1].sum()) == 24)
     _, rb_fallback = impute_gene_map(b[:, None],
-                                     build_radial_neighborhoods(spots5))
+                                     build_radial_neighborhoods(
+                                         spots5, "square_grid"))
     fallback_ok = rb_fallback == 12 and rep3.n_fallback == 12
 
     ok = (nonzero_kept and mask_matches and fixed_point and hand_exact

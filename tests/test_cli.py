@@ -238,6 +238,22 @@ class TestExitCodes:
         assert f"error: {manifest}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_auto_radius_manifest_names_the_lattices(self, pipeline,
+                                                     tmp_path, capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = data / "manifest.toml"
+        text = manifest.read_text()
+        manifest.write_text(text.replace('geometry = "square_grid"',
+                                         'geometry = "auto_radius"'))
+        for command in ("preprocess", "denoise", "figures"):
+            assert run(command, "--manifest", str(manifest),
+                       "--out", str(tmp_path / "run")) == 1
+            err = capsys.readouterr().err
+            assert "'auto_radius'" in err
+            assert "hex_array or square_grid" in err
+
     def test_non_utf8_dataset_file(self, pipeline, tmp_path, capsys):
         import shutil
         data = tmp_path / "data"
@@ -898,7 +914,7 @@ class TestStageWork:
         ref = tmp_path / "ref"
         want = metrics.emit_figures(rep.gene_ids, rep.per_gene_pcc,
                                     pred.values, truth.values, mask.values,
-                                    spots, ref / sid)
+                                    spots, manifest.geometry, ref / sid)
         # one test slide: its scores are the pooled scores
         want.append(metrics.write_pcc_histogram(
             ref / "pcc_hist.csv", rep.gene_ids, rep.per_gene_pcc))
@@ -919,13 +935,14 @@ class TestStageWork:
         from sepal import metrics, spatial
         calls = []
 
-        def counting(spots):
-            calls.append(len(spots))
-            return spatial.min_pixel_spacing(spots)
+        real = spatial.min_pixel_spacing
 
-        monkeypatch.setattr(metrics, "min_pixel_spacing", counting,
-                            raising=False)
-        monkeypatch.setattr(ingest, "min_pixel_spacing", counting)
+        def counting(spots, geometry):
+            calls.append(len(spots))
+            return real(spots, geometry)
+
+        monkeypatch.setattr(metrics, "min_pixel_spacing", counting)
+        monkeypatch.setattr(spatial, "min_pixel_spacing", counting)
         out = tmp_path / "r"
         copy_stages(pipeline, out, ("select", "eval"))
         assert run("figures", "--manifest", pipeline["manifest"],

@@ -263,6 +263,17 @@ class TestManifest:
         with pytest.raises(ValidationError):
             manifest_for([entry("s0"), entry("s0", "val")])
 
+    def test_auto_radius_names_the_two_lattices(self):
+        with pytest.raises(ValidationError,
+                           match="'auto_radius'; use hex_array or "
+                                 "square_grid"):
+            DatasetManifest(
+                name="t", geometry="auto_radius", n_genes_select=1,
+                eps_total=1.0, eps_wsi=1.0,
+                count_min_spot=0.0, count_max_spot=1.0,
+                count_min_gene=0.0, count_max_gene=1.0,
+                slides=(entry("s0"),))
+
     def test_rejects_unknown_geometry(self):
         with pytest.raises(ValidationError):
             DatasetManifest(

@@ -6,8 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import grid_spots, hex_spots, ring_distances, spot_table
-from sepal import denoise, spatial
+from helpers import (
+    grid_spots,
+    hex_spots,
+    lattices_with_holes,
+    ring_distances,
+    ring_lists,
+    spot_table,
+)
+from sepal import denoise
 from sepal.core import (
     DegenerateCoordinates,
     ExpressionMatrix,
@@ -60,65 +67,61 @@ def oracle_impute(values, spots, max_rings=MAX_RINGS):
 class TestRadialNeighborhoods:
     def test_corner_of_grid_has_seven_rings(self):
         spots = grid_spots(5, 5)
-        rings = build_radial_neighborhoods(spots)
+        rings = build_radial_neighborhoods(spots, "square_grid")
         d = ring_distances(spots, rings)[0]
         np.testing.assert_allclose(
             d, [1.0, round(np.sqrt(2), 6), 2.0, round(np.sqrt(5), 6),
                 round(np.sqrt(8), 6), 3.0, round(np.sqrt(10), 6)],
             atol=5e-7)
-        assert len(rings.ring_members[0]) == 7
+        assert len(ring_lists(rings)[0]) == 7
         # ring members come in index order
-        assert list(rings.ring_members[0][0]) == [1, 5]
+        assert list(ring_lists(rings)[0][0]) == [1, 5]
 
     def test_center_of_5x5_has_only_five_rings(self):
         spots = grid_spots(5, 5)
-        rings = build_radial_neighborhoods(spots)
+        rings = ring_lists(build_radial_neighborhoods(spots, "square_grid"))
         center = 2 * 5 + 2
-        assert len(rings.ring_members[center]) == 5
-        assert [len(m) for m in rings.ring_members[center]] == [4, 4, 4, 8, 4]
+        assert len(rings[center]) == 5
+        assert [len(m) for m in rings[center]] == [4, 4, 4, 8, 4]
 
-    def test_near_ties_merge_after_rounding(self):
-        # c and d sit at 2.0 and 2.0000004 from a; both round to 2.0
-        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1.0, 0.0, 0, 1),
-                            ("c", 2.0, 0.0, 0, 2),
-                            ("d", -2.0000004, 0.0, 0, 3)], "s")
-        rings = build_radial_neighborhoods(spots)
-        assert len(rings.ring_members[0]) == 2
-        assert list(rings.ring_members[0][1]) == [2, 3]
+    def test_equal_lattice_norms_share_a_ring(self):
+        # (0, 5) and (3, 4) from a have one lattice norm, 25, but their
+        # pixels, nudged as registration leaves them, are 4e-7 apart
+        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 5.0, 0.0, 0, 5),
+                            ("c", 4.0, 3.0000004, 3, 4)], "s")
+        rings = ring_lists(build_radial_neighborhoods(spots, "square_grid"))
+        assert [list(r) for r in rings[0]] == [[1, 2]]
+
+    def test_thin_strip_grows_the_template(self):
+        # one row of a square lattice: the seventh ring sits seven columns
+        # away, past the first template's reach
+        rings = ring_lists(build_radial_neighborhoods(grid_spots(1, 20),
+                                                      "square_grid"))
+        assert [list(r) for r in rings[0]] == [[k] for k in range(1, 8)]
+        assert [len(r) for r in rings[10]] == [2] * 7
 
     def test_single_spot_rejected(self):
         with pytest.raises(DegenerateCoordinates):
-            build_radial_neighborhoods(grid_spots(1, 1))
+            build_radial_neighborhoods(grid_spots(1, 1), "square_grid")
 
     def test_coincident_spots_rejected(self):
         spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1e-8, 0.0, 0, 1)],
                            "s")
         with pytest.raises(DegenerateCoordinates):
-            build_radial_neighborhoods(spots)
+            build_radial_neighborhoods(spots, "square_grid")
 
-    def test_one_distance_pass(self, monkeypatch):
-        # every distance row the build computes, through any helper
-        rows = []
-        real = spatial.pixel_distance_rows
-
-        def counting(spots):
-            for row in real(spots):
-                rows.append(row)
-                yield row
-
-        monkeypatch.setattr(spatial, "pixel_distance_rows", counting)
-        monkeypatch.setattr(denoise, "pixel_distance_rows", counting)
-        build_radial_neighborhoods(grid_spots(4, 5))
-        assert len(rows) == 20
+    def test_unknown_geometry_rejected(self):
+        with pytest.raises(ValidationError, match="auto_radius"):
+            build_radial_neighborhoods(grid_spots(2, 2), "auto_radius")
 
 
-def impute_one(values, spots):
+def impute_one(values, spots, geometry="square_grid"):
     """One gene map through denoise_slide, hence one impute_gene_map call,
     with the per-gene outcome read off the slide's matrix, mask and
     report."""
     m = ExpressionMatrix("s0", ("g0",), spots.spot_ids,
                          np.asarray(values, dtype=float)[:, None], "log1p")
-    den, mask, rep = denoise_slide(m, spots)
+    den, mask, rep = denoise_slide(m, spots, geometry)
     return SimpleNamespace(values=den.values[:, 0], flags=mask.values[:, 0],
                            n_imputed=rep.n_imputed, n_fallback=rep.n_fallback,
                            nothing_to_impute=rep.genes_nothing_to_impute
@@ -216,21 +219,27 @@ class TestImputeGeneMap:
         np.testing.assert_array_equal(got.values, want_vals)
         np.testing.assert_array_equal(got.flags, want_flags)
 
-    @given(st.permutations(list(range(12))))
-    def test_result_independent_of_spot_order(self, perm):
+    @given(st.booleans(), st.booleans())
+    def test_result_independent_of_spot_order(self, flip_rows, flip_cols):
         rng = np.random.default_rng(99)
         spots = grid_spots(3, 4)
         vals = rng.random(12) + 0.1
         vals[[1, 5, 7]] = 0.0
         base = impute_one(vals, spots).values
-        # the same spots in another order: a table lists its spots by
-        # array position, so spot perm[k] is placed at row k
-        shuffled = spot_table([(spots.spot_ids[i], *spots.pixel[i], k, 0)
-                               for k, i in enumerate(perm)])
-        vals_p = vals[perm]
-        got = impute_one(vals_p, shuffled).values
-        for k, i in enumerate(perm):
-            assert got[k] == base[i]
+        # the same slide mirrored: every spot keeps its neighbours, but a
+        # table lists its spots by array position, so they come in
+        # another order
+        r, c = spots.array.T
+        mirrored = spot_table([
+            (sid, *xy, 2 - rr if flip_rows else rr,
+             3 - cc if flip_cols else cc)
+            for sid, xy, rr, cc in zip(spots.spot_ids, spots.pixel, r, c)])
+        index = {sid: k for k, sid in enumerate(mirrored.spot_ids)}
+        order = [index[sid] for sid in spots.spot_ids]
+        vals_m = np.empty(12)
+        vals_m[order] = vals
+        got = impute_one(vals_m, mirrored).values
+        assert got[order].tobytes() == base.tobytes()
 
 
 class TestDenoiseSlide:
@@ -246,7 +255,7 @@ class TestDenoiseSlide:
         vals[4, 0] = 0.0          # one zero, imputable
         vals[:, 2] = 0.0          # all-zero gene
         m = self._matrix(vals, spots)
-        den, mask, rep = denoise_slide(m, spots)
+        den, mask, rep = denoise_slide(m, spots, "square_grid")
         assert den.stage == "denoised"
         assert rep.n_cells == 27
         assert rep.n_zero == 10
@@ -263,14 +272,14 @@ class TestDenoiseSlide:
                              spots.spot_ids,
                              np.ones((4, 1)), "raw_counts")
         with pytest.raises(ValidationError):
-            denoise_slide(m, spots)
+            denoise_slide(m, spots, "square_grid")
 
     def test_requires_alignment(self):
         spots = grid_spots(2, 2)
         m = ExpressionMatrix("s0", ("g0",), spots.spot_ids[::-1],
                              np.ones((4, 1)), "log1p")
         with pytest.raises(ShapeMismatch):
-            denoise_slide(m, spots)
+            denoise_slide(m, spots, "square_grid")
 
     def test_pooled_fraction(self):
         spots = grid_spots(2, 2)
@@ -279,27 +288,22 @@ class TestDenoiseSlide:
         ma = self._matrix(a, spots)
         mb = ExpressionMatrix("s1", ("g0", "g1"),
                               spots.spot_ids, b, "log1p")
-        reports = [denoise_slide(m, spots)[2] for m in (ma, mb)]
+        reports = [denoise_slide(m, spots, "square_grid")[2]
+                   for m in (ma, mb)]
         pooled = (sum(r.n_imputed for r in reports)
                   / sum(r.n_cells for r in reports))
         assert pooled == 3 / 16
         assert [r.slide_id for r in reports] == ["s0", "s1"]
 
 
-def scattered_spots(points):
-    return spot_table([(f"p{k}", x + nudge, float(y), k, 0)
-                       for k, (x, y, nudge) in enumerate(points)])
-
-
-# integer points tie many distances exactly; a 3e-7 nudge makes near ties
-# that merge once distances are rounded
+# lattices with exact pixels, where lattice rings are the pixel rings the
+# reference builds, including ones with holes
 layouts = st.one_of(
-    st.builds(grid_spots, st.integers(2, 8), st.integers(2, 8)),
-    st.builds(hex_spots, st.integers(2, 6), st.integers(1, 5)),
-    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
-                       st.sampled_from([0.0, 3e-7, -3e-7])),
-             min_size=2, max_size=30,
-             unique_by=lambda p: p[:2]).map(scattered_spots),
+    st.builds(lambda r, c: (grid_spots(r, c), "square_grid"),
+              st.integers(2, 8), st.integers(2, 8)),
+    st.builds(lambda r, c: (hex_spots(r, c), "hex_array"),
+              st.integers(2, 6), st.integers(1, 5)),
+    lattices_with_holes(),
 )
 # the share of zeros in a gene map; "single" keeps one nonzero cell, so
 # most of a large slide lies beyond its seven rings
@@ -322,10 +326,10 @@ def gene_block(n, shares, seed):
     return vals
 
 
-def assert_matches_reference(vals, spots):
+def assert_matches_reference(vals, spots, geometry="square_grid"):
     m = ExpressionMatrix("s0", tuple(f"g{j}" for j in range(vals.shape[1])),
                          spots.spot_ids, vals, "log1p")
-    den, mask, rep = denoise_slide(m, spots)
+    den, mask, rep = denoise_slide(m, spots, geometry)
     want_den, want_mask, want_rep = reference.denoise_slide(m, spots)
     assert den.values.tobytes() == want_den.values.tobytes()
     assert mask.values.tobytes() == want_mask.values.tobytes()
@@ -334,13 +338,41 @@ def assert_matches_reference(vals, spots):
 
 
 class TestMatchesPerGeneReference:
-    """The one-pass imputation against the per-gene, per-cell loop it
-    replaced: the same bits, mask and fallback count."""
+    """The ring-by-ring imputation against the per-gene, per-cell loop
+    and the per-spot pass it replaced, both on pixel rings: the same bits,
+    mask and fallback count."""
 
     @given(layouts, st.lists(zero_shares, min_size=1, max_size=6),
            st.integers(0, 2 ** 32 - 1))
-    def test_random_slides(self, spots, shares, seed):
-        assert_matches_reference(gene_block(len(spots), shares, seed), spots)
+    def test_random_slides(self, layout, shares, seed):
+        spots, geometry = layout
+        assert_matches_reference(gene_block(len(spots), shares, seed),
+                                 spots, geometry)
+
+    @given(lattices_with_holes(max_side=9),
+           st.lists(zero_shares, min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_spot_reference(self, layout, shares, seed):
+        spots, geometry = layout
+        vals = gene_block(len(spots), shares, seed)
+        got, n_fallback = impute_gene_map(
+            vals, build_radial_neighborhoods(spots, geometry))
+        want, want_fallback = reference.impute_by_spot(
+            vals, reference.build_radial_neighborhoods(spots))
+        assert got.tobytes() == want.tobytes()
+        assert n_fallback == want_fallback
+
+    def test_blocks_of_cells_cover_a_large_slide(self, monkeypatch):
+        # more zero cells than one pass gathers: the passes split them
+        monkeypatch.setattr(denoise, "IMPUTE_CELLS", 64)
+        spots = hex_spots(12, 10)
+        vals = gene_block(len(spots), [0.1, 0.5, 0.9, "single"], 5)
+        got, n_fallback = impute_gene_map(
+            vals, build_radial_neighborhoods(spots, "hex_array"))
+        want, want_fallback = reference.impute_by_spot(
+            vals, reference.build_radial_neighborhoods(spots))
+        assert got.tobytes() == want.tobytes()
+        assert n_fallback == want_fallback > 0
 
     def test_seven_ring_fallback(self):
         spots = grid_spots(8, 8)
@@ -361,7 +393,7 @@ class TestMatchesPerGeneReference:
         assert assert_matches_reference(vals, spots).n_fallback > 0
 
     def test_block_must_cover_the_rings(self):
-        rings = build_radial_neighborhoods(grid_spots(5, 5))
+        rings = build_radial_neighborhoods(grid_spots(5, 5), "square_grid")
         with pytest.raises(ShapeMismatch):
             impute_gene_map(np.ones(25), rings)
         with pytest.raises(ShapeMismatch):

@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -275,6 +276,35 @@ def _outcome(read, path, kind):
     return comments, col_ids, spot_ids, values.shape, values.tobytes()
 
 
+# cells that float() and np.loadtxt read differently or refuse, one of them
+# in about every tenth cell
+BLOCK_TOKENS = ("1_0", " 2 ", "nan", "-inf", "1e999", "0x1", "\u0661", "",
+                "1,5")
+
+
+@st.composite
+def tables_in_blocks(draw):
+    """(kind, table text) of up to ten rows, with CRLF or LF line ends,
+    comment and blank lines anywhere and now and then a trailing tab."""
+    n_cols = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    lines = ["#stage=denoised",
+             "spot_id\t" + "\t".join(f"e{c}" for c in range(n_cols))]
+    for r in range(draw(st.integers(0, 10))):
+        if rarely():
+            lines.append(draw(st.sampled_from(("#note=mid-file", "#", ""))))
+        cells = [draw(st.sampled_from(BLOCK_TOKENS)) if rarely()
+                 else fmt_float(draw(finite_floats)) for _ in range(n_cols)]
+        lines.append(f"s{r}\t" + "\t".join(cells)
+                     + ("\t" if rarely() else ""))
+    kind = draw(st.sampled_from(("expression", "embeddings")))
+    return kind, newline.join(lines) + newline
+
+
 @pytest.fixture(scope="module")
 def scratch_tsv(tmp_path_factory):
     return tmp_path_factory.mktemp("codec") / "s0.tsv"
@@ -289,6 +319,28 @@ class TestRowCodec:
         scratch_tsv.write_text(text)
         assert (_outcome(ingest._read_value_table, scratch_tsv, kind)
                 == _outcome(reference.read_value_table, scratch_tsv, kind))
+
+    @given(tables_in_blocks())
+    def test_block_parser_matches_row_parser(self, scratch_tsv, table):
+        # blocks of three lines, so most tables span several
+        kind, text = table
+        scratch_tsv.write_bytes(text.encode())
+        with mock.patch.object(ingest, "VALUE_BLOCK_LINES", 3):
+            blocks = _outcome(ingest._read_value_table, scratch_tsv, kind)
+            with mock.patch.object(ingest, "_parse_block",
+                                   ingest._parse_rows):
+                rows = _outcome(ingest._read_value_table, scratch_tsv, kind)
+        assert blocks == rows
+
+    def test_clean_blocks_skip_the_row_parser(self, tmp_path):
+        p = tmp_path / "s0.tsv"
+        p.write_text("spot_id\te0\te1\n"
+                     + "".join(f"s{r}\t{r}.5\t-{r}e-3\n" for r in range(2500)))
+        with mock.patch.object(ingest, "_parse_rows",
+                               side_effect=AssertionError("row parser")):
+            table = read_embeddings(p)
+        assert table.vectors.shape == (2500, 2)
+        assert table.vectors[2499].tolist() == [2499.5, -2.499]
 
     def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
         # float() fails on the second cell; the first is what gets named
@@ -709,7 +761,7 @@ class TestHeatmap:
     def test_writes_valid_ppm_and_csv(self, tmp_path):
         spots = self._spots()
         values = np.arange(9, dtype=float)
-        ppm, csv = write_heatmap(tmp_path / "h.ppm", spots, values)
+        ppm, csv = write_heatmap(tmp_path / "h.ppm", spots, values, 4.0)
         img = _parse_ppm(ppm.read_bytes())
         assert img.ndim == 3
         text = csv.read_text()
@@ -721,7 +773,8 @@ class TestHeatmap:
         values = np.arange(9, dtype=float)
         missing = np.zeros(9, dtype=bool)
         missing[4] = True
-        ppm, csv = write_heatmap(tmp_path / "h.ppm", spots, values, missing)
+        ppm, csv = write_heatmap(tmp_path / "h.ppm", spots, values, 4.0,
+                                 missing)
         img = _parse_ppm(ppm.read_bytes())
         # center spot of the 3x3 block sits at the image center
         h, w, _ = img.shape
@@ -733,7 +786,7 @@ class TestHeatmap:
     def test_extreme_values_hit_ramp_ends(self, tmp_path):
         spots = self._spots()
         values = np.arange(9, dtype=float)
-        ppm, _ = write_heatmap(tmp_path / "h.ppm", spots, values)
+        ppm, _ = write_heatmap(tmp_path / "h.ppm", spots, values, 4.0)
         img = _parse_ppm(ppm.read_bytes())
         flat = img.reshape(-1, 3)
         assert (flat == (68, 1, 84)).all(axis=1).any()      # low end
@@ -742,15 +795,15 @@ class TestHeatmap:
     def test_byte_determinism(self, tmp_path):
         spots = self._spots()
         values = np.linspace(0.0, 1.0, 9)
-        p1, _ = write_heatmap(tmp_path / "a.ppm", spots, values)
-        p2, _ = write_heatmap(tmp_path / "b.ppm", spots, values)
+        p1, _ = write_heatmap(tmp_path / "a.ppm", spots, values, 4.0)
+        p2, _ = write_heatmap(tmp_path / "b.ppm", spots, values, 4.0)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_zero_spots_rejected(self, tmp_path):
         with pytest.raises(EmptySlide):
             write_heatmap(tmp_path / "h.ppm",
                           SpotTable("sl", (), np.zeros((0, 2)),
-                                    np.zeros((0, 2))), np.zeros(0))
+                                    np.zeros((0, 2))), np.zeros(0), None)
 
 
 class TestLoadDataset:

@@ -280,7 +280,7 @@ class TestFigures:
         rep, pred, truth, mask = self._report()
         spots = grid_spots(4, 4)
         files = emit_figures(rep.gene_ids, rep.per_gene_pcc, pred, truth,
-                             mask, spots, tmp_path)
+                             mask, spots, "square_grid", tmp_path)
         names = {f.name for f in files}
         assert "pcc_hist.csv" in names
         ranked = sorted(
@@ -298,8 +298,8 @@ class TestFigures:
         rep, pred, truth, mask = self._report(seed=11)
         spots = grid_spots(4, 4)
         a = emit_figures(rep.gene_ids, rep.per_gene_pcc, pred, truth, mask,
-                         spots, tmp_path / "a")
+                         spots, "square_grid", tmp_path / "a")
         b = emit_figures(rep.gene_ids, rep.per_gene_pcc, pred, truth, mask,
-                         spots, tmp_path / "b")
+                         spots, "square_grid", tmp_path / "b")
         for fa, fb in zip(a, b):
             assert fa.read_bytes() == fb.read_bytes()

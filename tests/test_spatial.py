@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from helpers import (
     grid_spots,
     hex_spots,
     index_by_position,
+    lattices_with_holes,
     random_adjacency,
     spot_table,
 )
@@ -76,17 +78,19 @@ class TestBuildAdjacency:
         adj = build_adjacency(spots, "hex_array")
         assert adj.n_edges == 0
 
-    def test_auto_radius_cutoff(self):
-        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1.0, 0.0, 0, 1),
-                            ("c", 2.3, 0.0, 0, 2)])
-        adj = build_adjacency(spots, "auto_radius")
-        # min distance 1.0; cutoff 1.3 admits b-c (1.3) but not a-c (2.3)
-        assert [tuple(e) for e in adj.edges] == [(0, 1), (1, 2)]
+    @given(lattices_with_holes())
+    def test_edges_match_per_spot_lookup(self, lattice):
+        spots, geometry = lattice
+        want = reference.lattice_edges(spots, geometry)
+        assert build_adjacency(spots, geometry).edges.tobytes() == \
+            want.tobytes()
 
-    def test_auto_radius_rejects_coincident_spots(self):
-        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 0.0, 0.0, 0, 1)])
-        with pytest.raises(DegenerateCoordinates):
-            build_adjacency(spots, "auto_radius")
+    def test_sparse_array_positions_rejected(self):
+        # two spots ten million rows apart: no grid index for that window
+        spots = spot_table([("a", 0.0, 0.0, 0, 0),
+                            ("b", 1.0, 0.0, 10_000_000, 0)])
+        with pytest.raises(DegenerateCoordinates, match="too sparse"):
+            build_adjacency(spots, "square_grid")
 
     def test_single_spot_rejected(self):
         with pytest.raises(DegenerateCoordinates):
@@ -116,6 +120,16 @@ class TestAdjacency:
         assert adj.edges.tolist() == [[0, 1], [1, 2]]
         sub = khop_subgraph(adj, 0, 2)
         assert sub.edges.tolist() == [[0, 1], [1, 2]]
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7)),
+                    max_size=30))
+    def test_dedupe_matches_np_unique(self, pairs):
+        e = np.array([(i, j) for i, j in pairs if i < j],
+                     dtype=np.int64).reshape(-1, 2)
+        adj = Adjacency("s", 8, e)
+        want = np.unique(e, axis=0)
+        assert adj.edges.dtype == want.dtype
+        assert adj.edges.tobytes() == want.tobytes()
 
     def test_unsorted_edges_are_sorted(self):
         adj = Adjacency("s", 4, [[2, 3], [0, 2], [1, 3], [0, 1]])
