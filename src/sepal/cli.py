@@ -34,11 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, ingest, metrics, preprocess, spatial, synth
+from . import __version__, ingest, metrics, nn, preprocess, spatial, synth
 from . import denoise as denoise_mod
 from . import graphs as graphs_mod
 from . import train as train_mod
 from .core import (
+    AGGREGATIONS,
+    OPERATORS,
+    POOLINGS,
     EmptySplit,
     ExpressionMatrix,
     GeneSetMismatch,
@@ -54,9 +57,6 @@ from .core import (
     assert_mask_matches,
     validate_dataset,
 )
-from .graphs import AGGREGATIONS
-from .nn import GraphBatch, ModelSpec, OPERATORS, POOLINGS
-from .train import TrainConfig
 
 PRESETS = {
     "stnet-like": {
@@ -400,8 +400,8 @@ def _gather(manifest, split, read):
         if split == "train":
             raise EmptySplit("no train-split slides in the manifest")
         return None
-    return tuple(GraphBatch.from_graphs(field)
-                 if isinstance(field[0], GraphBatch) else np.vstack(field)
+    return tuple(np.vstack(field) if isinstance(field[0], np.ndarray)
+                 else nn.GraphBatch.from_graphs(field)
                  for field in zip(*parts))
 
 
@@ -499,13 +499,14 @@ def cmd_train(args) -> None:
             f"{stage1_path}: the head takes {width} embedding columns, and "
             f"{aggregation} aggregation needs a multiple of 4; run `sepal "
             f"train` again on embeddings of such a width") from None
-    spec = ModelSpec(
+    spec = nn.ModelSpec(
         in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
         operator=opt("operator"), gnn_widths=tuple(hidden),
         pooling=pooling, post_widths=tuple(post), **sag)
-    cfg = TrainConfig(learning_rate=opt("lr"), batch_size=opt("batch"),
-                      max_epochs=opt("epochs"), patience=opt("patience"),
-                      seed=opt("seed"), max_steps=opt("max_steps"))
+    cfg = train_mod.TrainConfig(
+        learning_rate=opt("lr"), batch_size=opt("batch"),
+        max_epochs=opt("epochs"), patience=opt("patience"),
+        seed=opt("seed"), max_steps=opt("max_steps"))
 
     def read(entry):
         slide = _read_slide(entry, matrices[entry.slide_id])

@@ -23,6 +23,10 @@ STAGES = ("raw_counts", "filtered", "tpm", "log1p", "denoised")
 # the spot lattices: every neighbourhood comes from array positions
 GEOMETRIES = ("hex_array", "square_grid")
 SPLITS = ("train", "val", "test")
+# the graph settings: node features, graph layer and readout
+AGGREGATIONS = ("sum", "concat")
+OPERATORS = ("gcn", "graphconv")
+POOLINGS = ("sag_mean", "global_mean")
 
 
 class PipelineError(Exception):

@@ -18,11 +18,13 @@ the second half.  The two are either summed (width d_emb) or concatenated
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import nn
 from .core import (
+    AGGREGATIONS,
     EmbeddingTable,
     ShapeMismatch,
     Slide,
@@ -30,10 +32,9 @@ from .core import (
     ValidationError,
     WidthNotDivisible,
 )
-from .nn import GraphBatch
-from .spatial import Adjacency
 
-AGGREGATIONS = ("sum", "concat")
+if TYPE_CHECKING:
+    from .spatial import Adjacency
 
 
 @dataclass(frozen=True)
@@ -128,16 +129,22 @@ def _offset_encodings(offsets: np.ndarray, d_emb: int
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Encode each distinct (rel_row, rel_col) row of offsets once: the
     table of encodings and, per input row, its row in that table."""
-    distinct, index = np.unique(offsets, axis=0, return_inverse=True)
+    # the distinct rows in sorted order, as np.unique(axis=0) lists them
+    order = np.lexsort(offsets.T[::-1])
+    ranked = offsets[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty(len(ranked), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
     table = np.array([positional_encoding(int(r), int(c), d_emb)
-                      for r, c in distinct])
-    return table, index.reshape(-1)
+                      for r, c in ranked[first]])
+    return table, index
 
 
 def assemble_graph(slide_spots: SpotTable,
                    embeddings: EmbeddingTable,
                    subgraphs: Sequence[Subgraph],
-                   aggregation: str) -> GraphBatch:
+                   aggregation: str) -> nn.GraphBatch:
     """Attach features to subgraphs of one slide and pack them, in order,
     as one batch: each node's embedding plus the positional encoding of
     its offset from its graph's center, summed or concatenated per the
@@ -165,11 +172,11 @@ def assemble_graph(slide_spots: SpotTable,
     else:
         feats[:, :d] = embeddings.vectors[nodes]
         feats[:, d:] = table[index]
-    return GraphBatch.pack(feats, sizes, [sub.edges for sub in subgraphs])
+    return nn.GraphBatch.pack(feats, sizes, [sub.edges for sub in subgraphs])
 
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,
-                      aggregation: str) -> GraphBatch:
+                      aggregation: str) -> nn.GraphBatch:
     """Every spot's local graph, in canonical spot order, as one batch."""
     if adjacency.n_spots != len(slide.spots):
         raise ShapeMismatch(

@@ -39,6 +39,7 @@ import tomllib
 import warnings
 import zipfile
 from contextlib import contextmanager
+from functools import cache
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -182,24 +183,39 @@ def _parse_float(text: str, path, line_no: int) -> float:
 
 def _parse_int(text: str, path, line_no: int) -> int:
     try:
-        return int(text)
+        v = int(text)
     except ValueError:
         raise MalformedRow(
             f"{path}:{line_no}: {text!r} is not an integer") from None
-
-
-def read_coordinates(path) -> SpotTable:
-    """Read a coordinates TSV into one SpotTable, in canonical order.
-    Every error names path, a duplicate spot id or array position too."""
-    _, header, rows = _parse_tsv(path)
-    if tuple(header) != COORD_COLUMNS:
+    if not -2 ** 63 <= v < 2 ** 63:
         raise MalformedRow(
-            f"{path}: header must be {' '.join(COORD_COLUMNS)}")
-    spot_ids: list[str] = []
-    slide_ids: set[str] = set()
-    pixel: list[float] = []
-    array: list[int] = []
-    for line_no, fields in rows:
+            f"{path}:{line_no}: {text!r} does not fit in 64 bits")
+    return v
+
+
+def _blocks(rows, check_rows):
+    """The (line_no, line) data lines of rows in lists of up to
+    VALUE_BLOCK_LINES.  At a line that cannot be read, check_rows checks
+    the lines read before it first, as a row-by-row read would."""
+    while True:
+        lines: list = []
+        try:
+            lines.extend(islice(rows, VALUE_BLOCK_LINES))
+        except MalformedRow:
+            check_rows(lines)
+            raise
+        if not lines:
+            return
+        yield lines
+
+
+def _parse_coordinate_rows(lines, path):
+    """(spot ids, slide ids, [n, 2] pixel, [n, 2] array) of (line_no,
+    line) data lines, checked row by row; the first bad row, and its first
+    bad cell, is the one named."""
+    spot_ids, slide_ids, pixel, array = [], set(), [], []
+    for line_no, line in lines:
+        fields = line.split("\t")
         if len(fields) != 6:
             raise MalformedRow(
                 f"{path}:{line_no}: expected 6 columns, got {len(fields)}")
@@ -207,15 +223,68 @@ def read_coordinates(path) -> SpotTable:
         slide_ids.add(fields[1])
         pixel += (_parse_float(t, path, line_no) for t in fields[2:4])
         array += (_parse_int(t, path, line_no) for t in fields[4:6])
+    return (spot_ids, slide_ids, np.array(pixel).reshape(-1, 2),
+            np.array(array, dtype=np.int64).reshape(-1, 2))
+
+
+# the value columns of a coordinates line: an int64 parse takes what int()
+# takes in ASCII (sign, digits, blanks) and rejects the rest
+_COORD_DTYPE = np.dtype([("x", np.float64), ("y", np.float64),
+                         ("row", np.int64), ("col", np.int64)])
+
+
+def _parse_coordinate_block(lines, path):
+    """_parse_coordinate_rows' result, the values parsed by one np.loadtxt
+    call when every line has six fields, integer array columns and finite
+    pixels; any other block goes through _parse_coordinate_rows, which
+    raises what a row-by-row read would."""
+    ids = [line.partition("\t") for _, line in lines]
+    slides = [rest.partition("\t") for _, _, rest in ids]
+    try:
+        with warnings.catch_warnings():
+            # a blank value line is dropped with a warning; the shape
+            # check below sends such a block to the row parser
+            warnings.simplefilter("ignore")
+            parsed = np.loadtxt([rest for _, _, rest in slides],
+                                dtype=_COORD_DTYPE, delimiter="\t",
+                                comments=None, ndmin=1)
+    except ValueError:
+        pass
+    else:
+        pixel = np.column_stack((parsed["x"], parsed["y"]))
+        if parsed.shape == (len(lines),) and np.isfinite(pixel).all():
+            return ([spot for spot, _, _ in ids],
+                    {slide for slide, _, _ in slides}, pixel,
+                    np.column_stack((parsed["row"], parsed["col"])))
+    return _parse_coordinate_rows(lines, path)
+
+
+def read_coordinates(path) -> SpotTable:
+    """Read a coordinates TSV into one SpotTable, in canonical order.
+    Every error names path, a duplicate spot id or array position too."""
+    _, header, rows = _parse_tsv(path, split=False)
+    if tuple(header) != COORD_COLUMNS:
+        raise MalformedRow(
+            f"{path}: header must be {' '.join(COORD_COLUMNS)}")
+    spot_ids: list[str] = []
+    slide_ids: set[str] = set()
+    pixel = [np.empty((0, 2))]
+    array = [np.empty((0, 2), dtype=np.int64)]
+    for lines in _blocks(rows,
+                         lambda lines: _parse_coordinate_rows(lines, path)):
+        ids, slides, xy, rc = _parse_coordinate_block(lines, path)
+        spot_ids += ids
+        slide_ids |= slides
+        pixel.append(xy)
+        array.append(rc)
     if not spot_ids:
         raise EmptySlide(f"{path}: no spots")
     if len(slide_ids) > 1:
         raise MalformedRow(
             f"{path}: mixed slide ids {sorted(slide_ids)[:3]}")
     try:
-        return SpotTable(slide_ids.pop(), spot_ids,
-                         np.array(pixel).reshape(-1, 2),
-                         np.array(array, dtype=np.int64).reshape(-1, 2))
+        return SpotTable(slide_ids.pop(), spot_ids, np.concatenate(pixel),
+                         np.concatenate(array))
     except ValidationError as e:
         raise type(e)(f"{path}: {e}") from None
 
@@ -287,17 +356,8 @@ def _read_value_table(path, kind: str):
     n_cols = len(col_ids)
     spot_ids: list[str] = []
     blocks = [np.empty((0, n_cols))]
-    while True:
-        lines: list = []
-        try:
-            lines.extend(islice(rows, VALUE_BLOCK_LINES))
-        except MalformedRow:
-            # a row read before an unreadable line is checked first, as
-            # a row-by-row read would
-            _parse_rows(lines, n_cols, path, kind)
-            raise
-        if not lines:
-            break
+    for lines in _blocks(rows,
+                         lambda lines: _parse_rows(lines, n_cols, path, kind)):
         spot_ids += (line.partition("\t")[0] for _, line in lines)
         blocks.append(_parse_block(lines, n_cols, path, kind))
     return comments, col_ids, spot_ids, np.concatenate(blocks)
@@ -581,18 +641,17 @@ _DISC_TARGET_PX = 6
 _MAX_IMAGE_DIM = 4096
 
 
+@cache
 def color_ramp() -> np.ndarray:
-    """256 x 3 uint8 ramp, linear interpolation between fixed anchors."""
-    out = np.empty((256, 3), dtype=np.uint8)
+    """256 x 3 uint8 ramp, linear interpolation between fixed anchors;
+    built once and read-only."""
+    anchors = np.array(_VIRIDIS_ANCHORS, dtype=np.float64)
     n_seg = len(_VIRIDIS_ANCHORS) - 1
-    for i in range(256):
-        t = i / 255.0 * n_seg
-        k = min(int(t), n_seg - 1)
-        frac = t - k
-        lo = _VIRIDIS_ANCHORS[k]
-        hi = _VIRIDIS_ANCHORS[k + 1]
-        for c in range(3):
-            out[i, c] = int(round(lo[c] + (hi[c] - lo[c]) * frac))
+    t = np.arange(256) / 255.0 * n_seg
+    k = np.minimum(t.astype(np.int64), n_seg - 1)
+    lo, hi = anchors[k], anchors[k + 1]
+    out = np.rint(lo + (hi - lo) * (t - k)[:, None]).astype(np.uint8)
+    out.flags.writeable = False
     return out
 
 
@@ -602,9 +661,11 @@ def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
     """Render one gene map as colored discs at the spots' pixel positions.
 
     Writes a binary PPM and a same-named CSV with the plotted values.
-    Spots with missing=True are drawn gray and get an empty CSV cell.
-    spacing is the slide's spatial.min_pixel_spacing, which sets the disc
-    size; a single spot has none and takes None.
+    Spots with missing=True are drawn gray and get an empty CSV cell; the
+    other values must be finite.  Discs are drawn in spot order, so where
+    two overlap the later spot's color shows.  spacing is the slide's
+    spatial.min_pixel_spacing, which sets the disc size; a single spot
+    has none and takes None.
     Returns (ppm_path, csv_path).
     """
     ppm_path = Path(ppm_path)
@@ -621,6 +682,9 @@ def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
         missing = np.asarray(missing, dtype=np.bool_)
         if missing.shape != (n,):
             raise ShapeMismatch("missing flags must match spot count")
+    present = ~missing
+    if not np.isfinite(values[present]).all():
+        raise NonFiniteValue(f"{ppm_path}: non-finite value to draw")
 
     xs, ys = np.ascontiguousarray(spots.pixel.T)
     if n > 1:
@@ -638,34 +702,29 @@ def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
 
     width = int(math.ceil((xs.max() - xs.min()) * scale)) + 2 * margin + 1
     height = int(math.ceil((ys.max() - ys.min()) * scale)) + 2 * margin + 1
-    img = np.full((height, width, 3), 255, dtype=np.uint8)
 
-    present = ~missing
+    colors = np.empty((n, 3), dtype=np.uint8)
+    colors[missing] = _MISSING_RGB
     if present.any():
-        vmin = float(values[present].min())
-        vmax = float(values[present].max())
-    else:
-        vmin = vmax = 0.0
-    span = vmax - vmin
-    ramp = color_ramp()
+        shown = values[present]
+        vmin, vmax = float(shown.min()), float(shown.max())
+        span = vmax - vmin
+        t = np.full(shown.shape, 0.5) if span == 0.0 else (shown - vmin) / span
+        colors[present] = color_ramp()[
+            np.clip(np.rint(t * 255.0), 0, 255).astype(np.intp)]
 
-    dy = np.arange(-radius, radius + 1)
-    dx = np.arange(-radius, radius + 1)
-    disc = (dy[:, None] ** 2 + dx[None, :] ** 2) <= radius ** 2
-
-    for i in range(n):
-        cx = margin + int(round((xs[i] - xs.min()) * scale))
-        cy = margin + int(round((ys[i] - ys.min()) * scale))
-        if missing[i]:
-            rgb = np.array(_MISSING_RGB, dtype=np.uint8)
-        else:
-            t = 0.5 if span == 0.0 else (values[i] - vmin) / span
-            idx = min(255, max(0, int(round(t * 255.0))))
-            rgb = ramp[idx]
-        y0, y1 = cy - radius, cy + radius + 1
-        x0, x1 = cx - radius, cx + radius + 1
-        tile = img[y0:y1, x0:x1]
-        tile[disc] = rgb
+    # each pixel takes the color of the last spot whose disc covers it
+    dy, dx = np.nonzero(np.add.outer(np.arange(-radius, radius + 1) ** 2,
+                                     np.arange(-radius, radius + 1) ** 2)
+                        <= radius ** 2)
+    cy = margin - radius + np.rint((ys - ys.min()) * scale).astype(np.intp)
+    cx = margin - radius + np.rint((xs - xs.min()) * scale).astype(np.intp)
+    owner = np.full(height * width, -1, dtype=np.intp)
+    np.maximum.at(owner, ((cy[:, None] + dy) * width + cx[:, None] + dx),
+                  np.arange(n)[:, None])
+    img = np.full((height * width, 3), 255, dtype=np.uint8)
+    painted = owner >= 0
+    img[painted] = colors[owner[painted]]
 
     with _open_write(ppm_path, binary=True) as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))

@@ -29,8 +29,7 @@ from .core import (
     SpotTable,
     ValidationError,
 )
-from . import ingest
-from .spatial import min_pixel_spacing
+from . import ingest, spatial
 
 HIST_BIN_WIDTH = 0.05
 
@@ -278,7 +277,8 @@ def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
     chosen = dict.fromkeys(ranked[:2] + ranked[-2:])
     index = {g: j for j, g in enumerate(gene_ids)}
     # every heatmap of the slide shares one spacing
-    spacing = min_pixel_spacing(spots, geometry) if len(spots) > 1 else None
+    spacing = (spatial.min_pixel_spacing(spots, geometry) if len(spots) > 1
+               else None)
     for gene in chosen:
         j = index[gene]
         for role, values, missing in (

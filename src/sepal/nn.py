@@ -73,13 +73,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    OPERATORS,
+    POOLINGS,
     NoRecordedForward,
     ShapeMismatch,
     ValidationError,
 )
-
-OPERATORS = ("gcn", "graphconv")
-POOLINGS = ("sag_mean", "global_mean")
 
 
 class Tensor:
@@ -544,42 +543,41 @@ def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
     return rng.uniform(-lim, lim, size=(n_out, n_in))
 
 
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, keyed by layer path, in init order: a
+    weight is [out, in] and a bias [out]."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    width = spec.in_width
+    for i, w in enumerate(spec.pre_widths):
+        shapes[f"pre.{i}.W"], shapes[f"pre.{i}.b"] = (w, width), (w,)
+        width = w
+    for i, w in enumerate(spec.gnn_widths):
+        if spec.operator == "gcn":
+            shapes[f"gnn.{i}.W"] = (w, width)
+        else:
+            shapes[f"gnn.{i}.W1"] = shapes[f"gnn.{i}.W2"] = (w, width)
+            shapes[f"gnn.{i}.b"] = (w,)
+        width = w
+    if spec.pooling == "sag_mean":
+        shapes["pool.score.W"] = (1, width)
+    for i, w in enumerate(spec.post_widths):
+        shapes[f"post.{i}.W"], shapes[f"post.{i}.b"] = (w, width), (w,)
+        width = w
+    return shapes
+
+
 def init_model_state(spec: ModelSpec, seed: int) -> ModelState:
     """Seeded init: glorot-uniform weights, zero biases, and a zeroed
     final layer so the correction starts exactly at zero."""
     rng = np.random.default_rng(seed)
+    last = (f"post.{len(spec.post_widths) - 1}." if spec.post_widths
+            else f"gnn.{len(spec.gnn_widths) - 1}.")
     params: dict[str, Tensor] = {}
-
-    width = spec.in_width
-    for i, w in enumerate(spec.pre_widths):
-        params[f"pre.{i}.W"] = Tensor(glorot(rng, w, width))
-        params[f"pre.{i}.b"] = Tensor(np.zeros(w))
-        width = w
-    for i, w in enumerate(spec.gnn_widths):
-        if spec.operator == "gcn":
-            params[f"gnn.{i}.W"] = Tensor(glorot(rng, w, width))
-        else:
-            params[f"gnn.{i}.W1"] = Tensor(glorot(rng, w, width))
-            params[f"gnn.{i}.W2"] = Tensor(glorot(rng, w, width))
-            params[f"gnn.{i}.b"] = Tensor(np.zeros(w))
-        width = w
-    if spec.pooling == "sag_mean":
-        params["pool.score.W"] = Tensor(glorot(rng, 1, width))
-    for i, w in enumerate(spec.post_widths):
-        params[f"post.{i}.W"] = Tensor(glorot(rng, w, width))
-        params[f"post.{i}.b"] = Tensor(np.zeros(w))
-        width = w
-
-    if spec.post_widths:
-        last = len(spec.post_widths) - 1
-        params[f"post.{last}.W"].data[:] = 0.0
-        params[f"post.{last}.b"].data[:] = 0.0
-    else:
-        last = len(spec.gnn_widths) - 1
-        for suffix in ("W", "W1", "W2", "b"):
-            key = f"gnn.{last}.{suffix}"
-            if key in params:
-                params[key].data[:] = 0.0
+    for key, shape in param_shapes(spec).items():
+        data = glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        if key.startswith(last):
+            data[:] = 0.0
+        params[key] = Tensor(data)
     return ModelState(spec=spec, params=params, seed=seed)
 
 
@@ -660,7 +658,8 @@ class GraphBatch:
         size] batch rows of those graphs, in batch order."""
         firsts = np.cumsum(self.sizes) - self.sizes
         groups = []
-        for t in np.unique(self.topology).tolist():
+        present = np.bincount(self.topology, minlength=len(self.shapes))
+        for t in np.flatnonzero(present).tolist():
             shape = self.shapes[t]
             rows = firsts[self.topology == t, None] + np.arange(shape.size)
             groups.append((shape, rows))

@@ -19,19 +19,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import nn
 from .core import (
     DivergedLoss,
     EmptySplit,
     ShapeMismatch,
     ValidationError,
 )
-from . import nn
 from .ingest import read_checkpoint, write_checkpoint
-from .nn import GraphBatch, ModelSpec, ModelState, Tensor
+
+if TYPE_CHECKING:
+    from .nn import GraphBatch, ModelSpec, ModelState, Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -230,7 +232,8 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
     delta_hat_* are the stage-1 head outputs for the same spots; the
     optimized loss is mse(correction + delta_hat, target).  Epoch 0 of
     the history records the untouched model, whose correction is exactly
-    zero, so its validation MSE is the stage-1 value.
+    zero, so its validation MSE is the stage-1 value, taken without a
+    forward.
     """
     n = train_graphs.n_graphs
     if n == 0:
@@ -241,6 +244,9 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
             or delta_hat_train.shape[0] != n:
         raise ShapeMismatch("stage 2 train arrays misaligned")
     has_val = val_graphs is not None and val_graphs.n_graphs > 0
+    if has_val and not (np.shape(delta_hat_val) == np.shape(target_val)
+                        and len(delta_hat_val) == val_graphs.n_graphs):
+        raise ShapeMismatch("stage 2 val arrays misaligned")
 
     state = nn.init_model_state(spec, config.seed)
     opt = Adam(list(state.params.values()), config.learning_rate)
@@ -252,7 +258,8 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
 
     history: list[EpochRecord] = []
     t0 = time.monotonic()
-    initial_val = evaluate_val() if has_val else None
+    # the zeroed last layer makes the correction exactly 0
+    initial_val = _val_mse(delta_hat_val, target_val) if has_val else None
     history.append(EpochRecord(0, None, initial_val, time.monotonic() - t0))
     best_val = initial_val
     best_arrays = state.clone_arrays()
@@ -372,12 +379,19 @@ def load_model(path) -> TrainedModel:
             return model
         sag = ({"sag_ratio": float(meta["sag_ratio"])}
                if meta["pooling"] == "sag_mean" else {})
-        spec = ModelSpec(
+        spec = nn.ModelSpec(
             in_width=int(meta["in_width"]), n_genes=len(model.gene_ids),
             operator=meta["operator"], pooling=meta["pooling"], **sag,
             **{key: tuple(arrays[key].tolist()) for key in _WIDTHS})
-        state = nn.init_model_state(spec, int(meta["seed"]))
-        state.load_arrays(arrays)
+        params = {}
+        for key, shape in nn.param_shapes(spec).items():
+            if arrays[key].shape != shape:
+                raise ValidationError(
+                    f"{path}: checkpoint {key!r} has shape "
+                    f"{arrays[key].shape}, not the {shape} of its model; "
+                    f"run `sepal train` again")
+            params[key] = nn.Tensor(np.array(arrays[key], dtype=np.float64))
+        state = nn.ModelState(spec, params, int(meta["seed"]))
         return replace(model, state=state, hops=int(meta["hops"]),
                        aggregation=meta["aggregation"])
     except KeyError as e:

@@ -44,10 +44,20 @@ map one zero cell at a time, and denoise_slide runs it gene by gene, as
 the denoiser did before it took a slide's whole block at once.
 canonical_order sorts a list of SpotRecord, one per spot, as every reader
 of a slide's spots did before they became one SpotTable.
+read_coordinates parses a coordinates table one row at a time, as ingest
+did before it parsed blocks of rows.
+offset_encodings and shape_groups find distinct offsets and shapes with
+np.unique, as graphs and GraphBatch did before they sorted or counted
+them themselves.
+color_ramp interpolates the heatmap ramp entry by entry, and
+write_heatmap stamps one spot's disc at a time, as ingest did before it
+stamped every disc at once.
 """
 
+import math
 from dataclasses import dataclass
 from math import ceil
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -55,6 +65,7 @@ import scipy.sparse as sp
 
 from sepal.core import (
     DegenerateCoordinates,
+    EmptySlide,
     ExpressionMatrix,
     ImputationMask,
     MalformedRow,
@@ -64,7 +75,15 @@ from sepal.core import (
     WidthMismatch,
 )
 from sepal.denoise import SlideImputationReport, _column_medians
-from sepal.ingest import _parse_float, _parse_tsv
+from sepal import ingest
+from sepal.ingest import (
+    COORD_COLUMNS,
+    FORMAT_VERSION,
+    _parse_float,
+    _parse_int,
+    _parse_tsv,
+    fmt_float,
+)
 from sepal.graphs import Subgraph, positional_encoding
 from sepal import nn
 from sepal.nn import (
@@ -734,3 +753,134 @@ def denoise_slide(matrix: ExpressionMatrix, spots: SpotTable
     )
     return denoised, mask, report
 
+
+
+def read_coordinates(path) -> SpotTable:
+    _, header, rows = _parse_tsv(path)
+    if tuple(header) != COORD_COLUMNS:
+        raise MalformedRow(
+            f"{path}: header must be {' '.join(COORD_COLUMNS)}")
+    spot_ids: list[str] = []
+    slide_ids: set[str] = set()
+    pixel: list[float] = []
+    array: list[int] = []
+    for line_no, fields in rows:
+        if len(fields) != 6:
+            raise MalformedRow(
+                f"{path}:{line_no}: expected 6 columns, got {len(fields)}")
+        spot_ids.append(fields[0])
+        slide_ids.add(fields[1])
+        pixel += (_parse_float(t, path, line_no) for t in fields[2:4])
+        array += (_parse_int(t, path, line_no) for t in fields[4:6])
+    if not spot_ids:
+        raise EmptySlide(f"{path}: no spots")
+    if len(slide_ids) > 1:
+        raise MalformedRow(
+            f"{path}: mixed slide ids {sorted(slide_ids)[:3]}")
+    try:
+        return SpotTable(slide_ids.pop(), spot_ids,
+                         np.array(pixel).reshape(-1, 2),
+                         np.array(array, dtype=np.int64).reshape(-1, 2))
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def offset_encodings(offsets, d_emb):
+    distinct, index = np.unique(offsets, axis=0, return_inverse=True)
+    table = np.array([positional_encoding(int(r), int(c), d_emb)
+                      for r, c in distinct])
+    return table, index.reshape(-1)
+
+
+def shape_groups(batch):
+    firsts = np.cumsum(batch.sizes) - batch.sizes
+    groups = []
+    for t in np.unique(batch.topology).tolist():
+        shape = batch.shapes[t]
+        rows = firsts[batch.topology == t, None] + np.arange(shape.size)
+        groups.append((shape, rows))
+    return groups
+
+
+def color_ramp() -> np.ndarray:
+    anchors = ingest._VIRIDIS_ANCHORS
+    out = np.empty((256, 3), dtype=np.uint8)
+    n_seg = len(anchors) - 1
+    for i in range(256):
+        t = i / 255.0 * n_seg
+        k = min(int(t), n_seg - 1)
+        frac = t - k
+        lo = anchors[k]
+        hi = anchors[k + 1]
+        for c in range(3):
+            out[i, c] = int(round(lo[c] + (hi[c] - lo[c]) * frac))
+    return out
+
+
+def write_heatmap(ppm_path, spots, values, spacing, missing=None):
+    ppm_path = Path(ppm_path)
+    csv_path = ppm_path.with_suffix(".csv")
+    n = len(spots)
+    values = np.asarray(values, dtype=np.float64)
+    if missing is None:
+        missing = np.zeros(n, dtype=np.bool_)
+    else:
+        missing = np.asarray(missing, dtype=np.bool_)
+
+    xs, ys = np.ascontiguousarray(spots.pixel.T)
+    if n > 1:
+        scale = 2.0 * ingest._DISC_TARGET_PX / spacing
+    else:
+        scale = 1.0
+    extent = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1.0)
+    if extent * scale > ingest._MAX_IMAGE_DIM:
+        scale = ingest._MAX_IMAGE_DIM / extent
+    if n > 1:
+        radius = max(1, int(round(spacing * scale / 2.0)))
+    else:
+        radius = ingest._DISC_TARGET_PX
+    margin = radius + 2
+
+    width = int(math.ceil((xs.max() - xs.min()) * scale)) + 2 * margin + 1
+    height = int(math.ceil((ys.max() - ys.min()) * scale)) + 2 * margin + 1
+    img = np.full((height, width, 3), 255, dtype=np.uint8)
+
+    present = ~missing
+    if present.any():
+        vmin = float(values[present].min())
+        vmax = float(values[present].max())
+    else:
+        vmin = vmax = 0.0
+    span = vmax - vmin
+    ramp = color_ramp()
+
+    dy = np.arange(-radius, radius + 1)
+    dx = np.arange(-radius, radius + 1)
+    disc = (dy[:, None] ** 2 + dx[None, :] ** 2) <= radius ** 2
+
+    for i in range(n):
+        cx = margin + int(round((xs[i] - xs.min()) * scale))
+        cy = margin + int(round((ys[i] - ys.min()) * scale))
+        if missing[i]:
+            rgb = np.array(ingest._MISSING_RGB, dtype=np.uint8)
+        else:
+            t = 0.5 if span == 0.0 else (values[i] - vmin) / span
+            idx = min(255, max(0, int(round(t * 255.0))))
+            rgb = ramp[idx]
+        y0, y1 = cy - radius, cy + radius + 1
+        x0, x1 = cx - radius, cx + radius + 1
+        tile = img[y0:y1, x0:x1]
+        tile[disc] = rgb
+
+    with open(ppm_path, "wb") as fh:
+        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(img.tobytes())
+
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"#format_version={FORMAT_VERSION}\n#kind=heatmap_grid\n")
+        fh.write("spot_id,array_row,array_col,pixel_x,pixel_y,value\n")
+        for i, (sid, (r, c), (x, y)) in enumerate(zip(
+                spots.spot_ids, spots.array.tolist(), spots.pixel.tolist())):
+            val = "" if missing[i] else fmt_float(values[i])
+            fh.write(f"{sid},{r},{c},{fmt_float(x)},{fmt_float(y)},{val}\n")
+    return ppm_path, csv_path

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -932,7 +933,7 @@ class TestStageWork:
 
     def test_figures_computes_spot_spacing_once_per_slide(
             self, pipeline, tmp_path, monkeypatch):
-        from sepal import metrics, spatial
+        from sepal import spatial
         calls = []
 
         real = spatial.min_pixel_spacing
@@ -941,7 +942,6 @@ class TestStageWork:
             calls.append(len(spots))
             return real(spots, geometry)
 
-        monkeypatch.setattr(metrics, "min_pixel_spacing", counting)
         monkeypatch.setattr(spatial, "min_pixel_spacing", counting)
         out = tmp_path / "r"
         copy_stages(pipeline, out, ("select", "eval"))
@@ -980,36 +980,114 @@ for argv in (["synth", "--out", data, "--rows", "6", "--cols", "6",
 """
 
 
+# which src/sepal/*.py files run in one process: a module's code is
+# compiled from source (compile) or read from bytecode, and then run (exec)
+_RUNS_PROBE = """
+import json, os, sys
+
+package = os.path.join(sys.argv[1], "sepal")
+ran = set()
+
+
+def record(event, args):
+    if event == "exec":
+        path = getattr(args[0], "co_filename", "")
+    elif event == "compile":
+        path = args[1]
+    else:
+        return
+    if isinstance(path, str) and os.path.dirname(path) == package:
+        ran.add(os.path.basename(path)[:-3].replace("__init__", "sepal"))
+
+
+sys.addaudithook(record)
+if sys.argv[2:]:
+    from sepal.cli import main
+    assert main(sys.argv[2:]) == 0, sys.argv
+else:
+    import sepal.cli
+print(json.dumps({"ran": sorted(ran), "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 class TestStartup:
     """No command loads scipy: each starts at numpy's cost, the graph
-    network included."""
-
-    def _python(self, *argv):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc
+    network included.  Each command runs only the library modules it
+    uses; the others are registered lazily and never run."""
 
     def test_cli_import_loads_no_scipy(self):
-        proc = self._python(
+        proc = _python(
             "-c", "import sys, sepal.cli; "
                   "print(sorted(m for m in sys.modules "
                   "if m.partition('.')[0] == 'scipy'))")
         assert proc.stdout.strip() == "[]"
 
     def test_no_command_loads_scipy(self, tmp_path):
-        proc = self._python("-c", _COMMANDS_PROBE, str(tmp_path / "data"),
-                            str(tmp_path / "run"))
+        proc = _python("-c", _COMMANDS_PROBE, str(tmp_path / "data"),
+                       str(tmp_path / "run"))
         lines = [line for line in proc.stderr.splitlines()
                  if line.startswith("probe: ")]
         # the last two are stage-2 training and the eval of its model
         assert lines == [f"probe: {c} False False" for c in (
             "synth", "preprocess", "denoise", "select", "build-graphs",
             "train", "eval", "figures", "train", "eval")]
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """The modules each command runs, each in a process of its own."""
+        root = tmp_path_factory.mktemp("startup")
+        data, out = str(root / "data"), str(root / "run")
+        base = ["--manifest", data + "/manifest.toml", "--out", out]
+        commands = {
+            "import": [],
+            "synth": ["synth", "--out", data, "--rows", "6", "--cols", "6",
+                      "--d-emb", "4", "--genes", "6", "--smooth", "3"],
+            "preprocess": ["preprocess", *base],
+            "denoise": ["denoise", *base],
+            "select": ["select", *base, "--n-genes", "3"],
+            "build-graphs": ["build-graphs", *base],
+            "train 1": ["train", *base, "--stage", "1"],
+            "eval 1": ["eval", *base],
+            "figures": ["figures", *base],
+            "train 2": ["train", *base, "--stage", "2", "--epochs", "1",
+                        "--hidden", "4"],
+            "eval 2": ["eval", *base],
+        }
+        out = {}
+        for label, argv in commands.items():
+            proc = _python("-c", _RUNS_PROBE, str(SRC), *argv)
+            # the probe's line comes after the command's own output
+            out[label] = json.loads(proc.stdout.splitlines()[-1])
+        return out
+
+    def test_cli_import_runs_four_modules(self, runs):
+        assert runs["import"]["ran"] == ["cli", "core", "ingest", "sepal"]
+
+    def test_preprocess_runs_only_preprocess_besides(self, runs):
+        assert runs["preprocess"]["ran"] == [
+            "cli", "core", "ingest", "preprocess", "sepal"]
+
+    def test_stage1_runs_no_graph_code(self, runs):
+        for label in ("train 1", "eval 1"):
+            assert not {"graphs", "nn"} & set(runs[label]["ran"]), label
+        # the probe does see lazy modules run
+        for label in ("train 2", "eval 2"):
+            assert {"graphs", "nn"} <= set(runs[label]["ran"]), label
+
+    def test_no_command_imports_numpy_ma(self, runs):
+        assert [label for label, r in runs.items() if r["numpy.ma"]] == []
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from helpers import (
@@ -29,6 +30,7 @@ from sepal.core import (
     align_slide,
 )
 from sepal.graphs import (
+    _offset_encodings,
     assemble_graph,
     build_spot_graphs,
     feature_width,
@@ -753,3 +755,36 @@ class TestGroupedProductAgainstPadded:
         for batch in (packed, *(packed.take(idx)
                                 for idx in subsets(rng, packed.n_graphs))):
             assert_matches_padded(batch, rng, (1, width))
+
+
+class TestUniqueForms:
+    """The sort and the count that find distinct offsets and shapes,
+    against the np.unique calls they replaced."""
+
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(0, 60), st.just(2)),
+                      elements=st.one_of(st.integers(-4, 4),
+                                         st.integers(-2 ** 62, 2 ** 62))),
+           st.sampled_from((4, 12)))
+    def test_offset_encodings(self, offsets, d):
+        table, index = _offset_encodings(offsets, d)
+        want_table, want_index = reference.offset_encodings(offsets, d)
+        assert table.shape == want_table.shape
+        assert table.tobytes() == want_table.tobytes()
+        assert index.dtype == want_index.dtype
+        assert index.tolist() == want_index.tolist()
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=12), st.data())
+    def test_groups(self, sizes, data):
+        # edges drawn from one fixed table per size, so graphs share shapes
+        # and a taken batch leaves some of its table's shapes unused
+        rng = np.random.default_rng(len(sizes))
+        edges = [rng.integers(0, k, size=(k % 3, 2)) for k in sizes]
+        batch = GraphBatch.pack(np.zeros((sum(sizes), 1)), sizes, edges)
+        idx = data.draw(st.lists(st.integers(0, len(sizes) - 1),
+                                 max_size=20))
+        for b in (batch, batch.take(idx)):
+            got, want = b._groups, reference.shape_groups(b)
+            assert len(got) == len(want)
+            for (shape, rows), (want_shape, want_rows) in zip(got, want):
+                assert shape is want_shape
+                assert rows.tobytes() == want_rows.tobytes()

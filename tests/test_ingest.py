@@ -7,11 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import spot_table
+from helpers import grid_spots, hex_spots, lattices_with_holes, spot_table
 
 from sepal.core import (
     DuplicateSpot,
@@ -45,6 +45,7 @@ from sepal.ingest import (
     write_mask,
     write_matrix,
 )
+from sepal.spatial import build_adjacency, min_pixel_spacing
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -138,6 +139,91 @@ class TestCoordinates:
         write_coords_text(p, [("a", "s0", 0.0, 0.0, 0, 0),
                               ("b", "s1", 0.0, 10.0, 1, 0)])
         with pytest.raises(MalformedRow):
+            read_coordinates(p)
+
+
+# cells that int(), float() and np.loadtxt read differently or refuse
+COORD_TOKENS = ("1_0", " 2 ", "+3", "-0", "1.0", "1e3", "nan", "-inf",
+                "1e999", "0x1", "\u0663", "", "1,5", "x",
+                "9223372036854775808", "99999999999999999999")
+
+
+@st.composite
+def coordinate_tables(draw):
+    """A coordinates table of up to ten rows, as bytes, with CRLF or LF
+    line ends, comment and blank lines anywhere, and now and then an odd
+    cell, a repeated id or position, another slide id, a trailing tab, a
+    missing cell or a line that is not UTF-8."""
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    lines = ["#kind=coordinates", "\t".join(ingest.COORD_COLUMNS)]
+    for r in range(draw(st.integers(0, 10))):
+        if rarely():
+            lines.append(draw(st.sampled_from(("#note=mid-file", "#", ""))))
+        cells = [fmt_float(draw(finite_floats)),
+                 fmt_float(draw(finite_floats)),
+                 str(r // 2 if rarely() else r),
+                 str(draw(st.integers(-3, 3)))]
+        cells = [draw(st.sampled_from(COORD_TOKENS)) if rarely() else c
+                 for c in cells]
+        if rarely():
+            cells.append("" if rarely() else "7")
+        elif rarely():
+            cells.pop()
+        lines.append("\t".join((f"s{r - 1 if rarely() else r}",
+                                "s1" if rarely() else "s0", *cells)))
+    data = (newline.join(lines) + newline).encode()
+    if rarely():
+        data += b"s99\ts0\t\xff\t0\t0\t0" + newline.encode()
+    return data
+
+
+def _coords_outcome(read, path):
+    """A SpotTable's fields as raw bytes, or the error reading it raises."""
+    try:
+        t = read(path)
+    except ValidationError as e:
+        return type(e), str(e)
+    return t.slide_id, t.spot_ids, t.pixel.tobytes(), t.array.tobytes()
+
+
+class TestCoordinateBlocks:
+    """The block parser of coordinates against the row parser."""
+
+    @given(coordinate_tables())
+    def test_blocks_read_what_rows_read(self, scratch_tsv, data):
+        # blocks of three lines, so most tables span several
+        scratch_tsv.write_bytes(data)
+        with mock.patch.object(ingest, "VALUE_BLOCK_LINES", 3):
+            blocks = _coords_outcome(read_coordinates, scratch_tsv)
+        assert blocks == _coords_outcome(reference.read_coordinates,
+                                         scratch_tsv)
+
+    def test_clean_blocks_skip_the_row_parser(self, tmp_path):
+        p = tmp_path / "s0.tsv"
+        write_coords_text(p, [(f"s{i}", "s0", i / 3, -i * 1e-3, i // 50,
+                               i % 50 - 25) for i in range(2500)])
+        with mock.patch.object(ingest, "_parse_coordinate_rows",
+                               side_effect=AssertionError("row parser")):
+            spots = read_coordinates(p)
+        assert spots.array[-1].tolist() == [49, 24]
+        assert spots.pixel[-1].tolist() == [2499 / 3, -2.499]
+
+    def test_array_position_past_64_bits_is_named(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        write_coords_text(p, [("a", "s0", 0.0, 0.0, 2 ** 63, 0)])
+        with pytest.raises(MalformedRow, match="does not fit in 64 bits"):
+            read_coordinates(p)
+
+    def test_float_in_an_array_column_is_named(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        write_coords_text(p, [("a", "s0", 0.0, 0.0, 0, 0),
+                              ("b", "s0", 1.0, 1.0, "1.0", 1)])
+        with pytest.raises(MalformedRow,
+                           match=re.escape(f"{p}:3: '1.0' is not an integer")):
             read_coordinates(p)
 
 
@@ -804,6 +890,77 @@ class TestHeatmap:
             write_heatmap(tmp_path / "h.ppm",
                           SpotTable("sl", (), np.zeros((0, 2)),
                                     np.zeros((0, 2))), np.zeros(0), None)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("heatmaps")
+
+
+def _same_heatmaps(directory, spots, values, spacing, missing=None):
+    """write_heatmap and the per-spot reference write the same bytes."""
+    new = write_heatmap(directory / "new.ppm", spots, values, spacing,
+                        missing)
+    old = reference.write_heatmap(directory / "old.ppm", spots, values,
+                                  spacing, missing)
+    for a, b in zip(new, old):
+        assert a.read_bytes() == b.read_bytes(), a.suffix
+
+
+class TestHeatmapOracle:
+    """Every disc stamped at once against one spot at a time."""
+
+    @settings(max_examples=60)
+    @given(lattices_with_holes(), st.sampled_from((1.0, 2.5, 4.0)),
+           st.data())
+    def test_random_maps_and_masks(self, scratch_dir, lattice, widen, data):
+        # a spacing above the lattice's packs the discs closer, so that
+        # later spots cover more of earlier ones
+        spots, geometry = lattice
+        assume(build_adjacency(spots, geometry).n_edges > 0)
+        n = len(spots)
+        values = np.array(data.draw(st.lists(
+            st.floats(-5.0, 5.0, allow_nan=False), min_size=n, max_size=n)))
+        missing = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n, max_size=n)))
+        _same_heatmaps(scratch_dir, spots, values,
+                       widen * min_pixel_spacing(spots, geometry), missing)
+
+    @pytest.mark.parametrize("lattice", (grid_spots, hex_spots))
+    def test_constant_map(self, tmp_path, lattice):
+        spots = lattice(5, 6)
+        geometry = "square_grid" if lattice is grid_spots else "hex_array"
+        _same_heatmaps(tmp_path, spots, np.full(len(spots), 2.5),
+                       min_pixel_spacing(spots, geometry))
+
+    def test_single_spot(self, tmp_path):
+        spots = grid_spots(1, 1)
+        _same_heatmaps(tmp_path, spots, np.array([1.0]), None)
+        _same_heatmaps(tmp_path, spots, np.array([1.0]), None,
+                       np.array([True]))
+
+    def test_wide_slide_is_scaled_to_the_image_limit(self, tmp_path):
+        spots = grid_spots(2, 400)
+        values = np.sin(np.arange(len(spots)))
+        _same_heatmaps(tmp_path, spots, values,
+                       min_pixel_spacing(spots, "square_grid"))
+        header = (tmp_path / "new.ppm").read_bytes().split(b"\n")[1]
+        assert int(header.split()[0]) < ingest._MAX_IMAGE_DIM + 20
+
+    def test_ramp_is_built_once_read_only(self):
+        ramp = ingest.color_ramp()
+        assert ramp is ingest.color_ramp()
+        assert ramp.tobytes() == reference.color_ramp().tobytes()
+        assert not ramp.flags.writeable
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        spots = grid_spots(2, 2)
+        values = np.array([0.0, np.nan, 1.0, 2.0])
+        with pytest.raises(NonFiniteValue):
+            write_heatmap(tmp_path / "h.ppm", spots, values, 1.0)
+        # a missing cell is drawn gray whatever it holds
+        write_heatmap(tmp_path / "h.ppm", spots, values, 1.0,
+                      np.isnan(values))
 
 
 class TestLoadDataset:

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 import reference
 from helpers import local_edges
 from sepal import nn, train
-from sepal.ingest import read_checkpoint
-from sepal.core import DivergedLoss, EmptySplit, ValidationError
+from sepal.ingest import read_checkpoint, write_checkpoint
+from sepal.core import (
+    DivergedLoss,
+    EmptySplit,
+    ShapeMismatch,
+    ValidationError,
+)
 from sepal.nn import GraphBatch, ModelSpec, Tensor, init_model_state
 from sepal.train import (
     RIDGE_ALPHAS,
@@ -321,7 +326,60 @@ class TestStage2:
                            correction_spec(4, 2),
                            TrainConfig(learning_rate=0.01, batch_size=8,
                                        max_epochs=3, patience=3, seed=0))
-        assert len(checked) == len(res.history) == 4
+        # every epoch but epoch 0, which runs no forward, validates
+        assert len(checked) == len(res.history) - 1 == 3
+
+    def test_epoch_zero_runs_no_forward_and_changes_no_bit(
+            self, tmp_path, monkeypatch):
+        # epoch 0 once forwarded the untouched model over the val graphs;
+        # its correction is exactly 0, so the history and the checkpoint
+        # are the same bits without that forward
+        data = self._setup(seed=5)
+        spec = correction_spec(4, 2)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=8, max_epochs=3,
+                          patience=3, seed=0)
+        plain_predict, plain_mse = train.spatial_predict, train._val_mse
+        init = nn.init_model_state
+        calls, states = [], []
+
+        def counting(state, chunks):
+            calls.append(state)
+            return plain_predict(state, chunks)
+
+        monkeypatch.setattr(train, "spatial_predict", counting)
+        monkeypatch.setattr(nn, "init_model_state",
+                            lambda *a: states.append(init(*a)) or states[-1])
+        res = stage2_train(*data, spec, cfg)
+        assert len(calls) == len(res.history) - 1 == 3
+
+        zero = []
+
+        def with_epoch_zero_forward(pred, target):
+            # the first call scores epoch 0: forward as the old loop did
+            if not zero:
+                zero.append(plain_predict(states[1], chunked(data[3])))
+                pred = zero[0] + pred
+            return plain_mse(pred, target)
+
+        monkeypatch.setattr(train, "_val_mse", with_epoch_zero_forward)
+        old = stage2_train(*data, spec, cfg)
+        assert len(zero) == 1 and not zero[0].any()
+        assert ([(r.epoch, r.train_mse, r.val_mse) for r in res.history]
+                == [(r.epoch, r.train_mse, r.val_mse) for r in old.history])
+        assert res.initial_val_mse == plain_mse(data[4], data[5])
+        for name, result in (("new", res), ("old", old)):
+            save_model(tmp_path / f"{name}.ckpt",
+                       TrainedModel(("a", "b"), np.zeros(2),
+                                    np.zeros((2, 4)), np.zeros(2),
+                                    result.state))
+        assert ((tmp_path / "new.ckpt").read_bytes()
+                == (tmp_path / "old.ckpt").read_bytes())
+
+    def test_misaligned_val_arrays_rejected(self):
+        tg, d_tr, y_tr, vg, d_val, y_val = self._setup()
+        with pytest.raises(ShapeMismatch, match="val"):
+            stage2_train(tg, d_tr, y_tr, vg, d_val[:-1], y_val[:-1],
+                         correction_spec(4, 2), TrainConfig(max_epochs=1))
 
     def test_partial_epoch_mse_averages_the_samples_seen(self):
         # every sample misses by 0.5, so every batch's MSE is 0.25
@@ -377,6 +435,18 @@ class TestCheckpoints:
             emb, graphs)
         got = predict_expression(model, emb, graphs)
         np.testing.assert_array_equal(got, want)
+
+    def test_stage2_layer_of_another_shape_rejected(self, tmp_path):
+        spec = correction_spec(4, 2)
+        p = tmp_path / "stage2.ckpt"
+        save_model(p, TrainedModel(("a", "b"), np.zeros(2), np.zeros((2, 4)),
+                                   np.zeros(2), init_model_state(spec, 0)))
+        meta, arrays = read_checkpoint(p)
+        arrays["gnn.0.W1"] = arrays["gnn.0.W1"][:, :3]
+        write_checkpoint(p, meta, arrays)
+        with pytest.raises(ValidationError,
+                           match="'gnn.0.W1' has shape .*sepal train"):
+            load_model(p)
 
     def test_float32_graphs_keep_float64_master_state(self, tmp_path,
                                                       monkeypatch):
