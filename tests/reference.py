@@ -85,6 +85,7 @@ from sepal.ingest import (
     fmt_float,
 )
 from sepal.graphs import Subgraph, positional_encoding
+from sepal.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sepal import nn
 from sepal.nn import (
     GraphBatch,
@@ -554,6 +555,32 @@ def sag_mean_readout(h, score_prop, score_w, ratio, slices):
     pool = sp.coo_matrix((vals, (rows, cols)),
                          shape=(len(counts), rows_idx.size)).tocsr()
     return propagate(pool, gated)
+
+
+class Adam:
+    """Bias-corrected Adam over a list of parameter tensors."""
+
+    def __init__(self, params, lr):
+        self.params = list(params)
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / (1.0 - b1 ** self.t)
+            v_hat = self.v[i] / (1.0 - b2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def pixel_distances(spots):

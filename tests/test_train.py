@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -650,3 +651,88 @@ class TestPredict:
         combined = predict_expression(full, emb, graphs)
         s_hat = spatial_predict(state, chunked(graphs))
         np.testing.assert_allclose(combined, head + s_hat, atol=1e-12)
+
+
+def reference_stage2(train_graphs, d_tr, y_tr, val_graphs, d_val, y_val,
+                     spec, config):
+    """stage2_train's loop, written out on the reference network and tape
+    with the Adam it ran before: the final parameter arrays and each
+    epoch's val MSE, the untouched model's first."""
+    params = {k: nn.Tensor(a) for k, a in
+              init_model_state(spec, config.seed).clone_arrays().items()}
+    model = SimpleNamespace(spec=spec, params=params)
+    opt = reference.Adam(params.values(), config.learning_rate)
+    rng = np.random.default_rng(config.seed)
+
+    def val_mse():
+        frozen = SimpleNamespace(spec=spec, params={
+            k: nn.constant(t.data) for k, t in params.items()})
+        s_hat = np.concatenate([reference.spatial_forward(frozen, c).data
+                                for c in chunked(val_graphs)])
+        return float(np.mean((s_hat + d_val - y_val) ** 2))
+
+    history = [float(np.mean((d_val - y_val) ** 2))]
+    best = {k: t.data.copy() for k, t in params.items()}
+    steps = 0
+    while steps < config.max_steps:
+        perm = rng.permutation(train_graphs.n_graphs)
+        for k in range(0, perm.size, config.batch_size):
+            idx = perm[k:k + config.batch_size]
+            s_hat = reference.spatial_forward(model, train_graphs.take(idx))
+            loss = reference.mse(nn.add(s_hat, nn.constant(d_tr[idx])),
+                                 nn.constant(y_tr[idx]))
+            opt.zero_grad()
+            nn.backward(loss)
+            opt.step()
+            steps += 1
+            if steps == config.max_steps:
+                break
+        history.append(val_mse())
+        if history[-1] < min(history[:-1]):
+            best = {k: t.data.copy() for k, t in params.items()}
+    return best, history
+
+
+class TestTrainingStepOracle:
+    """Five steps of stage2_train on float32 packed graphs, with a val
+    split, against the loop of reference_stage2: every final parameter
+    and every history val MSE, byte for byte."""
+
+    @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
+    @pytest.mark.parametrize("pooling", ["sag_mean", "global_mean"])
+    @given(data=st.data())
+    def test_same_bits_as_the_reference_loop(self, data, operator, pooling):
+        width = st.integers(1, 6)
+        in_width, genes = data.draw(width), data.draw(width)
+        spec = ModelSpec(
+            in_width=in_width, n_genes=genes,
+            pre_widths=data.draw(st.lists(width, max_size=1)),
+            operator=operator,
+            gnn_widths=data.draw(st.lists(width, min_size=1, max_size=2)),
+            pooling=pooling,
+            sag_ratio=data.draw(st.sampled_from([0.3, 0.5, 1.0])),
+            post_widths=(genes,))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n_train, n_val = data.draw(st.integers(2, 12)), data.draw(
+            st.integers(1, 6))
+        sizes = rng.integers(1, 7, size=n_train + n_val)
+        graphs = random_graphs(rng, sizes, in_width, np.float32)
+        tg, vg = graphs.take(np.arange(n_train)), graphs.take(
+            np.arange(n_train, n_train + n_val))
+        d_tr, y_tr, d_val, y_val = (rng.normal(size=(n, genes))
+                                    for n in (n_train, n_train, n_val, n_val))
+        config = TrainConfig(
+            learning_rate=data.draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+            batch_size=data.draw(st.integers(1, 5)), max_epochs=100,
+            patience=100, seed=data.draw(st.integers(0, 99)), max_steps=5)
+        res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val, spec, config)
+        best, history = reference_stage2(tg, d_tr, y_tr, vg, d_val, y_val,
+                                         spec, config)
+        assert res.n_steps == 5
+        assert [r.val_mse.hex() for r in res.history] \
+            == [v.hex() for v in history]
+        got = res.state.clone_arrays()
+        assert list(got) == list(best)
+        for k, a in best.items():
+            assert got[k].dtype == a.dtype == np.float64
+            assert got[k].tobytes() == a.tobytes(), k
