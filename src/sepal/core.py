@@ -109,10 +109,6 @@ class ShapeMismatch(ValidationError):
     pass
 
 
-class NoRecordedForward(PipelineError):
-    pass
-
-
 class EmptySplit(ValidationError):
     pass
 

@@ -1,44 +1,48 @@
-"""A small reverse-mode autodiff engine and the graph network built on it.
+"""The graph correction network as a stack of layers, each with its own
+backward.
 
-Tensors wrap float32 or float64 ndarrays and record the backward closure
-of the operation that produced them; backward() runs the closures in reverse
-topological order.  A closure is passed its output tensor rather than
-capturing it, so a tape has no reference cycle and refcounting frees it.
-backward() consumes the tape: once a node's closure has run, the node
-drops its closure and parents, so each activation is freed during the
-sweep as soon as no gradient still needs it, and only the tensors the
-caller holds outlive it, with their grads.  A second backward() from the
-same loss raises NoRecordedForward.
-The tape keeps only values that some backward reads.  linear keeps its
-input and weight, mul both operands, tanh its input and elu its output
-(its slope comes from the output); add, propagate and the segment mean
-read only shapes.  A caller marks an input spent when no other op reads
-it: elu and propagate then write their output over its buffer, add
-writes its sum over a spent first operand's buffer, and every spent
-input lets go of its values and keeps only its shape and dtype.  So the
-network's pre-activations, its products and sums inside graph_conv, a
-propagated gcn product and SAG's gated rows cost no memory past their
-consumer.  A layer that narrows holds one array of its rows, its ELU
-output; one that propagates its input also keeps the propagated input,
-which the product after it reads.
-Only tensors that need a gradient are recorded: a bare Tensor is a
-trainable leaf, a constant() is not, and an op's output keeps its
-parents and closure only when one of its inputs needs a gradient.  A
-forward over constants alone (prediction) therefore records no tape.
-The op set is exactly what the model needs: one dense op (linear, the
-product by a transposed weight, with or without a bias), broadcast
-add/mul, gather, ELU, tanh, the MSE loss, a dtype cast, a per-graph
-segment mean (the readouts) and multiplication by a constant
-block-diagonal matrix (the graph propagation step, which never needs a
-gradient of its own).
+Each layer function returns its output and a backward closure over
+exactly the arrays that backward reads, and nothing else: a layer's
+arrays live as long as its closure.  spatial_forward appends the
+closures, with the keys of the parameters each layer uses, to a tape
+when training passes a list; prediction passes none, and each closure is
+dropped as soon as its layer returns.  backward(tape, grad) pops them in
+reverse: a closure takes the gradient of its output and whether its
+input needs one (the first layer's input is the batch's features, which
+need none), and returns its input's gradient and its parameters'.  A
+layer's arrays are freed as soon as its backward has run, and as each
+backward runs once, after those of every layer that reads its output,
+it may write over what it keeps.
 
-Every op computes in the dtype of its inputs, and a gradient always has
-the dtype of the tensor it belongs to.  spatial_forward runs in the dtype
-of its batch's features: graphs assembled from a slide hold float32
-features, so stage 2 computes in float32, while the parameters (and the
-optimizer state) stay float64 and enter the forward through cast(), whose
-backward hands them a float64 gradient.  The same code run on a float64
-batch computes in float64, as the gradient checks do.
+What each layer keeps, and what it writes over:
+
+  linear       its input and weight; the product, with the bias added
+               in place, is its own
+  elu          its output, from which the slope comes; it is written
+               over its input, the pre-activation, which no layer keeps,
+               and its backward writes the input's gradient over it
+  gcn_conv     a narrowing layer propagates its product in place and
+               keeps its input; a widening one keeps the propagated
+               input, which the product after it reads
+  graph_conv   what its two products keep (its input, and the
+               propagated input where the neighbour product widens);
+               both sums are written over the first product's buffer
+  readouts     row indices and weights; SAG also keeps its input, the
+               gathered scores and their tanh gates, and gates the
+               gathered rows in place, which no backward reads
+
+So at backward's entry a layer that narrows holds one array of its rows,
+its ELU output, and one that propagates its input also keeps the
+propagated input.
+
+Every layer computes in the dtype of its input, and the gradients it
+hands back have that dtype too.  spatial_forward runs in the dtype of its
+batch's features: graphs assembled from a slide hold float32 features,
+so stage 2 computes in float32, while the parameters (and the optimizer
+state) stay float64; spatial_forward hands the layers each parameter in
+the batch's dtype, and backward casts each parameter's gradient to
+float64 once.  The same code run on a float64 batch computes in float64,
+as the gradient checks do.
 
 A batch is a disjoint union of small local graphs, so its propagation
 matrix is block-diagonal.  Local graphs on a spot lattice mostly share a
@@ -68,163 +72,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     OPERATORS,
     POOLINGS,
-    NoRecordedForward,
     ShapeMismatch,
     ValidationError,
 )
 
-
-class Tensor:
-    """An ndarray plus the backward closure that fills its parents' grads."""
-
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
-
-    def __init__(self, data, parents: tuple["Tensor", ...] = (),
-                 requires_grad: bool = True):
-        data = np.asarray(data)
-        # float32 and float64 are kept as given; anything else is float64
-        self.data = (data if data.dtype in (np.float32, np.float64)
-                     else data.astype(np.float64))
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._backward = None
-        self._parents = parents
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def add_grad(self, g: np.ndarray) -> None:
-        """Accumulate g, cast to this tensor's dtype.  The first gradient
-        is stored as it is and later ones make a new array, so an array
-        that is also another tensor's grad is never written to."""
-        g = np.asarray(g).astype(self.data.dtype, copy=False)
-        self.grad = g if self.grad is None else self.grad + g
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
-
-def constant(data) -> Tensor:
-    """A tensor that never needs a gradient."""
-    return Tensor(data, requires_grad=False)
-
-
-def _op(data, parents: tuple[Tensor, ...], backward,
-        spent: Sequence[Tensor] = ()) -> Tensor:
-    """An op's output; it records parents and closure only if one of the
-    parents needs a gradient, and is a constant otherwise.  Each input in
-    spent, whose values no other op and not this op's backward reads,
-    lets go of them (its buffer may now hold the output) and keeps only
-    its shape and dtype, as a read-only zero-stride view of one NaN."""
-    for t in spent:
-        t.data = np.broadcast_to(np.array(np.nan, t.data.dtype),
-                                 t.data.shape)
-    if not any(p.requires_grad for p in parents):
-        return constant(data)
-    out = Tensor(data, parents)
-    out._backward = backward
-    return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a: Tensor, b: Tensor, spent: Sequence[Tensor] = ()) -> Tensor:
-    """a + b, broadcast.  The backward reads only shapes, so the operands
-    in spent, which no other op reads, let go of their values; the sum is
-    written over a's buffer when a is spent and the sum has its shape and
-    dtype."""
-    reuse = (a in spent
-             and np.broadcast_shapes(a.data.shape, b.data.shape)
-             == a.data.shape
-             and np.result_type(a.data, b.data) == a.data.dtype)
-
-    def backward(out):
-        if a.requires_grad:
-            a.add_grad(_unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            b.add_grad(_unbroadcast(out.grad, b.data.shape))
-    return _op(np.add(a.data, b.data, out=a.data if reuse else None),
-               (a, b), backward, spent)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(out):
-        if a.requires_grad:
-            a.add_grad(_unbroadcast(out.grad * b.data, a.data.shape))
-        if b.requires_grad:
-            b.add_grad(_unbroadcast(out.grad * a.data, b.data.shape))
-    return _op(a.data * b.data, (a, b), backward)
-
-
-def cast(a: Tensor, dtype) -> Tensor:
-    """a in another float dtype; its gradient comes back in a's dtype."""
-    if a.data.dtype == dtype:
-        return a
-
-    def backward(out):
-        a.add_grad(out.grad)
-    return _op(a.data.astype(dtype), (a,), backward)
-
+# a layer's backward: given its output's gradient and whether its input
+# needs one, its input's gradient (or None) and its parameters' gradients
+Backward = Callable[[np.ndarray, bool],
+                    tuple[np.ndarray | None, tuple[np.ndarray, ...]]]
+Layer = tuple[np.ndarray, Backward]
 
 # a batch's block-diagonal propagation matrix: per shape in the batch, its
 # [k, k] block and the [graphs, k] batch rows of its graphs
 Propagation = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
-def propagate(prop: Propagation, h: Tensor, spent: bool = False
-              ) -> Tensor:
-    """Multiply by a constant block-diagonal matrix: out = S h,
-    grad = S^T g.  Each shape's rows are gathered into a [graphs, k, d]
-    array and multiplied by its block in one broadcast matmul.  The
-    backward reads no values, so a spent h, which no other op reads, has
-    the product written over its buffer: every shape's rows are gathered
-    before its product is written back, and no two shapes share a row."""
+def propagate(prop: Propagation, x: np.ndarray, transposed: bool = False,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """S x, or S^T x if transposed, for a constant block-diagonal S.  Each
+    shape's rows are gathered into a [graphs, k, d] array and multiplied
+    by its block in one broadcast matmul.  out may be x itself: every
+    shape's rows are gathered before its product is written back, and no
+    two shapes share a row."""
     n_rows = sum(rows.size for _, rows in prop)
-    if n_rows != h.data.shape[0]:
+    if n_rows != x.shape[0]:
         raise ShapeMismatch(
-            f"propagation over {n_rows} rows against features "
-            f"{h.data.shape}")
-
-    def product(x: np.ndarray, transposed: bool, out: np.ndarray
-                ) -> np.ndarray:
-        for block, rows in prop:
-            out[rows] = np.matmul(block.T if transposed else block, x[rows])
-        return out
-
-    def backward(out):
-        h.add_grad(product(out.grad, True, np.empty_like(out.grad)))
-    x = h.data
-    return _op(product(x, False, x if spent else np.empty_like(x)), (h,),
-               backward, (h,) if spent else ())
-
-
-def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    rows = np.asarray(rows, dtype=np.int64)
-
-    def backward(out):
-        g = np.zeros_like(a.data)
-        np.add.at(g, rows, out.grad)
-        a.add_grad(g)
-    return _op(a.data[rows], (a,), backward)
+            f"propagation over {n_rows} rows against features {x.shape}")
+    out = np.empty_like(x) if out is None else out
+    for block, rows in prop:
+        out[rows] = np.matmul(block.T if transposed else block, x[rows])
+    return out
 
 
 # elements per pass of elu's scratch array; a scratch as large as a
@@ -233,99 +117,28 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 ELU_BLOCK = 1 << 16
 
 
-def elu(a: Tensor, spent: bool = False) -> Tensor:
-    """ELU, whose backward reads only its output: a spent a, which no
-    other op reads, has the output written over its buffer."""
+def elu(x: np.ndarray) -> Layer:
+    """ELU, written over x, a pre-activation no layer keeps; the backward
+    reads only the output."""
     # expm1(min(x, 0)) is 0 where x > 0 and >= x elsewhere, so the ELU is
     # max(x, it) (np.where costs several times np.maximum), taken a block
     # of rows at a time; where x < 0 the output is that expm1 itself, so
     # the slope exp(min(x, 0)) is min(output, 0) + 1 and nothing else is
     # kept
-    out = a.data if spent else np.empty_like(a.data)
-    x, y = np.atleast_1d(a.data), np.atleast_1d(out)
-    step = max(1, ELU_BLOCK // max(1, int(np.prod(x.shape[1:]))))
-    for i in range(0, len(x), step):
-        neg = np.minimum(x[i:i + step], 0.0)
+    y = np.atleast_1d(x)
+    step = max(1, ELU_BLOCK // max(1, int(np.prod(y.shape[1:]))))
+    for i in range(0, len(y), step):
+        neg = np.minimum(y[i:i + step], 0.0)
         np.expm1(neg, out=neg)
-        np.maximum(x[i:i + step], neg, out=y[i:i + step])
+        np.maximum(y[i:i + step], neg, out=y[i:i + step])
 
-    def backward(out_t):
-        slope = np.minimum(out_t.data, 0.0)
-        slope += 1.0
-        slope *= out_t.grad
-        a.add_grad(slope)
-    return _op(out, (a,), backward, (a,) if spent else ())
-
-
-def tanh(a: Tensor) -> Tensor:
-    def backward(out):
-        # sech(x)^2 = 4e / (1 + e)^2 with e = exp(-2|x|), from the input:
-        # 1 - tanh(x)^2 is 0 once tanh rounds to 1 (|x| > ~9 in float32)
-        e = np.exp(-2.0 * np.abs(a.data))
-        a.add_grad(out.grad * (4.0 * e / ((1.0 + e) * (1.0 + e))))
-    return _op(np.tanh(a.data), (a,), backward)
-
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """mean((pred - target)^2), keeping only the difference d on the
-    tape.  pred's gradient is formed as c d + c d, c = 1 / size, which has
-    the bits of the composite subtraction, mul(d, d) and mean that the
-    tests compare it with."""
-    if pred.data.shape != target.data.shape:
-        raise ShapeMismatch(
-            f"mse over {pred.data.shape} vs {target.data.shape}")
-    d = pred.data - target.data
-
-    def backward(out):
-        g = (float(out.grad) / d.size) * d
-        g += g
-        if pred.requires_grad:
-            pred.add_grad(g)
-        if target.requires_grad:
-            target.add_grad(-g)
-    return _op((d * d).mean(), (pred, target), backward)
-
-
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss.  It consumes the tape: each
-    node drops its closure and parents once its closure has run, so an
-    activation is freed as soon as no gradient still needs it, and a
-    second backward from the same loss raises NoRecordedForward."""
-    if loss.data.size != 1:
-        raise ShapeMismatch("backward starts from a scalar")
-    if loss._backward is None and not loss._parents:
-        raise NoRecordedForward(
-            "tensor has no recorded forward pass, or backward has already "
-            "consumed its tape")
-
-    topo = _topological_order(loss)
-    loss.grad = np.ones_like(loss.data)
-    while topo:
-        node = topo.pop()
-        if node._backward is not None:
-            node._backward(node)
-        node._backward = None
-        node._parents = ()
-
-
-def _topological_order(loss: Tensor) -> list[Tensor]:
-    """Every tensor the loss depends on, each after all of its parents."""
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return topo
+    def backward(g, need_input):
+        # the slope, then the input's gradient, over the output: a
+        # backward runs once, and no other layer reads the output by then
+        np.minimum(x, 0.0, out=x)
+        np.add(x, 1.0, out=x)
+        return np.multiply(x, g, out=x), ()
+    return x, backward
 
 
 # ---------------------------------------------------------------------------
@@ -362,52 +175,66 @@ def gcn_matrix(n_nodes: int, edges: np.ndarray, dtype=np.float64
 # ---------------------------------------------------------------------------
 # layers
 
-def linear(h: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(h: np.ndarray, weight: np.ndarray,
+           bias: np.ndarray | None = None) -> Layer:
     """h [n, in] times weight [out, in] transposed, plus bias [out] if
-    one is given: one op, which adds the bias in place to the product."""
-    if h.data.ndim != 2 or weight.data.ndim != 2 \
-            or h.data.shape[1] != weight.data.shape[1]:
-        raise ShapeMismatch(
-            f"linear {h.data.shape} with weight {weight.data.shape}")
-    parents = (h, weight)
-    data = h.data @ weight.data.T
-    if bias is not None:
-        if bias.data.shape != (weight.data.shape[0],):
+    one is given, added in place to the product."""
+    if h.ndim != 2 or weight.ndim != 2 or h.shape[1] != weight.shape[1]:
+        raise ShapeMismatch(f"linear {h.shape} with weight {weight.shape}")
+    out = h @ weight.T
+    with_bias = bias is not None
+    if with_bias:
+        if bias.shape != (weight.shape[0],):
             raise ShapeMismatch(
-                f"bias {bias.data.shape} for weight {weight.data.shape}")
-        parents += (bias,)
-        data += bias.data
+                f"bias {bias.shape} for weight {weight.shape}")
+        out += bias
 
-    def backward(out):
+    def backward(g, need_input):
         # the expressions, and so the bits, of h @ weight^T as a matmul of
         # h by a transposed weight, plus a broadcast add of the bias
-        g = out.grad
-        if bias is not None and bias.requires_grad:
-            bias.add_grad(_unbroadcast(g, bias.data.shape))
-        if h.requires_grad:
-            h.add_grad(g @ weight.data)
-        if weight.requires_grad:
-            weight.add_grad((h.data.T @ g).T)
-    return _op(data, parents, backward)
+        grads = ((h.T @ g).T,) + ((g.sum(axis=0),) if with_bias else ())
+        return (g @ weight if need_input else None), grads
+    return out, backward
 
 
-def gcn_conv(h: Tensor, prop: Propagation, weight: Tensor) -> Tensor:
+def gcn_conv(h: np.ndarray, prop: Propagation, weight: np.ndarray
+             ) -> Layer:
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T."""
-    if weight.data.shape[0] < weight.data.shape[1]:
-        return propagate(prop, linear(h, weight), spent=True)
-    # linear reads the propagated h, so it is kept
-    return linear(propagate(prop, h), weight)
+    if weight.shape[0] < weight.shape[1]:
+        out, product_backward = linear(h, weight)
+        propagate(prop, out, out=out)
+
+        def backward(g, need_input):
+            return product_backward(propagate(prop, g, transposed=True),
+                                    need_input)
+        return out, backward
+    # the product reads the propagated h, so its backward keeps it
+    out, product_backward = linear(propagate(prop, h), weight)
+
+    def backward(g, need_input):
+        g_prop, grads = product_backward(g, need_input)
+        return (propagate(prop, g_prop, transposed=True) if need_input
+                else None), grads
+    return out, backward
 
 
-def graph_conv(h: Tensor, adj: Propagation, w_self: Tensor,
-               w_neigh: Tensor, bias: Tensor) -> Tensor:
-    """(h w_self^T + adj h w_neigh^T) + bias, summed in that order.  No
-    other op reads the two products or their sum, so each sum is written
-    over the buffer of its first term and the second product is let go."""
-    own, neigh = linear(h, w_self), gcn_conv(h, adj, w_neigh)
-    total = add(own, neigh, spent=(own, neigh))
-    return add(total, bias, spent=(total,))
+def graph_conv(h: np.ndarray, adj: Propagation, w_self: np.ndarray,
+               w_neigh: np.ndarray, bias: np.ndarray) -> Layer:
+    """(h w_self^T + adj h w_neigh^T) + bias, summed in that order over
+    the first product's buffer."""
+    out, own_backward = linear(h, w_self)
+    neigh, neigh_backward = gcn_conv(h, adj, w_neigh)
+    out += neigh
+    out += bias
+
+    def backward(g, need_input):
+        g_own, (g_self,) = own_backward(g, need_input)
+        g_neigh, (g_neigh_w,) = neigh_backward(g, need_input)
+        # the own product's gradient first, then the neighbours'
+        return (g_own + g_neigh if need_input else None), (
+            g_self, g_neigh_w, g.sum(axis=0))
+    return out, backward
 
 
 def _check_sizes(sizes, n_rows: int) -> np.ndarray:
@@ -422,56 +249,78 @@ def _check_sizes(sizes, n_rows: int) -> np.ndarray:
     return sizes
 
 
-def _segment_mean(h: Tensor, sizes: np.ndarray, spent: bool = False
-                  ) -> Tensor:
+def _segment_mean(h: np.ndarray, sizes: np.ndarray) -> Layer:
     """Row g averages the sizes[g] rows that follow graph g - 1's.  It adds
     w * h_r, w = 1 / sizes[g] in h's dtype, one in-graph position at a
     time for all graphs at once: the order, and so the bits, of a
-    pooling matrix's sparse product.  The backward reads no values, so a
-    spent h, which no other op reads, lets go of them."""
-    w = (1.0 / sizes).astype(h.data.dtype)
+    pooling matrix's sparse product.  The backward reads no values."""
+    w = (1.0 / sizes).astype(h.dtype)
     firsts = np.cumsum(sizes) - sizes
-    out = np.zeros((sizes.size, h.data.shape[1]), h.data.dtype)
+    out = np.zeros((sizes.size, h.shape[1]), h.dtype)
     for k in range(int(sizes.max(initial=0))):
         g = np.flatnonzero(sizes > k)
-        out[g] += w[g, None] * h.data[firsts[g] + k]
+        out[g] += w[g, None] * h[firsts[g] + k]
     graph = np.repeat(np.arange(sizes.size), sizes)
 
-    def backward(out_t):
-        h.add_grad(w[graph, None] * out_t.grad[graph])
-    return _op(out, (h,), backward, (h,) if spent else ())
+    def backward(g, need_input):
+        return w[graph, None] * g[graph], ()
+    return out, backward
 
 
-def global_mean_readout(h: Tensor, sizes) -> Tensor:
-    return _segment_mean(h, _check_sizes(sizes, h.data.shape[0]))
+def global_mean_readout(h: np.ndarray, sizes) -> Layer:
+    return _segment_mean(h, _check_sizes(sizes, h.shape[0]))
 
 
-def sag_mean_readout(h: Tensor, score_prop: Propagation, score_w: Tensor,
-                     ratio: float, sizes) -> Tensor:
+def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
+                     score_w: np.ndarray, ratio: float, sizes) -> Layer:
     """Gated top-k mean per graph.
 
     Scores come from a one-channel gcn over the same node features; the
     top ceil(ratio * n) rows per graph (stable order, ties keep the lower
     index) are gated by tanh(score) and averaged.
     """
-    if score_w.data.shape != (1, h.data.shape[1]):
+    if score_w.shape != (1, h.shape[1]):
         raise ShapeMismatch(
-            f"score weight {score_w.data.shape} for features "
-            f"{h.data.shape}")
-    sizes = _check_sizes(sizes, h.data.shape[0])
-    score = gcn_conv(h, score_prop, score_w)  # [n, 1]
+            f"score weight {score_w.shape} for features {h.shape}")
+    sizes = _check_sizes(sizes, h.shape[0])
+    score, score_backward = gcn_conv(h, score_prop, score_w)  # [n, 1]
 
     rows = np.arange(sizes.sum())
     graph = np.repeat(np.arange(sizes.size), sizes)
     # rank every graph's rows by descending score, lower row on ties
-    ranked = np.lexsort((rows, -score.data[:, 0], graph))
+    ranked = np.lexsort((rows, -score[:, 0], graph))
     counts = np.ceil(ratio * sizes).astype(np.int64)
     rank = rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
     top = rank < np.repeat(counts, sizes)
     kept = ranked[top]
-    rows_idx = kept[np.lexsort((kept, graph[top]))]
-    gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-    return _segment_mean(gated, counts, spent=True)
+    kept = kept[np.lexsort((kept, graph[top]))]
+    kept_score = score[kept]
+    gate = np.tanh(kept_score)
+    gated = h[kept]
+    gated *= gate
+    out, mean_backward = _segment_mean(gated, counts)
+
+    def backward(g, need_input):
+        # the tape's gather, tanh and broadcast product, op by op: the
+        # gate's gradient sums over the channels only where there are
+        # several, and each gather scatters into zeros
+        g_gated, _ = mean_backward(g, True)
+        g_gate = g_gated * h[kept]
+        if g_gate.shape[1] != 1:
+            g_gate = g_gate.sum(axis=1, keepdims=True)
+        # sech(x)^2 = 4e / (1 + e)^2 with e = exp(-2|x|), from the input:
+        # 1 - tanh(x)^2 is 0 once tanh rounds to 1 (|x| > ~9 in float32)
+        e = np.exp(-2.0 * np.abs(kept_score))
+        g_score = np.zeros((h.shape[0], 1), kept_score.dtype)
+        np.add.at(g_score, kept, g_gate * (4.0 * e / ((1.0 + e) * (1.0 + e))))
+        g_h, grads = score_backward(g_score, need_input)
+        if need_input:
+            # the gathered rows' gradient first, then the score's
+            g_rows = np.zeros_like(h)
+            np.add.at(g_rows, kept, g_gated * gate)
+            g_h = g_rows + g_h
+        return g_h, grads
+    return out, backward
 
 
 # ---------------------------------------------------------------------------
@@ -517,25 +366,18 @@ class ModelSpec:
 
 @dataclass
 class ModelState:
-    """Parameter tensors for one ModelSpec, keyed by layer path."""
+    """Float64 parameter arrays for one ModelSpec, keyed by layer path."""
 
     spec: ModelSpec
-    params: dict[str, Tensor]
+    params: dict[str, np.ndarray]
     seed: int
 
     def clone_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
+        return {k: v.copy() for k, v in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, t in self.params.items():
-            t.data = np.array(arrays[k], dtype=np.float64, copy=True)
-
-    def frozen(self) -> "ModelState":
-        """The same parameter values as constants: a forward over the
-        result records no tape."""
-        return ModelState(self.spec, {k: constant(t.data)
-                                      for k, t in self.params.items()},
-                          self.seed)
+        for k in self.params:
+            self.params[k] = np.array(arrays[k], dtype=np.float64, copy=True)
 
 
 def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -572,12 +414,12 @@ def init_model_state(spec: ModelSpec, seed: int) -> ModelState:
     rng = np.random.default_rng(seed)
     last = (f"post.{len(spec.post_widths) - 1}." if spec.post_widths
             else f"gnn.{len(spec.gnn_widths) - 1}.")
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for key, shape in param_shapes(spec).items():
         data = glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
         if key.startswith(last):
             data[:] = 0.0
-        params[key] = Tensor(data)
+        params[key] = data
     return ModelState(spec=spec, params=params, seed=seed)
 
 
@@ -698,38 +540,66 @@ class GraphBatch:
                    tuple(s for _, s in index.values()))
 
 
-def spatial_forward(state: ModelState, batch: GraphBatch) -> Tensor:
+def spatial_forward(state: ModelState, batch: GraphBatch,
+                    tape: list | None = None) -> np.ndarray:
     """Run the correction network over a batch; returns [n_graphs, n_genes]
-    in the dtype of the batch's features."""
+    in the dtype of the batch's features.  Each layer's backward, with
+    the keys of its parameters, is appended to tape if one is given, and
+    dropped at once if not."""
     spec = state.spec
     if batch.features.shape[1] != spec.in_width:
         raise ShapeMismatch(
             f"batch features {batch.features.shape} for in_width "
             f"{spec.in_width}")
-    h = constant(batch.features)
-    p = {k: cast(t, h.data.dtype) for k, t in state.params.items()}
-    for i in range(len(spec.pre_widths)):
-        h = elu(linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]), spent=True)
+    dtype = batch.features.dtype
+    p = {k: v.astype(dtype, copy=False) for k, v in state.params.items()}
 
-    if spec.operator == "gcn":
-        for i in range(len(spec.gnn_widths)):
-            h = elu(gcn_conv(h, batch.propagation("gcn"), p[f"gnn.{i}.W"]),
-                    spent=True)
-    else:
-        for i in range(len(spec.gnn_widths)):
-            h = elu(graph_conv(h, batch.propagation("adj"), p[f"gnn.{i}.W1"],
-                               p[f"gnn.{i}.W2"], p[f"gnn.{i}.b"]),
-                    spent=True)
+    def record(layer: Layer, *keys: str) -> np.ndarray:
+        out, layer_backward = layer
+        if tape is not None:
+            tape.append((keys, layer_backward))
+        return out
+
+    h = batch.features
+    for i in range(len(spec.pre_widths)):
+        w, b = f"pre.{i}.W", f"pre.{i}.b"
+        h = record(elu(record(linear(h, p[w], p[b]), w, b)))
+
+    for i in range(len(spec.gnn_widths)):
+        if spec.operator == "gcn":
+            w = f"gnn.{i}.W"
+            h = record(gcn_conv(h, batch.propagation("gcn"), p[w]), w)
+        else:
+            keys = (f"gnn.{i}.W1", f"gnn.{i}.W2", f"gnn.{i}.b")
+            h = record(graph_conv(h, batch.propagation("adj"),
+                                  *(p[k] for k in keys)), *keys)
+        h = record(elu(h))
 
     if spec.pooling == "sag_mean":
-        r = sag_mean_readout(h, batch.propagation("gcn"), p["pool.score.W"],
-                             spec.sag_ratio, batch.sizes)
+        w = "pool.score.W"
+        r = record(sag_mean_readout(h, batch.propagation("gcn"), p[w],
+                                    spec.sag_ratio, batch.sizes), w)
     else:
-        r = global_mean_readout(h, batch.sizes)
+        r = record(global_mean_readout(h, batch.sizes))
 
     n_post = len(spec.post_widths)
     for i in range(n_post):
-        r = linear(r, p[f"post.{i}.W"], p[f"post.{i}.b"])
+        w, b = f"post.{i}.W", f"post.{i}.b"
+        r = record(linear(r, p[w], p[b]), w, b)
         if i < n_post - 1:
-            r = elu(r, spent=True)
+            r = record(elu(r))
     return r
+
+
+def backward(tape: list, grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Pop the tape's layers in reverse, from grad, the gradient of
+    spatial_forward's output in its dtype.  Each layer's arrays are freed
+    as soon as its backward has run, and the first layer computes no
+    gradient for the features.  Returns every parameter's gradient, cast
+    to float64 once the sweep is done, keyed like ModelState.params."""
+    grads: dict[str, np.ndarray] = {}
+    while tape:
+        keys, layer_backward = tape.pop()
+        grad, layer_grads = layer_backward(grad, bool(tape))
+        grads.update(zip(keys, layer_grads))
+    return {k: g.astype(np.float64, copy=False) for k, g in grads.items()}

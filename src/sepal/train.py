@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .core import (
 from .ingest import read_checkpoint, write_checkpoint
 
 if TYPE_CHECKING:
-    from .nn import GraphBatch, ModelSpec, ModelState, Tensor
+    from .nn import GraphBatch, ModelSpec, ModelState
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -69,29 +69,26 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter tensors."""
+    """Bias-corrected Adam over a dict of parameter arrays, which each
+    step replaces with the updated arrays."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float):
-        self.params = list(params)
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.params = params
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            m_hat = self.m[i] / (1.0 - b1 ** self.t)
-            v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for k, p in self.params.items():
+            g = grads[k] if k in grads else np.zeros_like(p)
+            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
+            m_hat = self.m[k] / (1.0 - b1 ** self.t)
+            v_hat = self.v[k] / (1.0 - b2 ** self.t)
+            self.params[k] = p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -203,13 +200,24 @@ def chunked(graphs: GraphBatch, rows: int = PREDICT_ROWS
 
 def spatial_predict(state: ModelState, chunks: Iterable[GraphBatch]
                     ) -> np.ndarray:
-    """Forward every chunk over constant parameters, so no tape is
-    recorded; the rows come out in the chunks' dtype."""
-    frozen = state.frozen()
-    rows = [nn.spatial_forward(frozen, c).data for c in chunks]
+    """Forward every chunk with no tape, so each layer's backward is
+    dropped as it returns; the rows come out in the chunks' dtype."""
+    rows = [nn.spatial_forward(state, c) for c in chunks]
     if not rows:
         raise EmptySplit("no graphs to predict on")
     return np.concatenate(rows, axis=0)
+
+
+def _loss(s_hat: np.ndarray, delta_hat: np.ndarray, target: np.ndarray
+          ) -> tuple[float, np.ndarray]:
+    """mean((s_hat + delta_hat - target)^2) and its gradient with respect
+    to s_hat, in s_hat's dtype.  The gradient is formed as c d + c d in
+    float64, c = 1 / size and d the difference, and then rounded once:
+    the bits of the composite subtraction, product and mean."""
+    d = (s_hat + delta_hat) - target
+    grad = (1.0 / d.size) * d
+    grad += grad
+    return float((d * d).mean()), grad.astype(s_hat.dtype)
 
 
 @dataclass
@@ -249,7 +257,7 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
         raise ShapeMismatch("stage 2 val arrays misaligned")
 
     state = nn.init_model_state(spec, config.seed)
-    opt = Adam(list(state.params.values()), config.learning_rate)
+    opt = Adam(state.params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     def evaluate_val() -> float:
@@ -273,16 +281,14 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
         seen = 0
         for k in range(0, n, config.batch_size):
             idx = perm[k:k + config.batch_size]
-            s_hat = nn.spatial_forward(state, train_graphs.take(idx))
-            pred = nn.add(s_hat, nn.constant(delta_hat_train[idx]))
-            loss = nn.mse(pred, nn.constant(target_train[idx]))
-            if not np.isfinite(loss.data):
+            tape: list = []
+            s_hat = nn.spatial_forward(state, train_graphs.take(idx), tape)
+            loss, grad = _loss(s_hat, delta_hat_train[idx], target_train[idx])
+            if not np.isfinite(loss):
                 raise DivergedLoss(f"stage 2 loss not finite at step {steps}")
-            opt.zero_grad()
-            nn.backward(loss)
-            opt.step()
+            opt.step(nn.backward(tape, grad))
             steps += 1
-            sq_sum += float(loss.data) * len(idx)
+            sq_sum += loss * len(idx)
             seen += len(idx)
             if config.max_steps is not None and steps >= config.max_steps:
                 stop = True
@@ -353,8 +359,7 @@ def save_model(path, model: TrainedModel) -> None:
         }
         for key in _WIDTHS:
             arrays[key] = np.array(getattr(spec, key), dtype=np.int64)
-        for name, t in model.state.params.items():
-            arrays[name] = t.data
+        arrays.update(model.state.params)
     write_checkpoint(path, meta, arrays)
 
 
@@ -390,7 +395,7 @@ def load_model(path) -> TrainedModel:
                     f"{path}: checkpoint {key!r} has shape "
                     f"{arrays[key].shape}, not the {shape} of its model; "
                     f"run `sepal train` again")
-            params[key] = nn.Tensor(np.array(arrays[key], dtype=np.float64))
+            params[key] = np.array(arrays[key], dtype=np.float64)
         state = nn.ModelState(spec, params, int(meta["seed"]))
         return replace(model, state=state, hops=int(meta["hops"]),
                        aggregation=meta["aggregation"])

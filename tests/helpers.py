@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sepal.core import SpotTable
-from sepal.nn import GraphBatch
+from sepal.nn import GraphBatch, backward, spatial_forward
 from sepal.spatial import DISTANCE_DECIMALS, Adjacency
 
 
@@ -155,3 +155,29 @@ def propagation(kind, edges, sizes, dtype=np.float64):
              for g, (end, k) in enumerate(zip(ends, sizes))]
     features = np.zeros((int(sizes.sum()), 1), dtype)
     return GraphBatch.pack(features, sizes, local).propagation(kind)
+
+
+def mse_grad(out, target):
+    """mean((out - target)^2) and its gradient with respect to out, in
+    out's dtype."""
+    d = out - target
+    return float(np.mean(d * d)), ((2.0 / d.size) * d).astype(out.dtype)
+
+
+def layer_mse(layer, x, params, target):
+    """mse(layer(x, *params), target) and, from the layer's backward, the
+    gradients of x and of each parameter.  The layer gets a copy of x,
+    which elu writes over."""
+    out, layer_backward = layer(x.copy(), *params)
+    loss, grad = mse_grad(out, target)
+    g_x, g_params = layer_backward(grad, True)
+    return loss, [g_x, *g_params]
+
+
+def model_mse(state, batch, target):
+    """mse(spatial_forward(state, batch), target) and the gradient of each
+    parameter, in the order of state.params, from one step's tape."""
+    tape = []
+    loss, grad = mse_grad(spatial_forward(state, batch, tape), target)
+    grads = backward(tape, grad)
+    return loss, [grads[k] for k in state.params]

@@ -58,6 +58,7 @@ import math
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -86,18 +87,167 @@ from sepal.ingest import (
 )
 from sepal.graphs import Subgraph, positional_encoding
 from sepal.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from sepal import nn
-from sepal.nn import (
-    GraphBatch,
-    Tensor,
-    _check_sizes,
-    _op,
-    _unbroadcast,
-    add,
-    gather_rows,
-    mul,
-    tanh,
-)
+from sepal.nn import GraphBatch, _check_sizes
+
+
+class Tensor:
+    """An ndarray plus the backward closure that fills its parents' grads."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+
+    def __init__(self, data, parents: tuple["Tensor", ...] = (),
+                 requires_grad: bool = True):
+        data = np.asarray(data)
+        # float32 and float64 are kept as given; anything else is float64
+        self.data = (data if data.dtype in (np.float32, np.float64)
+                     else data.astype(np.float64))
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self._backward = None
+        self._parents = parents
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def add_grad(self, g: np.ndarray) -> None:
+        """Accumulate g, cast to this tensor's dtype.  The first gradient
+        is stored as it is and later ones make a new array, so an array
+        that is also another tensor's grad is never written to."""
+        g = np.asarray(g).astype(self.data.dtype, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
+
+    def zero_grad(self) -> None:
+        self.grad = None
+
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.data.shape})"
+
+
+def constant(data) -> Tensor:
+    """A tensor that never needs a gradient."""
+    return Tensor(data, requires_grad=False)
+
+
+def _op(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output; it records parents and closure only if one of the
+    parents needs a gradient, and is a constant otherwise."""
+    if not any(p.requires_grad for p in parents):
+        return constant(data)
+    out = Tensor(data, parents)
+    out._backward = backward
+    return out
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient back down to the shape it was broadcast from."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, broadcast."""
+    def backward(out):
+        if a.requires_grad:
+            a.add_grad(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.add_grad(_unbroadcast(out.grad, b.data.shape))
+    return _op(a.data + b.data, (a, b), backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    def backward(out):
+        if a.requires_grad:
+            a.add_grad(_unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            b.add_grad(_unbroadcast(out.grad * a.data, b.data.shape))
+    return _op(a.data * b.data, (a, b), backward)
+
+
+def cast(a: Tensor, dtype) -> Tensor:
+    """a in another float dtype; its gradient comes back in a's dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def backward(out):
+        a.add_grad(out.grad)
+    return _op(a.data.astype(dtype), (a,), backward)
+
+
+def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    rows = np.asarray(rows, dtype=np.int64)
+
+    def backward(out):
+        g = np.zeros_like(a.data)
+        np.add.at(g, rows, out.grad)
+        a.add_grad(g)
+    return _op(a.data[rows], (a,), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    def backward(out):
+        # sech(x)^2 = 4e / (1 + e)^2 with e = exp(-2|x|), from the input:
+        # 1 - tanh(x)^2 is 0 once tanh rounds to 1 (|x| > ~9 in float32)
+        e = np.exp(-2.0 * np.abs(a.data))
+        a.add_grad(out.grad * (4.0 * e / ((1.0 + e) * (1.0 + e))))
+    return _op(np.tanh(a.data), (a,), backward)
+
+
+def backward(loss: Tensor) -> None:
+    """Reverse-mode sweep from a scalar loss.  It consumes the tape: each
+    node drops its closure and parents once its closure has run."""
+    if loss.data.size != 1:
+        raise ShapeMismatch("backward starts from a scalar")
+    topo = _topological_order(loss)
+    loss.grad = np.ones_like(loss.data)
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            node._backward(node)
+        node._backward = None
+        node._parents = ()
+
+
+def _topological_order(loss: Tensor) -> list[Tensor]:
+    """Every tensor the loss depends on, each after all of its parents."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return topo
+
+
+def segment_mean(h: Tensor, sizes: np.ndarray) -> Tensor:
+    """Row g averages the sizes[g] rows that follow graph g - 1's.  It adds
+    w * h_r, w = 1 / sizes[g] in h's dtype, one in-graph position at a
+    time for all graphs at once: the order, and so the bits, of a
+    pooling matrix's sparse product."""
+    w = (1.0 / sizes).astype(h.data.dtype)
+    firsts = np.cumsum(sizes) - sizes
+    out = np.zeros((sizes.size, h.data.shape[1]), h.data.dtype)
+    for k in range(int(sizes.max(initial=0))):
+        g = np.flatnonzero(sizes > k)
+        out[g] += w[g, None] * h.data[firsts[g] + k]
+    graph = np.repeat(np.arange(sizes.size), sizes)
+
+    def backward(out_t):
+        h.add_grad(w[graph, None] * out_t.grad[graph])
+    return _op(out, (h,), backward)
 
 
 @dataclass(frozen=True)
@@ -382,8 +532,8 @@ def gcn_conv(h, prop, weight):
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T."""
     if weight.data.shape[0] < weight.data.shape[1]:
-        return nn.propagate(prop, matmul(h, transpose(weight)))
-    return matmul(nn.propagate(prop, h), transpose(weight))
+        return allocating_propagate(prop, matmul(h, transpose(weight)))
+    return matmul(allocating_propagate(prop, h), transpose(weight))
 
 
 def graph_conv(h, adj, w_self, w_neigh, bias):
@@ -438,13 +588,13 @@ def allocating_gcn_conv(h, prop, weight):
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T."""
     if weight.data.shape[0] < weight.data.shape[1]:
-        return allocating_propagate(prop, nn.linear(h, weight))
-    return nn.linear(allocating_propagate(prop, h), weight)
+        return allocating_propagate(prop, linear(h, weight))
+    return linear(allocating_propagate(prop, h), weight)
 
 
 def allocating_graph_conv(h, adj, w_self, w_neigh, bias):
     """(h w_self^T + adj h w_neigh^T) + bias, summed in that order."""
-    own = nn.linear(h, w_self)
+    own = linear(h, w_self)
     return add(add(own, allocating_gcn_conv(h, adj, w_neigh)), bias)
 
 
@@ -472,7 +622,7 @@ def allocating_sag_mean_readout(h, score_prop, score_w, ratio, sizes):
     kept = ranked[top]
     rows_idx = kept[np.lexsort((kept, graph[top]))]
     gated = mul(gather_rows(h, rows_idx), tanh(gather_rows(score, rows_idx)))
-    return nn._segment_mean(gated, counts)
+    return segment_mean(gated, counts)
 
 
 def spatial_forward(state, batch):
@@ -483,10 +633,10 @@ def spatial_forward(state, batch):
         raise ShapeMismatch(
             f"batch features {batch.features.shape} for in_width "
             f"{spec.in_width}")
-    h = nn.constant(batch.features)
-    p = {k: nn.cast(t, h.data.dtype) for k, t in state.params.items()}
+    h = constant(batch.features)
+    p = {k: cast(t, h.data.dtype) for k, t in state.params.items()}
     for i in range(len(spec.pre_widths)):
-        h = allocating_elu(nn.linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]))
+        h = allocating_elu(linear(h, p[f"pre.{i}.W"], p[f"pre.{i}.b"]))
 
     if spec.operator == "gcn":
         for i in range(len(spec.gnn_widths)):
@@ -503,11 +653,11 @@ def spatial_forward(state, batch):
             h, batch.propagation("gcn"), p["pool.score.W"], spec.sag_ratio,
             batch.sizes)
     else:
-        r = nn.global_mean_readout(h, batch.sizes)
+        r = segment_mean(h, _check_sizes(batch.sizes, h.data.shape[0]))
 
     n_post = len(spec.post_widths)
     for i in range(n_post):
-        r = nn.linear(r, p[f"post.{i}.W"], p[f"post.{i}.b"])
+        r = linear(r, p[f"post.{i}.W"], p[f"post.{i}.b"])
         if i < n_post - 1:
             r = allocating_elu(r)
     return r
@@ -555,6 +705,13 @@ def sag_mean_readout(h, score_prop, score_w, ratio, slices):
     pool = sp.coo_matrix((vals, (rows, cols)),
                          shape=(len(counts), rows_idx.size)).tocsr()
     return propagate(pool, gated)
+
+
+def tape_state(spec, arrays):
+    """A model for spatial_forward: spec, and each parameter array as a
+    trainable float64 tensor of its own."""
+    return SimpleNamespace(spec=spec, params={
+        k: Tensor(np.array(a, dtype=np.float64)) for k, a in arrays.items()})
 
 
 class Adam:

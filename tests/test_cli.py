@@ -1086,6 +1086,26 @@ class TestStartup:
         for label in ("train 2", "eval 2"):
             assert {"graphs", "nn"} <= set(runs[label]["ran"]), label
 
+    def test_every_command_runs_its_modules(self, runs):
+        # besides the package, cli, core and ingest, which every command
+        # runs; stage 1 and its eval run no graph or network code
+        also = {
+            "import": [],
+            "synth": ["spatial", "synth"],
+            "preprocess": ["preprocess"],
+            "denoise": ["denoise", "spatial"],
+            "select": ["spatial"],
+            "build-graphs": ["graphs", "spatial"],
+            "train 1": ["preprocess", "train"],
+            "eval 1": ["metrics", "train"],
+            "figures": ["metrics", "spatial"],
+            "train 2": ["graphs", "nn", "spatial", "train"],
+            "eval 2": ["graphs", "metrics", "nn", "spatial", "train"],
+        }
+        assert {label: r["ran"] for label, r in runs.items()} == {
+            label: sorted(["cli", "core", "ingest", "sepal", *modules])
+            for label, modules in also.items()}
+
     def test_no_command_imports_numpy_ma(self, runs):
         assert [label for label, r in runs.items() if r["numpy.ma"]] == []
 

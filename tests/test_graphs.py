@@ -15,6 +15,7 @@ from helpers import (
     hex_spots,
     index_by_position,
     local_edges,
+    mse_grad,
     node_hops,
     packed_edges,
     propagation,
@@ -430,11 +431,11 @@ class TestBatchedForward:
                          post_widths=(3,))
         state = init_model_state(spec, rows * cols)
         rng = np.random.default_rng(hops)
-        for t in state.params.values():
-            t.data = rng.normal(size=t.data.shape)
-        batched = spatial_forward(state, packed).data
+        for k, t in state.params.items():
+            state.params[k] = rng.normal(size=t.shape)
+        batched = spatial_forward(state, packed)
         for g in range(packed.n_graphs):
-            single = spatial_forward(state, packed.take([g])).data
+            single = spatial_forward(state, packed.take([g]))
             np.testing.assert_allclose(batched[g], single[0], rtol=0,
                                        atol=1e-12)
 
@@ -481,18 +482,16 @@ def random_state(spec, seed):
     initializer, so no layer is zero and activations stay O(1)."""
     state = init_model_state(spec, seed)
     rng = np.random.default_rng(seed)
-    for t in state.params.values():
-        lim = np.sqrt(6.0 / sum(t.data.shape)) if t.data.ndim == 2 else 0.1
-        t.data = rng.uniform(-lim, lim, size=t.data.shape)
+    for k, t in state.params.items():
+        lim = np.sqrt(6.0 / sum(t.shape)) if t.ndim == 2 else 0.1
+        state.params[k] = rng.uniform(-lim, lim, size=t.shape)
     return state
 
 
 def forward_and_grads(state, batch, target):
-    for t in state.params.values():
-        t.zero_grad()
-    out = spatial_forward(state, batch)
-    nn.backward(nn.mse(out, nn.constant(target)))
-    return out.data, {k: t.grad for k, t in state.params.items()}
+    tape = []
+    out = spatial_forward(state, batch, tape)
+    return out, nn.backward(tape, mse_grad(out, target)[1])
 
 
 def assert_close_at_float32(got, want):
@@ -547,34 +546,43 @@ class TestFloat32Engine:
                          gnn_widths=(5, 4), pooling=pooling,
                          post_widths=(3,))
         state = random_state(spec, 1)
-        out = spatial_forward(state, batch)
+        tape = []
+        out = spatial_forward(state, batch, tape)
+        assert out.dtype == np.float32
         assert {block.dtype for s in batch.shapes
                 for block in (s.adj, s.gcn)} == {np.dtype(np.float32)}
 
-        # every tensor the forward made is float32, its gradient too; only
-        # the parameters it cast from are float64.  backward consumes the
-        # tape, so the tensors are collected before it runs
-        params = {id(t) for t in state.params.values()}
-        tensors, seen, stack = [], set(), [out]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            tensors.append(t)
-            stack.extend(t._parents)
-        assert params <= seen
-        assert sum(t._backward is not None for t in tensors) > 10
-        nn.backward(nn.mse(out, nn.constant(
-            np.zeros((batch.n_graphs, 3)))))
-        for t in tensors:
-            want = np.float64 if id(t) in params else np.float32
-            assert t.data.dtype == want
-            assert t.grad is None or t.grad.dtype == want
-        assert all(t.grad is not None for t in tensors
-                   if id(t) in params)
-        assert spatial_forward(state.frozen(), batch).data.dtype \
-            == np.float32
+        # every float array a layer keeps for its backward is float32,
+        # the parameters' casts included, and so is every gradient one
+        # layer hands the one before; only the parameters' gradients
+        # come back float64
+        def kept(fn):
+            for cell in fn.__closure__ or ():
+                value = cell.cell_contents
+                if callable(value):
+                    yield from kept(value)
+                elif isinstance(value, np.ndarray):
+                    yield value
+
+        floats = {a.dtype for _, fn in tape for a in kept(fn)
+                  if a.dtype.kind == "f"}
+        assert floats == {np.dtype(np.float32)}
+        handed = []
+
+        def handing(fn):
+            def layer_backward(g, need_input):
+                g_in, grads = fn(g, need_input)
+                handed.append(g_in)
+                return g_in, grads
+            return layer_backward
+
+        tape[:] = [(keys, handing(fn)) for keys, fn in tape]
+        grads = nn.backward(tape, np.zeros_like(out))
+        assert handed[-1] is None
+        assert {g.dtype for g in handed[:-1]} == {np.dtype(np.float32)}
+        assert sorted(grads) == sorted(state.params)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+        assert spatial_forward(state, batch).dtype == np.float32
 
     def test_saturated_sag_scores_keep_their_gradient(self):
         # scores of 9 to 17 round a float32 tanh to 1; the gate's slope,
@@ -588,11 +596,12 @@ class TestFloat32Engine:
             # no edges: the score gcn is the identity, so score = h[:, 0]
             prop = propagation("gcn", np.zeros((0, 2), np.int64), [5, 7],
                                dtype)
-            w = nn.Tensor(np.array([[1.0, 0.0, 0.0]]))
-            out = nn.sag_mean_readout(nn.constant(h.astype(dtype)), prop,
-                                      nn.cast(w, dtype), 1.0, [5, 7])
-            nn.backward(nn.mse(out, nn.constant(target.astype(dtype))))
-            grads[dtype] = w.grad
+            w = np.array([[1.0, 0.0, 0.0]], dtype)
+            out, layer_backward = nn.sag_mean_readout(h.astype(dtype), prop,
+                                                      w, 1.0, [5, 7])
+            _, (g_w,) = layer_backward(
+                mse_grad(out, target.astype(dtype))[1], True)
+            grads[dtype] = g_w.astype(np.float64)
         scale = float(np.abs(grads[np.float64]).max())
         assert scale > 0.0
         np.testing.assert_allclose(grads[np.float32], grads[np.float64],
@@ -616,13 +625,16 @@ def assert_same_operator(n, edges, sizes, rng):
             assert dense(got).tobytes() == want.toarray().tobytes(), name
             x = rng.normal(size=(n, 3)).astype(dtype)
             c = rng.normal(size=(n, 3)).astype(dtype)
-            runs = []
-            for module, matrix in ((nn, got), (reference, want)):
-                h = nn.Tensor(x.copy())
-                out = module.propagate(matrix, h)
-                nn.backward(reference.mean_all(nn.mul(out, nn.constant(c))))
-                assert out.data.dtype == h.grad.dtype == dtype
-                runs.append((out.data, h.grad))
+            # the gradient that mul hands to propagate
+            g = np.full_like(c, 1.0 / c.size) * c
+            runs = [(nn.propagate(got, x), nn.propagate(got, g, True))]
+            h = reference.Tensor(x.copy())
+            out = reference.propagate(want, h)
+            reference.backward(reference.mean_all(
+                reference.mul(out, reference.constant(c))))
+            runs.append((out.data, h.grad))
+            for run in runs:
+                assert run[0].dtype == run[1].dtype == dtype
             a = np.abs(dense(got).astype(np.float64))
             sums = (a @ np.abs(x), a.T @ np.abs(c / c.size))
             for mine, theirs, size in zip(*runs, sums):
@@ -710,17 +722,15 @@ def assert_matches_padded(batch, rng, widths):
                 packed.n_nodes, edges, dtype, packed.sizes)
             x = rng.normal(size=(packed.n_nodes, width)).astype(dtype)
             c = rng.normal(size=x.shape).astype(dtype)
-            h = nn.Tensor(x.copy())
-            out = nn.propagate(prop, h)
-            nn.backward(reference.mean_all(nn.mul(out, nn.constant(c))))
             # the gradient that mul hands to propagate
             g = np.full_like(c, 1.0 / c.size) * c
+            out, g_x = nn.propagate(prop, x), nn.propagate(prop, g, True)
             magnitude = [(np.abs(block).astype(np.float64), rows)
                          for block, rows in prop]
-            bounds = (nn.propagate(magnitude, nn.constant(np.abs(x))).data,
+            bounds = (nn.propagate(magnitude, np.abs(x)),
                       nn.propagate([(b.T, r) for b, r in magnitude],
-                                   nn.constant(np.abs(g))).data)
-            for got, want, bound in zip((out.data, h.grad),
+                                   np.abs(g)))
+            for got, want, bound in zip((out, g_x),
                                         (oracle @ x, oracle.T @ g), bounds):
                 assert got.dtype == want.dtype == dtype
                 assert got[full].tobytes() == want[full].tobytes(), kind

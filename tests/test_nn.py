@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -9,50 +8,41 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from helpers import dense, propagation
-from sepal.core import NoRecordedForward, ShapeMismatch, ValidationError
-from sepal import nn
+from helpers import dense, layer_mse, local_edges, model_mse, propagation
+from sepal.core import ShapeMismatch, ValidationError
+from sepal import nn, train
 from sepal.nn import (
     GraphBatch,
     ModelSpec,
-    Tensor,
     adj_matrix,
     backward,
-    constant,
     elu,
-    gather_rows,
     gcn_conv,
     gcn_matrix,
     global_mean_readout,
     graph_conv,
     init_model_state,
     linear,
-    mse,
-    mul,
     propagate,
     sag_mean_readout,
     spatial_forward,
-    tanh,
 )
-from reference import mean_all
+from reference import Tensor, constant, mean_all, mul
 
 
-def fd_gradient_check(params, loss_fn, eps=1e-5, tol=1e-4, max_entries=None):
-    """Central finite differences against the recorded gradients."""
-    for t in params:
-        t.zero_grad()
-    backward(loss_fn())
-    for t in params:
-        analytic = t.grad.reshape(-1).copy()
-        flat = t.data.reshape(-1)
-        idxs = range(flat.size if max_entries is None
-                     else min(flat.size, max_entries))
-        for i in idxs:
+def fd_gradient_check(arrays, loss_fn, eps=1e-5, tol=1e-4):
+    """Central finite differences against the gradients loss_fn returns,
+    one per array, beside the loss."""
+    _, grads = loss_fn()
+    for a, g in zip(arrays, grads):
+        analytic = g.reshape(-1).copy()
+        flat = a.reshape(-1)
+        for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            up = float(loss_fn().data)
+            up = loss_fn()[0]
             flat[i] = keep - eps
-            dn = float(loss_fn().data)
+            dn = loss_fn()[0]
             flat[i] = keep
             numeric = (up - dn) / (2.0 * eps)
             err = abs(analytic[i] - numeric)
@@ -60,49 +50,55 @@ def fd_gradient_check(params, loss_fn, eps=1e-5, tol=1e-4, max_entries=None):
                 f"entry {i}: analytic {analytic[i]}, numeric {numeric}"
 
 
+def tape_grad(out, c):
+    """The gradient the reference tape hands out from mean_all(mul(out,
+    c)): what a layer's backward is given to compare with it."""
+    return np.full_like(out, 1.0 / out.size) * c
+
+
 class TestEngineOps:
     def test_matmul_gradients_hand_checked(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        loss = mean_all(reference.matmul(a, b))
-        backward(loss)
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[1.0], [1.0]])
+        out, layer_backward = linear(a, b.T)
+        g_a, (g_w,) = layer_backward(np.full((2, 1), 0.5), True)
         # out = [[3], [7]], mean grad 1/2 on each row
-        np.testing.assert_allclose(a.grad, [[0.5, 0.5], [0.5, 0.5]])
-        np.testing.assert_allclose(b.grad, [[2.0], [3.0]])
+        np.testing.assert_allclose(out, [[3.0], [7.0]])
+        np.testing.assert_allclose(g_a, [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(g_w.T, [[2.0], [3.0]])
 
     def test_bias_broadcast_grad_sums_rows(self):
-        x = Tensor(np.ones((3, 2)))
-        b = Tensor(np.zeros(2))
-        loss = mean_all(nn.add(x, b))
-        backward(loss)
-        np.testing.assert_allclose(b.grad, [0.5, 0.5])
+        x = np.ones((3, 2))
+        b = np.zeros(2)
+        _, layer_backward = linear(x, np.eye(2), b)
+        _, (_, g_b) = layer_backward(np.full((3, 2), 1.0 / 6.0), True)
+        np.testing.assert_allclose(g_b, [0.5, 0.5])
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([[2.0]])
         loss = mean_all(mul(x, x))
-        backward(loss)
+        reference.backward(loss)
         np.testing.assert_allclose(x.grad, [[4.0]])
 
     def test_stored_gradient_is_never_written_through(self):
         # x's first gradient is y's own grad array; the second add must
         # not change y.grad in place
         x = Tensor(np.ones((2, 2)))
-        y = nn.add(x, x)
-        backward(mean_all(y))
+        y = reference.add(x, x)
+        reference.backward(mean_all(y))
         np.testing.assert_array_equal(y.grad, np.full((2, 2), 0.25))
         np.testing.assert_array_equal(x.grad, np.full((2, 2), 0.5))
 
     def test_gather_repeated_rows_accumulate(self):
         x = Tensor([[1.0], [2.0]])
-        g = gather_rows(x, np.array([0, 0, 1]))
+        g = reference.gather_rows(x, np.array([0, 0, 1]))
         loss = mean_all(g)
-        backward(loss)
+        reference.backward(loss)
         np.testing.assert_allclose(x.grad, [[2.0 / 3.0], [1.0 / 3.0]])
 
     def test_elu_values(self):
-        x = Tensor([[-1.0, 0.0, 2.0]])
-        y = elu(x)
-        np.testing.assert_allclose(y.data, [[np.expm1(-1.0), 0.0, 2.0]])
+        y, _ = elu(np.array([[-1.0, 0.0, 2.0]]))
+        np.testing.assert_allclose(y, [[np.expm1(-1.0), 0.0, 2.0]])
 
     def test_propagate_sparse_matches_dense(self):
         # interleaved graphs of 2, 3 and 1 nodes, one random block per
@@ -113,45 +109,32 @@ class TestEngineOps:
         op = [(rng.normal(size=(k, k)), firsts[sizes == k, None]
                + np.arange(k)) for k in (2, 3, 1)]
         n = int(sizes.sum())
-        h = Tensor(rng.normal(size=(n, 3)))
+        h = rng.normal(size=(n, 3))
         out = propagate(op, h)
-        np.testing.assert_allclose(out.data, dense(op) @ h.data, rtol=1e-12)
-        backward(mean_all(out))
-        np.testing.assert_allclose(
-            h.grad, dense(op).T @ np.full((n, 3), 1 / (3 * n)), rtol=1e-12)
-
-    def test_backward_needs_scalar(self):
-        x = Tensor([[1.0, 2.0]])
-        with pytest.raises(ShapeMismatch):
-            backward(nn.add(x, x))
-
-    def test_backward_on_leaf_raises(self):
-        with pytest.raises(NoRecordedForward):
-            backward(Tensor(1.0))
+        np.testing.assert_allclose(out, dense(op) @ h, rtol=1e-12)
+        g = np.full((n, 3), 1 / (3 * n))
+        np.testing.assert_allclose(propagate(op, g, transposed=True),
+                                   dense(op).T @ g, rtol=1e-12)
 
     @given(st.sampled_from([np.float32, np.float64]),
            hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
-           st.integers(0, 10 ** 6), st.booleans())
-    def test_mse_is_the_composite_bit_for_bit(self, dtype, shape, seed,
-                                              target_grad):
+           st.integers(0, 10 ** 6))
+    def test_mse_is_the_composite_bit_for_bit(self, dtype, shape, seed):
+        # stage 2's loss, on the network's output in its dtype and the
+        # float64 head prediction and target, against the reference
+        # tape's add and composite mse
         rng = np.random.default_rng(seed)
-        p, t = (rng.normal(scale=10.0, size=shape).astype(dtype)
-                for _ in range(2))
-        losses, grads = [], []
-        for loss_fn in (mse, reference.mse):
-            pred = Tensor(p.copy())
-            target = Tensor(t.copy()) if target_grad else constant(t)
-            loss = loss_fn(pred, target)
-            backward(loss)
-            losses.append(loss.data)
-            grads.append((pred.grad, target.grad))
-        assert losses[0].dtype == losses[1].dtype == dtype
-        assert losses[0].tobytes() == losses[1].tobytes()
-        for fused, composite in zip(*grads):
-            assert (fused is None) == (composite is None)
-            if fused is not None:
-                assert fused.dtype == composite.dtype == dtype
-                assert fused.tobytes() == composite.tobytes()
+        s_hat = rng.normal(scale=10.0, size=shape).astype(dtype)
+        delta, target = (rng.normal(scale=10.0, size=shape)
+                         for _ in range(2))
+        loss, grad = train._loss(s_hat, delta, target)
+        pred = Tensor(s_hat.copy())
+        want = reference.mse(reference.add(pred, constant(delta)),
+                             constant(target))
+        reference.backward(want)
+        assert np.float64(loss).tobytes() == want.data.tobytes()
+        assert grad.dtype == pred.grad.dtype == dtype
+        assert grad.tobytes() == pred.grad.tobytes()
 
     @given(st.integers(0, 10 ** 6))
     def test_elementwise_ops_pass_fd(self, seed):
@@ -160,49 +143,13 @@ class TestEngineOps:
         w = Tensor(rng.normal(size=(4, 2)))
 
         def loss_fn():
-            return mean_all(mul(tanh(linear(x, w)), elu(linear(x, w))))
-        fd_gradient_check([x, w], loss_fn)
-
-
-class TestTapeRelease:
-    """backward consumes the tape: each node lets go of its closure and
-    parents once its closure has run."""
-
-    def _network(self, rng):
-        x = constant(rng.normal(size=(7, 3)))
-        w1, b1 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))
-        w2 = Tensor(rng.normal(size=(5, 4)))
-        prop = propagation("gcn", np.array([[0, 1], [1, 2], [3, 4], [4, 5]]),
-                           [3, 4])
-        h = elu(linear(x, w1, b1))
-        out = global_mean_readout(elu(gcn_conv(h, prop, w2)), [3, 4])
-        return h, mse(out, constant(np.ones((2, 5)))), (w1, b1, w2)
-
-    def test_loss_keeps_no_parents(self):
-        _, loss, params = self._network(np.random.default_rng(0))
-        backward(loss)
-        assert loss._parents == () and loss._backward is None
-        assert all(p.grad is not None for p in params)
-
-    def test_activation_dies_with_the_callers_reference(self):
-        gc.collect()
-        gc.disable()
-        try:
-            h, loss, _ = self._network(np.random.default_rng(1))
-            ref = weakref.ref(h.data)
-            del h
-            assert ref() is not None
-            # the loss is still held, but nothing reaches h any more
-            backward(loss)
-            assert ref() is None
-        finally:
-            gc.enable()
-
-    def test_second_backward_raises(self):
-        _, loss, _ = self._network(np.random.default_rng(2))
-        backward(loss)
-        with pytest.raises(NoRecordedForward, match="already consumed"):
-            backward(loss)
+            x.zero_grad()
+            w.zero_grad()
+            loss = mean_all(mul(reference.tanh(reference.linear(x, w)),
+                                reference.elu(reference.linear(x, w))))
+            reference.backward(loss)
+            return float(loss.data), [x.grad, w.grad]
+        fd_gradient_check([x.data, w.data], loss_fn)
 
 
 def _awkward(data, shape, dtype, scale=None, rate=None):
@@ -226,7 +173,8 @@ def _bits(*arrays):
 
 class TestOneArrayOpsAgainstReference:
     """linear and elu each make one output array; their values and every
-    gradient are the bits of the ops they replaced (tests/reference.py)."""
+    gradient their backward returns are the bits of the composite ops on
+    the reference tape (tests/reference.py)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -236,14 +184,15 @@ class TestOneArrayOpsAgainstReference:
         arrays = [_awkward(data, shape, dtype)
                   for shape in ((n, d_in), (d_out, d_in), (d_out,))]
         upstream = _awkward(data, (n, d_out), dtype, 1.0, 0.0)
-        got = []
-        for op in (linear, reference.linear):
-            h, w, b = (Tensor(a.copy()) for a in arrays)
-            out = op(h, w, b if with_bias else None)
-            backward(mean_all(mul(out, constant(upstream))))
-            got.append(_bits(out.data, h.grad, w.grad,
-                             *([b.grad] if with_bias else [])))
-        assert got[0] == got[1]
+        h, w, b = (a.copy() for a in arrays)
+        out, layer_backward = linear(h, w, b if with_bias else None)
+        g_h, grads = layer_backward(tape_grad(out, upstream), True)
+        got = _bits(out, g_h, *grads)
+        h, w, b = (Tensor(a.copy()) for a in arrays)
+        out = reference.linear(h, w, b if with_bias else None)
+        reference.backward(mean_all(mul(out, constant(upstream))))
+        assert got == _bits(out.data, h.grad, w.grad,
+                            *([b.grad] if with_bias else []))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(data=st.data())
@@ -251,20 +200,21 @@ class TestOneArrayOpsAgainstReference:
         shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2))
         x = _awkward(data, shape, dtype)
         upstream = _awkward(data, shape, dtype, 1.0, 0.0)
-        got = []
-        for op in (elu, reference.elu):
-            t = Tensor(x.copy())
-            out = op(t)
-            backward(mean_all(mul(out, constant(upstream))))
-            got.append(_bits(out.data, t.grad))
-        assert got[0] == got[1]
+        out, layer_backward = elu(x.copy())
+        # the backward writes the input's gradient over the output
+        got = _bits(out)
+        got += _bits(layer_backward(tape_grad(out, upstream), True)[0])
+        t = Tensor(x.copy())
+        out = reference.elu(t)
+        reference.backward(mean_all(mul(out, constant(upstream))))
+        assert got == _bits(out.data, t.grad)
 
 
 class TestConvsAgainstReference:
     """gcn_conv and graph_conv, whose products go through linear, against
-    the composite matmul/transpose forms of tests/reference.py: the same
-    bits in the forward and in every gradient, on both sides of
-    gcn_conv's narrower-side branch."""
+    the composite matmul/transpose forms of tests/reference.py on its
+    tape: the same bits in the forward and in every gradient, on both
+    sides of gcn_conv's narrower-side branch."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("out_narrower", [True, False])
@@ -286,27 +236,37 @@ class TestConvsAgainstReference:
                    for shape in ((d_out, d_in), (d_out, d_in), (d_out,))]
         upstream = _awkward(data, (n, d_out), dtype, 1.0, 0.0)
         for conv in ("gcn_conv", "graph_conv"):
-            got = []
-            for module in (nn, reference):
-                h = Tensor(x.copy())
-                params = [Tensor(w.copy()) for w in weights]
-                p = [nn.cast(t, dtype) for t in params]
-                if conv == "gcn_conv":
-                    params = params[:1]
-                    out = module.gcn_conv(h, batch.propagation("gcn"), p[0])
-                else:
-                    out = module.graph_conv(h, batch.propagation("adj"), *p)
-                backward(mean_all(mul(out, constant(upstream))))
-                got.append(_bits(out.data, h.grad,
-                                 *(t.grad for t in params)))
-            assert got[0] == got[1], conv
+            # the layer takes its parameters in the batch's dtype and
+            # backward casts their gradients to float64, as the tape's
+            # cast did
+            p = [w.astype(dtype) for w in weights]
+            if conv == "gcn_conv":
+                out, layer_backward = gcn_conv(
+                    x.copy(), batch.propagation("gcn"), p[0])
+            else:
+                out, layer_backward = graph_conv(
+                    x.copy(), batch.propagation("adj"), *p)
+            g_h, grads = layer_backward(tape_grad(out, upstream), True)
+            got = _bits(out, g_h, *(g.astype(np.float64) for g in grads))
+            h = Tensor(x.copy())
+            params = [Tensor(w.copy()) for w in weights]
+            p = [reference.cast(t, dtype) for t in params]
+            if conv == "gcn_conv":
+                params = params[:1]
+                out = reference.gcn_conv(h, batch.propagation("gcn"), p[0])
+            else:
+                out = reference.graph_conv(h, batch.propagation("adj"), *p)
+            reference.backward(mean_all(mul(out, constant(upstream))))
+            assert got == _bits(out.data, h.grad,
+                                *(t.grad for t in params)), conv
 
 
 class TestNetworkAgainstReference:
-    """spatial_forward, whose ops write over the intermediates no other op
-    reads and let go of values no backward reads, against the allocating
-    network of tests/reference.py: the same output bits and the same bits
-    in every parameter gradient."""
+    """spatial_forward and backward, whose layers write over the
+    intermediates no other layer reads and keep only what their backward
+    reads, against the allocating network of tests/reference.py on its
+    tape: the same output bits and the same bits in every parameter
+    gradient."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
@@ -339,19 +299,20 @@ class TestNetworkAgainstReference:
         features = (rng.normal(size=(sum(sizes), in_width))
                     * scale).astype(dtype)
         batch = GraphBatch.pack(features, sizes, edges)
-        arrays = {k: rng.normal(size=t.data.shape)
+        arrays = {k: rng.normal(size=t.shape)
                   for k, t in init_model_state(spec, 0).params.items()}
-        upstream = constant(rng.normal(size=(len(sizes), spec.n_genes))
-                            .astype(dtype))
-        got = []
-        for forward in (spatial_forward, reference.spatial_forward):
-            state = init_model_state(spec, 0)
-            state.load_arrays(arrays)
-            out = forward(state, batch)
-            backward(mean_all(mul(out, upstream)))
-            got.append(_bits(out.data, *(t.grad for t in
-                                         state.params.values())))
-        assert got[0] == got[1]
+        upstream = rng.normal(size=(len(sizes), spec.n_genes)).astype(dtype)
+        state = init_model_state(spec, 0)
+        state.load_arrays(arrays)
+        tape = []
+        out = spatial_forward(state, batch, tape)
+        grads = backward(tape, tape_grad(out, upstream))
+        got = _bits(out, *(grads[k] for k in state.params))
+        model = reference.tape_state(spec, arrays)
+        out = reference.spatial_forward(model, batch)
+        reference.backward(mean_all(mul(out, constant(upstream))))
+        assert got == _bits(out.data, *(t.grad for t in
+                                        model.params.values()))
         assert batch.features.tobytes() == features.tobytes()
 
 
@@ -375,87 +336,82 @@ class TestPropagationMatrices:
         h = rng.normal(size=(4, 3))
         w = rng.normal(size=(2, 3))
         a_hat = gcn_matrix(4, edges)
-        got = gcn_conv(constant(h), propagation("gcn", edges, [4]),
-                       Tensor(w))
-        np.testing.assert_allclose(got.data, a_hat @ h @ w.T)
+        got, _ = gcn_conv(h, propagation("gcn", edges, [4]), w)
+        np.testing.assert_allclose(got, a_hat @ h @ w.T)
 
     @pytest.mark.parametrize("n_in, n_out", [(8, 2), (2, 8), (4, 4)])
     def test_convs_propagate_the_narrower_side(self, monkeypatch, n_in,
                                                n_out):
         widths = []
 
-        def spy(matrix, h, **kw):
-            widths.append(h.data.shape[1])
-            return propagate(matrix, h, **kw)
+        def spy(matrix, x, *args, **kw):
+            widths.append(x.shape[1])
+            return propagate(matrix, x, *args, **kw)
 
         monkeypatch.setattr(nn, "propagate", spy)
         rng = np.random.default_rng(4)
         edges = np.array([[0, 1], [1, 2], [0, 3]])
-        h = constant(rng.normal(size=(4, n_in)))
-        w = Tensor(rng.normal(size=(n_out, n_in)))
-        want = gcn_matrix(4, edges) @ h.data @ w.data.T
-        got = gcn_conv(h, propagation("gcn", edges, [4]), w)
-        np.testing.assert_allclose(got.data, want, rtol=1e-12)
-        graph_conv(h, propagation("adj", edges, [4]), w, w,
-                   Tensor(np.zeros(n_out)))
+        h = rng.normal(size=(4, n_in))
+        w = rng.normal(size=(n_out, n_in))
+        want = gcn_matrix(4, edges) @ h @ w.T
+        got, _ = gcn_conv(h, propagation("gcn", edges, [4]), w)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        graph_conv(h, propagation("adj", edges, [4]), w, w, np.zeros(n_out))
         assert widths == [min(n_in, n_out)] * 2
 
     def test_graph_conv_star_hand_value(self):
         edges = np.array([[0, 1], [0, 2]])
         h = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        eye = Tensor(np.eye(2))
-        b = Tensor(np.zeros(2))
-        out = graph_conv(constant(h), propagation("adj", edges, [3]), eye,
-                         eye, b)
-        np.testing.assert_allclose(out.data[0], h[0] + h[1] + h[2])
-        np.testing.assert_allclose(out.data[1], h[1] + h[0])
+        eye = np.eye(2)
+        out, _ = graph_conv(h, propagation("adj", edges, [3]), eye, eye,
+                            np.zeros(2))
+        np.testing.assert_allclose(out[0], h[0] + h[1] + h[2])
+        np.testing.assert_allclose(out[1], h[1] + h[0])
 
 
 class TestReadouts:
     def test_global_mean_two_graphs(self):
-        h = constant(np.array([[2.0], [4.0], [9.0]]))
-        out = global_mean_readout(h, [2, 1])
-        np.testing.assert_allclose(out.data, [[3.0], [9.0]])
+        h = np.array([[2.0], [4.0], [9.0]])
+        out, _ = global_mean_readout(h, [2, 1])
+        np.testing.assert_allclose(out, [[3.0], [9.0]])
 
     def test_sag_keeps_top_half_by_score(self):
         # no edges: the score gcn reduces to h * w
-        h = constant(np.array([[3.0], [1.0], [2.0], [0.0]]))
-        w = Tensor(np.array([[1.0]]))
+        h = np.array([[3.0], [1.0], [2.0], [0.0]])
+        w = np.array([[1.0]])
         prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [4])
-        out = sag_mean_readout(h, prop, w, 0.5, [4])
+        out, _ = sag_mean_readout(h, prop, w, 0.5, [4])
         want = (3.0 * np.tanh(3.0) + 2.0 * np.tanh(2.0)) / 2.0
-        np.testing.assert_allclose(out.data, [[want]])
+        np.testing.assert_allclose(out, [[want]])
 
     def test_sag_tie_keeps_lower_index(self):
-        h = constant(np.array([[5.0], [5.0], [5.0], [5.0]]))
-        w = Tensor(np.array([[1.0]]))
+        h = np.array([[5.0], [5.0], [5.0], [5.0]])
+        w = np.array([[1.0]])
         prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [4])
-        out = sag_mean_readout(h, prop, w, 0.5, [4])
+        out, _ = sag_mean_readout(h, prop, w, 0.5, [4])
         want = 5.0 * np.tanh(5.0)
-        np.testing.assert_allclose(out.data, [[want]])
+        np.testing.assert_allclose(out, [[want]])
 
     def test_sag_ratio_one_keeps_everything(self):
         rng = np.random.default_rng(2)
-        h = constant(rng.normal(size=(5, 3)))
-        w = Tensor(rng.normal(size=(1, 3)))
+        h = rng.normal(size=(5, 3))
+        w = rng.normal(size=(1, 3))
         prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [5])
-        out = sag_mean_readout(h, prop, w, 1.0, [5])
-        score = h.data @ w.data.T
-        want = (h.data * np.tanh(score)).mean(axis=0)
-        np.testing.assert_allclose(out.data[0], want)
+        out, _ = sag_mean_readout(h, prop, w, 1.0, [5])
+        score = h @ w.T
+        want = (h * np.tanh(score)).mean(axis=0)
+        np.testing.assert_allclose(out[0], want)
 
     def test_sag_gradients_pass_fd(self):
         rng = np.random.default_rng(3)
-        h_arr = rng.normal(size=(6, 4))
-        w = Tensor(rng.normal(size=(1, 4)))
+        h = rng.normal(size=(6, 4))
+        w = rng.normal(size=(1, 4))
         prop = propagation("gcn", np.array([[0, 1], [2, 3], [4, 5]]), [6])
-        target = constant(rng.normal(size=(2, 4)))
-        h_param = Tensor(h_arr)
+        target = rng.normal(size=(2, 4))
 
-        def loss_fn():
-            pooled = sag_mean_readout(h_param, prop, w, 0.5, [3, 3])
-            return mse(pooled, target)
-        fd_gradient_check([h_param, w], loss_fn)
+        def sag(x, w):
+            return sag_mean_readout(x, prop, w, 0.5, [3, 3])
+        fd_gradient_check([h, w], lambda: layer_mse(sag, h, [w], target))
 
 
 class TestReadoutsAgainstReference:
@@ -471,49 +427,49 @@ class TestReadoutsAgainstReference:
         n = sum(sizes)
         ends = np.cumsum(sizes)
         slices = [(int(e - k), int(e)) for k, e in zip(sizes, ends)]
-        # the readouts take graph sizes, the reference loops row slices
-        segments = {nn: sizes, reference: slices}
         # few distinct values, so scores tie within and across graphs
         h_arr = rng.integers(-2, 3, size=(n, 3)).astype(float)
         w_arr = np.array([[1.0, 0.0, 0.0]])
         prop = propagation("gcn", np.zeros((0, 2), np.int64), sizes)
 
-        def run(readout_module):
-            h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
-            if pooling == "sag_mean":
-                out = readout_module.sag_mean_readout(
-                    h, prop, w, ratio, segments[readout_module])
-            else:
-                out = readout_module.global_mean_readout(
-                    h, segments[readout_module])
-            backward(mean_all(mul(out, out)))
-            return out.data, h.grad, w.grad
-
-        got, want = run(nn), run(reference)
-        for a, b in zip(got, want):
-            if b is None:
-                assert a is None
-            else:
-                assert a.tobytes() == b.tobytes()
+        # the readouts take graph sizes, the reference loops row slices
+        h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
+        if pooling == "sag_mean":
+            out, layer_backward = sag_mean_readout(h_arr, prop, w_arr, ratio,
+                                                   sizes)
+            want = reference.sag_mean_readout(h, prop, w, ratio, slices)
+        else:
+            out, layer_backward = global_mean_readout(h_arr, sizes)
+            want = reference.global_mean_readout(h, slices)
+        reference.backward(mean_all(mul(want, want)))
+        # what the tape's mul(out, out) hands to out: one product per
+        # operand, summed
+        half = np.full_like(out, 1.0 / out.size) * out
+        g_h, grads = layer_backward(half + half, True)
+        assert out.tobytes() == want.data.tobytes()
+        assert g_h.tobytes() == h.grad.tobytes()
+        if pooling == "sag_mean":
+            assert grads[0].tobytes() == w.grad.tobytes()
+        else:
+            assert grads == () and w.grad is None
 
     def test_empty_graph_rejected(self):
-        h = constant(np.ones((3, 1)))
+        h = np.ones((3, 1))
         with pytest.raises(ValidationError):
             global_mean_readout(h, [3, 0])
         with pytest.raises(ValidationError):
             sag_mean_readout(h, propagation("gcn", np.zeros((0, 2), np.int64),
                                             [3]),
-                             Tensor(np.ones((1, 1))), 0.5, [0, 3])
+                             np.ones((1, 1)), 0.5, [0, 3])
 
     def test_sizes_must_cover_every_row(self):
-        h = constant(np.ones((5, 1)))
+        h = np.ones((5, 1))
         prop = propagation("gcn", np.zeros((0, 2), np.int64), [5])
         for sizes in ([2, 2], [3, 3], [5, 1]):
             with pytest.raises(ShapeMismatch, match="cover"):
                 global_mean_readout(h, sizes)
             with pytest.raises(ShapeMismatch, match="cover"):
-                sag_mean_readout(h, prop, Tensor(np.ones((1, 1))), 0.5,
-                                 sizes)
+                sag_mean_readout(h, prop, np.ones((1, 1)), 0.5, sizes)
 
 
 def tiny_spec(**kw):
@@ -569,30 +525,30 @@ class TestInit:
         b = init_model_state(tiny_spec(), 7)
         assert list(a.params) == list(b.params)
         for k in a.params:
-            np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
+            np.testing.assert_array_equal(a.params[k], b.params[k])
 
     def test_different_seed_differs(self):
         a = init_model_state(tiny_spec(), 0)
         b = init_model_state(tiny_spec(), 1)
-        assert any((a.params[k].data != b.params[k].data).any()
+        assert any((a.params[k] != b.params[k]).any()
                    for k in a.params if k.endswith("W"))
 
     def test_final_post_layer_zeroed(self):
         s = init_model_state(tiny_spec(), 0)
-        assert (s.params["post.0.W"].data == 0.0).all()
-        assert (s.params["post.0.b"].data == 0.0).all()
+        assert (s.params["post.0.W"] == 0.0).all()
+        assert (s.params["post.0.b"] == 0.0).all()
 
     def test_final_gnn_layer_zeroed_without_post(self):
         s = init_model_state(tiny_spec(post_widths=(), gnn_widths=(3,)), 0)
         for suffix in ("W1", "W2", "b"):
-            assert (s.params[f"gnn.0.{suffix}"].data == 0.0).all()
+            assert (s.params[f"gnn.0.{suffix}"] == 0.0).all()
 
     def test_glorot_bounds(self):
         s = init_model_state(tiny_spec(), 0)
-        w = s.params["pre.0.W"].data
+        w = s.params["pre.0.W"]
         lim = np.sqrt(6.0 / (4 + 5))
         assert (np.abs(w) <= lim).all()
-        assert (s.params["pre.0.b"].data == 0.0).all()
+        assert (s.params["pre.0.b"] == 0.0).all()
 
 
 class TestSpatialForward:
@@ -603,16 +559,16 @@ class TestSpatialForward:
         spec = tiny_spec(operator=operator, pooling=pooling)
         state = init_model_state(spec, 11)
         out = spatial_forward(state, tiny_batch(rng))
-        assert (out.data == 0.0).all()
+        assert (out == 0.0).all()
 
     def test_batch_equals_individual_forward(self):
         rng = np.random.default_rng(6)
         spec = tiny_spec(pooling="sag_mean", post_widths=(3,))
         state = init_model_state(spec, 3)
         # un-zero the last layer to make the outputs informative
-        state.params["post.0.W"].data[:] = rng.normal(
-            size=state.params["post.0.W"].data.shape)
-        state.params["post.0.b"].data[:] = rng.normal(size=3)
+        state.params["post.0.W"][:] = rng.normal(
+            size=state.params["post.0.W"].shape)
+        state.params["post.0.b"][:] = rng.normal(size=3)
         graphs = []
         for _ in range(4):
 
@@ -625,7 +581,7 @@ class TestSpatialForward:
         batched = spatial_forward(state, reference.from_graphs(graphs))
         for i, g in enumerate(graphs):
             single = spatial_forward(state, reference.from_graphs([g]))
-            np.testing.assert_allclose(batched.data[i], single.data[0],
+            np.testing.assert_allclose(batched[i], single[0],
                                        rtol=0, atol=1e-12)
 
     def test_forward_deterministic(self):
@@ -633,8 +589,8 @@ class TestSpatialForward:
         spec = tiny_spec()
         state = init_model_state(spec, 3)
         batch = tiny_batch(np.random.default_rng(9))
-        a = spatial_forward(state, batch).data
-        b = spatial_forward(state, batch).data
+        a = spatial_forward(state, batch)
+        b = spatial_forward(state, batch)
         np.testing.assert_array_equal(a, b)
 
     def test_blocks_are_built_once_per_shape(self, monkeypatch):
@@ -662,16 +618,15 @@ class TestSpatialForward:
 
     @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
     def test_tape_is_freed_without_the_cycle_collector(self, operator):
+        # one training step: a forward onto a tape and a backward that
+        # pops it; refcounting alone frees every layer and its arrays
         state = init_model_state(
             tiny_spec(operator=operator, pooling="sag_mean"), 3)
         batch = tiny_batch(np.random.default_rng(4))
         gc.collect()
         gc.disable()
         try:
-            loss = mse(spatial_forward(state, batch),
-                       constant(np.ones((batch.n_graphs, 3))))
-            backward(loss)
-            del loss
+            model_mse(state, batch, np.ones((batch.n_graphs, 3)))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -693,10 +648,10 @@ class TestSpatialForward:
                  for k in sizes]
         batch = GraphBatch.pack(
             rng.normal(size=(rows, 24)).astype(np.float32), sizes, edges)
-        target = constant(np.ones((len(sizes), 8)))
+        tape = []
         tracemalloc.start()
         try:
-            loss = mse(spatial_forward(state, batch), target)
+            out = spatial_forward(state, batch, tape)
             traces = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
             ).traces
@@ -705,19 +660,36 @@ class TestSpatialForward:
         held = {w: sum(t.size == rows * w * 4 for t in traces)
                 for w in widths}
         assert held == {w: 1 for w in widths}
-        backward(loss)
-        assert all(t.grad is not None for t in state.params.values())
+        grads = backward(tape, np.ones_like(out))
+        assert sorted(grads) == sorted(state.params)
 
-    def test_forward_over_constants_records_nothing(self):
-        state = init_model_state(
-            tiny_spec(operator="gcn", pooling="sag_mean"), 3)
-        batch = tiny_batch(np.random.default_rng(4))
-        out = spatial_forward(state.frozen(), batch)
-        assert out._parents == () and out._backward is None
-        assert not out.requires_grad
-        recorded = spatial_forward(state, batch)
-        assert recorded._parents
-        assert out.data.tobytes() == recorded.data.tobytes()
+    def test_forward_without_a_tape_keeps_only_its_output(self):
+        # prediction drops each layer's backward as the layer returns, so
+        # once the forward is back numpy holds nothing of it but its
+        # output, whose bytes are the training forward's
+        for operator in ("gcn", "graphconv"):
+            state = init_model_state(
+                tiny_spec(operator=operator, pooling="sag_mean"), 3)
+            rng = np.random.default_rng(2)
+            for k, t in state.params.items():
+                state.params[k] = rng.normal(size=t.shape)
+            batch = tiny_batch(np.random.default_rng(4))
+            batch = GraphBatch.pack(batch.features.astype(np.float32),
+                                    batch.sizes, local_edges(batch))
+            tape = []
+            recorded = spatial_forward(state, batch, tape)
+            assert len(tape) == 6
+            tracemalloc.start()
+            try:
+                out = spatial_forward(state, batch)
+                traces = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.DomainFilter(True,
+                                              np.lib.tracemalloc_domain)]
+                ).traces
+            finally:
+                tracemalloc.stop()
+            assert [t.size for t in traces] == [out.nbytes]
+            assert out.tobytes() == recorded.tobytes()
 
     def test_width_guard(self):
         state = init_model_state(tiny_spec(), 0)
@@ -734,10 +706,8 @@ class TestSpatialForward:
         state = init_model_state(spec, 21)
         # randomize every parameter, including the zeroed final layer
         for k, t in state.params.items():
-            t.data = rng.normal(size=t.data.shape) * 0.5
+            state.params[k] = rng.normal(size=t.shape) * 0.5
         batch = tiny_batch(rng, n_graphs=2, nodes_per=4, width=3)
-        target = constant(rng.normal(size=(2, 2)))
-
-        def loss_fn():
-            return mse(spatial_forward(state, batch), target)
-        fd_gradient_check(list(state.params.values()), loss_fn)
+        target = rng.normal(size=(2, 2))
+        fd_gradient_check(list(state.params.values()),
+                          lambda: model_mse(state, batch, target))

@@ -17,7 +17,7 @@ from sepal.core import (
     ShapeMismatch,
     ValidationError,
 )
-from sepal.nn import GraphBatch, ModelSpec, Tensor, init_model_state
+from sepal.nn import GraphBatch, ModelSpec, init_model_state
 from sepal.train import (
     RIDGE_ALPHAS,
     Adam,
@@ -55,27 +55,25 @@ def star_graphs(rng, n, width, nodes_per=4):
 
 class TestAdam:
     def test_single_step_closed_form(self):
-        p = Tensor(np.zeros(3))
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0, -2.0, 0.5])
-        opt.step()
+        params = {"p": np.zeros(3)}
+        opt = Adam(params, lr=0.1)
+        opt.step({"p": np.array([1.0, -2.0, 0.5])})
         g = np.array([1.0, -2.0, 0.5])
         want = -0.1 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(p.data, want, rtol=1e-12)
+        np.testing.assert_allclose(params["p"], want, rtol=1e-12)
 
     def test_zero_learning_rate_freezes_params(self):
-        p = Tensor(np.array([1.0, 2.0]))
-        opt = Adam([p], lr=0.0)
+        params = {"p": np.array([1.0, 2.0])}
+        opt = Adam(params, lr=0.0)
         for _ in range(5):
-            p.grad = np.array([3.0, -1.0])
-            opt.step()
-        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+            opt.step({"p": np.array([3.0, -1.0])})
+        np.testing.assert_array_equal(params["p"], [1.0, 2.0])
 
     def test_missing_grad_treated_as_zero(self):
-        p = Tensor(np.array([1.0]))
-        opt = Adam([p], lr=0.5)
-        opt.step()
-        np.testing.assert_array_equal(p.data, [1.0])
+        params = {"p": np.array([1.0])}
+        opt = Adam(params, lr=0.5)
+        opt.step({})
+        np.testing.assert_array_equal(params["p"], [1.0])
 
 
 def realizable_problem(seed, n=48, d=4, genes=2, noise=0.0):
@@ -259,8 +257,8 @@ class TestStage2:
         assert [r.val_mse for r in a.history] == \
             [r.val_mse for r in b.history]
         for k in a.state.params:
-            np.testing.assert_array_equal(a.state.params[k].data,
-                                          b.state.params[k].data)
+            np.testing.assert_array_equal(a.state.params[k],
+                                          b.state.params[k])
 
     def test_empty_train_split(self):
         with pytest.raises(EmptySplit):
@@ -308,19 +306,28 @@ class TestStage2:
         assert built == []
 
     def test_validation_starts_with_no_tape_alive(self, monkeypatch):
-        # the last step's backward consumed its tape, so none of it is
-        # still reachable when the next validation runs
-        plain = train.spatial_predict
-        checked = []
+        # the last step's backward popped every layer off its tape, so no
+        # layer's backward, nor the arrays it keeps, is still reachable
+        # when the next validation runs; at backward's entry they are
+        def layer_backwards():
+            gc.collect()
+            return [o for o in gc.get_objects() if callable(o)
+                    and getattr(o, "__module__", None) == "sepal.nn"
+                    and o.__qualname__.endswith("<locals>.backward")]
+
+        plain, plain_backward = train.spatial_predict, nn.backward
+        checked, entered = [], []
 
         def checking(state, chunks):
-            gc.collect()
-            live = gc.get_objects()
-            assert not any(isinstance(o, Tensor) and o._backward is not None
-                           for o in live)
+            assert not layer_backwards()
             checked.append(True)
             return plain(state, chunks)
 
+        def entering(tape, grad):
+            entered.append(len(layer_backwards()))
+            return plain_backward(tape, grad)
+
+        monkeypatch.setattr(nn, "backward", entering)
         monkeypatch.setattr(train, "spatial_predict", checking)
         (tg, d_tr, y_tr, vg, d_val, y_val) = self._setup(seed=3)
         res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val,
@@ -329,6 +336,7 @@ class TestStage2:
                                        max_epochs=3, patience=3, seed=0))
         # every epoch but epoch 0, which runs no forward, validates
         assert len(checked) == len(res.history) - 1 == 3
+        assert len(entered) == res.n_steps and min(entered) > 0
 
     def test_epoch_zero_runs_no_forward_and_changes_no_bit(
             self, tmp_path, monkeypatch):
@@ -416,8 +424,8 @@ class TestCheckpoints:
                          pooling="sag_mean", sag_ratio=0.7,
                          post_widths=(2,))
         state = init_model_state(spec, 9)
-        for t in state.params.values():
-            t.data = rng.normal(size=t.data.shape)
+        for k, t in state.params.items():
+            state.params[k] = rng.normal(size=t.shape)
         head_w = rng.normal(size=(2, 4))
         head_b = rng.normal(size=2)
         mean = np.array([1.0, -1.0])
@@ -458,12 +466,16 @@ class TestCheckpoints:
         graphs = star_graphs(rng, 12, 4)
         graphs = GraphBatch.pack(graphs.features.astype(np.float32),
                                  graphs.sizes, local_edges(graphs))
-        optimizers = []
+        optimizers, grads = [], []
 
         class Recorded(train.Adam):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 optimizers.append(self)
+
+            def step(self, step_grads):
+                grads.extend(step_grads.values())
+                super().step(step_grads)
 
         monkeypatch.setattr(train, "Adam", Recorded)
         spec = ModelSpec(in_width=4, n_genes=2, pre_widths=(3,),
@@ -476,8 +488,9 @@ class TestCheckpoints:
                                        max_epochs=2, seed=0))
         (opt,) = optimizers
         assert opt.t == res.n_steps == 6
-        for arrays in ([p.data for p in opt.params],
-                       [p.grad for p in opt.params], opt.m, opt.v):
+        assert len(grads) == 6 * len(opt.params)
+        for arrays in (opt.params.values(), grads, opt.m.values(),
+                       opt.v.values()):
             assert all(a.dtype == np.float64 for a in arrays)
         path = tmp_path / "stage2.ckpt"
         save_model(path, TrainedModel(("a", "b"), np.zeros(2),
@@ -486,7 +499,7 @@ class TestCheckpoints:
         _, arrays = read_checkpoint(path)
         assert {a.dtype for k, a in arrays.items()
                 if k in res.state.params} == {np.dtype(np.float64)}
-        assert load_model(path).state.params["gnn.0.W"].data.dtype \
+        assert load_model(path).state.params["gnn.0.W"].dtype \
             == np.float64
 
     def test_wrong_stage_rejected(self, tmp_path):
@@ -556,11 +569,11 @@ class TestChunked:
                                                    seed):
         rng = np.random.default_rng(seed)
         state = init_model_state(visium_like_spec(6, 3), 0)
-        for t in state.params.values():
-            t.data = rng.normal(size=t.data.shape) * 0.5
+        for k, t in state.params.items():
+            state.params[k] = rng.normal(size=t.shape) * 0.5
         graphs = random_graphs(rng, sizes, 6, dtype)
         got = spatial_predict(state, chunked(graphs, rows))
-        want = nn.spatial_forward(state.frozen(), graphs).data
+        want = nn.spatial_forward(state, graphs)
         assert got.dtype == want.dtype == dtype
         # BLAS may sum a product's terms in another order for another row
         # count (a one-row product, say), so a chunk's rows may differ
@@ -573,8 +586,8 @@ class TestChunked:
         # plus the predicted rows, held once as chunks and once joined
         rng = np.random.default_rng(2)
         state = init_model_state(visium_like_spec(24, 8), 0)
-        for t in state.params.values():
-            t.data = rng.normal(size=t.data.shape) * 0.1
+        for k, t in state.params.items():
+            state.params[k] = rng.normal(size=t.shape) * 0.1
         sizes = np.full(4 * train.PREDICT_ROWS // 19, 19)
         graphs = random_graphs(rng, sizes, 24, np.float32)
         one = graphs.take(np.arange(train.PREDICT_ROWS // 19))
@@ -613,33 +626,33 @@ class TestPredict:
                          pooling="sag_mean", sag_ratio=0.5,
                          post_widths=(2,))
         state = init_model_state(spec, 0)
-        for t in state.params.values():
-            t.data = rng.normal(size=t.data.shape)
+        for k, t in state.params.items():
+            state.params[k] = rng.normal(size=t.shape)
         graphs = star_graphs(rng, 6, 4)
-        recorded = nn.spatial_forward(state, graphs)
-        assert recorded._parents
+        # the training forward records every layer's backward
+        tape = []
+        recorded = nn.spatial_forward(state, graphs, tape)
+        assert len(tape) == 6
 
-        created = []
-        plain_init = Tensor.__init__
+        tapes = []
+        plain = nn.spatial_forward
 
-        def spying_init(self, *args, **kwargs):
-            plain_init(self, *args, **kwargs)
-            created.append(self)
+        def spying(state, batch, tape=None):
+            tapes.append(tape)
+            return plain(state, batch, tape)
 
-        monkeypatch.setattr(Tensor, "__init__", spying_init)
+        monkeypatch.setattr(nn, "spatial_forward", spying)
         got = spatial_predict(state, [graphs])
         monkeypatch.undo()
-        assert created
-        assert all(t._parents == () and t._backward is None
-                   for t in created)
-        assert got.tobytes() == recorded.data.tobytes()
+        assert tapes == [None]
+        assert got.tobytes() == recorded.tobytes()
 
     def test_stage2_adds_correction(self):
         rng = np.random.default_rng(4)
         spec = correction_spec(4, 2)
         state = init_model_state(spec, 0)
-        for t in state.params.values():
-            t.data = rng.normal(size=t.data.shape) * 0.3
+        for k, t in state.params.items():
+            state.params[k] = rng.normal(size=t.shape) * 0.3
         graphs = star_graphs(rng, 3, 4)
         emb = rng.normal(size=(3, 4))
         mean = np.zeros(2)
@@ -656,52 +669,63 @@ class TestPredict:
 def reference_stage2(train_graphs, d_tr, y_tr, val_graphs, d_val, y_val,
                      spec, config):
     """stage2_train's loop, written out on the reference network and tape
-    with the Adam it ran before: the final parameter arrays and each
-    epoch's val MSE, the untouched model's first."""
-    params = {k: nn.Tensor(a) for k, a in
-              init_model_state(spec, config.seed).clone_arrays().items()}
-    model = SimpleNamespace(spec=spec, params=params)
-    opt = reference.Adam(params.values(), config.learning_rate)
+    with the Adam it ran before: the final parameter arrays, each epoch's
+    val MSE, the untouched model's first, and the Adam moments of the
+    last step, keyed like the parameters."""
+    model = reference.tape_state(
+        spec, init_model_state(spec, config.seed).params)
+    opt = reference.Adam(model.params.values(), config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     def val_mse():
         frozen = SimpleNamespace(spec=spec, params={
-            k: nn.constant(t.data) for k, t in params.items()})
+            k: reference.constant(t.data) for k, t in model.params.items()})
         s_hat = np.concatenate([reference.spatial_forward(frozen, c).data
                                 for c in chunked(val_graphs)])
         return float(np.mean((s_hat + d_val - y_val) ** 2))
 
     history = [float(np.mean((d_val - y_val) ** 2))]
-    best = {k: t.data.copy() for k, t in params.items()}
+    best = {k: t.data.copy() for k, t in model.params.items()}
     steps = 0
     while steps < config.max_steps:
         perm = rng.permutation(train_graphs.n_graphs)
         for k in range(0, perm.size, config.batch_size):
             idx = perm[k:k + config.batch_size]
             s_hat = reference.spatial_forward(model, train_graphs.take(idx))
-            loss = reference.mse(nn.add(s_hat, nn.constant(d_tr[idx])),
-                                 nn.constant(y_tr[idx]))
+            loss = reference.mse(
+                reference.add(s_hat, reference.constant(d_tr[idx])),
+                reference.constant(y_tr[idx]))
             opt.zero_grad()
-            nn.backward(loss)
+            reference.backward(loss)
             opt.step()
             steps += 1
             if steps == config.max_steps:
                 break
         history.append(val_mse())
         if history[-1] < min(history[:-1]):
-            best = {k: t.data.copy() for k, t in params.items()}
-    return best, history
+            best = {k: t.data.copy() for k, t in model.params.items()}
+    moments = [dict(zip(model.params, m)) for m in (opt.m, opt.v)]
+    return best, history, moments
 
 
 class TestTrainingStepOracle:
     """Five steps of stage2_train on float32 packed graphs, with a val
     split, against the loop of reference_stage2: every final parameter
-    and every history val MSE, byte for byte."""
+    and every history val MSE, byte for byte.  Adam's update all but
+    drops the last bits of a gradient, so the moments it sums the
+    gradients into are compared too."""
 
     @pytest.mark.parametrize("operator", ["gcn", "graphconv"])
     @pytest.mark.parametrize("pooling", ["sag_mean", "global_mean"])
     @given(data=st.data())
     def test_same_bits_as_the_reference_loop(self, data, operator, pooling):
+        optimizers = []
+
+        class Recorded(train.Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                optimizers.append(self)
+
         width = st.integers(1, 6)
         in_width, genes = data.draw(width), data.draw(width)
         spec = ModelSpec(
@@ -725,9 +749,12 @@ class TestTrainingStepOracle:
             learning_rate=data.draw(st.sampled_from([1e-3, 1e-2, 0.1])),
             batch_size=data.draw(st.integers(1, 5)), max_epochs=100,
             patience=100, seed=data.draw(st.integers(0, 99)), max_steps=5)
-        res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val, spec, config)
-        best, history = reference_stage2(tg, d_tr, y_tr, vg, d_val, y_val,
-                                         spec, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(train, "Adam", Recorded)
+            res = stage2_train(tg, d_tr, y_tr, vg, d_val, y_val, spec,
+                               config)
+        best, history, moments = reference_stage2(
+            tg, d_tr, y_tr, vg, d_val, y_val, spec, config)
         assert res.n_steps == 5
         assert [r.val_mse.hex() for r in res.history] \
             == [v.hex() for v in history]
@@ -736,3 +763,8 @@ class TestTrainingStepOracle:
         for k, a in best.items():
             assert got[k].dtype == a.dtype == np.float64
             assert got[k].tobytes() == a.tobytes(), k
+        (opt,) = optimizers
+        for mine, theirs in zip((opt.m, opt.v), moments):
+            assert list(mine) == list(theirs)
+            assert all(mine[k].tobytes() == theirs[k].tobytes()
+                       for k in mine)
