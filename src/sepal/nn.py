@@ -301,9 +301,10 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
     out, mean_backward = _segment_mean(gated, counts)
 
     def backward(g, need_input):
-        # the tape's gather, tanh and broadcast product, op by op: the
-        # gate's gradient sums over the channels only where there are
-        # several, and each gather scatters into zeros
+        # the expressions, and so the bits, of a row gather, a tanh and a
+        # broadcast product: the gate's gradient sums over the channels
+        # only where there are several (a sum of one -0.0 is +0.0), and
+        # each gather's gradient is scattered into zeros
         g_gated, _ = mean_backward(g, True)
         g_gate = g_gated * h[kept]
         if g_gate.shape[1] != 1:
