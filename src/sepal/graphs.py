@@ -145,16 +145,18 @@ def assemble_graph(slide_spots: SpotTable,
                    embeddings: EmbeddingTable,
                    subgraphs: Sequence[Subgraph],
                    aggregation: str) -> nn.GraphBatch:
-    """Attach features to subgraphs of one slide and pack them, in order,
-    as one batch: each node's embedding plus the positional encoding of
-    its offset from its graph's center, summed or concatenated per the
-    aggregation mode.  Each distinct offset is encoded once.  Features are
-    computed in float64 and stored rounded to float32, the dtype the
-    graph network then computes in.  Subgraphs of the same size and local
-    edges share one shape, whose propagation blocks are built once.
+    """Pack subgraphs of one slide, in order, as one batch whose node
+    features are each node's embedding plus the positional encoding of its
+    offset from its graph's center, summed or concatenated per the
+    aggregation mode.  The batch holds the slide's embeddings and a table
+    with each distinct offset encoded once, and per node a row of each;
+    the features are gathered from them, in float64 rounded to float32,
+    the dtype the graph network then computes in, only for the graphs a
+    forward runs.  Subgraphs of the same size and local edges share one
+    shape, whose propagation blocks are built once.
     """
     d = embeddings.d_emb
-    width = feature_width(d, aggregation)
+    feature_width(d, aggregation)  # rejects the mode or an odd width
     if embeddings.vectors.shape[0] != len(slide_spots):
         raise ShapeMismatch("embeddings not aligned with spots")
 
@@ -163,16 +165,10 @@ def assemble_graph(slide_spots: SpotTable,
     centers = np.repeat([sub.nodes[0] for sub in subgraphs], sizes)
     pos = slide_spots.array
     table, index = _offset_encodings(pos[nodes] - pos[centers], d)
-    # float64 values written into float32 rows, with no float64 copy of
-    # the whole feature matrix and no float64 gather kept past its use
-    feats = np.empty((nodes.size, width), dtype=np.float32)
-    if aggregation == "sum":
-        np.add(embeddings.vectors[nodes], table[index], out=feats,
-               casting="same_kind")
-    else:
-        feats[:, :d] = embeddings.vectors[nodes]
-        feats[:, d:] = table[index]
-    return nn.GraphBatch.pack(feats, sizes, [sub.edges for sub in subgraphs])
+    return nn.GraphBatch.pack(
+        nn.NodeTable(embeddings.vectors, table, aggregation,
+                     np.dtype(np.float32)),
+        sizes, [sub.edges for sub in subgraphs], nodes=nodes, offsets=index)
 
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,

@@ -22,7 +22,9 @@ What each layer keeps, and what it writes over:
                over its input, the pre-activation, which no layer keeps,
                and its backward writes the input's gradient over it
   gcn_conv     a narrowing layer propagates its product in place and
-               keeps its input; a widening one keeps the propagated
+               keeps its input, and its backward writes S^T g over the
+               g it is handed unless its caller reads g afterwards
+               (graph_conv does); a widening one keeps the propagated
                input, which the product after it reads
   graph_conv   what its two products keep (its input, and the
                propagated input where the neighbour product widens);
@@ -37,7 +39,7 @@ propagated input.
 
 Every layer computes in the dtype of its input, and the gradients it
 hands back have that dtype too.  spatial_forward runs in the dtype of its
-batch's features: graphs assembled from a slide hold float32 features,
+batch's features: graphs assembled from a slide gather float32 features,
 so stage 2 computes in float32, while the parameters (and the optimizer
 state) stay float64; spatial_forward hands the layers each parameter in
 the batch's dtype, and backward casts each parameter's gradient to
@@ -45,14 +47,17 @@ float64 once.  The same code run on a float64 batch computes in float64,
 as the gradient checks do.
 
 A batch is a disjoint union of small local graphs, so its propagation
-matrix is block-diagonal.  Local graphs on a spot lattice mostly share a
-few shapes (a node count and its local edges), so a batch holds a shape
-id per graph and the distinct shapes, each with dense adj and gcn blocks
-built once when the graphs are packed.  A product multiplies each shape's
-graphs, gathered into a [graphs, k, d] array at the shape's exact size k,
-by its one [k, k] block in a broadcast matmul; nothing is padded.  Its
-cost grows with k^2 per graph, not with the graph's edge count: the price
-of needing numpy alone.
+matrix is block-diagonal.  A spot lies in many local graphs, so a batch
+holds, per node, a row into a table of embeddings and a row into a table
+of offset encodings, and gathers the feature rows of the graphs it runs
+only when spatial_forward reads them.  Local graphs on a spot lattice
+mostly share a few shapes (a node count and its local edges), so a batch
+holds a shape id per graph and the distinct shapes, each with dense adj
+and gcn blocks built once when the graphs are packed.  A product
+multiplies each shape's graphs, gathered into a [graphs, k, d] array at
+the shape's exact size k, by its one [k, k] block in a broadcast matmul;
+nothing is padded.  Its cost grows with k^2 per graph, not with the
+graph's edge count: the price of needing numpy alone.
 
 Model layers:
 
@@ -197,17 +202,20 @@ def linear(h: np.ndarray, weight: np.ndarray,
     return out, backward
 
 
-def gcn_conv(h: np.ndarray, prop: Propagation, weight: np.ndarray
-             ) -> Layer:
+def gcn_conv(h: np.ndarray, prop: Propagation, weight: np.ndarray,
+             grad_read_after: bool = False) -> Layer:
     """prop h weight^T, with the propagation taken on the narrower of h
-    and h weight^T."""
+    and h weight^T.  Where that is the output, the backward writes S^T g
+    over its g, unless grad_read_after says the caller reads g after
+    it."""
     if weight.shape[0] < weight.shape[1]:
         out, product_backward = linear(h, weight)
         propagate(prop, out, out=out)
 
         def backward(g, need_input):
-            return product_backward(propagate(prop, g, transposed=True),
-                                    need_input)
+            g_prop = propagate(prop, g, transposed=True,
+                               out=None if grad_read_after else g)
+            return product_backward(g_prop, need_input)
         return out, backward
     # the product reads the propagated h, so its backward keeps it
     out, product_backward = linear(propagate(prop, h), weight)
@@ -224,7 +232,7 @@ def graph_conv(h: np.ndarray, adj: Propagation, w_self: np.ndarray,
     """(h w_self^T + adj h w_neigh^T) + bias, summed in that order over
     the first product's buffer."""
     out, own_backward = linear(h, w_self)
-    neigh, neigh_backward = gcn_conv(h, adj, w_neigh)
+    neigh, neigh_backward = gcn_conv(h, adj, w_neigh, grad_read_after=True)
     out += neigh
     out += bias
 
@@ -447,30 +455,96 @@ class Shape:
 
 
 @dataclass(frozen=True)
+class NodeTable:
+    """The rows a batch's node features are gathered from.  A node's
+    feature row is a row of embeddings and a row of encodings, added or
+    side by side per the aggregation ("sum" or "concat"), taken in the
+    tables' dtype and rounded once to dtype, the dtype the network
+    computes in."""
+
+    embeddings: np.ndarray  # [n_rows, d]
+    encodings: np.ndarray   # [n_offsets, d] for sum, any width for concat
+    aggregation: str
+    dtype: np.dtype
+
+    @classmethod
+    def join(cls, tables: Sequence["NodeTable"]) -> "NodeTable":
+        """One table holding each table's rows after the previous ones'."""
+        first = tables[0]
+        for t in tables[1:]:
+            if (t.aggregation, t.dtype) != (first.aggregation, first.dtype):
+                raise ValidationError(
+                    f"cannot join {t.aggregation} {t.dtype} features to "
+                    f"{first.aggregation} {first.dtype} ones")
+        return cls(np.concatenate([t.embeddings for t in tables]),
+                   np.concatenate([t.encodings for t in tables]),
+                   first.aggregation, first.dtype)
+
+    @property
+    def width(self) -> int:
+        d = self.embeddings.shape[1]
+        return d if self.aggregation == "sum" else d + self.encodings.shape[1]
+
+    def gather(self, nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The [nodes, width] feature rows of the given table rows."""
+        out = np.empty((nodes.size, self.width), self.dtype)
+        if self.aggregation == "sum":
+            np.add(self.embeddings[nodes], self.encodings[offsets], out=out,
+                   casting="same_kind")
+        else:
+            d = self.embeddings.shape[1]
+            out[:, :d] = self.embeddings[nodes]
+            out[:, d:] = self.encodings[offsets]
+        return out
+
+
+@dataclass(frozen=True)
 class GraphBatch:
     """Disjoint union of local graphs for one forward pass.
 
-    Graph g owns sizes[g] consecutive feature rows and has the topology
-    shapes[topology[g]].  The features' dtype is the dtype spatial_forward
-    computes in, and the shapes' blocks have it too.  take and from_graphs
-    reuse the shapes they are given, so only pack builds blocks.
+    Graph g owns sizes[g] consecutive node rows and has the topology
+    shapes[topology[g]].  Node i holds no features of its own, only row
+    nodes[i] of the table's embeddings and row offsets[i] of its
+    encodings, so a spot in many graphs is stored once; features gathers
+    the rows when the network runs.  The table's dtype is the dtype
+    spatial_forward computes in, and the shapes' blocks have it too.
+    take and from_graphs reuse the shapes they are given, so only pack
+    builds blocks.
     """
 
-    features: np.ndarray   # [n_nodes, width]
+    table: NodeTable
+    nodes: np.ndarray      # [n_nodes] rows of table.embeddings
+    offsets: np.ndarray    # [n_nodes] rows of table.encodings
     sizes: np.ndarray      # [n_graphs] node counts
     topology: np.ndarray   # [n_graphs] rows of shapes
     shapes: tuple[Shape, ...]
 
     @classmethod
-    def pack(cls, features: np.ndarray, sizes, edges: Sequence[np.ndarray]
+    def pack(cls, features: np.ndarray | NodeTable, sizes,
+             edges: Sequence[np.ndarray], nodes=None, offsets=None
              ) -> "GraphBatch":
         """The batch of graphs where graph g owns sizes[g] consecutive
-        feature rows and edges[g] lists its edges by local node id.
-        Graphs of one size whose local edges are listed alike share one
-        shape, whose blocks are built once, in the features' dtype; the
-        build rejects an endpoint outside its graph."""
-        features = np.asarray(features)
-        sizes = _check_sizes(sizes, features.shape[0])
+        node rows and edges[g] lists its edges by local node id.  The
+        rows are those of a feature matrix, or nodes and offsets into a
+        NodeTable.  Graphs of one size whose local edges are listed alike
+        share one shape, whose blocks are built once, in the features'
+        dtype; the build rejects an endpoint outside its graph."""
+        if isinstance(features, NodeTable):
+            table = features
+            nodes = np.asarray(nodes, dtype=np.int64)
+            offsets = np.asarray(offsets, dtype=np.int64)
+            if nodes.shape != offsets.shape:
+                raise ShapeMismatch(
+                    f"{nodes.shape} node rows with {offsets.shape} offsets")
+        else:
+            # a feature matrix is a table of its own rows, with no
+            # encoding columns beside them
+            features = np.asarray(features)
+            table = NodeTable(features, np.zeros((1, 0), features.dtype),
+                              "concat", features.dtype)
+            nodes = np.arange(features.shape[0], dtype=np.int64)
+            offsets = np.zeros_like(nodes)
+        sizes = _check_sizes(sizes, nodes.size)
         if len(edges) != sizes.size:
             raise ShapeMismatch(
                 f"{len(edges)} edge lists for {sizes.size} graphs")
@@ -483,17 +557,30 @@ class GraphBatch:
         shapes = []
         for k, data in index:
             e = np.frombuffer(data, np.int64).reshape(-1, 2)
-            shapes.append(Shape(k, e, adj_matrix(k, e, features.dtype),
-                                gcn_matrix(k, e, features.dtype)))
-        return cls(features, sizes, topology, tuple(shapes))
+            shapes.append(Shape(k, e, adj_matrix(k, e, table.dtype),
+                                gcn_matrix(k, e, table.dtype)))
+        return cls(table, nodes, offsets, sizes, topology, tuple(shapes))
 
     @property
     def n_nodes(self) -> int:
-        return int(self.features.shape[0])
+        return int(self.nodes.size)
 
     @property
     def n_graphs(self) -> int:
         return int(self.sizes.shape[0])
+
+    @property
+    def width(self) -> int:
+        return self.table.width
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.table.dtype
+
+    @property
+    def features(self) -> np.ndarray:
+        """The [n_nodes, width] feature rows, gathered anew on each read."""
+        return self.table.gather(self.nodes, self.offsets)
 
     @cached_property
     def _groups(self) -> list[tuple[Shape, np.ndarray]]:
@@ -514,17 +601,19 @@ class GraphBatch:
 
     def take(self, idx) -> "GraphBatch":
         """The graphs at idx, in that order, as a new batch over the same
-        shapes."""
+        table and shapes; only index arrays are copied."""
         idx = np.asarray(idx, dtype=np.int64).reshape(-1)
         firsts = np.cumsum(self.sizes) - self.sizes
         sizes = self.sizes[idx]
-        return GraphBatch(self.features[_runs(firsts[idx], sizes)], sizes,
-                          self.topology[idx], self.shapes)
+        rows = _runs(firsts[idx], sizes)
+        return GraphBatch(self.table, self.nodes[rows], self.offsets[rows],
+                          sizes, self.topology[idx], self.shapes)
 
     @classmethod
     def from_graphs(cls, batches: Sequence["GraphBatch"]) -> "GraphBatch":
         """Disjoint union of batches, their graphs in order, over one table
-        of their distinct shapes; a single batch is returned as it is."""
+        holding their tables' rows and one table of their distinct
+        shapes; a single batch is returned as it is."""
         if not batches:
             raise ValidationError("empty graph batch")
         if len(batches) == 1:
@@ -535,7 +624,18 @@ class GraphBatch:
                 index.setdefault(s.key, (len(index), s))
         topology = [np.array([index[s.key][0] for s in b.shapes],
                              dtype=np.int64)[b.topology] for b in batches]
-        return cls(np.concatenate([b.features for b in batches]),
+        # each batch's index arrays shift past the rows of the tables
+        # before its own
+        tables = [b.table for b in batches]
+        row_shift = np.cumsum([0] + [t.embeddings.shape[0]
+                                     for t in tables[:-1]])
+        offset_shift = np.cumsum([0] + [t.encodings.shape[0]
+                                        for t in tables[:-1]])
+        return cls(NodeTable.join(tables),
+                   np.concatenate([b.nodes + s
+                                   for b, s in zip(batches, row_shift)]),
+                   np.concatenate([b.offsets + s
+                                   for b, s in zip(batches, offset_shift)]),
                    np.concatenate([b.sizes for b in batches]),
                    np.concatenate(topology),
                    tuple(s for _, s in index.values()))
@@ -548,11 +648,11 @@ def spatial_forward(state: ModelState, batch: GraphBatch,
     the keys of its parameters, is appended to tape if one is given, and
     dropped at once if not."""
     spec = state.spec
-    if batch.features.shape[1] != spec.in_width:
+    if batch.width != spec.in_width:
         raise ShapeMismatch(
-            f"batch features {batch.features.shape} for in_width "
+            f"batch features {(batch.n_nodes, batch.width)} for in_width "
             f"{spec.in_width}")
-    dtype = batch.features.dtype
+    dtype = batch.dtype
     p = {k: v.astype(dtype, copy=False) for k, v in state.params.items()}
 
     def record(layer: Layer, *keys: str) -> np.ndarray:

@@ -178,9 +178,20 @@ def morans_i(values: np.ndarray, adjacency: Adjacency) -> float | None:
     return scores[0]
 
 
+# elements in each [n_edges, columns] array morans_i_many forms per block
+# of gene columns, and the fewest columns that caps a block at: numpy sums
+# a one-column array pairwise, not row by row as it sums wider ones, and
+# evening out the blocks keeps each at least half that wide
+MORANS_BLOCK = 1 << 18
+MORANS_MIN_COLUMNS = 16
+
+
 def morans_i_many(values: np.ndarray, adjacency: Adjacency
                   ) -> list[float | None]:
-    """Column-wise autocorrelation over a [n_spots, n_genes] matrix."""
+    """Column-wise autocorrelation over a [n_spots, n_genes] matrix, taken
+    over blocks of columns.  Every block has the same width, or is the
+    whole matrix: the last one overlaps the one before rather than
+    narrowing, so each column's sums are those of the whole matrix."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != adjacency.n_spots:
         raise ShapeMismatch(
@@ -191,11 +202,22 @@ def morans_i_many(values: np.ndarray, adjacency: Adjacency
             f"{adjacency.slide_id!r}: no edges, score undefined")
     n = adjacency.n_spots
     m = adjacency.n_edges
+    n_genes = values.shape[1]
+    # the fewest blocks of at most cap columns, evened out
+    cap = max(MORANS_MIN_COLUMNS, MORANS_BLOCK // m)
+    n_blocks = max(1, -(-n_genes // cap))
+    width = max(1, -(-n_genes // n_blocks))
     z = values - values.mean(axis=0, keepdims=True)
-    ss = (z * z).sum(axis=0)
-    cross = (z[adjacency.edges[:, 0], :] * z[adjacency.edges[:, 1], :]).sum(axis=0)
+    ss = np.empty(n_genes)
+    cross = np.empty(n_genes)
+    for stop in range(width, n_genes + width, width):
+        block = slice(min(stop, n_genes) - width, min(stop, n_genes))
+        zb = z[:, block]
+        ss[block] = (zb * zb).sum(axis=0)
+        cross[block] = (zb[adjacency.edges[:, 0]]
+                        * zb[adjacency.edges[:, 1]]).sum(axis=0)
     out: list[float | None] = []
-    for j in range(values.shape[1]):
+    for j in range(n_genes):
         if ss[j] == 0.0:
             out.append(None)
         else:

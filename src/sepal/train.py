@@ -185,9 +185,10 @@ def chunked(graphs: GraphBatch, rows: int = PREDICT_ROWS
             ) -> Iterator[GraphBatch]:
     """The graphs in order, in consecutive batches of whole graphs of at
     most rows node rows each; a graph of more rows than that is a batch
-    of its own.  They are cut one at a time as they are iterated, so one
-    chunk's rows are copied at a time; the chunks share the graphs'
-    shapes and build no block."""
+    of its own.  They are cut one at a time as they are iterated, as
+    index arrays over the graphs' tables and shapes: no chunk copies a
+    feature row or builds a block, and a forward gathers one chunk's
+    rows at a time."""
     ends = np.cumsum(graphs.sizes)
     start = 0
     while start < graphs.n_graphs:

@@ -4,7 +4,10 @@ against: the straightforward versions they replaced.
 khop_subgraph scans the slide's whole edge list for the induced edges,
 assemble_graph encodes every node's offset on its own and returns one
 SpotGraph per center, from_graphs packs a list of such graphs into a
-GraphBatch one graph at a time, and the two readouts take (start, end)
+GraphBatch one graph at a time, packed_assemble_graph packs a slide's
+graphs as one [n_nodes, width] feature matrix, as assemble_graph did
+before a batch held rows into its embedding and encoding tables, and the
+two readouts take (start, end)
 row slices and build their pooling matrices and top-k choices graph by
 graph.
 adj_matrix and gcn_matrix build a batch's propagation matrices as scipy
@@ -32,7 +35,9 @@ pixel-distance matrix, as the denoiser did before its rings came from
 lattice norms; on a lattice with exact pixels the two agree member for
 member.  heatmap_spacing is the smallest off-diagonal entry of that
 matrix, as the heatmap writer took it before its spacing came from the
-adjacency edges.  lattice_edges finds each spot's neighbours through a
+adjacency edges.  morans_i_many multiplies every edge's two rows of the
+whole centred matrix at once, as spatial did before it took blocks of
+gene columns.  lattice_edges finds each spot's neighbours through a
 dict of array positions, as build_adjacency did before one lattice
 lookup served every spot.
 read_value_table parses and checks every cell of a value table on its
@@ -85,7 +90,12 @@ from sepal.ingest import (
     _parse_tsv,
     fmt_float,
 )
-from sepal.graphs import Subgraph, positional_encoding
+from sepal.graphs import (
+    Subgraph,
+    _offset_encodings,
+    feature_width,
+    positional_encoding,
+)
 from sepal.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sepal.nn import GraphBatch, _check_sizes
 
@@ -339,6 +349,28 @@ def spot_graphs(slide, adjacency, hops, aggregation):
     return [assemble_graph(slide.spots, slide.embeddings,
                            khop_subgraph(adjacency, i, hops), aggregation)
             for i in range(len(slide.spots))]
+
+
+def packed_assemble_graph(slide_spots, embeddings, subgraphs, aggregation,
+                          dtype=np.float32):
+    """Subgraphs of one slide packed as one batch of their feature
+    matrix, every node's row computed in float64 and written into dtype,
+    as assemble_graph did before a batch held rows into its tables."""
+    d = embeddings.d_emb
+    width = feature_width(d, aggregation)
+    sizes = np.array([len(sub.nodes) for sub in subgraphs], dtype=np.int64)
+    nodes = np.concatenate([sub.nodes for sub in subgraphs])
+    centers = np.repeat([sub.nodes[0] for sub in subgraphs], sizes)
+    pos = slide_spots.array
+    table, index = _offset_encodings(pos[nodes] - pos[centers], d)
+    feats = np.empty((nodes.size, width), dtype=dtype)
+    if aggregation == "sum":
+        np.add(embeddings.vectors[nodes], table[index], out=feats,
+               casting="same_kind")
+    else:
+        feats[:, :d] = embeddings.vectors[nodes]
+        feats[:, d:] = table[index]
+    return GraphBatch.pack(feats, sizes, [sub.edges for sub in subgraphs])
 
 
 def from_graphs(graphs):
@@ -789,6 +821,19 @@ def heatmap_spacing(spots):
     if dmin <= 0.0:
         raise ValidationError("two spots share a pixel position")
     return dmin
+
+
+def morans_i_many(values, adjacency):
+    """Column-wise autocorrelation from whole [n_edges, n_genes] products,
+    as spatial did before it took blocks of columns."""
+    values = np.asarray(values, dtype=np.float64)
+    n, m = adjacency.n_spots, adjacency.n_edges
+    z = values - values.mean(axis=0, keepdims=True)
+    ss = (z * z).sum(axis=0)
+    cross = (z[adjacency.edges[:, 0], :]
+             * z[adjacency.edges[:, 1], :]).sum(axis=0)
+    return [None if ss[j] == 0.0 else float(n * cross[j] / (m * ss[j]))
+            for j in range(values.shape[1])]
 
 
 def read_value_table(path, kind):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     grid_spots,
     hex_spots,
     index_by_position,
+    lattices_with_holes,
     local_edges,
     mse_grad,
     node_hops,
@@ -42,6 +44,7 @@ from sepal.graphs import (
 from sepal import nn
 from sepal.nn import GraphBatch, ModelSpec, init_model_state, spatial_forward
 from sepal.spatial import build_adjacency
+from sepal.train import chunked
 
 
 def make_slide(spots, d_emb=8, seed=0):
@@ -216,31 +219,42 @@ class TestAssembleGraph:
             assemble_graph(slide.spots, slide.embeddings, [sub], "mean")
 
     @pytest.mark.parametrize("aggregation", ["sum", "concat"])
-    def test_embedding_gather_is_freed_before_packing(self, monkeypatch,
-                                                      aggregation):
-        # the float64 gather of every node's embedding dies once it is
-        # written into the float32 features: when pack is called, what is
-        # live besides the features is smaller than that gather
+    def test_assembly_gathers_no_features(self, aggregation):
+        # the batch holds rows into the embeddings and the offset table:
+        # assembling it never holds as much as the float32 feature matrix
         d_emb = 32
         spots = hex_spots(16, 16)
         slide = make_slide(spots, d_emb=d_emb)
         subgraphs = slide_subgraphs(build_adjacency(spots, "hex_array"), 3)
-        pack = GraphBatch.pack.__func__
-        live = []
-
-        def traced_pack(cls, features, sizes, edges):
-            live.append(tracemalloc.get_traced_memory()[0] - features.nbytes)
-            return pack(cls, features, sizes, edges)
-
-        monkeypatch.setattr(GraphBatch, "pack", classmethod(traced_pack))
         tracemalloc.start()
         try:
             batch = assemble_graph(slide.spots, slide.embeddings, subgraphs,
                                    aggregation)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(live) == 1
-        assert live[0] < batch.n_nodes * d_emb * 8
+        assert batch.table.embeddings is slide.embeddings.vectors
+        assert peak < batch.n_nodes * d_emb * 4
+
+    def test_slide_batch_holds_indices_not_features(self):
+        # one 64x64 hex slide at hops 3 with concat at d_emb 768, a ViT-B
+        # patch embedding's width: a [n_nodes, 1536] float32 feature
+        # matrix would take about 890 MB, while the batch holds under
+        # 30 MB beyond the embeddings it shares with the slide, and takes
+        # no more while it is assembled
+        spots = hex_spots(64, 64)
+        slide = make_slide(spots, d_emb=768)
+        subgraphs = slide_subgraphs(build_adjacency(spots, "hex_array"), 3)
+        tracemalloc.start()
+        try:
+            batch = assemble_graph(slide.spots, slide.embeddings, subgraphs,
+                                   "concat")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.n_nodes * batch.width * 4 > 850e6
+        assert batch.table.embeddings is slide.embeddings.vectors
+        assert held < 30e6 and peak < 30e6
 
 
 class TestBuildSpotGraphs:
@@ -411,6 +425,65 @@ class TestTake:
         assert packed_edges(empty).shape == (0, 2)
         with pytest.raises(ValidationError):
             GraphBatch.from_graphs([])
+
+
+def indexed_and_packed(spots, geometry, hops, aggregation, dtype, seed):
+    """A slide's graphs as assemble_graph indexes them, gathering into
+    dtype, and as the reference packs them into one feature matrix."""
+    slide = make_slide(spots, 8, seed)
+    subs = slide_subgraphs(build_adjacency(slide.spots, geometry), hops)
+    got = assemble_graph(slide.spots, slide.embeddings, subs, aggregation)
+    got = replace(got, table=replace(got.table, dtype=np.dtype(dtype)))
+    return got, reference.packed_assemble_graph(
+        slide.spots, slide.embeddings, subs, aggregation, dtype)
+
+
+class TestIndexedFeatures:
+    """A batch of rows into its slide's embedding and offset tables
+    gathers the bytes of the packed feature matrix it replaced, and take,
+    chunked and from_graphs over it give the bytes of the same calls on
+    the packed batch."""
+
+    @given(lattices_with_holes(), st.integers(1, 3),
+           st.sampled_from(["sum", "concat"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 99))
+    def test_gather_matches_packed(self, lattice, hops, aggregation, dtype,
+                                   seed):
+        spots, geometry = lattice
+        got, want = indexed_and_packed(spots, geometry, hops, aggregation,
+                                       dtype, seed)
+        assert_same_batch(got, want)
+        assert got.nodes.shape == got.offsets.shape == (want.n_nodes,)
+
+    @given(lattices_with_holes(), st.integers(1, 3),
+           st.sampled_from(["sum", "concat"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 99),
+           st.integers(1, 60))
+    def test_take_and_chunked_match_packed(self, lattice, hops, aggregation,
+                                           dtype, seed, rows):
+        spots, geometry = lattice
+        got, want = indexed_and_packed(spots, geometry, hops, aggregation,
+                                       dtype, seed)
+        for idx in subsets(np.random.default_rng(seed), got.n_graphs):
+            assert_same_batch(got.take(idx), want.take(idx))
+        for a, b in zip(chunked(got, rows), chunked(want, rows),
+                        strict=True):
+            assert_same_batch(a, b)
+
+    @given(st.lists(lattices_with_holes(max_side=5), min_size=2,
+                    max_size=3),
+           st.integers(1, 3), st.sampled_from(["sum", "concat"]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 99))
+    def test_union_of_slides_matches_packed(self, lattices, hops,
+                                            aggregation, dtype, seed):
+        parts = [indexed_and_packed(spots, geometry, hops, aggregation,
+                                    dtype, seed + k)
+                 for k, (spots, geometry) in enumerate(lattices)]
+        got = GraphBatch.from_graphs([g for g, _ in parts])
+        want = GraphBatch.from_graphs([w for _, w in parts])
+        assert_same_batch(got, want)
+        for idx in subsets(np.random.default_rng(seed), got.n_graphs):
+            assert_same_batch(got.take(idx), want.take(idx))
 
 
 class TestBatchedForward:

@@ -359,6 +359,25 @@ class TestPropagationMatrices:
         graph_conv(h, propagation("adj", edges, [4]), w, w, np.zeros(n_out))
         assert widths == [min(n_in, n_out)] * 2
 
+    def test_narrowing_backward_writes_over_its_gradient(self):
+        # S^T g goes into g's buffer where the layer is g's last reader;
+        # graph_conv reads g after its neighbour product's backward, so
+        # there g is left as it was
+        rng = np.random.default_rng(5)
+        edges = np.array([[0, 1], [1, 2], [0, 3]])
+        h = rng.normal(size=(4, 6))
+        w = rng.normal(size=(2, 6))
+        g = rng.normal(size=(4, 2))
+        prop = propagation("gcn", edges, [4])
+        want = propagate(prop, g, transposed=True)
+        spent = g.copy()
+        gcn_conv(h, prop, w)[1](spent, True)
+        assert spent.tobytes() == want.tobytes()
+        kept = g.copy()
+        graph_conv(h, propagation("adj", edges, [4]), w, w,
+                   np.zeros(2))[1](kept, True)
+        assert kept.tobytes() == g.tobytes()
+
     def test_graph_conv_star_hand_value(self):
         edges = np.array([[0, 1], [0, 2]])
         h = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])

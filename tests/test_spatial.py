@@ -21,6 +21,7 @@ from sepal.core import (
     TooFewGenes,
     ValidationError,
 )
+from sepal import spatial
 from sepal.graphs import khop_subgraph
 from sepal.spatial import (
     Adjacency,
@@ -192,6 +193,19 @@ class TestMoransI:
         adj = Adjacency("s", 2, np.array([[0, 1]]))
         with pytest.raises(ShapeMismatch):
             morans_i_many(np.zeros((3, 1)), adj)
+
+    @given(st.integers(0, 10 ** 9), st.integers(1, 60))
+    def test_column_blocks_keep_whole_matrix_bits(self, seed, n_genes):
+        # blocks of the fewest columns allowed, the last overlapping the
+        # one before, give every column the bits of the whole-matrix
+        # products
+        adj, rng = random_adjacency(seed)
+        values = rng.normal(size=(adj.n_spots, n_genes)) * 3.0 + 1.5
+        values[:, rng.random(n_genes) < 0.2] = 2.5  # constant maps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spatial, "MORANS_BLOCK", 1)
+            got = morans_i_many(values, adj)
+        assert got == reference.morans_i_many(values, adj)
 
 
 def expr(values, gene_ids, slide="s0"):
