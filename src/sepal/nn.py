@@ -23,12 +23,13 @@ What each layer keeps, and what it writes over:
                and its backward writes the input's gradient over it
   gcn_conv     a narrowing layer propagates its product in place and
                keeps its input, and its backward writes S^T g over the
-               g it is handed unless its caller reads g afterwards
-               (graph_conv does); a widening one keeps the propagated
+               g it is handed; a widening one keeps the propagated
                input, which the product after it reads
   graph_conv   what its two products keep (its input, and the
                propagated input where the neighbour product widens);
-               both sums are written over the first product's buffer
+               both sums are written over the first product's buffer,
+               and its backward takes everything it reads of g before
+               the neighbour product's backward writes over g
   readouts     row indices and weights; SAG also keeps its input, the
                gathered scores and their tanh gates, and gates the
                gathered rows in place, which no backward reads
@@ -202,19 +203,16 @@ def linear(h: np.ndarray, weight: np.ndarray,
     return out, backward
 
 
-def gcn_conv(h: np.ndarray, prop: Propagation, weight: np.ndarray,
-             grad_read_after: bool = False) -> Layer:
+def gcn_conv(h: np.ndarray, prop: Propagation, weight: np.ndarray) -> Layer:
     """prop h weight^T, with the propagation taken on the narrower of h
     and h weight^T.  Where that is the output, the backward writes S^T g
-    over its g, unless grad_read_after says the caller reads g after
-    it."""
+    over the g it is handed, so the caller must not read g after it."""
     if weight.shape[0] < weight.shape[1]:
         out, product_backward = linear(h, weight)
         propagate(prop, out, out=out)
 
         def backward(g, need_input):
-            g_prop = propagate(prop, g, transposed=True,
-                               out=None if grad_read_after else g)
+            g_prop = propagate(prop, g, transposed=True, out=g)
             return product_backward(g_prop, need_input)
         return out, backward
     # the product reads the propagated h, so its backward keeps it
@@ -232,16 +230,18 @@ def graph_conv(h: np.ndarray, adj: Propagation, w_self: np.ndarray,
     """(h w_self^T + adj h w_neigh^T) + bias, summed in that order over
     the first product's buffer."""
     out, own_backward = linear(h, w_self)
-    neigh, neigh_backward = gcn_conv(h, adj, w_neigh, grad_read_after=True)
+    neigh, neigh_backward = gcn_conv(h, adj, w_neigh)
     out += neigh
     out += bias
 
     def backward(g, need_input):
         g_own, (g_self,) = own_backward(g, need_input)
+        g_bias = g.sum(axis=0)
+        # the neighbour product's backward may write over g
         g_neigh, (g_neigh_w,) = neigh_backward(g, need_input)
         # the own product's gradient first, then the neighbours'
         return (g_own + g_neigh if need_input else None), (
-            g_self, g_neigh_w, g.sum(axis=0))
+            g_self, g_neigh_w, g_bias)
     return out, backward
 
 
@@ -471,11 +471,6 @@ class NodeTable:
     def join(cls, tables: Sequence["NodeTable"]) -> "NodeTable":
         """One table holding each table's rows after the previous ones'."""
         first = tables[0]
-        for t in tables[1:]:
-            if (t.aggregation, t.dtype) != (first.aggregation, first.dtype):
-                raise ValidationError(
-                    f"cannot join {t.aggregation} {t.dtype} features to "
-                    f"{first.aggregation} {first.dtype} ones")
         return cls(np.concatenate([t.embeddings for t in tables]),
                    np.concatenate([t.encodings for t in tables]),
                    first.aggregation, first.dtype)

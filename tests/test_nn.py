@@ -360,9 +360,9 @@ class TestPropagationMatrices:
         assert widths == [min(n_in, n_out)] * 2
 
     def test_narrowing_backward_writes_over_its_gradient(self):
-        # S^T g goes into g's buffer where the layer is g's last reader;
-        # graph_conv reads g after its neighbour product's backward, so
-        # there g is left as it was
+        # S^T g goes into g's buffer; graph_conv takes its bias gradient
+        # from g before its neighbour product's backward does that, so
+        # its gradients keep the reference's bits
         rng = np.random.default_rng(5)
         edges = np.array([[0, 1], [1, 2], [0, 3]])
         h = rng.normal(size=(4, 6))
@@ -373,10 +373,15 @@ class TestPropagationMatrices:
         spent = g.copy()
         gcn_conv(h, prop, w)[1](spent, True)
         assert spent.tobytes() == want.tobytes()
-        kept = g.copy()
-        graph_conv(h, propagation("adj", edges, [4]), w, w,
-                   np.zeros(2))[1](kept, True)
-        assert kept.tobytes() == g.tobytes()
+        adj = propagation("adj", edges, [4])
+        weights = [w, rng.normal(size=(2, 6)), rng.normal(size=2)]
+        out, layer_backward = graph_conv(h, adj, *weights)
+        g_h, grads = layer_backward(tape_grad(out, g), True)
+        x = Tensor(h.copy())
+        params = [Tensor(p.copy()) for p in weights]
+        out = reference.graph_conv(x, adj, *params)
+        reference.backward(mean_all(mul(out, constant(g))))
+        assert _bits(g_h, *grads) == _bits(x.grad, *(t.grad for t in params))
 
     def test_graph_conv_star_hand_value(self):
         edges = np.array([[0, 1], [0, 2]])
