@@ -197,8 +197,7 @@ def cmd_synth(args) -> None:
 
 def cmd_preprocess(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
-    matrices = [s.expression for s in validate_dataset(
-        manifest, ingest.load_dataset(manifest))]
+    matrices = validate_dataset(manifest, ingest.load_dataset(manifest))
 
     stage = matrices[0].stage
     if stage not in ("raw_counts", "log1p"):
@@ -210,24 +209,14 @@ def cmd_preprocess(args) -> None:
                 f"slide {m.slide_id!r} holds {m.stage} values, slide "
                 f"{matrices[0].slide_id!r} {stage}; every slide must be at "
                 f"one stage")
-    log_rows = []
-    if stage == "raw_counts":
-        matrices, count_log = preprocess.filter_by_counts(
-            matrices, (manifest.count_min_spot, manifest.count_max_spot),
-            (manifest.count_min_gene, manifest.count_max_gene))
-        log_rows += [(kind, slide, item, total, "")
-                     for kind, slide, item, total in count_log]
-    kept, sparsity_log = preprocess.filter_by_sparsity(
-        matrices, manifest.eps_total, manifest.eps_wsi)
-    log_rows += [("gene_sparsity", scope, gene, pct, threshold)
-                 for gene, scope, pct, threshold in sparsity_log]
-    matrices = [m.subset_genes(kept) for m in matrices]
-    if stage == "raw_counts":
-        matrices = [preprocess.log_transform(preprocess.tpm_normalize(m))
-                    for m in matrices]
+    rows, kept, log_rows = preprocess.filter_dataset(matrices, manifest)
 
     outdir = Path(args.out) / "preprocess"
-    for m in matrices:
+    for k in range(len(matrices)):
+        # the slide's raw values go once its output is made, and the
+        # output once written
+        m, matrices[k] = matrices[k], None
+        m = preprocess.kept_log1p(m, rows[k], kept)
         ingest.write_matrix(outdir / f"{m.slide_id}_log1p.npz", m)
     ingest.write_table(outdir / "filter_log.tsv", "filter_log",
                        ("kind", "scope", "item_id", "value", "threshold"),
@@ -245,68 +234,83 @@ def cmd_preprocess(args) -> None:
     print(f"preprocess: {len(matrices)} slides, {len(kept)} genes kept")
 
 
+def _denoise_slide(entry, pre: Path, geometry: str, center: bool,
+                   outdir: Path):
+    """Read, denoise, centre and write one slide; only its report stays."""
+    m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.npz", "log1p",
+                           "preprocess")
+    d, mask, report = denoise_mod.denoise_slide(m, _spots_for(entry, m),
+                                                geometry)
+    del m
+    if center:
+        d = preprocess.center_per_slide([d])[0]
+    ingest.write_matrix(outdir / f"{d.slide_id}_denoised.npz", d)
+    ingest.write_mask(outdir / f"{d.slide_id}_mask.npz", mask)
+    return report
+
+
 def cmd_denoise(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     pre = Path(args.out) / "preprocess"
-    denoised, masks, reports = [], [], []
-    for entry in manifest.slides:
-        m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.npz",
-                               "log1p", "preprocess")
-        d, mask, report = denoise_mod.denoise_slide(
-            m, _spots_for(entry, m), manifest.geometry)
-        denoised.append(d)
-        masks.append(mask)
-        reports.append(report)
-    if args.center_slides:
-        denoised = preprocess.center_per_slide(denoised)
-
-    outdir = Path(args.out) / "denoise"
-    for m, mask in zip(denoised, masks):
-        ingest.write_matrix(outdir / f"{m.slide_id}_denoised.npz", m)
-        ingest.write_mask(outdir / f"{m.slide_id}_mask.npz", mask)
-    rows = [(r.slide_id, r.n_cells, r.n_zero, r.n_imputed, r.n_fallback,
-             r.imputed_fraction, len(r.genes_nothing_to_impute))
-            for r in reports]
-    cells = sum(r.n_cells for r in reports)
-    imputed = sum(r.n_imputed for r in reports)
-    pooled = imputed / cells if cells else 0.0
-    rows.append(("*", cells, sum(r.n_zero for r in reports), imputed,
-                 sum(r.n_fallback for r in reports), pooled,
-                 sum(len(r.genes_nothing_to_impute) for r in reports)))
-    ingest.write_table(outdir / "report.tsv", "denoise_report",
-                       ("slide_id", "n_cells", "n_zero", "n_imputed",
-                        "n_fallback", "imputed_fraction", "n_empty_genes"),
-                       rows)
-    _write_lock(outdir, "denoise", {
-        "manifest": str(args.manifest),
-        "center_slides": args.center_slides,
-    })
+    # each slide is written as it is done, into a staging directory whose
+    # files replace denoise/'s only once every slide is
+    with ingest.staged(Path(args.out) / "denoise") as outdir:
+        reports = [_denoise_slide(entry, pre, manifest.geometry,
+                                  args.center_slides, outdir)
+                   for entry in manifest.slides]
+        rows = [(r.slide_id, r.n_cells, r.n_zero, r.n_imputed, r.n_fallback,
+                 r.imputed_fraction, len(r.genes_nothing_to_impute))
+                for r in reports]
+        cells = sum(r.n_cells for r in reports)
+        imputed = sum(r.n_imputed for r in reports)
+        pooled = imputed / cells if cells else 0.0
+        rows.append(("*", cells, sum(r.n_zero for r in reports), imputed,
+                     sum(r.n_fallback for r in reports), pooled,
+                     sum(len(r.genes_nothing_to_impute) for r in reports)))
+        ingest.write_table(outdir / "report.tsv", "denoise_report",
+                           ("slide_id", "n_cells", "n_zero", "n_imputed",
+                            "n_fallback", "imputed_fraction",
+                            "n_empty_genes"),
+                           rows)
+        _write_lock(outdir, "denoise", {
+            "manifest": str(args.manifest),
+            "center_slides": args.center_slides,
+        })
     print(f"denoise: imputed fraction {pooled:.4f} over "
-          f"{len(denoised)} slides")
+          f"{len(reports)} slides")
+
+
+def _denoised(den: Path, entry) -> tuple[ExpressionMatrix, ImputationMask]:
+    """A slide's denoise outputs: its matrix and mask."""
+    return (_read_stage_matrix(den / f"{entry.slide_id}_denoised.npz",
+                               "denoised", "denoise"),
+            ingest.read_mask(
+                _require(den / f"{entry.slide_id}_mask.npz", "denoise"),
+                "denoise"))
 
 
 def cmd_select(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     den = Path(args.out) / "denoise"
-    matrices, masks, adjacencies = [], [], []
-    for entry in manifest.slides:
-        m = _read_stage_matrix(den / f"{entry.slide_id}_denoised.npz",
-                               "denoised", "denoise")
-        matrices.append(m)
-        masks.append(ingest.read_mask(
-            _require(den / f"{entry.slide_id}_mask.npz", "denoise"),
-            "denoise"))
-        adjacencies.append(spatial.build_adjacency(_spots_for(entry, m),
-                                                   manifest.geometry))
     n_genes = args.n_genes if args.n_genes is not None \
         else manifest.n_genes_select
-    selected, scores = spatial.select_genes(matrices, adjacencies, n_genes)
 
+    def scored():
+        # each slide is read whole, mask too, and scored; nothing is
+        # written until every slide has been
+        for entry in manifest.slides:
+            m, _ = _denoised(den, entry)
+            yield m, spatial.build_adjacency(_spots_for(entry, m),
+                                             manifest.geometry)
+
+    selected, scores = spatial.select_genes(scored(), n_genes)
+
+    # then each slide again, from its archives, at the selected genes
     outdir = Path(args.out) / "select"
-    for m in matrices:
+    for entry in manifest.slides:
+        m, mask = _denoised(den, entry)
         ingest.write_matrix(outdir / f"{m.slide_id}_selected.npz",
                             m.subset_genes(selected))
-    for entry, mask in zip(manifest.slides, masks):
         ingest.write_mask(outdir / f"{entry.slide_id}_mask.npz",
                           mask.subset_genes(selected))
     ingest.write_table(outdir / "genes.tsv", "gene_scores",

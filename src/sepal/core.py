@@ -137,10 +137,58 @@ class BadStageTag(ValidationError):
     pass
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
+def handed_over(a: np.ndarray) -> np.ndarray:
+    """a, made read-only with every array it views, for a container to
+    hold without a copy.  The caller made a and keeps no writable hold on
+    it or on what it views."""
+    b = a
+    while isinstance(b, np.ndarray):
+        b.flags.writeable = False
+        b = b.base
     return a
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """a itself when nothing can write to its data: it and every array it
+    views are read-only and the last of them owns the data, as
+    handed_over leaves them and as every container holds its arrays.
+    Otherwise a read-only copy, which no later write to a can reach."""
+    b = a
+    while isinstance(b, np.ndarray) and not b.flags.writeable:
+        if b.flags.owndata:
+            return a
+        b = b.base
+    return handed_over(np.array(a, copy=True))
+
+
+# rows a value check takes at once hold about this many cells, so its
+# scratch stays near 0.5 MB whatever the matrix
+CHECK_CELLS = 2 ** 16
+
+
+def _check_values(v: np.ndarray, stage: str, slide_id: str) -> None:
+    """The stage's value checks over blocks of rows: finite everywhere,
+    then non-negative for every stage but denoised, then integral for
+    counts.  A matrix that fails more than one raises the first of these,
+    as three whole-matrix passes would."""
+    counts = stage in ("raw_counts", "filtered")
+    negative = fractional = False
+    rows = max(1, CHECK_CELLS // max(1, v.shape[1]))
+    for start in range(0, v.shape[0], rows):
+        block = v[start:start + rows]
+        if not np.isfinite(block).all():
+            raise NonFiniteValue(f"non-finite expression value in {slide_id}")
+        if stage == "denoised" or negative:
+            continue
+        negative = bool((block < 0).any())
+        if counts and not fractional:
+            fractional = bool((block != np.rint(block)).any())
+    if negative and counts:
+        raise NegativeValue(f"negative count in {slide_id}")
+    if negative:
+        raise NegativeValue(f"negative value in {stage} matrix for {slide_id}")
+    if fractional:
+        raise ValidationError(f"non-integral count in {slide_id}")
 
 
 def _find_duplicate(ids: Sequence[str]) -> str | None:
@@ -187,8 +235,8 @@ class SpotTable:
                 f" in {self.slide_id}")
         object.__setattr__(self, "spot_ids",
                            tuple(ids[i] for i in order.tolist()))
-        object.__setattr__(self, "pixel", _readonly(pixel[order]))
-        object.__setattr__(self, "array", _readonly(array))
+        object.__setattr__(self, "pixel", handed_over(pixel[order]))
+        object.__setattr__(self, "array", handed_over(array))
 
     def __len__(self) -> int:
         return len(self.spot_ids)
@@ -242,18 +290,7 @@ class ExpressionMatrix:
         dup = _find_duplicate(self.spot_ids)
         if dup is not None:
             raise DuplicateSpot(f"duplicate spot id {dup!r} in {self.slide_id}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteValue(f"non-finite expression value in {self.slide_id}")
-        if self.stage in ("raw_counts", "filtered"):
-            if np.any(v < 0):
-                raise NegativeValue(f"negative count in {self.slide_id}")
-            if np.any(v != np.rint(v)):
-                raise ValidationError(f"non-integral count in {self.slide_id}")
-        elif self.stage in ("tpm", "log1p"):
-            if np.any(v < 0):
-                raise NegativeValue(
-                    f"negative value in {self.stage} matrix for {self.slide_id}"
-                )
+        _check_values(v, self.stage, self.slide_id)
         object.__setattr__(self, "values", _readonly(v))
 
     @property
@@ -279,12 +316,12 @@ class ExpressionMatrix:
                 f"genes {missing[:5]} absent from {self.slide_id}")
         cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
         return ExpressionMatrix(self.slide_id, tuple(gene_ids), self.spot_ids,
-                                self.values[:, cols], self.stage)
+                                handed_over(self.values[:, cols]), self.stage)
 
     def subset_spots(self, rows: np.ndarray) -> "ExpressionMatrix":
         spot_ids = tuple(self.spot_ids[i] for i in rows)
         return ExpressionMatrix(self.slide_id, self.gene_ids, spot_ids,
-                                self.values[rows, :], self.stage)
+                                handed_over(self.values[rows, :]), self.stage)
 
 
 @dataclass(frozen=True)
@@ -319,7 +356,7 @@ class ImputationMask:
                 f"genes {missing[:5]} absent from mask for {self.slide_id}")
         cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
         return ImputationMask(self.slide_id, tuple(gene_ids), self.spot_ids,
-                              self.values[:, cols])
+                              handed_over(self.values[:, cols]))
 
 
 def assert_mask_matches(matrix: ExpressionMatrix, mask: ImputationMask) -> None:
@@ -443,33 +480,44 @@ def align_slide(spots: SpotTable,
 
     The expression matrix defines which spots exist; coordinates and
     embeddings may cover a superset and are subset to match.  A mask must
-    list the matrix's spots and genes in the matrix's order.
+    list the matrix's spots and genes in the matrix's order.  A view
+    already in that order is held as it is, neither copied nor checked
+    again: synth writes its files so, and every stage its archives.
     """
-    spots = spots.subset(expression.spot_ids)
-    expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
-    rows = np.array([expr_index[s] for s in spots.spot_ids], dtype=np.int64)
-    expr = expression.subset_spots(rows)
-    emb = EmbeddingTable(embeddings.slide_id, spots.spot_ids,
-                         embeddings.vectors[embeddings.rows_for(
-                             spots.spot_ids), :])
+    if spots.spot_ids != expression.spot_ids:
+        spots = spots.subset(expression.spot_ids)
+    if embeddings.spot_ids != spots.spot_ids:
+        embeddings = EmbeddingTable(
+            embeddings.slide_id, spots.spot_ids, handed_over(
+                embeddings.vectors[embeddings.rows_for(spots.spot_ids), :]))
     if mask is not None:
         assert_mask_matches(expression, mask)
-        mask = ImputationMask(mask.slide_id, mask.gene_ids, expr.spot_ids,
-                              mask.values[rows, :])
-    return Slide(spots, expr, emb, mask)
+    if spots.spot_ids != expression.spot_ids:
+        expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
+        rows = np.array([expr_index[s] for s in spots.spot_ids],
+                        dtype=np.int64)
+        expression = expression.subset_spots(rows)
+        if mask is not None:
+            mask = ImputationMask(mask.slide_id, mask.gene_ids,
+                                  expression.spot_ids,
+                                  handed_over(mask.values[rows, :]))
+    return Slide(spots, expression, embeddings, mask)
 
 
 def validate_dataset(
     manifest: DatasetManifest,
     parts: Mapping[str, tuple[SpotTable, ExpressionMatrix, EmbeddingTable]],
-) -> list[Slide]:
+) -> list[ExpressionMatrix]:
     """Cross-slide consistency checks before any processing starts.
 
     Verifies that every manifest slide was loaded, that all slides carry
     the identical gene panel in identical order, that embedding widths
     agree, and that every expression spot has coordinates and an
     embedding row (by aligning each slide, which raises otherwise).
-    Returns the aligned slides in manifest order.
+    Looks each slide up in parts once, in manifest order, and returns
+    the aligned expression matrices in that order: the coordinates and
+    embeddings are let go once checked, so parts that reads a slide's
+    files when it is looked up has one slide's at a time.
     """
     missing = [s.slide_id for s in manifest.slides if s.slide_id not in parts]
     if missing:
@@ -477,7 +525,7 @@ def validate_dataset(
 
     gene_ref: tuple[str, ...] | None = None
     d_ref: int | None = None
-    slides = []
+    matrices = []
     for entry in manifest.slides:
         spots, expr, emb = parts[entry.slide_id]
         if expr.n_spots == 0:
@@ -494,5 +542,5 @@ def validate_dataset(
             raise WidthMismatch(
                 f"slide {entry.slide_id!r} embedding width {emb.d_emb} "
                 f"differs from {d_ref}")
-        slides.append(align_slide(spots, expr, emb))
-    return slides
+        matrices.append(align_slide(spots, expr, emb).expression)
+    return matrices

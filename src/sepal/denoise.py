@@ -37,6 +37,7 @@ from .core import (
     ShapeMismatch,
     SpotTable,
     ValidationError,
+    handed_over,
 )
 from .spatial import check_distinct_pixels, lattice_lookup
 
@@ -241,9 +242,10 @@ def denoise_slide(matrix: ExpressionMatrix, spots: SpotTable, geometry: str
     flags = zero & ~empty
 
     denoised = ExpressionMatrix(matrix.slide_id, matrix.gene_ids,
-                                matrix.spot_ids, filled, "denoised")
+                                matrix.spot_ids, handed_over(filled),
+                                "denoised")
     mask = ImputationMask(matrix.slide_id, matrix.gene_ids, matrix.spot_ids,
-                          flags)
+                          handed_over(flags))
     report = SlideImputationReport(
         slide_id=matrix.slide_id,
         n_cells=int(matrix.values.size),

@@ -35,14 +35,15 @@ import json
 import math
 import os
 import re
+import shutil
 import tomllib
 import warnings
 import zipfile
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .core import (
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
+    handed_over,
 )
 
 FORMAT_VERSION = "1"
@@ -116,6 +118,29 @@ def _open_write(path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def staged(outdir):
+    """A scratch directory beside outdir for a command's outputs.  Its
+    files replace their namesakes in outdir only when the block exits
+    cleanly, and are deleted otherwise: a command that writes slide by
+    slide leaves outdir as it was when a later slide fails."""
+    outdir = Path(outdir)
+    tmp = outdir.with_name(f".{outdir.name}.{os.getpid()}.staged")
+    try:
+        tmp.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoFailure(f"cannot write {outdir}: {e}") from e
+    try:
+        yield tmp
+        outdir.mkdir(exist_ok=True)
+        for path in sorted(tmp.iterdir()):
+            os.replace(path, outdir / path.name)
+    except OSError as e:
+        raise IoFailure(f"cannot write {outdir}: {e}") from e
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _parse_tsv(path, split: bool = True):
@@ -355,12 +380,15 @@ def _read_value_table(path, kind: str):
     col_ids = header[1:]
     n_cols = len(col_ids)
     spot_ids: list[str] = []
-    blocks = [np.empty((0, n_cols))]
+    blocks = []
     for lines in _blocks(rows,
                          lambda lines: _parse_rows(lines, n_cols, path, kind)):
         spot_ids += (line.partition("\t")[0] for _, line in lines)
         blocks.append(_parse_block(lines, n_cols, path, kind))
-    return comments, col_ids, spot_ids, np.concatenate(blocks)
+    # a table of one block is that block: only a longer one is copied
+    values = (blocks[0] if len(blocks) == 1
+              else np.concatenate([np.empty((0, n_cols)), *blocks]))
+    return comments, col_ids, spot_ids, handed_over(values)
 
 
 def read_expression(path) -> ExpressionMatrix:
@@ -511,10 +539,15 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             fh.write(f"split = {_toml_str(s.split)}\n")
 
 
-def load_dataset(manifest: DatasetManifest):
-    """Read every slide's three files.  Returns {slide_id: (spots, expr, emb)}."""
-    parts = {}
-    for entry in manifest.slides:
+class _DatasetFiles(Mapping):
+    """Slide id -> (spots, expr, emb) of that manifest slide, its three
+    files read on each lookup and kept by no one but the caller."""
+
+    def __init__(self, manifest: DatasetManifest):
+        self._entries = {entry.slide_id: entry for entry in manifest.slides}
+
+    def __getitem__(self, slide_id: str):
+        entry = self._entries[slide_id]
         spots = read_coordinates(entry.coords_path)
         expr = read_expression(entry.expr_path)
         emb = read_embeddings(entry.emb_path)
@@ -526,8 +559,25 @@ def load_dataset(manifest: DatasetManifest):
                 raise ValidationError(
                     f"{where} file for {entry.slide_id!r} carries slide id "
                     f"{got!r}")
-        parts[entry.slide_id] = (spots, expr, emb)
-    return parts
+        return spots, expr, emb
+
+    def __contains__(self, slide_id) -> bool:
+        # Mapping's own would read the slide to find out
+        return slide_id in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def load_dataset(manifest: DatasetManifest) -> Mapping[
+        str, tuple[SpotTable, ExpressionMatrix, EmbeddingTable]]:
+    """{slide_id: (spots, expr, emb)} over the manifest's slides, whose
+    files are read when a slide is looked up: a caller that looks each up
+    once holds one slide's files at a time."""
+    return _DatasetFiles(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +653,8 @@ def _read_block(path, producer: str, stage: str | None):
             f"`sepal {producer}` first")
     fields = (_path_part(meta.get("slide", ""), "slide id", path),
               _gene_ids(path, arrays["gene_ids"].tolist()),
-              tuple(arrays["spot_ids"].tolist()), arrays["values"])
+              tuple(arrays["spot_ids"].tolist()),
+              handed_over(arrays["values"]))
     try:
         return (ImputationMask(*fields) if stage is None
                 else ExpressionMatrix(*fields, stage))

@@ -12,8 +12,21 @@ The preprocessing chain runs in a fixed order on raw count matrices:
 
 Log-space input skips steps 1, 3 and 4.  Gene totals and sparsity are
 judged over the pooled spot population of all slides; spot totals are
-judged within each slide.  Training supervises each gene's difference from
-its train-split mean, see compute_train_mean.
+judged within each slide.
+
+The work goes in three passes, so that a dataset is held once:
+
+  statistics   per slide: each spot's total, then over the spots kept
+               each gene's total, then over the cells kept each gene's
+               detection count; no matrix is copied whole
+  decisions    filter_dataset pools the statistics into the kept rows of
+               each slide and the kept genes, and the filter log
+  output       slide by slide, kept_log1p takes the kept spots x kept
+               genes as one fresh array, and CPM and log run in place on
+               it; the caller writes the slide and lets it go
+
+Training supervises each gene's difference from its train-split mean, see
+compute_train_mean.
 """
 
 from __future__ import annotations
@@ -25,10 +38,12 @@ import numpy as np
 from .core import (
     AllGenesRemoved,
     AllSpotsRemoved,
+    DatasetManifest,
     EmptyTrainSplit,
     ExpressionMatrix,
     GeneSetMismatch,
     ValidationError,
+    handed_over,
 )
 
 
@@ -42,26 +57,35 @@ def _common_genes(matrices: Sequence[ExpressionMatrix]) -> tuple[str, ...]:
     return genes
 
 
+def _kept_rows(values: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """values' rows at rows, or values itself when every row is kept."""
+    if rows is None or len(rows) == len(values):
+        return values
+    return values[rows]
+
+
 def filter_by_counts(
     matrices: Sequence[ExpressionMatrix],
     spot_range: tuple[float, float],
     gene_range: tuple[float, float],
-) -> tuple[list[ExpressionMatrix], list[tuple[str, str, str, float]]]:
-    """Drop spots per slide, then genes pooled, whose total counts fall
-    outside the inclusive (min, max) spot_range or gene_range.
+) -> tuple[list[np.ndarray], np.ndarray, list[tuple[str, str, str, float]]]:
+    """Decide which spots of each slide, then which genes pooled, have
+    total counts inside the inclusive (min, max) spot_range and gene_range.
 
-    Returns the filtered matrices (stage "filtered") and a removal log of
-    (kind, slide_id, item_id, total_counts) rows, spots first, in input
-    order.  Gene totals are computed after spot removal, pooled across
-    slides.  Raises AllSpotsRemoved / AllGenesRemoved when a slide or the
-    panel empties out.
+    Returns (rows, columns, removed): each slide's kept rows and the kept
+    gene columns, as ascending index arrays, and a removal log of (kind,
+    slide_id, item_id, total_counts) rows, spots first, in input order.
+    Gene totals are summed over the kept spots, pooled across slides; a
+    slide's kept rows are the only copy made, one slide at a time.  Raises
+    AllSpotsRemoved / AllGenesRemoved when a slide or the panel empties
+    out.
     """
     if not matrices:
         raise ValidationError("no matrices to filter")
     genes = _common_genes(matrices)
     removed: list[tuple[str, str, str, float]] = []
 
-    kept_spots: list[ExpressionMatrix] = []
+    rows = []
     for m in matrices:
         if m.stage != "raw_counts":
             raise ValidationError(
@@ -74,36 +98,34 @@ def filter_by_counts(
         if not keep.any():
             raise AllSpotsRemoved(
                 f"count filter removed every spot of {m.slide_id!r}")
-        kept_spots.append(m.subset_spots(np.nonzero(keep)[0]))
+        rows.append(np.flatnonzero(keep))
 
     gene_totals = np.zeros(len(genes), dtype=np.float64)
-    for m in kept_spots:
-        gene_totals += m.values.sum(axis=0)
+    for m, kept in zip(matrices, rows):
+        gene_totals += _kept_rows(m.values, kept).sum(axis=0)
     keep_genes = ((gene_totals >= gene_range[0])
                   & (gene_totals <= gene_range[1]))
     for j in np.nonzero(~keep_genes)[0]:
         removed.append(("gene", "*", genes[j], float(gene_totals[j])))
     if not keep_genes.any():
         raise AllGenesRemoved("count filter removed every gene")
-    kept_ids = [g for g, k in zip(genes, keep_genes) if k]
-
-    out = []
-    for m in kept_spots:
-        sub = m.subset_genes(kept_ids)
-        out.append(sub.with_values(sub.values, "filtered"))
-    return out, removed
+    return rows, np.flatnonzero(keep_genes), removed
 
 
 def filter_by_sparsity(
     matrices: Sequence[ExpressionMatrix],
     eps_total: float,
     eps_wsi: float,
+    rows: Sequence[np.ndarray] | None = None,
+    columns: np.ndarray | None = None,
 ) -> tuple[list[str], list[tuple[str, str, float, float]]]:
     """Keep genes detected in at least eps_total percent of all spots
     pooled, and at least eps_wsi percent of the spots of every slide.
 
-    Detection means a strictly positive value.  Returns (kept gene ids in
-    panel order, removal log of (gene_id, failed_scope, pct, threshold)).
+    Detection means a strictly positive value.  Given a count filter's
+    decisions, only the cells it kept count: each slide's rows, and the
+    gene columns, the only genes judged.  Returns (kept gene ids in panel
+    order, removal log of (gene_id, failed_scope, pct, threshold)).
     Raises ValidationError when either percentage lies outside [0, 100].
     """
     if not matrices:
@@ -112,14 +134,21 @@ def filter_by_sparsity(
         if not 0.0 <= v <= 100.0:
             raise ValidationError(f"{name} must lie in [0, 100], got {v}")
     genes = _common_genes(matrices)
+    if columns is not None:
+        genes = tuple(genes[j] for j in columns.tolist())
 
-    n_total = sum(m.n_spots for m in matrices)
+    n_total = 0
     pos_total = np.zeros(len(genes), dtype=np.float64)
     per_slide_pct: list[tuple[str, np.ndarray]] = []
-    for m in matrices:
-        pos = (m.values > 0).sum(axis=0).astype(np.float64)
+    for k, m in enumerate(matrices):
+        detected = _kept_rows(m.values > 0, None if rows is None else rows[k])
+        pos = detected.sum(axis=0)
+        if columns is not None:
+            pos = pos[columns]
+        pos = pos.astype(np.float64)
+        n_total += len(detected)
         pos_total += pos
-        per_slide_pct.append((m.slide_id, 100.0 * pos / m.n_spots))
+        per_slide_pct.append((m.slide_id, 100.0 * pos / len(detected)))
     total_pct = 100.0 * pos_total / n_total
 
     kept: list[str] = []
@@ -140,27 +169,88 @@ def filter_by_sparsity(
     return kept, removed
 
 
-def tpm_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
+def filter_dataset(matrices: Sequence[ExpressionMatrix],
+                   manifest: DatasetManifest
+                   ) -> tuple[list[np.ndarray | None], list[str], list[tuple]]:
+    """The count filter, on raw counts, then the sparsity filter, at the
+    manifest's thresholds.
+
+    Returns (rows, gene_ids, log): each slide's kept rows (None for every
+    slide of log-space input, which no count filter sees), the kept gene
+    ids in panel order, and the rows of preprocess/filter_log.tsv, as
+    (kind, scope, item_id, value, threshold).
+    """
+    log: list[tuple] = []
+    rows, columns = None, None
+    if matrices and matrices[0].stage == "raw_counts":
+        rows, columns, count_log = filter_by_counts(
+            matrices, (manifest.count_min_spot, manifest.count_max_spot),
+            (manifest.count_min_gene, manifest.count_max_gene))
+        log += [(kind, slide, item, total, "")
+                for kind, slide, item, total in count_log]
+    kept, sparsity_log = filter_by_sparsity(
+        matrices, manifest.eps_total, manifest.eps_wsi, rows, columns)
+    log += [("gene_sparsity", scope, gene, pct, threshold)
+            for gene, scope, pct, threshold in sparsity_log]
+    return rows or [None] * len(matrices), kept, log
+
+
+def kept_log1p(matrix: ExpressionMatrix, rows: np.ndarray | None,
+               gene_ids: Sequence[str]) -> ExpressionMatrix:
+    """One slide's output: log-space input at the kept genes, or raw
+    counts at the kept rows and genes, taken as one fresh array that
+    tpm_normalize and log_transform then write over."""
+    if rows is None:
+        return matrix.subset_genes(gene_ids)
+    index = matrix.gene_index()
+    cols = [index[g] for g in gene_ids]
+    filtered = ExpressionMatrix(
+        matrix.slide_id, gene_ids,
+        [matrix.spot_ids[i] for i in rows.tolist()],
+        handed_over(matrix.values[np.ix_(rows, cols)]), "filtered")
+    return log_transform(tpm_normalize(filtered, overwrite=True),
+                         overwrite=True)
+
+
+def _output(matrix: ExpressionMatrix, overwrite: bool) -> np.ndarray:
+    """Where a transform of matrix writes: a copy of its values, or with
+    overwrite the values themselves, which the caller gives up with
+    matrix (numpy refuses unless they own their buffer)."""
+    if not overwrite:
+        return np.array(matrix.values)
+    matrix.values.flags.writeable = True
+    return matrix.values
+
+
+def tpm_normalize(matrix: ExpressionMatrix,
+                  overwrite: bool = False) -> ExpressionMatrix:
     """Scale each spot to counts-per-million.
 
     Each spot row is scaled so its counts sum to 1e6.  Spots with zero
-    total stay all-zero rather than dividing by zero.
+    total stay all-zero rather than dividing by zero.  With overwrite the
+    result is written over matrix's values, and matrix is spent.
     """
     if matrix.stage not in ("raw_counts", "filtered"):
         raise ValidationError(
             f"tpm expects count data, got stage {matrix.stage!r}")
     totals = matrix.values.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
-    out = matrix.values / safe * 1e6
-    return matrix.with_values(out, "tpm")
+    out = _output(matrix, overwrite)
+    out /= safe
+    out *= 1e6
+    return matrix.with_values(handed_over(out), "tpm")
 
 
-def log_transform(matrix: ExpressionMatrix) -> ExpressionMatrix:
-    """Elementwise log2(x + 1) on a tpm matrix."""
+def log_transform(matrix: ExpressionMatrix,
+                  overwrite: bool = False) -> ExpressionMatrix:
+    """Elementwise log2(x + 1) on a tpm matrix; with overwrite, written
+    over matrix's values, and matrix is spent."""
     if matrix.stage != "tpm":
         raise ValidationError(
             f"log transform expects tpm, got stage {matrix.stage!r}")
-    return matrix.with_values(np.log2(matrix.values + 1.0), "log1p")
+    out = _output(matrix, overwrite)
+    out += 1.0
+    return matrix.with_values(handed_over(np.log2(out, out=out)), "log1p")
 
 
 def center_per_slide(matrices: Sequence[ExpressionMatrix]
@@ -172,7 +262,7 @@ def center_per_slide(matrices: Sequence[ExpressionMatrix]
     for m in matrices:
         centered = m.values - m.values.mean(axis=0, keepdims=True)
         out.append(ExpressionMatrix(m.slide_id, m.gene_ids, m.spot_ids,
-                                    centered, "denoised"))
+                                    handed_over(centered), "denoised"))
     return out
 
 

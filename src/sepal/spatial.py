@@ -32,7 +32,7 @@ yields None rather than a number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -235,41 +235,42 @@ class GeneScore:
     selected: bool
 
 
-def select_genes(matrices: Sequence[ExpressionMatrix],
-                 adjacencies: Sequence[Adjacency],
+def select_genes(slides: Iterable[tuple[ExpressionMatrix, Adjacency]],
                  n_genes: int) -> tuple[list[str], list[GeneScore]]:
     """Rank genes by mean autocorrelation over slides and keep the top n.
 
-    A gene's mean skips slides where its map is constant; genes constant
-    on every slide rank below all scored genes.  Ties and the unscored
-    tail order lexicographically by gene id.  Returns (selected ids in
-    rank order, per-gene records in panel order).
+    slides yields each slide's (matrix, adjacency); a slide is scored as
+    it is drawn and not held, so slides read one at a time are held one
+    at a time.  A gene's mean skips slides where its map is constant;
+    genes constant on every slide rank below all scored genes.  Ties and
+    the unscored tail order lexicographically by gene id.  Returns
+    (selected ids in rank order, per-gene records in panel order).
     """
-    if not matrices or len(matrices) != len(adjacencies):
-        raise ValidationError("need one adjacency per matrix")
-    genes = matrices[0].gene_ids
-    for m in matrices[1:]:
-        if m.gene_ids != genes:
+    genes: tuple[str, ...] | None = None
+    per_slide: list[list[float | None]] = []
+    for m, adj in slides:
+        if genes is None:
+            genes = m.gene_ids
+            if n_genes > len(genes):
+                raise TooFewGenes(f"cannot select {n_genes} genes from a "
+                                  f"panel of {len(genes)}")
+            if n_genes < 1:
+                raise ValidationError("must select at least one gene")
+        elif m.gene_ids != genes:
             raise GeneSetMismatch(
                 f"slide {m.slide_id!r} gene panel differs")
-    if n_genes > len(genes):
-        raise TooFewGenes(
-            f"cannot select {n_genes} genes from a panel of {len(genes)}")
-    if n_genes < 1:
-        raise ValidationError("must select at least one gene")
-
-    per_slide: list[list[float | None]] = []
-    for m, adj in zip(matrices, adjacencies):
         if m.n_spots != adj.n_spots:
             raise ShapeMismatch(
                 f"adjacency for {adj.slide_id!r} covers {adj.n_spots} spots, "
                 f"matrix has {m.n_spots}")
         per_slide.append(morans_i_many(m.values, adj))
+    if genes is None:
+        raise ValidationError("no slides to select genes from")
 
     means: list[float | None] = []
     for j in range(len(genes)):
-        defined = [per_slide[k][j] for k in range(len(matrices))
-                   if per_slide[k][j] is not None]
+        defined = [scores[j] for scores in per_slide
+                   if scores[j] is not None]
         means.append(float(np.mean(defined)) if defined else None)
 
     scored = [(g, means[j]) for j, g in enumerate(genes)]
@@ -282,7 +283,7 @@ def select_genes(matrices: Sequence[ExpressionMatrix],
 
     records = [GeneScore(
         gene_id=g,
-        per_slide=tuple(per_slide[k][j] for k in range(len(matrices))),
+        per_slide=tuple(scores[j] for scores in per_slide),
         mean_score=means[j],
         selected=g in chosen,
     ) for j, g in enumerate(genes)]

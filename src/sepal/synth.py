@@ -26,6 +26,7 @@ from .core import (
     SlideEntry,
     SpotTable,
     ValidationError,
+    handed_over,
 )
 from . import ingest, spatial
 
@@ -170,11 +171,12 @@ def generate_dataset(cfg: SynthConfig) -> SynthDataset:
             counts = np.rint(
                 np.exp2(np.clip(values, 0.0, COUNT_LOG_CAP))) - 1.0
             expr = ExpressionMatrix(slide_id, gene_ids, spots.spot_ids,
-                                    np.maximum(counts, 0.0), "raw_counts")
+                                    handed_over(np.maximum(counts, 0.0)),
+                                    "raw_counts")
         else:
             expr = ExpressionMatrix(slide_id, gene_ids, spots.spot_ids,
-                                    values, "log1p")
-        table = EmbeddingTable(slide_id, spots.spot_ids, emb)
+                                    handed_over(values), "log1p")
+        table = EmbeddingTable(slide_id, spots.spot_ids, handed_over(emb))
         parts[slide_id] = (spots, expr, table)
 
     return SynthDataset(

@@ -57,6 +57,13 @@ them themselves.
 color_ramp interpolates the heatmap ramp entry by entry, and
 write_heatmap stamps one spot's disc at a time, as ingest did before it
 stamped every disc at once.
+check_values runs each of a matrix's value checks over the whole
+matrix, as ExpressionMatrix did before it took blocks of rows.
+filter_by_counts and filter_by_sparsity filter lists of matrices, each
+step returning new matrices, and preprocess_chain runs them, the gene
+subset, CPM and log over a dataset's matrices, as preprocess did before
+its filters decided from per-slide statistics and each slide's output was
+made once.
 """
 
 import math
@@ -70,11 +77,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from sepal.core import (
+    AllGenesRemoved,
+    AllSpotsRemoved,
     DegenerateCoordinates,
     EmptySlide,
     ExpressionMatrix,
     ImputationMask,
     MalformedRow,
+    NegativeValue,
+    NonFiniteValue,
     ShapeMismatch,
     SpotTable,
     ValidationError,
@@ -1113,3 +1124,112 @@ def write_heatmap(ppm_path, spots, values, spacing, missing=None):
             val = "" if missing[i] else fmt_float(values[i])
             fh.write(f"{sid},{r},{c},{fmt_float(x)},{fmt_float(y)},{val}\n")
     return ppm_path, csv_path
+
+
+def check_values(v, stage, slide_id):
+    """An expression matrix's value checks, each over the whole matrix."""
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteValue(f"non-finite expression value in {slide_id}")
+    if stage in ("raw_counts", "filtered"):
+        if np.any(v < 0):
+            raise NegativeValue(f"negative count in {slide_id}")
+        if np.any(v != np.rint(v)):
+            raise ValidationError(f"non-integral count in {slide_id}")
+    elif stage in ("tpm", "log1p"):
+        if np.any(v < 0):
+            raise NegativeValue(
+                f"negative value in {stage} matrix for {slide_id}")
+
+
+def filter_by_counts(matrices, spot_range, gene_range):
+    """(matrices at the kept spots and genes, stage "filtered", and the
+    removal log): spots per slide first, then genes by their totals over
+    the kept spots, pooled."""
+    removed = []
+    kept_spots = []
+    for m in matrices:
+        if m.stage != "raw_counts":
+            raise ValidationError(
+                f"count filter expects raw_counts, got {m.stage!r}")
+        totals = m.values.sum(axis=1)
+        keep = (totals >= spot_range[0]) & (totals <= spot_range[1])
+        for i in np.nonzero(~keep)[0]:
+            removed.append(("spot", m.slide_id, m.spot_ids[i],
+                            float(totals[i])))
+        if not keep.any():
+            raise AllSpotsRemoved(
+                f"count filter removed every spot of {m.slide_id!r}")
+        kept_spots.append(m.subset_spots(np.nonzero(keep)[0]))
+    genes = matrices[0].gene_ids
+    gene_totals = np.zeros(len(genes), dtype=np.float64)
+    for m in kept_spots:
+        gene_totals += m.values.sum(axis=0)
+    keep_genes = ((gene_totals >= gene_range[0])
+                  & (gene_totals <= gene_range[1]))
+    for j in np.nonzero(~keep_genes)[0]:
+        removed.append(("gene", "*", genes[j], float(gene_totals[j])))
+    if not keep_genes.any():
+        raise AllGenesRemoved("count filter removed every gene")
+    kept_ids = [g for g, k in zip(genes, keep_genes) if k]
+    out = []
+    for m in kept_spots:
+        sub = m.subset_genes(kept_ids)
+        out.append(sub.with_values(sub.values, "filtered"))
+    return out, removed
+
+
+def filter_by_sparsity(matrices, eps_total, eps_wsi):
+    """(kept gene ids, removal log) by detection over every cell of the
+    matrices: eps_total percent of all spots pooled, eps_wsi of each
+    slide's."""
+    genes = matrices[0].gene_ids
+    n_total = sum(m.n_spots for m in matrices)
+    pos_total = np.zeros(len(genes), dtype=np.float64)
+    per_slide_pct = []
+    for m in matrices:
+        pos = (m.values > 0).sum(axis=0).astype(np.float64)
+        pos_total += pos
+        per_slide_pct.append((m.slide_id, 100.0 * pos / m.n_spots))
+    total_pct = 100.0 * pos_total / n_total
+    kept, removed = [], []
+    for j, g in enumerate(genes):
+        if total_pct[j] < eps_total:
+            removed.append((g, "total", float(total_pct[j]), eps_total))
+            continue
+        low = [(sid, pct[j]) for sid, pct in per_slide_pct
+               if pct[j] < eps_wsi]
+        if low:
+            sid, pct = min(low, key=lambda t: (t[1], t[0]))
+            removed.append((g, sid, float(pct), eps_wsi))
+            continue
+        kept.append(g)
+    if not kept:
+        raise AllGenesRemoved("sparsity filter removed every gene")
+    return kept, removed
+
+
+def preprocess_chain(matrices, manifest):
+    """(log1p matrices, filter_log.tsv rows) of one dataset, each step
+    over the whole list: the count filter on raw counts, the sparsity
+    filter, the gene subset, then CPM and log2(x + 1)."""
+    log_rows = []
+    counts = matrices[0].stage == "raw_counts"
+    if counts:
+        matrices, count_log = filter_by_counts(
+            matrices, (manifest.count_min_spot, manifest.count_max_spot),
+            (manifest.count_min_gene, manifest.count_max_gene))
+        log_rows += [(kind, slide, item, total, "")
+                     for kind, slide, item, total in count_log]
+    kept, sparsity_log = filter_by_sparsity(
+        matrices, manifest.eps_total, manifest.eps_wsi)
+    log_rows += [("gene_sparsity", scope, gene, pct, threshold)
+                 for gene, scope, pct, threshold in sparsity_log]
+    matrices = [m.subset_genes(kept) for m in matrices]
+    if counts:
+        out = []
+        for m in matrices:
+            totals = m.values.sum(axis=1, keepdims=True)
+            tpm = m.values / np.where(totals > 0, totals, 1.0) * 1e6
+            out.append(m.with_values(np.log2(tpm + 1.0), "log1p"))
+        matrices = out
+    return matrices, log_rows

@@ -237,12 +237,11 @@ def test_criterion_03_planted_signal_selection():
     cfg = SynthConfig(grid_rows=20, grid_cols=20, d_emb=16, n_genes=256,
                       n_smooth=50, noise_sd=0.1, n_slides=3, seed=11)
     ds = generate_dataset(cfg)
-    mats, adjs = [], []
+    slides = []
     for sid in ds.slide_ids:
         spots, expr, _ = ds.parts[sid]
-        mats.append(expr)
-        adjs.append(build_adjacency(spots, cfg.geometry))
-    selected, _ = select_genes(mats, adjs, 50)
+        slides.append((expr, build_adjacency(spots, cfg.geometry)))
+    selected, _ = select_genes(slides, 50)
     recovered = len(set(selected) & set(ds.smooth_gene_ids))
     elapsed = time.perf_counter() - start
     ok = recovered >= 48 and elapsed < 30.0

@@ -322,6 +322,24 @@ class TestExitCodes:
         assert "sepal denoise" in capsys.readouterr().err
         assert not (out / "select").exists()
 
+    def test_denoise_failing_on_a_later_slide_changes_nothing(
+            self, pipeline, tmp_path, capsys):
+        # centring would rewrite the first two slides' outputs, had they
+        # gone to denoise/ as each was done
+        out = tmp_path / "cut"
+        copy_stages(pipeline, out, ("preprocess", "denoise"))
+        before = {p.name: p.read_bytes() for p in (out / "denoise").iterdir()}
+        path = out / "preprocess" / "synth02_log1p.npz"
+        path.write_bytes(path.read_bytes()[:200])
+        rc = run("denoise", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--center-slides")
+        assert rc == 1
+        assert "sepal preprocess" in capsys.readouterr().err
+        assert {p.name: p.read_bytes()
+                for p in (out / "denoise").iterdir()} == before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "denoise", "preprocess"]
+
     def test_figures_reads_every_slide_before_writing(self, pipeline,
                                                       tmp_path, capsys):
         out = tmp_path / "nopred"
@@ -762,6 +780,21 @@ def copy_stages(pipeline, out, stages):
 
 
 class TestStageWork:
+    def test_preprocess_reads_each_input_file_once(self, pipeline, tmp_path,
+                                                   monkeypatch):
+        from collections import Counter
+        reads = Counter()
+        for name in ("read_coordinates", "read_expression",
+                     "read_embeddings"):
+            def counting(path, read=getattr(ingest, name)):
+                reads[path] += 1
+                return read(path)
+            monkeypatch.setattr(ingest, name, counting)
+        assert run("preprocess", "--manifest", pipeline["manifest"],
+                   "--out", str(tmp_path / "r")) == 0
+        # three files of each of the three slides
+        assert len(reads) == 9 and set(reads.values()) == {1}
+
     def test_build_graphs_assembles_no_features(self, pipeline, tmp_path,
                                                 monkeypatch):
         from sepal import graphs
@@ -957,6 +990,53 @@ class TestStageWork:
         assert run("figures", "--manifest", pipeline["manifest"],
                    "--out", str(out)) == 1
         assert "sepal eval" in capsys.readouterr().err
+
+
+
+class TestPrepMemory:
+    """The prep commands hold the data they read once, plus one slide's
+    working set: traced in process on 2 and on 6 slides of 400 spots x
+    400 genes, the peaks of denoise and select stay where they were, and
+    that of preprocess grows by the raw values of the 4 slides added."""
+
+    ROWS, GENES = 20, 400
+    SLIDE_VALUES = ROWS * ROWS * GENES * 8  # one slide's float64 counts
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        import tracemalloc
+        root = tmp_path_factory.mktemp("prep_memory")
+        peaks = {}
+        for n in (2, 6):
+            data, out = root / f"data{n}", root / f"run{n}"
+            assert run("synth", "--out", str(data), "--rows", str(self.ROWS),
+                       "--cols", str(self.ROWS), "--genes", str(self.GENES),
+                       "--smooth", "4", "--slides", str(n), "--counts",
+                       "--zero-fraction", "0.05", "--d-emb", "4") == 0
+            base = ("--manifest", str(data / "manifest.toml"),
+                    "--out", str(out))
+            tracemalloc.start()
+            try:
+                for command in (("preprocess",), ("denoise",),
+                                ("select", "--n-genes", "4")):
+                    tracemalloc.reset_peak()
+                    held = tracemalloc.get_traced_memory()[0]
+                    assert run(*command, *base) == 0
+                    peaks[command[0], n] = (
+                        tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    @pytest.mark.parametrize("command", ["denoise", "select"])
+    def test_peak_does_not_grow_with_slides(self, peaks, command):
+        growth = peaks[command, 6] - peaks[command, 2]
+        assert growth < 0.5 * self.SLIDE_VALUES, (peaks, command)
+
+    def test_preprocess_peak_grows_by_the_raw_values(self, peaks):
+        growth = peaks["preprocess", 6] - peaks["preprocess", 2]
+        # the slack covers each slide's spot and gene id strings
+        assert growth < 1.1 * 4 * self.SLIDE_VALUES, peaks
 
 
 _COMMANDS_PROBE = """

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import spot_table
+from sepal import core
 from sepal.core import (
+    STAGES,
     DatasetManifest,
     DuplicateSpot,
     EmbeddingTable,
@@ -23,6 +27,7 @@ from sepal.core import (
     ValidationError,
     WidthMismatch,
     align_slide,
+    handed_over,
     validate_dataset,
 )
 
@@ -145,6 +150,62 @@ class TestExpressionMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
 
+    @given(st.sampled_from(STAGES), st.integers(1, 4),
+           st.lists(st.tuples(st.integers(0, 11),
+                              st.sampled_from((0.5, -1.0, -0.5, np.nan,
+                                               np.inf))), max_size=3))
+    def test_checks_in_blocks_match_whole_matrix_checks(self, stage, width,
+                                                        faults):
+        # up to three bad cells among good counts, in blocks of 4 // width
+        # rows (one row at widths 3 and 4)
+        cells = np.tile([0.0, 2.0, 3.0], 4)
+        for i, bad in faults:
+            cells[i] = bad
+        v = cells[:12 // width * width].reshape(-1, width)
+
+        def outcome(check):
+            try:
+                check()
+            except ValidationError as e:
+                return type(e), str(e)
+
+        with mock.patch.object(core, "CHECK_CELLS", 4):
+            got = outcome(lambda: ExpressionMatrix(
+                "s0", [f"g{j}" for j in range(width)],
+                [f"a{i}" for i in range(len(v))], v, stage))
+        assert got == outcome(
+            lambda: reference.check_values(v, stage, "s0"))
+
+    def test_checks_scratch_is_bounded(self):
+        import tracemalloc
+        values = handed_over(np.ones((4000, 100)))
+        genes = tuple(f"g{j}" for j in range(100))
+        spots = tuple(f"a{i}" for i in range(4000))
+        tracemalloc.start()
+        try:
+            m = ExpressionMatrix("s0", genes, spots, values, "raw_counts")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.values is values
+        # a whole-matrix np.rint alone would take values.nbytes
+        assert peak < values.nbytes / 4
+
+    def test_only_arrays_no_one_can_write_are_held_as_given(self):
+        given_up = handed_over(np.ones((2, 1)))
+        assert small_matrix(["a", "b"], ["g1"], given_up).values is given_up
+        writable = np.ones((2, 1))
+        m = small_matrix(["a", "b"], ["g1"], writable)
+        writable[0, 0] = 7.0
+        assert m.values[0, 0] == 1.0
+        # a read-only view of a writable array is copied too
+        base = np.ones((3, 1))
+        view = base[:2]
+        view.flags.writeable = False
+        m = small_matrix(["a", "b"], ["g1"], view)
+        base[0, 0] = 7.0
+        assert m.values[0, 0] == 1.0
+
     def test_subset_genes_picks_columns_in_request_order(self):
         m = small_matrix(["a", "b"], ["g1", "g2", "g3"],
                          [[1, 2, 3], [4, 5, 6]])
@@ -176,6 +237,16 @@ class TestAlignSlide:
         assert slide.embeddings.spot_ids == ("a", "c")
         np.testing.assert_array_equal(slide.embeddings.vectors,
                                       [[1.0], [3.0]])
+
+    def test_views_in_canonical_order_are_held_as_they_are(self):
+        spots = spot_table([spot("a", 0, 0), spot("c", 1, 0)])
+        expr = small_matrix(["a", "c"], ["g1"], [[1.0], [3.0]])
+        emb = EmbeddingTable("s0", ("a", "c"), np.array([[1.0], [3.0]]))
+        mask = ImputationMask("s0", ("g1",), ("a", "c"),
+                              np.array([[True], [False]]))
+        slide = align_slide(spots, expr, emb, mask)
+        assert slide.expression is expr and slide.embeddings is emb
+        assert slide.mask is mask and slide.spots is spots
 
     def test_expression_without_coordinates(self):
         spots, expr, emb = self._pieces()
@@ -223,7 +294,7 @@ class TestValidateDataset:
         parts = {"s0": self._slide_parts("s0"), "s1": self._slide_parts("s1")}
         slides = validate_dataset(m, parts)
         assert [s.slide_id for s in slides] == ["s0", "s1"]
-        assert [s.expression.spot_ids for s in slides] == [("a", "b")] * 2
+        assert [s.spot_ids for s in slides] == [("a", "b")] * 2
 
     def test_gene_panel_mismatch(self):
         m = manifest_for([entry("s0"), entry("s1", "val")])

@@ -428,6 +428,26 @@ class TestRowCodec:
         assert table.vectors.shape == (2500, 2)
         assert table.vectors[2499].tolist() == [2499.5, -2.499]
 
+    def test_one_block_table_is_held_as_parsed(self, tmp_path):
+        # a table of one block is neither concatenated nor copied into
+        # its matrix; a longer one is joined once
+        p = tmp_path / "s0.tsv"
+        p.write_text("spot_id\ta\tb\n"
+                     + "".join(f"s{r}\t{r}\t1\n" for r in range(5)))
+        parsed = []
+
+        def keep(*args):
+            parsed.append(parse(*args))
+            return parsed[-1]
+
+        parse = ingest._parse_block
+        with mock.patch.object(ingest, "_parse_block", keep):
+            assert read_expression(p).values is parsed[0]
+            with mock.patch.object(ingest, "VALUE_BLOCK_LINES", 2):
+                m = read_expression(p)
+        assert len(parsed) == 4
+        assert m.values.tolist() == [[r, 1] for r in range(5)]
+
     def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
         # float() fails on the second cell; the first is what gets named
         p = tmp_path / "s0.tsv"
@@ -979,4 +999,4 @@ class TestLoadDataset:
             'emb = "s0.emb.tsv"\nsplit = "train"\n')
         manifest = read_manifest(tmp_path / "manifest.toml")
         with pytest.raises(ValidationError):
-            ingest.load_dataset(manifest)
+            ingest.load_dataset(manifest)["s0"]

@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from sepal.core import (
     AllGenesRemoved,
     AllSpotsRemoved,
+    DatasetManifest,
     EmptyTrainSplit,
     ExpressionMatrix,
+    SlideEntry,
     ValidationError,
 )
 from sepal.preprocess import (
     center_per_slide,
     compute_train_mean,
     filter_by_counts,
+    filter_dataset,
     filter_by_sparsity,
+    kept_log1p,
     log_transform,
     tpm_normalize,
 )
@@ -32,10 +37,10 @@ class TestFilterByCounts:
     def test_spot_range_endpoints_inclusive(self):
         m = counts(["a", "b", "c", "d"], ["g1"],
                    [[10.0], [5.0], [1000000.0], [10000001.0]])
-        out, removed = filter_by_counts(
+        rows, cols, removed = filter_by_counts(
             [m], (10.0, 1e6), ANY)
-        assert out[0].spot_ids == ("a", "c")
-        assert out[0].stage == "filtered"
+        assert [m.spot_ids[i] for i in rows[0]] == ["a", "c"]
+        assert cols.tolist() == [0]
         assert [(k, i, t) for k, _, i, t in removed] == [
             ("spot", "b", 5.0), ("spot", "d", 10000001.0)]
 
@@ -45,16 +50,17 @@ class TestFilterByCounts:
         a = counts(["keep", "drop"], ["g1", "g2"],
                    [[5.0, 5.0], [0.0, 1.0]], slide="A")
         b = counts(["x"], ["g1", "g2"], [[5.0, 5.0]], slide="B")
-        out, removed = filter_by_counts(
+        rows, cols, removed = filter_by_counts(
             [a, b], (2.0, np.inf), (0.0, 10.0))
-        assert out[0].gene_ids == ("g1", "g2")
+        assert [r.tolist() for r in rows] == [[0], [0]]
+        assert cols.tolist() == [0, 1]
         kinds = [(k, i) for k, _, i, _ in removed]
         assert kinds == [("spot", "drop")]
 
     def test_gene_below_min_removed(self):
         m = counts(["a", "b"], ["g1", "g2"], [[5.0, 0.0], [5.0, 1.0]])
-        out, removed = filter_by_counts([m], ANY, (2.0, np.inf))
-        assert out[0].gene_ids == ("g1",)
+        _, cols, removed = filter_by_counts([m], ANY, (2.0, np.inf))
+        assert cols.tolist() == [0]
         assert ("gene", "*", "g2", 1.0) in removed
 
     def test_all_spots_removed_raises(self):
@@ -203,3 +209,91 @@ class TestThresholdValidation:
             filter_by_sparsity([m], eps_total=-1.0, eps_wsi=0.0)
         with pytest.raises(ValidationError):
             filter_by_sparsity([m], eps_total=0.0, eps_wsi=100.5)
+
+
+@st.composite
+def datasets(draw):
+    """2-4 slides of a random count (or log-space) panel, and thresholds
+    drawn from the data's own totals and detection rates, so that spots
+    and genes drop out, and sometimes all of them."""
+    counts_input = draw(st.booleans())
+    n_genes = draw(st.integers(1, 6))
+    genes = tuple(f"g{j}" for j in range(n_genes))
+    matrices = []
+    for k in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(2, 6))
+        # about half the cells zero, so detection rates straddle the
+        # sparsity thresholds
+        cells = (st.integers(0, 6).map(lambda x: max(0, x - 3))
+                 if counts_input else st.sampled_from((0.0, 0.0, 1.25, 3.0)))
+        values = np.array(draw(st.lists(cells, min_size=n * n_genes,
+                                        max_size=n * n_genes)),
+                          dtype=np.float64).reshape(n, n_genes)
+        matrices.append(ExpressionMatrix(
+            f"s{k}", genes, tuple(f"s{k}_{i}" for i in range(n)), values,
+            "raw_counts" if counts_input else "log1p"))
+    # thresholds from the data's own totals and detection rates, listed
+    # from the middle out: hypothesis draws early entries most, and a
+    # middle value drops some spots or genes and keeps others
+    def middle_out(values):
+        values = sorted({0.0, *values})
+        mid = values[len(values) // 2]
+        return st.sampled_from(sorted(values, key=lambda v: abs(v - mid)))
+
+    spot_totals = np.concatenate([m.values.sum(axis=1) for m in matrices])
+    spot_lo = draw(middle_out(spot_totals.tolist()))
+    spot_hi = draw(st.sampled_from(
+        [np.inf, *sorted((t for t in spot_totals.tolist() if t >= spot_lo),
+                         reverse=True)]))
+    gene_lo = draw(middle_out(
+        sum(m.values.sum(axis=0) for m in matrices).tolist()))
+    # detection rates over every spot, which the kept spots move off
+    detected = [(m.values > 0).sum(axis=0) for m in matrices]
+    rates = [100.0 * sum(detected) / len(spot_totals)]
+    rates += [100.0 * d / m.n_spots for d, m in zip(detected, matrices)]
+    pct = middle_out(np.concatenate(rates).tolist())
+    manifest = DatasetManifest(
+        name="oracle", geometry="square_grid", n_genes_select=1,
+        eps_total=draw(pct), eps_wsi=draw(pct),
+        count_min_spot=spot_lo, count_max_spot=spot_hi,
+        count_min_gene=gene_lo, count_max_gene=np.inf,
+        slides=(SlideEntry("s0", "c", "e", "m", "train"),))
+    return matrices, manifest
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (AllSpotsRemoved, AllGenesRemoved) as e:
+        return type(e)
+
+
+class TestFilterChainOracle:
+    @given(datasets())
+    def test_matches_list_chain(self, case):
+        matrices, manifest = case
+        before = [m.values.copy() for m in matrices]
+
+        def new_path():
+            rows, kept, log_rows = filter_dataset(matrices, manifest)
+            return ([kept_log1p(m, r, kept)
+                     for m, r in zip(matrices, rows)], log_rows)
+
+        got = _outcome(new_path)
+        want = _outcome(lambda: reference.preprocess_chain(matrices,
+                                                           manifest))
+        if isinstance(want, type):
+            assert got is want
+            return
+        (got_out, got_log), (want_out, want_log) = got, want
+        assert got_log == want_log
+        assert len(got_out) == len(want_out)
+        for g, w in zip(got_out, want_out):
+            assert (g.slide_id, g.stage) == (w.slide_id, "log1p")
+            assert g.spot_ids == w.spot_ids
+            assert g.gene_ids == w.gene_ids
+            assert (np.ascontiguousarray(g.values).tobytes()
+                    == np.ascontiguousarray(w.values).tobytes())
+        # the inputs are read, never written over
+        for m, values in zip(matrices, before):
+            assert m.values.tobytes() == values.tobytes()

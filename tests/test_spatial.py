@@ -224,11 +224,10 @@ class TestSelectGenes:
             [0.0, 1.0, 1.0, 0.0],   # checkerboard, score -1
             [2.0, 2.0, 2.0, 2.0],   # constant, undefined
         ])
-        return [expr(vals, ("grad", "check", "flat"))], [adj]
+        return [(expr(vals, ("grad", "check", "flat")), adj)]
 
     def test_ranking_and_undefined_last(self):
-        matrices, adjs = self._fixture()
-        selected, records = select_genes(matrices, adjs, 2)
+        selected, records = select_genes(self._fixture(), 2)
         assert selected == ["grad", "check"]
         by_id = {r.gene_id: r for r in records}
         assert by_id["grad"].mean_score == 0.0
@@ -237,8 +236,7 @@ class TestSelectGenes:
         assert not by_id["flat"].selected
 
     def test_undefined_only_selected_when_panel_exhausted(self):
-        matrices, adjs = self._fixture()
-        selected, _ = select_genes(matrices, adjs, 3)
+        selected, _ = select_genes(self._fixture(), 3)
         assert selected == ["grad", "check", "flat"]
 
     def test_mean_skips_constant_slides(self):
@@ -246,7 +244,7 @@ class TestSelectGenes:
         adj = build_adjacency(spots, "square_grid")
         a = expr(np.full((4, 1), 3.0), ("g",), slide="A")
         b = expr(np.array([[0.0], [1.0], [1.0], [0.0]]), ("g",), slide="B")
-        _, records = select_genes([a, b], [adj, adj], 1)
+        _, records = select_genes([(a, adj), (b, adj)], 1)
         assert records[0].per_slide == (None, -1.0)
         assert records[0].mean_score == -1.0
 
@@ -255,16 +253,15 @@ class TestSelectGenes:
         adj = build_adjacency(spots, "square_grid")
         col = np.array([0.0, 1.0, 1.0, 0.0])
         m = expr(np.column_stack([col, col, col]), ("zz", "aa", "mm"))
-        selected, _ = select_genes([m], [adj], 2)
+        selected, _ = select_genes([(m, adj)], 2)
         assert selected == ["aa", "mm"]
 
     def test_too_few_genes(self):
-        matrices, adjs = self._fixture()
         with pytest.raises(TooFewGenes):
-            select_genes(matrices, adjs, 4)
+            select_genes(self._fixture(), 4)
 
     def test_spot_count_mismatch(self):
-        matrices, adjs = self._fixture()
+        (m, _), = self._fixture()
         bad = Adjacency("s0", 5, np.array([[0, 1]]))
         with pytest.raises(ShapeMismatch):
-            select_genes(matrices, [bad], 1)
+            select_genes([(m, bad)], 1)
