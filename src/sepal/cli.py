@@ -197,7 +197,7 @@ def cmd_synth(args) -> None:
 
 def cmd_preprocess(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
-    matrices = validate_dataset(manifest, ingest.load_dataset(manifest))
+    matrices = validate_dataset(manifest, ingest.read_slide)
 
     stage = matrices[0].stage
     if stage not in ("raw_counts", "log1p"):

@@ -15,7 +15,7 @@ aligned Slide, lists its rows in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -506,28 +506,25 @@ def align_slide(spots: SpotTable,
 
 def validate_dataset(
     manifest: DatasetManifest,
-    parts: Mapping[str, tuple[SpotTable, ExpressionMatrix, EmbeddingTable]],
+    read: Callable[[SlideEntry],
+                   tuple[SpotTable, ExpressionMatrix, EmbeddingTable]],
 ) -> list[ExpressionMatrix]:
     """Cross-slide consistency checks before any processing starts.
 
-    Verifies that every manifest slide was loaded, that all slides carry
-    the identical gene panel in identical order, that embedding widths
-    agree, and that every expression spot has coordinates and an
-    embedding row (by aligning each slide, which raises otherwise).
-    Looks each slide up in parts once, in manifest order, and returns
-    the aligned expression matrices in that order: the coordinates and
-    embeddings are let go once checked, so parts that reads a slide's
-    files when it is looked up has one slide's at a time.
+    Verifies that all slides carry the identical gene panel in identical
+    order, that embedding widths agree, and that every expression spot
+    has coordinates and an embedding row (by aligning each slide, which
+    raises otherwise).  Calls read once per manifest slide, in manifest
+    order, for its (spots, expr, emb), and returns the aligned expression
+    matrices in that order: the coordinates and embeddings are let go
+    once checked, so a read that loads the slide's files holds one
+    slide's at a time.
     """
-    missing = [s.slide_id for s in manifest.slides if s.slide_id not in parts]
-    if missing:
-        raise ValidationError(f"manifest slide {missing[0]!r} was not loaded")
-
     gene_ref: tuple[str, ...] | None = None
     d_ref: int | None = None
     matrices = []
     for entry in manifest.slides:
-        spots, expr, emb = parts[entry.slide_id]
+        spots, expr, emb = read(entry)
         if expr.n_spots == 0:
             raise EmptySlide(f"slide {entry.slide_id!r} has no spots")
         if gene_ref is None:

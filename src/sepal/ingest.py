@@ -539,45 +539,21 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
             fh.write(f"split = {_toml_str(s.split)}\n")
 
 
-class _DatasetFiles(Mapping):
-    """Slide id -> (spots, expr, emb) of that manifest slide, its three
-    files read on each lookup and kept by no one but the caller."""
-
-    def __init__(self, manifest: DatasetManifest):
-        self._entries = {entry.slide_id: entry for entry in manifest.slides}
-
-    def __getitem__(self, slide_id: str):
-        entry = self._entries[slide_id]
-        spots = read_coordinates(entry.coords_path)
-        expr = read_expression(entry.expr_path)
-        emb = read_embeddings(entry.emb_path)
-        # file-level slide ids must agree with the manifest section name
-        for got, where in ((spots.slide_id, "coordinates"),
-                           (expr.slide_id, "expression"),
-                           (emb.slide_id, "embeddings")):
-            if got != entry.slide_id:
-                raise ValidationError(
-                    f"{where} file for {entry.slide_id!r} carries slide id "
-                    f"{got!r}")
-        return spots, expr, emb
-
-    def __contains__(self, slide_id) -> bool:
-        # Mapping's own would read the slide to find out
-        return slide_id in self._entries
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def load_dataset(manifest: DatasetManifest) -> Mapping[
-        str, tuple[SpotTable, ExpressionMatrix, EmbeddingTable]]:
-    """{slide_id: (spots, expr, emb)} over the manifest's slides, whose
-    files are read when a slide is looked up: a caller that looks each up
-    once holds one slide's files at a time."""
-    return _DatasetFiles(manifest)
+def read_slide(entry: SlideEntry
+               ) -> tuple[SpotTable, ExpressionMatrix, EmbeddingTable]:
+    """(spots, expr, emb) read from one manifest slide's three files."""
+    spots = read_coordinates(entry.coords_path)
+    expr = read_expression(entry.expr_path)
+    emb = read_embeddings(entry.emb_path)
+    # file-level slide ids must agree with the manifest section name
+    for got, where in ((spots.slide_id, "coordinates"),
+                       (expr.slide_id, "expression"),
+                       (emb.slide_id, "embeddings")):
+        if got != entry.slide_id:
+            raise ValidationError(
+                f"{where} file for {entry.slide_id!r} carries slide id "
+                f"{got!r}")
+    return spots, expr, emb
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ The work goes in three passes, so that a dataset is held once:
   decisions    filter_dataset pools the statistics into the kept rows of
                each slide and the kept genes, and the filter log
   output       slide by slide, kept_log1p takes the kept spots x kept
-               genes as one fresh array, and CPM and log run in place on
-               it; the caller writes the slide and lets it go
+               genes once, and CPM and log each make one fresh array from
+               the last; the caller writes the slide and lets it go
 
 Training supervises each gene's difference from its train-split mean, see
 compute_train_mean.
@@ -198,58 +198,41 @@ def filter_dataset(matrices: Sequence[ExpressionMatrix],
 def kept_log1p(matrix: ExpressionMatrix, rows: np.ndarray | None,
                gene_ids: Sequence[str]) -> ExpressionMatrix:
     """One slide's output: log-space input at the kept genes, or raw
-    counts at the kept rows and genes, taken as one fresh array that
-    tpm_normalize and log_transform then write over."""
+    counts at the kept rows and genes, taken as one block that is let go
+    once tpm_normalize has read it."""
     if rows is None:
         return matrix.subset_genes(gene_ids)
     index = matrix.gene_index()
     cols = [index[g] for g in gene_ids]
-    filtered = ExpressionMatrix(
+    tpm = tpm_normalize(ExpressionMatrix(
         matrix.slide_id, gene_ids,
         [matrix.spot_ids[i] for i in rows.tolist()],
-        handed_over(matrix.values[np.ix_(rows, cols)]), "filtered")
-    return log_transform(tpm_normalize(filtered, overwrite=True),
-                         overwrite=True)
+        handed_over(matrix.values[np.ix_(rows, cols)]), "filtered"))
+    return log_transform(tpm)
 
 
-def _output(matrix: ExpressionMatrix, overwrite: bool) -> np.ndarray:
-    """Where a transform of matrix writes: a copy of its values, or with
-    overwrite the values themselves, which the caller gives up with
-    matrix (numpy refuses unless they own their buffer)."""
-    if not overwrite:
-        return np.array(matrix.values)
-    matrix.values.flags.writeable = True
-    return matrix.values
-
-
-def tpm_normalize(matrix: ExpressionMatrix,
-                  overwrite: bool = False) -> ExpressionMatrix:
+def tpm_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     """Scale each spot to counts-per-million.
 
     Each spot row is scaled so its counts sum to 1e6.  Spots with zero
-    total stay all-zero rather than dividing by zero.  With overwrite the
-    result is written over matrix's values, and matrix is spent.
+    total stay all-zero rather than dividing by zero.
     """
     if matrix.stage not in ("raw_counts", "filtered"):
         raise ValidationError(
             f"tpm expects count data, got stage {matrix.stage!r}")
     totals = matrix.values.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
-    out = _output(matrix, overwrite)
-    out /= safe
+    out = matrix.values / safe
     out *= 1e6
     return matrix.with_values(handed_over(out), "tpm")
 
 
-def log_transform(matrix: ExpressionMatrix,
-                  overwrite: bool = False) -> ExpressionMatrix:
-    """Elementwise log2(x + 1) on a tpm matrix; with overwrite, written
-    over matrix's values, and matrix is spent."""
+def log_transform(matrix: ExpressionMatrix) -> ExpressionMatrix:
+    """Elementwise log2(x + 1) on a tpm matrix."""
     if matrix.stage != "tpm":
         raise ValidationError(
             f"log transform expects tpm, got stage {matrix.stage!r}")
-    out = _output(matrix, overwrite)
-    out += 1.0
+    out = matrix.values + 1.0
     return matrix.with_values(handed_over(np.log2(out, out=out)), "log1p")
 
 

@@ -281,6 +281,11 @@ def entry(sid, split="train"):
     return SlideEntry(sid, f"{sid}.coords", f"{sid}.expr", f"{sid}.emb", split)
 
 
+def read_from(parts):
+    """A slide reader for validate_dataset over {slide_id: parts}."""
+    return lambda entry: parts[entry.slide_id]
+
+
 class TestValidateDataset:
     def _slide_parts(self, sid, genes=("g1", "g2"), d_emb=3):
         spots = spot_table([spot("a", 0, 0), spot("b", 0, 1)], sid)
@@ -292,7 +297,7 @@ class TestValidateDataset:
     def test_ok_report(self):
         m = manifest_for([entry("s0"), entry("s1", "val")])
         parts = {"s0": self._slide_parts("s0"), "s1": self._slide_parts("s1")}
-        slides = validate_dataset(m, parts)
+        slides = validate_dataset(m, read_from(parts))
         assert [s.slide_id for s in slides] == ["s0", "s1"]
         assert [s.spot_ids for s in slides] == [("a", "b")] * 2
 
@@ -301,28 +306,28 @@ class TestValidateDataset:
         parts = {"s0": self._slide_parts("s0"),
                  "s1": self._slide_parts("s1", genes=("g1", "gX"))}
         with pytest.raises(GeneSetMismatch):
-            validate_dataset(m, parts)
+            validate_dataset(m, read_from(parts))
 
     def test_gene_order_mismatch_is_a_mismatch(self):
         m = manifest_for([entry("s0"), entry("s1", "val")])
         parts = {"s0": self._slide_parts("s0", genes=("g1", "g2")),
                  "s1": self._slide_parts("s1", genes=("g2", "g1"))}
         with pytest.raises(GeneSetMismatch):
-            validate_dataset(m, parts)
+            validate_dataset(m, read_from(parts))
 
     def test_embedding_width_mismatch(self):
         m = manifest_for([entry("s0"), entry("s1", "val")])
         parts = {"s0": self._slide_parts("s0"),
                  "s1": self._slide_parts("s1", d_emb=4)}
         with pytest.raises(WidthMismatch):
-            validate_dataset(m, parts)
+            validate_dataset(m, read_from(parts))
 
     def test_spot_without_embedding(self):
         m = manifest_for([entry("s0")])
         spots, expr, emb = self._slide_parts("s0")
         emb = EmbeddingTable("s0", ("a",), np.zeros((1, 3)))
         with pytest.raises(MissingEmbedding):
-            validate_dataset(m, {"s0": (spots, expr, emb)})
+            validate_dataset(m, read_from({"s0": (spots, expr, emb)}))
 
 
 class TestManifest:

@@ -999,4 +999,4 @@ class TestLoadDataset:
             'emb = "s0.emb.tsv"\nsplit = "train"\n')
         manifest = read_manifest(tmp_path / "manifest.toml")
         with pytest.raises(ValidationError):
-            ingest.load_dataset(manifest)["s0"]
+            ingest.read_slide(manifest.slides[0])

@@ -123,8 +123,8 @@ class TestWrite:
         assert manifest.geometry == "square_grid"
         assert len(manifest.slides) == 2
         assert [s.split for s in manifest.slides] == ["train", "val"]
-        parts = ingest.load_dataset(manifest)
-        validate_dataset(manifest, parts)
+        parts = {e.slide_id: ingest.read_slide(e) for e in manifest.slides}
+        validate_dataset(manifest, lambda e: parts[e.slide_id])
         for sid in ds.slide_ids:
             np.testing.assert_array_equal(parts[sid][1].values,
                                           ds.parts[sid][1].values)
