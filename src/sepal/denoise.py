@@ -168,8 +168,6 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
         raise ShapeMismatch(f"gene maps have {values.shape}, rings cover "
                             f"{rings.n_spots} spots")
     zero = values == 0.0
-    # the nonzero originals, NaN in zero cells: every median reads these
-    known = np.where(zero, np.nan, values)
     has_value = ~zero.all(axis=0)
     # each gene's slide-wide median, worked out once a cell needs it
     fallback = np.zeros(values.shape[1])
@@ -185,9 +183,11 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
                 break
             end = rings.ring_ends[spot[here], k]
             width = int(end.max())
-            near = known[rings.members[spot[here], :width],
-                         gene[here, None]]
-            near[np.arange(width) >= end[:, None]] = np.nan
+            # every median reads the nonzero originals: the zeros and the
+            # slots past a spot's ring k are NaN
+            near = values[rings.members[spot[here], :width],
+                          gene[here, None]]
+            near[(near == 0.0) | (np.arange(width) >= end[:, None])] = np.nan
             count = width - np.isnan(near).sum(axis=1)
             seen = count > 0
             near = np.sort(near[seen], axis=1)  # NaNs sort last
@@ -203,7 +203,9 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
         needed[gene] = True
         new = np.flatnonzero(needed & ~worked_out)
         if new.size:
-            fallback[new] = _column_medians(known[:, new])
+            block = values[:, new]
+            block[block == 0.0] = np.nan
+            fallback[new] = _column_medians(block)
             worked_out[new] = True
         filled[spot, gene] = fallback[gene]
         n_fallback += spot.size

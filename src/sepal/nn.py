@@ -312,7 +312,9 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
         # the expressions, and so the bits, of a row gather, a tanh and a
         # broadcast product: the gate's gradient sums over the channels
         # only where there are several (a sum of one -0.0 is +0.0), and
-        # each gather's gradient is scattered into zeros
+        # each gather's gradient is scattered into zeros: the kept rows
+        # are unique, so it is assigned, and adding 0.0 turns -0.0 into
+        # +0.0 as a scatter-add into zeros does
         g_gated, _ = mean_backward(g, True)
         g_gate = g_gated * h[kept]
         if g_gate.shape[1] != 1:
@@ -321,12 +323,14 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
         # 1 - tanh(x)^2 is 0 once tanh rounds to 1 (|x| > ~9 in float32)
         e = np.exp(-2.0 * np.abs(kept_score))
         g_score = np.zeros((h.shape[0], 1), kept_score.dtype)
-        np.add.at(g_score, kept, g_gate * (4.0 * e / ((1.0 + e) * (1.0 + e))))
+        g_score[kept] = g_gate * (4.0 * e / ((1.0 + e) * (1.0 + e)))
+        g_score += 0.0
         g_h, grads = score_backward(g_score, need_input)
         if need_input:
             # the gathered rows' gradient first, then the score's
             g_rows = np.zeros_like(h)
-            np.add.at(g_rows, kept, g_gated * gate)
+            g_rows[kept] = g_gated * gate
+            g_rows += 0.0
             g_h = g_rows + g_h
         return g_h, grads
     return out, backward

@@ -69,26 +69,48 @@ class TrainConfig:
 
 
 class Adam:
-    """Bias-corrected Adam over a dict of parameter arrays, which each
-    step replaces with the updated arrays."""
+    """Bias-corrected Adam over a dict of float64 parameter arrays.
+
+    The moments m and v are made once per run, as np.zeros, whose pages
+    stay untouched until the first step writes them, and every step
+    updates them in place.  Two scratch arrays per parameter carry the
+    rest of a step: (1 - b1) g, then m_hat, then the update; (1 - b2) g^2,
+    then v_hat, then sqrt(v_hat) + eps.  Each in-place operation is one
+    operation of b1 m + (1 - b1) g, b2 v + (1 - b2) g^2 and
+    p - lr m_hat / (sqrt(v_hat) + eps), its operands at most swapped, so
+    the bits are those of the plain expressions.  Each step still
+    replaces every parameter with a fresh array: updating the parameters
+    in place too lets the allocator trim and re-fault its heap at every
+    step, for more page faults and system time.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, p in self.params.items():
             g = grads[k] if k in grads else np.zeros_like(p)
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-            m_hat = self.m[k] / (1.0 - b1 ** self.t)
-            v_hat = self.v[k] / (1.0 - b2 ** self.t)
-            self.params[k] = p - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            m, v = self.m[k], self.v[k]
+            update = (1.0 - b1) * g
+            m *= b1
+            m += update
+            root = g * g
+            root *= 1.0 - b2
+            v *= b2
+            v += root
+            np.divide(m, 1.0 - b1 ** self.t, out=update)
+            np.divide(v, 1.0 - b2 ** self.t, out=root)
+            np.sqrt(root, out=root)
+            root += ADAM_EPS
+            update *= self.lr
+            update /= root
+            self.params[k] = p - update
 
 
 @dataclass
@@ -271,7 +293,13 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
     initial_val = _val_mse(delta_hat_val, target_val) if has_val else None
     history.append(EpochRecord(0, None, initial_val, time.monotonic() - t0))
     best_val = initial_val
+    # the best epoch's parameters, refreshed in place when it changes
     best_arrays = state.clone_arrays()
+
+    def keep_best() -> None:
+        for k, p in state.params.items():
+            np.copyto(best_arrays[k], p)
+
     bad_epochs = 0
     steps = 0
     stop = False
@@ -301,14 +329,14 @@ def stage2_train(train_graphs: GraphBatch, delta_hat_train: np.ndarray,
         if has_val:
             if val < best_val:
                 best_val = val
-                best_arrays = state.clone_arrays()
+                keep_best()
                 bad_epochs = 0
             else:
                 bad_epochs += 1
                 if bad_epochs >= config.patience:
                     break
         else:
-            best_arrays = state.clone_arrays()
+            keep_best()
         if stop:
             break
     state.load_arrays(best_arrays)

@@ -75,6 +75,39 @@ class TestAdam:
         opt.step({})
         np.testing.assert_array_equal(params["p"], [1.0])
 
+    @given(data=st.data())
+    def test_same_bits_as_the_reference_adam(self, data):
+        # after every step both moments and the parameters are the
+        # reference's bytes, some keys left out of the gradients, and the
+        # moments are still the arrays the optimizer made at the start
+        shapes = data.draw(st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+            min_size=1, max_size=4))
+        keys = [f"p{i}" for i in range(len(shapes))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        params = {k: rng.normal(size=s) for k, s in zip(keys, shapes)}
+        lr = data.draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.5]))
+        opt = Adam(params, lr)
+        tensors = [reference.Tensor(p.copy()) for p in params.values()]
+        ref = reference.Adam(tensors, lr)
+        m, v = dict(opt.m), dict(opt.v)
+        for _ in range(data.draw(st.integers(1, 6))):
+            grads = {}
+            for k in data.draw(st.lists(st.sampled_from(keys), unique=True)):
+                g = rng.normal(size=params[k].shape) \
+                    * 10.0 ** rng.integers(-6, 4)
+                g[rng.random(g.shape) < 0.2] = -0.0
+                grads[k] = g
+            opt.step(grads)
+            for k, t in zip(keys, tensors):
+                t.grad = grads.get(k)
+            ref.step()
+            for k, t, ref_m, ref_v in zip(keys, tensors, ref.m, ref.v):
+                assert opt.m[k] is m[k] and opt.v[k] is v[k]
+                assert opt.m[k].tobytes() == ref_m.tobytes(), k
+                assert opt.v[k].tobytes() == ref_v.tobytes(), k
+                assert params[k].tobytes() == t.data.tobytes(), k
+
 
 def realizable_problem(seed, n=48, d=4, genes=2, noise=0.0):
     rng = np.random.default_rng(seed)
