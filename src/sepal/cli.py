@@ -175,22 +175,17 @@ def _test_entries(manifest) -> list:
 def cmd_synth(args) -> None:
     cfg = synth.SynthConfig(
         grid_rows=args.rows, grid_cols=args.cols, d_emb=args.d_emb,
-        n_genes=args.genes, n_smooth=args.smooth, noise_sd=args.noise_sd,
-        zero_fraction=args.zero_fraction,
-        field_amplitude=args.field_amplitude, geometry=args.geometry,
-        n_slides=args.slides, n_select=args.n_select, counts=args.counts,
-        seed=args.seed)
+        n_genes=args.genes, n_smooth=args.smooth,
+        zero_fraction=args.zero_fraction, geometry=args.geometry,
+        n_slides=args.slides, counts=args.counts, seed=args.seed)
     dataset = synth.generate_dataset(cfg)
     out = Path(args.out)
     manifest_path = synth.write_dataset(dataset, out)
     _write_lock(out, "synth", {
         "rows": cfg.grid_rows, "cols": cfg.grid_cols, "d_emb": cfg.d_emb,
         "genes": cfg.n_genes, "smooth": cfg.n_smooth,
-        "noise_sd": cfg.noise_sd, "zero_fraction": cfg.zero_fraction,
-        "field_amplitude": cfg.field_amplitude, "geometry": cfg.geometry,
-        "slides": cfg.n_slides,
-        "n_select": "" if cfg.n_select is None else cfg.n_select,
-        "counts": cfg.counts, "seed": cfg.seed,
+        "zero_fraction": cfg.zero_fraction, "geometry": cfg.geometry,
+        "slides": cfg.n_slides, "counts": cfg.counts, "seed": cfg.seed,
     })
     print(manifest_path)
 
@@ -211,26 +206,29 @@ def cmd_preprocess(args) -> None:
                 f"one stage")
     rows, kept, log_rows = preprocess.filter_dataset(matrices, manifest)
 
-    outdir = Path(args.out) / "preprocess"
-    for k in range(len(matrices)):
-        # the slide's raw values go once its output is made, and the
-        # output once written
-        m, matrices[k] = matrices[k], None
-        m = preprocess.kept_log1p(m, rows[k], kept)
-        ingest.write_matrix(outdir / f"{m.slide_id}_log1p.npz", m)
-    ingest.write_table(outdir / "filter_log.tsv", "filter_log",
-                       ("kind", "scope", "item_id", "value", "threshold"),
-                       log_rows)
-    _write_lock(outdir, "preprocess", {
-        "manifest": str(args.manifest),
-        "input_stage": stage,
-        "eps_total": manifest.eps_total,
-        "eps_wsi": manifest.eps_wsi,
-        "count_min_spot": manifest.count_min_spot,
-        "count_max_spot": manifest.count_max_spot,
-        "count_min_gene": manifest.count_min_gene,
-        "count_max_gene": manifest.count_max_gene,
-    })
+    # staged as denoise's outputs are: preprocess/ changes only once
+    # every file is written
+    with ingest.staged(Path(args.out) / "preprocess") as outdir:
+        for k in range(len(matrices)):
+            # the slide's raw values go once its output is made, and the
+            # output once written
+            m, matrices[k] = matrices[k], None
+            m = preprocess.kept_log1p(m, rows[k], kept)
+            ingest.write_matrix(outdir / f"{m.slide_id}_log1p.npz", m)
+        ingest.write_table(outdir / "filter_log.tsv", "filter_log",
+                           ("kind", "scope", "item_id", "value",
+                            "threshold"),
+                           log_rows)
+        _write_lock(outdir, "preprocess", {
+            "manifest": str(args.manifest),
+            "input_stage": stage,
+            "eps_total": manifest.eps_total,
+            "eps_wsi": manifest.eps_wsi,
+            "count_min_spot": manifest.count_min_spot,
+            "count_max_spot": manifest.count_max_spot,
+            "count_min_gene": manifest.count_min_gene,
+            "count_max_gene": manifest.count_max_gene,
+        })
     print(f"preprocess: {len(matrices)} slides, {len(kept)} genes kept")
 
 
@@ -305,23 +303,24 @@ def cmd_select(args) -> None:
 
     selected, scores = spatial.select_genes(scored(), n_genes)
 
-    # then each slide again, from its archives, at the selected genes
-    outdir = Path(args.out) / "select"
-    for entry in manifest.slides:
-        m, mask = _denoised(den, entry)
-        ingest.write_matrix(outdir / f"{m.slide_id}_selected.npz",
-                            m.subset_genes(selected))
-        ingest.write_mask(outdir / f"{entry.slide_id}_mask.npz",
-                          mask.subset_genes(selected))
-    ingest.write_table(outdir / "genes.tsv", "gene_scores",
-                       ("gene_id", "mean_score", "selected"),
-                       [(s.gene_id, s.mean_score, s.selected)
-                        for s in scores])
-    _write_lock(outdir, "select", {
-        "manifest": str(args.manifest),
-        "n_genes": n_genes,
-        "geometry": manifest.geometry,
-    })
+    # then each slide again, from its archives, at the selected genes,
+    # staged so that select/ changes only once every file is written
+    with ingest.staged(Path(args.out) / "select") as outdir:
+        for entry in manifest.slides:
+            m, mask = _denoised(den, entry)
+            ingest.write_matrix(outdir / f"{m.slide_id}_selected.npz",
+                                m.subset_genes(selected))
+            ingest.write_mask(outdir / f"{entry.slide_id}_mask.npz",
+                              mask.subset_genes(selected))
+        ingest.write_table(outdir / "genes.tsv", "gene_scores",
+                           ("gene_id", "mean_score", "selected"),
+                           [(s.gene_id, s.mean_score, s.selected)
+                            for s in scores])
+        _write_lock(outdir, "select", {
+            "manifest": str(args.manifest),
+            "n_genes": n_genes,
+            "geometry": manifest.geometry,
+        })
     print(f"select: kept {len(selected)} of {len(scores)} genes")
 
 
@@ -398,11 +397,9 @@ def _graphs_meta(out: Path) -> tuple[int, str]:
 def _gather(manifest, split, read):
     """read(entry) for every slide of the split, in manifest order, stacked
     field by field: graph batches into one union, arrays with vstack.
-    None when the split has no slides; training needs a train split."""
+    None when the split has no slides; a manifest has a train split."""
     parts = [read(e) for e in manifest.slides if e.split == split]
     if not parts:
-        if split == "train":
-            raise EmptySplit("no train-split slides in the manifest")
         return None
     return tuple(np.vstack(field) if isinstance(field[0], np.ndarray)
                  else nn.GraphBatch.from_graphs(field)
@@ -686,13 +683,10 @@ def build_parser() -> _Parser:
     p.add_argument("--d-emb", type=int, default=16)
     p.add_argument("--genes", type=int, default=32)
     p.add_argument("--smooth", type=int, default=8)
-    p.add_argument("--noise-sd", type=float, default=0.1)
     p.add_argument("--zero-fraction", type=float, default=0.0)
-    p.add_argument("--field-amplitude", type=float, default=0.5)
     p.add_argument("--geometry", choices=("square_grid", "hex_array"),
                    default="square_grid")
     p.add_argument("--slides", type=int, default=3)
-    p.add_argument("--n-select", type=int, default=None)
     p.add_argument("--counts", action="store_true",
                    help="emit raw counts instead of log-space values")
     p.add_argument("--seed", type=int, default=0)

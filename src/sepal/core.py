@@ -85,10 +85,6 @@ class NegativeValue(ValidationError):
     pass
 
 
-class EmptyTrainSplit(ValidationError):
-    pass
-
-
 class DegenerateCoordinates(ValidationError):
     pass
 
@@ -297,10 +293,6 @@ class ExpressionMatrix:
     def n_spots(self) -> int:
         return len(self.spot_ids)
 
-    @property
-    def n_genes(self) -> int:
-        return len(self.gene_ids)
-
     def gene_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.gene_ids)}
 
@@ -338,10 +330,7 @@ class ImputationMask:
         object.__setattr__(self, "spot_ids", tuple(self.spot_ids))
         v = np.asarray(self.values)
         if v.dtype != np.bool_:
-            u = np.unique(v)
-            if not np.all(np.isin(u, (0, 1))):
-                raise ValidationError("mask values must be 0 or 1")
-            v = v.astype(np.bool_)
+            raise ValidationError(f"mask values must be bool, got {v.dtype}")
         if v.shape != (len(self.spot_ids), len(self.gene_ids)):
             raise ShapeMismatch(
                 f"mask shape {v.shape} does not match "
@@ -451,7 +440,7 @@ class DatasetManifest:
         if dup is not None:
             raise ValidationError(f"slide id {dup!r} listed twice in manifest")
         if not any(s.split == "train" for s in self.slides):
-            raise EmptyTrainSplit("manifest assigns no slide to the train split")
+            raise EmptySplit("manifest assigns no slide to the train split")
 
 
 @dataclass

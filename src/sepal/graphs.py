@@ -46,20 +46,17 @@ class Subgraph:
 
 
 def khop_subgraph(adjacency: Adjacency, center: int, hops: int,
-                  neighbor_lists: Sequence[Sequence[int]] | None = None
-                  ) -> Subgraph:
+                  neighbor_lists: Sequence[Sequence[int]]) -> Subgraph:
     """Breadth-first expansion to the given hop count, with induced edges.
 
-    The induced edges come from the neighbor lists of the nodes reached,
-    so the cost follows the subgraph's size, not the slide's.  Pass the
-    slide's neighbor lists when extracting many subgraphs.
+    The induced edges come from the slide's neighbor lists, as
+    adjacency.neighbor_lists() gives them, of the nodes reached, so the
+    cost follows the subgraph's size, not the slide's.
     """
     if not 0 <= center < adjacency.n_spots:
         raise ValidationError(f"center {center} out of range")
     if hops < 1:
         raise ValidationError(f"hop count must be >= 1, got {hops}")
-    if neighbor_lists is None:
-        neighbor_lists = adjacency.neighbor_lists()
 
     local = {center: 0}   # global spot index -> local node id
     order = [center]
@@ -168,7 +165,7 @@ def assemble_graph(slide_spots: SpotTable,
     return nn.GraphBatch.pack(
         nn.NodeTable(embeddings.vectors, table, aggregation,
                      np.dtype(np.float32)),
-        sizes, [sub.edges for sub in subgraphs], nodes=nodes, offsets=index)
+        sizes, [sub.edges for sub in subgraphs], nodes, index)
 
 
 def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,

@@ -300,8 +300,11 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
     counts = np.ceil(ratio * sizes).astype(np.int64)
     rank = rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
     top = rank < np.repeat(counts, sizes)
-    kept = ranked[top]
-    kept = kept[np.lexsort((kept, graph[top]))]
+    # graphs own consecutive rows, so the kept rows in row order are in
+    # graph order too
+    keep = np.zeros(rows.size, dtype=bool)
+    keep[ranked[top]] = True
+    kept = np.flatnonzero(keep)
     kept_score = score[kept]
     gate = np.tanh(kept_score)
     gated = h[kept]
@@ -519,30 +522,19 @@ class GraphBatch:
     shapes: tuple[Shape, ...]
 
     @classmethod
-    def pack(cls, features: np.ndarray | NodeTable, sizes,
-             edges: Sequence[np.ndarray], nodes=None, offsets=None
-             ) -> "GraphBatch":
+    def pack(cls, table: NodeTable, sizes, edges: Sequence[np.ndarray],
+             nodes, offsets) -> "GraphBatch":
         """The batch of graphs where graph g owns sizes[g] consecutive
-        node rows and edges[g] lists its edges by local node id.  The
-        rows are those of a feature matrix, or nodes and offsets into a
-        NodeTable.  Graphs of one size whose local edges are listed alike
-        share one shape, whose blocks are built once, in the features'
-        dtype; the build rejects an endpoint outside its graph."""
-        if isinstance(features, NodeTable):
-            table = features
-            nodes = np.asarray(nodes, dtype=np.int64)
-            offsets = np.asarray(offsets, dtype=np.int64)
-            if nodes.shape != offsets.shape:
-                raise ShapeMismatch(
-                    f"{nodes.shape} node rows with {offsets.shape} offsets")
-        else:
-            # a feature matrix is a table of its own rows, with no
-            # encoding columns beside them
-            features = np.asarray(features)
-            table = NodeTable(features, np.zeros((1, 0), features.dtype),
-                              "concat", features.dtype)
-            nodes = np.arange(features.shape[0], dtype=np.int64)
-            offsets = np.zeros_like(nodes)
+        node rows and edges[g] lists its edges by local node id; node i
+        is row nodes[i] of the table's embeddings and row offsets[i] of
+        its encodings.  Graphs of one size whose local edges are listed
+        alike share one shape, whose blocks are built once, in the
+        table's dtype; the build rejects an endpoint outside its graph."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if nodes.shape != offsets.shape:
+            raise ShapeMismatch(
+                f"{nodes.shape} node rows with {offsets.shape} offsets")
         sizes = _check_sizes(sizes, nodes.size)
         if len(edges) != sizes.size:
             raise ShapeMismatch(

@@ -39,7 +39,7 @@ from .core import (
     AllGenesRemoved,
     AllSpotsRemoved,
     DatasetManifest,
-    EmptyTrainSplit,
+    EmptySplit,
     ExpressionMatrix,
     GeneSetMismatch,
     ValidationError,
@@ -252,7 +252,7 @@ def center_per_slide(matrices: Sequence[ExpressionMatrix]
 def compute_train_mean(train: Sequence[ExpressionMatrix]) -> np.ndarray:
     """Per-gene mean over every spot of the train-split matrices, pooled."""
     if not train:
-        raise EmptyTrainSplit("no train-split matrices")
+        raise EmptySplit("no train-split matrices")
     genes = _common_genes(train)
     total = np.zeros(len(genes), dtype=np.float64)
     n = 0

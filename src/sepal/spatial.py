@@ -227,10 +227,9 @@ def morans_i_many(values: np.ndarray, adjacency: Adjacency
 
 @dataclass(frozen=True)
 class GeneScore:
-    """Per-gene selection record: slide scores, their mean, and the verdict."""
+    """Per-gene selection record: mean slide score and the verdict."""
 
     gene_id: str
-    per_slide: tuple[float | None, ...]
     mean_score: float | None
     selected: bool
 
@@ -283,7 +282,6 @@ def select_genes(slides: Iterable[tuple[ExpressionMatrix, Adjacency]],
 
     records = [GeneScore(
         gene_id=g,
-        per_slide=tuple(scores[j] for scores in per_slide),
         mean_score=means[j],
         selected=g in chosen,
     ) for j, g in enumerate(genes)]

@@ -33,6 +33,7 @@ from . import ingest, spatial
 VALUE_BASELINE = 6.0
 VALUE_FLOOR = 0.05
 COUNT_LOG_CAP = 20.0
+NOISE_SD = 0.1  # of the smooth genes; noise genes are standard normal
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,10 @@ class SynthConfig:
     d_emb: int = 16
     n_genes: int = 32
     n_smooth: int = 8
-    noise_sd: float = 0.1
     zero_fraction: float = 0.0
     field_amplitude: float = 0.5
     geometry: str = "square_grid"
     n_slides: int = 3
-    n_select: int | None = None
     counts: bool = False
     seed: int = 0
 
@@ -58,23 +57,18 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be positive")
         if not 0 <= self.n_smooth <= self.n_genes:
             raise ValidationError("n_smooth must lie in [0, n_genes]")
-        if self.noise_sd < 0:
-            raise ValidationError("noise_sd must be non-negative")
         if not 0.0 <= self.zero_fraction < 1.0:
             raise ValidationError("zero_fraction must lie in [0, 1)")
         if self.field_amplitude < 0:
             raise ValidationError("field_amplitude must be non-negative")
         if self.geometry not in GEOMETRIES:
             raise ValidationError(f"unknown geometry {self.geometry!r}")
-        if self.n_select is not None and self.n_select < 1:
-            raise ValidationError("n_select must be positive")
 
 
 @dataclass(frozen=True)
 class SynthDataset:
     config: SynthConfig
     gene_ids: tuple[str, ...]
-    smooth_gene_ids: tuple[str, ...]
     slide_ids: tuple[str, ...]
     splits: tuple[str, ...]
     parts: dict
@@ -102,19 +96,19 @@ def _lattice(slide_id: str, cfg: SynthConfig) -> SpotTable:
 
 
 def _neighbor_mean(emb: np.ndarray, adjacency) -> np.ndarray:
-    """Mean embedding over each spot and its lattice neighbors."""
+    """Mean embedding over each spot and its lattice neighbors.  The sums
+    add, edge by edge, row j to row i and then row i to row j, so they
+    round as an edge loop's do."""
+    idx = adjacency.edges.reshape(-1)
     total = emb.copy()
-    count = np.ones(emb.shape[0])
-    for i, j in adjacency.edges:
-        total[i] += emb[j]
-        total[j] += emb[i]
-        count[i] += 1
-        count[j] += 1
+    np.add.at(total, idx, emb[adjacency.edges[:, ::-1].reshape(-1)])
+    count = 1.0 + np.bincount(idx, minlength=emb.shape[0])
     return total / count[:, None]
 
 
 def generate_dataset(cfg: SynthConfig) -> SynthDataset:
-    """Build every slide in memory.  parts maps slide_id -> (spots, expr, emb)."""
+    """Build every slide in memory.  parts maps slide_id -> (spots, expr,
+    emb).  The planted genes are the ids that start with "smooth"."""
     smooth_ids = tuple(f"smooth{j:03d}" for j in range(cfg.n_smooth))
     noise_ids = tuple(f"noise{j:03d}"
                       for j in range(cfg.n_genes - cfg.n_smooth))
@@ -156,7 +150,7 @@ def generate_dataset(cfg: SynthConfig) -> SynthDataset:
                 VALUE_BASELINE
                 + cfg.field_amplitude * field
                 + local @ linear.T
-                + cfg.noise_sd * noise[:, :cfg.n_smooth])
+                + NOISE_SD * noise[:, :cfg.n_smooth])
         values[:, cfg.n_smooth:] = (
             VALUE_BASELINE + noise[:, cfg.n_smooth:])
         np.maximum(values, VALUE_FLOOR, out=values)
@@ -182,7 +176,6 @@ def generate_dataset(cfg: SynthConfig) -> SynthDataset:
     return SynthDataset(
         config=cfg,
         gene_ids=gene_ids,
-        smooth_gene_ids=smooth_ids,
         slide_ids=slide_ids,
         splits=tuple(_split_for(i) for i in range(cfg.n_slides)),
         parts=parts,
@@ -207,8 +200,7 @@ def write_dataset(dataset: SynthDataset, outdir) -> Path:
     manifest = DatasetManifest(
         name=f"synthetic_{cfg.geometry}_{cfg.seed}",
         geometry=cfg.geometry,
-        n_genes_select=(cfg.n_select if cfg.n_select is not None
-                        else min(cfg.n_genes, 256)),
+        n_genes_select=min(cfg.n_genes, 256),
         eps_total=0.0,
         eps_wsi=0.0,
         count_min_spot=0.0,

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sepal.core import SpotTable
-from sepal.nn import GraphBatch, backward, spatial_forward
+from sepal.nn import GraphBatch, NodeTable, backward, spatial_forward
 from sepal.spatial import DISTANCE_DECIMALS, Adjacency
 
 
@@ -128,9 +128,19 @@ def dense(prop):
     return out
 
 
+def pack_rows(features, sizes, edges):
+    """GraphBatch.pack over a table of the feature matrix's own rows, with
+    no encoding columns beside them: node i is row i."""
+    features = np.asarray(features)
+    table = NodeTable(features, np.zeros((1, 0), features.dtype), "concat",
+                      features.dtype)
+    rows = np.arange(features.shape[0], dtype=np.int64)
+    return GraphBatch.pack(table, sizes, edges, rows, np.zeros_like(rows))
+
+
 def local_edges(batch):
     """A GraphBatch's edges in local node ids, one array per graph: the
-    form GraphBatch.pack takes."""
+    form GraphBatch.pack and pack_rows take."""
     return [batch.shapes[t].edges for t in batch.topology]
 
 
@@ -154,7 +164,7 @@ def propagation(kind, edges, sizes, dtype=np.float64):
     local = [edges[owner == g] - (end - k)
              for g, (end, k) in enumerate(zip(ends, sizes))]
     features = np.zeros((int(sizes.sum()), 1), dtype)
-    return GraphBatch.pack(features, sizes, local).propagation(kind)
+    return pack_rows(features, sizes, local).propagation(kind)
 
 
 def mse_grad(out, target):

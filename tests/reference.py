@@ -64,6 +64,8 @@ step returning new matrices, and preprocess_chain runs them, the gene
 subset, CPM and log over a dataset's matrices, as preprocess did before
 its filters decided from per-slide statistics and each slide's output was
 made once.
+neighbor_mean adds each edge's two rows in a Python loop over the edges,
+as synth did before one scatter-add took them all.
 """
 
 import math
@@ -76,6 +78,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from helpers import pack_rows
 from sepal.core import (
     AllGenesRemoved,
     AllSpotsRemoved,
@@ -108,7 +111,7 @@ from sepal.graphs import (
     positional_encoding,
 )
 from sepal.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from sepal.nn import GraphBatch, _check_sizes
+from sepal.nn import _check_sizes
 
 
 class Tensor:
@@ -381,16 +384,16 @@ def packed_assemble_graph(slide_spots, embeddings, subgraphs, aggregation,
     else:
         feats[:, :d] = embeddings.vectors[nodes]
         feats[:, d:] = table[index]
-    return GraphBatch.pack(feats, sizes, [sub.edges for sub in subgraphs])
+    return pack_rows(feats, sizes, [sub.edges for sub in subgraphs])
 
 
 def from_graphs(graphs):
     """Disjoint union of objects with features and local edges."""
     if not graphs:
         raise ValidationError("empty graph batch")
-    return GraphBatch.pack(np.concatenate([g.features for g in graphs]),
-                           [g.features.shape[0] for g in graphs],
-                           [g.edges for g in graphs])
+    return pack_rows(np.concatenate([g.features for g in graphs]),
+                     [g.features.shape[0] for g in graphs],
+                     [g.edges for g in graphs])
 
 
 def adj_matrix(n_nodes, edges, dtype=np.float64):
@@ -1233,3 +1236,14 @@ def preprocess_chain(matrices, manifest):
             out.append(m.with_values(np.log2(tpm + 1.0), "log1p"))
         matrices = out
     return matrices, log_rows
+
+
+def neighbor_mean(emb, adjacency):
+    total = emb.copy()
+    count = np.ones(emb.shape[0])
+    for i, j in adjacency.edges:
+        total[i] += emb[j]
+        total[j] += emb[i]
+        count[i] += 1
+        count[j] += 1
+    return total / count[:, None]

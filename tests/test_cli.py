@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -158,6 +159,15 @@ class TestExitCodes:
     def test_bad_flag_is_validation_failure(self, tmp_path):
         assert run("train", "--manifest", "x", "--out", "y",
                    "--stage", "3") == 1
+
+    @pytest.mark.parametrize("flag", [("--noise-sd", "0.2"),
+                                      ("--field-amplitude", "0"),
+                                      ("--n-select", "4")],
+                             ids=lambda f: f[0])
+    def test_synth_takes_no_fixed_setting_flag(self, tmp_path, flag):
+        # every caller used one noise level, field and panel size
+        assert run("synth", "--out", str(tmp_path / "d"), *flag) == 1
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_command(self):
         assert run("frobnicate") == 1
@@ -339,6 +349,53 @@ class TestExitCodes:
                 for p in (out / "denoise").iterdir()} == before
         assert sorted(p.name for p in out.iterdir()) == [
             "denoise", "preprocess"]
+
+    @staticmethod
+    def _fail_second_matrix_write(monkeypatch):
+        """Make the second write_matrix run out of disk space."""
+        calls = []
+
+        def failing(path, matrix, write=ingest.write_matrix):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            write(path, matrix)
+        monkeypatch.setattr(ingest, "write_matrix", failing)
+
+    def test_preprocess_failing_on_a_later_write_changes_nothing(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        # a re-run over a re-generated dataset would rewrite the first
+        # slide's output beside the old run's others
+        out, data = tmp_path / "cut", tmp_path / "data"
+        copy_stages(pipeline, out, ("preprocess",))
+        before = {p.name: p.read_bytes()
+                  for p in (out / "preprocess").iterdir()}
+        assert run("synth", "--out", str(data), "--rows", "6", "--cols",
+                   "6", "--d-emb", "8", "--genes", "10", "--smooth", "4",
+                   "--slides", "3", "--seed", "2") == 0
+        self._fail_second_matrix_write(monkeypatch)
+        rc = run("preprocess", "--manifest", str(data / "manifest.toml"),
+                 "--out", str(out))
+        assert rc == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes()
+                for p in (out / "preprocess").iterdir()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["preprocess"]
+
+    def test_select_failing_on_a_later_write_changes_nothing(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        # another panel size would rewrite the first slide's outputs
+        out = tmp_path / "cut"
+        copy_stages(pipeline, out, ("denoise", "select"))
+        before = {p.name: p.read_bytes() for p in (out / "select").iterdir()}
+        self._fail_second_matrix_write(monkeypatch)
+        rc = run("select", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--n-genes", "5")
+        assert rc == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes()
+                for p in (out / "select").iterdir()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["denoise", "select"]
 
     def test_figures_reads_every_slide_before_writing(self, pipeline,
                                                       tmp_path, capsys):

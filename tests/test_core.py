@@ -13,7 +13,7 @@ from sepal.core import (
     DatasetManifest,
     DuplicateSpot,
     EmbeddingTable,
-    EmptyTrainSplit,
+    EmptySplit,
     ExpressionMatrix,
     GeneSetMismatch,
     ImputationMask,
@@ -332,7 +332,7 @@ class TestValidateDataset:
 
 class TestManifest:
     def test_requires_a_train_slide(self):
-        with pytest.raises(EmptyTrainSplit):
+        with pytest.raises(EmptySplit):
             manifest_for([entry("s0", "val")])
 
     def test_rejects_duplicate_slide_ids(self):
@@ -391,7 +391,8 @@ class TestImputationMask:
         with pytest.raises(ValidationError):
             ImputationMask("s0", ("g1",), ("a",), np.array([[2.0]]))
 
-    def test_accepts_zero_one_floats(self):
-        m = ImputationMask("s0", ("g1", "g2"), ("a",), np.array([[0.0, 1.0]]))
-        assert m.values.dtype == np.bool_
-        assert m.values[0, 1]
+    def test_refuses_zero_one_floats(self):
+        # every mask is made bool; a float mask is some other array
+        with pytest.raises(ValidationError, match="must be bool"):
+            ImputationMask("s0", ("g1", "g2"), ("a",),
+                           np.array([[0.0, 1.0]]))

@@ -19,6 +19,7 @@ from helpers import (
     local_edges,
     mse_grad,
     node_hops,
+    pack_rows,
     packed_edges,
     propagation,
     random_adjacency,
@@ -62,7 +63,7 @@ class TestKhopSubgraph:
         spots = hex_spots(7, 7)
         adj = build_adjacency(spots, "hex_array")
         center = index_by_position(spots)[(3, 5)]
-        sub = khop_subgraph(adj, center, 1)
+        sub = khop_subgraph(adj, center, 1, adj.neighbor_lists())
         assert len(sub.nodes) == 7
         assert sub.nodes[0] == center
         assert node_hops(adj, sub) == [0] + [1] * 6
@@ -72,44 +73,45 @@ class TestKhopSubgraph:
     def test_hex_two_hops_is_nineteen_nodes(self):
         spots = hex_spots(9, 9)
         adj = build_adjacency(spots, "hex_array")
-        sub = khop_subgraph(adj, index_by_position(spots)[(4, 8)], 2)
+        sub = khop_subgraph(adj, index_by_position(spots)[(4, 8)], 2,
+                            adj.neighbor_lists())
         assert len(sub.nodes) == 19
         assert node_hops(adj, sub).count(2) == 12
 
     def test_square_grid_one_hop_edges(self):
         adj = build_adjacency(grid_spots(3, 3), "square_grid")
-        sub = khop_subgraph(adj, 4, 1)
+        sub = khop_subgraph(adj, 4, 1, adj.neighbor_lists())
         assert list(sub.nodes) == [4, 1, 3, 5, 7]
         assert [tuple(e) for e in sub.edges] == [
             (0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_node_order_center_then_hops_ascending_by_index(self):
         adj = build_adjacency(grid_spots(3, 3), "square_grid")
-        sub = khop_subgraph(adj, 8, 2)
+        sub = khop_subgraph(adj, 8, 2, adj.neighbor_lists())
         assert list(sub.nodes) == [8, 5, 7, 2, 4, 6]
         assert node_hops(adj, sub) == [0, 1, 1, 2, 2, 2]
 
     def test_expansion_stops_at_component_boundary(self):
         from sepal.spatial import Adjacency
         adj = Adjacency("s", 4, np.array([[0, 1], [2, 3]]))
-        sub = khop_subgraph(adj, 0, 5)
+        sub = khop_subgraph(adj, 0, 5, adj.neighbor_lists())
         assert list(sub.nodes) == [0, 1]
 
     def test_center_out_of_range(self):
         adj = build_adjacency(grid_spots(2, 2), "square_grid")
         with pytest.raises(ValidationError):
-            khop_subgraph(adj, 9, 1)
+            khop_subgraph(adj, 9, 1, adj.neighbor_lists())
 
     def test_zero_hops_rejected(self):
         adj = build_adjacency(grid_spots(2, 2), "square_grid")
         with pytest.raises(ValidationError):
-            khop_subgraph(adj, 0, 0)
+            khop_subgraph(adj, 0, 0, adj.neighbor_lists())
 
     @given(st.integers(0, 10 ** 9), st.integers(1, 4))
     def test_node_set_matches_bfs_oracle(self, seed, hops):
         adj, rng = random_adjacency(seed, connected=False)
         center = int(rng.integers(0, adj.n_spots))
-        sub = khop_subgraph(adj, center, hops)
+        sub = khop_subgraph(adj, center, hops, adj.neighbor_lists())
         dist = bfs_distances(adj.n_spots, adj.edges, center)
         want = {i for i, d in enumerate(dist) if 0 <= d <= hops}
         assert set(int(v) for v in sub.nodes) == want
@@ -121,7 +123,7 @@ class TestKhopSubgraph:
     def test_induced_edges_complete_and_local(self, seed):
         adj, rng = random_adjacency(seed)
         center = int(rng.integers(0, adj.n_spots))
-        sub = khop_subgraph(adj, center, 2)
+        sub = khop_subgraph(adj, center, 2, adj.neighbor_lists())
         members = {int(g): k for k, g in enumerate(sub.nodes)}
         want = set()
         for i, j in adj.edges:
@@ -175,7 +177,7 @@ class TestAssembleGraph:
         spots = grid_spots(3, 3)
         slide = make_slide(spots, d_emb=8)
         adj = build_adjacency(spots, "square_grid")
-        sub = khop_subgraph(adj, 4, 1)
+        sub = khop_subgraph(adj, 4, 1, adj.neighbor_lists())
         g = assemble_graph(slide.spots, slide.embeddings, [sub], "sum")
         assert g.features.shape == (5, 8)
         # center node: zero offset encoding
@@ -193,7 +195,7 @@ class TestAssembleGraph:
         spots = grid_spots(3, 3)
         slide = make_slide(spots, d_emb=8)
         adj = build_adjacency(spots, "square_grid")
-        sub = khop_subgraph(adj, 4, 1)
+        sub = khop_subgraph(adj, 4, 1, adj.neighbor_lists())
         g = assemble_graph(slide.spots, slide.embeddings, [sub], "concat")
         assert g.features.shape == (5, 16)
         np.testing.assert_array_equal(
@@ -206,7 +208,7 @@ class TestAssembleGraph:
         spots = grid_spots(2, 2)
         slide = make_slide(spots, d_emb=6)
         adj = build_adjacency(spots, "square_grid")
-        sub = khop_subgraph(adj, 0, 1)
+        sub = khop_subgraph(adj, 0, 1, adj.neighbor_lists())
         with pytest.raises(WidthNotDivisible):
             assemble_graph(slide.spots, slide.embeddings, [sub], "sum")
 
@@ -214,7 +216,7 @@ class TestAssembleGraph:
         spots = grid_spots(2, 2)
         slide = make_slide(spots)
         adj = build_adjacency(spots, "square_grid")
-        sub = khop_subgraph(adj, 0, 1)
+        sub = khop_subgraph(adj, 0, 1, adj.neighbor_lists())
         with pytest.raises(ValidationError):
             assemble_graph(slide.spots, slide.embeddings, [sub], "mean")
 
@@ -308,8 +310,8 @@ def assert_same_batch(got, want):
 
 
 def with_dtype(batch, dtype):
-    return GraphBatch.pack(batch.features.astype(dtype), batch.sizes,
-                           local_edges(batch))
+    return pack_rows(batch.features.astype(dtype), batch.sizes,
+                     local_edges(batch))
 
 
 def assert_same_subgraphs(adj, hops):
@@ -369,7 +371,8 @@ class TestAgainstReference:
     def test_assemble_any_subgraphs(self, seed, hops, aggregation):
         adj, rng = random_adjacency(seed)
         slide = make_slide(scattered_spots(rng, adj.n_spots), 8, seed)
-        subs = [khop_subgraph(adj, int(c), hops)
+        lists = adj.neighbor_lists()
+        subs = [khop_subgraph(adj, int(c), hops, lists)
                 for c in rng.integers(0, adj.n_spots, size=5)]
         got = assemble_graph(slide.spots, slide.embeddings, subs, aggregation)
         want = [reference.assemble_graph(slide.spots, slide.embeddings, sub,
@@ -750,14 +753,22 @@ class TestOperatorAgainstReference:
         features = np.zeros((4, 1))
         inside = np.array([[0, 1]])
         with pytest.raises(ShapeMismatch, match="1 edge lists for 2"):
-            GraphBatch.pack(features, [2, 2], [inside])
+            pack_rows(features, [2, 2], [inside])
         with pytest.raises(ShapeMismatch, match="3 edge lists for 2"):
-            GraphBatch.pack(features, [2, 2], [inside] * 3)
+            pack_rows(features, [2, 2], [inside] * 3)
         for bad in ([[-1, 1]], [[0, 2]], [[2, 3]]):
             with pytest.raises(ValidationError, match="outside 2 nodes"):
-                GraphBatch.pack(features, [2, 2], [inside, np.array(bad)])
+                pack_rows(features, [2, 2], [inside, np.array(bad)])
         with pytest.raises(ValidationError, match="outside"):
             nn.gcn_matrix(4, np.array([[0, 4]]))
+
+    def test_pack_refuses_a_bare_feature_matrix(self):
+        # a batch's rows come from a NodeTable, through nodes and offsets
+        # that pack requires; pack_rows wraps a matrix in a table
+        features, edges = np.zeros((4, 1)), [np.array([[0, 1]])] * 2
+        with pytest.raises(TypeError, match="nodes.*offsets"):
+            GraphBatch.pack(features, [2, 2], edges)
+        assert pack_rows(features, [2, 2], edges).n_graphs == 2
 
 
 def masked_lattice_graphs(geometry, rows, cols, hops, seed):
@@ -862,7 +873,7 @@ class TestUniqueForms:
         # and a taken batch leaves some of its table's shapes unused
         rng = np.random.default_rng(len(sizes))
         edges = [rng.integers(0, k, size=(k % 3, 2)) for k in sizes]
-        batch = GraphBatch.pack(np.zeros((sum(sizes), 1)), sizes, edges)
+        batch = pack_rows(np.zeros((sum(sizes), 1)), sizes, edges)
         idx = data.draw(st.lists(st.integers(0, len(sizes) - 1),
                                  max_size=20))
         for b in (batch, batch.take(idx)):

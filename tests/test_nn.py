@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
-from helpers import dense, layer_mse, local_edges, model_mse, propagation
+from helpers import (
+    dense,
+    layer_mse,
+    local_edges,
+    model_mse,
+    pack_rows,
+    propagation,
+)
 from sepal.core import ShapeMismatch, ValidationError
 from sepal import nn, train
 from sepal.nn import (
@@ -230,7 +237,7 @@ class TestConvsAgainstReference:
         edges = [rng.integers(0, k, size=(int(rng.integers(0, 2 * k)), 2))
                  for k in sizes]
         n = sum(sizes)
-        batch = GraphBatch.pack(np.zeros((n, 1), dtype), sizes, edges)
+        batch = pack_rows(np.zeros((n, 1), dtype), sizes, edges)
         x = _awkward(data, (n, d_in), dtype)
         weights = [_awkward(data, shape, np.float64)
                    for shape in ((d_out, d_in), (d_out, d_in), (d_out,))]
@@ -298,7 +305,7 @@ class TestNetworkAgainstReference:
         scale = data.draw(st.sampled_from([0.3, 1.0, 30.0]))
         features = (rng.normal(size=(sum(sizes), in_width))
                     * scale).astype(dtype)
-        batch = GraphBatch.pack(features, sizes, edges)
+        batch = pack_rows(features, sizes, edges)
         arrays = {k: rng.normal(size=t.shape)
                   for k, t in init_model_state(spec, 0).params.items()}
         upstream = rng.normal(size=(len(sizes), spec.n_genes)).astype(dtype)
@@ -670,8 +677,8 @@ class TestSpatialForward:
         rng = np.random.default_rng(3)
         edges = [np.stack([np.zeros(k - 1, np.int64), np.arange(1, k)], 1)
                  for k in sizes]
-        batch = GraphBatch.pack(
-            rng.normal(size=(rows, 24)).astype(np.float32), sizes, edges)
+        batch = pack_rows(rng.normal(size=(rows, 24)).astype(np.float32),
+                          sizes, edges)
         tape = []
         tracemalloc.start()
         try:
@@ -698,8 +705,8 @@ class TestSpatialForward:
             for k, t in state.params.items():
                 state.params[k] = rng.normal(size=t.shape)
             batch = tiny_batch(np.random.default_rng(4))
-            batch = GraphBatch.pack(batch.features.astype(np.float32),
-                                    batch.sizes, local_edges(batch))
+            batch = pack_rows(batch.features.astype(np.float32),
+                              batch.sizes, local_edges(batch))
             tape = []
             recorded = spatial_forward(state, batch, tape)
             assert len(tape) == 6

@@ -8,7 +8,7 @@ from sepal.core import (
     AllGenesRemoved,
     AllSpotsRemoved,
     DatasetManifest,
-    EmptyTrainSplit,
+    EmptySplit,
     ExpressionMatrix,
     SlideEntry,
     ValidationError,
@@ -198,7 +198,7 @@ class TestTrainMean:
         assert mean[0] == 3.0  # 12 counts over 4 spots
 
     def test_no_train_slides(self):
-        with pytest.raises(EmptyTrainSplit):
+        with pytest.raises(EmptySplit):
             compute_train_mean([])
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import local_edges
+from helpers import local_edges, pack_rows
 from sepal import nn, train
 from sepal.ingest import read_checkpoint, write_checkpoint
 from sepal.core import (
@@ -295,8 +295,8 @@ class TestStage2:
 
     def test_empty_train_split(self):
         with pytest.raises(EmptySplit):
-            stage2_train(GraphBatch.pack(np.zeros((0, 4)),
-                                         np.zeros(0, dtype=np.int64), []),
+            stage2_train(pack_rows(np.zeros((0, 4)),
+                                   np.zeros(0, dtype=np.int64), []),
                          np.zeros((0, 2)), np.zeros((0, 2)), None, None,
                          None, correction_spec(4, 2), TrainConfig())
 
@@ -497,8 +497,8 @@ class TestCheckpoints:
         # checkpoint stay float64
         rng = np.random.default_rng(7)
         graphs = star_graphs(rng, 12, 4)
-        graphs = GraphBatch.pack(graphs.features.astype(np.float32),
-                                 graphs.sizes, local_edges(graphs))
+        graphs = pack_rows(graphs.features.astype(np.float32),
+                           graphs.sizes, local_edges(graphs))
         optimizers, grads = [], []
 
         class Recorded(train.Adam):
@@ -566,7 +566,7 @@ def random_graphs(rng, sizes, width, dtype):
     edges = [rng.integers(0, k, size=(int(rng.integers(0, 2 * k)), 2))
              for k in sizes]
     features = rng.normal(size=(int(np.sum(sizes)), width)).astype(dtype)
-    return GraphBatch.pack(features, np.asarray(sizes, np.int64), edges)
+    return pack_rows(features, np.asarray(sizes, np.int64), edges)
 
 
 class TestChunked:
@@ -589,8 +589,8 @@ class TestChunked:
 
     def test_empty_batch_has_nothing_to_predict(self):
         state = init_model_state(visium_like_spec(4, 2), 0)
-        empty = GraphBatch.pack(np.zeros((0, 4), np.float32),
-                                np.zeros(0, np.int64), [])
+        empty = pack_rows(np.zeros((0, 4), np.float32),
+                          np.zeros(0, np.int64), [])
         assert list(chunked(empty)) == []
         with pytest.raises(EmptySplit):
             spatial_predict(state, chunked(empty))
