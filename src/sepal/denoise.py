@@ -131,13 +131,13 @@ def build_radial_neighborhoods(spots: SpotTable, geometry: str,
     return RadialNeighborhood(n, members, ring_ends)
 
 
-def _column_medians(block: np.ndarray) -> np.ndarray:
-    """np.median of each column's non-NaN entries (every column holds one),
-    bit for bit: an odd count's (x + x) / 2 is x for x below 8.9e307."""
-    block = np.sort(block, axis=0)  # NaNs sort last
-    n = block.shape[0] - np.isnan(block).sum(axis=0)
-    cols = np.arange(block.shape[1])
-    return (block[(n - 1) // 2, cols] + block[n // 2, cols]) / 2
+def _row_medians(block: np.ndarray) -> np.ndarray:
+    """np.median of each row's non-NaN entries (every row holds one), bit
+    for bit: an odd count's (x + x) / 2 is x for x below 8.9e307."""
+    block = np.sort(block, axis=1)  # NaNs sort last
+    n = block.shape[1] - np.isnan(block).sum(axis=1)
+    rows = np.arange(block.shape[0])
+    return (block[rows, (n - 1) // 2] + block[rows, n // 2]) / 2
 
 
 def _cell_blocks(unfilled: np.ndarray):
@@ -188,14 +188,9 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
             near = values[rings.members[spot[here], :width],
                           gene[here, None]]
             near[(near == 0.0) | (np.arange(width) >= end[:, None])] = np.nan
-            count = width - np.isnan(near).sum(axis=1)
-            seen = count > 0
-            near = np.sort(near[seen], axis=1)  # NaNs sort last
-            count = count[seen]
-            rows = np.arange(near.shape[0])
+            seen = ~np.isnan(near).all(axis=1)
             done = here[seen]
-            filled[spot[done], gene[done]] = (
-                near[rows, (count - 1) // 2] + near[rows, count // 2]) / 2
+            filled[spot[done], gene[done]] = _row_medians(near[seen])
             left = np.ones(spot.size, dtype=bool)
             left[done] = False
             spot, gene = spot[left], gene[left]
@@ -205,7 +200,7 @@ def impute_gene_map(values: np.ndarray, rings: RadialNeighborhood
         if new.size:
             block = values[:, new]
             block[block == 0.0] = np.nan
-            fallback[new] = _column_medians(block)
+            fallback[new] = _row_medians(block.T)
             worked_out[new] = True
         filled[spot, gene] = fallback[gene]
         n_fallback += spot.size

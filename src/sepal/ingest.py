@@ -122,25 +122,33 @@ def _open_write(path, binary: bool = False):
 
 @contextmanager
 def staged(outdir):
-    """A scratch directory beside outdir for a command's outputs.  Its
-    files replace their namesakes in outdir only when the block exits
-    cleanly, and are deleted otherwise: a command that writes slide by
-    slide leaves outdir as it was when a later slide fails."""
+    """A scratch directory beside outdir for a command's outputs.  It
+    takes outdir's place whole when the block exits cleanly, so no file of
+    an earlier run stays beside the new ones, and is deleted otherwise: a
+    command that writes slide by slide leaves outdir as it was when a
+    later slide fails."""
     outdir = Path(outdir)
     tmp = outdir.with_name(f".{outdir.name}.{os.getpid()}.staged")
+    old = outdir.with_name(f".{outdir.name}.{os.getpid()}.old")
     try:
         tmp.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise IoFailure(f"cannot write {outdir}: {e}") from e
     try:
         yield tmp
-        outdir.mkdir(exist_ok=True)
-        for path in sorted(tmp.iterdir()):
-            os.replace(path, outdir / path.name)
+        if outdir.exists():
+            outdir.rename(old)
+        try:
+            tmp.rename(outdir)
+        except OSError:
+            if old.exists():
+                old.rename(outdir)
+            raise
     except OSError as e:
         raise IoFailure(f"cannot write {outdir}: {e}") from e
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(old, ignore_errors=True)
 
 
 def _parse_tsv(path, split: bool = True):

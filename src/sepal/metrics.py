@@ -13,7 +13,6 @@ gives them, so drawing figures never scores again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -62,64 +61,45 @@ def _as_matrix(name, arr) -> np.ndarray:
     return out
 
 
-def _pcc(truth: np.ndarray, pred: np.ndarray):
-    zt = truth - truth.mean()
-    zp = pred - pred.mean()
-    ss_t = float(zt @ zt)
-    ss_p = float(zp @ zp)
-    if ss_t == 0.0 or ss_p == 0.0:
-        return None
-    r = float(zt @ zp) / math.sqrt(ss_t * ss_p)
-    return min(1.0, max(-1.0, r))
+def _centred(x, keep, n):
+    """x less its column means over the kept cells; zero elsewhere."""
+    mean = np.sum(x, axis=0, where=keep) / n
+    return np.subtract(x, mean, out=np.zeros_like(x), where=keep)
 
 
-def _r2(truth: np.ndarray, pred: np.ndarray):
-    zt = truth - truth.mean()
-    ss_tot = float(zt @ zt)
-    if ss_tot == 0.0:
-        return None
-    ss_res = float(((pred - truth) ** 2).sum())
-    return 1.0 - ss_res / ss_tot
-
-
-def _stat_pair(truth: np.ndarray, pred: np.ndarray):
-    """(pcc, r2) over one item's usable cells; None where undefined."""
-    if truth.size < 2:
-        return None, None
-    return _pcc(truth, pred), _r2(truth, pred)
+def _column_stats(pred, truth, keep):
+    """(pccs, r2s) of every column over its unmasked cells, NaN where
+    undefined.  A column without truth variance has neither; one cell is
+    its own mean, so that covers columns of fewer than two cells.  A
+    column without prediction variance has no PCC."""
+    # a fully masked column's mean is never read: none of its cells is kept
+    n = np.maximum(keep.sum(axis=0), 1)
+    z_t = _centred(truth, keep, n)
+    z_p = _centred(pred, keep, n)
+    ss_t = np.sum(z_t * z_t, axis=0)
+    ss_p = np.sum(z_p * z_p, axis=0)
+    cross = np.sum(z_t * z_p, axis=0)
+    del z_t, z_p
+    res = np.sum((pred - truth) ** 2, axis=0, where=keep)
+    scored = ss_t > 0.0
+    pccs = np.clip(np.divide(cross, np.sqrt(ss_t * ss_p),
+                             out=np.full(ss_t.shape, np.nan),
+                             where=scored & (ss_p > 0.0)), -1.0, 1.0)
+    r2s = 1.0 - np.divide(res, ss_t, out=np.full(ss_t.shape, np.nan),
+                          where=scored)
+    return pccs, r2s
 
 
 def _mean_defined(values, error):
-    defined = [v for v in values if v is not None]
-    if not defined:
+    defined = values[~np.isnan(values)]
+    if not defined.size:
         raise error
     return float(np.mean(defined))
 
 
-def masked_mse_mae(pred, truth, mask) -> tuple[float, float]:
-    pred, truth, keep = _aligned(pred, truth, mask)
-    diff = pred[keep] - truth[keep]
-    if diff.size == 0:
-        raise AllMasked("every cell is masked")
-    return float(np.mean(diff ** 2)), float(np.mean(np.abs(diff)))
-
-
-def _aligned(pred, truth, mask):
-    pred = _as_matrix("pred", pred)
-    truth = _as_matrix("truth", truth)
-    keep = ~np.asarray(mask, dtype=bool)
-    if pred.shape != truth.shape or keep.shape != truth.shape:
-        raise ShapeMismatch(
-            f"shape mismatch: pred {pred.shape}, truth {truth.shape}, "
-            f"mask {keep.shape}")
-    return pred, truth, keep
-
-
-def _column_stats(pred, truth, keep):
-    """(pccs, r2s) of each column over its unmasked cells."""
-    pairs = [_stat_pair(truth[keep[:, j], j], pred[keep[:, j], j])
-             for j in range(truth.shape[1])]
-    return [p for p, _ in pairs], [r for _, r in pairs]
+def _optional(values) -> tuple:
+    """The values as floats, None where NaN (undefined)."""
+    return tuple(np.where(np.isnan(values), None, values).tolist())
 
 
 def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
@@ -129,7 +109,13 @@ def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
     pred/truth are [n_spots, n_genes]; mask is True where the truth value
     was imputed and must be ignored.
     """
-    pred, truth, keep = _aligned(pred, truth, mask)
+    pred = _as_matrix("pred", pred)
+    truth = _as_matrix("truth", truth)
+    keep = ~np.asarray(mask, dtype=bool)
+    if pred.shape != truth.shape or keep.shape != truth.shape:
+        raise ShapeMismatch(
+            f"shape mismatch: pred {pred.shape}, truth {truth.shape}, "
+            f"mask {keep.shape}")
     n_spots, n_genes = truth.shape
     gene_ids = (tuple(f"g{j}" for j in range(n_genes))
                 if gene_ids is None else tuple(gene_ids))
@@ -138,7 +124,11 @@ def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
     if len(gene_ids) != n_genes or len(spot_ids) != n_spots:
         raise ShapeMismatch("gene_ids/spot_ids do not match matrix shape")
 
-    mse, mae = masked_mse_mae(pred, truth, ~keep)
+    diff = pred[keep] - truth[keep]
+    if diff.size == 0:
+        raise AllMasked("every cell is masked")
+    mse, mae = float(np.mean(diff ** 2)), float(np.mean(np.abs(diff)))
+    del diff
     gene_pcc, gene_r2 = _column_stats(pred, truth, keep)
     # a patch is a spot: its statistics run across the genes
     patch_pcc, patch_r2 = _column_stats(pred.T, truth.T, keep.T)
@@ -157,12 +147,12 @@ def evaluate(pred, truth, mask, gene_ids: Sequence[str] | None = None,
             patch_r2, AllPatchesExcluded("no patch has truth variance")),
         gene_ids=gene_ids,
         spot_ids=spot_ids,
-        per_gene_pcc=tuple(gene_pcc),
-        per_gene_r2=tuple(gene_r2),
-        per_patch_pcc=tuple(patch_pcc),
-        per_patch_r2=tuple(patch_r2),
-        n_excluded_genes=sum(1 for v in gene_r2 if v is None),
-        n_excluded_patches=sum(1 for v in patch_r2 if v is None),
+        per_gene_pcc=_optional(gene_pcc),
+        per_gene_r2=_optional(gene_r2),
+        per_patch_pcc=_optional(patch_pcc),
+        per_patch_r2=_optional(patch_r2),
+        n_excluded_genes=int(np.isnan(gene_r2).sum()),
+        n_excluded_patches=int(np.isnan(patch_r2).sum()),
         n_masked=int((~keep).sum()),
     )
 
@@ -188,9 +178,9 @@ def write_metrics_table(path, report: MetricsReport) -> None:
 
 
 def write_per_gene_table(path, report: MetricsReport) -> None:
-    rows = [(g, report.per_gene_pcc[j], report.per_gene_r2[j])
-            for j, g in enumerate(report.gene_ids)]
-    ingest.write_table(path, "per_gene", ("gene_id", "pcc", "r2"), rows)
+    ingest.write_table(path, "per_gene", ("gene_id", "pcc", "r2"),
+                       zip(report.gene_ids, report.per_gene_pcc,
+                           report.per_gene_r2))
 
 
 def read_per_gene_pccs(path) -> tuple[tuple[str, ...], tuple]:
@@ -209,9 +199,9 @@ def read_per_gene_pccs(path) -> tuple[tuple[str, ...], tuple]:
 
 
 def write_per_patch_table(path, report: MetricsReport) -> None:
-    rows = [(s, report.per_patch_pcc[i], report.per_patch_r2[i])
-            for i, s in enumerate(report.spot_ids)]
-    ingest.write_table(path, "per_patch", ("spot_id", "pcc", "r2"), rows)
+    ingest.write_table(path, "per_patch", ("spot_id", "pcc", "r2"),
+                       zip(report.spot_ids, report.per_patch_pcc,
+                           report.per_patch_r2))
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +215,28 @@ def pcc_histogram(gene_ids: Sequence[str], pccs: Sequence
     Counts cover genes with a defined correlation (not None); the closing
     bin is right-inclusive so PCC = 1 lands in [0.95, 1.0].
     """
+    if len(gene_ids) != len(pccs):
+        raise ValueError(f"{len(gene_ids)} gene ids for {len(pccs)} pccs")
     n_bins = int(round(2.0 / HIST_BIN_WIDTH))
     edges = -1.0 + HIST_BIN_WIDTH * np.arange(n_bins + 1)
-    counts = [0] * n_bins
-    for _, v in zip(gene_ids, pccs, strict=True):
-        if v is None:
-            continue
-        idx = min(int((v + 1.0) / HIST_BIN_WIDTH), n_bins - 1)
-        counts[idx] += 1
-    return [(float(edges[i]), float(edges[i + 1]), counts[i])
-            for i in range(n_bins)]
+    v = np.array(pccs, dtype=float)  # None reads as NaN
+    v = v[~np.isnan(v)]
+    # truncation, as int() does: every v + 1 is at least 0
+    idx = np.minimum(((v + 1.0) / HIST_BIN_WIDTH).astype(np.int64),
+                     n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(),
+                    counts.tolist()))
 
 
-def _ranked_genes(gene_ids: Sequence[str], pccs: Sequence) -> list[str]:
-    """Defined-PCC gene ids, best correlation first, ties by gene id."""
-    scored = [(g, v) for g, v in zip(gene_ids, pccs, strict=True)
-              if v is not None]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [g for g, _ in scored]
+def _ranked_genes(gene_ids: Sequence[str], pccs: Sequence) -> list[int]:
+    """Columns of the defined-PCC genes, best correlation first, ties by
+    gene id."""
+    v = np.array(pccs, dtype=float)  # None reads as NaN
+    defined = np.flatnonzero(~np.isnan(v))
+    order = np.lexsort((np.array(gene_ids, dtype=str)[defined],
+                        -v[defined]))
+    return defined[order].tolist()
 
 
 def write_pcc_histogram(path, gene_ids: Sequence[str], pccs: Sequence
@@ -274,13 +268,11 @@ def emit_figures(gene_ids: Sequence[str], pccs: Sequence, pred, truth, mask,
     written = [write_pcc_histogram(outdir / "pcc_hist.csv", gene_ids, pccs)]
 
     ranked = _ranked_genes(gene_ids, pccs)
-    chosen = dict.fromkeys(ranked[:2] + ranked[-2:])
-    index = {g: j for j, g in enumerate(gene_ids)}
     # every heatmap of the slide shares one spacing
     spacing = (spatial.min_pixel_spacing(spots, geometry) if len(spots) > 1
                else None)
-    for gene in chosen:
-        j = index[gene]
+    for j in dict.fromkeys(ranked[:2] + ranked[-2:]):
+        gene = gene_ids[j]
         for role, values, missing in (
                 ("truth", truth[:, j], masked[:, j]),
                 ("pred", pred[:, j], None)):

@@ -66,6 +66,11 @@ its filters decided from per-slide statistics and each slide's output was
 made once.
 neighbor_mean adds each edge's two rows in a Python loop over the edges,
 as synth did before one scatter-add took them all.
+column_stats scores each column's PCC and R² over its unmasked cells one
+column at a time, and masked_mse_mae compacts the unmasked cells, as
+metrics.evaluate did before it scored every column in whole arrays;
+pcc_histogram bins one gene at a time, as metrics did before one
+bincount took them all.
 """
 
 import math
@@ -94,7 +99,7 @@ from sepal.core import (
     ValidationError,
     WidthMismatch,
 )
-from sepal.denoise import SlideImputationReport, _column_medians
+from sepal.denoise import SlideImputationReport, _row_medians
 from sepal import ingest
 from sepal.ingest import (
     COORD_COLUMNS,
@@ -897,7 +902,7 @@ def impute_by_spot(values: np.ndarray, ring_members
     known = np.where(zero, np.nan, values)
     has_value = ~zero.all(axis=0)
     fallback = np.zeros(values.shape[1])
-    fallback[has_value] = _column_medians(known[:, has_value])
+    fallback[has_value] = _row_medians(known[:, has_value].T)
     unfilled = zero & has_value
     filled = values.copy()
     n_fallback = 0
@@ -910,7 +915,7 @@ def impute_by_spot(values: np.ndarray, ring_members
             end += ring.size
             seen = ~np.isnan(near[:end]).all(axis=0)
             if seen.any():
-                filled[i, todo[seen]] = _column_medians(near[:end, seen])
+                filled[i, todo[seen]] = _row_medians(near[:end, seen].T)
                 todo, near = todo[~seen], near[:, ~seen]
                 if not todo.size:
                     break
@@ -1247,3 +1252,51 @@ def neighbor_mean(emb, adjacency):
         count[i] += 1
         count[j] += 1
     return total / count[:, None]
+
+
+def _pcc(truth, pred):
+    zt = truth - truth.mean()
+    zp = pred - pred.mean()
+    ss_t = float(zt @ zt)
+    ss_p = float(zp @ zp)
+    if ss_t == 0.0 or ss_p == 0.0:
+        return None
+    r = float(zt @ zp) / math.sqrt(ss_t * ss_p)
+    return min(1.0, max(-1.0, r))
+
+
+def _r2(truth, pred):
+    zt = truth - truth.mean()
+    ss_tot = float(zt @ zt)
+    if ss_tot == 0.0:
+        return None
+    ss_res = float(((pred - truth) ** 2).sum())
+    return 1.0 - ss_res / ss_tot
+
+
+def column_stats(pred, truth, keep):
+    """(pccs, r2s) of each column over its unmasked cells, one column at a
+    time; None where undefined."""
+    pairs = []
+    for j in range(truth.shape[1]):
+        t, p = truth[keep[:, j], j], pred[keep[:, j], j]
+        pairs.append((None, None) if t.size < 2 else (_pcc(t, p), _r2(t, p)))
+    return [p for p, _ in pairs], [r for _, r in pairs]
+
+
+def masked_mse_mae(pred, truth, keep):
+    diff = pred[keep] - truth[keep]
+    return float(np.mean(diff ** 2)), float(np.mean(np.abs(diff)))
+
+
+def pcc_histogram(gene_ids, pccs, width):
+    n_bins = int(round(2.0 / width))
+    edges = -1.0 + width * np.arange(n_bins + 1)
+    counts = [0] * n_bins
+    for _, v in zip(gene_ids, pccs, strict=True):
+        if v is None:
+            continue
+        idx = min(int((v + 1.0) / width), n_bins - 1)
+        counts[idx] += 1
+    return [(float(edges[i]), float(edges[i + 1]), counts[i])
+            for i in range(n_bins)]

@@ -397,6 +397,27 @@ class TestExitCodes:
                 for p in (out / "select").iterdir()} == before
         assert sorted(p.name for p in out.iterdir()) == ["denoise", "select"]
 
+    @pytest.mark.parametrize("command", ["preprocess", "denoise", "select"])
+    def test_rerun_on_fewer_slides_leaves_no_stale_file(
+            self, pipeline, tmp_path, command):
+        # the pipeline ran on three slides: none of the third slide's
+        # outputs may stay beside a two-slide run's
+        stages = ("preprocess", "denoise", "select")
+        out, fresh, data = (tmp_path / "rerun", tmp_path / "fresh",
+                            tmp_path / "data")
+        copy_stages(pipeline, out, stages)
+        assert run("synth", "--out", str(data), "--rows", "6", "--cols", "6",
+                   "--d-emb", "8", "--genes", "10", "--smooth", "4",
+                   "--slides", "2", "--zero-fraction", "0.05",
+                   "--seed", "1") == 0
+        for target in (out, fresh):
+            for stage in stages[:stages.index(command) + 1]:
+                assert run(stage, "--manifest", str(data / "manifest.toml"),
+                           "--out", str(target)) == 0
+        assert sorted(p.name for p in (out / command).iterdir()) == sorted(
+            p.name for p in (fresh / command).iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(stages)
+
     def test_figures_reads_every_slide_before_writing(self, pipeline,
                                                       tmp_path, capsys):
         out = tmp_path / "nopred"

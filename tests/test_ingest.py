@@ -507,6 +507,26 @@ class TestAtomicWrite:
             ingest.write_table(tmp_path / "t.tsv", "demo", ("a",), rows())
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_stage_swap_puts_the_old_directory_back(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "stage"
+        out.mkdir()
+        (out / "a.npz").write_bytes(b"old")
+        rename = Path.rename
+
+        def failing(self, target):
+            # the staged directory cannot take the old one's place
+            if self.name.endswith(".staged"):
+                raise OSError("rename failed")
+            return rename(self, target)
+        monkeypatch.setattr(Path, "rename", failing)
+        with pytest.raises(ingest.IoFailure):
+            with ingest.staged(out) as tmp:
+                (tmp / "b.npz").write_bytes(b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["stage"]
+        assert [p.name for p in out.iterdir()] == ["a.npz"]
+        assert (out / "a.npz").read_bytes() == b"old"
+
 
 class TestManifest:
     def _manifest_text(self):

@@ -10,9 +10,9 @@ from sepal.core import (
     ShapeMismatch,
 )
 from sepal.metrics import (
+    HIST_BIN_WIDTH,
     emit_figures,
     evaluate,
-    masked_mse_mae,
     pcc_histogram,
     read_per_gene_pccs,
     write_metrics_table,
@@ -21,6 +21,7 @@ from sepal.metrics import (
 )
 from sepal import ingest
 
+import reference
 from helpers import grid_spots
 
 
@@ -48,35 +49,36 @@ def random_instance(seed, n=12, g=6, mask_p=0.3):
 class TestMseMae:
     def test_perfect_prediction(self):
         _, truth, mask = random_instance(0)
-        assert masked_mse_mae(truth, truth, mask) == (0.0, 0.0)
+        rep = evaluate(truth, truth, mask)
+        assert (rep.mse, rep.mae) == (0.0, 0.0)
 
-    def test_single_unmasked_cell(self):
-        truth = np.zeros((2, 2))
-        pred = np.zeros((2, 2))
-        pred[1, 1] = 2.0
-        mask = np.ones((2, 2), dtype=bool)
-        mask[1, 1] = False
-        assert masked_mse_mae(pred, truth, mask) == (4.0, 2.0)
+    def test_masked_cells_do_not_count(self):
+        truth = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        pred = truth.copy()
+        pred[0, 0] = 100.0  # masked
+        pred[2, 1] = 4.0
+        mask = np.zeros((3, 2), dtype=bool)
+        mask[0, 0] = True
+        rep = evaluate(pred, truth, mask)
+        assert (rep.mse, rep.mae) == (0.8, 0.4)
 
     def test_all_masked(self):
         with pytest.raises(AllMasked):
-            masked_mse_mae(np.zeros((2, 2)), np.zeros((2, 2)),
-                           np.ones((2, 2), dtype=bool))
+            evaluate(np.zeros((2, 2)), np.zeros((2, 2)),
+                     np.ones((2, 2), dtype=bool))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            masked_mse_mae(np.zeros((2, 3)), np.zeros((2, 2)),
-                           np.zeros((2, 2), dtype=bool))
+            evaluate(np.zeros((2, 3)), np.zeros((2, 2)),
+                     np.zeros((2, 2), dtype=bool))
 
     @given(st.integers(0, 200))
     def test_matches_filtered_oracle(self, seed):
         pred, truth, mask = random_instance(seed)
-        if mask.all():
-            mask[0, 0] = False
-        mse, mae = masked_mse_mae(pred, truth, mask)
+        rep = evaluate(pred, truth, mask)
         d = (pred[~mask] - truth[~mask])
-        assert mse == pytest.approx(float(np.mean(d ** 2)), abs=1e-12)
-        assert mae == pytest.approx(float(np.mean(np.abs(d))), abs=1e-12)
+        assert rep.mse == float(np.mean(d ** 2))
+        assert rep.mae == float(np.mean(np.abs(d)))
 
 
 class TestEvaluate:
@@ -203,6 +205,85 @@ class TestEvaluate:
         assert rep.n_masked == int(mask.sum())
 
 
+# multiples of 2**-16 over twelve decades, small enough that every column
+# sum is exact: a constant column's mean is then its value whatever the
+# summation order, and only such a column has no variance in both scorers
+VALUES = st.builds(lambda m, e: m * 10.0 ** e / 65536,
+                   st.integers(-999, 999), st.integers(0, 9))
+KINDS = ("random", "masked", "one cell", "constant truth", "constant pred")
+
+
+@st.composite
+def scoring_problems(draw):
+    n, g = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+
+    def matrix(elements):
+        return np.array(draw(st.lists(elements, min_size=n * g,
+                                      max_size=n * g))).reshape(n, g)
+
+    truth, pred, mask = matrix(VALUES), matrix(VALUES), matrix(st.booleans())
+    # give some genes, then some spots, an edge case of their own; the
+    # transposes are views, so the spots' cases write through
+    for t, p, m in ((truth, pred, mask), (truth.T, pred.T, mask.T)):
+        for j in range(t.shape[1]):
+            kind = draw(st.sampled_from(KINDS))
+            if kind in ("masked", "one cell"):
+                m[:, j] = True
+            if kind == "one cell":
+                m[draw(st.integers(0, t.shape[0] - 1)), j] = False
+            elif kind == "constant truth":
+                t[:, j] = draw(st.integers(-1000, 1000))
+            elif kind == "constant pred":
+                p[:, j] = draw(st.integers(-1000, 1000))
+    return pred, truth, mask
+
+
+def close(got, want):
+    """Within 1e-12 of want, relative to it where it is past 1."""
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestEvaluateOracle:
+    @given(scoring_problems())
+    def test_matches_the_column_loop(self, problem):
+        pred, truth, mask = problem
+        keep = ~mask
+        gene_pcc, gene_r2 = reference.column_stats(pred, truth, keep)
+        patch_pcc, patch_r2 = reference.column_stats(pred.T, truth.T,
+                                                     keep.T)
+        if not keep.any():
+            error = AllMasked
+        elif all(v is None for v in gene_pcc):
+            error = AllGenesExcluded
+        elif all(v is None for v in patch_pcc):
+            error = AllPatchesExcluded
+        else:
+            error = None
+        if error is not None:
+            with pytest.raises(error):
+                evaluate(pred, truth, mask)
+            return
+        rep = evaluate(pred, truth, mask)
+        assert (rep.mse, rep.mae) == reference.masked_mse_mae(pred, truth,
+                                                              keep)
+        for got, want in ((rep.per_gene_pcc, gene_pcc),
+                          (rep.per_gene_r2, gene_r2),
+                          (rep.per_patch_pcc, patch_pcc),
+                          (rep.per_patch_r2, patch_r2)):
+            assert [v is None for v in got] == [v is None for v in want]
+            assert all(close(a, b) for a, b in zip(got, want)
+                       if b is not None)
+        for agg, want in ((rep.pcc_gene, gene_pcc), (rep.r2_gene, gene_r2),
+                          (rep.pcc_patch, patch_pcc),
+                          (rep.r2_patch, patch_r2)):
+            defined = [v for v in want if v is not None]
+            assert abs(agg - np.mean(defined)) <= 1e-12 * max(
+                1.0, *map(abs, defined))
+        assert rep.n_excluded_genes == gene_r2.count(None)
+        assert rep.n_excluded_patches == patch_r2.count(None)
+        assert rep.n_masked == int(mask.sum())
+
+
 class TestReportTables:
     def test_tables_round_trip(self, tmp_path):
         pred, truth, mask = random_instance(4)
@@ -267,6 +348,17 @@ class TestFigures:
         assert rows[0][0] == -1.0 and abs(rows[-1][1] - 1.0) <= 1e-12
         defined = sum(1 for v in rep.per_gene_pcc if v is not None)
         assert sum(c for _, _, c in rows) == defined
+
+    @given(st.lists(st.none() | st.floats(-1.0, 1.0) | st.sampled_from(
+        (-1.0 + 0.05 * np.arange(41)).tolist())))
+    def test_histogram_matches_the_gene_loop(self, pccs):
+        gene_ids = [f"G{j}" for j in range(len(pccs))]
+        assert pcc_histogram(gene_ids, pccs) == reference.pcc_histogram(
+            gene_ids, pccs, HIST_BIN_WIDTH)
+
+    def test_histogram_needs_one_pcc_per_gene(self):
+        with pytest.raises(ValueError):
+            pcc_histogram(["G0", "G1"], [0.5])
 
     def test_perfect_correlations_land_in_top_bin(self):
         _, truth, mask = random_instance(8)
