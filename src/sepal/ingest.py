@@ -12,7 +12,9 @@ Formats:
   expression    TSV, for dataset inputs only: spot_id then one column per
                 gene; an optional #stage= comment (without one the file
                 holds raw counts; preprocess wants every slide of a
-                dataset at one stage)
+                dataset at one stage).  Counts (raw_counts, filtered) are
+                written as whole numbers, str(int(count)), a row at a
+                time through one %d format; other stages as repr
   embeddings    TSV: spot_id then e0..e{d-1}
   manifest      TOML: settings, then one [slide.<id>] table per slide
   archive       uncompressed numpy archive (np.savez): named arrays plus a
@@ -48,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    CHECK_CELLS,
     DatasetManifest,
     EmbeddingTable,
     EmptySlide,
@@ -409,16 +412,31 @@ def read_expression(path) -> ExpressionMatrix:
 
 
 def write_expression(path, matrix: ExpressionMatrix) -> None:
-    integral = matrix.stage in ("raw_counts", "filtered")
     with _open_write(path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=expression\n")
         fh.write(f"#stage={matrix.stage}\n#slide={matrix.slide_id}\n")
         fh.write("spot_id\t" + "\t".join(matrix.gene_ids) + "\n")
+        if matrix.stage in ("raw_counts", "filtered"):
+            _write_counts(fh, matrix.spot_ids, matrix.values)
+            return
         for sid, row in zip(matrix.spot_ids, matrix.values):
             # repr of a python float is fmt_float of the same value
-            cells = (map(str, map(int, row.tolist())) if integral
-                     else map(repr, row.tolist()))
-            fh.write(sid + "\t" + "\t".join(cells) + "\n")
+            fh.write(sid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
+
+
+def _write_counts(fh, spot_ids: Sequence[str], values: np.ndarray) -> None:
+    """Count rows, each through one %d format: a count is whole and
+    non-negative, and %d of it is str(int(count)).  Blocks of about
+    CHECK_CELLS cells go to python as int64, or as floats in a block
+    whose counts reach 2**63, so the scratch stays bounded."""
+    row_fmt = "\t".join(["%d"] * values.shape[1])
+    rows = max(1, CHECK_CELLS // max(1, values.shape[1]))
+    for start in range(0, values.shape[0], rows):
+        block = values[start:start + rows]
+        cells = (block.tolist() if block.max(initial=0.0) >= 2.0 ** 63
+                 else block.astype(np.int64).tolist())
+        for sid, row in zip(spot_ids[start:start + rows], cells):
+            fh.write(sid + "\t" + row_fmt % tuple(row) + "\n")
 
 
 def read_embeddings(path) -> EmbeddingTable:

@@ -5,7 +5,10 @@ so every statistic here is computed over unmasked cells only.  Gene-wise
 statistics pool all evaluation spots; patch-wise statistics run across the
 gene dimension within each spot.  Items whose truth side has no variance
 (or fewer than two usable cells) carry no defined statistic: they are
-reported as missing and counted, never silently zeroed.
+reported as missing and counted, never silently zeroed.  A column has no
+variance when its spread is within the rounding of its own mean, judged
+against its largest magnitude (MEAN_ROUNDING), so a constant column is
+excluded whether or not its mean came out exact.
 
 Figure helpers take (gene_ids, pccs) as `evaluate` or a per-gene table
 gives them, so drawing figures never scores again.
@@ -31,6 +34,11 @@ from .core import (
 from . import ingest, spatial
 
 HIST_BIN_WIDTH = 0.05
+# a column of n cells has no truth variance when the root mean square of
+# its centred cells is within n * MEAN_ROUNDING of its largest magnitude:
+# the mean of n values summed in turn can miss by (n - 1) * eps / 2 of
+# that, so a constant column's centred cells can be so far from zero
+MEAN_ROUNDING = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,8 @@ def _column_stats(pred, truth, keep):
     cross = np.sum(z_t * z_p, axis=0)
     del z_t, z_p
     res = np.sum((pred - truth) ** 2, axis=0, where=keep)
-    scored = ss_t > 0.0
+    scale = np.max(np.abs(truth), axis=0, where=keep, initial=0.0)
+    scored = np.sqrt(ss_t / n) > MEAN_ROUNDING * n * scale
     pccs = np.clip(np.divide(cross, np.sqrt(ss_t * ss_p),
                              out=np.full(ss_t.shape, np.nan),
                              where=scored & (ss_p > 0.0)), -1.0, 1.0)

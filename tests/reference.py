@@ -42,6 +42,9 @@ dict of array positions, as build_adjacency did before one lattice
 lookup served every spot.
 read_value_table parses and checks every cell of a value table on its
 own, as ingest did before it parsed a row at a time.
+write_expression formats every cell of an expression table on its own,
+counts through int and str, as ingest did before one %d format wrote a
+row of counts.
 impute_by_spot fills a slide's block one spot at a time, growing each
 spot's rings for the genes still unfilled, as the denoiser did before it
 took the zero cells one ring at a time.  impute_gene_map fills one gene
@@ -67,7 +70,8 @@ made once.
 neighbor_mean adds each edge's two rows in a Python loop over the edges,
 as synth did before one scatter-add took them all.
 column_stats scores each column's PCC and R² over its unmasked cells one
-column at a time, and masked_mse_mae compacts the unmasked cells, as
+column at a time, a column being flat by the rule of metrics
+(MEAN_ROUNDING), and masked_mse_mae compacts the unmasked cells, as
 metrics.evaluate did before it scored every column in whole arrays;
 pcc_histogram bins one gene at a time, as metrics did before one
 bincount took them all.
@@ -115,6 +119,7 @@ from sepal.graphs import (
     feature_width,
     positional_encoding,
 )
+from sepal.metrics import MEAN_ROUNDING
 from sepal.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from sepal.nn import _check_sizes
 
@@ -879,6 +884,18 @@ def read_value_table(path, kind):
     return comments, col_ids, spot_ids, values
 
 
+def write_expression(path, matrix):
+    integral = matrix.stage in ("raw_counts", "filtered")
+    with ingest._open_write(path) as fh:
+        fh.write(f"#format_version={FORMAT_VERSION}\n#kind=expression\n")
+        fh.write(f"#stage={matrix.stage}\n#slide={matrix.slide_id}\n")
+        fh.write("spot_id\t" + "\t".join(matrix.gene_ids) + "\n")
+        for sid, row in zip(matrix.spot_ids, matrix.values):
+            cells = (map(str, map(int, row.tolist())) if integral
+                     else map(repr, row.tolist()))
+            fh.write(sid + "\t" + "\t".join(cells) + "\n")
+
+
 @dataclass(frozen=True)
 class GeneImputation:
     """Outcome of filling one gene map."""
@@ -1254,12 +1271,19 @@ def neighbor_mean(emb, adjacency):
     return total / count[:, None]
 
 
+def _flat(x, ss):
+    """Whether x, whose centred values square to ss, spreads no further
+    than rounding its mean could leave of a constant."""
+    n = x.size
+    return math.sqrt(ss / n) <= MEAN_ROUNDING * n * float(np.abs(x).max())
+
+
 def _pcc(truth, pred):
     zt = truth - truth.mean()
     zp = pred - pred.mean()
     ss_t = float(zt @ zt)
     ss_p = float(zp @ zp)
-    if ss_t == 0.0 or ss_p == 0.0:
+    if _flat(truth, ss_t) or ss_p == 0.0:
         return None
     r = float(zt @ zp) / math.sqrt(ss_t * ss_p)
     return min(1.0, max(-1.0, r))
@@ -1268,7 +1292,7 @@ def _pcc(truth, pred):
 def _r2(truth, pred):
     zt = truth - truth.mean()
     ss_tot = float(zt @ zt)
-    if ss_tot == 0.0:
+    if _flat(truth, ss_tot):
         return None
     ss_res = float(((pred - truth) ** 2).sum())
     return 1.0 - ss_res / ss_tot

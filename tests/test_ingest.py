@@ -48,6 +48,11 @@ from sepal.ingest import (
 from sepal.spatial import build_adjacency, min_pixel_spacing
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+COUNT_STAGES = ("raw_counts", "filtered")
+# whole non-negative floats past int64's range, and the edges of it
+COUNTS = st.one_of(st.integers(0, 2 ** 70).map(float),
+                   st.sampled_from([-0.0, 2.0 ** 63 - 1024, 2.0 ** 63,
+                                    2.0 ** 64]))
 
 
 def spot(sid, row, col):
@@ -276,16 +281,19 @@ class TestExpression:
         assert read_expression(p).slide_id == "slideX"
 
     @given(st.integers(0, 2 ** 32 - 1))
-    def test_random_matrix_round_trip(self, seed):
+    def test_random_matrix_round_trip(self, scratch_tsv, seed):
         rng = np.random.default_rng(seed)
-        vals = rng.normal(size=(3, 4)) ** 3
-        m = ExpressionMatrix("s0", tuple(f"g{i}" for i in range(4)),
-                             ("a", "b", "c"), vals, "denoised")
-        text = "\n".join("\t".join(fmt_float(v) for v in row)
-                         for row in m.values)
-        back = np.array([[float(t) for t in line.split("\t")]
-                         for line in text.split("\n")])
-        np.testing.assert_array_equal(back, m.values)
+        # whole counts of up to 70 bits, every one exact as a float
+        counts = np.ldexp(rng.integers(0, 2 ** 20, size=(3, 4)),
+                          rng.integers(0, 51, size=(3, 4)))
+        for stage, vals in (("denoised", rng.normal(size=(3, 4)) ** 3),
+                            *((stage, counts) for stage in COUNT_STAGES)):
+            m = ExpressionMatrix("s0", tuple(f"g{i}" for i in range(4)),
+                                 ("a", "b", "c"), vals, stage)
+            write_expression(scratch_tsv, m)
+            back = read_expression(scratch_tsv)
+            assert (back.stage, back.spot_ids) == (stage, m.spot_ids)
+            assert back.values.tobytes() == m.values.tobytes()
 
 
 class TestEmbeddings:
@@ -467,20 +475,65 @@ class TestRowCodec:
                 min_size=n_rows, max_size=n_rows)), dtype=np.float64)
 
         floats = cells(finite_floats)
-        counts = cells(st.integers(0, 2 ** 60).map(float))
+        # past 2**63, where int64 ends
+        counts = cells(COUNTS)
         for write, obj, values, fmt in (
                 (write_expression, ExpressionMatrix(
                     "s0", gene_ids, spot_ids, floats, "denoised"),
                  floats, fmt_float),
-                (write_expression, ExpressionMatrix(
-                    "s0", gene_ids, spot_ids, counts, "raw_counts"),
-                 counts, lambda v: str(int(v))),
+                *((write_expression, ExpressionMatrix(
+                    "s0", gene_ids, spot_ids, counts, stage),
+                   counts, lambda v: str(int(v)))
+                  for stage in COUNT_STAGES),
                 (write_embeddings, EmbeddingTable("s0", spot_ids, floats),
                  floats, fmt_float)):
             write(scratch_tsv, obj)
             rows = scratch_tsv.read_bytes().decode().split("\n")[-n_rows - 1:]
             assert rows == [sid + "\t" + "\t".join(fmt(v) for v in row)
                             for sid, row in zip(spot_ids, values)] + [""]
+
+
+@st.composite
+def count_matrices(draw):
+    """A count matrix, its stage, and the rows of a conversion block:
+    with blocks this small most matrices span several, and a row that
+    holds a count of 2**63 or more sends its block through floats."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(
+        st.one_of(st.integers(0, 1000).map(float), COUNTS),
+        min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    values = np.array(rows, dtype=np.float64).reshape(n_rows, n_cols)
+    m = ExpressionMatrix("s0", tuple(f"g{c}" for c in range(n_cols)),
+                         tuple(f"s{r}" for r in range(n_rows)), values,
+                         draw(st.sampled_from(COUNT_STAGES)))
+    return m, draw(st.integers(1, 3))
+
+
+class TestExpressionWriterOracle:
+    """The row-format count writer against the per-cell one."""
+
+    @given(count_matrices())
+    def test_same_bytes_as_the_per_cell_writer(self, scratch_tsv, case):
+        m, block_rows = case
+        reference.write_expression(scratch_tsv, m)
+        want = scratch_tsv.read_bytes()
+        with mock.patch.object(ingest, "CHECK_CELLS",
+                               block_rows * max(1, len(m.gene_ids))):
+            write_expression(scratch_tsv, m)
+        assert scratch_tsv.read_bytes() == want
+
+    def test_blocks_past_int64_go_through_floats(self, tmp_path):
+        # one row a block: int64 rows and float rows alternate
+        big, p = 2.0 ** 63, tmp_path / "s0.tsv"
+        values = np.array([[3.0, 0.0], [big, 1.0], [big - 1024, 7.0],
+                           [2.0 ** 70, -0.0]])
+        m = ExpressionMatrix("s0", ("a", "b"), tuple("wxyz"), values,
+                             "raw_counts")
+        with mock.patch.object(ingest, "CHECK_CELLS", 2):
+            write_expression(p, m)
+        assert p.read_text().splitlines()[-4:] == [
+            "w\t3\t0", "x\t9223372036854775808\t1",
+            "y\t9223372036854774784\t7", "z\t1180591620717411303424\t0"]
 
 
 class TestAtomicWrite:

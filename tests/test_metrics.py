@@ -11,6 +11,7 @@ from sepal.core import (
 )
 from sepal.metrics import (
     HIST_BIN_WIDTH,
+    _column_stats,
     emit_figures,
     evaluate,
     pcc_histogram,
@@ -88,6 +89,23 @@ class TestEvaluate:
         assert rep.mse == 0.0 and rep.mae == 0.0
         for v in (rep.pcc_gene, rep.pcc_patch, rep.r2_gene, rep.r2_patch):
             assert abs(v - 1.0) <= 1e-12
+
+    def test_constant_gene_with_an_inexact_mean_is_excluded(self):
+        # 0.1 * 3 / 3 is not 0.1, so the centred cells are not all zero
+        truth = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])
+        pred = np.array([[0.3, 1.5], [0.2, 2.0], [0.0, 3.0]])
+        rep = evaluate(pred, truth, np.zeros((3, 2), dtype=bool))
+        assert (rep.per_gene_pcc[0], rep.per_gene_r2[0]) == (None, None)
+        assert rep.n_excluded_genes == 1
+        assert rep.r2_gene == rep.per_gene_r2[1]
+
+    def test_constant_gene_over_a_slide_is_excluded(self):
+        # summed spot by spot, 5,000 cells of 0.1 miss their mean by
+        # hundreds of ulps: the bound grows with the cells
+        truth = np.column_stack([np.full(5000, 0.1), np.arange(5000.0)])
+        rep = evaluate(truth[::-1], truth, np.zeros(truth.shape, dtype=bool))
+        assert rep.per_gene_r2[0] is None
+        assert rep.n_excluded_genes == 1
 
     def test_mean_prediction_gives_zero_r2(self):
         _, truth, mask = random_instance(2)
@@ -211,6 +229,9 @@ class TestEvaluate:
 VALUES = st.builds(lambda m, e: m * 10.0 ** e / 65536,
                    st.integers(-999, 999), st.integers(0, 9))
 KINDS = ("random", "masked", "one cell", "constant truth", "constant pred")
+# constants c * 10**e whose means mostly come out inexact
+CONSTANTS = st.builds(lambda c, e: c * 10.0 ** e,
+                      st.floats(-10.0, 10.0), st.integers(-30, 30))
 
 
 @st.composite
@@ -282,6 +303,33 @@ class TestEvaluateOracle:
         assert rep.n_excluded_genes == gene_r2.count(None)
         assert rep.n_excluded_patches == patch_r2.count(None)
         assert rep.n_masked == int(mask.sum())
+
+
+    @given(st.data(), st.booleans())
+    def test_constant_columns_are_excluded(self, data, by_spot):
+        # constants over sixty decades, as genes or (transposed) as spots;
+        # the other columns are VALUES, whose means are exact
+        n, g = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+
+        def matrix(elements):
+            return np.array(data.draw(st.lists(
+                elements, min_size=n * g, max_size=n * g))).reshape(n, g)
+
+        truth, pred, mask = matrix(VALUES), matrix(VALUES), matrix(
+            st.booleans())
+        keep = ~mask
+        if by_spot:
+            pred, truth, keep = pred.T, truth.T, keep.T
+        for j in range(truth.shape[1]):
+            if data.draw(st.booleans()):
+                truth[:, j] = data.draw(CONSTANTS)
+        flat = [keep[:, j].sum() < 2 or len(set(truth[keep[:, j], j])) == 1
+                for j in range(truth.shape[1])]
+        pcc, r2 = _column_stats(pred, truth, keep)
+        want_pcc, want_r2 = reference.column_stats(pred, truth, keep)
+        assert np.isnan(r2).tolist() == flat
+        assert [v is None for v in want_r2] == flat
+        assert np.isnan(pcc).tolist() == [v is None for v in want_pcc]
 
 
 class TestReportTables:
