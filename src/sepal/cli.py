@@ -361,20 +361,21 @@ def cmd_build_graphs(args) -> None:
             rows.append((entry.slide_id, spot_id,
                          len(sub.nodes), sub.edges.shape[0]))
 
-    outdir = Path(args.out) / "graphs"
-    ingest.write_table(outdir / "summary.tsv", "graph_summary",
-                       ("slide_id", "spot_id", "n_nodes", "n_edges"), rows)
-    ingest.write_table(outdir / "meta.tsv", "graphs_meta",
-                       ("key", "value"),
-                       [("aggregation", aggregation),
-                        ("feature_width", width),
-                        ("hops", hops)])
-    _write_lock(outdir, "build-graphs", {
-        "manifest": str(args.manifest),
-        "hops": hops,
-        "aggregation": aggregation,
-        "preset": args.preset or "",
-    })
+    with ingest.staged(Path(args.out) / "graphs") as outdir:
+        ingest.write_table(outdir / "summary.tsv", "graph_summary",
+                           ("slide_id", "spot_id", "n_nodes", "n_edges"),
+                           rows)
+        ingest.write_table(outdir / "meta.tsv", "graphs_meta",
+                           ("key", "value"),
+                           [("aggregation", aggregation),
+                            ("feature_width", width),
+                            ("hops", hops)])
+        _write_lock(outdir, "build-graphs", {
+            "manifest": str(args.manifest),
+            "hops": hops,
+            "aggregation": aggregation,
+            "preset": args.preset or "",
+        })
     print(f"build-graphs: {len(rows)} graphs, hops={hops}, "
           f"aggregation={aggregation}")
 
@@ -593,38 +594,38 @@ def cmd_eval(args) -> None:
     gene_ids = model.gene_ids
     results = _test_predictions(manifest, out, model)
 
-    eval_dir = out / "eval"
-    pred_dir = eval_dir / "predictions"
-
     per_slide_rows = []
     preds, truths, masks, spot_ids = [], [], [], []
-    for slide_id, pred, m, mask in results:
-        # truth in delta-free space: the denoised matrix itself
-        ingest.write_matrix(
-            pred_dir / f"{slide_id}_pred.npz",
-            ExpressionMatrix(slide_id, gene_ids, m.spot_ids, pred,
-                             "denoised"))
-        rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
-                               m.spot_ids)
-        metrics.write_per_gene_table(eval_dir / f"{slide_id}_per_gene.tsv",
-                                     rep)
-        per_slide_rows.append((slide_id, *metrics.summary_row(rep)))
-        preds.append(pred)
-        truths.append(m.values)
-        masks.append(mask.values)
-        spot_ids.extend(f"{slide_id}:{sid}" for sid in m.spot_ids)
+    # staged so that eval/ changes only once every file is written
+    with ingest.staged(out / "eval") as eval_dir:
+        for slide_id, pred, m, mask in results:
+            # truth in delta-free space: the denoised matrix itself
+            ingest.write_matrix(
+                eval_dir / "predictions" / f"{slide_id}_pred.npz",
+                ExpressionMatrix(slide_id, gene_ids, m.spot_ids, pred,
+                                 "denoised"))
+            rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
+                                   m.spot_ids)
+            metrics.write_per_gene_table(
+                eval_dir / f"{slide_id}_per_gene.tsv", rep)
+            per_slide_rows.append((slide_id, *metrics.summary_row(rep)))
+            preds.append(pred)
+            truths.append(m.values)
+            masks.append(mask.values)
+            spot_ids.extend(f"{slide_id}:{sid}" for sid in m.spot_ids)
 
-    pooled = metrics.evaluate(np.vstack(preds), np.vstack(truths),
-                              np.vstack(masks), gene_ids, spot_ids)
-    metrics.write_metrics_table(eval_dir / "metrics.tsv", pooled)
-    metrics.write_per_gene_table(eval_dir / "per_gene.tsv", pooled)
-    metrics.write_per_patch_table(eval_dir / "per_patch.tsv", pooled)
-    ingest.write_table(eval_dir / "per_slide.tsv", "per_slide",
-                       ("slide_id", *metrics.SUMMARY_FIELDS), per_slide_rows)
-    _write_lock(eval_dir, "eval", {
-        "manifest": str(args.manifest),
-        "model": "stage2" if model.state is not None else "stage1",
-    })
+        pooled = metrics.evaluate(np.vstack(preds), np.vstack(truths),
+                                  np.vstack(masks), gene_ids, spot_ids)
+        metrics.write_metrics_table(eval_dir / "metrics.tsv", pooled)
+        metrics.write_per_gene_table(eval_dir / "per_gene.tsv", pooled)
+        metrics.write_per_patch_table(eval_dir / "per_patch.tsv", pooled)
+        ingest.write_table(eval_dir / "per_slide.tsv", "per_slide",
+                           ("slide_id", *metrics.SUMMARY_FIELDS),
+                           per_slide_rows)
+        _write_lock(eval_dir, "eval", {
+            "manifest": str(args.manifest),
+            "model": "stage2" if model.state is not None else "stage1",
+        })
     print(f"eval: MSE {pooled.mse:.6f}, MAE {pooled.mae:.6f}, "
           f"PCC-Gene {pooled.pcc_gene:.4f}")
 
@@ -654,11 +655,13 @@ def cmd_figures(args) -> None:
         slides.append((sid, *table, pred.values, m.values, mask.values,
                        _spots_for(entry, m), manifest.geometry))
     fig_dir = out / "figures"
-    written = [metrics.write_pcc_histogram(fig_dir / "pcc_hist.csv",
-                                           gene_ids, pooled)]
-    for sid, *inputs in slides:
-        written += metrics.emit_figures(*inputs, fig_dir / sid)
-    _write_lock(fig_dir, "figures", {"manifest": str(args.manifest)})
+    # staged so that figures/ holds only this run's files
+    with ingest.staged(fig_dir) as outdir:
+        written = [metrics.write_pcc_histogram(outdir / "pcc_hist.csv",
+                                               gene_ids, pooled)]
+        for sid, *inputs in slides:
+            written += metrics.emit_figures(*inputs, outdir / sid)
+        _write_lock(outdir, "figures", {"manifest": str(args.manifest)})
     print(f"figures: wrote {len(written)} files under {fig_dir}")
 
 
@@ -761,9 +764,6 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

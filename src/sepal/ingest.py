@@ -43,7 +43,7 @@ import warnings
 import zipfile
 from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
 
@@ -73,7 +73,7 @@ CHECKPOINT_META = "meta"
 
 COORD_COLUMNS = ("spot_id", "slide_id", "pixel_x", "pixel_y",
                  "array_row", "array_col")
-# data lines a value table parses at once
+# data lines _read_blocks parses at once, in every data table
 VALUE_BLOCK_LINES = 1024
 
 
@@ -154,11 +154,10 @@ def staged(outdir):
         shutil.rmtree(old, ignore_errors=True)
 
 
-def _parse_tsv(path, split: bool = True):
+def _parse_tsv(path):
     """(comments, header, rows) of a TSV file.  rows yields (line_no,
-    fields) one line at a time, or (line_no, line) with split False, so a
-    reader holds one line's strings, not the whole file's; comments fills
-    in as rows are read."""
+    line) one line at a time, so a reader holds one line's strings, not
+    the whole file's; comments fills in as rows are read."""
     comments: dict[str, str] = {}
 
     def lines():
@@ -182,8 +181,6 @@ def _parse_tsv(path, split: bool = True):
     first = next(rows, None)
     if first is None:
         raise MalformedRow(f"{path}: no header row")
-    if split:
-        rows = ((line_no, line.split("\t")) for line_no, line in rows)
     return comments, first[1].split("\t"), rows
 
 
@@ -229,98 +226,107 @@ def _parse_int(text: str, path, line_no: int) -> int:
     return v
 
 
-def _blocks(rows, check_rows):
-    """The (line_no, line) data lines of rows in lists of up to
-    VALUE_BLOCK_LINES.  At a line that cannot be read, check_rows checks
-    the lines read before it first, as a row-by-row read would."""
-    while True:
-        lines: list = []
-        try:
-            lines.extend(islice(rows, VALUE_BLOCK_LINES))
-        except MalformedRow:
-            check_rows(lines)
-            raise
-        if not lines:
-            return
-        yield lines
-
-
-def _parse_coordinate_rows(lines, path):
-    """(spot ids, slide ids, [n, 2] pixel, [n, 2] array) of (line_no,
-    line) data lines, checked row by row; the first bad row, and its first
-    bad cell, is the one named."""
-    spot_ids, slide_ids, pixel, array = [], set(), [], []
-    for line_no, line in lines:
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise MalformedRow(
-                f"{path}:{line_no}: expected 6 columns, got {len(fields)}")
-        spot_ids.append(fields[0])
-        slide_ids.add(fields[1])
-        pixel += (_parse_float(t, path, line_no) for t in fields[2:4])
-        array += (_parse_int(t, path, line_no) for t in fields[4:6])
-    return (spot_ids, slide_ids, np.array(pixel).reshape(-1, 2),
-            np.array(array, dtype=np.int64).reshape(-1, 2))
-
-
 # the value columns of a coordinates line: an int64 parse takes what int()
 # takes in ASCII (sign, digits, blanks) and rejects the rest
 _COORD_DTYPE = np.dtype([("x", np.float64), ("y", np.float64),
                          ("row", np.int64), ("col", np.int64)])
 
 
-def _parse_coordinate_block(lines, path):
-    """_parse_coordinate_rows' result, the values parsed by one np.loadtxt
-    call when every line has six fields, integer array columns and finite
-    pixels; any other block goes through _parse_coordinate_rows, which
-    raises what a row-by-row read would."""
-    ids = [line.partition("\t") for _, line in lines]
-    slides = [rest.partition("\t") for _, _, rest in ids]
+def _load_block(texts, dtype: np.dtype, shape: tuple):
+    """texts, the value fields of a block's lines, parsed by one np.loadtxt
+    call; None unless that gives every line at full width (shape) and
+    finite floats."""
     try:
         with warnings.catch_warnings():
             # a blank value line is dropped with a warning; the shape
-            # check below sends such a block to the row parser
+            # check below refuses such a block
             warnings.simplefilter("ignore")
-            parsed = np.loadtxt([rest for _, _, rest in slides],
-                                dtype=_COORD_DTYPE, delimiter="\t",
-                                comments=None, ndmin=1)
+            values = np.loadtxt(texts, dtype=dtype, delimiter="\t",
+                                comments=None, ndmin=len(shape))
     except ValueError:
-        pass
-    else:
-        pixel = np.column_stack((parsed["x"], parsed["y"]))
-        if parsed.shape == (len(lines),) and np.isfinite(pixel).all():
-            return ([spot for spot, _, _ in ids],
-                    {slide for slide, _, _ in slides}, pixel,
-                    np.column_stack((parsed["row"], parsed["col"])))
-    return _parse_coordinate_rows(lines, path)
+        return None
+    floats = (values if dtype.names is None else
+              [values[f] for f in dtype.names if dtype[f].kind == "f"])
+    if values.shape == shape and np.isfinite(floats).all():
+        return values
+    return None
+
+
+def _read_blocks(rows, n_ids: int, dtype, width: int, parse_row):
+    """(ids, values) of a table's (line_no, line) data lines: ids holds
+    each line's first n_ids fields, values the rest, [n] of a structured
+    dtype or [n, width] floats.  Lines go VALUE_BLOCK_LINES at a time to
+    _load_block; a block it refuses goes row by row through
+    parse_row(line_no, fields), which raises what a row-by-row read would,
+    naming the first bad row and its first bad cell.  A table of one block
+    is held as parsed, not copied."""
+    dtype = np.dtype(dtype)
+    row_shape = () if dtype.names else (width,)
+    ids: list[list[str]] = []
+    blocks = [np.empty((0, *row_shape), dtype)]
+
+    def by_rows(lines):
+        out = np.empty((len(lines), *row_shape), dtype)
+        for r, (line_no, line) in enumerate(lines):
+            fields = line.split("\t")
+            out[r] = parse_row(line_no, fields)
+            ids.append(fields[:n_ids])
+        return out
+
+    while True:
+        lines: list = []
+        try:
+            lines.extend(islice(rows, VALUE_BLOCK_LINES))
+        except MalformedRow:
+            # at a line that cannot be decoded, the lines read before it
+            # are checked first, as a row-by-row read would
+            by_rows(lines)
+            raise
+        if not lines:
+            break
+        values = None
+        if width and all(line.count("\t") == n_ids - 1 + width
+                         for _, line in lines):
+            heads = [line.split("\t", n_ids) for _, line in lines]
+            # pop leaves each head its line's ids
+            values = _load_block([head.pop() for head in heads], dtype,
+                                 (len(lines), *row_shape))
+        if values is None:
+            values = by_rows(lines)
+        else:
+            ids += heads
+        blocks.append(values)
+    return ids, blocks[1] if len(blocks) == 2 else np.concatenate(blocks)
+
+
+def _coordinate_row(path, line_no: int, fields: list[str]) -> tuple:
+    """(pixel_x, pixel_y, array_row, array_col) of a coordinates line."""
+    if len(fields) != 6:
+        raise MalformedRow(
+            f"{path}:{line_no}: expected 6 columns, got {len(fields)}")
+    return (*(_parse_float(t, path, line_no) for t in fields[2:4]),
+            *(_parse_int(t, path, line_no) for t in fields[4:6]))
 
 
 def read_coordinates(path) -> SpotTable:
     """Read a coordinates TSV into one SpotTable, in canonical order.
     Every error names path, a duplicate spot id or array position too."""
-    _, header, rows = _parse_tsv(path, split=False)
+    _, header, rows = _parse_tsv(path)
     if tuple(header) != COORD_COLUMNS:
         raise MalformedRow(
             f"{path}: header must be {' '.join(COORD_COLUMNS)}")
-    spot_ids: list[str] = []
-    slide_ids: set[str] = set()
-    pixel = [np.empty((0, 2))]
-    array = [np.empty((0, 2), dtype=np.int64)]
-    for lines in _blocks(rows,
-                         lambda lines: _parse_coordinate_rows(lines, path)):
-        ids, slides, xy, rc = _parse_coordinate_block(lines, path)
-        spot_ids += ids
-        slide_ids |= slides
-        pixel.append(xy)
-        array.append(rc)
-    if not spot_ids:
+    ids, values = _read_blocks(rows, 2, _COORD_DTYPE, 4,
+                               partial(_coordinate_row, path))
+    if not ids:
         raise EmptySlide(f"{path}: no spots")
+    slide_ids = {slide for _, slide in ids}
     if len(slide_ids) > 1:
         raise MalformedRow(
             f"{path}: mixed slide ids {sorted(slide_ids)[:3]}")
     try:
-        return SpotTable(slide_ids.pop(), spot_ids, np.concatenate(pixel),
-                         np.concatenate(array))
+        return SpotTable(slide_ids.pop(), [spot for spot, _ in ids],
+                         np.column_stack((values["x"], values["y"])),
+                         np.column_stack((values["row"], values["col"])))
     except ValidationError as e:
         raise type(e)(f"{path}: {e}") from None
 
@@ -335,71 +341,28 @@ def write_coordinates(path, spots: SpotTable) -> None:
                                 fmt_float(y), str(r), str(c))) + "\n")
 
 
-def _parse_rows(lines, n_cols: int, path, kind: str) -> np.ndarray:
-    """The [len(lines), n_cols] values of (line_no, line) data lines,
-    checked row by row; the first bad row, and its first bad cell, is the
-    one named."""
-    out = np.empty((len(lines), n_cols))
-    for r, (line_no, line) in enumerate(lines):
-        fields = line.split("\t")
-        if len(fields) != n_cols + 1:
-            if kind == "embeddings":
-                raise WidthMismatch(
-                    f"{path}:{line_no}: {len(fields) - 1} values under a "
-                    f"{n_cols}-wide header")
-            raise MalformedRow(
-                f"{path}:{line_no}: expected {n_cols + 1} columns, "
-                f"got {len(fields)}")
-        try:
-            out[r] = list(map(float, fields[1:]))
-            finite = np.isfinite(out[r]).all()
-        except ValueError:
-            finite = False
-        if not finite:
-            # the per-cell parse names the row's first bad cell
-            for text in fields[1:]:
-                _parse_float(text, path, line_no)
-    return out
-
-
-def _parse_block(lines, n_cols: int, path, kind: str) -> np.ndarray:
-    """_parse_rows' values, parsed by one np.loadtxt call when every line
-    has n_cols tabs and every value parses finite; any other block goes
-    through _parse_rows, which raises what a row-by-row read would."""
-    rests = [line.partition("\t")[2] for _, line in lines]
-    if n_cols and all(line.count("\t") == n_cols for _, line in lines):
-        try:
-            with warnings.catch_warnings():
-                # a blank value line is dropped with a warning; the shape
-                # check below sends such a block to the row parser
-                warnings.simplefilter("ignore")
-                values = np.loadtxt(rests, dtype=np.float64, delimiter="\t",
-                                    comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if (values.shape == (len(lines), n_cols)
-                    and np.isfinite(values).all()):
-                return values
-    return _parse_rows(lines, n_cols, path, kind)
+def _value_row(path, kind: str, width: int, line_no: int,
+               fields: list[str]) -> list[float]:
+    """The values of an expression or embeddings line."""
+    if len(fields) != width + 1:
+        if kind == "embeddings":
+            raise WidthMismatch(
+                f"{path}:{line_no}: {len(fields) - 1} values under a "
+                f"{width}-wide header")
+        raise MalformedRow(
+            f"{path}:{line_no}: expected {width + 1} columns, "
+            f"got {len(fields)}")
+    return [_parse_float(t, path, line_no) for t in fields[1:]]
 
 
 def _read_value_table(path, kind: str):
-    comments, header, rows = _parse_tsv(path, split=False)
+    comments, header, rows = _parse_tsv(path)
     if not header or header[0] != "spot_id":
         raise MalformedRow(f"{path}: first column must be spot_id")
     col_ids = header[1:]
-    n_cols = len(col_ids)
-    spot_ids: list[str] = []
-    blocks = []
-    for lines in _blocks(rows,
-                         lambda lines: _parse_rows(lines, n_cols, path, kind)):
-        spot_ids += (line.partition("\t")[0] for _, line in lines)
-        blocks.append(_parse_block(lines, n_cols, path, kind))
-    # a table of one block is that block: only a longer one is copied
-    values = (blocks[0] if len(blocks) == 1
-              else np.concatenate([np.empty((0, n_cols)), *blocks]))
-    return comments, col_ids, spot_ids, handed_over(values)
+    ids, values = _read_blocks(rows, 1, np.float64, len(col_ids),
+                               partial(_value_row, path, kind, len(col_ids)))
+    return comments, col_ids, [sid for sid, in ids], handed_over(values)
 
 
 def read_expression(path) -> ExpressionMatrix:
@@ -471,7 +434,7 @@ def write_table(path, kind: str, columns: Sequence[str],
 
 def read_table(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     comments, header, rows = _parse_tsv(path)
-    return comments, header, [fields for _, fields in rows]
+    return comments, header, [line.split("\t") for _, line in rows]
 
 
 # ---------------------------------------------------------------------------

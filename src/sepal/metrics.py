@@ -8,7 +8,8 @@ gene dimension within each spot.  Items whose truth side has no variance
 reported as missing and counted, never silently zeroed.  A column has no
 variance when its spread is within the rounding of its own mean, judged
 against its largest magnitude (MEAN_ROUNDING), so a constant column is
-excluded whether or not its mean came out exact.
+excluded whether or not its mean came out exact; a prediction column
+without variance, by the same rule, leaves its item without a PCC.
 
 Figure helpers take (gene_ids, pccs) as `evaluate` or a per-gene table
 gives them, so drawing figures never scores again.
@@ -34,10 +35,11 @@ from .core import (
 from . import ingest, spatial
 
 HIST_BIN_WIDTH = 0.05
-# a column of n cells has no truth variance when the root mean square of
-# its centred cells is within n * MEAN_ROUNDING of its largest magnitude:
-# the mean of n values summed in turn can miss by (n - 1) * eps / 2 of
-# that, so a constant column's centred cells can be so far from zero
+# a column of n cells, truth or prediction, has no variance when the root
+# mean square of its centred cells is within n * MEAN_ROUNDING of its
+# largest magnitude: the mean of n values summed in turn can miss by
+# (n - 1) * eps / 2 of that, so a constant column's centred cells can be
+# so far from zero
 MEAN_ROUNDING = float(np.finfo(np.float64).eps)
 
 
@@ -75,11 +77,19 @@ def _centred(x, keep, n):
     return np.subtract(x, mean, out=np.zeros_like(x), where=keep)
 
 
+def _varies(x, keep, n, ss):
+    """Whether each column of x, whose kept cells' centred values square
+    to ss, spreads further than rounding its mean could leave of a
+    constant (MEAN_ROUNDING)."""
+    scale = np.max(np.abs(x), axis=0, where=keep, initial=0.0)
+    return np.sqrt(ss / n) > MEAN_ROUNDING * n * scale
+
+
 def _column_stats(pred, truth, keep):
     """(pccs, r2s) of every column over its unmasked cells, NaN where
     undefined.  A column without truth variance has neither; one cell is
     its own mean, so that covers columns of fewer than two cells.  A
-    column without prediction variance has no PCC."""
+    column without prediction variance, by the same rule, has no PCC."""
     # a fully masked column's mean is never read: none of its cells is kept
     n = np.maximum(keep.sum(axis=0), 1)
     z_t = _centred(truth, keep, n)
@@ -89,11 +99,11 @@ def _column_stats(pred, truth, keep):
     cross = np.sum(z_t * z_p, axis=0)
     del z_t, z_p
     res = np.sum((pred - truth) ** 2, axis=0, where=keep)
-    scale = np.max(np.abs(truth), axis=0, where=keep, initial=0.0)
-    scored = np.sqrt(ss_t / n) > MEAN_ROUNDING * n * scale
+    scored = _varies(truth, keep, n, ss_t)
     pccs = np.clip(np.divide(cross, np.sqrt(ss_t * ss_p),
                              out=np.full(ss_t.shape, np.nan),
-                             where=scored & (ss_p > 0.0)), -1.0, 1.0)
+                             where=scored & _varies(pred, keep, n, ss_p)),
+                   -1.0, 1.0)
     r2s = 1.0 - np.divide(res, ss_t, out=np.full(ss_t.shape, np.nan),
                           where=scored)
     return pccs, r2s

@@ -862,14 +862,13 @@ def morans_i_many(values, adjacency):
 
 def read_value_table(path, kind):
     comments, header, rows = _parse_tsv(path)
-    rows = list(rows)
     if not header or header[0] != "spot_id":
         raise MalformedRow(f"{path}: first column must be spot_id")
     col_ids = header[1:]
     n_cols = len(col_ids)
-    spot_ids = []
-    values = np.empty((len(rows), n_cols), dtype=np.float64)
-    for r, (line_no, fields) in enumerate(rows):
+    spot_ids, values = [], []
+    for line_no, line in rows:
+        fields = line.split("\t")
         if len(fields) != n_cols + 1:
             if kind == "embeddings":
                 raise WidthMismatch(
@@ -879,9 +878,10 @@ def read_value_table(path, kind):
                 f"{path}:{line_no}: expected {n_cols + 1} columns, "
                 f"got {len(fields)}")
         spot_ids.append(fields[0])
-        for c, text in enumerate(fields[1:]):
-            values[r, c] = _parse_float(text, path, line_no)
-    return comments, col_ids, spot_ids, values
+        values.append([_parse_float(text, path, line_no)
+                       for text in fields[1:]])
+    return (comments, col_ids, spot_ids,
+            np.array(values, dtype=np.float64).reshape(len(values), n_cols))
 
 
 def write_expression(path, matrix):
@@ -1022,6 +1022,7 @@ def denoise_slide(matrix: ExpressionMatrix, spots: SpotTable
 
 def read_coordinates(path) -> SpotTable:
     _, header, rows = _parse_tsv(path)
+    rows = ((line_no, line.split("\t")) for line_no, line in rows)
     if tuple(header) != COORD_COLUMNS:
         raise MalformedRow(
             f"{path}: header must be {' '.join(COORD_COLUMNS)}")
@@ -1283,7 +1284,7 @@ def _pcc(truth, pred):
     zp = pred - pred.mean()
     ss_t = float(zt @ zt)
     ss_p = float(zp @ zp)
-    if _flat(truth, ss_t) or ss_p == 0.0:
+    if _flat(truth, ss_t) or _flat(pred, ss_p):
         return None
     r = float(zt @ zp) / math.sqrt(ss_t * ss_p)
     return min(1.0, max(-1.0, r))

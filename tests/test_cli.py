@@ -418,6 +418,32 @@ class TestExitCodes:
             p.name for p in (fresh / command).iterdir())
         assert sorted(p.name for p in out.iterdir()) == sorted(stages)
 
+    @pytest.mark.parametrize("command", ["eval", "figures"])
+    def test_rerun_on_fewer_test_slides_leaves_no_stale_file(
+            self, tmp_path, command):
+        # four slides hold two test slides, synth02 and synth03: none of
+        # synth03's outputs may stay beside a three-slide run's
+        stages = ("preprocess", "denoise", "select", "train", "eval",
+                  "figures")
+        stages = stages[:stages.index(command) + 1]
+        out, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        for slides, targets in ((4, (out,)), (3, (out, fresh))):
+            data = tmp_path / f"data{slides}"
+            assert run("synth", "--out", str(data), "--rows", "6", "--cols",
+                       "6", "--d-emb", "8", "--genes", "10", "--smooth", "4",
+                       "--slides", str(slides), "--zero-fraction", "0.05",
+                       "--seed", "1") == 0
+            for target in targets:
+                for stage in stages:
+                    assert run(stage, "--manifest",
+                               str(data / "manifest.toml"), "--out",
+                               str(target),
+                               *(("--stage", "1") if stage == "train"
+                                 else ())) == 0
+        assert sorted(p.relative_to(out) for p in (out / command).rglob("*")
+                      ) == sorted(p.relative_to(fresh)
+                                  for p in (fresh / command).rglob("*"))
+
     def test_figures_reads_every_slide_before_writing(self, pipeline,
                                                       tmp_path, capsys):
         out = tmp_path / "nopred"

@@ -441,6 +441,7 @@ def indexed_and_packed(spots, geometry, hops, aggregation, dtype, seed):
         slide.spots, slide.embeddings, subs, aggregation, dtype)
 
 
+@pytest.mark.deep
 class TestIndexedFeatures:
     """A batch of rows into its slide's embedding and offset tables
     gathers the bytes of the packed feature matrix it replaced, and take,

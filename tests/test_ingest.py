@@ -211,7 +211,7 @@ class TestCoordinateBlocks:
         p = tmp_path / "s0.tsv"
         write_coords_text(p, [(f"s{i}", "s0", i / 3, -i * 1e-3, i // 50,
                                i % 50 - 25) for i in range(2500)])
-        with mock.patch.object(ingest, "_parse_coordinate_rows",
+        with mock.patch.object(ingest, "_coordinate_row",
                                side_effect=AssertionError("row parser")):
             spots = read_coordinates(p)
         assert spots.array[-1].tolist() == [49, 24]
@@ -421,8 +421,8 @@ class TestRowCodec:
         scratch_tsv.write_bytes(text.encode())
         with mock.patch.object(ingest, "VALUE_BLOCK_LINES", 3):
             blocks = _outcome(ingest._read_value_table, scratch_tsv, kind)
-            with mock.patch.object(ingest, "_parse_block",
-                                   ingest._parse_rows):
+            with mock.patch.object(ingest, "_load_block",
+                                   return_value=None):
                 rows = _outcome(ingest._read_value_table, scratch_tsv, kind)
         assert blocks == rows
 
@@ -430,7 +430,7 @@ class TestRowCodec:
         p = tmp_path / "s0.tsv"
         p.write_text("spot_id\te0\te1\n"
                      + "".join(f"s{r}\t{r}.5\t-{r}e-3\n" for r in range(2500)))
-        with mock.patch.object(ingest, "_parse_rows",
+        with mock.patch.object(ingest, "_value_row",
                                side_effect=AssertionError("row parser")):
             table = read_embeddings(p)
         assert table.vectors.shape == (2500, 2)
@@ -448,13 +448,34 @@ class TestRowCodec:
             parsed.append(parse(*args))
             return parsed[-1]
 
-        parse = ingest._parse_block
-        with mock.patch.object(ingest, "_parse_block", keep):
+        parse = ingest._load_block
+        with mock.patch.object(ingest, "_load_block", keep):
             assert read_expression(p).values is parsed[0]
             with mock.patch.object(ingest, "VALUE_BLOCK_LINES", 2):
                 m = read_expression(p)
         assert len(parsed) == 4
         assert m.values.tolist() == [[r, 1] for r in range(5)]
+
+    def test_numeric_spot_id_without_values_is_named(self, tmp_path):
+        # the line's one field parses as a value, but it is the spot id
+        p = tmp_path / "s0.tsv"
+        p.write_text("spot_id\te0\na\t1.5\n7\n")
+        with pytest.raises(WidthMismatch,
+                           match=re.escape(f"{p}:3: 0 values under a "
+                                           f"1-wide header")):
+            read_embeddings(p)
+
+    def test_bad_row_before_an_undecodable_line_is_named(self, tmp_path):
+        # the file is decoded in chunks: the bad byte, past the first
+        # chunk, stops the read while the bad row's block is still open
+        p = tmp_path / "s0.tsv"
+        p.write_bytes(b"spot_id\te0\ns0\tx\n"
+                      + b"".join(b"s%d\t%d.5\n" % (r, r)
+                                 for r in range(1, 1000))
+                      + b"s1000\t\xff\n")
+        with pytest.raises(MalformedRow,
+                           match=re.escape(f"{p}:2: 'x' is not a number")):
+            read_embeddings(p)
 
     def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
         # float() fails on the second cell; the first is what gets named
@@ -509,6 +530,7 @@ def count_matrices(draw):
     return m, draw(st.integers(1, 3))
 
 
+@pytest.mark.deep
 class TestExpressionWriterOracle:
     """The row-format count writer against the per-cell one."""
 

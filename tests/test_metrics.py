@@ -112,8 +112,22 @@ class TestEvaluate:
         pred = np.empty_like(truth)
         for j in range(truth.shape[1]):
             pred[:, j] = truth[~mask[:, j], j].mean()
+        # the first gene's truth mirrored about that mean varies, so the
+        # genes have a PCC to average, and is as far from the truth as the
+        # mean is: its R² is zero too
+        pred[:, 0] = 2.0 * truth[:, 0] - pred[:, 0]
         rep = evaluate(pred, truth, mask)
         assert abs(rep.r2_gene) <= 1e-9
+        assert rep.per_gene_pcc[1:] == (None,) * (truth.shape[1] - 1)
+
+    def test_constant_prediction_with_an_inexact_mean_has_no_pcc(self):
+        # 0.1 * 3 / 3 is not 0.1: a constant prediction is flat by the
+        # truth side's rule, not only when its spread is exactly zero
+        truth = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 3.5]])
+        pred = np.column_stack([np.full(3, 0.1), truth[:, 1]])
+        rep = evaluate(pred, truth, np.zeros((3, 2), dtype=bool))
+        assert rep.per_gene_pcc[0] is None
+        assert rep.pcc_gene == rep.per_gene_pcc[1] == 1.0
 
     def test_anticorrelated_gene(self):
         truth = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -264,6 +278,7 @@ def close(got, want):
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.deep
 class TestEvaluateOracle:
     @given(scoring_problems())
     def test_matches_the_column_loop(self, problem):

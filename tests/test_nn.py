@@ -178,6 +178,7 @@ def _bits(*arrays):
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
+@pytest.mark.deep
 class TestOneArrayOpsAgainstReference:
     """linear and elu each make one output array; their values and every
     gradient their backward returns are the bits of the composite ops on
@@ -217,6 +218,7 @@ class TestOneArrayOpsAgainstReference:
         assert got == _bits(out.data, t.grad)
 
 
+@pytest.mark.deep
 class TestConvsAgainstReference:
     """gcn_conv and graph_conv, whose products go through linear, against
     the composite matmul/transpose forms of tests/reference.py on its
@@ -268,6 +270,7 @@ class TestConvsAgainstReference:
                                 *(t.grad for t in params)), conv
 
 
+@pytest.mark.deep
 class TestNetworkAgainstReference:
     """spatial_forward and backward, whose layers write over the
     intermediates no other layer reads and keep only what their backward
@@ -445,6 +448,7 @@ class TestReadouts:
         fd_gradient_check([h, w], lambda: layer_mse(sag, h, [w], target))
 
 
+@pytest.mark.deep
 class TestReadoutsAgainstReference:
     """The segment-op readouts build the same bytes, forward and backward,
     as the graph-by-graph loops they replaced."""

@@ -268,6 +268,7 @@ def _outcome(run):
         return type(e)
 
 
+@pytest.mark.deep
 class TestFilterChainOracle:
     @given(datasets())
     def test_matches_list_chain(self, case):

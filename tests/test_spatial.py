@@ -194,6 +194,7 @@ class TestMoransI:
         with pytest.raises(ShapeMismatch):
             morans_i_many(np.zeros((3, 1)), adj)
 
+    @pytest.mark.deep
     @given(st.integers(0, 10 ** 9), st.integers(1, 60))
     def test_column_blocks_keep_whole_matrix_bits(self, seed, n_genes):
         # blocks of the fewest columns allowed, the last overlapping the

@@ -147,6 +147,7 @@ class TestWrite:
         assert manifest.n_genes_select == ds.config.n_genes
 
 
+@pytest.mark.deep
 class TestNeighborMean:
     @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 6))
     def test_same_bits_as_the_edge_loop(self, seed, connected, width):

@@ -75,6 +75,7 @@ class TestAdam:
         opt.step({})
         np.testing.assert_array_equal(params["p"], [1.0])
 
+    @pytest.mark.deep
     @given(data=st.data())
     def test_same_bits_as_the_reference_adam(self, data):
         # after every step both moments and the parameters are the
@@ -741,6 +742,7 @@ def reference_stage2(train_graphs, d_tr, y_tr, val_graphs, d_val, y_val,
     return best, history, moments
 
 
+@pytest.mark.deep
 class TestTrainingStepOracle:
     """Five steps of stage2_train on float32 packed graphs, with a val
     split, against the loop of reference_stage2: every final parameter
