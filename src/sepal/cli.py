@@ -324,13 +324,11 @@ def cmd_select(args) -> None:
     print(f"select: kept {len(selected)} of {len(scores)} genes")
 
 
-def _read_slide(entry, matrix: ExpressionMatrix,
-                mask: ImputationMask | None = None):
-    """The slide's coordinates and embeddings, aligned to the matrix (and
-    mask): everything a stage needs from the slide, each file read once."""
-    spots = ingest.read_coordinates(entry.coords_path)
-    emb = ingest.read_embeddings(entry.emb_path)
-    return align_slide(spots, matrix, emb, mask)
+def _read_slide(entry, matrix: ExpressionMatrix):
+    """The slide's coordinates (by _spots_for's row-order rule) and
+    embeddings aligned to the matrix, each file read once."""
+    return align_slide(_spots_for(entry, matrix), matrix,
+                       ingest.read_embeddings(entry.emb_path))
 
 
 def _check_head_width(ckpt: Path, model, slide) -> None:
@@ -570,8 +568,9 @@ def _test_predictions(manifest, out: Path, model):
     """Per-test-slide (slide_id, pred, truth matrix, mask)."""
     results = []
     for entry in _test_entries(manifest):
-        slide = _read_slide(entry, _selected(out, entry, model.gene_ids),
-                            _selected_mask(out, entry))
+        slide = _read_slide(entry, _selected(out, entry, model.gene_ids))
+        mask = _selected_mask(out, entry)
+        assert_mask_matches(slide.expression, mask)
         # a stage-2 model carries the stage-1 head, checked in _load_model
         _check_head_width(out / "train" / "stage1.ckpt", model, slide)
         if model.state is not None:
@@ -583,7 +582,7 @@ def _test_predictions(manifest, out: Path, model):
             gs = None
         pred = train_mod.predict_expression(model, slide.embeddings.vectors,
                                             gs)
-        results.append((entry.slide_id, pred, slide.expression, slide.mask))
+        results.append((entry.slide_id, pred, slide.expression, mask))
     return results
 
 

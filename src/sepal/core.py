@@ -4,7 +4,8 @@ Everything downstream (filtering, denoising, graph construction, training,
 evaluation) speaks in terms of the containers defined here.  The containers
 are frozen dataclasses over read-only numpy arrays and validate their own
 invariants on construction, so a matrix that exists is a matrix that is
-well-formed for its processing stage.
+well-formed for its processing stage: raw_counts or log1p in a dataset,
+log1p as preprocess writes it, denoised from denoise on.
 
 A slide's spots are one SpotTable: distinct ids, distinct array positions,
 rows sorted by (array_row, array_col).  That sort is the canonical spot
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-STAGES = ("raw_counts", "filtered", "tpm", "log1p", "denoised")
+STAGES = ("raw_counts", "log1p", "denoised")
 # the spot lattices: every neighbourhood comes from array positions
 GEOMETRIES = ("hex_array", "square_grid")
 SPLITS = ("train", "val", "test")
@@ -167,7 +168,7 @@ def _check_values(v: np.ndarray, stage: str, slide_id: str) -> None:
     then non-negative for every stage but denoised, then integral for
     counts.  A matrix that fails more than one raises the first of these,
     as three whole-matrix passes would."""
-    counts = stage in ("raw_counts", "filtered")
+    counts = stage == "raw_counts"
     negative = fractional = False
     rows = max(1, CHECK_CELLS // max(1, v.shape[1]))
     for start in range(0, v.shape[0], rows):
@@ -257,8 +258,8 @@ class ExpressionMatrix:
 
     Rows follow the slide's canonical spot order.  Stage-specific
     invariants are enforced on construction: raw counts must be
-    non-negative integers, tpm and log1p values must be non-negative,
-    and every stage requires finite values.
+    non-negative integers, log1p values must be non-negative, and every
+    stage requires finite values.
     """
 
     slide_id: str
@@ -295,10 +296,6 @@ class ExpressionMatrix:
 
     def gene_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.gene_ids)}
-
-    def with_values(self, values: np.ndarray, stage: str) -> "ExpressionMatrix":
-        return ExpressionMatrix(self.slide_id, self.gene_ids, self.spot_ids,
-                                values, stage)
 
     def subset_genes(self, gene_ids: Sequence[str]) -> "ExpressionMatrix":
         index = self.gene_index()
@@ -445,16 +442,15 @@ class DatasetManifest:
 
 @dataclass
 class Slide:
-    """A fully aligned slide: spots, expression, embeddings, optional mask.
+    """A fully aligned slide: spots, expression and embeddings.
 
-    All four views share one canonical spot order.  Built with align_slide,
-    never by hand.
+    All three views share one canonical spot order.  Built with
+    align_slide, never by hand.
     """
 
     spots: SpotTable
     expression: ExpressionMatrix
     embeddings: EmbeddingTable
-    mask: ImputationMask | None = None
 
     @property
     def slide_id(self) -> str:
@@ -463,13 +459,11 @@ class Slide:
 
 def align_slide(spots: SpotTable,
                 expression: ExpressionMatrix,
-                embeddings: EmbeddingTable,
-                mask: ImputationMask | None = None) -> Slide:
+                embeddings: EmbeddingTable) -> Slide:
     """Reorder everything to canonical spot order and check coverage.
 
     The expression matrix defines which spots exist; coordinates and
-    embeddings may cover a superset and are subset to match.  A mask must
-    list the matrix's spots and genes in the matrix's order.  A view
+    embeddings may cover a superset and are subset to match.  A view
     already in that order is held as it is, neither copied nor checked
     again: synth writes its files so, and every stage its archives.
     """
@@ -479,18 +473,11 @@ def align_slide(spots: SpotTable,
         embeddings = EmbeddingTable(
             embeddings.slide_id, spots.spot_ids, handed_over(
                 embeddings.vectors[embeddings.rows_for(spots.spot_ids), :]))
-    if mask is not None:
-        assert_mask_matches(expression, mask)
     if spots.spot_ids != expression.spot_ids:
         expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
-        rows = np.array([expr_index[s] for s in spots.spot_ids],
-                        dtype=np.int64)
-        expression = expression.subset_spots(rows)
-        if mask is not None:
-            mask = ImputationMask(mask.slide_id, mask.gene_ids,
-                                  expression.spot_ids,
-                                  handed_over(mask.values[rows, :]))
-    return Slide(spots, expression, embeddings, mask)
+        expression = expression.subset_spots(np.array(
+            [expr_index[s] for s in spots.spot_ids], dtype=np.int64))
+    return Slide(spots, expression, embeddings)
 
 
 def validate_dataset(

@@ -12,8 +12,8 @@ Formats:
   expression    TSV, for dataset inputs only: spot_id then one column per
                 gene; an optional #stage= comment (without one the file
                 holds raw counts; preprocess wants every slide of a
-                dataset at one stage).  Counts (raw_counts, filtered) are
-                written as whole numbers, str(int(count)), a row at a
+                dataset at one stage, raw_counts or log1p).  Raw counts
+                are written as whole numbers, str(int(count)), a row at a
                 time through one %d format; other stages as repr
   embeddings    TSV: spot_id then e0..e{d-1}
   manifest      TOML: settings, then one [slide.<id>] table per slide
@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    BadStageTag,
     CHECK_CELLS,
     DatasetManifest,
     EmbeddingTable,
@@ -366,12 +367,18 @@ def _read_value_table(path, kind: str):
 
 
 def read_expression(path) -> ExpressionMatrix:
-    """Read a dataset's expression TSV.  Stage comes from the #stage=
-    comment; a file without one holds raw counts."""
+    """Read a dataset's expression TSV: raw counts, or the stage that a
+    #stage= comment names.  Every error names path."""
     comments, gene_ids, spot_ids, values = _read_value_table(path, "expression")
-    return ExpressionMatrix(_slide_id_for(path, comments),
-                            _gene_ids(path, gene_ids), tuple(spot_ids),
-                            values, comments.get("stage", "raw_counts"))
+    fields = (_slide_id_for(path, comments), _gene_ids(path, gene_ids),
+              tuple(spot_ids), values)
+    try:
+        return ExpressionMatrix(*fields, comments.get("stage", "raw_counts"))
+    except BadStageTag as e:
+        raise BadStageTag(f"{path}: {e}; a dataset file holds raw_counts "
+                          f"or log1p") from None
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def write_expression(path, matrix: ExpressionMatrix) -> None:
@@ -379,7 +386,7 @@ def write_expression(path, matrix: ExpressionMatrix) -> None:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=expression\n")
         fh.write(f"#stage={matrix.stage}\n#slide={matrix.slide_id}\n")
         fh.write("spot_id\t" + "\t".join(matrix.gene_ids) + "\n")
-        if matrix.stage in ("raw_counts", "filtered"):
+        if matrix.stage == "raw_counts":
             _write_counts(fh, matrix.spot_ids, matrix.values)
             return
         for sid, row in zip(matrix.spot_ids, matrix.values):

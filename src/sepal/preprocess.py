@@ -22,8 +22,9 @@ The work goes in three passes, so that a dataset is held once:
   decisions    filter_dataset pools the statistics into the kept rows of
                each slide and the kept genes, and the filter log
   output       slide by slide, kept_log1p takes the kept spots x kept
-               genes once, and CPM and log each make one fresh array from
-               the last; the caller writes the slide and lets it go
+               genes as one fresh array, CPM and log overwrite it in
+               place, and it is wrapped once as the log1p matrix; the
+               caller writes the slide and lets it go
 
 Training supervises each gene's difference from its train-split mean, see
 compute_train_mean.
@@ -198,42 +199,32 @@ def filter_dataset(matrices: Sequence[ExpressionMatrix],
 def kept_log1p(matrix: ExpressionMatrix, rows: np.ndarray | None,
                gene_ids: Sequence[str]) -> ExpressionMatrix:
     """One slide's output: log-space input at the kept genes, or raw
-    counts at the kept rows and genes, taken as one block that is let go
-    once tpm_normalize has read it."""
+    counts at the kept rows and genes, taken as one block that CPM and
+    log2(x + 1) then overwrite."""
     if rows is None:
         return matrix.subset_genes(gene_ids)
     index = matrix.gene_index()
-    cols = [index[g] for g in gene_ids]
-    tpm = tpm_normalize(ExpressionMatrix(
+    block = matrix.values[np.ix_(rows, [index[g] for g in gene_ids])]
+    return ExpressionMatrix(
         matrix.slide_id, gene_ids,
         [matrix.spot_ids[i] for i in rows.tolist()],
-        handed_over(matrix.values[np.ix_(rows, cols)]), "filtered"))
-    return log_transform(tpm)
+        handed_over(log_transform(tpm_normalize(block))), "log1p")
 
 
-def tpm_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
-    """Scale each spot to counts-per-million.
-
-    Each spot row is scaled so its counts sum to 1e6.  Spots with zero
-    total stay all-zero rather than dividing by zero.
-    """
-    if matrix.stage not in ("raw_counts", "filtered"):
-        raise ValidationError(
-            f"tpm expects count data, got stage {matrix.stage!r}")
-    totals = matrix.values.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1.0)
-    out = matrix.values / safe
-    out *= 1e6
-    return matrix.with_values(handed_over(out), "tpm")
+def tpm_normalize(counts: np.ndarray) -> np.ndarray:
+    """Scale each spot row of counts, in place, to counts-per-million, and
+    return counts.  A spot with zero total stays all-zero rather than
+    dividing by zero."""
+    totals = counts.sum(axis=1, keepdims=True)
+    counts /= np.where(totals > 0, totals, 1.0)
+    counts *= 1e6
+    return counts
 
 
-def log_transform(matrix: ExpressionMatrix) -> ExpressionMatrix:
-    """Elementwise log2(x + 1) on a tpm matrix."""
-    if matrix.stage != "tpm":
-        raise ValidationError(
-            f"log transform expects tpm, got stage {matrix.stage!r}")
-    out = matrix.values + 1.0
-    return matrix.with_values(handed_over(np.log2(out, out=out)), "log1p")
+def log_transform(values: np.ndarray) -> np.ndarray:
+    """Elementwise log2(x + 1), in place; returns values."""
+    values += 1.0
+    return np.log2(values, out=values)
 
 
 def center_per_slide(matrices: Sequence[ExpressionMatrix]

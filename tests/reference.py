@@ -885,7 +885,7 @@ def read_value_table(path, kind):
 
 
 def write_expression(path, matrix):
-    integral = matrix.stage in ("raw_counts", "filtered")
+    integral = matrix.stage == "raw_counts"
     with ingest._open_write(path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=expression\n")
         fh.write(f"#stage={matrix.stage}\n#slide={matrix.slide_id}\n")
@@ -1156,19 +1156,19 @@ def check_values(v, stage, slide_id):
     """An expression matrix's value checks, each over the whole matrix."""
     if not np.all(np.isfinite(v)):
         raise NonFiniteValue(f"non-finite expression value in {slide_id}")
-    if stage in ("raw_counts", "filtered"):
+    if stage == "raw_counts":
         if np.any(v < 0):
             raise NegativeValue(f"negative count in {slide_id}")
         if np.any(v != np.rint(v)):
             raise ValidationError(f"non-integral count in {slide_id}")
-    elif stage in ("tpm", "log1p"):
+    elif stage == "log1p":
         if np.any(v < 0):
             raise NegativeValue(
                 f"negative value in {stage} matrix for {slide_id}")
 
 
 def filter_by_counts(matrices, spot_range, gene_range):
-    """(matrices at the kept spots and genes, stage "filtered", and the
+    """(matrices at the kept spots and genes, still raw_counts, and the
     removal log): spots per slide first, then genes by their totals over
     the kept spots, pooled."""
     removed = []
@@ -1197,11 +1197,7 @@ def filter_by_counts(matrices, spot_range, gene_range):
     if not keep_genes.any():
         raise AllGenesRemoved("count filter removed every gene")
     kept_ids = [g for g, k in zip(genes, keep_genes) if k]
-    out = []
-    for m in kept_spots:
-        sub = m.subset_genes(kept_ids)
-        out.append(sub.with_values(sub.values, "filtered"))
-    return out, removed
+    return [m.subset_genes(kept_ids) for m in kept_spots], removed
 
 
 def filter_by_sparsity(matrices, eps_total, eps_wsi):
@@ -1256,7 +1252,8 @@ def preprocess_chain(matrices, manifest):
         for m in matrices:
             totals = m.values.sum(axis=1, keepdims=True)
             tpm = m.values / np.where(totals > 0, totals, 1.0) * 1e6
-            out.append(m.with_values(np.log2(tpm + 1.0), "log1p"))
+            out.append(ExpressionMatrix(m.slide_id, m.gene_ids, m.spot_ids,
+                                        np.log2(tpm + 1.0), "log1p"))
         matrices = out
     return matrices, log_rows
 

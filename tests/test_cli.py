@@ -544,12 +544,28 @@ class TestExitCodes:
         path = Path(ingest.read_manifest(manifest).slides[1].expr_path)
         m = ingest.read_expression(path)
         assert m.stage == "log1p"
-        ingest.write_expression(
-            path, m.with_values(np.rint(10 * m.values), "raw_counts"))
+        ingest.write_expression(path, ExpressionMatrix(
+            m.slide_id, m.gene_ids, m.spot_ids, np.rint(10 * m.values),
+            "raw_counts"))
         rc = run("preprocess", "--manifest", str(manifest),
                  "--out", str(tmp_path / "run"))
         assert rc == 1
         assert "'synth01'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_stage_tag_names_the_file(self, pipeline, tmp_path,
+                                              capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        path = data / "synth01_expr.tsv"
+        path.write_text(path.read_text().replace("#stage=log1p",
+                                                 "#stage=tpm"))
+        rc = run("preprocess", "--manifest", str(data / "manifest.toml"),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "synth01_expr.tsv" in err and "raw_counts" in err
         assert not (tmp_path / "run").exists()
 
     def test_eval_refuses_reordered_mask(self, pipeline, tmp_path, capsys):
@@ -573,6 +589,11 @@ class TestExitCodes:
         ("figures", ("select", "eval"),
          ("select/synth02_selected.npz", "select/synth02_mask.npz",
           "eval/predictions/synth02_pred.npz")),
+        ("build-graphs", ("select",), ("select/synth01_selected.npz",)),
+        ("train --stage 2", ("select", "graphs", "train"),
+         ("select/synth01_selected.npz",)),
+        ("eval", ("select", "train"),
+         ("select/synth02_selected.npz", "select/synth02_mask.npz")),
     ])
     def test_rows_out_of_canonical_order_name_preprocess(
             self, pipeline, tmp_path, capsys, command, inputs, names):
@@ -592,12 +613,17 @@ class TestExitCodes:
                 ingest.write_matrix(path, ExpressionMatrix(
                     m.slide_id, m.gene_ids, m.spot_ids[::-1],
                     m.values[::-1], m.stage))
-        rc = run(command, "--manifest", pipeline["manifest"],
+
+        def files():
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        before = files()
+        rc = run(*command.split(), "--manifest", pipeline["manifest"],
                  "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
         assert "canonical spot order" in err and "sepal preprocess" in err
-        assert not (out / command).exists()
+        assert files() == before
 
     def test_select_before_denoise(self, pipeline, tmp_path, capsys):
         rc = run("select", "--manifest", pipeline["manifest"],
@@ -957,7 +983,8 @@ class TestStageWork:
         for sid in ("synth01", "synth02"):
             path = out / "select" / f"{sid}_selected.npz"
             m = ingest.read_matrix(path, "denoised", "select")
-            ingest.write_matrix(path, m.with_values(m.values + 5.0, m.stage))
+            ingest.write_matrix(path, ExpressionMatrix(
+                m.slide_id, m.gene_ids, m.spot_ids, m.values + 5.0, m.stage))
         assert run("train", *base, "--stage", "1") == 0
         assert ingest.read_checkpoint(ckpt)[1]["train_mean"].tobytes() \
             == want
@@ -1141,6 +1168,13 @@ class TestPrepMemory:
         growth = peaks["preprocess", 6] - peaks["preprocess", 2]
         # the slack covers each slide's spot and gene id strings
         assert growth < 1.1 * 4 * self.SLIDE_VALUES, peaks
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_preprocess_makes_each_slide_in_one_block(self, peaks, n):
+        # beyond the raw values, one kept block that CPM and log overwrite
+        # in place, and the scratch of its checks and its write
+        working = peaks["preprocess", n] - n * self.SLIDE_VALUES
+        assert working < 1.75 * self.SLIDE_VALUES, peaks
 
 
 _COMMANDS_PROBE = """

@@ -242,11 +242,9 @@ class TestAlignSlide:
         spots = spot_table([spot("a", 0, 0), spot("c", 1, 0)])
         expr = small_matrix(["a", "c"], ["g1"], [[1.0], [3.0]])
         emb = EmbeddingTable("s0", ("a", "c"), np.array([[1.0], [3.0]]))
-        mask = ImputationMask("s0", ("g1",), ("a", "c"),
-                              np.array([[True], [False]]))
-        slide = align_slide(spots, expr, emb, mask)
+        slide = align_slide(spots, expr, emb)
         assert slide.expression is expr and slide.embeddings is emb
-        assert slide.mask is mask and slide.spots is spots
+        assert slide.spots is spots
 
     def test_expression_without_coordinates(self):
         spots, expr, emb = self._pieces()
