@@ -44,7 +44,6 @@ from .core import (
     POOLINGS,
     EmptySplit,
     ExpressionMatrix,
-    GeneSetMismatch,
     ImputationMask,
     IoFailure,
     PipelineError,
@@ -55,6 +54,7 @@ from .core import (
     WidthNotDivisible,
     align_slide,
     assert_mask_matches,
+    common_genes,
     validate_dataset,
 )
 
@@ -197,7 +197,8 @@ def cmd_preprocess(args) -> None:
     stage = matrices[0].stage
     if stage not in ("raw_counts", "log1p"):
         raise StageOrderViolation(
-            f"preprocess expects raw_counts or log1p input, got {stage!r}")
+            f"{manifest.slides[0].expr_path}: slide {matrices[0].slide_id!r} "
+            f"holds {stage} values; preprocess expects raw_counts or log1p")
     for m in matrices[1:]:
         if m.stage != stage:
             raise StageOrderViolation(
@@ -436,13 +437,9 @@ def cmd_train(args) -> None:
     if args.stage == 1:
         train = [matrices[e.slide_id] for e in manifest.slides
                  if e.split == "train"]
+        gene_ids = common_genes([train[0], *matrices.values()],
+                                "; run `sepal select` again")
         mean = preprocess.compute_train_mean(train)
-        gene_ids = train[0].gene_ids
-        for m in matrices.values():
-            if m.gene_ids != gene_ids:
-                raise GeneSetMismatch(
-                    f"slide {m.slide_id!r} gene panel differs from "
-                    f"{train[0].slide_id!r}; run `sepal select` again")
 
         def read(entry):
             m = matrices[entry.slide_id]

@@ -16,7 +16,7 @@ aligned Slide, lists its rows in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -197,6 +197,31 @@ def _find_duplicate(ids: Sequence[str]) -> str | None:
     return None
 
 
+def rows_of(ids: Sequence[str], wanted: Sequence[str],
+            absent: Callable[[list[str]], Exception]) -> np.ndarray:
+    """The row in ids of each of wanted, in wanted's order, as int64; raises
+    absent(the ids of wanted not in ids, in wanted's order) if there are any."""
+    index = dict(zip(ids, range(len(ids))))
+    rows = [index.get(x, -1) for x in wanted]
+    if -1 in rows:
+        raise absent([x for x, i in zip(wanted, rows) if i < 0])
+    return np.array(rows, dtype=np.int64)
+
+
+def common_genes(tables: Iterable, hint: str = "") -> tuple[str, ...]:
+    """The gene panel that each of tables (at least one) carries; raises
+    GeneSetMismatch naming the first that differs, with hint appended."""
+    first = None
+    for t in tables:
+        if first is None:
+            first = t
+        elif t.gene_ids != first.gene_ids:
+            raise GeneSetMismatch(
+                f"slide {t.slide_id!r} gene panel differs from "
+                f"{first.slide_id!r}{hint}")
+    return first.gene_ids
+
+
 @dataclass(frozen=True)
 class SpotTable:
     """One slide's spots: ids, pixel positions and array positions.
@@ -240,13 +265,9 @@ class SpotTable:
 
     def subset(self, spot_ids: Sequence[str]) -> "SpotTable":
         """The named spots, in canonical order."""
-        index = {s: i for i, s in enumerate(self.spot_ids)}
-        for sid in spot_ids:
-            if sid not in index:
-                raise SpotSetMismatch(
-                    f"spot {sid!r} of slide {self.slide_id!r} has no "
-                    f"coordinates")
-        rows = np.sort(np.array([index[s] for s in spot_ids], dtype=np.int64))
+        rows = np.sort(rows_of(self.spot_ids, spot_ids, lambda missing: (
+            SpotSetMismatch(f"spot {missing[0]!r} of slide "
+                            f"{self.slide_id!r} has no coordinates"))))
         return SpotTable(self.slide_id,
                          [self.spot_ids[i] for i in rows.tolist()],
                          self.pixel[rows], self.array[rows])
@@ -294,16 +315,9 @@ class ExpressionMatrix:
     def n_spots(self) -> int:
         return len(self.spot_ids)
 
-    def gene_index(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.gene_ids)}
-
     def subset_genes(self, gene_ids: Sequence[str]) -> "ExpressionMatrix":
-        index = self.gene_index()
-        missing = [g for g in gene_ids if g not in index]
-        if missing:
-            raise GeneSetMismatch(
-                f"genes {missing[:5]} absent from {self.slide_id}")
-        cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
+        cols = rows_of(self.gene_ids, gene_ids, lambda missing: (
+            GeneSetMismatch(f"genes {missing[:5]} absent from {self.slide_id}")))
         return ExpressionMatrix(self.slide_id, tuple(gene_ids), self.spot_ids,
                                 handed_over(self.values[:, cols]), self.stage)
 
@@ -335,12 +349,9 @@ class ImputationMask:
         object.__setattr__(self, "values", _readonly(v))
 
     def subset_genes(self, gene_ids: Sequence[str]) -> "ImputationMask":
-        index = {g: i for i, g in enumerate(self.gene_ids)}
-        missing = [g for g in gene_ids if g not in index]
-        if missing:
-            raise GeneSetMismatch(
-                f"genes {missing[:5]} absent from mask for {self.slide_id}")
-        cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
+        cols = rows_of(self.gene_ids, gene_ids, lambda missing: (
+            GeneSetMismatch(f"genes {missing[:5]} absent from mask for "
+                            f"{self.slide_id}")))
         return ImputationMask(self.slide_id, tuple(gene_ids), self.spot_ids,
                               handed_over(self.values[:, cols]))
 
@@ -376,12 +387,9 @@ class EmbeddingTable:
         return int(self.vectors.shape[1])
 
     def rows_for(self, spot_ids: Sequence[str]) -> np.ndarray:
-        index = {s: i for i, s in enumerate(self.spot_ids)}
-        missing = [s for s in spot_ids if s not in index]
-        if missing:
-            raise MissingEmbedding(
-                f"spot {missing[0]!r} in {self.slide_id} has no embedding row")
-        return np.array([index[s] for s in spot_ids], dtype=np.int64)
+        return rows_of(self.spot_ids, spot_ids, lambda missing: (
+            MissingEmbedding(f"spot {missing[0]!r} in {self.slide_id} has no "
+                             f"embedding row")))
 
 
 @dataclass(frozen=True)
@@ -474,9 +482,9 @@ def align_slide(spots: SpotTable,
             embeddings.slide_id, spots.spot_ids, handed_over(
                 embeddings.vectors[embeddings.rows_for(spots.spot_ids), :]))
     if spots.spot_ids != expression.spot_ids:
-        expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
-        expression = expression.subset_spots(np.array(
-            [expr_index[s] for s in spots.spot_ids], dtype=np.int64))
+        # the spots are now the matrix's own, so none is absent
+        expression = expression.subset_spots(rows_of(
+            expression.spot_ids, spots.spot_ids, SpotSetMismatch))
     return Slide(spots, expression, embeddings)
 
 
@@ -496,19 +504,13 @@ def validate_dataset(
     once checked, so a read that loads the slide's files holds one
     slide's at a time.
     """
-    gene_ref: tuple[str, ...] | None = None
     d_ref: int | None = None
-    matrices = []
+    matrices: list[ExpressionMatrix] = []
     for entry in manifest.slides:
         spots, expr, emb = read(entry)
         if expr.n_spots == 0:
             raise EmptySlide(f"slide {entry.slide_id!r} has no spots")
-        if gene_ref is None:
-            gene_ref = expr.gene_ids
-        elif expr.gene_ids != gene_ref:
-            raise GeneSetMismatch(
-                f"slide {entry.slide_id!r} gene panel differs from "
-                f"{manifest.slides[0].slide_id!r}")
+        common_genes(matrices[:1] + [expr])
         if d_ref is None:
             d_ref = emb.d_emb
         elif emb.d_emb != d_ref:

@@ -38,6 +38,7 @@ import math
 import os
 import re
 import shutil
+import tempfile
 import tomllib
 import warnings
 import zipfile
@@ -126,16 +127,18 @@ def _open_write(path, binary: bool = False):
 
 @contextmanager
 def staged(outdir):
-    """A scratch directory beside outdir for a command's outputs.  It
-    takes outdir's place whole when the block exits cleanly, so no file of
-    an earlier run stays beside the new ones, and is deleted otherwise: a
-    command that writes slide by slide leaves outdir as it was when a
-    later slide fails."""
+    """A fresh directory, in a new scratch beside outdir, for a command's
+    outputs.  It takes outdir's place whole when the block exits cleanly, so
+    no file of an earlier run (or of a killed one) stays beside the new ones,
+    and is deleted otherwise: a command that writes slide by slide leaves
+    outdir as it was when a later slide fails."""
     outdir = Path(outdir)
-    tmp = outdir.with_name(f".{outdir.name}.{os.getpid()}.staged")
-    old = outdir.with_name(f".{outdir.name}.{os.getpid()}.old")
     try:
-        tmp.mkdir(parents=True, exist_ok=True)
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.",
+                                        dir=outdir.parent))
+        tmp, old = scratch / f"{outdir.name}.staged", scratch / "old"
+        tmp.mkdir()
     except OSError as e:
         raise IoFailure(f"cannot write {outdir}: {e}") from e
     try:
@@ -151,8 +154,7 @@ def staged(outdir):
     except OSError as e:
         raise IoFailure(f"cannot write {outdir}: {e}") from e
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-        shutil.rmtree(old, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _parse_tsv(path):

@@ -44,18 +44,10 @@ from .core import (
     ExpressionMatrix,
     GeneSetMismatch,
     ValidationError,
+    common_genes,
     handed_over,
+    rows_of,
 )
-
-
-def _common_genes(matrices: Sequence[ExpressionMatrix]) -> tuple[str, ...]:
-    genes = matrices[0].gene_ids
-    for m in matrices[1:]:
-        if m.gene_ids != genes:
-            raise GeneSetMismatch(
-                f"slide {m.slide_id!r} gene panel differs from "
-                f"{matrices[0].slide_id!r}")
-    return genes
 
 
 def _kept_rows(values: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
@@ -83,7 +75,7 @@ def filter_by_counts(
     """
     if not matrices:
         raise ValidationError("no matrices to filter")
-    genes = _common_genes(matrices)
+    genes = common_genes(matrices)
     removed: list[tuple[str, str, str, float]] = []
 
     rows = []
@@ -134,7 +126,7 @@ def filter_by_sparsity(
     for name, v in (("eps_total", eps_total), ("eps_wsi", eps_wsi)):
         if not 0.0 <= v <= 100.0:
             raise ValidationError(f"{name} must lie in [0, 100], got {v}")
-    genes = _common_genes(matrices)
+    genes = common_genes(matrices)
     if columns is not None:
         genes = tuple(genes[j] for j in columns.tolist())
 
@@ -203,8 +195,9 @@ def kept_log1p(matrix: ExpressionMatrix, rows: np.ndarray | None,
     log2(x + 1) then overwrite."""
     if rows is None:
         return matrix.subset_genes(gene_ids)
-    index = matrix.gene_index()
-    block = matrix.values[np.ix_(rows, [index[g] for g in gene_ids])]
+    cols = rows_of(matrix.gene_ids, gene_ids, lambda missing: (
+        GeneSetMismatch(f"genes {missing[:5]} absent from {matrix.slide_id}")))
+    block = matrix.values[np.ix_(rows, cols)]
     return ExpressionMatrix(
         matrix.slide_id, gene_ids,
         [matrix.spot_ids[i] for i in rows.tolist()],
@@ -244,8 +237,7 @@ def compute_train_mean(train: Sequence[ExpressionMatrix]) -> np.ndarray:
     """Per-gene mean over every spot of the train-split matrices, pooled."""
     if not train:
         raise EmptySplit("no train-split matrices")
-    genes = _common_genes(train)
-    total = np.zeros(len(genes), dtype=np.float64)
+    total = np.zeros(len(common_genes(train)), dtype=np.float64)
     n = 0
     for m in train:
         total += m.values.sum(axis=0)

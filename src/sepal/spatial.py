@@ -40,11 +40,11 @@ from .core import (
     DegenerateCoordinates,
     EmptyAdjacency,
     ExpressionMatrix,
-    GeneSetMismatch,
     ShapeMismatch,
     SpotTable,
     TooFewGenes,
     ValidationError,
+    common_genes,
 )
 
 DISTANCE_DECIMALS = 6
@@ -245,19 +245,18 @@ def select_genes(slides: Iterable[tuple[ExpressionMatrix, Adjacency]],
     the unscored tail order lexicographically by gene id.  Returns
     (selected ids in rank order, per-gene records in panel order).
     """
-    genes: tuple[str, ...] | None = None
+    first = genes = None
     per_slide: list[list[float | None]] = []
     for m, adj in slides:
-        if genes is None:
-            genes = m.gene_ids
-            if n_genes > len(genes):
+        if first is None:
+            # the first slide's id and panel, not its values
+            first = m.subset_spots([])
+            if n_genes > len(m.gene_ids):
                 raise TooFewGenes(f"cannot select {n_genes} genes from a "
-                                  f"panel of {len(genes)}")
+                                  f"panel of {len(m.gene_ids)}")
             if n_genes < 1:
                 raise ValidationError("must select at least one gene")
-        elif m.gene_ids != genes:
-            raise GeneSetMismatch(
-                f"slide {m.slide_id!r} gene panel differs")
+        genes = common_genes((first, m), "; run `sepal denoise` again")
         if m.n_spots != adj.n_spots:
             raise ShapeMismatch(
                 f"adjacency for {adj.slide_id!r} covers {adj.n_spots} spots, "

@@ -75,6 +75,11 @@ column at a time, a column being flat by the rule of metrics
 metrics.evaluate did before it scored every column in whole arrays;
 pcc_histogram bins one gene at a time, as metrics did before one
 bincount took them all.
+spot_subset, subset_genes, mask_subset_genes, rows_for and align_slide
+each build their own id-to-row dict, as SpotTable.subset,
+ExpressionMatrix.subset_genes, ImputationMask.subset_genes,
+EmbeddingTable.rows_for and align_slide did before one core.rows_of
+served them all.
 """
 
 import math
@@ -92,13 +97,18 @@ from sepal.core import (
     AllGenesRemoved,
     AllSpotsRemoved,
     DegenerateCoordinates,
+    EmbeddingTable,
     EmptySlide,
     ExpressionMatrix,
+    GeneSetMismatch,
     ImputationMask,
     MalformedRow,
+    MissingEmbedding,
     NegativeValue,
     NonFiniteValue,
     ShapeMismatch,
+    Slide,
+    SpotSetMismatch,
     SpotTable,
     ValidationError,
     WidthMismatch,
@@ -1322,3 +1332,64 @@ def pcc_histogram(gene_ids, pccs, width):
         counts[idx] += 1
     return [(float(edges[i]), float(edges[i + 1]), counts[i])
             for i in range(n_bins)]
+
+
+def spot_subset(table: SpotTable, spot_ids) -> SpotTable:
+    """The named spots of table, in canonical order."""
+    index = {s: i for i, s in enumerate(table.spot_ids)}
+    for sid in spot_ids:
+        if sid not in index:
+            raise SpotSetMismatch(
+                f"spot {sid!r} of slide {table.slide_id!r} has no "
+                f"coordinates")
+    rows = np.sort(np.array([index[s] for s in spot_ids], dtype=np.int64))
+    return SpotTable(table.slide_id,
+                     [table.spot_ids[i] for i in rows.tolist()],
+                     table.pixel[rows], table.array[rows])
+
+
+def subset_genes(matrix: ExpressionMatrix, gene_ids) -> ExpressionMatrix:
+    index = {g: i for i, g in enumerate(matrix.gene_ids)}
+    missing = [g for g in gene_ids if g not in index]
+    if missing:
+        raise GeneSetMismatch(
+            f"genes {missing[:5]} absent from {matrix.slide_id}")
+    cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
+    return ExpressionMatrix(matrix.slide_id, tuple(gene_ids),
+                            matrix.spot_ids, matrix.values[:, cols],
+                            matrix.stage)
+
+
+def mask_subset_genes(mask: ImputationMask, gene_ids) -> ImputationMask:
+    index = {g: i for i, g in enumerate(mask.gene_ids)}
+    missing = [g for g in gene_ids if g not in index]
+    if missing:
+        raise GeneSetMismatch(
+            f"genes {missing[:5]} absent from mask for {mask.slide_id}")
+    cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
+    return ImputationMask(mask.slide_id, tuple(gene_ids), mask.spot_ids,
+                          mask.values[:, cols])
+
+
+def rows_for(table: EmbeddingTable, spot_ids) -> np.ndarray:
+    index = {s: i for i, s in enumerate(table.spot_ids)}
+    missing = [s for s in spot_ids if s not in index]
+    if missing:
+        raise MissingEmbedding(
+            f"spot {missing[0]!r} in {table.slide_id} has no embedding row")
+    return np.array([index[s] for s in spot_ids], dtype=np.int64)
+
+
+def align_slide(spots: SpotTable, expression: ExpressionMatrix,
+                embeddings: EmbeddingTable) -> Slide:
+    if spots.spot_ids != expression.spot_ids:
+        spots = spot_subset(spots, expression.spot_ids)
+    if embeddings.spot_ids != spots.spot_ids:
+        embeddings = EmbeddingTable(
+            embeddings.slide_id, spots.spot_ids,
+            embeddings.vectors[rows_for(embeddings, spots.spot_ids), :])
+    if spots.spot_ids != expression.spot_ids:
+        expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
+        expression = expression.subset_spots(np.array(
+            [expr_index[s] for s in spots.spot_ids], dtype=np.int64))
+    return Slide(spots, expression, embeddings)

@@ -568,6 +568,37 @@ class TestExitCodes:
         assert "synth01_expr.tsv" in err and "raw_counts" in err
         assert not (tmp_path / "run").exists()
 
+    def test_denoised_dataset_names_the_slide_and_file(self, pipeline,
+                                                       tmp_path, capsys):
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        for path in data.glob("*_expr.tsv"):
+            path.write_text(path.read_text().replace("#stage=log1p",
+                                                     "#stage=denoised"))
+        rc = run("preprocess", "--manifest", str(data / "manifest.toml"),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "synth00_expr.tsv" in err and "'synth00'" in err
+        assert "denoised" in err and "raw_counts or log1p" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_select_names_the_first_slide_and_denoise(self, pipeline,
+                                                       tmp_path, capsys):
+        out = tmp_path / "repanel"
+        copy_stages(pipeline, out, ("denoise",))
+        path = out / "denoise" / "synth01_denoised.npz"
+        m = ingest.read_matrix(path, "denoised", "denoise")
+        ingest.write_matrix(path, m.subset_genes(m.gene_ids[::-1]))
+        rc = run("select", "--manifest", pipeline["manifest"],
+                 "--out", str(out), "--n-genes", "6")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'synth01'" in err and "'synth00'" in err
+        assert "sepal denoise" in err
+        assert not (out / "select").exists()
+
     def test_eval_refuses_reordered_mask(self, pipeline, tmp_path, capsys):
         out = tmp_path / "reordered"
         copy_stages(pipeline, out, ("select", "train"))

@@ -394,3 +394,84 @@ class TestImputationMask:
         with pytest.raises(ValidationError, match="must be bool"):
             ImputationMask("s0", ("g1", "g2"), ("a",),
                            np.array([[0.0, 1.0]]))
+
+
+IDS = tuple("abcdefgh")
+some_ids = st.lists(st.sampled_from(IDS), unique=True, max_size=6)
+# ids to look up: some the table lacks, some asked for twice
+wanted_ids = st.lists(st.sampled_from(IDS), max_size=8)
+
+
+def _spots(ids):
+    n = len(ids)
+    # array positions whose order is not the ids' order
+    array = np.array([(k % 2, -k) for k in range(n)]).reshape(n, 2)
+    return SpotTable("s0", ids, np.arange(2.0 * n).reshape(n, 2), array)
+
+
+def _outcome(run, key):
+    """key of run's result, or the class and message of what it raised."""
+    try:
+        return key(run())
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+def _spot_key(t):
+    return t.spot_ids, t.pixel.tobytes(), t.array.tobytes()
+
+
+def _values_key(m):
+    return m.gene_ids, m.spot_ids, np.ascontiguousarray(m.values).tobytes()
+
+
+@pytest.mark.deep
+class TestRowLookupOracle:
+    """Every container's id lookup gives the rows, error class and
+    message that the container's own id-to-row dict gave."""
+
+    @given(some_ids, wanted_ids)
+    def test_spot_subset(self, have, wanted):
+        t = _spots(have)
+        assert (_outcome(lambda: t.subset(wanted), _spot_key)
+                == _outcome(lambda: reference.spot_subset(t, wanted),
+                            _spot_key))
+
+    @given(some_ids, wanted_ids)
+    def test_expression_subset_genes(self, have, wanted):
+        m = small_matrix(["x", "y"], have,
+                         np.arange(2.0 * len(have)).reshape(2, -1))
+        assert (_outcome(lambda: m.subset_genes(wanted), _values_key)
+                == _outcome(lambda: reference.subset_genes(m, wanted),
+                            _values_key))
+
+    # a mask does not refuse a repeated gene id: the last column wins
+    @given(wanted_ids, wanted_ids)
+    def test_mask_subset_genes(self, have, wanted):
+        mask = ImputationMask("s0", have, ("x", "y"),
+                              np.arange(2 * len(have)).reshape(2, -1) % 3 == 0)
+        assert (_outcome(lambda: mask.subset_genes(wanted), _values_key)
+                == _outcome(lambda: reference.mask_subset_genes(mask, wanted),
+                            _values_key))
+
+    @given(some_ids, wanted_ids)
+    def test_embedding_rows_for(self, have, wanted):
+        t = EmbeddingTable("s0", have,
+                           np.arange(3.0 * len(have)).reshape(-1, 3))
+
+        def key(rows):
+            return rows.dtype, rows.tolist()
+        assert (_outcome(lambda: t.rows_for(wanted), key)
+                == _outcome(lambda: reference.rows_for(t, wanted), key))
+
+    @given(some_ids, some_ids, some_ids)
+    def test_align_slide(self, coords, expr, emb):
+        spots = _spots(coords)
+        m = small_matrix(expr, ["g1"], np.arange(len(expr))[:, None])
+        e = EmbeddingTable("s0", emb, np.arange(2.0 * len(emb)).reshape(-1, 2))
+
+        def key(s):
+            return (_spot_key(s.spots), _values_key(s.expression),
+                    s.embeddings.spot_ids, s.embeddings.vectors.tobytes())
+        assert (_outcome(lambda: align_slide(spots, m, e), key)
+                == _outcome(lambda: reference.align_slide(spots, m, e), key))

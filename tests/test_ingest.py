@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -601,6 +602,24 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["stage"]
         assert [p.name for p in out.iterdir()] == ["a.npz"]
         assert (out / "a.npz").read_bytes() == b"old"
+
+    @pytest.mark.parametrize("leftover", ["staged", "old"])
+    def test_a_killed_runs_scratch_is_not_reused(self, tmp_path, monkeypatch,
+                                                 leftover):
+        # a run killed with this pid left its scratch directory behind
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        stale = tmp_path / f".eval.4242.{leftover}"
+        stale.mkdir()
+        (stale / "synth03_per_gene.tsv").write_bytes(b"stale")
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "metrics.tsv").write_bytes(b"old")
+        with ingest.staged(out) as tmp:
+            (tmp / "metrics.tsv").write_bytes(b"new")
+        assert [p.name for p in out.iterdir()] == ["metrics.tsv"]
+        assert (out / "metrics.tsv").read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name,
+                                                              "eval"]
 
 
 class TestManifest:
