@@ -14,7 +14,9 @@ outputs into a stage directory under the run directory given by --out:
     figures/      correlation histogram and example heatmaps
 
 Every matrix, mask and prediction passed between stages is one numpy
-archive (.npz; see ingest); reports and lockfiles are TSV tables.
+archive (.npz; see ingest), named for its manifest slide.  One that is
+missing, of another kind or stage, or of another slide exits 1 naming it
+and the command to re-run; reports and lockfiles are TSV tables.
 
 Each command reads only the slides it uses (train: the train and val
 matrices; eval, figures: the test matrices and masks), and eval is the
@@ -47,13 +49,13 @@ from .core import (
     ImputationMask,
     IoFailure,
     PipelineError,
+    ShapeMismatch,
     SpotTable,
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
     WidthNotDivisible,
     align_slide,
-    assert_mask_matches,
     common_genes,
     validate_dataset,
 )
@@ -139,26 +141,41 @@ def _spots_for(entry, matrix: ExpressionMatrix) -> SpotTable:
     return spots
 
 
-def _read_stage_matrix(path: Path, want_stage: str, producer: str
-                       ) -> ExpressionMatrix:
-    return ingest.read_matrix(_require(path, producer), want_stage, producer)
+def _slide_archive(stage_dir: Path, entry, name: str, stage: str | None,
+                   producer: str) -> ExpressionMatrix | ImputationMask:
+    """The entry's <slide>_<name>.npz in stage_dir: a matrix at this stage
+    tag, or with stage None a mask.  Missing, of another kind or tag, or
+    of another slide, it exits 1 naming the file and `sepal <producer>`."""
+    path = _require(stage_dir / f"{entry.slide_id}_{name}.npz", producer)
+    block = (ingest.read_mask(path, producer) if stage is None
+             else ingest.read_matrix(path, stage, producer))
+    if block.slide_id != entry.slide_id:
+        raise ValidationError(
+            f"{path} holds slide {block.slide_id!r}, not "
+            f"{entry.slide_id!r}; run `sepal {producer}` again")
+    return block
 
 
 def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
     """The slide's select output, checked against a gene panel if given."""
-    m = _read_stage_matrix(
-        Path(out) / "select" / f"{entry.slide_id}_selected.npz",
-        "denoised", "select")
+    m = _slide_archive(Path(out) / "select", entry, "selected", "denoised",
+                       "select")
     if panel is not None and m.gene_ids != tuple(panel):
         raise ValidationError(
-            "checkpoint gene panel does not match select outputs")
+            f"{Path(out, 'select', f'{entry.slide_id}_selected.npz')}: "
+            f"checkpoint gene panel does not match select outputs; run "
+            f"`sepal train --stage 1` again")
     return m
 
 
-def _selected_mask(out: Path, entry) -> ImputationMask:
-    return ingest.read_mask(_require(
-        Path(out) / "select" / f"{entry.slide_id}_mask.npz", "select"),
-        "select")
+def _selected_mask(out: Path, entry, m: ExpressionMatrix) -> ImputationMask:
+    """The slide's select mask, aligned with m, its select output."""
+    mask = _slide_archive(Path(out) / "select", entry, "mask", None, "select")
+    if (mask.gene_ids, mask.spot_ids) != (m.gene_ids, m.spot_ids):
+        raise ShapeMismatch(
+            f"{Path(out, 'select', f'{entry.slide_id}_mask.npz')} is not "
+            f"aligned with its matrix; run `sepal select` again")
+    return mask
 
 
 def _test_entries(manifest) -> list:
@@ -210,12 +227,12 @@ def cmd_preprocess(args) -> None:
     # staged as denoise's outputs are: preprocess/ changes only once
     # every file is written
     with ingest.staged(Path(args.out) / "preprocess") as outdir:
-        for k in range(len(matrices)):
+        for k, entry in enumerate(manifest.slides):
             # the slide's raw values go once its output is made, and the
             # output once written
             m, matrices[k] = matrices[k], None
             m = preprocess.kept_log1p(m, rows[k], kept)
-            ingest.write_matrix(outdir / f"{m.slide_id}_log1p.npz", m)
+            ingest.write_matrix(outdir / f"{entry.slide_id}_log1p.npz", m)
         ingest.write_table(outdir / "filter_log.tsv", "filter_log",
                            ("kind", "scope", "item_id", "value",
                             "threshold"),
@@ -236,15 +253,14 @@ def cmd_preprocess(args) -> None:
 def _denoise_slide(entry, pre: Path, geometry: str, center: bool,
                    outdir: Path):
     """Read, denoise, centre and write one slide; only its report stays."""
-    m = _read_stage_matrix(pre / f"{entry.slide_id}_log1p.npz", "log1p",
-                           "preprocess")
+    m = _slide_archive(pre, entry, "log1p", "log1p", "preprocess")
     d, mask, report = denoise_mod.denoise_slide(m, _spots_for(entry, m),
                                                 geometry)
     del m
     if center:
-        d = preprocess.center_per_slide([d])[0]
-    ingest.write_matrix(outdir / f"{d.slide_id}_denoised.npz", d)
-    ingest.write_mask(outdir / f"{d.slide_id}_mask.npz", mask)
+        d = preprocess.center_per_slide(d)
+    ingest.write_matrix(outdir / f"{entry.slide_id}_denoised.npz", d)
+    ingest.write_mask(outdir / f"{entry.slide_id}_mask.npz", mask)
     return report
 
 
@@ -279,15 +295,6 @@ def cmd_denoise(args) -> None:
           f"{len(reports)} slides")
 
 
-def _denoised(den: Path, entry) -> tuple[ExpressionMatrix, ImputationMask]:
-    """A slide's denoise outputs: its matrix and mask."""
-    return (_read_stage_matrix(den / f"{entry.slide_id}_denoised.npz",
-                               "denoised", "denoise"),
-            ingest.read_mask(
-                _require(den / f"{entry.slide_id}_mask.npz", "denoise"),
-                "denoise"))
-
-
 def cmd_select(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     den = Path(args.out) / "denoise"
@@ -295,10 +302,10 @@ def cmd_select(args) -> None:
         else manifest.n_genes_select
 
     def scored():
-        # each slide is read whole, mask too, and scored; nothing is
-        # written until every slide has been
+        # each slide is read and scored; nothing is written until every
+        # slide has been
         for entry in manifest.slides:
-            m, _ = _denoised(den, entry)
+            m = _slide_archive(den, entry, "denoised", "denoised", "denoise")
             yield m, spatial.build_adjacency(_spots_for(entry, m),
                                              manifest.geometry)
 
@@ -308,9 +315,10 @@ def cmd_select(args) -> None:
     # staged so that select/ changes only once every file is written
     with ingest.staged(Path(args.out) / "select") as outdir:
         for entry in manifest.slides:
-            m, mask = _denoised(den, entry)
-            ingest.write_matrix(outdir / f"{m.slide_id}_selected.npz",
+            m = _slide_archive(den, entry, "denoised", "denoised", "denoise")
+            ingest.write_matrix(outdir / f"{entry.slide_id}_selected.npz",
                                 m.subset_genes(selected))
+            mask = _slide_archive(den, entry, "mask", None, "denoise")
             ingest.write_mask(outdir / f"{entry.slide_id}_mask.npz",
                               mask.subset_genes(selected))
         ingest.write_table(outdir / "genes.tsv", "gene_scores",
@@ -566,8 +574,7 @@ def _test_predictions(manifest, out: Path, model):
     results = []
     for entry in _test_entries(manifest):
         slide = _read_slide(entry, _selected(out, entry, model.gene_ids))
-        mask = _selected_mask(out, entry)
-        assert_mask_matches(slide.expression, mask)
+        mask = _selected_mask(out, entry, slide.expression)
         # a stage-2 model carries the stage-1 head, checked in _load_model
         _check_head_width(out / "train" / "stage1.ckpt", model, slide)
         if model.state is not None:
@@ -637,17 +644,16 @@ def cmd_figures(args) -> None:
     slides = []
     for entry in _test_entries(manifest):
         sid = entry.slide_id
-        pred = _read_stage_matrix(
-            eval_dir / "predictions" / f"{sid}_pred.npz", "denoised", "eval")
+        pred = _slide_archive(eval_dir / "predictions", entry, "pred",
+                              "denoised", "eval")
         m = _selected(out, entry)
-        mask = _selected_mask(out, entry)
+        mask = _selected_mask(out, entry, m)
         table = metrics.read_per_gene_pccs(
             _require(eval_dir / f"{sid}_per_gene.tsv", "eval"))
         # eval wrote the predictions and tables on the checkpoint's panel
         if (pred.spot_ids != m.spot_ids
                 or not pred.gene_ids == table[0] == gene_ids == m.gene_ids):
             raise ValidationError(f"predictions for {sid!r} are not aligned")
-        assert_mask_matches(m, mask)
         slides.append((sid, *table, pred.values, m.values, mask.values,
                        _spots_for(entry, m), manifest.geometry))
     fig_dir = out / "figures"

@@ -15,7 +15,7 @@ aligned Slide, lists its rows in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -274,29 +274,22 @@ class SpotTable:
 
 
 @dataclass(frozen=True)
-class ExpressionMatrix:
-    """A spots x genes value matrix tagged with its processing stage.
-
-    Rows follow the slide's canonical spot order.  Stage-specific
-    invariants are enforced on construction: raw counts must be
-    non-negative integers, log1p values must be non-negative, and every
-    stage requires finite values.
-    """
+class SpotsByGenes:
+    """One slide's spots x genes array: an ExpressionMatrix or an
+    ImputationMask.  Gene ids and spot ids are each distinct, and values
+    is 2-d with one row per spot and one column per gene."""
 
     slide_id: str
     gene_ids: tuple[str, ...]
     spot_ids: tuple[str, ...]
     values: np.ndarray
-    stage: str
 
-    def __post_init__(self) -> None:
-        if self.stage not in STAGES:
-            raise BadStageTag(f"unknown stage {self.stage!r}")
+    def _shaped(self, v: np.ndarray) -> np.ndarray:
+        """v, once the ids are tuples and v is checked against them."""
         object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
         object.__setattr__(self, "spot_ids", tuple(self.spot_ids))
-        v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
-            raise ShapeMismatch(f"expression values must be 2-d, got {v.ndim}-d")
+            raise ShapeMismatch(f"values must be 2-d, got {v.ndim}-d")
         if v.shape != (len(self.spot_ids), len(self.gene_ids)):
             raise ShapeMismatch(
                 f"values shape {v.shape} does not match "
@@ -308,6 +301,31 @@ class ExpressionMatrix:
         dup = _find_duplicate(self.spot_ids)
         if dup is not None:
             raise DuplicateSpot(f"duplicate spot id {dup!r} in {self.slide_id}")
+        return v
+
+    def subset_genes(self, gene_ids: Sequence[str]):
+        cols = rows_of(self.gene_ids, gene_ids, lambda missing: (
+            GeneSetMismatch(f"genes {missing[:5]} absent from {self.slide_id}")))
+        return replace(self, gene_ids=tuple(gene_ids),
+                       values=handed_over(self.values[:, cols]))
+
+
+@dataclass(frozen=True)
+class ExpressionMatrix(SpotsByGenes):
+    """A spots x genes value matrix tagged with its processing stage.
+
+    Rows follow the slide's canonical spot order.  Stage-specific
+    invariants are enforced on construction: raw counts must be
+    non-negative integers, log1p values must be non-negative, and every
+    stage requires finite values.
+    """
+
+    stage: str
+
+    def __post_init__(self) -> None:
+        if self.stage not in STAGES:
+            raise BadStageTag(f"unknown stage {self.stage!r}")
+        v = self._shaped(np.asarray(self.values, dtype=np.float64))
         _check_values(v, self.stage, self.slide_id)
         object.__setattr__(self, "values", _readonly(v))
 
@@ -315,51 +333,20 @@ class ExpressionMatrix:
     def n_spots(self) -> int:
         return len(self.spot_ids)
 
-    def subset_genes(self, gene_ids: Sequence[str]) -> "ExpressionMatrix":
-        cols = rows_of(self.gene_ids, gene_ids, lambda missing: (
-            GeneSetMismatch(f"genes {missing[:5]} absent from {self.slide_id}")))
-        return ExpressionMatrix(self.slide_id, tuple(gene_ids), self.spot_ids,
-                                handed_over(self.values[:, cols]), self.stage)
-
     def subset_spots(self, rows: np.ndarray) -> "ExpressionMatrix":
-        spot_ids = tuple(self.spot_ids[i] for i in rows)
-        return ExpressionMatrix(self.slide_id, self.gene_ids, spot_ids,
-                                handed_over(self.values[rows, :]), self.stage)
+        return replace(self, spot_ids=tuple(self.spot_ids[i] for i in rows),
+                       values=handed_over(self.values[rows, :]))
 
 
 @dataclass(frozen=True)
-class ImputationMask:
+class ImputationMask(SpotsByGenes):
     """Boolean spots x genes matrix; True marks a cell filled by the denoiser."""
 
-    slide_id: str
-    gene_ids: tuple[str, ...]
-    spot_ids: tuple[str, ...]
-    values: np.ndarray
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gene_ids", tuple(self.gene_ids))
-        object.__setattr__(self, "spot_ids", tuple(self.spot_ids))
         v = np.asarray(self.values)
         if v.dtype != np.bool_:
             raise ValidationError(f"mask values must be bool, got {v.dtype}")
-        if v.shape != (len(self.spot_ids), len(self.gene_ids)):
-            raise ShapeMismatch(
-                f"mask shape {v.shape} does not match "
-                f"{len(self.spot_ids)} spots x {len(self.gene_ids)} genes")
-        object.__setattr__(self, "values", _readonly(v))
-
-    def subset_genes(self, gene_ids: Sequence[str]) -> "ImputationMask":
-        cols = rows_of(self.gene_ids, gene_ids, lambda missing: (
-            GeneSetMismatch(f"genes {missing[:5]} absent from mask for "
-                            f"{self.slide_id}")))
-        return ImputationMask(self.slide_id, tuple(gene_ids), self.spot_ids,
-                              handed_over(self.values[:, cols]))
-
-
-def assert_mask_matches(matrix: ExpressionMatrix, mask: ImputationMask) -> None:
-    if matrix.gene_ids != mask.gene_ids or matrix.spot_ids != mask.spot_ids:
-        raise ShapeMismatch(
-            f"mask for {mask.slide_id} is not aligned with its matrix")
+        object.__setattr__(self, "values", _readonly(self._shaped(v)))
 
 
 @dataclass(frozen=True)

@@ -220,17 +220,12 @@ def log_transform(values: np.ndarray) -> np.ndarray:
     return np.log2(values, out=values)
 
 
-def center_per_slide(matrices: Sequence[ExpressionMatrix]
-                     ) -> list[ExpressionMatrix]:
-    """Subtract each slide's own per-gene mean.  Output stays at the
-    input stage tag only if already "denoised"; centered log1p values can
-    go negative so the result is tagged "denoised"."""
-    out = []
-    for m in matrices:
-        centered = m.values - m.values.mean(axis=0, keepdims=True)
-        out.append(ExpressionMatrix(m.slide_id, m.gene_ids, m.spot_ids,
-                                    handed_over(centered), "denoised"))
-    return out
+def center_per_slide(m: ExpressionMatrix) -> ExpressionMatrix:
+    """Subtract the slide's own per-gene mean.  Centered log1p values can
+    go negative, so the result is tagged "denoised" whatever the input."""
+    centered = m.values - m.values.mean(axis=0, keepdims=True)
+    return ExpressionMatrix(m.slide_id, m.gene_ids, m.spot_ids,
+                            handed_over(centered), "denoised")
 
 
 def compute_train_mean(train: Sequence[ExpressionMatrix]) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import nn
 from .core import (
+    AGGREGATIONS,
     DivergedLoss,
     EmptySplit,
     ShapeMismatch,
@@ -425,13 +426,15 @@ def load_model(path) -> TrainedModel:
                     f"{arrays[key].shape}, not the {shape} of its model; "
                     f"run `sepal train` again")
             params[key] = np.array(arrays[key], dtype=np.float64)
+        hops, aggregation = int(meta["hops"]), meta["aggregation"]
+        if hops < 1 or aggregation not in AGGREGATIONS:
+            raise ValueError(f"hops {hops} with aggregation {aggregation!r}")
         state = nn.ModelState(spec, params, int(meta["seed"]))
-        return replace(model, state=state, hops=int(meta["hops"]),
-                       aggregation=meta["aggregation"])
-    except KeyError as e:
+        return replace(model, state=state, hops=hops, aggregation=aggregation)
+    except (KeyError, ValueError) as e:
         raise ValidationError(
-            f"{path}: checkpoint has no {e.args[0]!r}; run `sepal train` "
-            f"again") from None
+            f"{path}: bad or missing checkpoint entry: {e}; run `sepal "
+            f"train` again") from None
 
 
 def predict_expression(model: TrainedModel, embeddings: np.ndarray,

@@ -1365,7 +1365,7 @@ def mask_subset_genes(mask: ImputationMask, gene_ids) -> ImputationMask:
     missing = [g for g in gene_ids if g not in index]
     if missing:
         raise GeneSetMismatch(
-            f"genes {missing[:5]} absent from mask for {mask.slide_id}")
+            f"genes {missing[:5]} absent from {mask.slide_id}")
     cols = np.array([index[g] for g in gene_ids], dtype=np.int64)
     return ImputationMask(mask.slide_id, tuple(gene_ids), mask.spot_ids,
                           mask.values[:, cols])

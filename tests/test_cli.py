@@ -321,8 +321,8 @@ class TestExitCodes:
             capsys.readouterr().err)
         assert not (out / "eval").exists()
 
-    def test_select_reads_every_mask_before_writing(self, pipeline,
-                                                    tmp_path, capsys):
+    def test_select_missing_mask_leaves_select_unchanged(self, pipeline,
+                                                         tmp_path, capsys):
         out = tmp_path / "nomask"
         copy_stages(pipeline, out, ("denoise",))
         (out / "denoise" / "synth01_mask.npz").unlink()
@@ -331,6 +331,59 @@ class TestExitCodes:
         assert rc == 1
         assert "sepal denoise" in capsys.readouterr().err
         assert not (out / "select").exists()
+
+    @pytest.mark.parametrize("command,inputs,name", [
+        ("denoise", ("preprocess", "denoise"), "preprocess/synth01_log1p.npz"),
+        ("select", ("denoise", "select"), "denoise/synth01_denoised.npz"),
+        ("select", ("denoise", "select"), "denoise/synth01_mask.npz"),
+        ("eval", ("select", "train", "eval"), "select/synth02_selected.npz"),
+        ("eval", ("select", "train", "eval"), "select/synth02_mask.npz"),
+        ("figures", ("select", "eval", "figures"),
+         "eval/predictions/synth02_pred.npz"),
+    ], ids=["log1p", "denoised", "denoise-mask", "selected", "select-mask",
+            "pred"])
+    def test_archive_of_another_slide_names_file_and_producer(
+            self, pipeline, tmp_path, capsys, command, inputs, name):
+        import shutil
+        out = tmp_path / "swapped"
+        copy_stages(pipeline, out, inputs)
+        path = out / name
+        source = path.with_name("synth00_" + path.name.split("_", 1)[1])
+        if source.exists():
+            shutil.copyfile(source, path)
+        else:
+            # synth00 is no test slide and has no prediction: relabel
+            meta, arrays = ingest.read_checkpoint(path)
+            ingest.write_checkpoint(path, {**meta, "slide": "synth00"},
+                                    arrays)
+        stage_dir = out / inputs[-1]
+        before = {p: p.read_bytes() for p in stage_dir.rglob("*")
+                  if p.is_file()}
+        rc = run(command, "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} ")
+        assert f"sepal {name.split('/')[0]}" in err
+        assert {p: p.read_bytes() for p in stage_dir.rglob("*")
+                if p.is_file()} == before
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("in_width", "1.5"), ("hops", "two"), ("hops", "0"),
+        ("aggregation", "mean")])
+    def test_bad_stage2_meta_names_checkpoint(self, pipeline, tmp_path,
+                                              capsys, key, value):
+        out = tmp_path / "meta"
+        copy_stages(pipeline, out, ("select", "train"))
+        ckpt = out / "train" / "stage2.ckpt"
+        meta, arrays = ingest.read_checkpoint(ckpt)
+        ingest.write_checkpoint(ckpt, {**meta, key: value}, arrays)
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and "sepal train" in err
+        assert not (out / "eval").exists()
 
     def test_denoise_failing_on_a_later_slide_changes_nothing(
             self, pipeline, tmp_path, capsys):
@@ -611,7 +664,7 @@ class TestExitCodes:
                  "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "synth02" in err
+        assert err.startswith(f"error: {path} ") and "sepal select" in err
         assert not (out / "eval").exists()
 
     @pytest.mark.parametrize("command,inputs,names", [

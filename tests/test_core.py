@@ -395,6 +395,15 @@ class TestImputationMask:
             ImputationMask("s0", ("g1", "g2"), ("a",),
                            np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("genes,spots,error,match", [
+        (("g1", "g2", "g1"), ("a",), GeneSetMismatch, "gene id 'g1'"),
+        (("g1",), ("a", "b", "a"), DuplicateSpot, "spot id 'a'"),
+    ], ids=["genes", "spots"])
+    def test_refuses_repeated_ids(self, genes, spots, error, match):
+        with pytest.raises(error, match=f"duplicate {match} in s0"):
+            ImputationMask("s0", genes, spots,
+                           np.zeros((len(spots), len(genes)), dtype=bool))
+
 
 IDS = tuple("abcdefgh")
 some_ids = st.lists(st.sampled_from(IDS), unique=True, max_size=6)
@@ -445,8 +454,7 @@ class TestRowLookupOracle:
                 == _outcome(lambda: reference.subset_genes(m, wanted),
                             _values_key))
 
-    # a mask does not refuse a repeated gene id: the last column wins
-    @given(wanted_ids, wanted_ids)
+    @given(some_ids, wanted_ids)
     def test_mask_subset_genes(self, have, wanted):
         mask = ImputationMask("s0", have, ("x", "y"),
                               np.arange(2 * len(have)).reshape(2, -1) % 3 == 0)
@@ -475,3 +483,17 @@ class TestRowLookupOracle:
                     s.embeddings.spot_ids, s.embeddings.vectors.tobytes())
         assert (_outcome(lambda: align_slide(spots, m, e), key)
                 == _outcome(lambda: reference.align_slide(spots, m, e), key))
+
+
+@pytest.mark.deep
+@given(wanted_ids, wanted_ids)
+def test_mask_refuses_the_ids_a_matrix_refuses(genes, spots):
+    # one id and shape check serves both containers, repeats included
+    values = np.zeros((len(spots), len(genes)))
+
+    def key(block):
+        return block.gene_ids, block.spot_ids
+    assert (_outcome(lambda: ImputationMask("s0", genes, spots,
+                                            values == 1.0), key)
+            == _outcome(lambda: ExpressionMatrix("s0", genes, spots, values,
+                                                 "denoised"), key))

@@ -166,7 +166,7 @@ def log1p_matrix(spot_ids, gene_ids, values, slide="s0"):
 class TestCentering:
     def test_column_means_become_zero(self):
         m = log1p_matrix(["a", "b"], ["g1", "g2"], [[1.0, 4.0], [3.0, 0.0]])
-        c = center_per_slide([m])[0]
+        c = center_per_slide(m)
         np.testing.assert_allclose(c.values.mean(axis=0), 0.0, atol=1e-15)
         assert c.stage == "denoised"
         np.testing.assert_array_equal(c.values, [[-1.0, 2.0], [1.0, -2.0]])
