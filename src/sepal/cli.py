@@ -3,7 +3,7 @@
 Each subcommand is a thin wrapper over one library module and writes its
 outputs into a stage directory under the run directory given by --out:
 
-    preprocess/   filtered, normalized, log-space expression
+    preprocess/   log-space expression; the kept spots and their embeddings
     denoise/      imputed expression plus the imputation masks
     select/       autocorrelation ranking and the reduced gene panel
     graphs/       neighborhood summary and graph-construction settings
@@ -13,10 +13,11 @@ outputs into a stage directory under the run directory given by --out:
     eval/         metric tables (pooled and per test slide) and predictions
     figures/      correlation histogram and example heatmaps
 
-Every matrix, mask and prediction passed between stages is one numpy
-archive (.npz; see ingest), named for its manifest slide.  One that is
-missing, of another kind or stage, or of another slide exits 1 naming it
-and the command to re-run; reports and lockfiles are TSV tables.
+Every matrix, mask, prediction and spots archive passed between stages
+is one numpy archive (.npz; see ingest), named for its manifest slide.
+One that is missing, of another kind or stage, or of another slide exits
+1 naming it and the command to re-run; reports and lockfiles are TSV
+tables.  After preprocess, no command reads the dataset but its manifest.
 
 Each command reads only the slides it uses (train: the train and val
 matrices; eval, figures: the test matrices and masks), and eval is the
@@ -50,12 +51,12 @@ from .core import (
     IoFailure,
     PipelineError,
     ShapeMismatch,
+    Slide,
     SpotTable,
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
     WidthNotDivisible,
-    align_slide,
     common_genes,
     validate_dataset,
 )
@@ -130,17 +131,6 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _spots_for(entry, matrix: ExpressionMatrix) -> SpotTable:
-    """The coordinates of a matrix's spots, whose rows must be in
-    canonical order: preprocess writes them so."""
-    spots = ingest.read_coordinates(entry.coords_path).subset(matrix.spot_ids)
-    if spots.spot_ids != matrix.spot_ids:
-        raise ValidationError(
-            f"the rows of slide {entry.slide_id!r} are not in canonical spot "
-            f"order; run `sepal preprocess` again")
-    return spots
-
-
 def _slide_archive(stage_dir: Path, entry, name: str, stage: str | None,
                    producer: str) -> ExpressionMatrix | ImputationMask:
     """The entry's <slide>_<name>.npz in stage_dir: a matrix at this stage
@@ -149,11 +139,22 @@ def _slide_archive(stage_dir: Path, entry, name: str, stage: str | None,
     path = _require(stage_dir / f"{entry.slide_id}_{name}.npz", producer)
     block = (ingest.read_mask(path, producer) if stage is None
              else ingest.read_matrix(path, stage, producer))
-    if block.slide_id != entry.slide_id:
-        raise ValidationError(
-            f"{path} holds slide {block.slide_id!r}, not "
-            f"{entry.slide_id!r}; run `sepal {producer}` again")
+    ingest.expect_slide(path, block.slide_id, entry.slide_id, producer)
     return block
+
+
+def _slide(out: Path, entry, matrix: ExpressionMatrix) -> Slide:
+    """The matrix with its spots and embeddings, read by _slide_archive's
+    rules from preprocess/<slide>_spots.npz, whose rows must be its own."""
+    path = _require(Path(out, "preprocess", f"{entry.slide_id}_spots.npz"),
+                    "preprocess")
+    spots, emb = ingest.read_spots(path, "preprocess")
+    ingest.expect_slide(path, spots.slide_id, entry.slide_id, "preprocess")
+    if not spots.spot_ids == emb.spot_ids == matrix.spot_ids:
+        raise ValidationError(
+            f"the rows of slide {entry.slide_id!r} are not in canonical spot "
+            f"order; run `sepal preprocess` again")
+    return Slide(spots, matrix, emb)
 
 
 def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
@@ -209,7 +210,9 @@ def cmd_synth(args) -> None:
 
 def cmd_preprocess(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
-    matrices = validate_dataset(manifest, ingest.read_slide)
+    arrays = []  # each slide's spots and embeddings, less the ids
+    matrices = validate_dataset(manifest, ingest.read_slide, lambda s: (
+        arrays.append((s.spots.pixel, s.spots.array, s.embeddings.vectors))))
 
     stage = matrices[0].stage
     if stage not in ("raw_counts", "log1p"):
@@ -233,6 +236,11 @@ def cmd_preprocess(args) -> None:
             m, matrices[k] = matrices[k], None
             m = preprocess.kept_log1p(m, rows[k], kept)
             ingest.write_matrix(outdir / f"{entry.slide_id}_log1p.npz", m)
+            pixel, array, vectors = (a if rows[k] is None else a[rows[k]]
+                                     for a in arrays[k])
+            ingest.write_spots(outdir / f"{entry.slide_id}_spots.npz",
+                               SpotTable(m.slide_id, m.spot_ids, pixel,
+                                         array), vectors)
         ingest.write_table(outdir / "filter_log.tsv", "filter_log",
                            ("kind", "scope", "item_id", "value",
                             "threshold"),
@@ -250,12 +258,13 @@ def cmd_preprocess(args) -> None:
     print(f"preprocess: {len(matrices)} slides, {len(kept)} genes kept")
 
 
-def _denoise_slide(entry, pre: Path, geometry: str, center: bool,
+def _denoise_slide(entry, out: Path, geometry: str, center: bool,
                    outdir: Path):
     """Read, denoise, centre and write one slide; only its report stays."""
-    m = _slide_archive(pre, entry, "log1p", "log1p", "preprocess")
-    d, mask, report = denoise_mod.denoise_slide(m, _spots_for(entry, m),
-                                                geometry)
+    m = _slide_archive(out / "preprocess", entry, "log1p", "log1p",
+                       "preprocess")
+    d, mask, report = denoise_mod.denoise_slide(
+        m, _slide(out, entry, m).spots, geometry)
     del m
     if center:
         d = preprocess.center_per_slide(d)
@@ -266,11 +275,10 @@ def _denoise_slide(entry, pre: Path, geometry: str, center: bool,
 
 def cmd_denoise(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
-    pre = Path(args.out) / "preprocess"
     # each slide is written as it is done, into a staging directory whose
     # files replace denoise/'s only once every slide is
     with ingest.staged(Path(args.out) / "denoise") as outdir:
-        reports = [_denoise_slide(entry, pre, manifest.geometry,
+        reports = [_denoise_slide(entry, Path(args.out), manifest.geometry,
                                   args.center_slides, outdir)
                    for entry in manifest.slides]
         rows = [(r.slide_id, r.n_cells, r.n_zero, r.n_imputed, r.n_fallback,
@@ -306,7 +314,7 @@ def cmd_select(args) -> None:
         # slide has been
         for entry in manifest.slides:
             m = _slide_archive(den, entry, "denoised", "denoised", "denoise")
-            yield m, spatial.build_adjacency(_spots_for(entry, m),
+            yield m, spatial.build_adjacency(_slide(args.out, entry, m).spots,
                                              manifest.geometry)
 
     selected, scores = spatial.select_genes(scored(), n_genes)
@@ -333,13 +341,6 @@ def cmd_select(args) -> None:
     print(f"select: kept {len(selected)} of {len(scores)} genes")
 
 
-def _read_slide(entry, matrix: ExpressionMatrix):
-    """The slide's coordinates (by _spots_for's row-order rule) and
-    embeddings aligned to the matrix, each file read once."""
-    return align_slide(_spots_for(entry, matrix), matrix,
-                       ingest.read_embeddings(entry.emb_path))
-
-
 def _check_head_width(ckpt: Path, model, slide) -> None:
     """The head takes embeddings of the width it was fitted on."""
     width = model.head_weight.shape[1]
@@ -360,7 +361,7 @@ def cmd_build_graphs(args) -> None:
     rows = []
     width = None
     for entry in manifest.slides:
-        slide = _read_slide(entry, _selected(args.out, entry))
+        slide = _slide(args.out, entry, _selected(args.out, entry))
         width = graphs_mod.feature_width(slide.embeddings.d_emb, aggregation)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
         for spot_id, sub in zip(slide.spots.spot_ids,
@@ -451,8 +452,7 @@ def cmd_train(args) -> None:
 
         def read(entry):
             m = matrices[entry.slide_id]
-            table = ingest.read_embeddings(entry.emb_path)
-            return (table.vectors[table.rows_for(m.spot_ids)],
+            return (_slide(out, entry, m).embeddings.vectors,
                     m.values - mean[None, :])
 
         x_train, y_train = _gather(manifest, "train", read)
@@ -514,7 +514,7 @@ def cmd_train(args) -> None:
         seed=opt("seed"), max_steps=opt("max_steps"))
 
     def read(entry):
-        slide = _read_slide(entry, matrices[entry.slide_id])
+        slide = _slide(out, entry, matrices[entry.slide_id])
         _check_head_width(stage1_path, stage1, slide)
         adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
         return (graphs_mod.build_spot_graphs(slide, adjacency, hops,
@@ -573,7 +573,7 @@ def _test_predictions(manifest, out: Path, model):
     """Per-test-slide (slide_id, pred, truth matrix, mask)."""
     results = []
     for entry in _test_entries(manifest):
-        slide = _read_slide(entry, _selected(out, entry, model.gene_ids))
+        slide = _slide(out, entry, _selected(out, entry, model.gene_ids))
         mask = _selected_mask(out, entry, slide.expression)
         # a stage-2 model carries the stage-1 head, checked in _load_model
         _check_head_width(out / "train" / "stage1.ckpt", model, slide)
@@ -610,7 +610,7 @@ def cmd_eval(args) -> None:
             rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
                                    m.spot_ids)
             metrics.write_per_gene_table(
-                eval_dir / f"{slide_id}_per_gene.tsv", rep)
+                eval_dir / f"{slide_id}_per_gene.tsv", rep, slide_id)
             per_slide_rows.append((slide_id, *metrics.summary_row(rep)))
             preds.append(pred)
             truths.append(m.values)
@@ -649,13 +649,13 @@ def cmd_figures(args) -> None:
         m = _selected(out, entry)
         mask = _selected_mask(out, entry, m)
         table = metrics.read_per_gene_pccs(
-            _require(eval_dir / f"{sid}_per_gene.tsv", "eval"))
+            _require(eval_dir / f"{sid}_per_gene.tsv", "eval"), sid)
         # eval wrote the predictions and tables on the checkpoint's panel
         if (pred.spot_ids != m.spot_ids
                 or not pred.gene_ids == table[0] == gene_ids == m.gene_ids):
             raise ValidationError(f"predictions for {sid!r} are not aligned")
         slides.append((sid, *table, pred.values, m.values, mask.values,
-                       _spots_for(entry, m), manifest.geometry))
+                       _slide(out, entry, m).spots, manifest.geometry))
     fig_dir = out / "figures"
     # staged so that figures/ holds only this run's files
     with ingest.staged(fig_dir) as outdir:

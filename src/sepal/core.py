@@ -440,7 +440,7 @@ class Slide:
     """A fully aligned slide: spots, expression and embeddings.
 
     All three views share one canonical spot order.  Built with
-    align_slide, never by hand.
+    align_slide, or from a spots archive whose rows are the matrix's.
     """
 
     spots: SpotTable
@@ -459,8 +459,8 @@ def align_slide(spots: SpotTable,
 
     The expression matrix defines which spots exist; coordinates and
     embeddings may cover a superset and are subset to match.  A view
-    already in that order is held as it is, neither copied nor checked
-    again: synth writes its files so, and every stage its archives.
+    already in that order is held as it is, as synth writes its files.
+    This is the dataset's rule: validate_dataset is its one caller.
     """
     if spots.spot_ids != expression.spot_ids:
         spots = spots.subset(expression.spot_ids)
@@ -479,6 +479,7 @@ def validate_dataset(
     manifest: DatasetManifest,
     read: Callable[[SlideEntry],
                    tuple[SpotTable, ExpressionMatrix, EmbeddingTable]],
+    keep: Callable[[Slide], None] = lambda slide: None,
 ) -> list[ExpressionMatrix]:
     """Cross-slide consistency checks before any processing starts.
 
@@ -486,10 +487,10 @@ def validate_dataset(
     order, that embedding widths agree, and that every expression spot
     has coordinates and an embedding row (by aligning each slide, which
     raises otherwise).  Calls read once per manifest slide, in manifest
-    order, for its (spots, expr, emb), and returns the aligned expression
-    matrices in that order: the coordinates and embeddings are let go
-    once checked, so a read that loads the slide's files holds one
-    slide's at a time.
+    order, for its (spots, expr, emb), passes the aligned Slide to keep
+    and returns the aligned expression matrices in that order: a read
+    that loads the slide's files holds one slide's at a time, beyond what
+    keep holds of them.
     """
     d_ref: int | None = None
     matrices: list[ExpressionMatrix] = []
@@ -504,5 +505,6 @@ def validate_dataset(
             raise WidthMismatch(
                 f"slide {entry.slide_id!r} embedding width {emb.d_emb} "
                 f"differs from {d_ref}")
-        matrices.append(align_slide(spots, expr, emb).expression)
+        keep(slide := align_slide(spots, expr, emb))
+        matrices.append(slide.expression)
     return matrices

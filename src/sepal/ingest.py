@@ -23,7 +23,8 @@ Formats:
                 and so is every matrix and mask passed between stages
                 (.npz): "values" (float64, or bool for a mask), "spot_ids"
                 and "gene_ids" as string arrays, and meta kind, slide and,
-                for a matrix, stage
+                for a matrix, stage.  A spots archive holds "spot_ids",
+                "pixel", "array" and the embeddings' "vectors"
   heatmap       binary P6 PPM plus a CSV of the plotted values
 
 A value table without a #slide= comment takes its slide id from its file
@@ -432,10 +433,11 @@ def write_embeddings(path, table: EmbeddingTable) -> None:
 
 
 def write_table(path, kind: str, columns: Sequence[str],
-                rows: Iterable[Sequence]) -> None:
+                rows: Iterable[Sequence], slide: str | None = None) -> None:
     """Write a generic report table with the standard comment prologue."""
     with _open_write(path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind={kind}\n")
+        fh.write("" if slide is None else f"#slide={slide}\n")
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(fmt_value(v) for v in row) + "\n")
@@ -586,21 +588,33 @@ def read_checkpoint(path, producer: str = "train"
     return meta, arrays
 
 
-# the values dtype of each kind of inter-stage archive
-_BLOCK_DTYPES = {"matrix": np.dtype(np.float64),
-                 "mask": np.dtype(np.bool_)}
-_BLOCK_ARRAYS = {"values", "spot_ids", "gene_ids"}
+# each archive kind's arrays: ndim, then dtype less byte order ("U": text)
+_ARCHIVE_ARRAYS = {
+    "matrix": {"values": "2f8", "spot_ids": "1U", "gene_ids": "1U"},
+    "mask": {"values": "2b1", "spot_ids": "1U", "gene_ids": "1U"},
+    "spots": {"spot_ids": "1U", "pixel": "2f8", "array": "2i8",
+              "vectors": "2f8"},
+}
+
+
+def _id_array(path, slide: str, ids: Sequence[str]) -> np.ndarray:
+    # numpy strings drop trailing NULs; refuse what would not come back
+    out = np.array(ids, dtype=str)
+    if out.tolist() != list(ids):
+        raise ValidationError(f"{path}: an id of slide {slide!r} ends in NUL")
+    return out
+
+
+def expect_slide(path, held, slide_id, producer: str) -> None:
+    if held != slide_id:
+        raise ValidationError(f"{path} holds slide {held!r}, not "
+                              f"{slide_id!r}; run `sepal {producer}` again")
 
 
 def _write_block(path, kind: str, block, meta: Mapping[str, str]) -> None:
     """An ExpressionMatrix or ImputationMask as one archive."""
-    ids = {}
-    for name in ("spot_ids", "gene_ids"):
-        ids[name] = np.array(getattr(block, name), dtype=str)
-        # numpy strings drop trailing NULs; refuse what would not come back
-        if ids[name].tolist() != list(getattr(block, name)):
-            raise ValidationError(
-                f"{path}: an id of slide {block.slide_id!r} ends in NUL")
+    ids = {name: _id_array(path, block.slide_id, getattr(block, name))
+           for name in ("spot_ids", "gene_ids")}
     # row-major whatever the layout in memory (a column subset is not):
     # equal blocks write equal bytes, and sums over what a reader gets back
     # do not depend on how the writer sliced it
@@ -608,16 +622,14 @@ def _write_block(path, kind: str, block, meta: Mapping[str, str]) -> None:
                      {"values": np.ascontiguousarray(block.values), **ids})
 
 
-def _read_block(path, producer: str, stage: str | None):
-    """A _write_block archive rebuilt into an ExpressionMatrix at this
-    stage, or with stage None into an ImputationMask.  Whatever refuses it
-    names path and the command to run again."""
-    kind = "mask" if stage is None else "matrix"
+def _read_block(path, producer: str, kind: str, stage: str | None = None):
+    """An archive rebuilt: a matrix at this stage, a mask, or spots as a
+    SpotTable and an EmbeddingTable whose rows are as written.  Whatever
+    refuses it names path and the command to run again."""
     meta, arrays = read_checkpoint(path, producer)
-    if (meta.get("kind") != kind or set(arrays) != _BLOCK_ARRAYS
-            or arrays["values"].dtype != _BLOCK_DTYPES[kind]
-            or any(arrays[k].ndim != 1 or arrays[k].dtype.kind != "U"
-                   for k in ("spot_ids", "gene_ids"))):
+    got = {k: f"{a.ndim}{'U' if a.dtype.kind == 'U' else a.dtype.str[1:]}"
+           for k, a in arrays.items()}
+    if meta.get("kind") != kind or got != _ARCHIVE_ARRAYS[kind]:
         raise ValidationError(
             f"{path} is not a {kind} archive; run `sepal {producer}` again")
     tag = meta.get("stage")
@@ -625,11 +637,15 @@ def _read_block(path, producer: str, stage: str | None):
         raise StageOrderViolation(
             f"{path} carries stage tag {tag!r}, expected {stage!r}; run "
             f"`sepal {producer}` first")
-    fields = (_path_part(meta.get("slide", ""), "slide id", path),
-              _gene_ids(path, arrays["gene_ids"].tolist()),
-              tuple(arrays["spot_ids"].tolist()),
-              handed_over(arrays["values"]))
+    sid = _path_part(meta.get("slide", ""), "slide id", path)
+    ids = tuple(arrays["spot_ids"].tolist())
+    if kind != "spots":
+        fields = (sid, _gene_ids(path, arrays["gene_ids"].tolist()), ids,
+                  handed_over(arrays["values"]))
     try:
+        if kind == "spots":
+            return (SpotTable(sid, ids, arrays["pixel"], arrays["array"]),
+                    EmbeddingTable(sid, ids, handed_over(arrays["vectors"])))
         return (ImputationMask(*fields) if stage is None
                 else ExpressionMatrix(*fields, stage))
     except ValidationError as e:
@@ -644,7 +660,7 @@ def write_matrix(path, matrix: ExpressionMatrix) -> None:
 def read_matrix(path, stage: str, producer: str) -> ExpressionMatrix:
     """Read a write_matrix archive that must carry this stage tag; any
     other tag, or none, raises StageOrderViolation naming producer."""
-    return _read_block(path, producer, stage)
+    return _read_block(path, producer, "matrix", stage)
 
 
 def write_mask(path, mask: ImputationMask) -> None:
@@ -652,7 +668,18 @@ def write_mask(path, mask: ImputationMask) -> None:
 
 
 def read_mask(path, producer: str) -> ImputationMask:
-    return _read_block(path, producer, None)
+    return _read_block(path, producer, "mask")
+
+
+def write_spots(path, spots: SpotTable, vectors: np.ndarray) -> None:
+    """A slide's spots and, row for row, their embeddings as one archive."""
+    write_checkpoint(path, {"kind": "spots", "slide": spots.slide_id}, {
+        "spot_ids": _id_array(path, spots.slide_id, spots.spot_ids),
+        "pixel": spots.pixel, "array": spots.array, "vectors": vectors})
+
+
+def read_spots(path, producer: str) -> tuple[SpotTable, EmbeddingTable]:
+    return _read_block(path, producer, "spots")
 
 
 # ---------------------------------------------------------------------------

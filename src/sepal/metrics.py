@@ -196,18 +196,19 @@ def write_metrics_table(path, report: MetricsReport) -> None:
                        zip(SUMMARY_FIELDS, summary_row(report)))
 
 
-def write_per_gene_table(path, report: MetricsReport) -> None:
+def write_per_gene_table(path, report: MetricsReport, slide_id=None) -> None:
     ingest.write_table(path, "per_gene", ("gene_id", "pcc", "r2"),
                        zip(report.gene_ids, report.per_gene_pcc,
-                           report.per_gene_r2))
+                           report.per_gene_r2), slide_id)
 
 
-def read_per_gene_pccs(path) -> tuple[tuple[str, ...], tuple]:
-    """(gene_ids, pccs) of a per-gene table, None for an empty cell; the
-    PCCs were written with repr, so they read back to the same floats."""
+def read_per_gene_pccs(path, slide_id=None) -> tuple[tuple[str, ...], tuple]:
+    """(gene_ids, pccs) of slide_id's per-gene table (None: the pooled one),
+    None for an empty cell; repr wrote the PCCs, so they read back exactly."""
     comments, header, rows = ingest.read_table(path)
     if comments.get("kind") != "per_gene" or header[:2] != ["gene_id", "pcc"]:
         raise MalformedRow(f"{path} is not a per-gene table")
+    ingest.expect_slide(path, comments.get("slide"), slide_id, "eval")
     try:
         pccs = tuple(float(r[1]) if r[1] else None for r in rows)
     except (IndexError, ValueError):

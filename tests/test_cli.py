@@ -296,17 +296,59 @@ class TestExitCodes:
     def test_truncated_archive_names_file_and_producer(self, pipeline,
                                                        tmp_path, capsys,
                                                        keep):
-        out = tmp_path / "cut"
-        copy_stages(pipeline, out, ("denoise",))
-        path = out / "denoise" / "synth01_denoised.npz"
-        data = path.read_bytes()
-        path.write_bytes(data[:int(len(data) * keep)])
-        rc = run("select", "--manifest", pipeline["manifest"],
+        for name in ("denoise/synth01_denoised.npz",
+                     "preprocess/synth01_spots.npz"):
+            out = tmp_path / name.split("/")[0]
+            copy_stages(pipeline, out, ("denoise",))
+            path = out / name
+            data = path.read_bytes()
+            path.write_bytes(data[:int(len(data) * keep)])
+            rc = run("select", "--manifest", pipeline["manifest"],
+                     "--out", str(out))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path} ")
+            assert f"sepal {name.split('/')[0]}" in err
+            assert not (out / "select").exists()
+
+    def test_spots_archive_without_vectors_names_preprocess(
+            self, pipeline, tmp_path, capsys):
+        out = tmp_path / "novectors"
+        copy_stages(pipeline, out, ("select", "train"))
+        path = out / "preprocess" / "synth02_spots.npz"
+        meta, arrays = ingest.read_checkpoint(path)
+        del arrays["vectors"]
+        ingest.write_checkpoint(path, meta, arrays)
+        rc = run("eval", "--manifest", pipeline["manifest"],
                  "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path} ") and "sepal denoise" in err
-        assert not (out / "select").exists()
+        assert err.startswith(f"error: {path} is not a spots archive")
+        assert "sepal preprocess" in err
+        assert not (out / "eval").exists()
+
+    @pytest.mark.parametrize("line", ["#slide=synth00\n", ""],
+                             ids=["another", "none"])
+    def test_per_gene_table_of_another_slide_names_eval(
+            self, pipeline, tmp_path, capsys, line):
+        out = tmp_path / "swapped"
+        copy_stages(pipeline, out, ("select", "eval", "figures"))
+        path = out / "eval" / "synth02_per_gene.tsv"
+        text = path.read_text()
+        assert "#slide=synth02\n" in text
+        path.write_text(text.replace("#slide=synth02\n", line))
+
+        def figures():
+            return {p: p.read_bytes() for p in (out / "figures").rglob("*")
+                    if p.is_file()}
+
+        before = figures()
+        rc = run("figures", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} ") and "sepal eval" in err
+        assert figures() == before
 
     def test_mask_where_a_matrix_belongs(self, pipeline, tmp_path, capsys):
         import shutil
@@ -340,8 +382,12 @@ class TestExitCodes:
         ("eval", ("select", "train", "eval"), "select/synth02_mask.npz"),
         ("figures", ("select", "eval", "figures"),
          "eval/predictions/synth02_pred.npz"),
+        ("denoise", ("preprocess", "denoise"), "preprocess/synth01_spots.npz"),
+        ("train --stage 1", ("select", "train"),
+         "preprocess/synth01_spots.npz"),
+        ("eval", ("select", "train", "eval"), "preprocess/synth02_spots.npz"),
     ], ids=["log1p", "denoised", "denoise-mask", "selected", "select-mask",
-            "pred"])
+            "pred", "spots-denoise", "spots-train1", "spots-eval"])
     def test_archive_of_another_slide_names_file_and_producer(
             self, pipeline, tmp_path, capsys, command, inputs, name):
         import shutil
@@ -359,7 +405,7 @@ class TestExitCodes:
         stage_dir = out / inputs[-1]
         before = {p: p.read_bytes() for p in stage_dir.rglob("*")
                   if p.is_file()}
-        rc = run(command, "--manifest", pipeline["manifest"],
+        rc = run(*command.split(), "--manifest", pipeline["manifest"],
                  "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
@@ -448,7 +494,8 @@ class TestExitCodes:
         assert "No space left on device" in capsys.readouterr().err
         assert {p.name: p.read_bytes()
                 for p in (out / "select").iterdir()} == before
-        assert sorted(p.name for p in out.iterdir()) == ["denoise", "select"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "denoise", "preprocess", "select"]
 
     @pytest.mark.parametrize("command", ["preprocess", "denoise", "select"])
     def test_rerun_on_fewer_slides_leaves_no_stale_file(
@@ -988,8 +1035,10 @@ class TestFlags:
 
 
 def copy_stages(pipeline, out, stages):
+    """The pipeline's stage directories, copied under out; every command
+    after preprocess reads its spots archives, so preprocess/ comes too."""
     import shutil
-    for stage in stages:
+    for stage in dict.fromkeys(("preprocess", *stages)):
         shutil.copytree(pipeline["out"] / stage, out / stage)
 
 
@@ -1073,26 +1122,62 @@ class TestStageWork:
         assert ingest.read_checkpoint(ckpt)[1]["train_mean"].tobytes() \
             == want
 
-    def test_stage2_and_eval_read_each_slide_once(self, pipeline, tmp_path,
-                                                  monkeypatch):
-        from collections import Counter
-        reads = Counter()
-        for name in ("read_coordinates", "read_embeddings"):
-            def counting(path, *args, _read=getattr(ingest, name), **kw):
-                reads[str(path)] += 1
-                return _read(path, *args, **kw)
-            monkeypatch.setattr(ingest, name, counting)
-        out = tmp_path / "r"
-        copy_stages(pipeline, out, ("preprocess", "denoise", "select",
-                                    "graphs", "train"))
-        base = ("--manifest", pipeline["manifest"], "--out", str(out))
-        assert run("train", *base, "--stage", "2", "--epochs", "1",
-                   "--patience", "1", "--hidden", "16") == 0
-        # the train and val slides: coordinates and embeddings once each
-        assert len(reads) == 4 and set(reads.values()) == {1}
-        reads.clear()
+    def test_no_stage_after_preprocess_opens_a_dataset_file(
+            self, pipeline, tmp_path, monkeypatch):
+        def files(root):
+            # a history's wall times differ from run to run
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*")
+                    if p.is_file() and not p.name.endswith("_history.tsv")}
+
+        # the stage-1 model's eval, with the dataset's files readable
+        ref, out = tmp_path / "ref", tmp_path / "r"
+        copy_stages(pipeline, ref, ("select", "train"))
+        (ref / "train" / "stage2.ckpt").unlink()
+        base = ("--manifest", pipeline["manifest"])
+        assert run("eval", *base, "--out", str(ref)) == 0
+
+        def refuse(path, *args, **kwargs):
+            raise AssertionError(f"{path} read after preprocess")
+
+        for name in ("read_coordinates", "read_embeddings",
+                     "read_expression"):
+            monkeypatch.setattr(ingest, name, refuse)
+        copy_stages(pipeline, out, ())
+        base += ("--out", str(out))
+        for argv in (("denoise",), ("select", "--n-genes", "6"),
+                     ("build-graphs", "--hops", "1", "--aggregation",
+                      "concat"),
+                     ("train", "--stage", "1"),
+                     ("train", "--stage", "2", "--epochs", "4",
+                      "--patience", "4", "--hidden", "16", "--lr", "0.01"),
+                     ("eval",), ("figures",)):
+            assert run(argv[0], *base, *argv[1:]) == 0, argv
+        assert files(out) == files(pipeline["out"])
+        (out / "train" / "stage2.ckpt").unlink()
         assert run("eval", *base) == 0
-        assert len(reads) == 2 and set(reads.values()) == {1}
+        assert files(out / "eval") == files(ref / "eval")
+
+    def test_dataset_files_swapped_after_preprocess_change_nothing(
+            self, pipeline, tmp_path):
+        import shutil
+        data, out = tmp_path / "data", tmp_path / "r"
+        shutil.copytree(pipeline["data"], data)
+        copy_stages(pipeline, out, ("select", "train"))
+        base = ("--manifest", str(data / "manifest.toml"), "--out", str(out))
+
+        def eval_and_figures():
+            for command in ("eval", "figures"):
+                assert run(command, *base) == 0
+            return {p.relative_to(out): p.read_bytes()
+                    for stage in ("eval", "figures")
+                    for p in (out / stage).rglob("*") if p.is_file()}
+
+        before = eval_and_figures()
+        for kind in ("emb", "coords"):
+            shutil.copyfile(data / f"synth00_{kind}.tsv",
+                            data / f"synth02_{kind}.tsv")
+        assert eval_and_figures() == before
 
 
     def test_each_command_reads_only_the_slides_it_uses(

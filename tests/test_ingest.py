@@ -962,6 +962,44 @@ class TestArchive:
             read_matrix(p, "denoised", "denoise")
 
 
+@pytest.mark.deep
+class TestSpotsArchive:
+    """A spots archive reads back the very tables it was written from."""
+
+    @given(lattices_with_holes(), st.integers(1, 8), archive_ids, st.data())
+    def test_round_trip_is_bit_identical(self, scratch_npz, lattice, d_emb,
+                                         slide, data):
+        n = len(lattice[0])
+
+        def floats(width):
+            return np.array(data.draw(st.lists(
+                finite_floats | st.sampled_from(EDGE_FLOATS),
+                min_size=n * width, max_size=n * width)),
+                dtype=np.float64).reshape(n, width)
+
+        # numpy strings keep no trailing NUL, so such an id is refused
+        ids = data.draw(st.lists(
+            archive_ids | st.sampled_from(["a\tb", "é", "中文"])
+            | archive_ids.map(lambda t: t + "\x00"),
+            min_size=n, max_size=n, unique=True))
+        # the lattice's positions are in canonical order, so ids keep theirs
+        spots = SpotTable(slide, ids, floats(2), lattice[0].array)
+        emb = EmbeddingTable(slide, spots.spot_ids, floats(d_emb))
+        if any(i.endswith("\x00") for i in ids):
+            with pytest.raises(ValidationError, match="ends in NUL"):
+                ingest.write_spots(scratch_npz, spots, emb.vectors)
+            return
+        ingest.write_spots(scratch_npz, spots, emb.vectors)
+        got_spots, got_emb = ingest.read_spots(scratch_npz, "preprocess")
+        for got in (got_spots, got_emb):
+            assert (got.slide_id, got.spot_ids) == (slide, tuple(ids))
+        for got, want in ((got_spots.pixel, spots.pixel),
+                          (got_spots.array, spots.array),
+                          (got_emb.vectors, emb.vectors)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
 def _parse_ppm(data: bytes):
     assert data.startswith(b"P6\n")
     rest = data[3:]

@@ -8,6 +8,7 @@ from sepal.core import (
     AllPatchesExcluded,
     MalformedRow,
     ShapeMismatch,
+    ValidationError,
 )
 from sepal.metrics import (
     HIST_BIN_WIDTH,
@@ -380,6 +381,20 @@ class TestReportTables:
         p = tmp_path / "per_gene.tsv"
         write_per_gene_table(p, rep)
         assert read_per_gene_pccs(p) == (rep.gene_ids, rep.per_gene_pcc)
+
+    def test_per_gene_table_names_its_slide(self, tmp_path):
+        pred, truth, mask = random_instance(7)
+        rep = evaluate(pred, truth, mask)
+        p = tmp_path / "s1_per_gene.tsv"
+        write_per_gene_table(p, rep, "s1")
+        assert read_per_gene_pccs(p, "s1") == (rep.gene_ids, rep.per_gene_pcc)
+        # another slide's table, or the pooled one, which names none
+        for slide in ("s0", None):
+            with pytest.raises(ValidationError, match="sepal eval"):
+                read_per_gene_pccs(p, slide)
+        write_per_gene_table(p, rep)
+        with pytest.raises(ValidationError, match="holds slide None"):
+            read_per_gene_pccs(p, "s1")
 
     def test_per_gene_reader_rejects_other_tables(self, tmp_path):
         pred, truth, mask = random_instance(7)
