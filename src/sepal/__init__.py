@@ -3,8 +3,8 @@
 The pipeline runs in ordered stages over a manifest of slides: count and
 sparsity filtering, library-size normalization, log transform, median-based
 zero imputation, spatially-variable gene selection, local graph construction,
-two-stage model training, and masked evaluation.  Each stage reads and writes
-plain TSV artifacts so any step can be inspected or rerun in isolation.
+two-stage model training, and masked evaluation.  Stages pass numpy archives
+and TSV reports, so any step can be inspected or rerun in isolation.
 
 Each command runs in a process of its own, so the library modules that not
 every command needs are loaded lazily: each is in sys.modules from the

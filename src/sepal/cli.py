@@ -20,8 +20,9 @@ One that is missing, of another kind or stage, or of another slide exits
 tables.  After preprocess, no command reads the dataset but its manifest.
 
 Each command reads only the slides it uses (train: the train and val
-matrices; eval, figures: the test matrices and masks), and eval is the
-only scorer: figures draws from the tables and predictions eval wrote.
+matrices; eval, figures: the test matrices and masks) and only the
+embeddings it uses (build-graphs, train, eval); eval is the only scorer:
+figures draws from the tables and predictions eval wrote.
 
 Every run writes the fully resolved configuration to a config.tsv next
 to its outputs, so a run can be reproduced from the lockfile alone.
@@ -45,13 +46,13 @@ from .core import (
     AGGREGATIONS,
     OPERATORS,
     POOLINGS,
+    EmbeddingTable,
     EmptySplit,
     ExpressionMatrix,
     ImputationMask,
     IoFailure,
     PipelineError,
     ShapeMismatch,
-    Slide,
     SpotTable,
     StageOrderViolation,
     ValidationError,
@@ -143,18 +144,20 @@ def _slide_archive(stage_dir: Path, entry, name: str, stage: str | None,
     return block
 
 
-def _slide(out: Path, entry, matrix: ExpressionMatrix) -> Slide:
-    """The matrix with its spots and embeddings, read by _slide_archive's
-    rules from preprocess/<slide>_spots.npz, whose rows must be its own."""
+def _spots(out: Path, entry, matrix: ExpressionMatrix, vectors: bool = False
+           ) -> tuple[SpotTable, EmbeddingTable | None]:
+    """The matrix's spots and, with vectors, their embeddings (else None,
+    and not loaded), read by _slide_archive's rules from
+    preprocess/<slide>_spots.npz, whose rows must be the matrix's."""
     path = _require(Path(out, "preprocess", f"{entry.slide_id}_spots.npz"),
                     "preprocess")
-    spots, emb = ingest.read_spots(path, "preprocess")
+    spots, emb = ingest.read_spots(path, "preprocess", vectors)
     ingest.expect_slide(path, spots.slide_id, entry.slide_id, "preprocess")
-    if not spots.spot_ids == emb.spot_ids == matrix.spot_ids:
+    if not spots.spot_ids == (emb or spots).spot_ids == matrix.spot_ids:
         raise ValidationError(
             f"the rows of slide {entry.slide_id!r} are not in canonical spot "
             f"order; run `sepal preprocess` again")
-    return Slide(spots, matrix, emb)
+    return spots, emb
 
 
 def _selected(out: Path, entry, panel=None) -> ExpressionMatrix:
@@ -211,8 +214,8 @@ def cmd_synth(args) -> None:
 def cmd_preprocess(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     arrays = []  # each slide's spots and embeddings, less the ids
-    matrices = validate_dataset(manifest, ingest.read_slide, lambda s: (
-        arrays.append((s.spots.pixel, s.spots.array, s.embeddings.vectors))))
+    matrices = validate_dataset(manifest, ingest.read_slide, lambda s, e: (
+        arrays.append((s.pixel, s.array, e.vectors))))
 
     stage = matrices[0].stage
     if stage not in ("raw_counts", "log1p"):
@@ -264,7 +267,7 @@ def _denoise_slide(entry, out: Path, geometry: str, center: bool,
     m = _slide_archive(out / "preprocess", entry, "log1p", "log1p",
                        "preprocess")
     d, mask, report = denoise_mod.denoise_slide(
-        m, _slide(out, entry, m).spots, geometry)
+        m, _spots(out, entry, m)[0], geometry)
     del m
     if center:
         d = preprocess.center_per_slide(d)
@@ -314,7 +317,7 @@ def cmd_select(args) -> None:
         # slide has been
         for entry in manifest.slides:
             m = _slide_archive(den, entry, "denoised", "denoised", "denoise")
-            yield m, spatial.build_adjacency(_slide(args.out, entry, m).spots,
+            yield m, spatial.build_adjacency(_spots(args.out, entry, m)[0],
                                              manifest.geometry)
 
     selected, scores = spatial.select_genes(scored(), n_genes)
@@ -341,14 +344,13 @@ def cmd_select(args) -> None:
     print(f"select: kept {len(selected)} of {len(scores)} genes")
 
 
-def _check_head_width(ckpt: Path, model, slide) -> None:
+def _check_head_width(ckpt: Path, model, emb: EmbeddingTable) -> None:
     """The head takes embeddings of the width it was fitted on."""
     width = model.head_weight.shape[1]
-    if slide.embeddings.d_emb != width:
+    if emb.d_emb != width:
         raise WidthMismatch(
             f"{ckpt}: the head takes {width} embedding columns, slide "
-            f"{slide.slide_id!r} has {slide.embeddings.d_emb}; run "
-            f"`sepal train` again")
+            f"{emb.slide_id!r} has {emb.d_emb}; run `sepal train` again")
 
 
 def cmd_build_graphs(args) -> None:
@@ -361,10 +363,11 @@ def cmd_build_graphs(args) -> None:
     rows = []
     width = None
     for entry in manifest.slides:
-        slide = _slide(args.out, entry, _selected(args.out, entry))
-        width = graphs_mod.feature_width(slide.embeddings.d_emb, aggregation)
-        adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
-        for spot_id, sub in zip(slide.spots.spot_ids,
+        spots, emb = _spots(args.out, entry, _selected(args.out, entry),
+                            vectors=True)
+        width = graphs_mod.feature_width(emb.d_emb, aggregation)
+        adjacency = spatial.build_adjacency(spots, manifest.geometry)
+        for spot_id, sub in zip(spots.spot_ids,
                                 graphs_mod.slide_subgraphs(adjacency, hops)):
             rows.append((entry.slide_id, spot_id,
                          len(sub.nodes), sub.edges.shape[0]))
@@ -452,7 +455,7 @@ def cmd_train(args) -> None:
 
         def read(entry):
             m = matrices[entry.slide_id]
-            return (_slide(out, entry, m).embeddings.vectors,
+            return (_spots(out, entry, m, vectors=True)[1].vectors,
                     m.values - mean[None, :])
 
         x_train, y_train = _gather(manifest, "train", read)
@@ -514,15 +517,15 @@ def cmd_train(args) -> None:
         seed=opt("seed"), max_steps=opt("max_steps"))
 
     def read(entry):
-        slide = _slide(out, entry, matrices[entry.slide_id])
-        _check_head_width(stage1_path, stage1, slide)
-        adjacency = spatial.build_adjacency(slide.spots, manifest.geometry)
-        return (graphs_mod.build_spot_graphs(slide, adjacency, hops,
+        m = matrices[entry.slide_id]
+        spots, emb = _spots(out, entry, m, vectors=True)
+        _check_head_width(stage1_path, stage1, emb)
+        adjacency = spatial.build_adjacency(spots, manifest.geometry)
+        return (graphs_mod.build_spot_graphs(spots, emb, adjacency, hops,
                                              aggregation),
-                train_mod.linear_prediction(slide.embeddings.vectors,
-                                            stage1.head_weight,
+                train_mod.linear_prediction(emb.vectors, stage1.head_weight,
                                             stage1.head_bias),
-                slide.expression.values - stage1.train_mean[None, :])
+                m.values - stage1.train_mean[None, :])
 
     train = _gather(manifest, "train", read)
     val = _gather(manifest, "val", read) or (None, None, None)
@@ -573,20 +576,19 @@ def _test_predictions(manifest, out: Path, model):
     """Per-test-slide (slide_id, pred, truth matrix, mask)."""
     results = []
     for entry in _test_entries(manifest):
-        slide = _slide(out, entry, _selected(out, entry, model.gene_ids))
-        mask = _selected_mask(out, entry, slide.expression)
+        m = _selected(out, entry, model.gene_ids)
+        spots, emb = _spots(out, entry, m, vectors=True)
+        mask = _selected_mask(out, entry, m)
         # a stage-2 model carries the stage-1 head, checked in _load_model
-        _check_head_width(out / "train" / "stage1.ckpt", model, slide)
+        _check_head_width(out / "train" / "stage1.ckpt", model, emb)
         if model.state is not None:
-            adjacency = spatial.build_adjacency(slide.spots,
-                                                manifest.geometry)
-            gs = graphs_mod.build_spot_graphs(slide, adjacency, model.hops,
-                                              model.aggregation)
+            adjacency = spatial.build_adjacency(spots, manifest.geometry)
+            gs = graphs_mod.build_spot_graphs(spots, emb, adjacency,
+                                              model.hops, model.aggregation)
         else:
             gs = None
-        pred = train_mod.predict_expression(model, slide.embeddings.vectors,
-                                            gs)
-        results.append((entry.slide_id, pred, slide.expression, mask))
+        pred = train_mod.predict_expression(model, emb.vectors, gs)
+        results.append((entry.slide_id, pred, m, mask))
     return results
 
 
@@ -655,7 +657,7 @@ def cmd_figures(args) -> None:
                 or not pred.gene_ids == table[0] == gene_ids == m.gene_ids):
             raise ValidationError(f"predictions for {sid!r} are not aligned")
         slides.append((sid, *table, pred.values, m.values, mask.values,
-                       _slide(out, entry, m).spots, manifest.geometry))
+                       _spots(out, entry, m)[0], manifest.geometry))
     fig_dir = out / "figures"
     # staged so that figures/ holds only this run's files
     with ingest.staged(fig_dir) as outdir:

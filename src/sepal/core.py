@@ -9,8 +9,9 @@ log1p as preprocess writes it, denoised from denoise on.
 
 A slide's spots are one SpotTable: distinct ids, distinct array positions,
 rows sorted by (array_row, array_col).  That sort is the canonical spot
-order: every matrix and mask passed between stages, and every view of an
-aligned Slide, lists its rows in it.
+order: every matrix and mask passed between stages, and every view
+align_slide returns, lists its rows in it.  A dataset's coordinates
+must also give distinct pixel positions (check_distinct_pixels).
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return handed_over(np.array(a, copy=True))
 
 
+DISTANCE_DECIMALS = 6  # pixel positions that agree to these are one
 # rows a value check takes at once hold about this many cells, so its
 # scratch stays near 0.5 MB whatever the matrix
 CHECK_CELLS = 2 ** 16
@@ -271,6 +273,21 @@ class SpotTable:
         return SpotTable(self.slide_id,
                          [self.spot_ids[i] for i in rows.tolist()],
                          self.pixel[rows], self.array[rows])
+
+
+def check_distinct_pixels(spots: SpotTable) -> None:
+    """Raise naming two spots whose pixel positions agree to
+    DISTANCE_DECIMALS places."""
+    px = np.round(spots.pixel, DISTANCE_DECIMALS)
+    order = np.lexsort((px[:, 1], px[:, 0]))
+    px = px[order]
+    same = np.flatnonzero((px[1:] == px[:-1]).all(axis=1))
+    if same.size:
+        a, b = (spots.spot_ids[k]
+                for k in sorted(order[same[0]:same[0] + 2].tolist()))
+        raise DegenerateCoordinates(
+            f"{spots.slide_id!r}: spots {a!r} and {b!r} share a pixel "
+            f"position")
 
 
 @dataclass(frozen=True)
@@ -435,27 +452,11 @@ class DatasetManifest:
             raise EmptySplit("manifest assigns no slide to the train split")
 
 
-@dataclass
-class Slide:
-    """A fully aligned slide: spots, expression and embeddings.
-
-    All three views share one canonical spot order.  Built with
-    align_slide, or from a spots archive whose rows are the matrix's.
-    """
-
-    spots: SpotTable
-    expression: ExpressionMatrix
-    embeddings: EmbeddingTable
-
-    @property
-    def slide_id(self) -> str:
-        return self.expression.slide_id
-
-
 def align_slide(spots: SpotTable,
                 expression: ExpressionMatrix,
-                embeddings: EmbeddingTable) -> Slide:
-    """Reorder everything to canonical spot order and check coverage.
+                embeddings: EmbeddingTable
+                ) -> tuple[SpotTable, ExpressionMatrix, EmbeddingTable]:
+    """The three views in canonical spot order, once coverage is checked.
 
     The expression matrix defines which spots exist; coordinates and
     embeddings may cover a superset and are subset to match.  A view
@@ -472,14 +473,14 @@ def align_slide(spots: SpotTable,
         # the spots are now the matrix's own, so none is absent
         expression = expression.subset_spots(rows_of(
             expression.spot_ids, spots.spot_ids, SpotSetMismatch))
-    return Slide(spots, expression, embeddings)
+    return spots, expression, embeddings
 
 
 def validate_dataset(
     manifest: DatasetManifest,
     read: Callable[[SlideEntry],
                    tuple[SpotTable, ExpressionMatrix, EmbeddingTable]],
-    keep: Callable[[Slide], None] = lambda slide: None,
+    keep: Callable[[SpotTable, EmbeddingTable], None] = lambda s, e: None,
 ) -> list[ExpressionMatrix]:
     """Cross-slide consistency checks before any processing starts.
 
@@ -487,10 +488,10 @@ def validate_dataset(
     order, that embedding widths agree, and that every expression spot
     has coordinates and an embedding row (by aligning each slide, which
     raises otherwise).  Calls read once per manifest slide, in manifest
-    order, for its (spots, expr, emb), passes the aligned Slide to keep
-    and returns the aligned expression matrices in that order: a read
-    that loads the slide's files holds one slide's at a time, beyond what
-    keep holds of them.
+    order, for its (spots, expr, emb), passes the aligned spots and
+    embeddings to keep and returns the aligned expression matrices in that
+    order: a read that loads the slide's files holds one slide's at a
+    time, beyond what keep holds of them.
     """
     d_ref: int | None = None
     matrices: list[ExpressionMatrix] = []
@@ -505,6 +506,7 @@ def validate_dataset(
             raise WidthMismatch(
                 f"slide {entry.slide_id!r} embedding width {emb.d_emb} "
                 f"differs from {d_ref}")
-        keep(slide := align_slide(spots, expr, emb))
-        matrices.append(slide.expression)
+        spots, expr, emb = align_slide(spots, expr, emb)
+        keep(spots, emb)
+        matrices.append(expr)
     return matrices

@@ -39,7 +39,7 @@ from .core import (
     ValidationError,
     handed_over,
 )
-from .spatial import check_distinct_pixels, lattice_lookup
+from .spatial import lattice_lookup
 
 MAX_RINGS = 7
 # (row weight, column weight) of each geometry's lattice norm
@@ -63,7 +63,7 @@ class RadialNeighborhood:
 
     n_spots: int
     members: np.ndarray    # [n_spots, width] int64
-    ring_ends: np.ndarray  # [n_spots, max_rings] int64
+    ring_ends: np.ndarray  # [n_spots, MAX_RINGS] int64
 
 
 def _template(geometry: str, reach: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +81,7 @@ def _template(geometry: str, reach: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack((dr, dc))[order], norm[order]
 
 
-def build_radial_neighborhoods(spots: SpotTable, geometry: str,
-                               max_rings: int = MAX_RINGS
+def build_radial_neighborhoods(spots: SpotTable, geometry: str
                                ) -> RadialNeighborhood:
     """Group every spot's neighbours into rings of equal lattice norm."""
     n = len(spots)
@@ -90,7 +89,6 @@ def build_radial_neighborhoods(spots: SpotTable, geometry: str,
         raise DegenerateCoordinates(f"rings need at least 2 spots, got {n}")
     if geometry not in NORM_WEIGHTS:
         raise ValidationError(f"unknown geometry {geometry!r}")
-    check_distinct_pixels(spots)
     wr, wc = NORM_WEIGHTS[geometry]
     span_r, span_c = np.ptp(spots.array, axis=0).tolist()
     # past this reach the template holds every other spot of the slide
@@ -108,23 +106,23 @@ def build_radial_neighborhoods(spots: SpotTable, geometry: str,
         # rank[s, c]: how many of the classes up to c hold one of s's spots
         rank = np.cumsum(np.logical_or.reduceat(present, starts, axis=1),
                          axis=1)
-        done = (rank[:, -1] >= max_rings) | (reach == cover)
+        done = (rank[:, -1] >= MAX_RINGS) | (reach == cover)
         nb, present, rank = nb[done], present[done], rank[done]
-        ring = np.where(present, rank[:, cls], max_rings + 1)
-        keep = ring <= max_rings
+        ring = np.where(present, rank[:, cls], MAX_RINGS + 1)
+        keep = ring <= MAX_RINGS
         width = int(keep.sum(axis=1).max(initial=0))
         members = np.full((len(nb), width), -1, dtype=np.int64)
         rows, cols = np.nonzero(keep)
         members[rows, np.cumsum(keep, axis=1)[rows, cols] - 1] = nb[rows, cols]
-        ring_ends = np.empty((len(nb), max_rings), dtype=np.int64)
-        for k in range(max_rings):
+        ring_ends = np.empty((len(nb), MAX_RINGS), dtype=np.int64)
+        for k in range(MAX_RINGS):
             ring_ends[:, k] = (ring <= k + 1).sum(axis=1)
         parts.append((todo[done], members, ring_ends))
         todo = todo[~done]
         reach *= 4
     width = max(m.shape[1] for _, m, _ in parts)
     members = np.full((n, width), -1, dtype=np.int64)
-    ring_ends = np.zeros((n, max_rings), dtype=np.int64)
+    ring_ends = np.zeros((n, MAX_RINGS), dtype=np.int64)
     for idx, m, e in parts:
         members[idx, :m.shape[1]] = m
         ring_ends[idx] = e

@@ -27,7 +27,6 @@ from .core import (
     AGGREGATIONS,
     EmbeddingTable,
     ShapeMismatch,
-    Slide,
     SpotTable,
     ValidationError,
     WidthNotDivisible,
@@ -168,12 +167,13 @@ def assemble_graph(slide_spots: SpotTable,
         sizes, [sub.edges for sub in subgraphs], nodes, index)
 
 
-def build_spot_graphs(slide: Slide, adjacency: Adjacency, hops: int,
-                      aggregation: str) -> nn.GraphBatch:
+def build_spot_graphs(spots: SpotTable, embeddings: EmbeddingTable,
+                      adjacency: Adjacency, hops: int, aggregation: str
+                      ) -> nn.GraphBatch:
     """Every spot's local graph, in canonical spot order, as one batch."""
-    if adjacency.n_spots != len(slide.spots):
+    if adjacency.n_spots != len(spots):
         raise ShapeMismatch(
             f"adjacency covers {adjacency.n_spots} spots, slide has "
-            f"{len(slide.spots)}")
-    return assemble_graph(slide.spots, slide.embeddings,
+            f"{len(spots)}")
+    return assemble_graph(spots, embeddings,
                           slide_subgraphs(adjacency, hops), aggregation)

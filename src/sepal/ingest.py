@@ -8,7 +8,7 @@ order, and archive arrays keep their exact bits.
 Formats:
   coordinates   TSV: spot_id slide_id pixel_x pixel_y array_row array_col,
                 rows in any order; read into one SpotTable, which sorts
-                them and refuses a duplicate spot id or array position
+                them; a repeated spot id, array or pixel position is refused
   expression    TSV, for dataset inputs only: spot_id then one column per
                 gene; an optional #stage= comment (without one the file
                 holds raw counts; preprocess wants every slide of a
@@ -34,6 +34,7 @@ id that is empty, "." or "..", or holds "/", "\\" or NUL, is refused.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -43,7 +44,7 @@ import tempfile
 import tomllib
 import warnings
 import zipfile
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from functools import cache, partial
 from itertools import islice
@@ -68,6 +69,7 @@ from .core import (
     StageOrderViolation,
     ValidationError,
     WidthMismatch,
+    check_distinct_pixels,
     handed_over,
 )
 
@@ -314,7 +316,7 @@ def _coordinate_row(path, line_no: int, fields: list[str]) -> tuple:
 
 def read_coordinates(path) -> SpotTable:
     """Read a coordinates TSV into one SpotTable, in canonical order.
-    Every error names path, a duplicate spot id or array position too."""
+    Every error names path, a repeated spot id or position too."""
     _, header, rows = _parse_tsv(path)
     if tuple(header) != COORD_COLUMNS:
         raise MalformedRow(
@@ -328,9 +330,11 @@ def read_coordinates(path) -> SpotTable:
         raise MalformedRow(
             f"{path}: mixed slide ids {sorted(slide_ids)[:3]}")
     try:
-        return SpotTable(slide_ids.pop(), [spot for spot, _ in ids],
-                         np.column_stack((values["x"], values["y"])),
-                         np.column_stack((values["row"], values["col"])))
+        spots = SpotTable(slide_ids.pop(), [spot for spot, _ in ids],
+                          np.column_stack((values["x"], values["y"])),
+                          np.column_stack((values["row"], values["col"])))
+        check_distinct_pixels(spots)
+        return spots
     except ValidationError as e:
         raise type(e)(f"{path}: {e}") from None
 
@@ -569,14 +573,16 @@ def write_checkpoint(path, meta: Mapping[str, str],
                                                   dtype=str)}, **arrays)
 
 
-def read_checkpoint(path, producer: str = "train"
-                    ) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def read_checkpoint(path, producer: str = "train", skip: Collection[str] = ()
+                    ) -> tuple[dict[str, str], dict[str, np.ndarray | None]]:
     """Read a write_checkpoint archive; producer is the command that
-    writes path, named in the error when path is not such an archive."""
+    writes path, named in the error when path is not such an archive.
+    An array named in skip is listed but not loaded: it reads as None."""
     with _open_read(path, binary=True) as fh:
         try:
             with np.load(fh, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
+                arrays = {name: None if name in skip else archive[name]
+                          for name in archive.files}
             meta = dict(arrays.pop(CHECKPOINT_META).tolist())
         # what np.load raises on text, a bare .npy, a truncated zip or an
         # object array, and what a missing or malformed meta entry raises
@@ -622,14 +628,18 @@ def _write_block(path, kind: str, block, meta: Mapping[str, str]) -> None:
                      {"values": np.ascontiguousarray(block.values), **ids})
 
 
-def _read_block(path, producer: str, kind: str, stage: str | None = None):
+def _read_block(path, producer: str, kind: str, stage: str | None = None,
+                skip: Collection[str] = ()):
     """An archive rebuilt: a matrix at this stage, a mask, or spots as a
-    SpotTable and an EmbeddingTable whose rows are as written.  Whatever
-    refuses it names path and the command to run again."""
-    meta, arrays = read_checkpoint(path, producer)
-    got = {k: f"{a.ndim}{'U' if a.dtype.kind == 'U' else a.dtype.str[1:]}"
+    SpotTable and an EmbeddingTable whose rows are as written (None when
+    skip holds "vectors").  An array in skip is checked by name only.
+    Whatever refuses it names path and the command to run again."""
+    meta, arrays = read_checkpoint(path, producer, skip)
+    want = _ARCHIVE_ARRAYS[kind]
+    got = {k: want.get(k) if a is None
+           else f"{a.ndim}{'U' if a.dtype.kind == 'U' else a.dtype.str[1:]}"
            for k, a in arrays.items()}
-    if meta.get("kind") != kind or got != _ARCHIVE_ARRAYS[kind]:
+    if meta.get("kind") != kind or got != want:
         raise ValidationError(
             f"{path} is not a {kind} archive; run `sepal {producer}` again")
     tag = meta.get("stage")
@@ -644,8 +654,10 @@ def _read_block(path, producer: str, kind: str, stage: str | None = None):
                   handed_over(arrays["values"]))
     try:
         if kind == "spots":
+            vectors = arrays["vectors"]
             return (SpotTable(sid, ids, arrays["pixel"], arrays["array"]),
-                    EmbeddingTable(sid, ids, handed_over(arrays["vectors"])))
+                    None if vectors is None
+                    else EmbeddingTable(sid, ids, handed_over(vectors)))
         return (ImputationMask(*fields) if stage is None
                 else ExpressionMatrix(*fields, stage))
     except ValidationError as e:
@@ -678,8 +690,11 @@ def write_spots(path, spots: SpotTable, vectors: np.ndarray) -> None:
         "pixel": spots.pixel, "array": spots.array, "vectors": vectors})
 
 
-def read_spots(path, producer: str) -> tuple[SpotTable, EmbeddingTable]:
-    return _read_block(path, producer, "spots")
+def read_spots(path, producer: str, vectors: bool = True
+               ) -> tuple[SpotTable, EmbeddingTable | None]:
+    """A write_spots archive; without vectors, the embeddings are None."""
+    return _read_block(path, producer, "spots",
+                       skip=() if vectors else ("vectors",))
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +800,9 @@ def write_heatmap(ppm_path, spots: SpotTable, values: np.ndarray,
     with _open_write(csv_path) as fh:
         fh.write(f"#format_version={FORMAT_VERSION}\n#kind=heatmap_grid\n")
         fh.write("spot_id,array_row,array_col,pixel_x,pixel_y,value\n")
+        rows = csv.writer(fh, lineterminator="\n")  # quotes "a,b" ids
         for i, (sid, (r, c), (x, y)) in enumerate(zip(
                 spots.spot_ids, spots.array.tolist(), spots.pixel.tolist())):
             val = "" if missing[i] else fmt_float(values[i])
-            fh.write(f"{sid},{r},{c},{fmt_float(x)},{fmt_float(y)},{val}\n")
+            rows.writerow((sid, r, c, fmt_float(x), fmt_float(y), val))
     return ppm_path, csv_path

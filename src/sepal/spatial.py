@@ -14,11 +14,10 @@ spots.  Two geometries are supported:
   square_grid   neighbors at offsets (0, +-1), (+-1, 0)
 
 Adjacency is binary and symmetric, stored as a deduplicated (i, j) edge
-list with i < j.  Pixel positions enter in two places only:
-check_distinct_pixels refuses two spots that share a pixel position to
-DISTANCE_DECIMALS places, by sorting the rounded positions, and
+list with i < j.  Pixel positions enter in one place only:
 min_pixel_spacing, the spacing heatmaps draw their discs at, is the
-shortest pixel length over the slide's adjacency edges.
+shortest pixel length over the slide's adjacency edges; it refuses two
+spots at one pixel position through core.check_distinct_pixels.
 
 Autocorrelation per gene map x over N spots with weight sum W:
 
@@ -44,10 +43,10 @@ from .core import (
     SpotTable,
     TooFewGenes,
     ValidationError,
+    check_distinct_pixels,
     common_genes,
 )
 
-DISTANCE_DECIMALS = 6
 # the grid index holds one cell per array position in the slide's window;
 # a window past this many cells (and 64 per spot) is not a spot lattice
 MAX_GRID_CELLS = 1 << 22
@@ -117,21 +116,6 @@ def lattice_lookup(spots: SpotTable, offsets, centres=None) -> np.ndarray:
     grid[rows, cols] = np.arange(n)
     return grid[rows[centres, None] + offsets[:, 0],
                 cols[centres, None] + offsets[:, 1]]
-
-
-def check_distinct_pixels(spots: SpotTable) -> None:
-    """Raise naming two spots whose pixel positions agree to
-    DISTANCE_DECIMALS places."""
-    px = np.round(spots.pixel, DISTANCE_DECIMALS)
-    order = np.lexsort((px[:, 1], px[:, 0]))
-    px = px[order]
-    same = np.flatnonzero((px[1:] == px[:-1]).all(axis=1))
-    if same.size:
-        a, b = (spots.spot_ids[k]
-                for k in sorted(order[same[0]:same[0] + 2].tolist()))
-        raise DegenerateCoordinates(
-            f"{spots.slide_id!r}: spots {a!r} and {b!r} share a pixel "
-            f"position")
 
 
 def _neighbor_pairs(spots: SpotTable, geometry: str

@@ -405,11 +405,9 @@ def load_model(path) -> TrainedModel:
         for key, ndim in (("train_mean", 1), ("head.b", 1), ("head.W", 2)):
             if (arrays[key].ndim != ndim
                     or arrays[key].shape[0] != len(model.gene_ids)):
-                raise ValidationError(
-                    f"{path}: checkpoint {key!r} has shape "
-                    f"{arrays[key].shape}, not one "
-                    f"{'row' if ndim == 2 else 'value'} per gene; run "
-                    f"`sepal train` again")
+                raise ValueError(
+                    f"{key!r} has shape {arrays[key].shape}, not one "
+                    f"{'row' if ndim == 2 else 'value'} per gene")
         if meta["stage"] == "1":
             return model
         sag = ({"sag_ratio": float(meta["sag_ratio"])}
@@ -421,17 +419,16 @@ def load_model(path) -> TrainedModel:
         params = {}
         for key, shape in nn.param_shapes(spec).items():
             if arrays[key].shape != shape:
-                raise ValidationError(
-                    f"{path}: checkpoint {key!r} has shape "
-                    f"{arrays[key].shape}, not the {shape} of its model; "
-                    f"run `sepal train` again")
+                raise ValueError(f"{key!r} has shape {arrays[key].shape}, "
+                                 f"not the {shape} of its model")
             params[key] = np.array(arrays[key], dtype=np.float64)
         hops, aggregation = int(meta["hops"]), meta["aggregation"]
         if hops < 1 or aggregation not in AGGREGATIONS:
             raise ValueError(f"hops {hops} with aggregation {aggregation!r}")
         state = nn.ModelState(spec, params, int(meta["seed"]))
         return replace(model, state=state, hops=hops, aggregation=aggregation)
-    except (KeyError, ValueError) as e:
+    # a spec value that nn.ModelSpec refuses is a bad entry too
+    except (KeyError, ValueError, ValidationError) as e:
         raise ValidationError(
             f"{path}: bad or missing checkpoint entry: {e}; run `sepal "
             f"train` again") from None

@@ -3,9 +3,9 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from sepal.core import SpotTable
+from sepal.core import DISTANCE_DECIMALS, SpotTable
 from sepal.nn import GraphBatch, NodeTable, backward, spatial_forward
-from sepal.spatial import DISTANCE_DECIMALS, Adjacency
+from sepal.spatial import Adjacency
 
 
 def spot_table(records, slide="s0"):

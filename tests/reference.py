@@ -107,7 +107,6 @@ from sepal.core import (
     NegativeValue,
     NonFiniteValue,
     ShapeMismatch,
-    Slide,
     SpotSetMismatch,
     SpotTable,
     ValidationError,
@@ -378,11 +377,11 @@ def assemble_graph(slide_spots, embeddings, subgraph, aggregation):
     )
 
 
-def spot_graphs(slide, adjacency, hops, aggregation):
+def spot_graphs(spots, embeddings, adjacency, hops, aggregation):
     """One SpotGraph per spot of the slide, in spot order."""
-    return [assemble_graph(slide.spots, slide.embeddings,
+    return [assemble_graph(spots, embeddings,
                            khop_subgraph(adjacency, i, hops), aggregation)
-            for i in range(len(slide.spots))]
+            for i in range(len(spots))]
 
 
 def packed_assemble_graph(slide_spots, embeddings, subgraphs, aggregation,
@@ -1381,7 +1380,8 @@ def rows_for(table: EmbeddingTable, spot_ids) -> np.ndarray:
 
 
 def align_slide(spots: SpotTable, expression: ExpressionMatrix,
-                embeddings: EmbeddingTable) -> Slide:
+                embeddings: EmbeddingTable
+                ) -> tuple[SpotTable, ExpressionMatrix, EmbeddingTable]:
     if spots.spot_ids != expression.spot_ids:
         spots = spot_subset(spots, expression.spot_ids)
     if embeddings.spot_ids != spots.spot_ids:
@@ -1392,4 +1392,4 @@ def align_slide(spots: SpotTable, expression: ExpressionMatrix,
         expr_index = {s: i for i, s in enumerate(expression.spot_ids)}
         expression = expression.subset_spots(np.array(
             [expr_index[s] for s in spots.spot_ids], dtype=np.int64))
-    return Slide(spots, expression, embeddings)
+    return spots, expression, embeddings

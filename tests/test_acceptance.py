@@ -430,13 +430,12 @@ def neighborhood_problem():
     train_mean = ds.parts[ds.slide_ids[0]][1].values.mean(axis=0)
     out = {}
     for key, sid in (("train", ds.slide_ids[0]), ("val", ds.slide_ids[1])):
-        spots, expr, emb = ds.parts[sid]
-        slide = align_slide(spots, expr, emb)
-        adj = build_adjacency(slide.spots, cfg.geometry)
+        spots, expr, emb = align_slide(*ds.parts[sid])
+        adj = build_adjacency(spots, cfg.geometry)
         out[key] = {
-            "x": slide.embeddings.vectors,
-            "delta": slide.expression.values - train_mean,
-            "graphs": build_spot_graphs(slide, adj, hops=1,
+            "x": emb.vectors,
+            "delta": expr.values - train_mean,
+            "graphs": build_spot_graphs(spots, emb, adj, hops=1,
                                         aggregation="concat"),
         }
     return out

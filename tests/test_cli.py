@@ -11,7 +11,7 @@ import pytest
 
 from sepal import graphs, ingest
 from sepal.cli import STAGE2_DEFAULTS, main
-from sepal.core import ExpressionMatrix, ImputationMask
+from sepal.core import ExpressionMatrix, ImputationMask, SpotTable
 from sepal.nn import ModelSpec
 from sepal.train import TrainConfig
 
@@ -416,7 +416,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "x"), ("in_width", "1.5"), ("hops", "two"), ("hops", "0"),
-        ("aggregation", "mean")])
+        ("aggregation", "mean"), ("operator", "gat"), ("pooling", "max"),
+        ("sag_ratio", "2.0"), ("in_width", "0")])
     def test_bad_stage2_meta_names_checkpoint(self, pipeline, tmp_path,
                                               capsys, key, value):
         out = tmp_path / "meta"
@@ -651,6 +652,28 @@ class TestExitCodes:
                  "--out", str(tmp_path / "run"))
         assert rc == 1
         assert "'synth01'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_preprocess_refuses_coincident_pixels(self, pipeline, tmp_path,
+                                                  capsys):
+        # two spots whose pixel positions agree to the rounding: refused
+        # where the dataset is read, naming the coordinates file
+        import shutil
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        path = data / "synth01_coords.tsv"
+        spots = ingest.read_coordinates(path)
+        pixel = spots.pixel.copy()
+        pixel[1] = pixel[0] + [1e-8, 0.0]
+        ingest.write_coordinates(path, SpotTable(
+            spots.slide_id, spots.spot_ids, pixel, spots.array))
+        rc = run("preprocess", "--manifest", str(data / "manifest.toml"),
+                 "--out", str(tmp_path / "run"))
+        assert rc == 1
+        a, b = spots.spot_ids[:2]
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'synth01': spots {a!r} and {b!r} share a pixel "
+            f"position\n")
         assert not (tmp_path / "run").exists()
 
     def test_unknown_stage_tag_names_the_file(self, pipeline, tmp_path,
@@ -1099,6 +1122,33 @@ class TestStageWork:
         assert built == Counter(
             (e.slide_id, i) for e in slides
             for i in range(len(ingest.read_coordinates(e.coords_path))))
+
+    def test_only_the_embedding_commands_load_vectors(self, pipeline,
+                                                      tmp_path, monkeypatch):
+        # every command reads the spots archives; denoise, select and
+        # figures use their positions only and never load the embeddings
+        loaded = set()
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording(archive, key):
+            loaded.add(key)
+            return getitem(archive, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+        out = tmp_path / "r"
+        copy_stages(pipeline, out, ())
+        base = ("--manifest", pipeline["manifest"], "--out", str(out))
+        for command, vectors in (
+                ("denoise", False), ("select --n-genes 6", False),
+                ("build-graphs --hops 1 --aggregation concat", True),
+                ("train --stage 1", True),
+                ("train --stage 2 --epochs 1 --patience 1 --hidden 16",
+                 True),
+                ("eval", True), ("figures", False)):
+            loaded.clear()
+            assert run(*command.split(), *base) == 0
+            assert "pixel" in loaded, command
+            assert ("vectors" in loaded) == vectors, command
 
     def test_train_mean_pools_the_train_slide_only(self, pipeline,
                                                    tmp_path):

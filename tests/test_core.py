@@ -230,21 +230,20 @@ class TestAlignSlide:
 
     def test_subsets_and_reorders_to_canonical(self):
         spots, expr, emb = self._pieces()
-        slide = align_slide(spots, expr, emb)
-        assert slide.spots.spot_ids == ("a", "c")
-        assert slide.expression.spot_ids == ("a", "c")
-        np.testing.assert_array_equal(slide.expression.values, [[1.0], [3.0]])
-        assert slide.embeddings.spot_ids == ("a", "c")
-        np.testing.assert_array_equal(slide.embeddings.vectors,
-                                      [[1.0], [3.0]])
+        spots, expr, emb = align_slide(spots, expr, emb)
+        assert spots.spot_ids == ("a", "c")
+        assert expr.spot_ids == ("a", "c")
+        np.testing.assert_array_equal(expr.values, [[1.0], [3.0]])
+        assert emb.spot_ids == ("a", "c")
+        np.testing.assert_array_equal(emb.vectors, [[1.0], [3.0]])
 
     def test_views_in_canonical_order_are_held_as_they_are(self):
         spots = spot_table([spot("a", 0, 0), spot("c", 1, 0)])
         expr = small_matrix(["a", "c"], ["g1"], [[1.0], [3.0]])
         emb = EmbeddingTable("s0", ("a", "c"), np.array([[1.0], [3.0]]))
-        slide = align_slide(spots, expr, emb)
-        assert slide.expression is expr and slide.embeddings is emb
-        assert slide.spots is spots
+        got = align_slide(spots, expr, emb)
+        assert all(a is b for a, b in zip(got, (spots, expr, emb),
+                                          strict=True))
 
     def test_expression_without_coordinates(self):
         spots, expr, emb = self._pieces()
@@ -478,9 +477,10 @@ class TestRowLookupOracle:
         m = small_matrix(expr, ["g1"], np.arange(len(expr))[:, None])
         e = EmbeddingTable("s0", emb, np.arange(2.0 * len(emb)).reshape(-1, 2))
 
-        def key(s):
-            return (_spot_key(s.spots), _values_key(s.expression),
-                    s.embeddings.spot_ids, s.embeddings.vectors.tobytes())
+        def key(slide):
+            s, x, v = slide
+            return (_spot_key(s), _values_key(x), v.spot_ids,
+                    v.vectors.tobytes())
         assert (_outcome(lambda: align_slide(spots, m, e), key)
                 == _outcome(lambda: reference.align_slide(spots, m, e), key))
 

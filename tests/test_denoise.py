@@ -105,12 +105,6 @@ class TestRadialNeighborhoods:
         with pytest.raises(DegenerateCoordinates):
             build_radial_neighborhoods(grid_spots(1, 1), "square_grid")
 
-    def test_coincident_spots_rejected(self):
-        spots = spot_table([("a", 0.0, 0.0, 0, 0), ("b", 1e-8, 0.0, 0, 1)],
-                           "s")
-        with pytest.raises(DegenerateCoordinates):
-            build_radial_neighborhoods(spots, "square_grid")
-
     def test_unknown_geometry_rejected(self):
         with pytest.raises(ValidationError, match="auto_radius"):
             build_radial_neighborhoods(grid_spots(2, 2), "auto_radius")

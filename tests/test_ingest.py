@@ -1057,6 +1057,16 @@ class TestHeatmap:
         p2, _ = write_heatmap(tmp_path / "b.ppm", spots, values, 4.0)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_quotes_ids_with_a_comma_or_a_quote(self, tmp_path):
+        import csv
+        spots = spot_table([("a,b", 0.0, 0.0, 0, 0), ('q"x', 4.0, 0.0, 0, 1)],
+                           "sl")
+        _, path = write_heatmap(tmp_path / "h.ppm", spots,
+                                np.array([1.0, 2.0]), 4.0)
+        rows = list(csv.reader(path.read_text().splitlines()[2:]))
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert [r[0] for r in rows[1:]] == ["a,b", 'q"x']
+
     def test_zero_spots_rejected(self, tmp_path):
         with pytest.raises(EmptySlide):
             write_heatmap(tmp_path / "h.ppm",

@@ -6,6 +6,7 @@ in tests/reference.py: on a lattice with exact pixels the two agree."""
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,13 @@ from hypothesis import strategies as st
 
 import reference
 from helpers import hex_spots, lattices_with_holes, ring_lists, spot_table
-from sepal import ingest
-from sepal.core import DegenerateCoordinates, EmptyAdjacency, ValidationError
+from sepal import denoise, ingest
+from sepal.core import (
+    DegenerateCoordinates,
+    EmptyAdjacency,
+    ValidationError,
+    check_distinct_pixels,
+)
 from sepal.denoise import build_radial_neighborhoods
 from sepal.spatial import build_adjacency, min_pixel_spacing
 
@@ -52,7 +58,8 @@ def test_min_spacing_matches_dense_minimum(lattice):
 @given(lattices_with_holes(), st.integers(0, 8))
 def test_rings_match_dense_reference(lattice, max_rings):
     spots, geometry = lattice
-    got = build_radial_neighborhoods(spots, geometry, max_rings)
+    with mock.patch.object(denoise, "MAX_RINGS", max_rings):
+        got = build_radial_neighborhoods(spots, geometry)
     want = reference.build_radial_neighborhoods(spots, max_rings)
     assert got.n_spots == len(spots)
     assert got.members.dtype == got.ring_ends.dtype == np.int64
@@ -111,7 +118,7 @@ def test_coincident_spots_raise_one_error_class(points, k):
     k %= len(points)
     spots = as_spots(points + [points[k]])
     with pytest.raises(DegenerateCoordinates):
-        build_radial_neighborhoods(spots, "square_grid")
+        check_distinct_pixels(spots)
     with pytest.raises(DegenerateCoordinates):
         min_pixel_spacing(spots, "square_grid")
     # the dense versions raised DegenerateCoordinates and a bare
@@ -128,7 +135,7 @@ def test_spots_closer_than_the_rounding_are_coincident():
     with pytest.raises(DegenerateCoordinates, match="'a' and 'b'"):
         min_pixel_spacing(spots, "square_grid")
     with pytest.raises(DegenerateCoordinates, match="'a' and 'b'"):
-        build_radial_neighborhoods(spots, "square_grid")
+        check_distinct_pixels(spots)
 
 
 def test_spacing_needs_two_spots():
