@@ -44,7 +44,7 @@ import tempfile
 import tomllib
 import warnings
 import zipfile
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from functools import cache, partial
 from itertools import islice
@@ -573,15 +573,15 @@ def write_checkpoint(path, meta: Mapping[str, str],
                                                   dtype=str)}, **arrays)
 
 
-def read_checkpoint(path, producer: str = "train", skip: Collection[str] = ()
+def read_checkpoint(path, producer: str = "train", skip: str | None = None
                     ) -> tuple[dict[str, str], dict[str, np.ndarray | None]]:
     """Read a write_checkpoint archive; producer is the command that
     writes path, named in the error when path is not such an archive.
-    An array named in skip is listed but not loaded: it reads as None."""
+    The array named skip is listed but not loaded: it reads as None."""
     with _open_read(path, binary=True) as fh:
         try:
             with np.load(fh, allow_pickle=False) as archive:
-                arrays = {name: None if name in skip else archive[name]
+                arrays = {name: None if name == skip else archive[name]
                           for name in archive.files}
             meta = dict(arrays.pop(CHECKPOINT_META).tolist())
         # what np.load raises on text, a bare .npy, a truncated zip or an
@@ -629,10 +629,10 @@ def _write_block(path, kind: str, block, meta: Mapping[str, str]) -> None:
 
 
 def _read_block(path, producer: str, kind: str, stage: str | None = None,
-                skip: Collection[str] = ()):
+                skip: str | None = None):
     """An archive rebuilt: a matrix at this stage, a mask, or spots as a
     SpotTable and an EmbeddingTable whose rows are as written (None when
-    skip holds "vectors").  An array in skip is checked by name only.
+    skip is "vectors").  The array named skip is checked by name only.
     Whatever refuses it names path and the command to run again."""
     meta, arrays = read_checkpoint(path, producer, skip)
     want = _ARCHIVE_ARRAYS[kind]
@@ -690,11 +690,11 @@ def write_spots(path, spots: SpotTable, vectors: np.ndarray) -> None:
         "pixel": spots.pixel, "array": spots.array, "vectors": vectors})
 
 
-def read_spots(path, producer: str, vectors: bool = True
+def read_spots(path, producer: str, vectors: bool
                ) -> tuple[SpotTable, EmbeddingTable | None]:
     """A write_spots archive; without vectors, the embeddings are None."""
     return _read_block(path, producer, "spots",
-                       skip=() if vectors else ("vectors",))
+                       skip=None if vectors else "vectors")
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,11 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
             f"score weight {score_w.shape} for features {h.shape}")
     sizes = _check_sizes(sizes, h.shape[0])
     score, score_backward = gcn_conv(h, score_prop, score_w)  # [n, 1]
+    # alike rows of a block score alike in exact arithmetic, but a matmul
+    # may round them apart (float32 ones do): each takes the first's score
+    for block, rows in score_prop:
+        first = (block[:, None] == block[None]).all(axis=2).argmax(axis=1)
+        score[rows] = score[rows[:, first]]
 
     rows = np.arange(sizes.sum())
     graph = np.repeat(np.arange(sizes.size), sizes)
@@ -300,11 +305,8 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
     counts = np.ceil(ratio * sizes).astype(np.int64)
     rank = rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
     top = rank < np.repeat(counts, sizes)
-    # graphs own consecutive rows, so the kept rows in row order are in
-    # graph order too
-    keep = np.zeros(rows.size, dtype=bool)
-    keep[ranked[top]] = True
-    kept = np.flatnonzero(keep)
+    # in row order, which is graph order: graphs own consecutive rows
+    kept = np.sort(ranked[top])
     kept_score = score[kept]
     gate = np.tanh(kept_score)
     gated = h[kept]

@@ -663,6 +663,18 @@ def allocating_graph_conv(h, adj, w_self, w_neigh, bias):
     return add(add(own, allocating_gcn_conv(h, adj, w_neigh)), bias)
 
 
+def tie_alike_rows(prop, score):
+    """Each row of score takes the score of the first row alike to it in
+    its block of prop, as the engine's readout does before it ranks: the
+    rows score alike in exact arithmetic, and the row order breaks the
+    tie.  The tape's gradient passes the scores through unchanged."""
+    for block, rows in prop:
+        first = [next(j for j in range(len(block))
+                      if np.array_equal(block[j], block[i]))
+                 for i in range(len(block))]
+        score[rows] = score[rows[:, first]]
+
+
 def allocating_sag_mean_readout(h, score_prop, score_w, ratio, sizes):
     """Gated top-k mean per graph.
 
@@ -676,6 +688,7 @@ def allocating_sag_mean_readout(h, score_prop, score_w, ratio, sizes):
             f"{h.data.shape}")
     sizes = _check_sizes(sizes, h.data.shape[0])
     score = allocating_gcn_conv(h, score_prop, score_w)  # [n, 1]
+    tie_alike_rows(score_prop, score.data)
 
     rows = np.arange(sizes.sum())
     graph = np.repeat(np.arange(sizes.size), sizes)
@@ -744,6 +757,7 @@ def global_mean_readout(h, slices):
 
 def sag_mean_readout(h, score_prop, score_w, ratio, slices):
     score = gcn_conv(h, score_prop, score_w)
+    tie_alike_rows(score_prop, score.data)
     kept = []
     counts = []
     for s, e in slices:

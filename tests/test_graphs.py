@@ -1,11 +1,10 @@
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -574,29 +573,6 @@ def forward_and_grads(state, batch, target):
     return out, nn.backward(tape, mse_grad(out, target)[1])
 
 
-def sag_selection_gap(state, batch):
-    """The smallest gap, over a forward's graphs, between the lowest score
-    sag_mean keeps and the highest it drops; inf when it drops none.  At
-    a gap of 0, as on a clique, whose nodes all score alike, the rounding
-    of the scores picks the kept nodes, so float32 and float64 forwards
-    may keep different ones."""
-    gaps = [np.inf]
-    readout = nn.sag_mean_readout
-
-    def recording(h, prop, w, ratio, sizes):
-        score = nn.gcn_conv(h, prop, w)[0][:, 0]
-        for s in np.split(score, np.cumsum(sizes)[:-1]):
-            k = int(np.ceil(ratio * s.size))
-            if k < s.size:
-                s = np.sort(s)[::-1]
-                gaps.append(float(s[k - 1] - s[k]))
-        return readout(h, prop, w, ratio, sizes)
-
-    with mock.patch.object(nn, "sag_mean_readout", recording):
-        spatial_forward(state, batch)
-    return min(gaps)
-
-
 def assert_close_at_float32(got, want):
     """Agreement to about a thousand float32 rounding steps of the
     largest magnitude."""
@@ -628,10 +604,6 @@ class TestFloat32Engine:
                          gnn_widths=(5, 4), pooling=pooling,
                          sag_ratio=0.5, post_widths=(3,))
         state = random_state(spec, seed)
-        if pooling == "sag_mean":
-            # the two agree only where the nodes to keep are not a tie
-            assume(sag_selection_gap(
-                state, with_dtype(stored, np.float64)) > 1e-4)
         target = rng.normal(size=(stored.n_graphs, 3))
         out32, grads32 = forward_and_grads(state, stored, target)
         out64, grads64 = forward_and_grads(

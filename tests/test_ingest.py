@@ -990,7 +990,7 @@ class TestSpotsArchive:
                 ingest.write_spots(scratch_npz, spots, emb.vectors)
             return
         ingest.write_spots(scratch_npz, spots, emb.vectors)
-        got_spots, got_emb = ingest.read_spots(scratch_npz, "preprocess")
+        got_spots, got_emb = ingest.read_spots(scratch_npz, "preprocess", True)
         for got in (got_spots, got_emb):
             assert (got.slide_id, got.spot_ids) == (slide, tuple(ids))
         for got, want in ((got_spots.pixel, spots.pixel),

@@ -426,6 +426,25 @@ class TestReadouts:
         want = 5.0 * np.tanh(5.0)
         np.testing.assert_allclose(out, [[want]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sag_clique_tie_keeps_lower_rows(self, dtype):
+        # a triangle's gcn rows are alike, so its three nodes tie however
+        # a matmul rounds their scores: each graph keeps rows 0 and 1
+        rng = np.random.default_rng(0)
+        n_graphs, width = 64, 16
+        h = rng.normal(size=(3 * n_graphs, width)).astype(dtype)
+        w = rng.normal(size=(1, width)).astype(dtype)
+        edges = np.array([[0, 1], [0, 2], [1, 2]])
+        edges = np.concatenate([edges + 3 * g for g in range(n_graphs)])
+        sizes = [3] * n_graphs
+        prop = propagation("gcn", edges, sizes, dtype)
+        out, _ = sag_mean_readout(h, prop, w, 0.5, sizes)
+        score = (h.astype(np.float64) @ w.T.astype(np.float64)).reshape(
+            n_graphs, 3).mean(axis=1, keepdims=True)
+        pairs = h.astype(np.float64).reshape(n_graphs, 3, width)[:, :2]
+        np.testing.assert_allclose(out, pairs.mean(axis=1) * np.tanh(score),
+                                   rtol=0, atol=1e-5)
+
     def test_sag_ratio_one_keeps_everything(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 3))
