@@ -452,8 +452,7 @@ class DatasetManifest:
             raise EmptySplit("manifest assigns no slide to the train split")
 
 
-def align_slide(spots: SpotTable,
-                expression: ExpressionMatrix,
+def align_slide(spots: SpotTable, expression: ExpressionMatrix,
                 embeddings: EmbeddingTable
                 ) -> tuple[SpotTable, ExpressionMatrix, EmbeddingTable]:
     """The three views in canonical spot order, once coverage is checked.

@@ -292,8 +292,7 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
             f"score weight {score_w.shape} for features {h.shape}")
     sizes = _check_sizes(sizes, h.shape[0])
     score, score_backward = gcn_conv(h, score_prop, score_w)  # [n, 1]
-    # alike rows of a block score alike in exact arithmetic, but a matmul
-    # may round them apart (float32 ones do): each takes the first's score
+    # alike rows of a block tie only in exact arithmetic: use the first's
     for block, rows in score_prop:
         first = (block[:, None] == block[None]).all(axis=2).argmax(axis=1)
         score[rows] = score[rows[:, first]]
