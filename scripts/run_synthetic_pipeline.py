@@ -7,13 +7,21 @@ as a template for wiring up real datasets.
 
 Example:
     python scripts/run_synthetic_pipeline.py --out /tmp/demo --seed 3
+
+With --peaks FILE each stage runs as its own `python -m sepal.cli`
+process, and FILE gets one TSV row per stage: its name, exit code, wall
+seconds and peak RSS in MB (the child's ru_maxrss from os.wait4).  This
+script then never imports sepal, and so never numpy: a child started
+from a parent holding numpy would report the parent's pages as its own
+peak.  sepal must be importable by the children (installed, or on
+PYTHONPATH).
 """
 
 import argparse
+import os
 import sys
+import time
 from pathlib import Path
-
-from sepal.cli import main as sepal
 
 
 def parse_args():
@@ -43,7 +51,21 @@ def parse_args():
     ap.add_argument("--stage2-epochs", type=int, default=100)
     ap.add_argument("--patience", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--peaks", type=Path, default=None,
+                    help="run each stage in a child process and write its "
+                         "exit code, wall seconds and peak RSS to this TSV")
     return ap.parse_args()
+
+
+def run_child(argv):
+    """Run `python -m sepal.cli argv`; its exit code, wall seconds and
+    peak RSS in MB."""
+    cmd = [sys.executable, "-m", "sepal.cli", *argv]
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, cmd, os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024.0
 
 
 def main():
@@ -69,23 +91,31 @@ def main():
                     else ["--pooling", "global_mean", "--hidden", "64",
                           "--post-mlp", "32", "--lr", "1e-3"])
     stages = [
-        synth,
-        ["preprocess", *base],
-        ["denoise", *base],
-        ["select", *base, "--n-genes", str(args.select)],
-        ["build-graphs", *base, *graph_flags],
-        ["train", *base, "--stage", "1"],
-        ["train", *base, "--stage", "2",
-         "--epochs", str(args.stage2_epochs),
-         "--patience", str(args.patience), "--seed", str(args.seed),
-         *stage2_flags],
-        ["eval", *base],
-        ["figures", *base],
+        ("synth", synth),
+        ("preprocess", ["preprocess", *base]),
+        ("denoise", ["denoise", *base]),
+        ("select", ["select", *base, "--n-genes", str(args.select)]),
+        ("build-graphs", ["build-graphs", *base, *graph_flags]),
+        ("train1", ["train", *base, "--stage", "1"]),
+        ("train2", ["train", *base, "--stage", "2",
+                    "--epochs", str(args.stage2_epochs),
+                    "--patience", str(args.patience),
+                    "--seed", str(args.seed), *stage2_flags]),
+        ("eval", ["eval", *base]),
+        ("figures", ["figures", *base]),
     ]
-    for argv in stages:
-        code = sepal(argv)
+    if args.peaks is None:
+        from sepal.cli import main as sepal
+    rows = ["stage\texit\twall_s\tpeak_mb\n"]
+    for name, argv in stages:
+        if args.peaks is None:
+            code = sepal(argv)
+        else:
+            code, wall, peak = run_child(argv)
+            rows.append(f"{name}\t{code}\t{wall:.3f}\t{peak:.1f}\n")
+            args.peaks.write_text("".join(rows))
         if code != 0:
-            print(f"stage {argv[0]} failed with exit code {code}",
+            print(f"stage {name} failed with exit code {code}",
                   file=sys.stderr)
             return code
 

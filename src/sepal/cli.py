@@ -6,7 +6,7 @@ outputs into a stage directory under the run directory given by --out:
     preprocess/   log-space expression; the kept spots and their embeddings
     denoise/      imputed expression plus the imputation masks
     select/       autocorrelation ranking and the reduced gene panel
-    graphs/       neighborhood summary and graph-construction settings
+    graphs/       neighborhood sizes; hops and aggregation for train --stage 2
     train/        model checkpoints and training histories; a checkpoint is
                   one numpy archive holding the gene panel, train mean,
                   head and, for stage 2, the graph correction
@@ -21,8 +21,8 @@ tables.  After preprocess, no command reads the dataset but its manifest.
 
 Each command reads only the slides it uses (train: the train and val
 matrices; eval, figures: the test matrices and masks) and only the
-embeddings it uses (build-graphs, train, eval); eval is the only scorer:
-figures draws from the tables and predictions eval wrote.
+embeddings it uses (train, eval); eval is the only scorer: figures draws
+from the tables and predictions eval wrote.
 
 Every run writes the fully resolved configuration to a config.tsv next
 to its outputs, so a run can be reproduced from the lockfile alone.
@@ -361,11 +361,8 @@ def cmd_build_graphs(args) -> None:
         raise ValidationError("hops must be positive")
 
     rows = []
-    width = None
     for entry in manifest.slides:
-        spots, emb = _spots(args.out, entry, _selected(args.out, entry),
-                            vectors=True)
-        width = graphs_mod.feature_width(emb.d_emb, aggregation)
+        spots, _ = _spots(args.out, entry, _selected(args.out, entry))
         adjacency = spatial.build_adjacency(spots, manifest.geometry)
         for spot_id, sub in zip(spots.spot_ids,
                                 graphs_mod.slide_subgraphs(adjacency, hops)):
@@ -378,9 +375,7 @@ def cmd_build_graphs(args) -> None:
                            rows)
         ingest.write_table(outdir / "meta.tsv", "graphs_meta",
                            ("key", "value"),
-                           [("aggregation", aggregation),
-                            ("feature_width", width),
-                            ("hops", hops)])
+                           [("aggregation", aggregation), ("hops", hops)])
         _write_lock(outdir, "build-graphs", {
             "manifest": str(args.manifest),
             "hops": hops,
@@ -502,11 +497,11 @@ def cmd_train(args) -> None:
     width = stage1.head_weight.shape[1]
     try:
         in_width = graphs_mod.feature_width(width, aggregation)
-    except WidthNotDivisible:
+    except WidthNotDivisible as e:
         raise WidthNotDivisible(
-            f"{stage1_path}: the head takes {width} embedding columns, and "
-            f"{aggregation} aggregation needs a multiple of 4; run `sepal "
-            f"train` again on embeddings of such a width") from None
+            f"{stage1_path}: the head takes {width} embedding columns, but "
+            f"{e}; embed the slides at such a width and run `sepal "
+            f"preprocess` through `sepal train` again") from None
     spec = nn.ModelSpec(
         in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
         operator=opt("operator"), gnn_widths=tuple(hidden),
@@ -572,45 +567,43 @@ def _load_model(train_dir: Path):
     return model
 
 
-def _test_predictions(manifest, out: Path, model):
-    """Per-test-slide (slide_id, pred, truth matrix, mask)."""
-    results = []
-    for entry in _test_entries(manifest):
-        m = _selected(out, entry, model.gene_ids)
-        spots, emb = _spots(out, entry, m, vectors=True)
-        mask = _selected_mask(out, entry, m)
-        # a stage-2 model carries the stage-1 head, checked in _load_model
-        _check_head_width(out / "train" / "stage1.ckpt", model, emb)
-        if model.state is not None:
-            adjacency = spatial.build_adjacency(spots, manifest.geometry)
-            gs = graphs_mod.build_spot_graphs(spots, emb, adjacency,
-                                              model.hops, model.aggregation)
-        else:
-            gs = None
-        pred = train_mod.predict_expression(model, emb.vectors, gs)
-        results.append((entry.slide_id, pred, m, mask))
-    return results
-
-
 def cmd_eval(args) -> None:
     manifest = ingest.read_manifest(args.manifest)
     out = Path(args.out)
     model = _load_model(out / "train")
     gene_ids = model.gene_ids
-    results = _test_predictions(manifest, out, model)
 
     per_slide_rows = []
     preds, truths, masks, spot_ids = [], [], [], []
     # staged so that eval/ changes only once every file is written
     with ingest.staged(out / "eval") as eval_dir:
-        for slide_id, pred, m, mask in results:
+        for entry in _test_entries(manifest):
+            slide_id = entry.slide_id
+            m = _selected(out, entry, gene_ids)
+            spots, emb = _spots(out, entry, m, vectors=True)
+            mask = _selected_mask(out, entry, m)
+            # a stage-2 model carries the stage-1 head (_load_model)
+            _check_head_width(out / "train" / "stage1.ckpt", model, emb)
+            gs = None
+            if model.state is not None:
+                adjacency = spatial.build_adjacency(spots, manifest.geometry)
+                gs = graphs_mod.build_spot_graphs(
+                    spots, emb, adjacency, model.hops, model.aggregation)
+            pred = train_mod.predict_expression(model, emb.vectors, gs)
             # truth in delta-free space: the denoised matrix itself
             ingest.write_matrix(
                 eval_dir / "predictions" / f"{slide_id}_pred.npz",
                 ExpressionMatrix(slide_id, gene_ids, m.spot_ids, pred,
                                  "denoised"))
-            rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
-                                   m.spot_ids)
+            try:
+                rep = metrics.evaluate(pred, m.values, mask.values, gene_ids,
+                                       m.spot_ids)
+            except (metrics.AllMasked, metrics.AllGenesExcluded,
+                    metrics.AllPatchesExcluded) as e:
+                raise type(e)(
+                    f"test slide {slide_id!r}: {e} in {out}/select/{slide_id}"
+                    f"_{{selected,mask}}.npz; run `sepal select` again or "
+                    f"move the slide out of the test split") from None
             metrics.write_per_gene_table(
                 eval_dir / f"{slide_id}_per_gene.tsv", rep, slide_id)
             per_slide_rows.append((slide_id, *metrics.summary_row(rep)))

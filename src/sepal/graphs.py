@@ -116,8 +116,8 @@ def feature_width(d_emb: int, aggregation: str) -> int:
         raise ValidationError(f"unknown aggregation {aggregation!r}")
     if d_emb < 4 or d_emb % 4:
         raise WidthNotDivisible(
-            f"{aggregation} aggregation needs d_emb divisible by 4, "
-            f"got {d_emb}")
+            f"node features need d_emb divisible by 4 under either "
+            f"aggregation, got {d_emb}")
     return d_emb if aggregation == "sum" else 2 * d_emb
 
 

@@ -279,13 +279,20 @@ def global_mean_readout(h: np.ndarray, sizes) -> Layer:
     return _segment_mean(h, _check_sizes(sizes, h.shape[0]))
 
 
+def first_alike(block: np.ndarray) -> np.ndarray:
+    """Each row's index of the first row of block equal to it."""
+    return (block[:, None] == block[None]).all(axis=2).argmax(axis=1)
+
+
 def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
-                     score_w: np.ndarray, ratio: float, sizes) -> Layer:
+                     score_w: np.ndarray, ratio: float, sizes,
+                     alike: Propagation | None = None) -> Layer:
     """Gated top-k mean per graph.
 
     Scores come from a one-channel gcn over the same node features; the
     top ceil(ratio * n) rows per graph (stable order, ties keep the lower
-    index) are gated by tanh(score) and averaged.
+    index) are gated by tanh(score) and averaged.  alike is the batch's
+    propagation("alike"); without it each block's map is built here.
     """
     if score_w.shape != (1, h.shape[1]):
         raise ShapeMismatch(
@@ -293,8 +300,7 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
     sizes = _check_sizes(sizes, h.shape[0])
     score, score_backward = gcn_conv(h, score_prop, score_w)  # [n, 1]
     # alike rows of a block tie only in exact arithmetic: use the first's
-    for block, rows in score_prop:
-        first = (block[:, None] == block[None]).all(axis=2).argmax(axis=1)
+    for first, rows in alike or [(first_alike(b), r) for b, r in score_prop]:
         score[rows] = score[rows[:, first]]
 
     rows = np.arange(sizes.sum())
@@ -355,11 +361,11 @@ class ModelSpec:
     pooling: str = "sag_mean"
     sag_ratio: float = 0.5
     post_widths: tuple[int, ...] = ()
+    WIDTHS = ("pre_widths", "gnn_widths", "post_widths")  # not a field
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pre_widths", tuple(self.pre_widths))
-        object.__setattr__(self, "gnn_widths", tuple(self.gnn_widths))
-        object.__setattr__(self, "post_widths", tuple(self.post_widths))
+        for key in self.WIDTHS:
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         if self.operator not in OPERATORS:
             raise ValidationError(f"unknown operator {self.operator!r}")
         if self.pooling not in POOLINGS:
@@ -450,12 +456,13 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Shape:
     """One local-graph topology: a node count and the local edges between
-    those nodes, with the adj and gcn blocks built from them once."""
+    those nodes, with the blocks and SAG's tie map built from them once."""
 
     size: int
     edges: np.ndarray  # [n_edges, 2] local node ids
     adj: np.ndarray    # [size, size]
     gcn: np.ndarray    # [size, size]
+    alike: np.ndarray  # [size] first_alike(gcn)
 
     @property
     def key(self) -> tuple[int, bytes]:
@@ -549,8 +556,9 @@ class GraphBatch:
         shapes = []
         for k, data in index:
             e = np.frombuffer(data, np.int64).reshape(-1, 2)
-            shapes.append(Shape(k, e, adj_matrix(k, e, table.dtype),
-                                gcn_matrix(k, e, table.dtype)))
+            gcn = gcn_matrix(k, e, table.dtype)
+            shapes.append(Shape(k, e, adj_matrix(k, e, table.dtype), gcn,
+                                first_alike(gcn)))
         return cls(table, nodes, offsets, sizes, topology, tuple(shapes))
 
     @property
@@ -588,7 +596,7 @@ class GraphBatch:
         return groups
 
     def propagation(self, kind: str) -> Propagation:
-        """The batch's "adj" or "gcn" matrix, one block per shape."""
+        """The batch's "adj" or "gcn" matrix (or "alike" map) per shape."""
         return [(getattr(shape, kind), rows) for shape, rows in self._groups]
 
     def take(self, idx) -> "GraphBatch":
@@ -671,7 +679,8 @@ def spatial_forward(state: ModelState, batch: GraphBatch,
     if spec.pooling == "sag_mean":
         w = "pool.score.W"
         r = record(sag_mean_readout(h, batch.propagation("gcn"), p[w],
-                                    spec.sag_ratio, batch.sizes), w)
+                                    spec.sag_ratio, batch.sizes,
+                                    batch.propagation("alike")), w)
     else:
         r = record(global_mean_readout(h, batch.sizes))
 

@@ -106,9 +106,7 @@ class TestPipelineOutputs:
         _, _, rows = ingest.read_table(
             pipeline["out"] / "graphs" / "meta.tsv")
         meta = {r[0]: r[1] for r in rows}
-        assert meta["hops"] == "1"
-        assert meta["aggregation"] == "concat"
-        assert meta["feature_width"] == "16"
+        assert meta == {"hops": "1", "aggregation": "concat"}
 
     def test_stage2_starts_at_stage1_val(self, pipeline):
         out = pipeline["out"]
@@ -622,6 +620,45 @@ class TestExitCodes:
         assert not (out / "eval").exists()
         assert not (out / "train" / "stage2.ckpt").exists()
 
+    def test_width_no_aggregation_encodes_stops_stage2(self, tmp_path,
+                                                       capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("synth", "--out", str(data), "--rows", "6", "--cols", "6",
+                   "--d-emb", "6", "--genes", "10", "--smooth", "4",
+                   "--seed", "1") == 0
+        base = ("--manifest", str(data / "manifest.toml"), "--out", str(out))
+        # build-graphs builds no node features, so it takes any width
+        for argv in (("preprocess",), ("denoise",),
+                     ("select", "--n-genes", "6"),
+                     ("build-graphs", "--aggregation", "concat"),
+                     ("train", "--stage", "1")):
+            assert run(*argv, *base) == 0, argv
+        capsys.readouterr()
+        assert run("train", *base, "--stage", "2", "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert f"error: {out / 'train' / 'stage1.ckpt'}: " in err
+        assert "6 embedding columns" in err
+        assert "divisible by 4 under either aggregation" in err
+        assert "`sepal preprocess`" in err
+        assert not (out / "train" / "stage2.ckpt").exists()
+
+    def test_eval_names_a_test_slide_with_every_cell_masked(
+            self, pipeline, tmp_path, capsys):
+        out = tmp_path / "masked"
+        copy_stages(pipeline, out, ("select", "train"))
+        path = out / "select" / "synth02_mask.npz"
+        mask = ingest.read_mask(path, "select")
+        ingest.write_mask(path, dataclasses.replace(
+            mask, values=np.ones_like(mask.values)))
+        rc = run("eval", "--manifest", pipeline["manifest"],
+                 "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: test slide 'synth02': every cell is masked in "
+            f"{out}/select/synth02_{{selected,mask}}.npz; run `sepal select` ")
+        assert not (out / "eval").exists()
+
     def test_stage1_refuses_val_slide_on_another_panel(self, pipeline,
                                                        tmp_path, capsys):
         out = tmp_path / "repanel"
@@ -1125,8 +1162,9 @@ class TestStageWork:
 
     def test_only_the_embedding_commands_load_vectors(self, pipeline,
                                                       tmp_path, monkeypatch):
-        # every command reads the spots archives; denoise, select and
-        # figures use their positions only and never load the embeddings
+        # every command reads the spots archives; denoise, select,
+        # build-graphs and figures use their positions only and never load
+        # the embeddings
         loaded = set()
         getitem = np.lib.npyio.NpzFile.__getitem__
 
@@ -1140,7 +1178,7 @@ class TestStageWork:
         base = ("--manifest", pipeline["manifest"], "--out", str(out))
         for command, vectors in (
                 ("denoise", False), ("select --n-genes 6", False),
-                ("build-graphs --hops 1 --aggregation concat", True),
+                ("build-graphs --hops 1 --aggregation concat", False),
                 ("train --stage 1", True),
                 ("train --stage 2 --epochs 1 --patience 1 --hidden 16",
                  True),

@@ -445,6 +445,28 @@ class TestReadouts:
         np.testing.assert_allclose(out, pairs.mean(axis=1) * np.tanh(score),
                                    rtol=0, atol=1e-5)
 
+    def test_sag_tie_maps_are_built_once_per_shape(self, monkeypatch):
+        built = []
+
+        def counting(block, first_alike=nn.first_alike):
+            built.append(block.shape)
+            return first_alike(block)
+
+        monkeypatch.setattr(nn, "first_alike", counting)
+        # two triangles, a star and an edgeless pair: three shapes
+        triangle = np.array([[0, 1], [0, 2], [1, 2]])
+        batch = pack_rows(
+            np.random.default_rng(0).normal(size=(12, 4)), [3, 3, 4, 2],
+            [triangle, triangle, np.array([[0, 1], [0, 2], [0, 3]]),
+             np.zeros((0, 2), np.int64)])
+        state = init_model_state(tiny_spec(pooling="sag_mean"), 0)
+        first = spatial_forward(state, batch)
+        second = spatial_forward(state, batch)
+        # a training batch taken from it shares its shapes and maps
+        spatial_forward(state, batch.take([3, 0]))
+        assert sorted(built) == [(2, 2), (3, 3), (4, 4)]
+        assert first.tobytes() == second.tobytes()
+
     def test_sag_ratio_one_keeps_everything(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 3))
