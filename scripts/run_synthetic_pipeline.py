@@ -8,13 +8,13 @@ as a template for wiring up real datasets.
 Example:
     python scripts/run_synthetic_pipeline.py --out /tmp/demo --seed 3
 
-With --peaks FILE each stage runs as its own `python -m sepal.cli`
-process, and FILE gets one TSV row per stage: its name, exit code, wall
-seconds and peak RSS in MB (the child's ru_maxrss from os.wait4).  This
-script then never imports sepal, and so never numpy: a child started
-from a parent holding numpy would report the parent's pages as its own
-peak.  sepal must be importable by the children (installed, or on
-PYTHONPATH).
+Each stage runs as its own `python -m sepal.cli` process, and the peaks
+file (default <out>/peaks.tsv) gets one TSV row per stage: its name,
+exit code, wall seconds and peak RSS in MB (the child's ru_maxrss from
+os.wait4).  This script never imports sepal, and so never numpy: a child
+started from a parent holding numpy would report the parent's pages as
+its own peak.  sepal must be importable by the children (installed, or
+on PYTHONPATH).
 """
 
 import argparse
@@ -52,8 +52,8 @@ def parse_args():
     ap.add_argument("--patience", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--peaks", type=Path, default=None,
-                    help="run each stage in a child process and write its "
-                         "exit code, wall seconds and peak RSS to this TSV")
+                    help="TSV of each stage's exit code, wall seconds and "
+                         "peak RSS (default: <out>/peaks.tsv)")
     return ap.parse_args()
 
 
@@ -73,6 +73,7 @@ def main():
     data = args.out / "data"
     work = args.out / "run"
     manifest = str(data / "manifest.toml")
+    peaks = args.peaks or args.out / "peaks.tsv"
 
     synth = ["synth", "--out", str(data),
              "--rows", str(args.rows), "--cols", str(args.cols),
@@ -104,16 +105,12 @@ def main():
         ("eval", ["eval", *base]),
         ("figures", ["figures", *base]),
     ]
-    if args.peaks is None:
-        from sepal.cli import main as sepal
+    peaks.parent.mkdir(parents=True, exist_ok=True)
     rows = ["stage\texit\twall_s\tpeak_mb\n"]
     for name, argv in stages:
-        if args.peaks is None:
-            code = sepal(argv)
-        else:
-            code, wall, peak = run_child(argv)
-            rows.append(f"{name}\t{code}\t{wall:.3f}\t{peak:.1f}\n")
-            args.peaks.write_text("".join(rows))
+        code, wall, peak = run_child(argv)
+        rows.append(f"{name}\t{code}\t{wall:.3f}\t{peak:.1f}\n")
+        peaks.write_text("".join(rows))
         if code != 0:
             print(f"stage {name} failed with exit code {code}",
                   file=sys.stderr)
@@ -121,7 +118,7 @@ def main():
 
     print()
     print((work / "eval" / "metrics.tsv").read_text(), end="")
-    print(f"\nartifacts under {work}")
+    print(f"\nartifacts under {work}; per-stage peaks in {peaks}")
     return 0
 
 

@@ -500,8 +500,9 @@ def cmd_train(args) -> None:
     except WidthNotDivisible as e:
         raise WidthNotDivisible(
             f"{stage1_path}: the head takes {width} embedding columns, but "
-            f"{e}; embed the slides at such a width and run `sepal "
-            f"preprocess` through `sepal train` again") from None
+            f"{e}; if the slides' embeddings are {width} wide, embed them at "
+            f"such a width and run `sepal preprocess` through `sepal train` "
+            f"again, else run `sepal train --stage 1` again") from None
     spec = nn.ModelSpec(
         in_width=in_width, n_genes=n_genes, pre_widths=opt("pre_mlp"),
         operator=opt("operator"), gnn_widths=tuple(hidden),

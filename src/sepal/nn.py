@@ -286,13 +286,13 @@ def first_alike(block: np.ndarray) -> np.ndarray:
 
 def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
                      score_w: np.ndarray, ratio: float, sizes,
-                     alike: Propagation | None = None) -> Layer:
+                     alike: Propagation) -> Layer:
     """Gated top-k mean per graph.
 
     Scores come from a one-channel gcn over the same node features; the
     top ceil(ratio * n) rows per graph (stable order, ties keep the lower
-    index) are gated by tanh(score) and averaged.  alike is the batch's
-    propagation("alike"); without it each block's map is built here.
+    index) are gated by tanh(score) and averaged.  alike holds each
+    score_prop block's first_alike map, as propagation("alike") does.
     """
     if score_w.shape != (1, h.shape[1]):
         raise ShapeMismatch(
@@ -300,7 +300,7 @@ def sag_mean_readout(h: np.ndarray, score_prop: Propagation,
     sizes = _check_sizes(sizes, h.shape[0])
     score, score_backward = gcn_conv(h, score_prop, score_w)  # [n, 1]
     # alike rows of a block tie only in exact arithmetic: use the first's
-    for first, rows in alike or [(first_alike(b), r) for b, r in score_prop]:
+    for first, rows in alike:
         score[rows] = score[rows[:, first]]
 
     rows = np.arange(sizes.sum())
@@ -361,11 +361,11 @@ class ModelSpec:
     pooling: str = "sag_mean"
     sag_ratio: float = 0.5
     post_widths: tuple[int, ...] = ()
-    WIDTHS = ("pre_widths", "gnn_widths", "post_widths")  # not a field
 
     def __post_init__(self) -> None:
-        for key in self.WIDTHS:
-            object.__setattr__(self, key, tuple(getattr(self, key)))
+        object.__setattr__(self, "pre_widths", tuple(self.pre_widths))
+        object.__setattr__(self, "gnn_widths", tuple(self.gnn_widths))
+        object.__setattr__(self, "post_widths", tuple(self.post_widths))
         if self.operator not in OPERATORS:
             raise ValidationError(f"unknown operator {self.operator!r}")
         if self.pooling not in POOLINGS:

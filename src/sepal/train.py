@@ -363,6 +363,9 @@ class TrainedModel:
     aggregation: str = "sum"
 
 
+_WIDTHS = ("pre_widths", "gnn_widths", "post_widths")
+
+
 def save_model(path, model: TrainedModel) -> None:
     """One checkpoint archive: gene panel, train mean and head, plus the
     correction's spec and parameters when the model has one."""
@@ -384,7 +387,7 @@ def save_model(path, model: TrainedModel) -> None:
             "aggregation": model.aggregation,
             "seed": str(model.state.seed),
         }
-        for key in nn.ModelSpec.WIDTHS:
+        for key in _WIDTHS:
             arrays[key] = np.array(getattr(spec, key), dtype=np.int64)
         arrays.update(model.state.params)
     write_checkpoint(path, meta, arrays)
@@ -412,7 +415,7 @@ def load_model(path) -> TrainedModel:
         spec = nn.ModelSpec(
             in_width=int(meta["in_width"]), n_genes=len(model.gene_ids),
             operator=meta["operator"], pooling=meta["pooling"], **sag,
-            **{key: arrays[key].tolist() for key in nn.ModelSpec.WIDTHS})
+            **{key: tuple(arrays[key].tolist()) for key in _WIDTHS})
         params = {}
         for key, shape in nn.param_shapes(spec).items():
             if arrays[key].shape != shape:

@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sepal.core import DISTANCE_DECIMALS, SpotTable
-from sepal.nn import GraphBatch, NodeTable, backward, spatial_forward
+from sepal.nn import (
+    GraphBatch,
+    NodeTable,
+    backward,
+    first_alike,
+    spatial_forward,
+)
 from sepal.spatial import Adjacency
 
 
@@ -165,6 +171,12 @@ def propagation(kind, edges, sizes, dtype=np.float64):
              for g, (end, k) in enumerate(zip(ends, sizes))]
     features = np.zeros((int(sizes.sum()), 1), dtype)
     return pack_rows(features, sizes, local).propagation(kind)
+
+
+def alike_maps(prop):
+    """SAG's tie maps for a gcn propagation, one first_alike index per
+    block, as GraphBatch.pack keeps them with each shape."""
+    return [(first_alike(block), rows) for block, rows in prop]
 
 
 def mse_grad(out, target):

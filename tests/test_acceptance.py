@@ -11,6 +11,7 @@ import pytest
 
 import reference
 from helpers import (
+    alike_maps,
     bfs_distances,
     grid_spots,
     hex_spots,
@@ -133,7 +134,8 @@ def layer_cases(rng):
         ([x], lambda: layer_mse(
             lambda x: global_mean_readout(x, sizes), x, [], t_pool)),
         ([x, score_w], lambda: layer_mse(
-            lambda x, w: sag_mean_readout(x, prop, w, 0.5, (n,)), x,
+            lambda x, w: sag_mean_readout(x, prop, w, 0.5, (n,),
+                                         alike_maps(prop)), x,
             [score_w], t_single)),
     ]
 

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from helpers import (
+    alike_maps,
     bfs_distances,
     dense,
     grid_spots,
@@ -676,8 +677,8 @@ class TestFloat32Engine:
             prop = propagation("gcn", np.zeros((0, 2), np.int64), [5, 7],
                                dtype)
             w = np.array([[1.0, 0.0, 0.0]], dtype)
-            out, layer_backward = nn.sag_mean_readout(h.astype(dtype), prop,
-                                                      w, 1.0, [5, 7])
+            out, layer_backward = nn.sag_mean_readout(
+                h.astype(dtype), prop, w, 1.0, [5, 7], alike_maps(prop))
             _, (g_w,) = layer_backward(
                 mse_grad(out, target.astype(dtype))[1], True)
             grads[dtype] = g_w.astype(np.float64)

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import reference
 from helpers import (
+    alike_maps,
     dense,
     layer_mse,
     local_edges,
@@ -414,7 +415,7 @@ class TestReadouts:
         h = np.array([[3.0], [1.0], [2.0], [0.0]])
         w = np.array([[1.0]])
         prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [4])
-        out, _ = sag_mean_readout(h, prop, w, 0.5, [4])
+        out, _ = sag_mean_readout(h, prop, w, 0.5, [4], alike_maps(prop))
         want = (3.0 * np.tanh(3.0) + 2.0 * np.tanh(2.0)) / 2.0
         np.testing.assert_allclose(out, [[want]])
 
@@ -422,7 +423,7 @@ class TestReadouts:
         h = np.array([[5.0], [5.0], [5.0], [5.0]])
         w = np.array([[1.0]])
         prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [4])
-        out, _ = sag_mean_readout(h, prop, w, 0.5, [4])
+        out, _ = sag_mean_readout(h, prop, w, 0.5, [4], alike_maps(prop))
         want = 5.0 * np.tanh(5.0)
         np.testing.assert_allclose(out, [[want]])
 
@@ -438,7 +439,8 @@ class TestReadouts:
         edges = np.concatenate([edges + 3 * g for g in range(n_graphs)])
         sizes = [3] * n_graphs
         prop = propagation("gcn", edges, sizes, dtype)
-        out, _ = sag_mean_readout(h, prop, w, 0.5, sizes)
+        out, _ = sag_mean_readout(h, prop, w, 0.5, sizes,
+                                  alike_maps(prop))
         score = (h.astype(np.float64) @ w.T.astype(np.float64)).reshape(
             n_graphs, 3).mean(axis=1, keepdims=True)
         pairs = h.astype(np.float64).reshape(n_graphs, 3, width)[:, :2]
@@ -472,7 +474,7 @@ class TestReadouts:
         h = rng.normal(size=(5, 3))
         w = rng.normal(size=(1, 3))
         prop = propagation("gcn", np.zeros((0, 2), dtype=np.int64), [5])
-        out, _ = sag_mean_readout(h, prop, w, 1.0, [5])
+        out, _ = sag_mean_readout(h, prop, w, 1.0, [5], alike_maps(prop))
         score = h @ w.T
         want = (h * np.tanh(score)).mean(axis=0)
         np.testing.assert_allclose(out[0], want)
@@ -485,7 +487,8 @@ class TestReadouts:
         target = rng.normal(size=(2, 4))
 
         def sag(x, w):
-            return sag_mean_readout(x, prop, w, 0.5, [3, 3])
+            return sag_mean_readout(x, prop, w, 0.5, [3, 3],
+                                    alike_maps(prop))
         fd_gradient_check([h, w], lambda: layer_mse(sag, h, [w], target))
 
 
@@ -511,8 +514,8 @@ class TestReadoutsAgainstReference:
         # the readouts take graph sizes, the reference loops row slices
         h, w = Tensor(h_arr.copy()), Tensor(w_arr.copy())
         if pooling == "sag_mean":
-            out, layer_backward = sag_mean_readout(h_arr, prop, w_arr, ratio,
-                                                   sizes)
+            out, layer_backward = sag_mean_readout(
+                h_arr, prop, w_arr, ratio, sizes, alike_maps(prop))
             want = reference.sag_mean_readout(h, prop, w, ratio, slices)
         else:
             out, layer_backward = global_mean_readout(h_arr, sizes)
@@ -531,12 +534,12 @@ class TestReadoutsAgainstReference:
 
     def test_empty_graph_rejected(self):
         h = np.ones((3, 1))
+        prop = propagation("gcn", np.zeros((0, 2), np.int64), [3])
         with pytest.raises(ValidationError):
             global_mean_readout(h, [3, 0])
         with pytest.raises(ValidationError):
-            sag_mean_readout(h, propagation("gcn", np.zeros((0, 2), np.int64),
-                                            [3]),
-                             np.ones((1, 1)), 0.5, [0, 3])
+            sag_mean_readout(h, prop, np.ones((1, 1)), 0.5, [0, 3],
+                             alike_maps(prop))
 
     def test_sizes_must_cover_every_row(self):
         h = np.ones((5, 1))
@@ -545,7 +548,8 @@ class TestReadoutsAgainstReference:
             with pytest.raises(ShapeMismatch, match="cover"):
                 global_mean_readout(h, sizes)
             with pytest.raises(ShapeMismatch, match="cover"):
-                sag_mean_readout(h, prop, np.ones((1, 1)), 0.5, sizes)
+                sag_mean_readout(h, prop, np.ones((1, 1)), 0.5, sizes,
+                                 alike_maps(prop))
 
 
 def tiny_spec(**kw):

@@ -6,27 +6,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_pipeline_script(tmp_path, *extra):
+def test_synthetic_pipeline_script_runs(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # each stage runs in its own process, with a row in the peaks table
+    peaks = tmp_path / "stage_peaks.tsv"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_synthetic_pipeline.py"),
          "--out", str(tmp_path), "--rows", "6", "--cols", "6",
          "--d-emb", "8", "--genes", "10", "--smooth", "4", "--select", "6",
-         "--stage2-epochs", "3", "--seed", "1", *extra],
+         "--stage2-epochs", "3", "--seed", "1", "--peaks", str(peaks)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run" / "eval" / "metrics.tsv").exists()
-
-
-def test_synthetic_pipeline_script_runs(tmp_path):
-    run_pipeline_script(tmp_path)
-
-
-def test_peaks_runs_each_stage_in_its_own_process(tmp_path):
-    peaks = tmp_path / "peaks.tsv"
-    run_pipeline_script(tmp_path, "--peaks", str(peaks))
     header, *rows = [line.split("\t")
                      for line in peaks.read_text().splitlines()]
     assert header == ["stage", "exit", "wall_s", "peak_mb"]
